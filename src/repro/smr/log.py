@@ -5,11 +5,22 @@ consensus guarantees that two processes never learn different commands for
 the same slot; the log enforces that locally (a conflicting ``learn`` raises)
 so any protocol bug surfaces immediately rather than corrupting downstream
 state machines.
+
+Two views are maintained incrementally so that the per-message and per-event
+work of the SMR layer does not grow with the log:
+
+* :attr:`ReplicatedLog.command_ids` — the ids of every ``(command_id,
+  command)`` entry, updated by each successful :meth:`~ReplicatedLog.learn`
+  (the run's stop check and the leader's duplicate filter are set lookups);
+* :meth:`ReplicatedLog.items` — the entries in slot order, sorted once and
+  cached until the next successful ``learn``.
+
+A rejected ``learn`` (negative slot, conflicting command) changes neither.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 
@@ -21,6 +32,10 @@ class ReplicatedLog:
 
     def __init__(self) -> None:
         self._entries: Dict[int, Any] = {}
+        #: Ids of the ``(command_id, command)`` entries learned so far.
+        #: Maintained by :meth:`learn`; callers must treat it as read-only.
+        self.command_ids: Set[Any] = set()
+        self._items: Optional[Tuple[Tuple[int, Any], ...]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -29,7 +44,13 @@ class ReplicatedLog:
         return slot in self._entries
 
     def __iter__(self) -> Iterator[Tuple[int, Any]]:
-        return iter(sorted(self._entries.items()))
+        return iter(self.items())
+
+    def items(self) -> Tuple[Tuple[int, Any], ...]:
+        """``(slot, command)`` pairs in slot order (cached until the next learn)."""
+        if self._items is None:
+            self._items = tuple(sorted(self._entries.items()))
+        return self._items
 
     def get(self, slot: int) -> Optional[Any]:
         """The decided command of ``slot``, or None if not yet learned."""
@@ -51,7 +72,10 @@ class ReplicatedLog:
                     f"refusing to overwrite with {command!r}"
                 )
             return False
+        if isinstance(command, tuple) and len(command) == 2:
+            self.command_ids.add(command[0])
         self._entries[slot] = command
+        self._items = None
         return True
 
     # -- queries ---------------------------------------------------------------
@@ -81,12 +105,13 @@ class ReplicatedLog:
         return prefix
 
     def snapshot(self) -> Dict[int, Any]:
-        """Copy of the whole log (for persistence)."""
+        """Copy of the whole log."""
         return dict(self._entries)
 
     @classmethod
     def restore(cls, snapshot: Optional[Dict[int, Any]]) -> "ReplicatedLog":
+        """A log holding ``snapshot``'s entries, learned in slot order."""
         log = cls()
-        for slot, command in (snapshot or {}).items():
+        for slot, command in sorted((snapshot or {}).items(), key=lambda item: int(item[0])):
             log.learn(int(slot), command)
         return log

@@ -54,6 +54,10 @@ __all__ = ["MultiPaxosSmrProcess", "MultiPaxosSmrBuilder"]
 
 NOOP = ("noop",)
 
+# Field prefixes of the per-slot durable state (see on_start).
+_ACCEPTED = "accepted:"
+_LOG = "log:"
+
 
 class MultiPaxosSmrProcess(ConsensusProcess):
     """One replica of the multi-decree Modified Paxos state-machine service."""
@@ -81,10 +85,20 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         self._pending: Dict[str, Any] = {}  # command_id -> command awaiting a decision
         self._seen_requests: set[str] = set()
 
-        # Durable state.
+        # Durable state: the ballot under ``proto:mbal``, then one key per
+        # slot — ``proto:accepted:<slot>`` holds the (ballot, value) vote and
+        # ``proto:log:<slot>`` the decided command.  Each write stores only
+        # what changed, so a write costs the same however long the log is.
         self.mbal: int = self.recall("mbal", initial_ballot(self.pid, n))
-        self.accepted: Dict[int, Tuple[int, Any]] = self.recall("accepted", {})
-        self.log = ReplicatedLog.restore(self.recall("log", {}))
+        self.accepted: Dict[int, Tuple[int, Any]] = {}
+        decided: Dict[int, Any] = {}
+        for key in self.ctx.storage:
+            field = key.removeprefix("proto:")
+            if field.startswith(_ACCEPTED):
+                self.accepted[int(field[len(_ACCEPTED):])] = self.recall(field)
+            elif field.startswith(_LOG):
+                decided[int(field[len(_LOG):])] = self.recall(field)
+        self.log = ReplicatedLog.restore(decided)
 
         self.ctx.emit("session_enter", session=self.session, ballot=self.mbal, via="start")
         self._broadcast_phase1a()
@@ -165,10 +179,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
                 )
 
     def _already_logged(self, command_id: str) -> bool:
-        for _, value in self.log:
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == command_id:
-                return True
-        return False
+        return command_id in self.log.command_ids
 
     def _already_proposed(self, command_id: str) -> bool:
         for value in self._proposed.values():
@@ -232,22 +243,21 @@ class MultiPaxosSmrProcess(ConsensusProcess):
                 for slot, (voted_bal, voted_val) in sorted(self.accepted.items())
                 if slot not in self.log
             )
-            decided = tuple(sorted(self.log.snapshot().items()))
             self.ctx.send(
-                MultiPhase1b(mbal=message.mbal, votes=votes, decided=decided), owner
+                MultiPhase1b(mbal=message.mbal, votes=votes, decided=self.log.items()), owner
             )
 
     def _on_phase1b(self, message: MultiPhase1b, sender: int) -> None:
         # Decided entries are useful regardless of the ballot.
-        for slot, value in message.decided_dict().items():
+        senders_log = message.decided_dict()
+        for slot, value in senders_log.items():
             self._learn(slot, value)
         if owner_of(message.mbal, self.n) != self.pid or message.mbal != self.mbal:
             return
         # Targeted catch-up: the promise shows which decisions the sender is
         # missing (a replica that restarted after stabilization, say); push
         # them directly so it converges within O(δ) of its restart.
-        senders_log = message.decided_dict()
-        for slot, value in self.log:
+        for slot, value in self.log.items():
             if slot not in senders_log and sender != self.pid:
                 self.ctx.send(SlotDecision(slot=slot, value=value), sender)
         promises = self._promises.setdefault(message.mbal, {})
@@ -295,8 +305,9 @@ class MultiPaxosSmrProcess(ConsensusProcess):
             return
         if message.mbal > self.mbal:
             self._advance_ballot(message.mbal, via="phase2a")
-        self.accepted[message.slot] = (message.mbal, message.value)
-        self._persist()
+        vote = (message.mbal, message.value)
+        self.accepted[message.slot] = vote
+        self.persist(mbal=self.mbal, **{f"{_ACCEPTED}{message.slot}": vote})
         self.ctx.broadcast(
             MultiPhase2b(mbal=message.mbal, slot=message.slot, value=message.value)
         )
@@ -312,7 +323,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     def _learn(self, slot: int, value: Any) -> None:
         if not self.log.learn(slot, value):
             return
-        self._persist()
+        self.persist(**{f"{_LOG}{slot}": value})
         command_id = value[0] if isinstance(value, tuple) and len(value) == 2 else None
         self.ctx.emit("slot_decide", slot=slot, command_id=command_id)
         if command_id is not None:
@@ -338,7 +349,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     def _advance_ballot(self, new_ballot: int, via: str) -> None:
         old_session = self.session
         self.mbal = new_ballot
-        self._persist()
+        self.persist(mbal=new_ballot)
         if self._established_ballot is not None and self._established_ballot != new_ballot:
             self._established_ballot = None
         if session_of(new_ballot, self.n) > old_session:
@@ -355,9 +366,6 @@ class MultiPaxosSmrProcess(ConsensusProcess):
     def _broadcast_phase1a(self) -> None:
         self._sent_recently = True
         self.ctx.broadcast(MultiPhase1a(mbal=self.mbal))
-
-    def _persist(self) -> None:
-        self.persist(mbal=self.mbal, accepted=self.accepted, log=self.log.snapshot())
 
 
 class MultiPaxosSmrBuilder(ProtocolBuilder):

@@ -5,6 +5,16 @@ process has *decided*; the SMR layer instead stops when every expected
 replica has learned every scheduled command (or the horizon is reached), and
 its safety check is per-slot log consistency plus identical state-machine
 digests rather than the single-decree spec.
+
+The stop check runs after every event, so it must not grow with the log: it
+tests the scheduled command ids against each expected replica's
+:attr:`~repro.smr.log.ReplicatedLog.command_ids`, a set the log keeps up to
+date as it learns.  The check reads the replicas' *current* incarnations: a
+replica that is down is not caught up, even if it had learned every command
+before it crashed, so a run whose last learn happens while an expected
+replica is down goes on until that replica restarts and recovers its log
+(from stable storage and catch-up messages).  A global count of learns would
+miss this.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from repro.smr.metrics import (
     worst_global_latency,
     worst_submitter_latency,
 )
-from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 from repro.workloads.scenario import Scenario
@@ -111,26 +121,23 @@ def run_smr(
     if scenario.post_setup is not None:
         scenario.post_setup(simulator)
 
-    expected_replicas = set(scenario.deciders())
-    expected_commands = set(schedule.command_ids)
+    expected_commands = frozenset(schedule.command_ids)
+    watched = [simulator.nodes.get(pid) for pid in sorted(scenario.deciders())]
 
     def everyone_caught_up(sim: Simulator) -> bool:
-        if not expected_commands:
-            return False
-        learned: Dict[str, set] = {}
-        for node in sim.nodes.values():
+        # One subset test per expected replica, whatever the log length.  A
+        # crashed replica (``node.process is None``) keeps the run going until
+        # it restarts and catches up.
+        for node in watched:
             process = node.process
-            if not isinstance(process, MultiPaxosSmrProcess) or node.pid not in expected_replicas:
-                continue
-            for _, value in process.log:
-                if isinstance(value, tuple) and len(value) == 2:
-                    learned.setdefault(value[0], set()).add(node.pid)
-        return all(
-            expected_replicas.issubset(learned.get(command_id, set()))
-            for command_id in expected_commands
-        )
+            if process is None or not expected_commands <= process.log.command_ids:
+                return False
+        return True
 
-    simulator.run(stop_when=everyone_caught_up)
+    # With nothing scheduled, or an expected replica the simulator does not
+    # host, the run can only end at the horizon.
+    can_catch_up = bool(expected_commands) and None not in watched
+    simulator.run(stop_when=everyone_caught_up if can_catch_up else None)
 
     result = SmrRunResult(
         scenario=scenario,

@@ -1,11 +1,15 @@
 """Per-process durable key/value store.
 
-The store is deliberately simple — a dict with copy-on-write snapshots and a
-write counter — because what matters for the reproduction is the *crash
-semantics*: values written before a crash are visible after restart, values
-held only in the protocol object's attributes are not.  Values must be
-picklable/copyable plain data; storing mutable objects and mutating them in
-place would defeat the crash model, so writes deep-copy by default.
+The store is deliberately simple — a dict plus read and write counters —
+because what matters for the reproduction is the *crash semantics*: values
+written before a crash are visible after restart, values held only in the
+protocol object's attributes are not.  Values must be picklable/copyable
+plain data.  Storing a mutable object and mutating it in place would defeat
+the crash model, so by default every write and every read deep-copies the
+value (as do :meth:`StableStore.snapshot` and :meth:`StableStore.restore`).
+A copy costs time in proportion to the value, so protocols should persist
+small values: the SMR replica, for one, writes one key per log slot rather
+than its whole log.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,10 +9,12 @@ from repro.consensus.paxos.acceptor import AcceptOutcome, AcceptorState
 from repro.consensus.paxos.proposer import ProposerState
 from repro.consensus.quorum import QuorumCounter, ValueQuorum, majority
 from repro.core.sessions import ballot_for, next_session_ballot, owner_of, session_of
+from repro.errors import ProtocolError
 from repro.net.partition import minority_groups
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
 from repro.sim.clock import ClockConfig, DriftingClock
 from repro.sim.rng import SeededRng
+from repro.smr.log import ReplicatedLog
 from repro.storage.journal import Journal
 from repro.storage.stable import StableStore
 
@@ -179,6 +182,49 @@ class TestStorageProperties:
             journal.append(key, value)
             reference[key] = value
         assert journal.replay() == reference
+
+
+# Log entries: (command_id, command) pairs, including a duplicate submission of
+# one id in a second slot, and bare values that carry no command id.
+_LOG_VALUES = st.one_of(
+    st.tuples(st.sampled_from(["c0", "c1", "c2"]), st.integers(0, 1)),
+    st.sampled_from(["noop", ("a", "b", "c")]),
+)
+_LOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("learn"), st.integers(-1, 6), _LOG_VALUES),
+        st.tuples(st.just("items"), st.none(), st.none()),
+        st.tuples(st.just("restore"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestReplicatedLogProperties:
+    @given(ops=_LOG_OPS)
+    def test_cached_views_match_a_fresh_recomputation(self, ops):
+        log, reference = ReplicatedLog(), {}
+        for op, slot, value in ops:
+            if op == "items":
+                assert log.items() is log.items()
+            elif op == "restore":
+                log = ReplicatedLog.restore(log.snapshot())
+            elif slot < 0 or reference.get(slot, value) != value:
+                cached = log.items()
+                with pytest.raises(ProtocolError):
+                    log.learn(slot, value)
+                # A rejected learn keeps the cached view.
+                assert log.items() is cached
+            else:
+                assert log.learn(slot, value) == (slot not in reference)
+                reference[slot] = value
+            snapshot = log.snapshot()
+            assert snapshot == reference
+            assert log.items() == tuple(sorted(snapshot.items()))
+            assert list(log) == list(log.items())
+            assert log.command_ids == {
+                entry[0] for entry in snapshot.values() if isinstance(entry, tuple) and len(entry) == 2
+            }
 
 
 class TestStatsProperties:

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.timing import decision_bound
 from repro.faults.plan import FaultPlan
+from repro.sim.rng import SeededRng
+from repro.sim.simulator import Simulator
 from repro.smr.metrics import check_log_consistency
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.runner import run_smr
 from repro.smr.state_machine import AppendOnlyLedger
 from repro.smr.workload import CommandSchedule, uniform_schedule
@@ -121,3 +124,38 @@ class TestRestartedReplicaCatchUp:
         node = result.simulator.nodes[2]
         assert node.incarnation == 2
         assert result.prefix_lengths[2] >= 6
+
+
+class TestCrashRecoveryFromStableStorage:
+    def test_restart_recovers_accepted_but_undecided_slots(self):
+        """Crash a replica mid-stream, holding a vote for a slot it has not learned."""
+        scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=100.0)
+        config = scenario.config
+        builder = MultiPaxosSmrBuilder(
+            schedule=uniform_schedule(5, num_commands=6, start=1.0, interval=0.5, target_pid=4)
+        )
+        simulator = Simulator(
+            config=config,
+            process_factory=builder.create,
+            network=scenario.build_network(config, SeededRng(config.seed, label="net").fork(scenario.name)),
+        )
+        builder.attach(simulator)
+
+        def replica_with_open_vote():
+            for pid, node in sorted(simulator.nodes.items()):
+                process = node.process
+                if process is not None and set(process.accepted) - set(process.log.decided_slots):
+                    return pid, process
+            return None, None
+
+        pid, process = replica_with_open_vote()
+        while process is None or len(process.log) < 2:
+            assert simulator.step(), "no replica ever held an undecided vote"
+            pid, process = replica_with_open_vote()
+        before = (process.mbal, dict(process.accepted), process.log.items())
+
+        simulator.crash(pid)
+        simulator.restart(pid)
+        restarted = simulator.nodes[pid].process
+        assert restarted is not process
+        assert (restarted.mbal, restarted.accepted, restarted.log.items()) == before

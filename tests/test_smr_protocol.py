@@ -198,6 +198,42 @@ class TestRestart:
         assert restarted.accepted[0] == (7, ("c0", ("set", "a", 1)))
         assert restarted.log.get(1) == ("c1", ("set", "b", 2))
 
+    def test_per_slot_keys_rebuild_the_pre_crash_state(self):
+        harness, process = start_replica(pid=0, n=3)
+        harness.deliver(MultiPhase1a(mbal=7), sender=1)
+        # Accepted but undecided slots 0, 2 and 11 (11 sorts before 2 as a
+        # string key), decided slots 1 and 10.
+        for slot in (0, 2, 11):
+            harness.deliver(MultiPhase2a(mbal=7, slot=slot, value=(f"c{slot}", ("set", "k", slot))), sender=1)
+        for slot in (1, 10):
+            harness.deliver(SlotDecision(slot=slot, value=(f"c{slot}", ("set", "k", slot))), sender=2)
+        assert sorted(harness.storage) == [
+            "proto:accepted:0", "proto:accepted:11", "proto:accepted:2",
+            "proto:log:1", "proto:log:10", "proto:mbal",
+        ]
+        before = (process.mbal, dict(process.accepted), process.log.items(), set(process.log.command_ids))
+
+        # Volatile state is lost in a crash: mutating it after the writes must
+        # not reach what the restart recovers.
+        process.accepted[0] = (99, ("junk", ("set", "k", -1)))
+        del process.accepted[2]
+        process.mbal = 99
+
+        restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v0")
+        after = (restarted.mbal, restarted.accepted, restarted.log.items(), restarted.log.command_ids)
+        assert after == before
+        assert 0 in restarted.accepted and 0 not in restarted.log
+
+    def test_each_write_stores_only_what_changed(self):
+        harness, process = start_replica(pid=0, n=3)
+        harness.deliver(MultiPhase1a(mbal=7), sender=1)
+        writes = harness.storage.write_count
+        harness.deliver(MultiPhase2a(mbal=7, slot=5, value=("c5", ("set", "k", 5))), sender=1)
+        harness.deliver(SlotDecision(slot=5, value=("c5", ("set", "k", 5))), sender=2)
+        assert harness.storage.write_count == writes + 2
+        assert harness.storage.get("proto:accepted:5") == (7, ("c5", ("set", "k", 5)))
+        assert harness.storage.get("proto:log:5") == ("c5", ("set", "k", 5))
+
 
 class TestBuilder:
     def test_builder_passes_per_pid_schedules(self):
