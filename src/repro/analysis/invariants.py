@@ -10,6 +10,9 @@ safety properties:
 * the analogous round-entry rule of the rotating-coordinator baseline;
 * proposer consistency — a given ballot never carries two different values
   in phase 2a.
+
+A trace that stopped recording at its ``capacity`` (``trace.truncated``)
+fails every check: the events a check would need may be missing.
 """
 
 from __future__ import annotations
@@ -47,6 +50,20 @@ class InvariantReport:
             raise InvariantViolation(f"{self.name}: " + "; ".join(self.violations))
 
 
+def _new_report(name: str, trace: TraceRecorder) -> InvariantReport:
+    """An empty report, already violated if the trace stopped at its capacity.
+
+    A truncated trace lacks the events a check would have to see, so passing
+    it would be vacuous.
+    """
+    report = InvariantReport(name=name, checked=0)
+    if trace.truncated:
+        report.violations.append(
+            f"trace truncated at capacity {trace.capacity}; the check cannot see the whole run"
+        )
+    return report
+
+
 def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
     """Modified Paxos: Start Phase 1 into session ``s ≥ 2`` needs a majority in ``s − 1``.
 
@@ -54,16 +71,11 @@ def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
     the highest session it has entered so far, and verifies each
     ``start_phase1`` event against the state strictly before it.
     """
-    report = InvariantReport(name="session-entry-rule", checked=0)
+    report = _new_report("session-entry-rule", trace)
     quorum = majority(n)
     highest_session: Dict[int, int] = defaultdict(lambda: -1)
 
-    events = [
-        record
-        for record in trace.events
-        if record.category == "protocol" and record.event in ("session_enter", "start_phase1")
-    ]
-    for record in events:
+    for record in trace.filter(event=("session_enter", "start_phase1"), category="protocol"):
         if record.event == "start_phase1":
             session = record.fields.get("session")
             if session is None or session < 2:
@@ -87,16 +99,11 @@ def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
 
 def check_rotating_round_entry(trace: TraceRecorder, n: int) -> InvariantReport:
     """Rotating coordinator: timeout-driven entry to round ``r`` needs a majority in ``r − 1``."""
-    report = InvariantReport(name="round-entry-rule", checked=0)
+    report = _new_report("round-entry-rule", trace)
     quorum = majority(n)
     highest_round: Dict[int, int] = defaultdict(lambda: -1)
 
-    events = [
-        record
-        for record in trace.events
-        if record.category == "protocol" and record.event == "round_enter"
-    ]
-    for record in events:
+    for record in trace.filter(event="round_enter", category="protocol"):
         round_number = record.fields.get("round", 0)
         via = record.fields.get("via")
         if via == "timeout" and round_number >= 1:
@@ -115,7 +122,7 @@ def check_rotating_round_entry(trace: TraceRecorder, n: int) -> InvariantReport:
 
 def check_unique_phase2a_value(trace: TraceRecorder, n: int) -> InvariantReport:
     """Paxos family: a ballot's phase 2a messages all carry the same value."""
-    report = InvariantReport(name="unique-phase2a-value", checked=0)
+    report = _new_report("unique-phase2a-value", trace)
     values_by_ballot: Dict[int, Set[str]] = defaultdict(set)
     for record in trace.filter(event="phase2a", category="protocol"):
         ballot = record.fields.get("ballot")
@@ -139,7 +146,7 @@ def check_single_session_leadership(trace: TraceRecorder, n: int) -> InvariantRe
     that owns the ballot (``ballot mod n``).  This is structural in the
     implementation but checking it from traces guards against regressions.
     """
-    report = InvariantReport(name="single-session-leadership", checked=0)
+    report = _new_report("single-session-leadership", trace)
     for record in trace.filter(event="phase2a", category="protocol"):
         ballot = record.fields.get("ballot")
         if ballot is None or record.pid is None:

@@ -11,7 +11,7 @@ that nothing is decided before the stabilization time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import SeededRng
@@ -21,17 +21,30 @@ __all__ = ["PartitionSpec", "minority_groups"]
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """A disjoint grouping of process ids."""
+    """A disjoint grouping of process ids.
+
+    A pid -> group-index dict is built once, outside the dataclass fields, so
+    :meth:`group_of` and :meth:`connected` are O(1) while equality, hashing,
+    ``repr`` and the pickled state still cover ``groups`` alone.
+    """
 
     groups: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for group in self.groups:
+        group_index: Dict[int, int] = {}
+        for index, group in enumerate(self.groups):
             for pid in group:
-                if pid in seen:
+                if pid in group_index:
                     raise ConfigurationError(f"pid {pid} appears in two partition groups")
-                seen.add(pid)
+                group_index[pid] = index
+        object.__setattr__(self, "_group_index", group_index)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"groups": self.groups}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        object.__setattr__(self, "groups", state["groups"])
+        self.__post_init__()
 
     @classmethod
     def of(cls, groups: Iterable[Iterable[int]]) -> "PartitionSpec":
@@ -43,19 +56,15 @@ class PartitionSpec:
 
     def group_of(self, pid: int) -> int:
         """Index of the group containing ``pid`` (-1 if isolated/unlisted)."""
-        for index, group in enumerate(self.groups):
-            if pid in group:
-                return index
-        return -1
+        return self._group_index.get(pid, -1)
 
     def connected(self, src: int, dst: int) -> bool:
         """Whether a message from ``src`` to ``dst`` crosses no partition boundary."""
         if src == dst:
             return True
-        src_group = self.group_of(src)
-        if src_group < 0:
-            return False
-        return src_group == self.group_of(dst)
+        group_index = self._group_index
+        src_group = group_index.get(src, -1)
+        return src_group >= 0 and src_group == group_index.get(dst, -1)
 
     def largest_group_size(self) -> int:
         return max((len(group) for group in self.groups), default=0)

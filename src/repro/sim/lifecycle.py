@@ -169,7 +169,7 @@ class Node:
             return
         trace = self.simulator.trace
         if trace.enabled:
-            trace.record(self.simulator.now(), "node", "timer", pid=self.pid, name=name)
+            trace.record_timer(self.simulator.now(), self.pid, name)
         self.process.on_timer(name)
 
     def _decide(self, value: Any) -> None:

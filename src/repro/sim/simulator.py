@@ -48,7 +48,8 @@ class SimulationConfig:
         seed: Root random seed; every stream is derived from it.
         max_time: Hard stop for the event loop.
         trace_enabled: Whether to keep a structured trace.
-        trace_capacity: Optional cap on trace size for long benchmark runs.
+        trace_capacity: Optional cap on trace size for long benchmark runs;
+            a run whose trace hits it fails the trace invariant checks.
     """
 
     n: int
@@ -183,15 +184,8 @@ class Simulator:
         envelope = self.network.send(message, src, dst)
         trace = self.trace
         if trace.enabled:
-            trace.record(
-                self._time,
-                "net",
-                "send",
-                pid=src,
-                dst=dst,
-                kind=envelope.kind,
-                msg_id=envelope.msg_id,
-                dropped=envelope.dropped,
+            trace.record_send(
+                self._time, src, dst, envelope.kind, envelope.msg_id, envelope.dropped
             )
 
     def deliver_envelope(self, envelope: Envelope) -> bool:
@@ -202,14 +196,8 @@ class Simulator:
         accepted = node.deliver(envelope)
         trace = self.trace
         if trace.enabled:
-            trace.record(
-                self._time,
-                "net",
-                "deliver" if accepted else "deliver_to_crashed",
-                pid=envelope.dst,
-                src=envelope.src,
-                kind=envelope.kind,
-                msg_id=envelope.msg_id,
+            trace.record_deliver(
+                self._time, accepted, envelope.dst, envelope.src, envelope.kind, envelope.msg_id
             )
         return accepted
 

@@ -1,8 +1,11 @@
 """Edge cases: degenerate system sizes, even N, extreme parameters, trace limits."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.timing import decision_bound
+from repro.errors import InvariantViolation
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 from repro.workloads.chaos import partitioned_chaos_scenario
@@ -121,6 +124,18 @@ class TestTraceLimits:
         assert simulator.trace.truncated
         assert len(simulator.trace) == 20
         assert len(simulator.decisions) == 3
+
+    def test_truncated_trace_fails_the_invariant_checks(self):
+        params = make_params()
+        scenario = stable_scenario(3, params=params, seed=2)
+        scenario.config = dataclasses.replace(scenario.config, trace_capacity=20)
+        with pytest.raises(InvariantViolation, match="truncated at capacity 20"):
+            run_scenario(scenario, "modified-paxos")
+        result = run_scenario(scenario, "modified-paxos", enforce_invariants=False)
+        assert result.simulator.trace.truncated
+        report = result.invariants["session-entry-rule"]
+        assert not report.ok
+        assert "capacity 20" in report.violations[0]
 
     def test_trace_disabled_still_runs(self):
         params = make_params()

@@ -1,10 +1,15 @@
 """Unit tests for partition specifications (`repro.net.partition`)."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.env.spec import AdversarySpec, EnvironmentSpec
 from repro.errors import ConfigurationError
 from repro.net.partition import PartitionSpec, minority_groups
 from repro.sim.rng import SeededRng
+from repro.sim.simulator import SimulationConfig
 
 
 class TestPartitionSpec:
@@ -42,6 +47,49 @@ class TestPartitionSpec:
         spec = PartitionSpec.of([[0], [1, 2, 3], [4, 5]])
         assert spec.largest_group_size() == 3
         assert PartitionSpec.of([]).largest_group_size() == 0
+
+
+class TestPartitionSpecValueSemantics:
+    """The pid -> group index is a cache: the value is still just ``groups``."""
+
+    def test_group_of_matches_a_scan_of_the_groups(self):
+        spec = minority_groups(15, SeededRng(4))
+        for pid in range(-1, 17):
+            scanned = next((i for i, group in enumerate(spec.groups) if pid in group), -1)
+            assert spec.group_of(pid) == scanned
+            for other in range(-1, 17):
+                assert spec.connected(pid, other) == (
+                    pid == other or (scanned >= 0 and scanned == spec.group_of(other))
+                )
+
+    def test_equality_hash_and_repr_cover_groups_only(self):
+        spec = PartitionSpec.of([[1, 0], [2]])
+        assert spec == PartitionSpec(((0, 1), (2,)))
+        assert spec != PartitionSpec.of([[0], [1, 2]])
+        assert hash(spec) == hash((((0, 1), (2,)),))
+        assert repr(spec) == "PartitionSpec(groups=((0, 1), (2,)))"
+
+    def test_pickle_and_copy_round_trip(self):
+        spec = PartitionSpec.of([[0, 3], [1], [2, 4]])
+        assert spec.__reduce_ex__(2)[2] == {"groups": spec.groups}
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert clone == spec and hash(clone) == hash(spec)
+            assert clone.connected(0, 3) and not clone.connected(0, 1)
+            assert clone.group_of(4) == 2
+
+    def test_environment_spec_json_round_trip(self):
+        env = EnvironmentSpec(
+            name="split",
+            adversary=AdversarySpec(
+                "partition", {"partition": {"mode": "explicit", "groups": [[0, 1], [2, 3, 4]]}}
+            ),
+        )
+        restored = EnvironmentSpec.from_json(env.to_json())
+        assert restored == env
+        assert restored.to_json() == env.to_json()
+        config = SimulationConfig(n=5, ts=10.0, seed=3, max_time=110.0)
+        built = [e.adversary.build(config, SeededRng(1, label="net")) for e in (env, restored)]
+        assert built[0].spec == built[1].spec == PartitionSpec.of([[0, 1], [2, 3, 4]])
 
 
 class TestMinorityGroups:

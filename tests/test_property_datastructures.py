@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+from typing import Any, Callable, Dict, Iterator, List, Optional
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import percentile, summarize
+from repro.analysis.trace import TraceEvent, TraceRecorder
 from repro.consensus.paxos.acceptor import AcceptOutcome, AcceptorState
 from repro.consensus.paxos.proposer import ProposerState
 from repro.consensus.quorum import QuorumCounter, ValueQuorum, majority
@@ -225,6 +228,180 @@ class TestReplicatedLogProperties:
             assert log.command_ids == {
                 entry[0] for entry in snapshot.values() if isinstance(entry, tuple) and len(entry) == 2
             }
+
+
+class ListTraceRecorder:
+    """The list-of-TraceEvent recorder the row-based one replaced (oracle)."""
+
+    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
+        self.enabled = enabled
+        self.capacity = capacity
+        self.truncated = False
+        self._events: List[TraceEvent] = []
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        return list(self._events)
+
+    def record(self, time, category, event, pid=None, **fields: Any) -> None:
+        if not self.enabled:
+            return
+        if self.capacity is not None and len(self._events) >= self.capacity:
+            self.truncated = True
+            return
+        self._events.append(
+            TraceEvent(time=time, category=category, event=event, pid=pid, fields=dict(fields))
+        )
+
+    def filter(
+        self,
+        event: Optional[str] = None,
+        category: Optional[str] = None,
+        pid: Optional[int] = None,
+        predicate: Optional[Callable[[TraceEvent], bool]] = None,
+    ) -> List[TraceEvent]:
+        selected = []
+        for record in self._events:
+            if event is not None and record.event != event:
+                continue
+            if category is not None and record.category != category:
+                continue
+            if pid is not None and record.pid != pid:
+                continue
+            if predicate is not None and not predicate(record):
+                continue
+            selected.append(record)
+        return selected
+
+    def first(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
+        matches = self.filter(event=event, **criteria)
+        return matches[0] if matches else None
+
+    def last(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
+        matches = self.filter(event=event, **criteria)
+        return matches[-1] if matches else None
+
+    def count(self, event: str, **criteria: Any) -> int:
+        return len(self.filter(event=event, **criteria))
+
+    def dump(self, limit: Optional[int] = None) -> str:
+        events = self._events if limit is None else self._events[:limit]
+        lines = [record.describe() for record in events]
+        if limit is not None and len(self._events) > limit:
+            lines.append(f"... ({len(self._events) - limit} more events)")
+        return "\n".join(lines)
+
+
+_TRACE_EVENTS = ["send", "deliver", "deliver_to_crashed", "timer", "session_enter", "decide"]
+_TRACE_CATEGORIES = ["net", "node", "protocol", "sim"]
+_TRACE_PIDS = [None, 0, 1, 2]
+_TRACE_TUPLES = [
+    ("send", "deliver"),
+    ("deliver_to_crashed", "timer", "session_enter"),
+    ("decide", "absent", "decide"),
+]
+_TIMES = st.floats(0.0, 100.0, allow_nan=False)
+_KINDS = st.sampled_from(["phase1a", "phase2b"])
+_TRACE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"), _TIMES, st.sampled_from(_TRACE_CATEGORIES),
+            st.sampled_from(_TRACE_EVENTS), st.sampled_from(_TRACE_PIDS),
+            st.dictionaries(
+                st.sampled_from(["session", "value", "ballot", "via"]),
+                st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none()),
+                max_size=3,
+            ),
+        ),
+        st.tuples(
+            st.just("send"), _TIMES, st.integers(0, 2), st.integers(0, 2), _KINDS,
+            st.integers(0, 10**6), st.booleans(),
+        ),
+        st.tuples(
+            st.just("deliver"), _TIMES, st.booleans(), st.integers(0, 2), st.integers(0, 2),
+            _KINDS, st.integers(0, 10**6),
+        ),
+        st.tuples(st.just("timer"), _TIMES, st.integers(0, 2), st.sampled_from(["eps", "tau"])),
+    ),
+    max_size=30,
+)
+
+
+def _apply_trace_op(trace: TraceRecorder, oracle: ListTraceRecorder, op: tuple) -> None:
+    """One recording call on ``trace`` and its ``record`` equivalent on ``oracle``."""
+    name, time, *args = op
+    if name == "record":
+        category, event, pid, fields = args
+        trace.record(time, category, event, pid, **fields)
+        oracle.record(time, category, event, pid, **fields)
+    elif name == "send":
+        src, dst, kind, msg_id, dropped = args
+        trace.record_send(time, src, dst, kind, msg_id, dropped)
+        oracle.record(
+            time, "net", "send", pid=src, dst=dst, kind=kind, msg_id=msg_id, dropped=dropped
+        )
+    elif name == "deliver":
+        accepted, dst, src, kind, msg_id = args
+        trace.record_deliver(time, accepted, dst, src, kind, msg_id)
+        event = "deliver" if accepted else "deliver_to_crashed"
+        oracle.record(time, "net", event, pid=dst, src=src, kind=kind, msg_id=msg_id)
+    else:
+        pid, timer = args
+        trace.record_timer(time, pid, timer)
+        oracle.record(time, "node", "timer", pid=pid, name=timer)
+
+
+def _exact(events: List[Optional[TraceEvent]]) -> List[Any]:
+    """Events as plain data, field key order included."""
+    return [
+        None if e is None else (e.time, e.category, e.event, e.pid, list(e.fields.items()))
+        for e in events
+    ]
+
+
+class TestTraceRecorderMatchesListOracle:
+    # Each example runs a few hundred queries on both recorders.
+    @settings(deadline=None)
+    @given(
+        ops=_TRACE_OPS,
+        capacity=st.one_of(st.none(), st.integers(0, 12)),
+        enabled=st.booleans(),
+    )
+    def test_every_read_matches_the_list_recorder(self, ops, capacity, enabled):
+        trace = TraceRecorder(enabled=enabled, capacity=capacity)
+        oracle = ListTraceRecorder(enabled=enabled, capacity=capacity)
+        for op in ops:
+            _apply_trace_op(trace, oracle, op)
+
+        assert len(trace) == len(oracle)
+        assert trace.truncated == oracle.truncated
+        assert _exact(list(trace)) == _exact(list(oracle))
+        assert _exact(trace.events) == _exact(oracle.events)
+        for limit in (None, 0, 1, 5, len(oracle)):
+            assert trace.dump(limit) == oracle.dump(limit)
+
+        criteria: List[Dict[str, Any]] = [
+            {"category": category, "pid": pid}
+            for category in [None, *_TRACE_CATEGORIES]
+            for pid in _TRACE_PIDS
+        ]
+        for event in [None, *_TRACE_EVENTS, "absent"]:
+            for where in criteria:
+                expected = oracle.filter(event=event, **where)
+                assert _exact(trace.filter(event=event, **where)) == _exact(expected)
+                assert _exact([trace.first(event, **where)]) == _exact([oracle.first(event, **where)])
+                assert _exact([trace.last(event, **where)]) == _exact([oracle.last(event, **where)])
+                assert trace.count(event, **where) == oracle.count(event, **where)
+        for names in _TRACE_TUPLES:
+            for where in criteria:
+                expected = oracle.filter(predicate=lambda e, names=names: e.event in names, **where)
+                assert _exact(trace.filter(event=names, **where)) == _exact(expected)
 
 
 class TestStatsProperties:

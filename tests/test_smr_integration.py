@@ -1,8 +1,11 @@
 """Integration tests of the SMR layer: end-to-end replication through the simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.timing import decision_bound
+from repro.errors import InvariantViolation
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
@@ -28,6 +31,15 @@ class TestStableReplication:
         assert result.replicas_agree
         assert result.consistency_checks > 0
         assert all(length >= 15 for length in result.prefix_lengths.values())
+
+    def test_truncated_trace_fails_the_session_entry_check(self):
+        scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
+        scenario.config = dataclasses.replace(scenario.config, trace_capacity=50)
+        schedule = uniform_schedule(5, num_commands=3, start=10.0, interval=1.0)
+        with pytest.raises(InvariantViolation, match="truncated at capacity 50"):
+            run_smr(scenario, schedule)
+        result = run_smr(scenario, schedule, enforce_consistency=False)
+        assert not result.invariants["session-entry-rule"].ok
 
     def test_stable_case_latency_is_a_few_message_delays(self):
         """The paper's 'three message delays in the stable case' claim (C6)."""

@@ -1,6 +1,8 @@
 """Unit tests for the structured trace (`repro.analysis.trace`)."""
 
-from repro.analysis.trace import TraceEvent, TraceRecorder
+import gc
+
+from repro.analysis.trace import HOT_FIELDS, TraceEvent, TraceRecorder
 
 
 class TestRecording:
@@ -31,6 +33,42 @@ class TestRecording:
         assert len(trace) == 1
 
 
+class TestHotRows:
+    """The hot recording methods read back exactly as the ``record`` calls they replace."""
+
+    def _record_both(self):
+        hot, plain = TraceRecorder(), TraceRecorder()
+        hot.record_send(1.0, 0, 2, "phase1a", 11, False)
+        plain.record(1.0, "net", "send", pid=0, dst=2, kind="phase1a", msg_id=11, dropped=False)
+        hot.record_deliver(2.0, True, 2, 0, "phase1a", 11)
+        plain.record(2.0, "net", "deliver", pid=2, src=0, kind="phase1a", msg_id=11)
+        hot.record_deliver(3.0, False, 1, 0, "phase1b", 12)
+        plain.record(3.0, "net", "deliver_to_crashed", pid=1, src=0, kind="phase1b", msg_id=12)
+        hot.record_timer(4.0, 1, "epsilon")
+        plain.record(4.0, "node", "timer", pid=1, name="epsilon")
+        return hot, plain
+
+    def test_events_equal_record_path_with_same_key_order(self):
+        hot, plain = self._record_both()
+        assert hot.events == plain.events
+        assert [list(e.fields) for e in hot] == [list(e.fields) for e in plain]
+        assert [list(e.fields) for e in hot] == [
+            list(HOT_FIELDS[name]) for name in ("send", "deliver", "deliver_to_crashed", "timer")
+        ]
+        assert hot.dump() == plain.dump()
+
+    def test_hot_rows_are_not_gc_tracked(self):
+        hot, _ = self._record_both()
+        gc.collect()
+        assert all(gc.is_tracked(row) is False for row in hot._rows)
+
+    def test_events_builds_fresh_objects(self):
+        hot, _ = self._record_both()
+        first, second = hot.events, hot.events
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+
+
 class TestQueries:
     def _populate(self):
         trace = TraceRecorder()
@@ -52,6 +90,16 @@ class TestQueries:
             event="session_enter", predicate=lambda e: e.fields.get("session", 0) >= 1
         )
         assert len(high_sessions) == 1
+
+    def test_filter_by_tuple_of_events_keeps_record_order(self):
+        trace = self._populate()
+        matches = trace.filter(event=("start_phase1", "session_enter", "absent"))
+        assert [(e.time, e.event) for e in matches] == [
+            (1.0, "session_enter"),
+            (2.0, "session_enter"),
+            (3.0, "start_phase1"),
+        ]
+        assert trace.filter(event=("session_enter", "crash"), pid=1)[-1].event == "crash"
 
     def test_first_and_last(self):
         trace = self._populate()
