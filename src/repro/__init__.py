@@ -75,14 +75,11 @@ from repro.harness.experiment import (
     ExperimentSpec,
     ResultRow,
     ResultSet,
-    SmrExperimentSpec,
-    SmrResultRow,
     lag_delta,
     run_experiment,
     run_smr_tasks,
 )
 from repro.harness.runner import RunResult, run_scenario
-from repro.harness.sweep import smr_sweep, sweep
 from repro.params import TimingParams
 from repro.results import (
     JsonlStore,
@@ -139,9 +136,7 @@ __all__ = [
     "ScheduleSpec",
     "SimulationConfig",
     "Simulator",
-    "SmrExperimentSpec",
     "SmrRecord",
-    "SmrResultRow",
     "SmrTask",
     "TimingParams",
     "__version__",
@@ -167,8 +162,6 @@ __all__ = [
     "run_scenario",
     "run_smr",
     "run_smr_tasks",
-    "smr_sweep",
     "stable_scenario",
-    "sweep",
     "uniform_schedule",
 ]

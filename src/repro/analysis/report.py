@@ -18,7 +18,7 @@ from repro.harness.tables import render_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.runner import RunResult
-    from repro.results.record import RunRecord
+    from repro.results.record import RecordBase
     from repro.results.smr_record import SmrRecord
     from repro.smr.runner import SmrRunResult
 
@@ -103,23 +103,14 @@ def render_run_report(result: "RunResult") -> str:
     return "\n".join(lines)
 
 
-def render_record_report(record) -> str:
-    """Render one stored record (of either kind) as a multi-section report.
-
-    The stored counterpart of :func:`render_run_report`: everything here
-    comes from the record's serialized data alone, so any store can be
-    inspected without re-running (or even being able to re-run) the task.
-    Multi-decree records dispatch to :func:`render_smr_record_report`.
-    """
-    if getattr(record, "kind", "run") == "smr":
-        return render_smr_record_report(record)
-    lines: List[str] = []
-    lines.append(f"run record: {record.key}")
-    lines.append(
+def _record_header(label: str, record: "RecordBase") -> List[str]:
+    """The identity, tags and environment lines every stored-record report opens with."""
+    lines = [
+        f"{label}: {record.key}",
         f"  identity: protocol={record.protocol} workload={record.workload} "
         f"n={record.n} ts={record.ts:g} delta={record.delta:g} seed={record.seed} "
-        f"(schema v{record.schema_version})"
-    )
+        f"(schema v{record.schema_version})",
+    ]
     if record.tags:
         tag_text = " ".join(f"{key}={value!r}" for key, value in sorted(record.tags.items()))
         lines.append(f"  tags: {tag_text}")
@@ -128,10 +119,23 @@ def render_record_report(record) -> str:
         name = environment.get("name", "")
         adversary = environment.get("adversary", {}).get("kind", "?")
         faults = environment.get("faults", {}).get("kind", "none")
-        label = f"{name}: " if name else ""
-        lines.append(f"  environment: {label}adversary={adversary} faults={faults}")
+        prefix = f"{name}: " if name else ""
+        lines.append(f"  environment: {prefix}adversary={adversary} faults={faults}")
     lines.append("")
+    return lines
 
+
+def render_record_report(record: "RecordBase") -> str:
+    """Render one stored record (of either kind) as a multi-section report.
+
+    The stored counterpart of :func:`render_run_report`: everything here
+    comes from the record's serialized data alone, so any store can be
+    inspected without re-running (or even being able to re-run) the task.
+    Multi-decree records dispatch to :func:`render_smr_record_report`.
+    """
+    if record.kind == "smr":
+        return render_smr_record_report(record)
+    lines = _record_header("run record", record)
     lines.append("decisions (lag is relative to TS):")
     decided = {decision.pid: decision for decision in record.decisions}
     rows: List[List[object]] = []
@@ -233,24 +237,7 @@ def render_smr_run_report(result: "SmrRunResult") -> str:
 
 def render_smr_record_report(record: "SmrRecord") -> str:
     """Render one stored SMR record as a multi-section text report."""
-    lines: List[str] = []
-    lines.append(f"smr record: {record.key}")
-    lines.append(
-        f"  identity: protocol={record.protocol} workload={record.workload} "
-        f"n={record.n} ts={record.ts:g} delta={record.delta:g} seed={record.seed} "
-        f"(schema v{record.schema_version})"
-    )
-    if record.tags:
-        tag_text = " ".join(f"{key}={value!r}" for key, value in sorted(record.tags.items()))
-        lines.append(f"  tags: {tag_text}")
-    environment = record.environment
-    if environment:
-        name = environment.get("name", "")
-        adversary = environment.get("adversary", {}).get("kind", "?")
-        faults = environment.get("faults", {}).get("kind", "none")
-        label = f"{name}: " if name else ""
-        lines.append(f"  environment: {label}adversary={adversary} faults={faults}")
-    lines.append("")
+    lines = _record_header("smr record", record)
     lines.append("commands:")
     lines.append(
         render_table(

@@ -240,7 +240,7 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
     """Run an ``smr-*`` workload through the multi-decree service."""
     from repro.analysis.report import render_smr_run_report
     from repro.errors import ExperimentError, ReproError
-    from repro.harness.executors import SmrTask, execute_smr_task_result
+    from repro.harness.executors import SmrTask
     from repro.smr.workload import ScheduleSpec
 
     kwargs = {"n": args.n, "params": params, "seed": args.seed}
@@ -261,7 +261,7 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
         enforce_consistency=not args.allow_unsafe,
     )
     try:
-        result = execute_smr_task_result(task)
+        result = task.run()
     except (ConfigurationError, ExperimentError) as error:
         print(error)
         return 2

@@ -11,8 +11,7 @@ round they hear about, and retransmit only current-round messages.
 Because the EDCC 2002 paper's exact pseudo-code is not reproduced in the DSN
 paper, the implementation here is a faithful-in-spirit reconstruction with a
 provably safe voting rule (vote-or-abstain, documented in
-:mod:`repro.consensus.bconsensus.common`); DESIGN.md records this
-substitution.
+:mod:`repro.consensus.bconsensus.common`).
 """
 
 from repro.consensus.bconsensus.messages import ABSTAIN, BDecision, FirstPayload, Vote

@@ -4,13 +4,18 @@ Layers, bottom-up:
 
 * :mod:`repro.harness.runner` — :func:`run_scenario`, the single-run
   primitive (one scenario, one protocol, full :class:`RunResult`).
-* :mod:`repro.harness.executors` — declarative :class:`RunTask`\\ s executed
-  by a :class:`SerialExecutor` or a process-pool :class:`ParallelExecutor`.
-* :mod:`repro.harness.experiment` — :class:`ExperimentSpec` grids and the
-  queryable :class:`ResultSet`.
-* :mod:`repro.harness.sweep` / :mod:`repro.harness.experiments` /
-  :mod:`repro.harness.comparison` / :mod:`repro.harness.campaign` — the
-  paper's E1–E9 tables built on the layers above.
+* :mod:`repro.harness.executors` — declarative tasks (:class:`RunTask`,
+  :class:`~repro.harness.executors.SmrTask`) that execute themselves
+  (``task.run()`` for the full result, ``task.execute()`` for the condensed
+  outcome), batched by a :class:`SerialExecutor` or a process-pool
+  :class:`ParallelExecutor`.
+* :mod:`repro.harness.experiment` — :class:`ExperimentSpec` grids, the one
+  store/resume execution engine behind ``run_experiment`` and
+  ``run_smr_tasks``, one :class:`ResultRow` per executed task of either
+  kind, and the queryable :class:`ResultSet`.
+* :mod:`repro.harness.experiments` / :mod:`repro.harness.comparison` /
+  :mod:`repro.harness.campaign` — the paper's E1–E9 tables built on the
+  layers above.
 """
 
 from repro.harness.executors import (
@@ -28,7 +33,6 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.runner import RunResult, run_scenario
-from repro.harness.sweep import SweepResult, sweep
 from repro.harness.tables import ExperimentTable, render_table
 
 __all__ = [
@@ -41,11 +45,9 @@ __all__ = [
     "RunResult",
     "RunTask",
     "SerialExecutor",
-    "SweepResult",
     "lag_delta",
     "make_executor",
     "render_table",
     "run_experiment",
     "run_scenario",
-    "sweep",
 ]

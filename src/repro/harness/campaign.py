@@ -9,8 +9,7 @@ It runs experiments E1–E9 at the requested scale (``--jobs N`` fans the
 runs of each experiment out over a process pool), writes each regenerated
 table to ``<out>/E*.txt``, and produces a combined Markdown report
 (``<out>/experiments_report.md``) with the analytic bounds next to the
-measured values — the same material EXPERIMENTS.md records for the checked-in
-reference run.
+measured values.
 
 Every run of every experiment streams its record — a
 :class:`~repro.results.record.RunRecord` for the single-decree experiments,
@@ -99,7 +98,7 @@ def campaign_plan(
 
     The smoke scale exists so tests (and impatient users) can exercise the
     whole campaign path in seconds; the full scale matches the benchmark
-    suite and EXPERIMENTS.md.  ``executor``, ``store``, and ``resume`` are
+    suite.  ``executor``, ``store``, and ``resume`` are
     threaded into every experiment, so one parallel executor accelerates —
     and one store caches — the whole campaign.
     """

@@ -1,4 +1,4 @@
-"""Pluggable executors: run batches of declarative run tasks, possibly in parallel.
+"""Declarative tasks that execute themselves, and executors that run batches of them.
 
 The unit of work is a declarative task — either a :class:`RunTask` (one
 single-decree consensus run: a workload *name* resolved through the
@@ -7,17 +7,26 @@ a protocol *name* resolved through the
 :class:`~repro.consensus.registry.ProtocolRegistry`, and the run flags) or
 an :class:`SmrTask` (one multi-decree run: an SMR workload name, a
 declarative :class:`~repro.smr.workload.ScheduleSpec`, and a state-machine
-name).  Because a task is plain picklable data, the same task can be
-executed in-process by :class:`SerialExecutor` or shipped to a worker
-process by :class:`ParallelExecutor`; what comes back in either case is a
-condensed outcome (:class:`~repro.consensus.values.RunOutcome` or
-:class:`~repro.smr.outcome.SmrOutcome`), never a
+name).  Both kinds share one protocol:
+
+* ``task.kind`` — ``"run"`` or ``"smr"``; records and content keys read it;
+* ``task.run()`` — execute in this process and return the full result
+  (:class:`~repro.harness.runner.RunResult` or
+  :class:`~repro.smr.runner.SmrRunResult`, simulator included);
+* ``task.execute()`` — execute and return the condensed outcome
+  (:class:`~repro.consensus.values.RunOutcome` or
+  :class:`~repro.smr.outcome.SmrOutcome`), plain picklable data.
+
+Because a task is plain picklable data, the same task can be executed
+in-process by :class:`SerialExecutor` or shipped to a worker process by
+:class:`ParallelExecutor` (through the module-level :func:`execute_task`);
+what comes back in either case is the condensed outcome, never a
 :class:`~repro.sim.simulator.Simulator`.  Simulations are seeded and
 deterministic, so serial and parallel execution of the same tasks produce
 identical outcomes.
 
 :func:`run_scenario` and :func:`~repro.smr.runner.run_smr` remain the
-single-run primitives: executors call them, they do not replace them.
+single-run primitives: tasks call them, they do not replace them.
 """
 
 from __future__ import annotations
@@ -27,8 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from repro.consensus.base import ProtocolBuilder
-from repro.consensus.registry import ProtocolRegistry
 from repro.consensus.values import RunOutcome
 from repro.errors import ConfigurationError, ExperimentError
 from repro.harness.runner import RunResult, run_scenario
@@ -36,7 +43,7 @@ from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, snapshot_smr_outcome
 from repro.smr.runner import SmrRunResult, run_smr
 from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
 from repro.smr.workload import ScheduleSpec
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
+from repro.workloads.registry import default_workload_registry
 from repro.workloads.scenario import Scenario
 
 __all__ = [
@@ -45,10 +52,7 @@ __all__ = [
     "RunTask",
     "SerialExecutor",
     "SmrTask",
-    "execute_smr_task",
-    "execute_smr_task_result",
     "execute_task",
-    "execute_task_result",
     "machine_factory_for",
     "make_executor",
     "snapshot_outcome",
@@ -76,6 +80,11 @@ def machine_factory_for(name: str) -> Callable[[], Any]:
     return factory
 
 
+def build_task_scenario(task: AnyTask) -> Scenario:
+    """Materialize the task's scenario through the workload registry."""
+    return default_workload_registry().create(task.workload, **dict(task.workload_kwargs))
+
+
 @dataclass(frozen=True)
 class RunTask:
     """One declarative (workload, protocol, seed) run.
@@ -83,7 +92,7 @@ class RunTask:
     ``workload_kwargs`` must include everything the workload factory needs
     (``n``, ``seed``, ``params``, ...) and must be picklable so the task can
     cross a process boundary.  ``tags`` carry grid-point labels (protocol,
-    seed, swept parameters); they are not interpreted by the executor, only
+    seed, swept parameters); they are not interpreted by the task, only
     echoed back alongside the outcome by the experiment layer.
     """
 
@@ -97,9 +106,23 @@ class RunTask:
     run_until_decided: bool = True
     record_envelopes: bool = True
 
-    def describe(self) -> str:
-        labels = " ".join(f"{key}={value!r}" for key, value in sorted(self.tags.items()))
-        return f"{self.protocol} on {self.workload}" + (f" [{labels}]" if labels else "")
+    kind = "run"
+
+    def run(self) -> RunResult:
+        """Execute in this process and keep the full result (simulator included)."""
+        return run_scenario(
+            build_task_scenario(self),
+            self.protocol,
+            protocol_kwargs=dict(self.protocol_kwargs) or None,
+            enforce_safety=self.enforce_safety,
+            enforce_invariants=self.enforce_invariants,
+            run_until_decided=self.run_until_decided,
+            record_envelopes=self.record_envelopes,
+        )
+
+    def execute(self) -> RunOutcome:
+        """Execute and return the condensed, picklable outcome."""
+        return snapshot_outcome(self.run())
 
 
 @dataclass(frozen=True)
@@ -127,20 +150,19 @@ class SmrTask:
     kind = "smr"
     protocol = SMR_PROTOCOL
 
-    def describe(self) -> str:
-        labels = " ".join(f"{key}={value!r}" for key, value in sorted(self.tags.items()))
-        return (
-            f"{self.protocol} on {self.workload} ({self.schedule.describe()})"
-            + (f" [{labels}]" if labels else "")
+    def run(self) -> SmrRunResult:
+        """Execute in this process and keep the full result (simulator included)."""
+        scenario = build_task_scenario(self)
+        return run_smr(
+            scenario,
+            self.schedule.to_schedule(scenario.config.n),
+            machine_factory=machine_factory_for(self.machine),
+            enforce_consistency=self.enforce_consistency,
         )
 
-
-def build_task_scenario(
-    task: RunTask, registry: Optional[ScenarioRegistry] = None
-) -> Scenario:
-    """Materialize the task's scenario through the workload registry."""
-    registry = registry if registry is not None else default_workload_registry()
-    return registry.create(task.workload, **dict(task.workload_kwargs))
+    def execute(self) -> SmrOutcome:
+        """Execute and return the condensed, picklable outcome."""
+        return snapshot_smr_outcome(self.run(), workload=self.workload)
 
 
 def snapshot_outcome(result: RunResult) -> RunOutcome:
@@ -178,61 +200,13 @@ def snapshot_outcome(result: RunResult) -> RunOutcome:
     return outcome
 
 
-def execute_task_result(
-    task: RunTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-    protocol_registry: Optional[ProtocolRegistry] = None,
-) -> RunResult:
-    """Execute one task in-process and keep the full result (simulator included)."""
-    scenario = build_task_scenario(task, registry=workload_registry)
-    return run_scenario(
-        scenario,
-        task.protocol,
-        registry=protocol_registry,
-        protocol_kwargs=dict(task.protocol_kwargs) or None,
-        enforce_safety=task.enforce_safety,
-        enforce_invariants=task.enforce_invariants,
-        run_until_decided=task.run_until_decided,
-        record_envelopes=task.record_envelopes,
-    )
-
-
-def execute_smr_task_result(
-    task: SmrTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-) -> SmrRunResult:
-    """Execute one SMR task in-process and keep the full result."""
-    scenario = build_task_scenario(task, registry=workload_registry)
-    schedule = task.schedule.to_schedule(scenario.config.n)
-    return run_smr(
-        scenario,
-        schedule,
-        machine_factory=machine_factory_for(task.machine),
-        enforce_consistency=task.enforce_consistency,
-    )
-
-
-def execute_smr_task(
-    task: SmrTask,
-    *,
-    workload_registry: Optional[ScenarioRegistry] = None,
-) -> SmrOutcome:
-    """Execute one SMR task and return its condensed outcome."""
-    result = execute_smr_task_result(task, workload_registry=workload_registry)
-    return snapshot_smr_outcome(result, workload=task.workload)
-
-
 def execute_task(task: AnyTask) -> AnyOutcome:
     """Execute one task (of either kind) and return its condensed outcome.
 
     This is the function worker processes run; it must stay module-level so
     it pickles under every multiprocessing start method.
     """
-    if isinstance(task, SmrTask):
-        return execute_smr_task(task)
-    return snapshot_outcome(execute_task_result(task))
+    return task.execute()
 
 
 class Executor:
@@ -261,27 +235,6 @@ class Executor:
             )
         return iter(self.map(tasks))
 
-    def run(self, task: AnyTask) -> AnyOutcome:
-        return self.map([task])[0]
-
-    def run_result(
-        self,
-        scenario: Scenario,
-        protocol: Union[str, ProtocolBuilder],
-        *,
-        protocol_kwargs: Optional[Mapping[str, Any]] = None,
-        enforce_safety: bool = True,
-    ) -> RunResult:
-        """Run one concrete scenario and return the *full* result.
-
-        Only in-process executors can do this — a full result holds the
-        simulator, which never crosses a process boundary.
-        """
-        raise ExperimentError(
-            f"the {self.name!r} executor exchanges RunOutcomes, not full RunResults; "
-            "use SerialExecutor, or declarative RunTasks via ExperimentSpec/run_experiment"
-        )
-
     def describe(self) -> str:
         return self.name
 
@@ -291,48 +244,9 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def __init__(
-        self,
-        workload_registry: Optional[ScenarioRegistry] = None,
-        protocol_registry: Optional[ProtocolRegistry] = None,
-    ) -> None:
-        self.workload_registry = workload_registry
-        self.protocol_registry = protocol_registry
-
-    def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
-        return [self._execute_one(task) for task in tasks]
-
     def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
         for task in tasks:
-            yield self._execute_one(task)
-
-    def _execute_one(self, task: AnyTask) -> AnyOutcome:
-        if isinstance(task, SmrTask):
-            return execute_smr_task(task, workload_registry=self.workload_registry)
-        return snapshot_outcome(self.map_result(task))
-
-    def map_result(self, task: RunTask) -> RunResult:
-        return execute_task_result(
-            task,
-            workload_registry=self.workload_registry,
-            protocol_registry=self.protocol_registry,
-        )
-
-    def run_result(
-        self,
-        scenario: Scenario,
-        protocol: Union[str, ProtocolBuilder],
-        *,
-        protocol_kwargs: Optional[Mapping[str, Any]] = None,
-        enforce_safety: bool = True,
-    ) -> RunResult:
-        return run_scenario(
-            scenario,
-            protocol,
-            registry=self.protocol_registry,
-            protocol_kwargs=dict(protocol_kwargs) if protocol_kwargs else None,
-            enforce_safety=enforce_safety,
-        )
+            yield task.execute()
 
 
 class ParallelExecutor(Executor):

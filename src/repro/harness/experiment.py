@@ -7,7 +7,9 @@ into the declarative :class:`~repro.harness.executors.RunTask` list an
 processes.  :func:`run_experiment` pairs every task with its outcome in a
 :class:`ResultSet`, which supports tag filtering, grouping, and
 summary-stat aggregation and renders straight into an
-:class:`~repro.harness.tables.ExperimentTable`.
+:class:`~repro.harness.tables.ExperimentTable`.  :func:`run_smr_tasks` runs
+:class:`~repro.harness.executors.SmrTask`\\ s through the same engine; every
+row of either kind is one :class:`ResultRow`.
 
 Typical use::
 
@@ -42,18 +44,20 @@ from typing import (
 )
 
 from repro.analysis.stats import Summary, summarize
-from repro.consensus.values import RunOutcome
 from repro.errors import ExperimentError
-from repro.harness.executors import Executor, RunTask, SmrTask, make_executor
-from repro.smr.outcome import SmrOutcome
-from repro.smr.workload import ScheduleSpec
+from repro.harness.executors import (
+    AnyOutcome,
+    AnyTask,
+    Executor,
+    RunTask,
+    SmrTask,
+    make_executor,
+)
 
 __all__ = [
     "ExperimentSpec",
     "ResultRow",
     "ResultSet",
-    "SmrExperimentSpec",
-    "SmrResultRow",
     "lag_delta",
     "run_experiment",
     "run_smr_tasks",
@@ -65,17 +69,6 @@ Binder = Callable[[GridPoint], Mapping[str, Any]]
 Metric = Callable[["ResultRow"], Optional[float]]
 
 logger = logging.getLogger("repro.results")
-
-
-def _grid_points(grid: Mapping[str, Sequence[Any]]) -> List[GridPoint]:
-    """The cartesian product of a parameter grid, in declaration order."""
-    if not grid:
-        return [{}]
-    keys = list(grid)
-    return [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(grid[key] for key in keys))
-    ]
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,13 @@ class ExperimentSpec:
 
     def points(self) -> List[GridPoint]:
         """The cartesian product of the grid, in declaration order."""
-        return _grid_points(self.grid)
+        if not self.grid:
+            return [{}]
+        keys = list(self.grid)
+        return [
+            dict(zip(keys, combo))
+            for combo in itertools.product(*(self.grid[key] for key in keys))
+        ]
 
     def tasks(self) -> List[RunTask]:
         """Expand into one task per (protocol, grid point, seed)."""
@@ -152,10 +151,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One executed task paired with its outcome."""
+    """One executed task (of either kind) paired with its outcome."""
 
-    task: RunTask
-    outcome: RunOutcome
+    task: AnyTask
+    outcome: AnyOutcome
 
     @property
     def tags(self) -> Mapping[str, Any]:
@@ -283,7 +282,7 @@ def run_experiment(
 ) -> ResultSet:
     """Expand the spec(s) into tasks, execute them, and pair up the results.
 
-    ``executor`` wins over ``jobs``; with neither, execution is serial.
+    Pass ``executor`` or ``jobs``, not both; with neither, execution is serial.
     Passing several specs runs their concatenated task lists in one batch,
     so a parallel executor can schedule across all of them.
 
@@ -296,44 +295,38 @@ def run_experiment(
     hits are logged on the ``repro.results`` logger); the returned
     :class:`ResultSet` is indistinguishable from a fully fresh run.
     """
-    if executor is not None and jobs is not None:
-        raise ExperimentError("pass either executor or jobs, not both")
-    executor = executor if executor is not None else make_executor(jobs)
     specs = [spec] if isinstance(spec, ExperimentSpec) else list(spec)
-    tasks: List[RunTask] = []
-    for one in specs:
-        tasks.extend(one.tasks())
-
-    slots = _execute_streaming(tasks, executor, store=store, resume=resume)
-    return ResultSet(
-        ResultRow(task=task, outcome=outcome)
-        for task, outcome in zip(tasks, slots)
-        if outcome is not None
-    )
+    tasks = [task for one in specs for task in one.tasks()]
+    return ResultSet(_run_tasks(tasks, executor, jobs, store=store, resume=resume))
 
 
-def _execute_streaming(
-    tasks: Sequence[Any],
-    executor: Executor,
+def _run_tasks(
+    tasks: List[AnyTask],
+    executor: Optional[Executor],
+    jobs: Optional[int],
     *,
     store: Optional[Any],
     resume: bool,
-) -> List[Optional[Any]]:
-    """The shared store/resume execution engine behind every task family.
+) -> List[ResultRow]:
+    """The one store/resume execution engine behind every task kind.
 
-    Executes ``tasks`` through ``executor`` and returns their outcomes in
-    task order.  With a ``store``, every executed task is frozen into the
-    record type matching its kind
+    Executes ``tasks`` through ``executor`` or a new executor for ``jobs``
+    (not both; with neither, execution is serial) and pairs each with its
+    outcome, in task order.  With a ``store``, every executed task is frozen
+    into the record type matching its kind
     (:func:`~repro.results.record.record_for_task`) and streamed in as it
     completes — a crash or interrupt mid-batch leaves every finished run
     durable; with ``resume=True``, tasks whose content key is already
     present are loaded instead of executed (cache hits are logged on the
     ``repro.results`` logger).
     """
+    if executor is not None and jobs is not None:
+        raise ExperimentError("pass either executor or jobs, not both")
+    executor = executor if executor is not None else make_executor(jobs)
     if store is None:
         if resume:
             raise ExperimentError("resume=True needs a store to resume from")
-        return list(executor.map(tasks))
+        return [ResultRow(task, outcome) for task, outcome in zip(tasks, executor.map(tasks))]
 
     from repro.results.record import content_key_for_task, record_for_task
     from repro.results.store import open_store
@@ -341,7 +334,7 @@ def _execute_streaming(
     opened = not hasattr(store, "put")
     store = open_store(store)
     keys = [content_key_for_task(task) for task in tasks]
-    slots: List[Optional[Any]] = [None] * len(tasks)
+    slots: List[Optional[AnyOutcome]] = [None] * len(tasks)
     pending: List[int] = []
     for index, key in enumerate(keys):
         record = store.get(key) if resume else None
@@ -367,73 +360,7 @@ def _execute_streaming(
         store.flush()
         if opened:
             store.close()
-    return slots
-
-
-# --------------------------------------------------------------------------- SMR
-@dataclass(frozen=True)
-class SmrResultRow:
-    """One executed SMR task paired with its outcome."""
-
-    task: SmrTask
-    outcome: SmrOutcome
-
-    @property
-    def tags(self) -> Mapping[str, Any]:
-        return self.task.tags
-
-    def tag(self, key: str) -> Any:
-        if key not in self.task.tags:
-            raise ExperimentError(
-                f"row has no tag {key!r}; available: {', '.join(sorted(self.task.tags))}"
-            )
-        return self.task.tags[key]
-
-
-@dataclass(frozen=True)
-class SmrExperimentSpec:
-    """Parameter grid × seeds over one SMR workload and one schedule.
-
-    The multi-decree counterpart of :class:`ExperimentSpec`: every grid
-    point expands into one :class:`~repro.harness.executors.SmrTask` per
-    seed, all sharing the declarative ``schedule`` (a
-    :class:`~repro.smr.workload.ScheduleSpec`) and state-machine name.
-    ``bind`` works exactly as on :class:`ExperimentSpec`.
-    """
-
-    workload: str
-    schedule: ScheduleSpec
-    seeds: Sequence[int] = (0,)
-    base: Mapping[str, Any] = field(default_factory=dict)
-    grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    bind: Optional[Binder] = None
-    machine: str = "kv"
-    tags: Mapping[str, Any] = field(default_factory=dict)
-    enforce_consistency: bool = True
-
-    def points(self) -> List[GridPoint]:
-        return _grid_points(self.grid)
-
-    def tasks(self) -> List[SmrTask]:
-        """Expand into one task per (grid point, seed)."""
-        if not self.seeds:
-            raise ExperimentError("SmrExperimentSpec needs at least one seed")
-        tasks: List[SmrTask] = []
-        for point in self.points():
-            bound = dict(self.bind(point)) if self.bind is not None else dict(point)
-            for seed in self.seeds:
-                kwargs = {**self.base, **bound, "seed": seed}
-                tasks.append(
-                    SmrTask(
-                        workload=self.workload,
-                        schedule=self.schedule,
-                        workload_kwargs=kwargs,
-                        machine=self.machine,
-                        enforce_consistency=self.enforce_consistency,
-                        tags={**self.tags, **point, "seed": seed},
-                    )
-                )
-        return tasks
+    return [ResultRow(task, outcome) for task, outcome in zip(tasks, slots) if outcome is not None]
 
 
 def run_smr_tasks(
@@ -443,24 +370,15 @@ def run_smr_tasks(
     jobs: Optional[int] = None,
     store: Optional[Any] = None,
     resume: bool = False,
-) -> List[SmrResultRow]:
+) -> List[ResultRow]:
     """Execute SMR tasks through the same executor/store pipeline as runs.
 
     The multi-decree counterpart of :func:`run_experiment`: tasks fan out
-    over the given executor (``executor`` wins over ``jobs``; with neither,
-    execution is serial), every executed task streams its
+    over the given executor (``executor`` or ``jobs``, not both; with
+    neither, execution is serial), every executed task streams its
     :class:`~repro.results.smr_record.SmrRecord` into ``store`` as it
     completes, and ``resume=True`` loads tasks whose content key is already
     present instead of executing them — an interrupted SMR campaign
     re-executes exactly the missing runs.
     """
-    if executor is not None and jobs is not None:
-        raise ExperimentError("pass either executor or jobs, not both")
-    executor = executor if executor is not None else make_executor(jobs)
-    tasks = list(tasks)
-    slots = _execute_streaming(tasks, executor, store=store, resume=resume)
-    return [
-        SmrResultRow(task=task, outcome=outcome)
-        for task, outcome in zip(tasks, slots)
-        if outcome is not None
-    ]
+    return _run_tasks(list(tasks), executor, jobs, store=store, resume=resume)

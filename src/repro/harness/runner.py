@@ -1,9 +1,10 @@
 """Run one (scenario, protocol) pair end to end.
 
-The runner is the single integration point: it builds the network and the
-simulator, attaches the protocol builder, applies the fault plan and the
-scenario's post-setup hook, runs to completion, computes metrics, and checks
-both the consensus safety spec and the protocol's trace invariants.  Every
+The runner is the single integration point: it has the scenario build the
+simulator (:meth:`~repro.workloads.scenario.Scenario.build_simulator`:
+network, protocol builder, fault plan, post-setup hook), runs to completion,
+computes metrics, and checks both the consensus safety spec and the
+protocol's trace invariants.  Every
 example, test, and benchmark goes through :func:`run_scenario`.
 """
 
@@ -18,7 +19,6 @@ from repro.consensus.base import ProtocolBuilder
 from repro.consensus.registry import ProtocolRegistry, default_registry
 from repro.consensus.spec import SafetyReport, check_safety
 from repro.consensus.values import DecisionOutcome, RunOutcome
-from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.workloads.scenario import Scenario
 
@@ -57,11 +57,12 @@ class RunResult:
             for pid, record in sorted(self.simulator.decisions.items())
         ]
         stats = self.simulator.network.monitor.stats
-        extra: Dict[str, object] = {"events": self.simulator.events_processed}
-        if self.scenario.environment is not None:
-            # The resolved environment travels with the outcome, so a result
-            # row is reproducible from its own metadata alone.
-            extra["environment"] = self.scenario.environment.to_dict()
+        # The resolved environment travels with the outcome, so a result row
+        # is reproducible from its own metadata alone.
+        extra: Dict[str, object] = {
+            "events": self.simulator.events_processed,
+            "environment": self.scenario.environment.to_dict(),
+        }
         return RunOutcome(
             protocol=self.protocol,
             n=config.n,
@@ -119,26 +120,7 @@ def run_scenario(
         builder = protocol
         protocol_name = type(builder).name
 
-    config = scenario.config
-    network_rng = SeededRng(config.seed, label="net").fork(scenario.name)
-    network = scenario.build_network(config, network_rng)
-    network.record_envelopes = record_envelopes
-
-    simulator = Simulator(
-        config=config,
-        process_factory=builder.create,
-        network=network,
-        initial_values=scenario.initial_values,
-    )
-    builder.attach(simulator)
-
-    scenario.fault_plan.validate(
-        config.n, ts=config.ts, allow_post_ts_crashes=scenario.allow_post_ts_crashes
-    )
-    scenario.fault_plan.apply(simulator)
-    if scenario.post_setup is not None:
-        scenario.post_setup(simulator)
-
+    simulator = scenario.build_simulator(builder, record_envelopes=record_envelopes)
     deciders = scenario.deciders()
     if run_until_decided:
         simulator.run_until_decided(deciders)
@@ -152,7 +134,7 @@ def run_scenario(
 
     invariants: Dict[str, InvariantReport] = {}
     for name, check in builder.invariant_checks().items():
-        report = check(simulator.trace, config.n)
+        report = check(simulator.trace, scenario.config.n)
         invariants[name] = report
         if enforce_invariants:
             report.raise_if_violated()

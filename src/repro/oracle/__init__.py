@@ -1,4 +1,4 @@
-"""Oracles: logical clocks, leader election, failure detection, weak ordering.
+"""Oracles: logical clocks, leader election, weak ordering.
 
 These are the auxiliary abstractions the paper's discussion relies on:
 
@@ -7,21 +7,18 @@ These are the auxiliary abstractions the paper's discussion relies on:
 * :mod:`repro.oracle.omega` — the Ω leader-election oracle that the paper
   *grants* to traditional Paxos in Section 2 ("suppose the leader-election
   procedure is guaranteed to choose a unique, nonfaulty leader within O(δ)
-  seconds after the system is stable");
-* :mod:`repro.oracle.eventually_strong` — a ◇S-style failure detector for
-  the rotating-coordinator baseline of Section 3;
+  seconds after the system is stable"), with :mod:`repro.oracle.heartbeat`
+  as its message-based implementation;
 * :mod:`repro.oracle.wab` — the weak-atomic-broadcast ordering oracle built
   from logical timestamps plus a ``2δ`` hold-back, Section 5's construction.
 """
 
-from repro.oracle.eventually_strong import EventuallyStrongDetector
 from repro.oracle.heartbeat import Heartbeat, HeartbeatElector
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
 from repro.oracle.omega import OmegaOracle
 from repro.oracle.wab import WabEndpoint, WabMessage
 
 __all__ = [
-    "EventuallyStrongDetector",
     "Heartbeat",
     "HeartbeatElector",
     "LamportClock",

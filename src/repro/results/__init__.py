@@ -14,6 +14,10 @@ run *produced*:
   digests, resolved environment), sharing the same content-key shape and
   store backends (serialized with ``"kind": "smr"``;
   :func:`~repro.results.record.decode_record_dict` dispatches);
+* :class:`~repro.results.record.RecordBase` — the envelope both record
+  kinds share: ``from_task``, the environment view, canonical JSON, and the
+  kind and schema-version check that makes each class refuse the other
+  kind's records;
 * :class:`~repro.results.store.ResultStore` — the backend contract, with
   :class:`~repro.results.store.MemoryStore`,
   :class:`~repro.results.store.JsonlStore` (append-only log + atomic
@@ -25,10 +29,9 @@ run *produced*:
 
 Because simulations are seeded and deterministic, a stored record is a
 faithful substitute for re-executing its task: the harness layers
-(``run_experiment``, ``run_smr_tasks``, ``run_campaign``, ``sweep``,
-``smr_sweep``, the E1–E9 experiment functions) accept ``store=``/``resume=``
-and load any record already present under a task's content key instead of
-running it, which is what makes interrupted or sharded campaigns resumable.
+(``run_experiment``, ``run_smr_tasks``, ``run_campaign``, the E1–E9
+experiment functions) accept ``store=``/``resume=`` and load any record
+already present under a task's content key instead of running it, which is what makes interrupted or sharded campaigns resumable.
 
 Schema-version policy
 =====================
@@ -63,6 +66,7 @@ from repro.results.query import (
 )
 from repro.results.record import (
     SCHEMA_VERSION,
+    RecordBase,
     RunRecord,
     content_key_for_task,
     decode_record_dict,
@@ -84,6 +88,7 @@ __all__ = [
     "JsonlStore",
     "LagAggregate",
     "MemoryStore",
+    "RecordBase",
     "ResultStore",
     "RunRecord",
     "SmrRecord",

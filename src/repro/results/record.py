@@ -36,6 +36,7 @@ from repro.errors import ResultSchemaError
 
 __all__ = [
     "SCHEMA_VERSION",
+    "RecordBase",
     "RunRecord",
     "content_key_for_task",
     "decode_record_dict",
@@ -119,7 +120,7 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
         for key, value in dict(task.workload_kwargs).items()
         if key not in ("n", "ts", "seed")
     }
-    if getattr(task, "kind", None) == "smr":
+    if task.kind == "smr":
         return {
             "schema": SCHEMA_VERSION,
             "kind": "smr",
@@ -135,7 +136,7 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
         "workload": task.workload,
         "workload_kwargs": _fingerprint_value(kwargs, "workload_kwargs"),
         "protocol_kwargs": _fingerprint_value(dict(task.protocol_kwargs), "protocol_kwargs"),
-        "run_until_decided": bool(getattr(task, "run_until_decided", True)),
+        "run_until_decided": bool(task.run_until_decided),
     }
 
 
@@ -230,8 +231,77 @@ def _decode_extra(extra: Mapping[str, Any]) -> Dict[str, Any]:
     return decoded
 
 
+def _load_json_object(text: str) -> Dict[str, Any]:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ResultSchemaError(f"invalid record JSON: {error}") from error
+    if not isinstance(data, dict):
+        raise ResultSchemaError("record JSON must be an object")
+    return data
+
+
+class RecordBase:
+    """The envelope both record kinds share.
+
+    A subclass is a frozen dataclass declaring its payload fields (``key``,
+    ``workload``, ``tags``, ``extra`` and ``schema_version`` among them) plus
+    ``from_outcome``, ``to_outcome``, ``to_dict`` and ``from_dict``; this
+    base adds the task-keyed constructor, the environment view, the
+    canonical JSON form, and the envelope check every ``from_dict`` starts
+    with.  ``kind`` is the record's ``"kind"`` marker; single-decree records
+    are written without one.
+    """
+
+    kind = "run"
+
+    @classmethod
+    def from_task(cls, task: Any, outcome: Any, key: Optional[str] = None) -> Any:
+        """Freeze one (task, outcome) pair; the key is derived from the task."""
+        return cls.from_outcome(
+            outcome,
+            workload=task.workload,
+            key=key if key is not None else content_key_for_task(task),
+            tags=task.tags,
+        )
+
+    @property
+    def environment(self) -> Optional[Mapping[str, Any]]:
+        """The resolved environment spec this run executed under, if any."""
+        return self.extra.get("environment")
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        return cls.from_dict(_load_json_object(text))
+
+    @classmethod
+    def _check_envelope(cls, data: Mapping[str, Any]) -> int:
+        """Reject another kind's record or an unreadable schema; return the version."""
+        kind = data.get("kind", "run")
+        if kind != cls.kind:
+            raise ResultSchemaError(
+                f"{cls.__name__} cannot decode a record of kind {kind!r} (it reads "
+                f"{cls.kind!r}); use decode_record_dict for mixed stores"
+            )
+        version = data.get("schema_version")
+        if not isinstance(version, int) or version < 1:
+            raise ResultSchemaError(
+                f"record has no valid schema_version (got {version!r}); "
+                "not a repro results record"
+            )
+        if version > SCHEMA_VERSION:
+            raise ResultSchemaError(
+                f"record schema_version {version} is newer than this library's "
+                f"{SCHEMA_VERSION}; upgrade to read this store"
+            )
+        return version
+
+
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(RecordBase):
     """One run, frozen as schema-versioned plain data.
 
     Everything here is JSON-representable; ``decisions`` keep their
@@ -317,22 +387,7 @@ class RunRecord:
             metrics=metrics,
         )
 
-    @classmethod
-    def from_task(cls, task: Any, outcome: RunOutcome, key: Optional[str] = None) -> "RunRecord":
-        """Freeze one (task, outcome) pair; the key is derived from the task."""
-        return cls.from_outcome(
-            outcome,
-            workload=task.workload,
-            key=key if key is not None else content_key_for_task(task),
-            tags=task.tags,
-        )
-
-    # -- environment --------------------------------------------------------
-    @property
-    def environment(self) -> Optional[Mapping[str, Any]]:
-        """The resolved environment spec this run executed under, if any."""
-        return self.extra.get("environment")
-
+    # -- derived views ------------------------------------------------------
     @property
     def lag_delta(self) -> Optional[float]:
         return self.metrics.get("lag_delta")
@@ -379,17 +434,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise ResultSchemaError(
-                f"record has no valid schema_version (got {version!r}); "
-                "not a repro results record"
-            )
-        if version > SCHEMA_VERSION:
-            raise ResultSchemaError(
-                f"record schema_version {version} is newer than this library's "
-                f"{SCHEMA_VERSION}; upgrade to read this store"
-            )
+        version = cls._check_envelope(data)
         try:
             return cls(
                 key=data["key"],
@@ -413,19 +458,6 @@ class RunRecord:
         except (KeyError, TypeError, ValueError) as error:
             raise ResultSchemaError(f"malformed record dict: {error!r}") from error
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ResultSchemaError(f"invalid record JSON: {error}") from error
-        if not isinstance(data, dict):
-            raise ResultSchemaError("record JSON must be an object")
-        return cls.from_dict(data)
-
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:
         lag = self.lag_delta
@@ -444,7 +476,7 @@ def record_for_task(task: Any, outcome: Any, key: Optional[str] = None) -> Any:
     :class:`~repro.harness.executors.SmrTask` →
     :class:`~repro.results.smr_record.SmrRecord`.
     """
-    if getattr(task, "kind", None) == "smr":
+    if task.kind == "smr":
         from repro.results.smr_record import SmrRecord
 
         return SmrRecord.from_task(task, outcome, key=key)
@@ -475,8 +507,4 @@ def decode_record_dict(data: Mapping[str, Any]) -> Any:
 
 def decode_record_json(text: str) -> Any:
     """Decode one serialized record line/payload of either kind."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ResultSchemaError(f"invalid record JSON: {error}") from error
-    return decode_record_dict(data)
+    return decode_record_dict(_load_json_object(text))

@@ -23,13 +23,12 @@ record equals its JSON round trip exactly and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.consensus.values import json_safe
 from repro.errors import ResultSchemaError
-from repro.results.record import SCHEMA_VERSION, content_key_for_task
+from repro.results.record import SCHEMA_VERSION, RecordBase
 
 __all__ = ["SmrRecord"]
 
@@ -59,7 +58,7 @@ def _decode_command(data: Mapping[str, Any]) -> Any:
 
 
 @dataclass(frozen=True)
-class SmrRecord:
+class SmrRecord(RecordBase):
     """One SMR run, frozen as schema-versioned plain data.
 
     ``commands`` keep their :class:`~repro.smr.metrics.CommandRecord` form in
@@ -165,22 +164,7 @@ class SmrRecord:
             metrics=metrics,
         )
 
-    @classmethod
-    def from_task(cls, task: Any, outcome: Any, key: Optional[str] = None) -> "SmrRecord":
-        """Freeze one (task, outcome) pair; the key is derived from the task."""
-        return cls.from_outcome(
-            outcome,
-            workload=task.workload,
-            key=key if key is not None else content_key_for_task(task),
-            tags=task.tags,
-        )
-
     # -- derived views ------------------------------------------------------
-    @property
-    def environment(self) -> Optional[Mapping[str, Any]]:
-        """The resolved environment spec this run executed under, if any."""
-        return self.extra.get("environment")
-
     @property
     def lag_delta(self) -> Optional[float]:
         """Worst global command latency in delta units (the SMR "lag")."""
@@ -240,22 +224,7 @@ class SmrRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SmrRecord":
-        if data.get("kind") != RECORD_KIND:
-            raise ResultSchemaError(
-                f"not an SMR record (kind={data.get('kind')!r}); "
-                "use decode_record_dict for mixed stores"
-            )
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise ResultSchemaError(
-                f"record has no valid schema_version (got {version!r}); "
-                "not a repro results record"
-            )
-        if version > SCHEMA_VERSION:
-            raise ResultSchemaError(
-                f"record schema_version {version} is newer than this library's "
-                f"{SCHEMA_VERSION}; upgrade to read this store"
-            )
+        version = cls._check_envelope(data)
         try:
             return cls(
                 key=data["key"],
@@ -284,19 +253,6 @@ class SmrRecord:
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ResultSchemaError(f"malformed SMR record dict: {error!r}") from error
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SmrRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ResultSchemaError(f"invalid record JSON: {error}") from error
-        if not isinstance(data, dict):
-            raise ResultSchemaError("record JSON must be an object")
-        return cls.from_dict(data)
 
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:

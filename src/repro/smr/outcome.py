@@ -135,9 +135,8 @@ def snapshot_smr_outcome(result: "SmrRunResult", workload: Optional[str] = None)
     extra: Dict[str, Any] = {
         "scenario": scenario.name,
         "events": result.simulator.events_processed,
+        "environment": scenario.environment.to_dict(),
     }
-    if scenario.environment is not None:
-        extra["environment"] = scenario.environment.to_dict()
     return SmrOutcome(
         workload=workload if workload is not None else scenario.name,
         n=config.n,

@@ -24,7 +24,6 @@ from typing import Callable, Dict, Optional
 
 from repro.analysis.invariants import InvariantReport, check_session_entry_rule
 from repro.errors import ConfigurationError
-from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.smr.metrics import (
     CommandRecord,
@@ -104,22 +103,7 @@ def run_smr(
     config = scenario.config
     _validate_schedule_horizon(schedule, config.max_time)
     builder = MultiPaxosSmrBuilder(schedule=schedule)
-    network_rng = SeededRng(config.seed, label="net").fork(scenario.name)
-    network = scenario.build_network(config, network_rng)
-
-    simulator = Simulator(
-        config=config,
-        process_factory=builder.create,
-        network=network,
-        initial_values=scenario.initial_values,
-    )
-    builder.attach(simulator)
-    scenario.fault_plan.validate(
-        config.n, ts=config.ts, allow_post_ts_crashes=scenario.allow_post_ts_crashes
-    )
-    scenario.fault_plan.apply(simulator)
-    if scenario.post_setup is not None:
-        scenario.post_setup(simulator)
+    simulator = scenario.build_simulator(builder)
 
     expected_commands = frozenset(schedule.command_ids)
     watched = [simulator.nodes.get(pid) for pid in sorted(scenario.deciders())]

@@ -142,15 +142,6 @@ class ScheduleSpec:
             ),
         )
 
-    def describe(self) -> str:
-        if self.entries:
-            return f"{len(self.entries)} explicit commands"
-        target = f" at p{self.target_pid}" if self.target_pid is not None else " round-robin"
-        return (
-            f"{self.num_commands} uniform commands from t={self.start:g} "
-            f"every {self.interval:g}{target}"
-        )
-
 
 def uniform_schedule(
     n: int,

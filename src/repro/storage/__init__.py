@@ -8,7 +8,6 @@ so it survives the destruction of the protocol instance at crash time and is
 handed unchanged to the next incarnation.
 """
 
-from repro.storage.journal import Journal, JournalEntry
 from repro.storage.stable import StableStore
 
-__all__ = ["Journal", "JournalEntry", "StableStore"]
+__all__ = ["StableStore"]

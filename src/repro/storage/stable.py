@@ -5,7 +5,7 @@ because what matters for the reproduction is the *crash semantics*: values
 written before a crash are visible after restart, values held only in the
 protocol object's attributes are not.  Values must be picklable/copyable
 plain data.  Storing a mutable object and mutating it in place would defeat
-the crash model, so by default every write and every read deep-copies the
+the crash model, so every write and every read deep-copies the
 value (as do :meth:`StableStore.snapshot` and :meth:`StableStore.restore`).
 A copy costs time in proportion to the value, so protocols should persist
 small values: the SMR replica, for one, writes one key per log slot rather
@@ -25,16 +25,15 @@ __all__ = ["StableStore"]
 class StableStore:
     """Durable key/value storage for one process.
 
+    Values are deep-copied on write and read, so protocols cannot
+    accidentally share mutable state with their "disk".
+
     Args:
         owner: Process id, used only for error messages and tracing.
-        deep_copy: Whether to deep-copy values on write and read.  Defaults
-            to True so protocols cannot accidentally share mutable state
-            with their "disk".
     """
 
-    def __init__(self, owner: int, deep_copy: bool = True) -> None:
+    def __init__(self, owner: int) -> None:
         self.owner = owner
-        self._deep_copy = deep_copy
         self._data: Dict[str, Any] = {}
         self._writes = 0
         self._reads = 0
@@ -64,7 +63,7 @@ class StableStore:
         """Durably store ``value`` under ``key``."""
         if not isinstance(key, str):
             raise StorageError(f"stable-store keys must be strings, got {type(key).__name__}")
-        self._data[key] = copy.deepcopy(value) if self._deep_copy else value
+        self._data[key] = copy.deepcopy(value)
         self._writes += 1
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -72,8 +71,7 @@ class StableStore:
         self._reads += 1
         if key not in self._data:
             return default
-        value = self._data[key]
-        return copy.deepcopy(value) if self._deep_copy else value
+        return copy.deepcopy(self._data[key])
 
     def require(self, key: str) -> Any:
         """Read a value that must exist; raises :class:`StorageError` otherwise."""
@@ -95,7 +93,7 @@ class StableStore:
             if not isinstance(key, str):
                 raise StorageError("stable-store keys must be strings")
         for key, value in values.items():
-            self._data[key] = copy.deepcopy(value) if self._deep_copy else value
+            self._data[key] = copy.deepcopy(value)
         self._writes += 1
 
     def snapshot(self) -> Dict[str, Any]:

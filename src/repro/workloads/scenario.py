@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.env.spec import EnvironmentSpec
-from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.consensus.base import ProtocolBuilder
     from repro.env.registry import EnvironmentRegistry
 
 __all__ = ["Scenario"]
 
-NetworkFactory = Callable[[SimulationConfig, SeededRng], Network]
 PostSetupHook = Callable[[Simulator], None]
 
 
@@ -25,27 +24,19 @@ PostSetupHook = Callable[[Simulator], None]
 class Scenario:
     """Everything one simulation run needs, minus the protocol.
 
-    A scenario is normally built from a declarative
+    A scenario is built from a declarative
     :class:`~repro.env.spec.EnvironmentSpec`: the environment supplies both
-    the network factory and the fault plan, and is recorded in every
+    the network and the fault plan, and is recorded in every
     :class:`~repro.consensus.values.RunOutcome` so results are reproducible
-    from their own metadata.  Passing an explicit ``build_network`` closure
-    (and/or ``fault_plan``) remains supported as a thin back-compat adapter
-    for ad-hoc networks that have no declarative form; explicit values win
-    over the environment's.
+    from their own metadata.
 
     Attributes:
         name: Short identifier used in tables and traces.
         config: The simulation configuration (n, timing constants, ts, seed).
-        environment: Declarative environment the run instantiates (preferred).
+        environment: Declarative environment the run instantiates.
         environment_registry: Registry resolving the environment's adversary
             and fault kinds; None uses the default registry.  Pass a custom
             registry when the spec uses user-registered primitives.
-        build_network: Builds the network (synchrony model + adversary) for a
-            given configuration and randomness stream; derived from
-            ``environment`` when not given.
-        fault_plan: Crash/restart schedule (validated against the config);
-            derived from ``environment`` when not given.
         initial_values: Proposals per process; None lets the simulator use
             its defaults (distinct per-process values).
         post_setup: Optional hook run after the simulator is built but before
@@ -56,40 +47,59 @@ class Scenario:
             assumption when validating the fault plan (set automatically for
             churn environments).
         notes: Free-form description used in reports.
+        fault_plan: Crash/restart schedule derived from ``environment``
+            (validated against the config when the simulator is built).
     """
 
     name: str
     config: SimulationConfig
-    build_network: Optional[NetworkFactory] = None
-    environment: Optional[EnvironmentSpec] = None
+    environment: EnvironmentSpec
     environment_registry: Optional["EnvironmentRegistry"] = None
-    fault_plan: Optional[FaultPlan] = None
     initial_values: Optional[List[Any]] = None
     post_setup: Optional[PostSetupHook] = None
     expected_deciders: Optional[List[int]] = None
     allow_post_ts_crashes: bool = False
     notes: str = ""
+    fault_plan: FaultPlan = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.environment is not None:
-            environment, registry = self.environment, self.environment_registry
-            if self.build_network is None:
-                if registry is None:
-                    self.build_network = environment.build_network
-                else:
-                    self.build_network = (
-                        lambda config, rng: environment.build_network(config, rng, registry)
-                    )
-            if self.fault_plan is None:
-                self.fault_plan = environment.build_fault_plan(self.config, registry)
-            if environment.allows_post_ts_crashes(registry):
-                self.allow_post_ts_crashes = True
-        if self.build_network is None:
-            raise ConfigurationError(
-                f"scenario {self.name!r} needs an environment or a build_network factory"
-            )
-        if self.fault_plan is None:
-            self.fault_plan = FaultPlan()
+        registry = self.environment_registry
+        self.fault_plan = self.environment.build_fault_plan(self.config, registry)
+        if self.environment.allows_post_ts_crashes(registry):
+            self.allow_post_ts_crashes = True
+
+    def build_network(self, config: SimulationConfig, rng: SeededRng) -> Network:
+        """Build the network (synchrony model + adversary) from the environment."""
+        return self.environment.build_network(config, rng, self.environment_registry)
+
+    def build_simulator(
+        self, builder: "ProtocolBuilder", *, record_envelopes: bool = True
+    ) -> Simulator:
+        """Build a ready-to-run simulator of ``builder``'s processes under this scenario.
+
+        The network draws from the seeded ``net`` stream forked by the
+        scenario name; the fault plan is validated and applied, and the
+        ``post_setup`` hook runs last.  ``record_envelopes`` keeps the
+        network's per-envelope log (see
+        :func:`~repro.harness.runner.run_scenario`).
+        """
+        config = self.config
+        network = self.build_network(config, SeededRng(config.seed, label="net").fork(self.name))
+        network.record_envelopes = record_envelopes
+        simulator = Simulator(
+            config=config,
+            process_factory=builder.create,
+            network=network,
+            initial_values=self.initial_values,
+        )
+        builder.attach(simulator)
+        self.fault_plan.validate(
+            config.n, ts=config.ts, allow_post_ts_crashes=self.allow_post_ts_crashes
+        )
+        self.fault_plan.apply(simulator)
+        if self.post_setup is not None:
+            self.post_setup(simulator)
+        return simulator
 
     def deciders(self) -> List[int]:
         """Pids expected to decide in this scenario."""
@@ -103,9 +113,8 @@ class Scenario:
             f"scenario {self.name}: n={self.config.n} ts={self.config.ts:g} "
             f"seed={self.config.seed} ({self.config.params.describe()})",
             f"  faults: {self.fault_plan.describe()}",
+            f"  environment: {self.environment.describe()}",
         ]
-        if self.environment is not None:
-            lines.append(f"  environment: {self.environment.describe()}")
         if self.notes:
             lines.append(f"  notes: {self.notes}")
         return "\n".join(lines)

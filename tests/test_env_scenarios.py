@@ -226,32 +226,12 @@ class TestEnvironmentWorkload:
         assert row.environment is not None
         assert EnvironmentSpec.from_dict(row.environment).adversary.kind == "drop-all"
 
-    def test_legacy_closure_path_still_works(self):
-        from repro.net.adversary import BenignAdversary
-        from repro.net.network import Network
-        from repro.net.synchrony import EventualSynchrony
-        from repro.sim.simulator import SimulationConfig
-        from repro.workloads.scenario import Scenario
-
-        config = SimulationConfig(n=3, params=PARAMS, ts=0.0, seed=1, max_time=100.0)
-
-        def build_network(cfg, rng):
-            model = EventualSynchrony(
-                ts=cfg.ts, delta=cfg.params.delta, adversary=BenignAdversary(cfg.params.delta)
-            )
-            return Network(model=model, rng=rng)
-
-        scenario = Scenario(name="legacy-closure", config=config, build_network=build_network)
-        result = run_scenario(scenario, "modified-paxos")
-        assert result.decided_all
-        assert result.outcome().extra.get("environment") is None
-
     def test_scenario_without_network_source_rejected(self):
         from repro.sim.simulator import SimulationConfig
         from repro.workloads.scenario import Scenario
 
         config = SimulationConfig(n=3, params=PARAMS, ts=0.0, seed=1, max_time=100.0)
-        with pytest.raises(ConfigurationError, match="environment or a build_network"):
+        with pytest.raises(TypeError, match="environment"):
             Scenario(name="empty", config=config)
 
 

@@ -25,7 +25,6 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.experiments import default_experiment_params
-from repro.harness.sweep import sweep
 from repro.harness.tables import ExperimentTable
 from repro.workloads.registry import (
     ScenarioRegistry,
@@ -165,12 +164,6 @@ class TestExecutors:
         with pytest.raises(ExperimentError):
             ParallelExecutor(jobs=0)
 
-    def test_parallel_executor_cannot_return_full_results(self):
-        scenario = stable_scenario(3, params=make_params(), seed=1)
-        with pytest.raises(ExperimentError, match="RunOutcomes"):
-            ParallelExecutor(jobs=2).run_result(scenario, "modified-paxos")
-
-
 class TestResultSet:
     @pytest.fixture(scope="class")
     def results(self):
@@ -275,31 +268,6 @@ class TestRunExperiment:
             ns=(5,), seeds=(1,), params=params, executor=ParallelExecutor(jobs=4)
         )
         assert serial.rows == parallel.rows
-
-
-class TestSweepThroughRegistry:
-    def test_sweep_by_workload_name(self):
-        result = sweep(
-            parameter="n",
-            values=[3, 5],
-            workload="stable",
-            workload_kwargs={"params": make_params(rho=0.01)},
-            protocol="modified-paxos",
-            seeds=(1,),
-        )
-        assert result.values() == [3, 5]
-        assert all(point.results[0].decided_all for point in result.points)
-
-    def test_sweep_requires_exactly_one_source(self):
-        with pytest.raises(ExperimentError):
-            sweep(parameter="n", values=[3], protocol="modified-paxos")
-        with pytest.raises(ExperimentError):
-            sweep(
-                parameter="n",
-                values=[3],
-                scenario_factory=lambda value, seed: stable_scenario(value, seed=seed),
-                workload="stable",
-            )
 
 
 class TestCliListings:

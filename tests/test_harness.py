@@ -1,11 +1,9 @@
-"""Unit tests for the harness: runner, sweep, and table rendering."""
+"""Unit tests for the harness: runner and table rendering."""
 
 import pytest
 
 from repro.consensus.values import RunOutcome
-from repro.errors import ExperimentError
 from repro.harness.runner import run_scenario
-from repro.harness.sweep import sweep
 from repro.harness.tables import ExperimentTable, render_table
 from repro.workloads.stable import stable_scenario
 
@@ -89,60 +87,3 @@ class TestRunner:
         # Running past the decision is allowed and must stay safe.
         assert result.decided_all
         assert result.safety.valid
-
-
-class TestSweep:
-    def _factory(self, params):
-        return lambda n, seed: stable_scenario(n, params=params, seed=seed)
-
-    def test_sweep_collects_points_per_value(self, params):
-        result = sweep(
-            parameter="n",
-            values=[3, 5],
-            scenario_factory=self._factory(params),
-            protocol="modified-paxos",
-            seeds=(1, 2),
-        )
-        assert result.values() == [3, 5]
-        assert all(len(point.results) == 2 for point in result.points)
-        assert result.protocol == "modified-paxos"
-
-    def test_sweep_metrics_helpers(self, params):
-        result = sweep(
-            parameter="n",
-            values=[3],
-            scenario_factory=self._factory(params),
-            protocol="modified-paxos",
-            seeds=(1, 2, 3),
-        )
-        point = result.point(3)
-        lags = point.metric_values(lambda run: run.max_lag_after_ts())
-        assert len(lags) == 3
-        assert point.metric_mean(lambda run: run.max_lag_after_ts()) == pytest.approx(
-            sum(lags) / 3
-        )
-        assert point.metric_max(lambda run: run.max_lag_after_ts()) == max(lags)
-
-    def test_sweep_unknown_point_raises(self, params):
-        result = sweep(
-            parameter="n",
-            values=[3],
-            scenario_factory=self._factory(params),
-            protocol="modified-paxos",
-            seeds=(1,),
-        )
-        with pytest.raises(ExperimentError):
-            result.point(99)
-
-    def test_sweep_with_builder_factory(self, params):
-        from repro.consensus.paxos.traditional import TraditionalPaxosBuilder
-
-        result = sweep(
-            parameter="n",
-            values=[3],
-            scenario_factory=self._factory(params),
-            protocol=lambda: TraditionalPaxosBuilder(),
-            seeds=(1,),
-        )
-        assert result.protocol == "traditional-paxos"
-        assert result.point(3).results[0].decided_all

@@ -1,11 +1,10 @@
-"""Unit tests for the Ω and ◇S oracles (`repro.oracle.omega`, `.eventually_strong`)."""
+"""Unit tests for the Ω oracle (`repro.oracle.omega`)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
-from repro.oracle.eventually_strong import EventuallyStrongDetector
 from repro.oracle.omega import OmegaOracle
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
@@ -77,30 +76,3 @@ class TestOmega:
         sim = make_simulator()
         with pytest.raises(ConfigurationError):
             OmegaOracle(sim, stabilization_delay=-1.0)
-
-
-class TestEventuallyStrong:
-    def test_before_convergence_suspects_everyone_else_by_default(self):
-        sim = make_simulator(ts=10.0)
-        detector = EventuallyStrongDetector(sim)
-        assert detector.suspects(2) == {0, 1, 3, 4}
-
-    def test_after_convergence_suspects_exactly_the_crashed(self):
-        sim = make_simulator(ts=10.0)
-        detector = EventuallyStrongDetector(sim)
-        sim.crash(3)
-        sim.schedule_at(detector.convergence_time + 0.1, lambda: None)
-        sim.run(until=detector.convergence_time + 0.2)
-        assert detector.suspects(0) == {3}
-        assert detector.trusts(0, 1)
-        assert not detector.trusts(0, 3)
-
-    def test_custom_pre_stability_behaviour(self):
-        sim = make_simulator(ts=10.0)
-        detector = EventuallyStrongDetector(sim, pre_stability_suspects=lambda pid, now: set())
-        assert detector.suspects(0) == set()
-
-    def test_negative_delay_rejected(self):
-        sim = make_simulator()
-        with pytest.raises(ConfigurationError):
-            EventuallyStrongDetector(sim, stabilization_delay=-0.5)

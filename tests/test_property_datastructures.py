@@ -18,7 +18,6 @@ from repro.oracle.lamport import LamportClock, LogicalTimestamp
 from repro.sim.clock import ClockConfig, DriftingClock
 from repro.sim.rng import SeededRng
 from repro.smr.log import ReplicatedLog
-from repro.storage.journal import Journal
 from repro.storage.stable import StableStore
 
 
@@ -172,20 +171,6 @@ class TestStorageProperties:
         for key, value in reference.items():
             assert store.get(key) == value
         assert store.snapshot() == reference
-
-    @given(
-        writes=st.lists(
-            st.tuples(st.sampled_from(["x", "y"]), st.integers(0, 9)), min_size=0, max_size=30
-        )
-    )
-    def test_journal_replay_equals_final_state(self, writes):
-        journal = Journal(owner=0)
-        reference = {}
-        for key, value in writes:
-            journal.append(key, value)
-            reference[key] = value
-        assert journal.replay() == reference
-
 
 # Log entries: (command_id, command) pairs, including a duplicate submission of
 # one id in a second slot, and bare values that carry no command id.

@@ -1,4 +1,4 @@
-"""Resume semantics for store-backed experiments, campaigns, and sweeps (PR 4).
+"""Resume semantics for store-backed experiments and campaigns (PR 4).
 
 The acceptance scenario: a campaign run with ``--store``, killed after k of
 m runs, and re-invoked with ``--resume`` executes exactly m−k runs and
@@ -9,10 +9,9 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.harness.campaign import run_campaign, write_report
-from repro.harness.executors import SerialExecutor, snapshot_outcome
+from repro.harness.executors import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.experiments import default_experiment_params
-from repro.harness.sweep import StoredRunResult, sweep
 from repro.harness.tables import ExperimentTable
 from repro.results import JsonlStore, MemoryStore, open_store
 from repro.results.record import content_key_for_task
@@ -30,7 +29,7 @@ class CountingExecutor(SerialExecutor):
     def imap(self, tasks):
         for task in tasks:
             self.executed += 1
-            yield snapshot_outcome(self.map_result(task))
+            yield task.execute()
 
 
 class DyingExecutor(SerialExecutor):
@@ -46,7 +45,7 @@ class DyingExecutor(SerialExecutor):
             if self.executed >= self.fail_after:
                 raise KeyboardInterrupt("simulated mid-campaign kill")
             self.executed += 1
-            yield snapshot_outcome(self.map_result(task))
+            yield task.execute()
 
 
 def chaos_spec() -> ExperimentSpec:
@@ -166,42 +165,3 @@ class TestCampaignResume:
         assert (tmp_path / "out" / "E7.txt").exists()
         assert report.endswith("experiments_report.md")
         assert len(JsonlStore(tmp_path / "report.jsonl")) == 4
-
-
-class TestSweepResume:
-    def test_sweep_store_and_resume(self, tmp_path):
-        store = JsonlStore(tmp_path / "sweep.jsonl")
-        fresh = sweep("n", (3, 5), workload="stable", protocol="modified-paxos",
-                      workload_kwargs={"params": PARAMS}, seeds=(1,), store=store)
-        assert len(store) == 2
-
-        resumed = sweep("n", (3, 5), workload="stable", protocol="modified-paxos",
-                        workload_kwargs={"params": PARAMS}, seeds=(1,),
-                        store=store, resume=True)
-        cached = [run for point in resumed.points for run in point.results]
-        assert all(isinstance(run, StoredRunResult) for run in cached)
-        metric = lambda run: run.max_lag_after_ts()  # noqa: E731 - outcome-level metric
-        for fresh_point, resumed_point in zip(fresh.points, resumed.points):
-            assert resumed_point.metric_values(metric) == fresh_point.metric_values(metric)
-
-    def test_stored_run_result_refuses_simulator_access(self, tmp_path):
-        store = JsonlStore(tmp_path / "sweep.jsonl")
-        sweep("n", (3,), workload="stable", protocol="modified-paxos",
-              workload_kwargs={"params": PARAMS}, seeds=(1,), store=store)
-        resumed = sweep("n", (3,), workload="stable", protocol="modified-paxos",
-                        workload_kwargs={"params": PARAMS}, seeds=(1,),
-                        store=store, resume=True)
-        cached = resumed.points[0].results[0]
-        assert cached.decided_all
-        with pytest.raises(ExperimentError, match="simulator"):
-            _ = cached.simulator
-
-    def test_sweep_store_requires_declarative_identity(self, tmp_path):
-        store = JsonlStore(tmp_path / "sweep.jsonl")
-        with pytest.raises(ExperimentError, match="workload"):
-            sweep("n", (3,), scenario_factory=lambda value, seed: None, store=store)
-
-    def test_sweep_resume_requires_store(self):
-        with pytest.raises(ExperimentError, match="store"):
-            sweep("n", (3,), workload="stable", protocol="modified-paxos",
-                  seeds=(1,), resume=True)

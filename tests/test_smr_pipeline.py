@@ -14,16 +14,14 @@ from repro.harness.executors import (
     ParallelExecutor,
     SerialExecutor,
     SmrTask,
-    execute_smr_task,
     execute_task,
     machine_factory_for,
 )
-from repro.harness.experiment import SmrExperimentSpec, run_smr_tasks
+from repro.harness.experiment import ResultRow, run_smr_tasks
 from repro.harness.experiments import (
     default_experiment_params,
     experiment_e9_smr_stable_case,
 )
-from repro.harness.sweep import smr_sweep
 from repro.harness.tables import ExperimentTable
 from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
 from repro.smr.runner import run_smr
@@ -101,7 +99,7 @@ class TestSmrWorkloadFamily:
             workload_kwargs={"n": 3, "params": PARAMS, "seed": 2},
             schedule=ScheduleSpec(num_commands=2, start=12.0, interval=1.0),
         )
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         assert outcome.all_commands_learned_everywhere
         assert outcome.replicas_agree
         assert outcome.worst_global_latency() is not None
@@ -151,7 +149,7 @@ class TestExecutorIntegration:
             schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
             machine="ledger",
         )
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         assert outcome.replicas_agree and outcome.all_commands_learned_everywhere
 
 
@@ -295,42 +293,27 @@ class TestE9Parity:
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=self.N - 1),
         )
-        outcome = execute_smr_task(SmrTask(
+        outcome = SmrTask(
             workload="smr-stable",
             workload_kwargs={"n": self.N, "params": PARAMS, "seed": 1},
             schedule=ScheduleSpec(num_commands=self.STABLE, start=10.0, interval=0.7,
                                   target_pid=self.N - 1),
-        ))
+        ).execute()
         assert outcome.digests == {
             pid: digest_string(digest) for pid, digest in direct.digests.items()
         }
         assert outcome.prefix_lengths == direct.prefix_lengths
 
 
-class TestSmrGrids:
-    def test_spec_expands_grid_and_seeds(self):
-        spec = SmrExperimentSpec(
-            workload="smr-stable",
-            schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
-            seeds=(1, 2),
-            base={"params": PARAMS},
-            grid={"n": (3, 5)},
-        )
-        tasks = spec.tasks()
-        assert len(tasks) == 4
-        assert [task.workload_kwargs["n"] for task in tasks] == [3, 3, 5, 5]
-        assert [task.tags["seed"] for task in tasks] == [1, 2, 1, 2]
-
-    def test_smr_sweep_runs_and_tags_rows(self):
-        rows = smr_sweep(
-            "n", (3, 5),
-            workload="smr-stable",
-            schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
-            seeds=(1,),
-            workload_kwargs={"params": PARAMS},
-        )
-        assert [row.tag("n") for row in rows] == [3, 5]
-        assert all(row.outcome.all_commands_learned_everywhere for row in rows)
+class TestRunSmrTasks:
+    def test_rows_pair_each_task_with_its_outcome(self):
+        tasks = [stable_task(seed=1), stable_task(seed=2)]
+        rows = run_smr_tasks(tasks)
+        assert all(isinstance(row, ResultRow) for row in rows)
+        assert [row.task for row in rows] == tasks
+        assert [row.tag("seed") for row in rows] == [1, 2]
+        assert [row.outcome for row in rows] == [task.execute() for task in tasks]
+        assert rows[0].environment == rows[0].outcome.extra["environment"]
 
     def test_run_smr_tasks_rejects_executor_and_jobs(self):
         with pytest.raises(ExperimentError, match="not both"):

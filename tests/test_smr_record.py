@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from repro.errors import ResultSchemaError
-from repro.harness.executors import RunTask, SmrTask, execute_smr_task, execute_task
+from repro.harness.executors import RunTask, SmrTask, execute_task
 from repro.results.record import (
     SCHEMA_VERSION,
     RunRecord,
@@ -52,7 +52,7 @@ class TestRoundTripEverySmrWorkload:
     @pytest.mark.parametrize("workload", SMR_WORKLOADS)
     def test_record_round_trips(self, workload):
         task = smr_task(workload)
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         record = SmrRecord.from_task(task, outcome)
 
         assert SmrRecord.from_dict(record.to_dict()) == record
@@ -63,19 +63,19 @@ class TestRoundTripEverySmrWorkload:
     @pytest.mark.parametrize("workload", SMR_WORKLOADS)
     def test_outcome_rebuilds_verbatim(self, workload):
         task = smr_task(workload)
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         record = SmrRecord.from_task(task, outcome)
         assert record.to_outcome() == outcome
 
     def test_environment_travels_inside_the_record(self):
         task = smr_task("smr-gray-partition")
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         record = SmrRecord.from_task(task, outcome)
         assert record.environment == outcome.extra["environment"]
 
     def test_metrics_digest_matches_outcome(self):
         task = smr_task()
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         record = SmrRecord.from_task(task, outcome)
         assert record.metrics["worst_global_latency"] == outcome.worst_global_latency()
         assert record.metrics["all_learned"] == outcome.all_commands_learned_everywhere
@@ -166,7 +166,7 @@ class TestSmrContentKey:
 class TestRecordDispatch:
     def test_record_for_task_picks_the_record_type(self):
         task = smr_task()
-        outcome = execute_smr_task(task)
+        outcome = task.execute()
         assert isinstance(record_for_task(task, outcome), SmrRecord)
 
         run = RunTask(protocol="modified-paxos", workload="stable",
@@ -175,7 +175,7 @@ class TestRecordDispatch:
 
     def test_decode_dispatches_on_kind(self):
         task = smr_task()
-        record = record_for_task(task, execute_smr_task(task))
+        record = record_for_task(task, task.execute())
         decoded = decode_record_json(record.to_json())
         assert isinstance(decoded, SmrRecord) and decoded == record
 
@@ -190,10 +190,47 @@ class TestRecordDispatch:
 
     def test_newer_schema_version_rejected(self):
         task = smr_task()
-        data = record_for_task(task, execute_smr_task(task)).to_dict()
+        data = record_for_task(task, task.execute()).to_dict()
         data["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ResultSchemaError, match="newer"):
             decode_record_dict(data)
+
+
+class TestRecordKindCheck:
+    """Each record class decodes its own kind only, and names the kind it refuses."""
+
+    @pytest.fixture(scope="class")
+    def smr_data(self):
+        task = smr_task()
+        return record_for_task(task, task.execute()).to_dict()
+
+    @pytest.fixture(scope="class")
+    def run_data(self):
+        run = RunTask(protocol="modified-paxos", workload="stable",
+                      workload_kwargs={"n": 3, "seed": 1, "params": PARAMS})
+        return record_for_task(run, execute_task(run)).to_dict()
+
+    def test_run_record_refuses_an_smr_record(self, smr_data):
+        with pytest.raises(ResultSchemaError, match="RunRecord .* kind 'smr'"):
+            RunRecord.from_dict(smr_data)
+        with pytest.raises(ResultSchemaError, match="kind 'smr'"):
+            RunRecord.from_json(json.dumps(smr_data))
+
+    def test_smr_record_refuses_a_run_record(self, run_data):
+        assert "kind" not in run_data  # single-decree records carry no marker
+        with pytest.raises(ResultSchemaError, match="SmrRecord .* kind 'run'"):
+            SmrRecord.from_dict(run_data)
+        with pytest.raises(ResultSchemaError, match="kind 'run'"):
+            SmrRecord.from_dict({**run_data, "kind": "run"})
+
+    def test_run_record_accepts_a_missing_or_run_kind(self, run_data):
+        record = RunRecord.from_dict(run_data)
+        assert RunRecord.from_dict({**run_data, "kind": "run"}) == record
+
+    @pytest.mark.parametrize("record_class", (RunRecord, SmrRecord))
+    def test_unknown_kind_rejected_by_either_class(self, record_class, smr_data):
+        with pytest.raises(ResultSchemaError, match="kind 'mystery'"):
+            record_class.from_dict({**smr_data, "kind": "mystery"})
 
 
 class TestMixedStores:
@@ -206,7 +243,7 @@ class TestMixedStores:
                       workload_kwargs={"n": 3, "seed": 1, "params": PARAMS},
                       tags={"seed": 1})
         return [
-            record_for_task(smr, execute_smr_task(smr)),
+            record_for_task(smr, smr.execute()),
             record_for_task(run, execute_task(run)),
         ]
 

@@ -14,7 +14,6 @@ from repro.harness.campaign import run_campaign, write_report
 from repro.harness.executors import SerialExecutor, SmrTask
 from repro.harness.experiment import run_smr_tasks
 from repro.harness.experiments import default_experiment_params
-from repro.harness.sweep import smr_sweep
 from repro.results import JsonlStore
 from repro.results.record import content_key_for_task
 from repro.results.smr_record import SmrRecord
@@ -33,7 +32,7 @@ class CountingExecutor(SerialExecutor):
     def imap(self, tasks):
         for task in tasks:
             self.executed += 1
-            yield self._execute_one(task)
+            yield task.execute()
 
 
 class DyingExecutor(SerialExecutor):
@@ -49,7 +48,7 @@ class DyingExecutor(SerialExecutor):
             if self.executed >= self.fail_after:
                 raise KeyboardInterrupt("simulated mid-campaign kill")
             self.executed += 1
-            yield self._execute_one(task)
+            yield task.execute()
 
 
 def smr_tasks(n=3, seeds=(1, 2, 3)):
@@ -136,22 +135,6 @@ class TestE9CampaignResume:
         store_path = str(tmp_path / "mixed.jsonl")
         run_campaign(scale="smoke", experiments=["E7", "E9"], store=store_path)
         reopened = JsonlStore(store_path)
-        kinds = {getattr(record, "kind", "run") for record in reopened.records()}
+        kinds = {record.kind for record in reopened.records()}
         assert kinds == {"run", "smr"}
         assert len(reopened) == 4 + 3  # E7: 4 protocols x 1 seed; E9: 3 cases
-
-
-class TestSmrSweepResume:
-    def test_sweep_store_and_resume(self, tmp_path):
-        store = JsonlStore(tmp_path / "sweep.jsonl")
-        schedule = ScheduleSpec(num_commands=2, start=10.0, interval=0.7)
-        fresh = smr_sweep("n", (3, 5), workload="smr-stable", schedule=schedule,
-                          seeds=(1,), workload_kwargs={"params": PARAMS}, store=store)
-        assert len(store) == 2
-
-        counting = CountingExecutor()
-        resumed = smr_sweep("n", (3, 5), workload="smr-stable", schedule=schedule,
-                            seeds=(1,), workload_kwargs={"params": PARAMS},
-                            store=store, resume=True, executor=counting)
-        assert counting.executed == 0
-        assert [row.outcome for row in resumed] == [row.outcome for row in fresh]

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Set
 import pytest
 
 from repro.faults.plan import FaultPlan
-from repro.harness.executors import SmrTask, build_task_scenario, execute_smr_task_result
+from repro.harness.executors import SmrTask, build_task_scenario
 from repro.sim.simulator import Simulator
 from repro.smr.multi_paxos import MultiPaxosSmrProcess
 from repro.smr.outcome import snapshot_smr_outcome
@@ -86,12 +86,12 @@ def smr_task(workload: str, seed: int) -> SmrTask:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stop_point_matches_full_rescan(monkeypatch, workload, seed):
     task = smr_task(workload, seed)
-    result = execute_smr_task_result(task)
+    result = task.run()
 
     scenario = build_task_scenario(task)
     schedule = task.schedule.to_schedule(scenario.config.n)
     disagreements = use_reference_stop(monkeypatch, scenario.deciders(), schedule.command_ids)
-    reference = execute_smr_task_result(task)
+    reference = task.run()
 
     assert disagreements == []
     assert result.simulator.events_processed == reference.simulator.events_processed

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.journal import Journal
 from repro.storage.stable import StableStore
 
 
@@ -78,13 +77,6 @@ class TestCrashSemantics:
         read["nested"].append(99)
         assert store.get("state") == {"nested": [1]}
 
-    def test_shallow_mode_can_be_requested(self):
-        store = StableStore(owner=0, deep_copy=False)
-        value = [1]
-        store.put("v", value)
-        value.append(2)
-        assert store.get("v") == [1, 2]
-
     def test_snapshot_and_restore(self):
         store = StableStore(owner=0)
         store.put("a", 1)
@@ -100,52 +92,3 @@ class TestCrashSemantics:
         store.put("a", 1)
         store.clear()
         assert len(store) == 0
-
-
-class TestJournal:
-    def test_append_and_replay(self):
-        journal = Journal(owner=1)
-        journal.append("mbal", 1)
-        journal.append("aval", "x")
-        journal.append("mbal", 2)
-        assert journal.replay() == {"mbal": 2, "aval": "x"}
-        assert len(journal) == 3
-
-    def test_last_returns_most_recent_entry(self):
-        journal = Journal(owner=1)
-        journal.append("k", "old")
-        journal.append("k", "new")
-        entry = journal.last("k")
-        assert entry is not None and entry.value == "new"
-        assert journal.last("missing") is None
-
-    def test_entries_are_immutable_copies(self):
-        journal = Journal(owner=1)
-        value = [1]
-        journal.append("k", value)
-        value.append(2)
-        assert journal.replay() == {"k": [1]}
-
-    def test_sequence_numbers_are_monotonic(self):
-        journal = Journal(owner=1)
-        entries = [journal.append("k", i) for i in range(5)]
-        assert [entry.seq for entry in entries] == list(range(5))
-
-    def test_non_string_keys_rejected(self):
-        journal = Journal(owner=1)
-        with pytest.raises(StorageError):
-            journal.append(7, "x")
-
-    def test_truncate_keeps_suffix(self):
-        journal = Journal(owner=1)
-        for i in range(6):
-            journal.append("k", i)
-        dropped = journal.truncate(keep_last=2)
-        assert dropped == 4
-        assert len(journal) == 2
-        assert journal.replay() == {"k": 5}
-
-    def test_truncate_rejects_negative(self):
-        journal = Journal(owner=1)
-        with pytest.raises(StorageError):
-            journal.truncate(-1)
