@@ -44,7 +44,7 @@ from repro.harness.experiments import (
     experiment_e7_stable_case,
     experiment_e9_smr_stable_case,
 )
-from repro.errors import ResultSchemaError, ResultStoreError
+from repro.errors import ConfigurationError, ResultSchemaError, ResultStoreError
 from repro.harness.tables import ExperimentTable
 from repro.results.store import MemoryStore, ResultStore, open_store
 
@@ -198,16 +198,22 @@ def run_campaign(
     store are loaded instead of re-executed, so an interrupted campaign
     picks up where it stopped.
     """
+    available = sorted(campaign_plan(scale))
+    selected = experiments if experiments is not None else available
+    unknown = [name for name in selected if name not in available]
+    if unknown:
+        # Checked before the store opens, so a typo neither runs the valid
+        # experiments first nor leaves a store file behind.
+        raise ConfigurationError(
+            f"unknown experiment {', '.join(unknown)}; available: {', '.join(available)}"
+        )
     owns_executor = executor is None
     executor = executor if executor is not None else make_executor(jobs)
     store_obj = open_store(store) if store is not None else MemoryStore()
     plan = campaign_plan(scale, executor=executor, store=store_obj, resume=resume)
-    selected = experiments if experiments is not None else sorted(plan)
     result = CampaignResult(scale=scale, store=store_obj)
     try:
         for name in selected:
-            if name not in plan:
-                raise ValueError(f"unknown experiment {name!r}; available: {sorted(plan)}")
             if progress is not None:
                 progress(f"running {name} ({scale} scale)")
             started = time.perf_counter()
@@ -292,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             scale=args.scale, experiments=args.experiments, progress=print, jobs=args.jobs,
             store=args.store, resume=args.resume,
         )
-    except (ResultSchemaError, ResultStoreError) as error:
+    except (ConfigurationError, ResultSchemaError, ResultStoreError) as error:
         print(error)
         return 2
     report = write_report(result, args.out)

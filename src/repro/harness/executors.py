@@ -212,8 +212,6 @@ def execute_task(task: AnyTask) -> AnyOutcome:
 class Executor:
     """Strategy for executing a batch of :class:`RunTask`/:class:`SmrTask`\\ s."""
 
-    name = "abstract"
-
     def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
         """Execute every task and return outcomes in task order."""
         return list(self.imap(tasks))
@@ -235,14 +233,9 @@ class Executor:
             )
         return iter(self.map(tasks))
 
-    def describe(self) -> str:
-        return self.name
-
 
 class SerialExecutor(Executor):
     """Run every task in the calling process, one after another."""
-
-    name = "serial"
 
     def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
         for task in tasks:
@@ -257,8 +250,6 @@ class ParallelExecutor(Executor):
     Small batches (or ``jobs=1``) fall back to in-process execution so the
     pool spin-up cost is only paid when it can be amortized.
     """
-
-    name = "parallel"
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -296,9 +287,6 @@ class ParallelExecutor(Executor):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def describe(self) -> str:
-        return f"parallel(jobs={self.jobs})"
 
 
 def make_executor(jobs: Optional[int] = None) -> Executor:

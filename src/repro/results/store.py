@@ -335,8 +335,8 @@ class SqliteStore(ResultStore):
         self._connection = sqlite3.connect(self.path)
         # WAL + synchronous=NORMAL keeps the per-put commit (every record is
         # in the database the moment put() returns, surviving a process kill)
-        # without paying a full fsync per record — ~100x put throughput on
-        # the bench kernel.  In-memory databases reject WAL; that's fine.
+        # without paying a full fsync per record.  In-memory databases reject
+        # WAL; that's fine.
         try:
             self._connection.execute("PRAGMA journal_mode=WAL")
             self._connection.execute("PRAGMA synchronous=NORMAL")

@@ -166,14 +166,13 @@ class Simulator:
         label: str = "",
         priority: int = 0,
         args: Tuple = (),
-        cancellable: bool = True,
-    ) -> Optional[EventHandle]:
+    ) -> EventHandle:
         """Schedule ``action`` after a real delay (>= 0)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {label!r} with negative delay {delay}")
         # A non-negative delay cannot land before the current time, so push
         # directly instead of re-validating through schedule_at.
-        return self._events.push(self._time + delay, action, priority, label, args, cancellable)
+        return self._events.push(self._time + delay, action, priority, label, args)
 
     def cancel(self, handle: EventHandle) -> None:
         self._events.cancel(handle)

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.harness.campaign import campaign_plan, main, run_campaign, write_report
+from repro.harness.executors import SerialExecutor
 
 
 class TestPlan:
@@ -30,6 +32,21 @@ class TestRun:
         with pytest.raises(ValueError):
             run_campaign(scale="smoke", experiments=["E42"])
 
+    def test_unknown_experiment_checked_before_anything_runs(self, tmp_path):
+        class UnusedExecutor(SerialExecutor):
+            def imap(self, tasks):
+                raise AssertionError("no task may run")
+
+        store = tmp_path / "campaign.sqlite"
+        messages = []
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_campaign(scale="smoke", experiments=["E7", "E99"], store=str(store),
+                         executor=UnusedExecutor(), progress=messages.append)
+        assert "unknown experiment E99" in str(excinfo.value)
+        assert "available: E1, E2, E3, E4, E5, E6, E7, E8, E9" in str(excinfo.value)
+        assert messages == []
+        assert not store.exists()
+
     def test_table_lookup_missing(self):
         result = run_campaign(scale="smoke", experiments=["E7"])
         with pytest.raises(KeyError):
@@ -51,3 +68,9 @@ class TestReport:
         exit_code = main(["--scale", "smoke", "--experiment", "E7", "--out", str(tmp_path)])
         assert exit_code == 0
         assert (tmp_path / "experiments_report.md").exists()
+
+    def test_cli_main_unknown_experiment_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--scale", "smoke", "--experiment", "E99", "--out", str(out)]) == 2
+        assert "unknown experiment E99" in capsys.readouterr().out
+        assert not out.exists()

@@ -63,6 +63,19 @@ class TestCliParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_docstring_lists_every_subcommand(self):
+        import argparse
+        import re
+
+        import repro.cli
+
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        documented = set(re.findall(r"python -m repro ([a-z-]+)", repro.cli.__doc__))
+        assert documented == set(subparsers.choices)
+        assert repro.cli.__doc__.startswith("Command-line interface.\n\nSix subcommands")
+        assert len(subparsers.choices) == 6
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["run"])
         # --protocol and --workload default to None at the parser level so an

@@ -2,7 +2,7 @@
 
 Covers the three behavioural surfaces the allocation-free refactor touched:
 
-* ``cancellable=False`` scheduling through the simulator,
+* ``cancellable=False`` scheduling through ``Simulator.schedule_at``,
 * ``record_envelopes=False`` runs (monitor counters must stay correct while
   the per-envelope log stays empty),
 * per-network ``msg_id`` streams (deterministic without the deprecated
@@ -96,15 +96,6 @@ class TestCancellableFastPath:
         assert handle is None
         sim.run(until=sim.now() + 2.0)
         assert calls == ["fired"]
-
-    def test_schedule_in_fast_path(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1)
-        result = run_scenario(scenario, "modified-paxos")
-        sim = result.simulator
-        calls = []
-        assert sim.schedule_in(0.5, calls.append, args=("x",), cancellable=False) is None
-        sim.run(until=sim.now() + 1.0)
-        assert calls == ["x"]
 
 
 class TestEnvelopeLogOptOut:

@@ -31,12 +31,56 @@ class TestResultsLs:
         assert "3 records (jsonl)" in out
 
     def test_empty_store(self, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
         assert main(["results", "ls", "--store", str(tmp_path / "empty.jsonl")]) == 0
         assert "store is empty" in capsys.readouterr().out
 
     def test_unknown_backend_suffix(self, tmp_path, capsys):
+        (tmp_path / "runs.txt").write_text("")
         assert main(["results", "ls", "--store", str(tmp_path / "runs.txt")]) == 2
         assert "backend" in capsys.readouterr().out
+
+
+class TestResultsMissingStore:
+    """Reading a path that holds no store fails and creates nothing there."""
+
+    @pytest.mark.parametrize("name", ["typo.jsonl", "typo.sqlite", "jsonl:typo.jsonl",
+                                      "sqlite:typo.db"])
+    @pytest.mark.parametrize("command", [["ls"], ["show", "k/mp/1"], ["query"], ["export"]])
+    def test_single_store_commands(self, tmp_path, capsys, command, name):
+        prefix, _, filename = name.rpartition(":")
+        path = tmp_path / filename
+        spec = f"{prefix}:{path}" if prefix else str(path)
+        assert main(["results", *command, "--store", spec]) == 2
+        assert f"no store at {path}" in capsys.readouterr().out
+        assert not path.exists()
+
+    @pytest.mark.parametrize("missing_side", [0, 1])
+    def test_diff(self, store_path, tmp_path, capsys, missing_side):
+        missing = tmp_path / "typo.sqlite"
+        stores = [store_path, str(missing)]
+        if missing_side == 0:
+            stores.reverse()
+        assert main(["results", "diff", *stores]) == 2
+        assert f"no store at {missing}" in capsys.readouterr().out
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("spec", ["memory", ":memory:"])
+    def test_memory_store_needs_no_file(self, tmp_path, monkeypatch, capsys, spec):
+        monkeypatch.chdir(tmp_path)
+        assert main(["results", "ls", "--store", spec]) == 0
+        assert "store is empty" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", [JsonlStore, SqliteStore])
+    def test_prefixed_existing_store_opens(self, tmp_path, capsys, backend):
+        # The prefix overrides the suffix guess, so the file name says nothing.
+        path = tmp_path / "runs.data"
+        with backend(path) as store:
+            store.put(make_run_record(key="k/mp/1"))
+        prefix = "jsonl" if backend is JsonlStore else "sqlite"
+        assert main(["results", "ls", "--store", f"{prefix}:{path}"]) == 0
+        assert "1 records" in capsys.readouterr().out
 
 
 class TestResultsShow:
@@ -127,6 +171,15 @@ class TestExperimentsStoreFlags:
         assert (tmp_path / "out1" / "E7.txt").read_bytes() == \
             (tmp_path / "out2" / "E7.txt").read_bytes()
 
+    def test_new_sqlite_store_is_created(self, tmp_path, capsys):
+        # Reading commands refuse a missing store; experiments creates one.
+        store = tmp_path / "new.sqlite"
+        assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
+                     "--out", str(tmp_path / "out"), "--store", str(store)]) == 0
+        assert "4 records" in capsys.readouterr().out
+        assert main(["results", "ls", "--store", str(store)]) == 0
+        assert "4 records (sqlite)" in capsys.readouterr().out
+
     def test_resume_without_store_rejected(self, tmp_path, capsys):
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
                      "--out", str(tmp_path), "--resume"]) == 2
@@ -136,3 +189,14 @@ class TestExperimentsStoreFlags:
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
                      "--out", str(tmp_path), "--store", str(tmp_path / "runs.txt")]) == 2
         assert "backend" in capsys.readouterr().out
+
+    def test_unknown_experiment_runs_nothing(self, tmp_path, capsys):
+        store = tmp_path / "c.sqlite"
+        out = tmp_path / "out"
+        assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
+                     "--experiment", "E99", "--out", str(out), "--store", str(store)]) == 2
+        printed = capsys.readouterr().out
+        assert "unknown experiment E99" in printed
+        assert "available: E1, E2, E3, E4, E5, E6, E7, E8, E9" in printed
+        assert "running" not in printed
+        assert not store.exists() and not out.exists()

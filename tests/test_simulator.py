@@ -14,6 +14,7 @@ from repro.errors import ProcessStateError, SimulationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
+from repro.sim.events import EventHandle
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
@@ -175,6 +176,19 @@ class TestScheduling:
             sim.schedule_at(sim.now() - 0.1, lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_in(-0.5, lambda: None)
+
+    def test_schedule_in_returns_a_cancellable_handle(self):
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        calls = []
+        kept = sim.schedule_in(0.5, calls.append, label="kept", args=("kept",))
+        dropped = sim.schedule_in(0.5, calls.append, label="dropped", args=("dropped",))
+        assert isinstance(kept, EventHandle) and isinstance(dropped, EventHandle)
+        assert dropped.time == kept.time == sim.now() + 0.5
+        sim.cancel(dropped)
+        sim.run(until=sim.now() + 1.0)
+        assert calls == ["kept"]
+        assert kept.fired and not kept.cancelled
+        assert dropped.cancelled and not dropped.fired
 
     def test_run_respects_until(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)
