@@ -60,10 +60,7 @@ def test_bench_simulator_throughput(benchmark):
         params = TimingParams(delta=1.0, rho=0.0, epsilon=0.5)
         config = SimulationConfig(n=9, params=params, ts=0.0, seed=1, max_time=30.0,
                                   trace_enabled=False)
-        # record_envelopes=False matches how campaign runs execute: monitor
-        # counters only, no unbounded log.
-        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1),
-                          record_envelopes=False)
+        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
         sim = Simulator(config, lambda pid: _Gossip(), network)
         sim.run(until=30.0)
         return sim.events_processed

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.partition import PartitionSpec, minority_groups
-from repro.net.synchrony import EventualSynchrony, SynchronyModel
+from repro.net.synchrony import EventualSynchrony
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.env.registry import EnvironmentRegistry
@@ -109,7 +109,7 @@ class SynchronySpec:
         if not 0.0 <= self.post_min_delay_fraction <= 1.0:
             raise ConfigurationError("post_min_delay_fraction must be in [0, 1]")
 
-    def build(self, config: "SimulationConfig", adversary: "Adversary") -> SynchronyModel:
+    def build(self, config: "SimulationConfig", adversary: "Adversary") -> EventualSynchrony:
         """Instantiate the synchrony model for one run."""
         return EventualSynchrony(
             ts=config.ts,

@@ -104,7 +104,6 @@ class RunTask:
     enforce_safety: bool = True
     enforce_invariants: bool = True
     run_until_decided: bool = True
-    record_envelopes: bool = True
 
     kind = "run"
 
@@ -117,7 +116,6 @@ class RunTask:
             enforce_safety=self.enforce_safety,
             enforce_invariants=self.enforce_invariants,
             run_until_decided=self.run_until_decided,
-            record_envelopes=self.record_envelopes,
         )
 
     def execute(self) -> RunOutcome:
@@ -191,11 +189,9 @@ def snapshot_outcome(result: RunResult) -> RunOutcome:
     else:
         outcome.extra["restart_lags"] = {}
 
-    config = result.simulator.config
-    window_start, window_end = config.ts, result.simulator.now()
-    monitor = result.simulator.network.monitor
-    outcome.extra["post_ts_send_rate"] = (
-        monitor.send_rate(window_start, window_end) if window_end > window_start else None
+    simulator = result.simulator
+    outcome.extra["post_ts_send_rate"] = simulator.network.monitor.post_ts_send_rate(
+        simulator.config.ts, simulator.now()
     )
     return outcome
 

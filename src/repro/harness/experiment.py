@@ -91,11 +91,6 @@ class ExperimentSpec:
         tags: Constant tags stamped on every task (e.g. ``case="chaos"``).
         enforce_safety / enforce_invariants / run_until_decided: Run flags,
             passed through to :func:`~repro.harness.runner.run_scenario`.
-        record_envelopes: Keep the per-envelope network log during each run.
-            Off by default: experiments aggregate through
-            :class:`~repro.consensus.values.RunOutcome`, which never reads
-            individual envelopes, so the unbounded log would be pure
-            overhead on large grids.
     """
 
     workload: str
@@ -109,7 +104,6 @@ class ExperimentSpec:
     enforce_safety: bool = True
     enforce_invariants: bool = True
     run_until_decided: bool = True
-    record_envelopes: bool = False
 
     def points(self) -> List[GridPoint]:
         """The cartesian product of the grid, in declaration order."""
@@ -143,7 +137,6 @@ class ExperimentSpec:
                             enforce_safety=self.enforce_safety,
                             enforce_invariants=self.enforce_invariants,
                             run_until_decided=self.run_until_decided,
-                            record_envelopes=self.record_envelopes,
                         )
                     )
         return tasks

@@ -88,7 +88,6 @@ def run_scenario(
     enforce_safety: bool = True,
     enforce_invariants: bool = True,
     run_until_decided: bool = True,
-    record_envelopes: bool = True,
 ) -> RunResult:
     """Execute ``protocol`` under ``scenario`` and return the analysed result.
 
@@ -105,12 +104,6 @@ def run_scenario(
         enforce_invariants: Raise if a protocol trace invariant is violated.
         run_until_decided: Stop as soon as every expected decider has decided
             (otherwise run to the scenario's horizon).
-        record_envelopes: Keep the network's per-envelope log
-            (:attr:`~repro.net.network.Network.envelopes`).  Leave on for
-            tests and analysis that inspect individual envelopes; switch off
-            for benchmarks and campaign runs, where nothing reads the log and
-            it grows without bound.  Aggregate message counters (the network
-            monitor) are recorded either way.
     """
     if isinstance(protocol, str):
         registry = registry if registry is not None else default_registry()
@@ -120,7 +113,7 @@ def run_scenario(
         builder = protocol
         protocol_name = type(builder).name
 
-    simulator = scenario.build_simulator(builder, record_envelopes=record_envelopes)
+    simulator = scenario.build_simulator(builder)
     deciders = scenario.deciders()
     if run_until_decided:
         simulator.run_until_decided(deciders)

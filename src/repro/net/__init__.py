@@ -28,7 +28,7 @@ from repro.net.message import Envelope, Era, Message
 from repro.net.monitor import NetworkMonitor
 from repro.net.network import Network
 from repro.net.partition import PartitionSpec, minority_groups
-from repro.net.synchrony import EventualSynchrony, SynchronyModel, validate_delivery_time
+from repro.net.synchrony import EventualSynchrony, validate_delivery_time
 
 __all__ = [
     "Adversary",
@@ -48,7 +48,6 @@ __all__ = [
     "PartitionSpec",
     "RandomChaosAdversary",
     "ScriptedAdversary",
-    "SynchronyModel",
     "validate_delivery_time",
     "WorstCaseDelayAdversary",
 ]

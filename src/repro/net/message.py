@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional
 
@@ -106,20 +105,3 @@ class Envelope:
             f"sent@{self.send_time:.3f} [{self.era.name}] {fate}"
         )
 
-
-def reset_envelope_ids() -> None:
-    """Reset the fallback envelope id counter.
-
-    .. deprecated:: PR2
-        Networks now own their id streams, so seeded runs are reproducible
-        without any global reset; this only affects envelopes constructed
-        directly (outside a network) and will be removed.
-    """
-    warnings.warn(
-        "reset_envelope_ids() is deprecated: msg_id streams are per-Network "
-        "and deterministic without it",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _envelope_ids
-    _envelope_ids = itertools.count()

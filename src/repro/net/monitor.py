@@ -1,20 +1,24 @@
 """Message accounting.
 
-The monitor sees every envelope the network handles and aggregates the
-counts the experiments need: totals by fate and era, per-kind breakdowns,
-and a time series of send counts used by the ε-tradeoff experiment (E6) to
-report messages per second during the stable period.
+The monitor sees every envelope the network handles and keeps the counts
+the experiments need: totals by fate and era, per-kind breakdowns, and the
+post-``TS`` send rate the ε-tradeoff experiment (E6) reports as messages per
+second during the stable period.  Its state is a fixed set of counters plus
+one entry per injected envelope, whatever the length of the run.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from repro.net.message import Envelope, Era
 
 __all__ = ["NetworkMonitor", "MessageStats"]
+
+# Enum member lookups cost a descriptor call; the per-send hook uses this.
+_PRE = Era.PRE
 
 
 @dataclass
@@ -46,35 +50,44 @@ class MessageStats:
 
 
 class NetworkMonitor:
-    """Observes every envelope and answers rate/count queries."""
+    """Observes every envelope and answers count and send-rate queries."""
 
-    def __init__(self, bucket_width: float = 1.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self.bucket_width = bucket_width
+    def __init__(self) -> None:
         self.stats = MessageStats()
-        self._send_times: List[float] = []
-        self._send_buckets: Dict[int, int] = defaultdict(int)
-        self._per_sender: Counter = Counter()
+        # Network sends happen in time order, so the latest post-TS send time
+        # and the number of sends made at it are all the half-open rate
+        # window needs to exclude the sends at its end.
+        self._last_post_ts_send = -1.0
+        self._sends_at_last = 0
+        # Injected envelopes are PRE whatever their send time, which may lie
+        # anywhere; scenarios inject a handful, so their times are kept.
+        self._injected_send_times: List[float] = []
 
     # -- recording hooks (called by Network) --------------------------------
     def on_send(self, envelope: Envelope) -> None:
-        self.stats.sent += 1
-        self.stats.by_kind[envelope.kind] += 1
-        if envelope.era is Era.PRE:
-            self.stats.sent_pre_ts += 1
+        stats = self.stats
+        stats.sent += 1
+        stats.by_kind[envelope.message.kind] += 1
+        if envelope.era is _PRE:
+            stats.sent_pre_ts += 1
+            return
+        stats.sent_post_ts += 1
+        if envelope.send_time == self._last_post_ts_send:
+            self._sends_at_last += 1
         else:
-            self.stats.sent_post_ts += 1
-        self._send_times.append(envelope.send_time)
-        self._send_buckets[self._bucket(envelope.send_time)] += 1
-        self._per_sender[envelope.src] += 1
+            self._last_post_ts_send = envelope.send_time
+            self._sends_at_last = 1
+
+    def on_inject(self, envelope: Envelope) -> None:
+        self.on_send(envelope)
+        self._injected_send_times.append(envelope.send_time)
 
     def on_drop(self, envelope: Envelope) -> None:
         self.stats.dropped += 1
 
     def on_deliver(self, envelope: Envelope) -> None:
         self.stats.delivered += 1
-        self.stats.delivered_by_kind[envelope.kind] += 1
+        self.stats.delivered_by_kind[envelope.message.kind] += 1
 
     def on_duplicate(self, envelope: Envelope) -> None:
         self.stats.duplicated += 1
@@ -83,35 +96,17 @@ class NetworkMonitor:
         self.stats.to_crashed += 1
 
     # -- queries ------------------------------------------------------------
-    def sends_per_sender(self) -> Dict[int, int]:
-        return dict(self._per_sender)
+    def post_ts_send_rate(self, ts: float, end: float) -> Optional[float]:
+        """Messages per second sent in the half-open window ``[ts, end)``.
 
-    def sends_in_window(self, start: float, end: float) -> int:
-        """Number of messages sent in the half-open real-time window [start, end)."""
-        if end <= start:
-            return 0
-        return sum(1 for t in self._send_times if start <= t < end)
-
-    def send_rate(self, start: float, end: float) -> float:
-        """Average messages per second over [start, end)."""
-        if end <= start:
-            return 0.0
-        return self.sends_in_window(start, end) / (end - start)
-
-    def send_timeline(self) -> List[Tuple[float, int]]:
-        """(bucket start time, send count) pairs in time order."""
-        return [
-            (index * self.bucket_width, count)
-            for index, count in sorted(self._send_buckets.items())
-        ]
-
-    def peak_bucket_rate(self) -> float:
-        """Highest per-bucket send rate seen (messages per second)."""
-        if not self._send_buckets:
-            return 0.0
-        return max(self._send_buckets.values()) / self.bucket_width
-
-    def _bucket(self, time: float) -> int:
-        # float floor-division == math.floor(t / w) for the non-negative
-        # times the simulator produces, without the function-call overhead.
-        return int(time // self.bucket_width)
+        ``ts`` must be the synchrony model's stabilization time, since
+        network sends are counted by era; injected envelopes count by send
+        time.  ``None`` when the window is empty (``end <= ts``).
+        """
+        if end <= ts:
+            return None
+        count = self.stats.sent_post_ts
+        if self._last_post_ts_send == end:
+            count -= self._sends_at_last
+        count += sum(1 for time in self._injected_send_times if ts <= time < end)
+        return count / (end - ts)

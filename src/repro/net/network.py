@@ -8,28 +8,31 @@ mechanism used to install reachable pre-stabilization states (obsolete
 high-ballot messages and the like) without replaying the whole pre-``TS``
 history.
 
-The send/deliver path is the hottest code outside the event queue, so it
-avoids per-message allocations where it can: message ids come from a plain
-per-network integer counter (deterministic per run, no global state),
-deliveries are scheduled as a bound method plus an argument tuple instead of
-a fresh closure, and the envelope log that analysis code reads through
-:attr:`Network.envelopes` can be switched off entirely for benchmark and
-campaign runs with ``record_envelopes=False`` (the monitor's aggregate
-counters are unaffected).
+The send path is the hottest code outside the event queue, so
+:meth:`Network.send` keeps its calls few: the era is computed inline from
+the model's ``TS``, the message id from a plain per-network integer counter
+(deterministic per run, no global state), and the delivery is scheduled as
+a pre-bound method plus an argument tuple instead of a fresh closure.  The
+network keeps no per-envelope log: :meth:`Network.send` and
+:meth:`Network.inject` return the envelope, the simulator's trace records
+every send and delivery, and the monitor keeps the aggregate counts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Optional, Protocol, Tuple
 
 from repro.errors import NetworkError
 from repro.net.message import Envelope, Era, Message
 from repro.net.monitor import NetworkMonitor
-from repro.net.synchrony import SynchronyModel
+from repro.net.synchrony import EventualSynchrony
 from repro.sim.events import EventHandle
 from repro.sim.rng import SeededRng
 
 __all__ = ["Network", "TransportHost"]
+
+# Enum member lookups cost a descriptor call; the send path uses these.
+_PRE, _POST = Era.PRE, Era.POST
 
 
 class TransportHost(Protocol):
@@ -60,26 +63,18 @@ class Network:
         model: The synchrony model deciding delivery fates.
         rng: Randomness stream for delays and duplication coins.
         monitor: Message accounting sink (a fresh one is created if omitted).
-        record_envelopes: Keep the full per-envelope log behind
-            :attr:`envelopes`.  On by default for tests and analysis; switch
-            off for benchmarks and campaign runs, where the log grows without
-            bound and nothing reads it.
     """
 
     def __init__(
         self,
-        model: SynchronyModel,
+        model: EventualSynchrony,
         rng: SeededRng,
         monitor: Optional[NetworkMonitor] = None,
-        record_envelopes: bool = True,
     ) -> None:
         self.model = model
         self.rng = rng
         self.monitor = monitor if monitor is not None else NetworkMonitor()
-        self.record_envelopes = record_envelopes
         self._host: Optional[TransportHost] = None
-        self._log: List[Envelope] = []
-        self._log_view: Tuple[Envelope, ...] = ()
         self._next_msg_id = 0
         # Bound once: scheduled as the delivery action for every envelope,
         # so the send path never builds a closure.
@@ -89,26 +84,6 @@ class Network:
     def bind(self, host: TransportHost) -> None:
         """Attach the transport host; must be called before the first send."""
         self._host = host
-
-    @property
-    def host(self) -> TransportHost:
-        if self._host is None:
-            raise NetworkError("Network.bind(host) must be called before sending")
-        return self._host
-
-    @property
-    def envelopes(self) -> Tuple[Envelope, ...]:
-        """Every recorded envelope, in send order, as a read-only tuple.
-
-        The tuple is cached and rebuilt only when the log has grown since the
-        last access, so analysis loops that read it per iteration pay O(1)
-        instead of a fresh O(n) copy each time.  Empty when the network was
-        built with ``record_envelopes=False``.
-        """
-        view = self._log_view
-        if len(view) != len(self._log):
-            view = self._log_view = tuple(self._log)
-        return view
 
     def _next_id(self) -> int:
         msg_id = self._next_msg_id
@@ -123,28 +98,23 @@ class Network:
             raise NetworkError("Network.bind(host) must be called before sending")
         now = host.now()
         model = self.model
-        envelope = Envelope(
-            message=message,
-            src=src,
-            dst=dst,
-            send_time=now,
-            era=model.era(now),
-            msg_id=self._next_id(),
-        )
-        if self.record_envelopes:
-            self._log.append(envelope)
-        self.monitor.on_send(envelope)
+        msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
+        envelope = Envelope(message, src, dst, now, _POST if now >= model.ts else _PRE, msg_id)
+        monitor = self.monitor
+        monitor.on_send(envelope)
 
-        deliver_time = model.fate(envelope, now, self.rng)
+        rng = self.rng
+        deliver_time = model.fate(envelope, now, rng)
         if deliver_time is None:
             envelope.dropped = True
-            self.monitor.on_drop(envelope)
+            monitor.on_drop(envelope)
             return envelope
 
         self._schedule_delivery(envelope, deliver_time)
 
-        duplicate_prob = model.duplicate_probability(envelope, now)
-        if duplicate_prob > 0 and self.rng.coin(duplicate_prob):
+        duplicate_prob = model.adversary.duplicate_probability(envelope, now)
+        if duplicate_prob > 0 and rng.coin(duplicate_prob):
             self._schedule_duplicate(envelope, now)
         return envelope
 
@@ -175,9 +145,7 @@ class Network:
             era=Era.PRE,
             msg_id=self._next_id(),
         )
-        if self.record_envelopes:
-            self._log.append(envelope)
-        self.monitor.on_send(envelope)
+        self.monitor.on_inject(envelope)
         self._schedule_delivery(envelope, deliver_time)
         return envelope
 
@@ -205,8 +173,6 @@ class Network:
             msg_id=self._next_id(),
             duplicated_from=envelope.msg_id,
         )
-        if self.record_envelopes:
-            self._log.append(duplicate)
         self.monitor.on_duplicate(duplicate)
         deliver_time = self.model.fate(duplicate, now, self.rng)
         if deliver_time is None:

@@ -1,4 +1,4 @@
-"""Synchrony models: when is a message delivered?
+"""The synchrony model: when is a message delivered?
 
 :class:`EventualSynchrony` is the model of the paper — an unknown global
 stabilization time ``TS`` before which the adversary rules and after which
@@ -9,24 +9,26 @@ experiment E7).
 
 from __future__ import annotations
 
-import abc
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import Adversary, BenignAdversary
 from repro.net.message import Envelope, Era
 from repro.sim.rng import SeededRng
 
-__all__ = ["SynchronyModel", "EventualSynchrony", "validate_delivery_time"]
+__all__ = ["EventualSynchrony", "validate_delivery_time"]
+
+# Enum member lookups cost a descriptor call; the per-send fate check uses this.
+_PRE = Era.PRE
 
 
 def validate_delivery_time(envelope: Envelope, when: Optional[float], now: float) -> Optional[float]:
     """Guard against an adversary scheduling a delivery in the past.
 
-    Shared by every synchrony model (and usable by adversary implementations
-    directly): a scripted or hand-written adversary that mis-computes a
-    delivery time would otherwise surface as an unexplained scheduling error
-    deep inside the event queue.  The error names the offending envelope so
+    Used by :meth:`EventualSynchrony.fate` (and usable by adversary
+    implementations directly): a scripted or hand-written adversary that
+    mis-computes a delivery time would otherwise surface as an unexplained
+    scheduling error deep inside the event queue.  The error names the offending envelope so
     the buggy script is diagnosable from the message alone.
 
     Returns ``when`` unchanged when it is valid (or ``None`` for a drop).
@@ -40,23 +42,7 @@ def validate_delivery_time(envelope: Envelope, when: Optional[float], now: float
     return when
 
 
-class SynchronyModel(abc.ABC):
-    """Maps a send to an era and a delivery fate."""
-
-    @abc.abstractmethod
-    def era(self, send_time: float) -> Era:
-        """Which era a message sent at ``send_time`` belongs to."""
-
-    @abc.abstractmethod
-    def fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        """Absolute delivery time for the envelope, or ``None`` if it is lost."""
-
-    @abc.abstractmethod
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        """Probability that a duplicate copy is also delivered."""
-
-
-class EventualSynchrony(SynchronyModel):
+class EventualSynchrony:
     """The paper's eventually-synchronous model.
 
     Args:
@@ -92,24 +78,21 @@ class EventualSynchrony(SynchronyModel):
         )
 
     def era(self, send_time: float) -> Era:
+        """Which era a message sent at ``send_time`` belongs to."""
         return Era.POST if send_time >= self.ts else Era.PRE
 
-    def post_delay_bounds(self) -> Tuple[float, float]:
-        """Inclusive (min, max) delay range for post-stabilization messages."""
-        return (self.post_min_delay_fraction * self.delta, self.delta)
-
     def fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if envelope.era is Era.PRE:
+        """Absolute delivery time for the envelope, or ``None`` if it is lost.
+
+        Post-stabilization delays lie in ``[post_min_delay_fraction * δ, δ]``.
+        """
+        if envelope.era is _PRE:
             when = self.adversary.pre_ts_fate(envelope, now, rng)
             return validate_delivery_time(envelope, when, now)
-        low, high = self.post_delay_bounds()
         suggested = self.adversary.post_ts_delay(envelope, now, rng)
         if suggested is None:
-            delay = rng.delay(low, high)
+            delay = rng.delay(self.post_min_delay_fraction * self.delta, self.delta)
         else:
             # Clamp: after stabilization nothing can exceed delta or be negative.
             delay = min(max(suggested, 0.0), self.delta)
         return now + delay
-
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        return self.adversary.duplicate_probability(envelope, now)

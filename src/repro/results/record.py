@@ -106,9 +106,9 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
     ``seed`` are left out of the hashed kwargs — they appear readably in the
     content key itself, so every run of one scenario family shares an
     ``env-hash``.  The *enforcement* flags (``enforce_safety``,
-    ``enforce_invariants``, ``record_envelopes``, ``enforce_consistency``)
-    are deliberately excluded — they change what failures raise and what
-    stays observable, never what a successful run produces.
+    ``enforce_invariants``, ``enforce_consistency``) are deliberately
+    excluded — they change what failures raise, never what a successful run
+    produces.
 
     For an :class:`~repro.harness.executors.SmrTask` (``task.kind ==
     "smr"``) the fingerprint instead covers the command schedule and the

@@ -38,6 +38,11 @@ class ProcessStatus(enum.Enum):
     CRASHED = "crashed"
 
 
+# Enum member lookups cost a descriptor call; the per-message checks below
+# compare against this module constant instead.
+_ACTIVE = ProcessStatus.ACTIVE
+
+
 class Node:
     """One process slot: survives crashes, hosts successive protocol incarnations."""
 
@@ -76,10 +81,6 @@ class Node:
         return f"Node(pid={self.pid}, status={self.status.value}, incarnation={self.incarnation})"
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def is_active(self) -> bool:
-        return self.status is ProcessStatus.ACTIVE
-
     def start(self) -> None:
         """Start the first incarnation (called by the simulator at time 0)."""
         if self.status is not ProcessStatus.NOT_STARTED:
@@ -129,7 +130,7 @@ class Node:
     # -- interaction with the simulator ----------------------------------------
     def deliver(self, envelope: Envelope) -> bool:
         """Deliver a message to the protocol; False if the node is not active."""
-        if not self.is_active or self.process is None:
+        if self.status is not _ACTIVE or self.process is None:
             return False
         self.process.on_message(envelope.message, envelope.src)
         return True
@@ -155,17 +156,24 @@ class Node:
         )
 
     def _send(self, message: Any, dst: int) -> None:
-        if not self.is_active:
+        if self.status is not _ACTIVE:
             return
-        self.simulator.transmit(message, self.pid, dst)
+        simulator = self.simulator
+        envelope = simulator.network.send(message, self.pid, dst)
+        trace = simulator.trace
+        if trace.enabled:
+            trace.record_send(
+                envelope.send_time, self.pid, dst, message.kind, envelope.msg_id,
+                envelope.dropped,
+            )
 
     def _set_timer(self, name: str, local_delay: float) -> None:
-        if not self.is_active:
+        if self.status is not _ACTIVE:
             return
         self._timers.set(name, local_delay, pid_label=f"p{self.pid}")
 
     def _on_timer_fired(self, name: str) -> None:
-        if not self.is_active or self.process is None:
+        if self.status is not _ACTIVE or self.process is None:
             return
         trace = self.simulator.trace
         if trace.enabled:
@@ -173,7 +181,7 @@ class Node:
         self.process.on_timer(name)
 
     def _decide(self, value: Any) -> None:
-        if not self.is_active:
+        if self.status is not _ACTIVE:
             return
         self.simulator.record_decision(self.pid, value, self.incarnation)
 

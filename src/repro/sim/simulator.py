@@ -2,9 +2,10 @@
 
 The :class:`Simulator` wires together the event queue, the network, and the
 nodes, and exposes the handful of operations the rest of the library builds
-on: scheduling, message transmission, crash/restart injection, and decision
-recording.  A simulation is deterministic given its configuration (including
-the seed), which the regression tests rely on.
+on: scheduling, message delivery, crash/restart injection, and decision
+recording.  Nodes hand their sends straight to the network.  A simulation is
+deterministic given its configuration (including the seed), which the
+regression tests rely on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.analysis.trace import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError
-from repro.net.message import Envelope, Message
+from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
@@ -178,15 +179,6 @@ class Simulator:
         self._events.cancel(handle)
 
     # -- transport host interface -------------------------------------------------
-    def transmit(self, message: Message, src: int, dst: int) -> None:
-        """Send a protocol message (called by nodes through their context)."""
-        envelope = self.network.send(message, src, dst)
-        trace = self.trace
-        if trace.enabled:
-            trace.record_send(
-                self._time, src, dst, envelope.kind, envelope.msg_id, envelope.dropped
-            )
-
     def deliver_envelope(self, envelope: Envelope) -> bool:
         """Deliver an envelope to its destination node (network callback)."""
         node = self._nodes_get(envelope.dst)
@@ -196,7 +188,8 @@ class Simulator:
         trace = self.trace
         if trace.enabled:
             trace.record_deliver(
-                self._time, accepted, envelope.dst, envelope.src, envelope.kind, envelope.msg_id
+                self._time, accepted, envelope.dst, envelope.src,
+                envelope.message.kind, envelope.msg_id,
             )
         return accepted
 
@@ -230,7 +223,7 @@ class Simulator:
         return self.schedule_at(time, self.restart, args=(pid,), label=f"restart:p{pid}")
 
     def alive_pids(self) -> List[int]:
-        return [pid for pid, node in self.nodes.items() if node.is_active]
+        return [pid for pid, node in self.nodes.items() if node.status is ProcessStatus.ACTIVE]
 
     def crashed_pids(self) -> List[int]:
         return [pid for pid, node in self.nodes.items() if node.status is ProcessStatus.CRASHED]

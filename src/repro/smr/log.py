@@ -20,7 +20,7 @@ A rejected ``learn`` (negative slot, conflicting command) changes neither.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, KeysView, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 
@@ -45,6 +45,10 @@ class ReplicatedLog:
 
     def __iter__(self) -> Iterator[Tuple[int, Any]]:
         return iter(self.items())
+
+    def slots(self) -> KeysView[int]:
+        """Live view of the decided slots (supports set operations)."""
+        return self._entries.keys()
 
     def items(self) -> Tuple[Tuple[int, Any], ...]:
         """``(slot, command)`` pairs in slot order (cached until the next learn)."""

@@ -67,10 +67,10 @@ class MultiPhase1b(Message):
     decided: Tuple[Tuple[int, Any], ...]
 
     def votes_dict(self) -> Dict[int, Tuple[int, Any]]:
-        return {slot: vote for slot, vote in self.votes}
+        return dict(self.votes)
 
     def decided_dict(self) -> Dict[int, Any]:
-        return {slot: value for slot, value in self.decided}
+        return dict(self.decided)
 
 
 @dataclass(frozen=True, slots=True)

@@ -238,28 +238,30 @@ class MultiPaxosSmrProcess(ConsensusProcess):
             self._advance_ballot(message.mbal, via="phase1a")
         if message.mbal >= self.mbal:
             owner = owner_of(message.mbal, self.n)
+            accepted = self.accepted
             votes = tuple(
-                (slot, (voted_bal, voted_val))
-                for slot, (voted_bal, voted_val) in sorted(self.accepted.items())
-                if slot not in self.log
+                (slot, accepted[slot]) for slot in sorted(accepted.keys() - self.log.slots())
             )
             self.ctx.send(
                 MultiPhase1b(mbal=message.mbal, votes=votes, decided=self.log.items()), owner
             )
 
     def _on_phase1b(self, message: MultiPhase1b, sender: int) -> None:
-        # Decided entries are useful regardless of the ballot.
+        # Decided entries are useful regardless of the ballot.  Only entries
+        # the local log lacks, or holds with a different command (which
+        # ``_learn`` rejects), need learning.
         senders_log = message.decided_dict()
-        for slot, value in senders_log.items():
+        log = self.log
+        for slot, value in sorted(senders_log.items() - log.items()):
             self._learn(slot, value)
         if owner_of(message.mbal, self.n) != self.pid or message.mbal != self.mbal:
             return
         # Targeted catch-up: the promise shows which decisions the sender is
         # missing (a replica that restarted after stabilization, say); push
         # them directly so it converges within O(δ) of its restart.
-        for slot, value in self.log.items():
-            if slot not in senders_log and sender != self.pid:
-                self.ctx.send(SlotDecision(slot=slot, value=value), sender)
+        if sender != self.pid:
+            for slot in sorted(log.slots() - senders_log.keys()):
+                self.ctx.send(SlotDecision(slot=slot, value=log.get(slot)), sender)
         promises = self._promises.setdefault(message.mbal, {})
         promises.setdefault(sender, message)
         if len(promises) >= self.quorum and self._established_ballot != message.mbal:

@@ -72,20 +72,15 @@ class Scenario:
         """Build the network (synchrony model + adversary) from the environment."""
         return self.environment.build_network(config, rng, self.environment_registry)
 
-    def build_simulator(
-        self, builder: "ProtocolBuilder", *, record_envelopes: bool = True
-    ) -> Simulator:
+    def build_simulator(self, builder: "ProtocolBuilder") -> Simulator:
         """Build a ready-to-run simulator of ``builder``'s processes under this scenario.
 
         The network draws from the seeded ``net`` stream forked by the
         scenario name; the fault plan is validated and applied, and the
-        ``post_setup`` hook runs last.  ``record_envelopes`` keeps the
-        network's per-envelope log (see
-        :func:`~repro.harness.runner.run_scenario`).
+        ``post_setup`` hook runs last.
         """
         config = self.config
         network = self.build_network(config, SeededRng(config.seed, label="net").fork(self.name))
-        network.record_envelopes = record_envelopes
         simulator = Simulator(
             config=config,
             process_factory=builder.create,

@@ -17,7 +17,13 @@ from repro.sim.process import Process, ProcessContext
 from repro.sim.rng import SeededRng
 from repro.storage.stable import StableStore
 
-__all__ = ["ContextHarness", "SentMessage", "make_params", "make_run_record"]
+__all__ = [
+    "ContextHarness",
+    "SentMessage",
+    "capture_sent_envelopes",
+    "make_params",
+    "make_run_record",
+]
 
 
 def make_params(**overrides: Any) -> TimingParams:
@@ -25,6 +31,26 @@ def make_params(**overrides: Any) -> TimingParams:
     values = {"delta": 1.0, "rho": 0.0, "epsilon": 0.5}
     values.update(overrides)
     return TimingParams(**values)
+
+
+def capture_sent_envelopes(monkeypatch) -> List[Any]:
+    """Every envelope ``Network.send`` returns while ``monkeypatch`` is active.
+
+    The network keeps no envelope log; tests that inspect individual sends
+    (fates, delivery times, latencies) collect them here, in send order.
+    """
+    from repro.net.network import Network
+
+    sent: List[Any] = []
+    send = Network.send
+
+    def recording_send(self, message, src, dst):
+        envelope = send(self, message, src, dst)
+        sent.append(envelope)
+        return envelope
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    return sent
 
 
 def make_run_record(

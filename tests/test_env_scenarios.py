@@ -26,19 +26,19 @@ from repro.workloads.environments import (
 )
 from repro.workloads.registry import default_workload_registry
 
-from tests.helpers import make_params
+from tests.helpers import capture_sent_envelopes, make_params
 
 PARAMS = make_params()
 
 
 class TestAsymmetricLink:
-    def test_decides_and_slow_links_crawl_pre_ts(self):
+    def test_decides_and_slow_links_crawl_pre_ts(self, monkeypatch):
+        envelopes = capture_sent_envelopes(monkeypatch)
         scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3, hub=0)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
         delta = PARAMS.delta
-        envelopes = result.simulator.network.envelopes
         slow = [e for e in envelopes
                 if e.era is Era.PRE and e.latency is not None
                 and (e.src == 0) != (e.dst == 0)]
@@ -107,12 +107,13 @@ class TestGrayPartition:
         assert all(a >= b for a, b in zip(probes, probes[1:]))  # monotone heal
         assert probes[-1] == 0.0  # fully healed at TS
 
-    def test_cross_group_messages_heal_through(self):
+    def test_cross_group_messages_heal_through(self, monkeypatch):
+        envelopes = capture_sent_envelopes(monkeypatch)
         scenario = gray_partition_scenario(6, params=PARAMS, seed=11)
         result = run_scenario(scenario, "modified-paxos")
         adversary = result.simulator.network.model.adversary
         spec = adversary.spec
-        cross = [e for e in result.simulator.network.envelopes
+        cross = [e for e in envelopes
                  if e.era is Era.PRE and not spec.connected(e.src, e.dst)]
         delivered = [e for e in cross if not e.dropped]
         dropped = [e for e in cross if e.dropped]

@@ -7,7 +7,7 @@ from repro.analysis.metrics import restart_recovery_lags
 from repro.harness.runner import run_scenario
 from repro.workloads.composite import kitchen_sink_scenario
 
-from tests.helpers import make_params
+from tests.helpers import capture_sent_envelopes, make_params
 
 PARAMS = make_params(rho=0.01)
 BOUND = decision_bound(PARAMS)
@@ -77,11 +77,12 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
             result = run_scenario(scenario, protocol, enforce_safety=False)
             assert result.safety.valid, f"{protocol}: {result.safety.violations}"
 
-    def test_deferred_pre_ts_messages_really_arrive_after_ts(self):
+    def test_deferred_pre_ts_messages_really_arrive_after_ts(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=5)
-        result = run_scenario(scenario, "modified-paxos")
+        run_scenario(scenario, "modified-paxos")
         late_deliveries = [
-            env for env in result.simulator.network.envelopes
+            env for env in sent
             if env.send_time < scenario.config.ts
             and env.deliver_time is not None
             and env.deliver_time > scenario.config.ts

@@ -1,7 +1,5 @@
 """Unit tests for network accounting (`repro.net.monitor`)."""
 
-import pytest
-
 from repro.core.messages import Phase1a, Phase2a
 from repro.net.message import Envelope, Era
 from repro.net.monitor import NetworkMonitor
@@ -44,41 +42,70 @@ class TestCounters:
         assert data["sent"] == 1
         assert data["by_kind"] == {"phase1a": 1}
 
-    def test_per_sender_counts(self):
+
+class TestPostTsSendRate:
+    """``post_ts_send_rate(ts, end)`` counts sends in the half-open ``[ts, end)``."""
+
+    def test_sends_at_the_final_time_are_excluded(self):
         monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.0, src=3))
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, src=3))
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, src=1))
-        assert monitor.sends_per_sender() == {3: 2, 1: 1}
+        for t in (9.0, 10.0, 11.0, 12.0, 12.0):
+            monitor.on_send(envelope(Phase1a(mbal=1), t, era=Era.PRE if t < 10.0 else Era.POST))
+        # [10, 12) holds the sends at 10 and 11, not the two at 12.
+        assert monitor.post_ts_send_rate(10.0, 12.0) == 2 / 2.0
+        # Once the run ends later, the sends at 12 are inside the window.
+        assert monitor.post_ts_send_rate(10.0, 13.0) == 4 / 3.0
 
-
-class TestRates:
-    def test_sends_in_window_half_open(self):
+    def test_injected_envelopes_count_by_send_time(self):
         monitor = NetworkMonitor()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            monitor.on_send(envelope(Phase1a(mbal=1), t))
-        assert monitor.sends_in_window(1.0, 3.0) == 2
-        assert monitor.sends_in_window(3.0, 3.0) == 0
-        assert monitor.sends_in_window(5.0, 4.0) == 0
+        monitor.on_send(envelope(Phase1a(mbal=1), 10.5))
+        # Injected envelopes are PRE whatever their send time.
+        for t in (0.0, 9.5, 10.0, 11.0, 14.0, 20.0):
+            monitor.on_inject(envelope(Phase1a(mbal=9), t, era=Era.PRE))
+        # In [10, 14): the sent one at 10.5 and the injected ones at 10 and 11.
+        assert monitor.post_ts_send_rate(10.0, 14.0) == 3 / 4.0
+        assert monitor.stats.sent == 7
+        assert monitor.stats.sent_pre_ts == 6
 
-    def test_send_rate(self):
+    def test_run_ending_at_or_before_ts_has_no_rate(self):
         monitor = NetworkMonitor()
-        for t in (0.0, 0.5, 1.0, 1.5):
-            monitor.on_send(envelope(Phase1a(mbal=1), t))
-        assert monitor.send_rate(0.0, 2.0) == pytest.approx(2.0)
-        assert monitor.send_rate(2.0, 2.0) == 0.0
+        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, era=Era.PRE))
+        monitor.on_inject(envelope(Phase1a(mbal=9), 0.5, era=Era.PRE))
+        assert monitor.post_ts_send_rate(10.0, 10.0) is None
+        assert monitor.post_ts_send_rate(10.0, 4.0) is None
 
-    def test_timeline_buckets(self):
-        monitor = NetworkMonitor(bucket_width=1.0)
-        for t in (0.1, 0.2, 1.7, 2.1, 2.2, 2.3):
-            monitor.on_send(envelope(Phase1a(mbal=1), t))
-        timeline = dict(monitor.send_timeline())
-        assert timeline == {0.0: 2, 1.0: 1, 2.0: 3}
-        assert monitor.peak_bucket_rate() == pytest.approx(3.0)
+    def test_empty_window_after_ts_is_a_zero_rate(self):
+        monitor = NetworkMonitor()
+        monitor.on_send(envelope(Phase1a(mbal=1), 12.0))
+        assert monitor.post_ts_send_rate(10.0, 12.0) == 0.0
 
-    def test_peak_rate_empty(self):
-        assert NetworkMonitor().peak_bucket_rate() == 0.0
+    def test_run_rate_equals_the_trace_recount(self):
+        from repro.harness.executors import snapshot_outcome
+        from repro.harness.runner import run_scenario
+        from repro.workloads.registry import default_workload_registry
+        from tests.helpers import make_params
 
-    def test_bucket_width_validation(self):
-        with pytest.raises(ValueError):
-            NetworkMonitor(bucket_width=0.0)
+        ts = 10.0
+        injected = []
+
+        def inject(simulator):
+            network = simulator.network
+            for send_time in (0.0, ts + 0.5):
+                injected.append(network.inject(
+                    Phase1a(mbal=0), src=0, dst=1,
+                    deliver_time=send_time + 1.0, send_time=send_time,
+                ))
+
+        scenario = default_workload_registry().create(
+            "partitioned-chaos", n=5, seed=7, ts=ts, params=make_params()
+        )
+        scenario.post_setup = inject
+        result = run_scenario(scenario, "modified-paxos")
+        end = result.simulator.now()
+        send_times = [event.time for event in result.simulator.trace.filter(event="send")]
+        send_times += [env.send_time for env in injected]
+        # The run must exercise both edges the counters handle.
+        assert end in send_times
+        assert any(ts <= env.send_time < end for env in injected)
+
+        expected = sum(1 for t in send_times if ts <= t < end) / (end - ts)
+        assert snapshot_outcome(result).extra["post_ts_send_rate"] == expected

@@ -89,12 +89,16 @@ class TestSendPath:
         with pytest.raises(NetworkError):
             network.send(Phase1a(mbal=1), src=0, dst=1)
 
-    def test_envelope_log_keeps_send_order(self):
-        network, _ = make_network()
-        network.send(Phase1a(mbal=1), src=0, dst=1)
-        network.send(Phase1a(mbal=2), src=1, dst=0)
-        ballots = [env.message.mbal for env in network.envelopes]
-        assert ballots == [1, 2]
+    def test_sends_get_consecutive_ids_and_eras(self):
+        network, host = make_network(ts=5.0)
+        first = network.send(Phase1a(mbal=1), src=0, dst=1)
+        host.time = 5.0
+        second = network.send(Phase1a(mbal=2), src=1, dst=0)
+        assert [first.msg_id, second.msg_id] == [0, 1]
+        assert [first.send_time, second.send_time] == [0.0, 5.0]
+        assert [first.era, second.era] == [Era.PRE, Era.POST]
+        assert [args[0] for _, _, args, _ in host.scheduled] == [first, second]
+        assert network.monitor.stats.sent_pre_ts == network.monitor.stats.sent_post_ts == 1
 
 
 class TestDuplication:
@@ -108,8 +112,11 @@ class TestDuplication:
         host.fire_all()
         assert network.monitor.stats.duplicated == 1
         assert len(host.delivered) == 2
-        duplicate = [env for env in network.envelopes if env.duplicated_from is not None]
-        assert len(duplicate) == 1
+        original, duplicate = host.delivered
+        assert original.duplicated_from is None
+        assert (duplicate.send_time, duplicate.era) == (original.send_time, original.era)
+        assert duplicate.duplicated_from == original.msg_id
+        assert duplicate.msg_id == original.msg_id + 1
 
 
 class TestInjection:
@@ -121,6 +128,19 @@ class TestInjection:
         assert host.scheduled[0][0] == 60.0
         host.fire_all()
         assert host.delivered[0].message.mbal == 999
+
+    def test_inject_before_bind_raises(self):
+        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(0))
+        with pytest.raises(NetworkError):
+            network.inject(Phase1a(mbal=1), src=0, dst=1, deliver_time=1.0)
+
+    def test_injected_envelope_after_ts_is_pre_era_and_counted(self):
+        network, _ = make_network(ts=5.0)
+        envelope = network.inject(Phase1a(mbal=3), src=0, dst=1, deliver_time=8.0, send_time=6.0)
+        assert envelope.era is Era.PRE
+        stats = network.monitor.stats
+        assert (stats.sent, stats.sent_pre_ts, stats.sent_post_ts) == (1, 1, 0)
+        assert network.monitor.post_ts_send_rate(5.0, 7.0) == 1 / 2.0
 
     def test_inject_rejects_delivery_before_send(self):
         network, _ = make_network()

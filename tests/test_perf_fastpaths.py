@@ -1,12 +1,11 @@
 """Tests for the PR2 hot-path fast paths.
 
-Covers the three behavioural surfaces the allocation-free refactor touched:
+Covers the behavioural surfaces the allocation-free refactor touched:
 
 * ``cancellable=False`` scheduling through ``Simulator.schedule_at``,
-* ``record_envelopes=False`` runs (monitor counters must stay correct while
-  the per-envelope log stays empty),
-* per-network ``msg_id`` streams (deterministic without the deprecated
-  global reset helper),
+* the monitor's counters, which must agree with the trace's ``send`` and
+  ``deliver`` rows (the network keeps no per-envelope log),
+* per-network ``msg_id`` streams (deterministic, no global state),
 
 plus the seeded-equivalence oracle: three protocols x three workloads whose
 decision/trace digests were captured on the pre-refactor tree (PR1, commit
@@ -16,14 +15,13 @@ trace payloads shows up here as a digest mismatch.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.messages import Phase1a
-from repro.harness.executors import RunTask
-from repro.harness.experiment import ExperimentSpec
 from repro.harness.runner import run_scenario
-from repro.net.message import Envelope, Era, reset_envelope_ids
+from repro.net.message import Envelope, Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.params import TimingParams
@@ -98,57 +96,32 @@ class TestCancellableFastPath:
         assert calls == ["fired"]
 
 
-class TestEnvelopeLogOptOut:
-    def _run(self, record_envelopes):
-        scenario = stable_scenario(5, params=PARAMS, seed=3)
-        return run_scenario(
-            scenario, "modified-paxos", record_envelopes=record_envelopes
+class TestMonitorMatchesTrace:
+    """The monitor's counters agree with the trace's per-message rows."""
+
+    @pytest.mark.parametrize("workload", ["stable", "partitioned-chaos", "lossy-chaos"])
+    def test_counters_equal_the_trace_rows(self, workload):
+        scenario = default_workload_registry().create(
+            workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
         )
-
-    def test_log_disabled_keeps_monitor_counters(self):
-        logged = self._run(True)
-        unlogged = self._run(False)
-
-        assert unlogged.simulator.network.envelopes == ()
-        assert len(logged.simulator.network.envelopes) > 0
-
-        on, off = logged.simulator.network.monitor.stats, unlogged.simulator.network.monitor.stats
-        assert on.sent == off.sent > 0
-        assert on.delivered == off.delivered > 0
-        assert dict(on.by_kind) == dict(off.by_kind)
-        assert dict(on.delivered_by_kind) == dict(off.delivered_by_kind)
-
-    def test_log_disabled_runs_decide_identically(self):
-        logged = self._run(True)
-        unlogged = self._run(False)
-        assert (
-            {p: r.value for p, r in logged.simulator.decisions.items()}
-            == {p: r.value for p, r in unlogged.simulator.decisions.items()}
+        sim = run_scenario(scenario, "modified-paxos").simulator
+        stats = sim.network.monitor.stats
+        sends = sim.trace.filter(event="send", category="net")
+        delivers = sim.trace.filter(event="deliver", category="net")
+        lost = sim.trace.filter(event="deliver_to_crashed", category="net")
+        assert stats.sent == len(sends) > 0
+        assert stats.delivered == len(delivers) > 0
+        assert stats.to_crashed == len(lost)
+        assert dict(stats.by_kind) == Counter(event.fields["kind"] for event in sends)
+        assert dict(stats.delivered_by_kind) == Counter(
+            event.fields["kind"] for event in delivers
         )
-        assert logged.simulator.events_processed == unlogged.simulator.events_processed
-
-    def test_envelopes_view_is_read_only(self):
-        result = self._run(True)
-        view = result.simulator.network.envelopes
-        assert isinstance(view, tuple)
-
-    def test_envelopes_view_is_cached_until_log_grows(self):
-        result = self._run(True)
-        network = result.simulator.network
-        assert network.envelopes is network.envelopes  # O(1) repeat access
-        before = network.envelopes
-        network.send(Phase1a(mbal=99), src=0, dst=1)
-        after = network.envelopes
-        assert len(after) == len(before) + 1
-        assert after[-1].message.mbal == 99
-
-    def test_experiment_spec_defaults_log_off(self):
-        spec = ExperimentSpec(workload="stable", protocols=("modified-paxos",), seeds=(1,),
-                              base={"n": 3, "params": PARAMS})
-        tasks = spec.tasks()
-        assert all(task.record_envelopes is False for task in tasks)
-        # Direct tasks keep the analysis-friendly default.
-        assert RunTask(protocol="p", workload="w").record_envelopes is True
+        ts = sim.config.ts
+        assert stats.sent_pre_ts == sum(1 for event in sends if event.time < ts)
+        assert stats.sent_post_ts == sum(1 for event in sends if event.time >= ts)
+        # Dropped duplicate copies have no send row of their own.
+        dropped_sends = sum(1 for event in sends if event.fields["dropped"])
+        assert dropped_sends <= stats.dropped <= dropped_sends + stats.duplicated
 
 
 class TestPerNetworkMessageIds:
@@ -191,46 +164,15 @@ class TestPerNetworkMessageIds:
         assert injected.msg_id == sent.msg_id + 1
         assert injected.era is Era.PRE
 
-    def test_reset_helper_warns_exactly_once_per_call(self):
-        # The deprecation must fire on every call (exactly one warning per
-        # call, none swallowed by the "default" filter's once-per-location
-        # rule) so the remaining out-of-repo callers all see it.
-        import warnings
+    def test_back_to_back_runs_trace_the_same_msg_ids(self):
+        def send_ids():
+            scenario = stable_scenario(3, params=PARAMS, seed=3)
+            trace = run_scenario(scenario, "modified-paxos").simulator.trace
+            return [event.fields["msg_id"] for event in trace.filter(event="send")]
 
-        for _ in range(2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                reset_envelope_ids()
-            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "per-Network" in str(deprecations[0].message)
-
-    def test_no_other_in_repo_callers_remain(self):
-        # The deprecation test above is the only place in the repository
-        # that still invokes the helper (PR2 migrated every real caller to
-        # per-network id streams).
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        hits = []
-        for path in (root / "src").rglob("*.py"):
-            text = path.read_text(encoding="utf-8")
-            if "reset_envelope_ids(" in text and path.name != "message.py":
-                hits.append(str(path))
-        assert hits == []
-        # And importing the package must not trigger the warning.
-        code = (
-            "import warnings; warnings.simplefilter('error', DeprecationWarning); "
-            "import repro"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+        first = send_ids()
+        assert first[:3] == [0, 1, 2]
+        assert first == sorted(first) and first == send_ids()
 
     def test_direct_envelopes_still_get_unique_fallback_ids(self):
         first = Envelope(message=Phase1a(mbal=1), src=0, dst=1, send_time=0.0, era=Era.POST)

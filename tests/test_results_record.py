@@ -174,7 +174,7 @@ class TestContentKey:
         lenient = RunTask(protocol=base.protocol, workload=base.workload,
                           workload_kwargs=dict(base.workload_kwargs),
                           tags=dict(base.tags), enforce_safety=False,
-                          enforce_invariants=False, record_envelopes=False)
+                          enforce_invariants=False)
         assert content_key_for_task(base) == content_key_for_task(lenient)
 
     def test_unserializable_task_argument_rejected(self):

@@ -19,7 +19,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import make_params
+from tests.helpers import capture_sent_envelopes, make_params
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,47 @@ class TestDelivery:
             senders = {sender for sender, _ in node.process.received}
             assert senders == set(range(4)) - {pid}
 
-    def test_post_ts_delivery_within_delta(self):
+    def test_post_ts_delivery_within_delta(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         sim = build_simulator(lambda pid: PingProcess(), n=3)
         sim.run(until=5.0)
-        for envelope in sim.network.envelopes:
+        assert sent
+        for envelope in sent:
             assert envelope.latency is not None
             assert envelope.latency <= sim.config.params.delta
+
+    def test_trace_rows_match_the_envelopes_sent_and_delivered(self, monkeypatch):
+        from repro.net.adversary import DropAllAdversary
+
+        sent = capture_sent_envelopes(monkeypatch)
+        # Before TS = 0.5 every message is dropped; afterwards all arrive.
+        sim = build_simulator(lambda pid: PingProcess(), n=3, ts=0.5,
+                              adversary=DropAllAdversary())
+        sim.schedule_at(1.0, lambda: sim.nodes[0].process.ctx.broadcast(Note(text="late")))
+        sim.run(until=5.0)
+        sends = sim.trace.filter(event="send")
+        assert [(e.time, e.pid, e.fields["dst"], e.fields["kind"], e.fields["msg_id"],
+                 e.fields["dropped"]) for e in sends] == [
+            (env.send_time, env.src, env.dst, "note", env.msg_id, env.dropped) for env in sent
+        ]
+        assert any(env.dropped for env in sent) and not all(env.dropped for env in sent)
+        delivered = sorted((env for env in sent if not env.dropped),
+                           key=lambda env: (env.deliver_time, env.msg_id))
+        assert [(e.time, e.pid, e.fields["src"], e.fields["kind"], e.fields["msg_id"])
+                for e in sim.trace.filter(event="deliver")] == [
+            (env.deliver_time, env.dst, env.src, "note", env.msg_id) for env in delivered
+        ]
+
+    def test_crashed_node_sends_nothing(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        sim.start()
+        assert len(sent) == len(sim.trace.filter(event="send")) == 6
+        context = sim.nodes[1].process.ctx
+        sim.crash(1)
+        context.send(Note(text="ghost"), 0)
+        assert len(sent) == len(sim.trace.filter(event="send")) == 6
+        assert sim.network.monitor.stats.sent == 6
 
     def test_messages_to_crashed_process_are_lost(self):
         sim = build_simulator(lambda pid: PingProcess(), n=3)
@@ -219,22 +254,25 @@ class TestScheduling:
 
 
 class TestDeterminism:
-    def test_same_seed_gives_identical_runs(self):
+    def test_same_seed_gives_identical_runs(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
+
         def run_once():
+            sent.clear()
             sim = build_simulator(lambda pid: PingProcess(), n=4, seed=11, rho=0.02)
             sim.run(until=5.0)
-            return [
-                (env.src, env.dst, env.deliver_time, env.dropped)
-                for env in sim.network.envelopes
-            ]
+            return [(env.src, env.dst, env.deliver_time, env.dropped) for env in sent]
 
         assert run_once() == run_once()
 
-    def test_different_seeds_give_different_delays(self):
+    def test_different_seeds_give_different_delays(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
+
         def run_once(seed):
+            sent.clear()
             sim = build_simulator(lambda pid: PingProcess(), n=4, seed=seed)
             sim.run(until=5.0)
-            return [env.deliver_time for env in sim.network.envelopes]
+            return [env.deliver_time for env in sent]
 
         assert run_once(1) != run_once(2)
 

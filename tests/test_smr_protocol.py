@@ -1,6 +1,9 @@
 """Transition-level unit tests for the multi-decree SMR protocol."""
 
+import pytest
+
 from repro.core.sessions import ballot_for
+from repro.errors import ProtocolError
 from repro.smr.messages import (
     CommandRequest,
     MultiPhase1a,
@@ -77,6 +80,56 @@ class TestStartupAndPhase1:
         harness, process = start_replica(pid=2, n=3)  # not the owner of ballot 0
         harness.deliver(make_promise(0, decided=[(0, ("cmd-0", ("set", "a", 1)))]), sender=1)
         assert process.log.get(0) == ("cmd-0", ("set", "a", 1))
+
+
+def command(slot):
+    return (f"cmd-{slot}", ("set", "k", slot))
+
+
+class TestPhase1LogExchange:
+    def test_promise_votes_skip_decided_slots_in_slot_order(self):
+        harness, process = start_replica(pid=0, n=3)
+        for slot in (5, 1, 3):
+            process.accepted[slot] = (2, command(slot))
+        process.log.learn(3, command(3))
+        harness.clear_sent()
+        harness.deliver(MultiPhase1a(mbal=7), sender=1)
+        message = harness.sent_of_kind("mphase1b")[0].message
+        assert message.votes == ((1, (2, command(1))), (5, (2, command(5))))
+        assert message.decided == ((3, command(3)),)
+
+    def test_promise_learns_only_missing_entries_in_slot_order(self):
+        harness, process = start_replica(pid=2, n=3)
+        process.log.learn(1, command(1))
+        harness.deliver(make_promise(0, decided=[(slot, command(slot)) for slot in (0, 1, 4)]),
+                        sender=1)
+        assert [f["slot"] for f in harness.emitted_events("slot_decide")] == [0, 4]
+        assert process.log.items() == tuple((slot, command(slot)) for slot in (0, 1, 4))
+
+    def test_conflicting_decided_entry_in_a_promise_raises(self):
+        harness, process = start_replica(pid=2, n=3)
+        process.log.learn(0, command(0))
+        conflicting = ("other", ("set", "k", 99))
+        with pytest.raises(ProtocolError, match="slot 0 already decided"):
+            harness.deliver(make_promise(0, decided=[(0, conflicting)]), sender=1)
+
+    def test_ballot_owner_pushes_missing_decisions_in_slot_order(self):
+        harness, process = start_replica(pid=0, n=3)
+        for slot in (4, 0, 2):
+            process.log.learn(slot, command(slot))
+        harness.clear_sent()
+        harness.deliver(make_promise(process.mbal, decided=[(2, command(2))]), sender=1)
+        pushes = harness.sent_of_kind("slot_decision")
+        assert [(item.dst, item.message.slot, item.message.value) for item in pushes] == [
+            (1, 0, command(0)), (1, 4, command(4)),
+        ]
+
+    def test_own_promise_pushes_nothing(self):
+        harness, process = start_replica(pid=0, n=3)
+        process.log.learn(0, command(0))
+        harness.clear_sent()
+        harness.deliver(make_promise(process.mbal), sender=0)
+        assert harness.sent_of_kind("slot_decision") == []
 
 
 class TestPhase2:

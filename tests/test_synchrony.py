@@ -61,8 +61,11 @@ class TestPostStabilizationBound:
 
     def test_delay_bounds_respect_min_fraction(self):
         model = EventualSynchrony(ts=0.0, delta=1.0, post_min_delay_fraction=0.5)
-        low, high = model.post_delay_bounds()
-        assert low == 0.5 and high == 1.0
+        rng = SeededRng(4)
+        delays = [model.fate(envelope(2.0, Era.POST), now=2.0, rng=rng) - 2.0
+                  for _ in range(200)]
+        assert all(0.5 <= delay <= 1.0 for delay in delays)
+        assert min(delays) < 0.6 and max(delays) > 0.9
 
 
 class TestPreStabilizationFate:

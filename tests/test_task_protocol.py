@@ -232,11 +232,6 @@ class TestBuildSimulator:
         assert simulator.now() == reference.simulator.now()
         assert simulator.trace.dump() == reference.simulator.trace.dump()
 
-    @pytest.mark.parametrize("record", [True, False])
-    def test_record_envelopes_flag_reaches_the_network(self, record):
-        simulator = make_scenario().build_simulator(builder_for(), record_envelopes=record)
-        assert simulator.network.record_envelopes is record
-
     def test_builder_is_attached_before_post_setup(self):
         seen = []
         builder = builder_for()
