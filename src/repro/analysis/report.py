@@ -1,12 +1,13 @@
 """Human-readable reports for single runs.
 
-The harness returns structured :class:`repro.harness.runner.RunResult`
-objects; this module renders them as text for the CLI, the examples, and for
-debugging sessions ("why was this run slow?").  Stored
-:class:`~repro.results.record.RunRecord`\\ s get the same treatment via
-:func:`render_record_report` (the ``repro results show`` renderer, which
-dispatches to :func:`render_smr_record_report` for multi-decree records);
-SMR runs render through :func:`render_smr_run_report`.
+The harness returns structured :class:`repro.harness.runner.RunResult` and
+:class:`repro.smr.runner.SmrRunResult` objects; :func:`render_run_report`
+and :func:`render_smr_run_report` render them as text for the CLI, the
+examples, and for debugging sessions ("why was this run slow?").  Stored
+records of every kind get the same treatment from the one renderer
+:func:`render_record_report` (the ``repro results show`` renderer): a
+shared identity header and traffic footer around a kind-specific section
+read from ``record.outcome`` and ``record.metrics``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.timing import decision_bound
 from repro.harness.tables import render_table
+from repro.smr.outcome import SmrOutcome, snapshot_smr_outcome
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.consensus.values import RunOutcome
     from repro.harness.runner import RunResult
     from repro.results.record import RecordBase
-    from repro.results.smr_record import SmrRecord
     from repro.smr.runner import SmrRunResult
 
 __all__ = [
     "render_record_report",
     "render_run_report",
-    "render_smr_record_report",
     "render_smr_run_report",
 ]
 
@@ -103,10 +104,101 @@ def render_run_report(result: "RunResult") -> str:
     return "\n".join(lines)
 
 
-def _record_header(label: str, record: "RecordBase") -> List[str]:
-    """The identity, tags and environment lines every stored-record report opens with."""
+def _command_section(outcome: SmrOutcome) -> List[str]:
+    """The command table and the latency/agreement summary of one SMR outcome."""
+    expected = set(outcome.expected_replicas)
+    rows: List[List[object]] = []
+    for record in outcome.commands.values():
+        submitter = record.submitter_latency
+        global_ = record.global_latency
+        learned = len(expected & set(record.learned_times)) if expected else 0
+        rows.append(
+            [
+                record.command_id,
+                f"p{record.origin}",
+                f"{record.submit_time:.3f}",
+                f"{submitter:.3f}" if submitter is not None else "-",
+                f"{global_:.3f}" if global_ is not None else "-",
+                f"{learned}/{len(expected)}",
+            ]
+        )
+    headers = ["command", "origin", "submitted", "submitter latency", "global latency", "learned by"]
+    lines = ["commands:", render_table(headers, rows, indent="  "), ""]
+    for label, value in (
+        ("worst submitter latency", outcome.worst_submitter_latency()),
+        ("worst global latency", outcome.worst_global_latency()),
+    ):
+        text = f"{value:.3f}" if value is not None else "n/a"
+        lines.append(f"{label:28s}: {text}")
+    lines.append(f"{'replicas agree':28s}: {'OK' if outcome.replicas_agree else 'DIVERGED'}")
+    lines.append(
+        f"{'learned prefixes':28s}: "
+        + " ".join(f"p{pid}={length}" for pid, length in sorted(outcome.prefix_lengths.items()))
+    )
+    return lines
+
+
+def render_smr_run_report(result: "SmrRunResult") -> str:
+    """Render one finished SMR run as a multi-section text report."""
+    config = result.scenario.config
     lines = [
-        f"{label}: {record.key}",
+        f"smr run report: multi-paxos-smr scenario={result.scenario.name} "
+        f"({result.schedule.describe()})",
+        f"  model: n={config.n} ts={config.ts:g} seed={config.seed} "
+        f"{config.params.describe()}",
+        f"  faults: {result.scenario.fault_plan.describe()}",
+        "",
+        *_command_section(snapshot_smr_outcome(result)),
+        f"log consistency checks      : {result.consistency_checks}",
+    ]
+    for name, report in sorted(result.invariants.items()):
+        status = "OK" if report.ok else "; ".join(report.violations)
+        lines.append(f"invariant {name:18s}: {status} ({report.checked} checks)")
+    lines.append(f"simulated time: {result.simulator.now():.3f}")
+    return "\n".join(lines)
+
+
+def _decision_section(outcome: "RunOutcome") -> List[str]:
+    """The decision table and the lag/safety summary of one stored run outcome."""
+    decided = {decision.pid: decision for decision in outcome.decisions}
+    rows: List[List[object]] = []
+    for pid in range(outcome.n):
+        decision = decided.get(pid)
+        if decision is None:
+            status = "undecided" if pid in outcome.undecided_pids else "not expected"
+            rows.append([f"p{pid}", "-", "-", status])
+        else:
+            rows.append(
+                [f"p{pid}", repr(decision.value), f"{decision.after_stability:+.3f}", "decided"]
+            )
+    lag = outcome.extra.get("max_lag_after_ts")
+    lag_text = f"{lag:.3f} ({lag / outcome.delta:.3f} delta)" if lag is not None else "n/a"
+    safety = outcome.extra.get("safety_valid")
+    return [
+        "decisions (lag is relative to TS):",
+        render_table(["process", "decided value", "lag after TS", "status"], rows, indent="  "),
+        "",
+        f"worst decision lag after TS : {lag_text}",
+        f"safety                      : {'OK' if safety else safety}",
+    ]
+
+
+# The kind-specific middle of a stored-record report, read from the outcome.
+_RECORD_SECTIONS = {"run": _decision_section, "smr": _command_section}
+
+
+def render_record_report(record: "RecordBase") -> str:
+    """Render one stored record, of any kind, as a multi-section report.
+
+    The stored counterpart of :func:`render_run_report` and
+    :func:`render_smr_run_report`: everything here comes from the record's
+    serialized data alone, so any store can be inspected without re-running
+    (or even being able to re-run) the task.  The identity header and the
+    traffic footer are shared; the middle section depends on the kind.
+    """
+    outcome = record.outcome
+    lines = [
+        f"{record.kind} record: {record.key}",
         f"  identity: protocol={record.protocol} workload={record.workload} "
         f"n={record.n} ts={record.ts:g} delta={record.delta:g} seed={record.seed} "
         f"(schema v{record.schema_version})",
@@ -122,146 +214,13 @@ def _record_header(label: str, record: "RecordBase") -> List[str]:
         prefix = f"{name}: " if name else ""
         lines.append(f"  environment: {prefix}adversary={adversary} faults={faults}")
     lines.append("")
-    return lines
-
-
-def render_record_report(record: "RecordBase") -> str:
-    """Render one stored record (of either kind) as a multi-section report.
-
-    The stored counterpart of :func:`render_run_report`: everything here
-    comes from the record's serialized data alone, so any store can be
-    inspected without re-running (or even being able to re-run) the task.
-    Multi-decree records dispatch to :func:`render_smr_record_report`.
-    """
-    if record.kind == "smr":
-        return render_smr_record_report(record)
-    lines = _record_header("run record", record)
-    lines.append("decisions (lag is relative to TS):")
-    decided = {decision.pid: decision for decision in record.decisions}
-    rows: List[List[object]] = []
-    for pid in range(record.n):
-        decision = decided.get(pid)
-        if decision is None:
-            status = "undecided" if pid in record.undecided_pids else "not expected"
-            rows.append([f"p{pid}", "-", "-", status])
-        else:
-            rows.append(
-                [f"p{pid}", repr(decision.value), f"{decision.after_stability:+.3f}", "decided"]
-            )
-    lines.append(render_table(["process", "decided value", "lag after TS", "status"], rows,
-                              indent="  "))
-    lines.append("")
-
-    lag = record.metrics.get("max_lag_after_ts")
-    lag_text = f"{lag:.3f} ({lag / record.delta:.3f} delta)" if lag is not None else "n/a"
-    lines.append(f"worst decision lag after TS : {lag_text}")
-    safety = record.metrics.get("safety_valid")
-    lines.append(f"safety                      : {'OK' if safety else safety}")
+    section = _RECORD_SECTIONS.get(record.kind)
+    if section is not None:
+        lines.extend(section(outcome))
+    else:  # a kind without a section lists its metrics digest
+        lines.extend(f"{name:28s}: {value}" for name, value in sorted(record.metrics.items()))
     lines.append(
-        f"messages: sent={record.messages_sent} delivered={record.messages_delivered}  "
-        f"simulated time: {record.duration:.3f}"
-    )
-    return "\n".join(lines)
-
-
-def _command_rows(commands, expected_replicas) -> List[List[object]]:
-    """One table row per command: origin, submit time, latencies, coverage."""
-    expected = set(expected_replicas)
-    rows: List[List[object]] = []
-    for record in commands:
-        submitter = record.submitter_latency
-        global_ = record.global_latency
-        learned = len(expected & set(record.learned_times)) if expected else 0
-        rows.append(
-            [
-                record.command_id,
-                f"p{record.origin}",
-                f"{record.submit_time:.3f}",
-                f"{submitter:.3f}" if submitter is not None else "-",
-                f"{global_:.3f}" if global_ is not None else "-",
-                f"{learned}/{len(expected)}",
-            ]
-        )
-    return rows
-
-
-_COMMAND_HEADERS = [
-    "command", "origin", "submitted", "submitter latency", "global latency", "learned by"
-]
-
-
-def render_smr_run_report(result: "SmrRunResult") -> str:
-    """Render one finished SMR run as a multi-section text report."""
-    config = result.scenario.config
-    lines: List[str] = []
-    lines.append(
-        f"smr run report: multi-paxos-smr scenario={result.scenario.name} "
-        f"({result.schedule.describe()})"
-    )
-    lines.append(
-        f"  model: n={config.n} ts={config.ts:g} seed={config.seed} "
-        f"{config.params.describe()}"
-    )
-    lines.append(f"  faults: {result.scenario.fault_plan.describe()}")
-    lines.append("")
-    lines.append("commands:")
-    lines.append(
-        render_table(
-            _COMMAND_HEADERS,
-            _command_rows(result.commands.values(), result.scenario.deciders()),
-            indent="  ",
-        )
-    )
-    lines.append("")
-    worst_submitter = result.worst_submitter_latency()
-    worst_global = result.worst_global_latency()
-    submit_text = f"{worst_submitter:.3f}" if worst_submitter is not None else "n/a"
-    global_text = f"{worst_global:.3f}" if worst_global is not None else "n/a"
-    lines.append(f"worst submitter latency     : {submit_text}")
-    lines.append(f"worst global latency        : {global_text}")
-    lines.append(
-        "replicas agree              : "
-        + ("OK" if result.replicas_agree else "DIVERGED")
-    )
-    lines.append(
-        "learned prefixes            : "
-        + " ".join(f"p{pid}={length}" for pid, length in sorted(result.prefix_lengths.items()))
-    )
-    lines.append(f"log consistency checks      : {result.consistency_checks}")
-    for name, report in sorted(result.invariants.items()):
-        status = "OK" if report.ok else "; ".join(report.violations)
-        lines.append(f"invariant {name:18s}: {status} ({report.checked} checks)")
-    lines.append(f"simulated time: {result.simulator.now():.3f}")
-    return "\n".join(lines)
-
-
-def render_smr_record_report(record: "SmrRecord") -> str:
-    """Render one stored SMR record as a multi-section text report."""
-    lines = _record_header("smr record", record)
-    lines.append("commands:")
-    lines.append(
-        render_table(
-            _COMMAND_HEADERS,
-            _command_rows(record.commands, record.expected_replicas),
-            indent="  ",
-        )
-    )
-    lines.append("")
-    metrics = record.metrics
-    for label, key in (
-        ("worst submitter latency", "worst_submitter_latency"),
-        ("worst global latency", "worst_global_latency"),
-    ):
-        value = metrics.get(key)
-        text = f"{value:.3f}" if value is not None else "n/a"
-        lines.append(f"{label:28s}: {text}")
-    lines.append(f"{'replicas agree':28s}: {'OK' if metrics.get('replicas_agree') else 'DIVERGED'}")
-    lines.append(
-        f"{'learned prefixes':28s}: "
-        + " ".join(f"p{pid}={length}" for pid, length in sorted(record.prefix_lengths.items()))
-    )
-    lines.append(
-        f"messages: sent={record.messages_sent} delivered={record.messages_delivered}  "
-        f"simulated time: {record.duration:.3f}"
+        f"messages: sent={outcome.messages_sent} delivered={outcome.messages_delivered}  "
+        f"simulated time: {outcome.duration:.3f}"
     )
     return "\n".join(lines)

@@ -109,28 +109,6 @@ class RunOutcome:
             return None
         return max(max(0.0, decision.after_stability) for decision in relevant)
 
-    def validate_extra(self, codec_keys: Any = ()) -> List[str]:
-        """The ``extra`` keys whose values JSON cannot represent faithfully.
-
-        ``codec_keys`` names keys that a serializer handles with a dedicated
-        codec (e.g. ``restart_lags``' integer-keyed mapping); they are exempt
-        from the plain-JSON check.  Used by
-        :meth:`repro.results.record.RunRecord.from_outcome`, which raises
-        :class:`~repro.errors.ResultSchemaError` listing every offender, so a
-        bad value fails loudly at record time instead of silently producing a
-        record that cannot round-trip.
-        """
-        exempt = set(codec_keys)
-        offending: List[str] = []
-        for key, value in self.extra.items():
-            if key in exempt:
-                continue
-            try:
-                json_safe(value, f"extra[{key!r}]")
-            except ResultSchemaError:
-                offending.append(key)
-        return offending
-
     def describe(self) -> str:
         decided = len(self.decisions)
         lag = self.max_decision_after_stability()

@@ -5,19 +5,20 @@ registry names *what* to run, the executors decide *how*, the environment
 specs pin *under which conditions* — and ``repro.results`` owns what every
 run *produced*:
 
-* :class:`~repro.results.record.RunRecord` — one run frozen as plain,
-  JSON-round-trippable data under an explicit schema version, addressed by
-  a stable content key ``(protocol, workload, env-hash, n, ts, delta,
-  seed)`` derivable from the declarative task alone;
-* :class:`~repro.results.smr_record.SmrRecord` — the multi-decree
-  counterpart (per-command latencies, learned prefix lengths, replica
-  digests, resolved environment), sharing the same content-key shape and
-  store backends (serialized with ``"kind": "smr"``;
-  :func:`~repro.results.record.decode_record_dict` dispatches);
-* :class:`~repro.results.record.RecordBase` — the envelope both record
-  kinds share: ``from_task``, the environment view, canonical JSON, and the
-  kind and schema-version check that makes each class refuse the other
-  kind's records;
+* :class:`~repro.results.record.RecordBase` — the one record envelope: a
+  stable content key ``(protocol, workload, env-hash, n, ts, delta, seed)``
+  derivable from the declarative task alone, the tags, a metrics digest and
+  the schema version around the run's outcome dataclass
+  (``record.outcome``), whose declared fields drive the JSON encoding, the
+  decoding and :meth:`~repro.results.record.RecordBase.to_outcome`;
+* its kinds — :class:`~repro.results.record.RunRecord` (a
+  :class:`~repro.consensus.values.RunOutcome`) and
+  :class:`~repro.results.smr_record.SmrRecord` (an
+  :class:`~repro.smr.outcome.SmrOutcome`, serialized with ``"kind":
+  "smr"``) — each a short declaration registered in the kind table that
+  :func:`~repro.results.record.record_for_task` and
+  :func:`~repro.results.record.decode_record_dict` dispatch on; a class
+  refuses the other kind's records;
 * :class:`~repro.results.store.ResultStore` — the backend contract, with
   :class:`~repro.results.store.MemoryStore`,
   :class:`~repro.results.store.JsonlStore` (append-only log + atomic
@@ -36,23 +37,24 @@ already present under a task's content key instead of running it, which is what 
 Schema-version policy
 =====================
 
-``RunRecord.schema_version`` (currently
-:data:`~repro.results.record.SCHEMA_VERSION` = 1) is a single integer
-bumped whenever the serialized shape changes incompatibly.  The contract:
+``schema_version`` (currently :data:`~repro.results.record.SCHEMA_VERSION`
+= 1, shared by every record kind) is a single integer bumped whenever the
+serialized shape changes incompatibly.  The contract:
 
 * **Writers** always emit the current version; stores never rewrite old
   records in place.
-* **Readers** accept any version ``<=`` the current one —
-  ``RunRecord.from_dict`` is responsible for upgrading older shapes as
-  versions are added (missing-field defaults cover additive changes
-  without a bump) — and raise
+* **Readers** accept any version ``<=`` the current one and raise
   :class:`~repro.errors.ResultSchemaError` on versions *newer* than they
-  understand, rather than guessing.
+  understand (or on anything but an integer), rather than guessing.  Only
+  version 1 exists, so no upgrade path is written yet: additive changes
+  need no bump, because an outcome field with a default that a stored
+  record lacks decodes to that default.  A bump must add the upgrade to
+  :meth:`~repro.results.record.RecordBase.from_dict`.
 * **Content keys** embed the schema version in the hashed fingerprint, so
   a record written under an incompatible schema never masquerades as a
   cache hit for a task keyed under the current one.
 * Values that JSON cannot represent faithfully are rejected with
-  :class:`~repro.errors.ResultSchemaError` (naming the offending keys)
+  :class:`~repro.errors.ResultSchemaError` (naming each offending value)
   when the record is built — never silently coerced at read time.
 """
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.stats import summarize
-from repro.results.record import RunRecord
+from repro.errors import ResultSchemaError
+from repro.results.record import RecordBase, RunRecord
 
 __all__ = [
     "LagAggregate",
@@ -30,20 +31,29 @@ __all__ = [
 ]
 
 
-def result_set_of(records: Iterable[RunRecord]):
-    """Lift records into a :class:`~repro.harness.experiment.ResultSet`.
+def result_set_of(records: Iterable[RecordBase]):
+    """Lift run records into a :class:`~repro.harness.experiment.ResultSet`.
 
     Each record becomes a :class:`~repro.harness.experiment.ResultRow` whose
     task is rebuilt from the record's stored identity and tags, so tag
     filtering, ``group_by``, and
     :meth:`~repro.harness.tables.ExperimentTable.from_result_set` behave
-    exactly as they do on a freshly executed set.
+    exactly as they do on a freshly executed set.  The rows are single-decree
+    :class:`~repro.harness.executors.RunTask` rows, so a record of another
+    kind raises :class:`~repro.errors.ResultSchemaError` rather than becoming
+    a mislabelled row.
     """
     from repro.harness.executors import RunTask
     from repro.harness.experiment import ResultRow, ResultSet
 
     rows = []
     for record in records:
+        if record.kind != RunRecord.kind:
+            raise ResultSchemaError(
+                f"record {record.key!r} is a {record.kind!r} record; a ResultSet holds "
+                "single-decree run records only — use query_records() for mixed "
+                "stores, or pass protocol= to select run records"
+            )
         task = RunTask(
             protocol=record.protocol,
             workload=record.workload,
@@ -76,9 +86,9 @@ class LagAggregate:
 GroupKey = Tuple[str, str]
 
 
-def lag_aggregates(records: Iterable[RunRecord]) -> Dict[GroupKey, LagAggregate]:
+def lag_aggregates(records: Iterable[RecordBase]) -> Dict[GroupKey, LagAggregate]:
     """Per (protocol, workload) decision-lag aggregates, in first-seen order."""
-    groups: Dict[GroupKey, List[RunRecord]] = {}
+    groups: Dict[GroupKey, List[RecordBase]] = {}
     for record in records:
         groups.setdefault((record.protocol, record.workload), []).append(record)
     aggregates: Dict[GroupKey, LagAggregate] = {}
@@ -97,7 +107,7 @@ def lag_aggregates(records: Iterable[RunRecord]) -> Dict[GroupKey, LagAggregate]
 
 
 def diff_aggregates(
-    a: Iterable[RunRecord], b: Iterable[RunRecord]
+    a: Iterable[RecordBase], b: Iterable[RecordBase]
 ) -> List[Dict[str, Any]]:
     """Compare two stores' decision-lag aggregates group by group.
 
@@ -153,7 +163,7 @@ _CSV_COLUMNS = (
 )
 
 
-def export_csv(records: Iterable[RunRecord]) -> str:
+def export_csv(records: Iterable[RecordBase]) -> str:
     """Flat per-run CSV of the identity columns plus the metrics digest."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -171,14 +181,14 @@ def export_csv(records: Iterable[RunRecord]) -> str:
                 record.metrics.get("decided"),
                 record.metrics.get("all_decided"),
                 record.lag_delta,
-                record.messages_sent,
-                record.messages_delivered,
-                record.duration,
+                record.outcome.messages_sent,
+                record.outcome.messages_delivered,
+                record.outcome.duration,
             ]
         )
     return buffer.getvalue()
 
 
-def export_json(records: Iterable[RunRecord], indent: Optional[int] = 2) -> str:
+def export_json(records: Iterable[RecordBase], indent: Optional[int] = 2) -> str:
     """Full-fidelity JSON array of every record's serialized form."""
     return json.dumps([record.to_dict() for record in records], indent=indent, sort_keys=True)

@@ -1,56 +1,55 @@
-"""Schema-versioned run records: the canonical serialized form of a run.
+"""Schema-versioned records: the canonical serialized form of a run.
 
-A :class:`RunRecord` freezes everything one executed run produced — the
-condensed :class:`~repro.consensus.values.RunOutcome`, the resolved
-environment, the experiment tags, and a small metrics digest — as plain,
-JSON-representable data under an explicit schema version.  Records
-round-trip exactly (``RunRecord.from_dict(record.to_dict()) == record``)
-and carry a *content key* naming the run's identity::
+:class:`RecordBase` is the one record envelope — content key, workload,
+tags, a small metrics digest and the schema version — around the run's
+outcome dataclass, ``record.outcome``.  A kind is a subclass naming its
+outcome type and the codecs that carry the outcome's fields through JSON:
+:class:`RunRecord` wraps a :class:`~repro.consensus.values.RunOutcome`,
+:class:`~repro.results.smr_record.SmrRecord` an
+:class:`~repro.smr.outcome.SmrOutcome`.  Records round-trip exactly, and
+since simulations are seeded and deterministic, :meth:`RecordBase.to_outcome`
+is a faithful substitute for re-running the task.  The content key names
+the run's identity::
 
     <protocol>/<workload>/<env-hash>/n<n>-ts<ts>-d<delta>-s<seed>
 
-The readable components come straight from the run configuration; the
 ``env-hash`` is a SHA-256 digest of the task's canonical fingerprint (its
 normalized workload and protocol keyword arguments, resolved environment
 included), so two tasks share a key exactly when they would execute the
-same run.  Keys are derivable from a :class:`~repro.harness.executors.RunTask`
-*before* execution (:func:`content_key_for_task`), which is what lets a
-store answer "has this run already happened?" and makes campaigns
-resumable.
-
-Simulations are seeded and deterministic, so a record is a faithful
-substitute for re-running its task: :meth:`RunRecord.to_outcome` rebuilds
-the exact :class:`RunOutcome` the executor would have produced, integer
-mapping keys and tuple-valued extras restored by dedicated codecs.
+same run.  Keys derive from the declarative task *before* execution
+(:func:`content_key_for_task`), which is what makes campaigns resumable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.consensus.values import DecisionOutcome, RunOutcome, json_safe
 from repro.errors import ResultSchemaError
 
 __all__ = [
+    "EXACT",
+    "PLAIN",
     "SCHEMA_VERSION",
+    "TUPLES",
+    "Codec",
     "RecordBase",
     "RunRecord",
+    "by_pid",
     "content_key_for_task",
     "decode_record_dict",
     "decode_record_json",
+    "extra",
     "record_for_task",
+    "rows",
+    "sequence",
     "task_fingerprint",
 ]
 
 SCHEMA_VERSION = 1
-
-# ``extra`` keys whose values need a codec to survive JSON (tuples inside
-# lists, integer mapping keys).  Everything else must already be plain data —
-# RunOutcome.validate_extra enforces that when a record is built.
-_EXTRA_CODEC_KEYS = ("restart_events", "restart_lags")
 
 
 def _fingerprint_value(value: Any, where: str) -> Any:
@@ -169,66 +168,133 @@ def content_key_for_task(task: Any) -> str:
     )
 
 
-def _round_trippable(value: Any) -> bool:
-    """Whether JSON reproduces ``value`` exactly (tuples and sets do not)."""
+class Codec(NamedTuple):
+    """How one field that is not a plain scalar crosses JSON.
+
+    ``encode(value, where, offenders)`` returns fresh JSON data, noting in
+    ``offenders`` (named from ``where``) each value JSON would not give back
+    exactly; ``decode(data)`` rebuilds a fresh in-memory value.
+    """
+
+    encode: Callable[[Any, str, List[str]], Any]
+    decode: Callable[[Any], Any]
+
+
+def _exact(value: Any, where: str, offenders: List[str]) -> Any:
+    if type(value) in (str, int, bool, type(None)):  # the common case, exact as is
+        return value
     try:
-        return json_safe(value) == value
-    except ResultSchemaError:
-        return False
+        plain = json_safe(value, where)
+    except ResultSchemaError as error:
+        offenders.append(str(error))
+        return None
+    if plain != value:
+        offenders.append(f"{where}: {value!r} would come back as {plain!r}")
+    return plain
 
 
-def _consensus_value_offenders(outcome: RunOutcome) -> list:
-    """Decision/proposal values JSON cannot reproduce exactly, by owner."""
-    offenders = []
-    for decision in outcome.decisions:
-        if not _round_trippable(decision.value):
-            offenders.append(f"decision value of p{decision.pid} ({decision.value!r})")
-    for pid, value in outcome.proposals.items():
-        if not _round_trippable(value):
-            offenders.append(f"proposal of p{pid} ({value!r})")
-    return offenders
+PLAIN = Codec(lambda value, where, offenders: value, lambda data: data)
+"""Scalars of a declared type (ids, times, counts): passed through unchecked."""
+
+EXACT = Codec(_exact, lambda data: data)
+"""Free-form plain data (decision values, ``extra`` entries): JSON must give it back exactly."""
 
 
-def _encode_decision(decision: DecisionOutcome) -> Dict[str, Any]:
-    return {
-        "pid": decision.pid,
-        "value": decision.value,
-        "time": decision.time,
-        "after_stability": decision.after_stability,
-    }
+def sequence(kind: Callable[[Any], Any]) -> Codec:
+    """A list or tuple of scalars, stored as a JSON list and rebuilt by ``kind``."""
+    return Codec(lambda value, where, offenders: list(value), kind)
 
 
-def _decode_decision(data: Mapping[str, Any]) -> DecisionOutcome:
-    return DecisionOutcome(
-        pid=data["pid"],
-        value=data["value"],
-        time=data["time"],
-        after_stability=data["after_stability"],
+TUPLES = Codec(
+    lambda value, where, offenders: [list(item) for item in value],
+    lambda data: [tuple(item) for item in data],
+)
+"""A list of tuples (``restart_events``' ``(time, pid)`` pairs), stored as nested lists."""
+
+
+def by_pid(values: Codec = PLAIN) -> Codec:
+    """A mapping keyed by process id (JSON keys are strings); offenders are named ``<field>[p<pid>]``."""
+    encode, decode = values
+    return Codec(
+        lambda value, where, offenders: {
+            str(pid): encode(item, f"{where}[p{pid}]", offenders) for pid, item in value.items()
+        },
+        lambda data: {int(pid): decode(item) for pid, item in data.items()},
     )
 
 
-def _encode_extra(extra: Mapping[str, Any]) -> Dict[str, Any]:
-    encoded: Dict[str, Any] = {}
-    for key, value in extra.items():
-        if key == "restart_events":
-            encoded[key] = [[time, pid] for time, pid in value]
-        elif key == "restart_lags":
-            encoded[key] = {str(pid): lag for pid, lag in value.items()}
-        else:
-            encoded[key] = json_safe(value, f"extra[{key!r}]")
-    return encoded
+def extra(**codecs: Codec) -> Codec:
+    """A string-keyed mapping of free-form values, except the keys given their own codec."""
+
+    def encode(value: Mapping[str, Any], where: str, offenders: List[str]) -> Dict[str, Any]:
+        return {
+            key: codecs.get(key, EXACT).encode(item, f"{where}[{key!r}]", offenders)
+            for key, item in value.items()
+        }
+
+    def decode(data: Mapping[str, Any]) -> Dict[str, Any]:
+        return {key: codecs.get(key, EXACT).decode(item) for key, item in data.items()}
+
+    return Codec(encode, decode)
 
 
-def _decode_extra(extra: Mapping[str, Any]) -> Dict[str, Any]:
-    decoded: Dict[str, Any] = {}
-    for key, value in extra.items():
-        if key == "restart_events":
-            decoded[key] = [(time, pid) for time, pid in value]
-        elif key == "restart_lags":
-            decoded[key] = {int(pid): lag for pid, lag in value.items()}
-        else:
-            decoded[key] = value
-    return decoded
+Schema = Tuple[Tuple[str, ...], Tuple[Tuple[str, Codec], ...]]
+
+
+def _schema_of(cls: type, codecs: Mapping[str, Codec]) -> Schema:
+    """The plain and the coded fields of ``cls``; plain ones skip the (costly) codec calls."""
+    names = [item.name for item in fields(cls)]
+    unknown = sorted(set(codecs) - set(names))
+    if unknown:
+        raise TypeError(f"codecs name fields {cls.__name__} does not declare: {unknown}")
+    return (
+        tuple(name for name in names if name not in codecs),
+        tuple((name, codecs[name]) for name in names if name in codecs),
+    )
+
+
+def _encode_fields(schema: Schema, obj: Any, prefix: str, offenders: List[str]) -> Dict[str, Any]:
+    plain, coded = schema
+    data = {name: getattr(obj, name) for name in plain}
+    for name, codec in coded:
+        data[name] = codec.encode(getattr(obj, name), prefix + name, offenders)
+    return data
+
+
+def _decode_fields(schema: Schema, data: Mapping[str, Any]) -> Dict[str, Any]:
+    """Keyword arguments for the fields present in ``data``; absent ones keep their defaults."""
+    plain, coded = schema
+    kwargs = {name: data[name] for name in plain if name in data}
+    for name, codec in coded:
+        if name in data:
+            kwargs[name] = codec.decode(data[name])
+    return kwargs
+
+
+def rows(
+    row_type: type,
+    codecs: Mapping[str, Codec],
+    label: Callable[[Any], str],
+    keyed_by: Optional[str] = None,
+) -> Codec:
+    """Dataclass rows, stored as a list of JSON objects.
+
+    In memory the rows are a list, or a dict keyed by the row field
+    ``keyed_by``; ``label(row)`` names a row in offender notes.
+    """
+    schema = _schema_of(row_type, codecs)
+
+    def encode(value: Any, where: str, offenders: List[str]) -> List[Dict[str, Any]]:
+        return [
+            _encode_fields(schema, row, f"{where}[{label(row)}].", offenders)
+            for row in (value.values() if keyed_by else value)
+        ]
+
+    def decode(data: List[Mapping[str, Any]]) -> Any:
+        built = [row_type(**_decode_fields(schema, item)) for item in data]
+        return {getattr(row, keyed_by): row for row in built} if keyed_by else built
+
+    return Codec(encode, decode)
 
 
 def _load_json_object(text: str) -> Dict[str, Any]:
@@ -241,19 +307,73 @@ def _load_json_object(text: str) -> Dict[str, Any]:
     return data
 
 
-class RecordBase:
-    """The envelope both record kinds share.
+def _outcome_view(name: str) -> property:
+    """A read-only view of one identity field of ``record.outcome``."""
+    return property(lambda record: getattr(record.outcome, name))
 
-    A subclass is a frozen dataclass declaring its payload fields (``key``,
-    ``workload``, ``tags``, ``extra`` and ``schema_version`` among them) plus
-    ``from_outcome``, ``to_outcome``, ``to_dict`` and ``from_dict``; this
-    base adds the task-keyed constructor, the environment view, the
-    canonical JSON form, and the envelope check every ``from_dict`` starts
-    with.  ``kind`` is the record's ``"kind"`` marker; single-decree records
-    are written without one.
+
+@dataclass(frozen=True)
+class RecordBase:
+    """The one record envelope: identity and digest around a run's outcome.
+
+    ``outcome`` is the record's own copy of the executor's outcome: read it,
+    and mutate only what :meth:`to_outcome` hands out.  A kind is a subclass
+    declaring ``kind`` (its ``"kind"`` marker; run records predate the
+    marker and are written without one), ``outcome_type`` (a dataclass with
+    ``protocol``, ``n``, ``ts``, ``delta``, ``seed``, ``extra``,
+    ``messages_sent``, ``messages_delivered`` and ``duration``), ``codecs``
+    (for its fields that are not plain scalars), ``digest(outcome)`` (the
+    metrics dict) and ``describe()``.  The serialized form is flat: the
+    outcome's fields with the envelope's on top, so an outcome field named
+    like an envelope field (the SMR outcome's ``workload``) takes its value.
     """
 
-    kind = "run"
+    key: str
+    workload: str
+    outcome: Any
+    tags: Mapping[str, Any] = field(default_factory=dict)
+    metrics: Mapping[str, Any] = field(default_factory=dict)
+    schema_version: int = SCHEMA_VERSION
+
+    kind: ClassVar[str]
+    outcome_type: ClassVar[type]
+    codecs: ClassVar[Mapping[str, Codec]] = {}
+    lag_metric: ClassVar[str] = "lag_delta"
+    kinds: ClassVar[Dict[str, type]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Once per kind: campaign resume encodes and decodes every run.
+        cls._schema = _schema_of(cls.outcome_type, cls.codecs)
+        RecordBase.kinds[cls.kind] = cls
+
+    # -- construction -------------------------------------------------------
+    @classmethod
+    def from_outcome(
+        cls,
+        outcome: Any,
+        *,
+        workload: str,
+        key: str,
+        tags: Optional[Mapping[str, Any]] = None,
+    ) -> Any:
+        """Freeze one executed outcome under the given identity.
+
+        A resumed run must equal a fresh one, so this raises
+        :class:`~repro.errors.ResultSchemaError` naming every value JSON
+        cannot reproduce exactly (an opaque ``extra`` entry, a tuple
+        decision value that would come back as a list).
+        """
+        data = cls._encode_outcome(outcome, workload)
+        data["workload"] = workload
+        frozen = cls._decode_outcome(data)
+        return cls(
+            key=key,
+            workload=workload,
+            outcome=frozen,
+            tags=json_safe(dict(tags or {}), "tags"),
+            metrics=cls.digest(frozen),
+        )
 
     @classmethod
     def from_task(cls, task: Any, outcome: Any, key: Optional[str] = None) -> Any:
@@ -265,21 +385,64 @@ class RecordBase:
             tags=task.tags,
         )
 
+    # -- identity views -----------------------------------------------------
+    protocol = _outcome_view("protocol")
+    n = _outcome_view("n")
+    ts = _outcome_view("ts")
+    delta = _outcome_view("delta")
+    seed = _outcome_view("seed")
+
     @property
     def environment(self) -> Optional[Mapping[str, Any]]:
         """The resolved environment spec this run executed under, if any."""
-        return self.extra.get("environment")
+        return self.outcome.extra.get("environment")
+
+    @property
+    def lag_delta(self) -> Optional[float]:
+        """The kind's headline lag in delta units (``metrics[lag_metric]``)."""
+        return self.metrics.get(self.lag_metric)
+
+    # -- reconstruction and serialization -----------------------------------
+    @classmethod
+    def _encode_outcome(cls, outcome: Any, workload: str) -> Dict[str, Any]:
+        offenders: List[str] = []
+        data = _encode_fields(cls._schema, outcome, "", offenders)
+        if offenders:
+            raise ResultSchemaError(
+                f"{type(outcome).__name__} of {outcome.protocol!r} on {workload!r} carries "
+                f"values JSON cannot reproduce exactly: {'; '.join(offenders)}; "
+                "use scalar / list / string-keyed-dict values"
+            )
+        return data
+
+    @classmethod
+    def _decode_outcome(cls, data: Mapping[str, Any]) -> Any:
+        return cls.outcome_type(**_decode_fields(cls._schema, data))
+
+    def to_outcome(self) -> Any:
+        """A fresh copy of the exact outcome the executor produced for this run."""
+        return self._decode_outcome(self._encode_outcome(self.outcome, self.workload))
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = self._encode_outcome(self.outcome, self.workload)
+        data.update(
+            schema_version=self.schema_version,
+            key=self.key,
+            protocol=self.protocol,
+            workload=self.workload,
+            tags=dict(self.tags),
+            metrics=dict(self.metrics),
+        )
+        if self.kind != "run":
+            data["kind"] = self.kind
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> Any:
-        return cls.from_dict(_load_json_object(text))
-
-    @classmethod
-    def _check_envelope(cls, data: Mapping[str, Any]) -> int:
-        """Reject another kind's record or an unreadable schema; return the version."""
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Decode this kind's serialized form; another kind or an unreadable schema is refused."""
         kind = data.get("kind", "run")
         if kind != cls.kind:
             raise ResultSchemaError(
@@ -287,7 +450,8 @@ class RecordBase:
                 f"{cls.kind!r}); use decode_record_dict for mixed stores"
             )
         version = data.get("schema_version")
-        if not isinstance(version, int) or version < 1:
+        # type() rather than isinstance(): ``true`` is an int to isinstance.
+        if type(version) is not int or version < 1:
             raise ResultSchemaError(
                 f"record has no valid schema_version (got {version!r}); "
                 "not a repro results record"
@@ -297,214 +461,80 @@ class RecordBase:
                 f"record schema_version {version} is newer than this library's "
                 f"{SCHEMA_VERSION}; upgrade to read this store"
             )
-        return version
+        try:
+            return cls(
+                key=data["key"],
+                workload=data["workload"],
+                outcome=cls._decode_outcome(data),
+                tags=dict(data.get("tags", {})),
+                metrics=dict(data.get("metrics", {})),
+                schema_version=version,
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise ResultSchemaError(f"malformed {cls.kind} record dict: {error!r}") from error
 
-
-@dataclass(frozen=True)
-class RunRecord(RecordBase):
-    """One run, frozen as schema-versioned plain data.
-
-    Everything here is JSON-representable; ``decisions`` keep their
-    :class:`DecisionOutcome` form in memory (serialized by
-    :meth:`to_dict`) so equality and analysis work on the natural types.
-    """
-
-    key: str
-    protocol: str
-    workload: str
-    n: int
-    ts: float
-    delta: float
-    seed: int
-    decisions: Tuple[DecisionOutcome, ...] = ()
-    proposals: Mapping[int, Any] = field(default_factory=dict)
-    undecided_pids: Tuple[int, ...] = ()
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    duration: float = 0.0
-    tags: Mapping[str, Any] = field(default_factory=dict)
-    extra: Mapping[str, Any] = field(default_factory=dict)
-    metrics: Mapping[str, Any] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
-
-    # -- construction -------------------------------------------------------
     @classmethod
-    def from_outcome(
-        cls,
-        outcome: RunOutcome,
-        *,
-        workload: str,
-        key: str,
-        tags: Optional[Mapping[str, Any]] = None,
-    ) -> "RunRecord":
-        """Freeze one executed outcome under the given identity.
+    def from_json(cls, text: str) -> Any:
+        return cls.from_dict(_load_json_object(text))
 
-        Raises :class:`~repro.errors.ResultSchemaError` listing every
-        ``extra`` key whose value JSON cannot represent — an outcome with
-        opaque extras must fail at record time, not at query time.  The
-        same strictness applies to decision and proposal values: a value
-        JSON cannot reproduce *exactly* (a tuple, say, which would come
-        back as a list) is rejected rather than silently coerced, because a
-        resumed run must equal a fresh one.
-        """
-        offending = outcome.validate_extra(codec_keys=_EXTRA_CODEC_KEYS)
-        if offending:
-            raise ResultSchemaError(
-                f"RunOutcome.extra of {outcome.protocol!r} on {workload!r} carries "
-                f"non-JSON-safe values under keys: {', '.join(sorted(offending))}"
-            )
-        value_offenders = _consensus_value_offenders(outcome)
-        if value_offenders:
-            raise ResultSchemaError(
-                f"RunOutcome of {outcome.protocol!r} on {workload!r} carries consensus "
-                f"values JSON cannot reproduce exactly: {'; '.join(value_offenders)}; "
-                "use scalar / list / string-keyed-dict values"
-            )
+
+class RunRecord(RecordBase):
+    """One single-decree run: the envelope around a :class:`RunOutcome`."""
+
+    kind = "run"
+    outcome_type = RunOutcome
+    codecs = {
+        "decisions": rows(DecisionOutcome, {"value": EXACT}, label=lambda row: f"p{row.pid}"),
+        "proposals": by_pid(EXACT),
+        "undecided_pids": sequence(list),
+        "extra": extra(restart_events=TUPLES, restart_lags=by_pid()),
+    }
+
+    @staticmethod
+    def digest(outcome: RunOutcome) -> Dict[str, Any]:
         lag = outcome.extra.get("max_lag_after_ts")
-        metrics = {
+        return {
             "max_lag_after_ts": lag,
             "lag_delta": (lag / outcome.delta) if lag is not None else None,
             "decided": len(outcome.decisions),
             "all_decided": outcome.all_decided,
             "safety_valid": outcome.extra.get("safety_valid"),
         }
-        return cls(
-            key=key,
-            protocol=outcome.protocol,
-            workload=workload,
-            n=outcome.n,
-            ts=outcome.ts,
-            delta=outcome.delta,
-            seed=outcome.seed,
-            decisions=tuple(outcome.decisions),
-            proposals=dict(outcome.proposals),
-            undecided_pids=tuple(outcome.undecided_pids),
-            messages_sent=outcome.messages_sent,
-            messages_delivered=outcome.messages_delivered,
-            duration=outcome.duration,
-            tags=json_safe(dict(tags or {}), "tags"),
-            extra=_decode_extra(_encode_extra(outcome.extra)),
-            metrics=metrics,
-        )
 
-    # -- derived views ------------------------------------------------------
-    @property
-    def lag_delta(self) -> Optional[float]:
-        return self.metrics.get("lag_delta")
-
-    # -- reconstruction -----------------------------------------------------
-    def to_outcome(self) -> RunOutcome:
-        """Rebuild the exact outcome the executor produced for this run."""
-        return RunOutcome(
-            protocol=self.protocol,
-            n=self.n,
-            ts=self.ts,
-            delta=self.delta,
-            seed=self.seed,
-            decisions=[_decode_decision(_encode_decision(d)) for d in self.decisions],
-            proposals=dict(self.proposals),
-            undecided_pids=list(self.undecided_pids),
-            messages_sent=self.messages_sent,
-            messages_delivered=self.messages_delivered,
-            duration=self.duration,
-            extra=_decode_extra(_encode_extra(self.extra)),
-        )
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "key": self.key,
-            "protocol": self.protocol,
-            "workload": self.workload,
-            "n": self.n,
-            "ts": self.ts,
-            "delta": self.delta,
-            "seed": self.seed,
-            "decisions": [_encode_decision(d) for d in self.decisions],
-            "proposals": {str(pid): value for pid, value in self.proposals.items()},
-            "undecided_pids": list(self.undecided_pids),
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "duration": self.duration,
-            "tags": dict(self.tags),
-            "extra": _encode_extra(self.extra),
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        version = cls._check_envelope(data)
-        try:
-            return cls(
-                key=data["key"],
-                protocol=data["protocol"],
-                workload=data["workload"],
-                n=data["n"],
-                ts=data["ts"],
-                delta=data["delta"],
-                seed=data["seed"],
-                decisions=tuple(_decode_decision(d) for d in data.get("decisions", ())),
-                proposals={int(pid): value for pid, value in data.get("proposals", {}).items()},
-                undecided_pids=tuple(data.get("undecided_pids", ())),
-                messages_sent=data.get("messages_sent", 0),
-                messages_delivered=data.get("messages_delivered", 0),
-                duration=data.get("duration", 0.0),
-                tags=dict(data.get("tags", {})),
-                extra=_decode_extra(data.get("extra", {})),
-                metrics=dict(data.get("metrics", {})),
-                schema_version=version,
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ResultSchemaError(f"malformed record dict: {error!r}") from error
-
-    # -- reporting ----------------------------------------------------------
     def describe(self) -> str:
         lag = self.lag_delta
         lag_text = f"{lag:.3f}d" if lag is not None else "n/a"
         return (
-            f"{self.key}  decided={len(self.decisions)}/{self.n} "
-            f"lag={lag_text} msgs={self.messages_sent}"
+            f"{self.key}  decided={len(self.outcome.decisions)}/{self.n} "
+            f"lag={lag_text} msgs={self.outcome.messages_sent}"
         )
 
 
+def _record_class(kind: str) -> Any:
+    try:
+        return RecordBase.kinds[kind]
+    except KeyError:
+        known = ", ".join(repr(name) for name in RecordBase.kinds)
+        raise ResultSchemaError(
+            f"unknown record kind {kind!r}; this library understands {known}"
+        ) from None
+
+
 def record_for_task(task: Any, outcome: Any, key: Optional[str] = None) -> Any:
-    """Freeze one (task, outcome) pair into the record type matching the task.
-
-    The single polymorphic entry point the store-backed harness paths use:
-    :class:`~repro.harness.executors.RunTask` → :class:`RunRecord`,
-    :class:`~repro.harness.executors.SmrTask` →
-    :class:`~repro.results.smr_record.SmrRecord`.
-    """
-    if task.kind == "smr":
-        from repro.results.smr_record import SmrRecord
-
-        return SmrRecord.from_task(task, outcome, key=key)
-    return RunRecord.from_task(task, outcome, key=key)
+    """Freeze one (task, outcome) pair into the record kind matching ``task.kind``."""
+    return _record_class(task.kind).from_task(task, outcome, key=key)
 
 
 def decode_record_dict(data: Mapping[str, Any]) -> Any:
-    """Decode a serialized record of either kind.
+    """Decode a serialized record of any kind, dispatching on its ``"kind"`` marker.
 
-    Dispatches on the ``"kind"`` marker: ``"smr"`` →
-    :class:`~repro.results.smr_record.SmrRecord`, absent (or ``"run"``) →
-    :class:`RunRecord` — pre-SMR stores carry no marker, so they decode
-    unchanged.
+    Run records carry no marker (they predate it), so they decode unchanged.
     """
     if not isinstance(data, Mapping):
         raise ResultSchemaError("record JSON must be an object")
-    kind = data.get("kind", "run")
-    if kind == "smr":
-        from repro.results.smr_record import SmrRecord
-
-        return SmrRecord.from_dict(data)
-    if kind == "run":
-        return RunRecord.from_dict(data)
-    raise ResultSchemaError(
-        f"unknown record kind {kind!r}; this library understands 'run' and 'smr'"
-    )
+    return _record_class(data.get("kind", "run")).from_dict(data)
 
 
 def decode_record_json(text: str) -> Any:
-    """Decode one serialized record line/payload of either kind."""
+    """Decode one serialized record line/payload of any kind."""
     return decode_record_dict(_load_json_object(text))

@@ -31,7 +31,7 @@ import tempfile
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ResultSchemaError, ResultStoreError
-from repro.results.record import SCHEMA_VERSION, RunRecord, decode_record_json
+from repro.results.record import SCHEMA_VERSION, RecordBase, decode_record_json
 
 __all__ = [
     "JsonlStore",
@@ -41,7 +41,7 @@ __all__ = [
     "open_store",
 ]
 
-Where = Callable[[RunRecord], bool]
+Where = Callable[[RecordBase], bool]
 
 _INDEX_SCHEMA = f"repro-results-index/{SCHEMA_VERSION}"
 
@@ -67,16 +67,16 @@ class ResultStore:
     backend = "abstract"
 
     # -- core map protocol --------------------------------------------------
-    def put(self, record: RunRecord) -> None:
+    def put(self, record: RecordBase) -> None:
         raise NotImplementedError
 
-    def get(self, key: str) -> Optional[RunRecord]:
+    def get(self, key: str) -> Optional[RecordBase]:
         raise NotImplementedError
 
     def keys(self) -> List[str]:
         raise NotImplementedError
 
-    def records(self) -> Iterator[RunRecord]:
+    def records(self) -> Iterator[RecordBase]:
         raise NotImplementedError
 
     def __contains__(self, key: str) -> bool:
@@ -85,7 +85,7 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def __iter__(self) -> Iterator[RunRecord]:
+    def __iter__(self) -> Iterator[RecordBase]:
         return self.records()
 
     # -- querying -----------------------------------------------------------
@@ -97,7 +97,7 @@ class ResultStore:
         where: Optional[Where] = None,
         tags: Optional[Dict[str, Any]] = None,
         **tag_kwargs: Any,
-    ) -> List[RunRecord]:
+    ) -> List[RecordBase]:
         """Records matching every given filter, in store order.
 
         Tag equality filters come either as keyword arguments
@@ -138,7 +138,7 @@ class ResultStore:
 
     def _scan(
         self, protocol: Optional[str] = None, workload: Optional[str] = None
-    ) -> Iterator[RunRecord]:
+    ) -> Iterator[RecordBase]:
         """Candidate records for a query; backends may pre-filter."""
         return self.records()
 
@@ -174,18 +174,18 @@ class MemoryStore(ResultStore):
     backend = "memory"
 
     def __init__(self) -> None:
-        self._records: Dict[str, RunRecord] = {}
+        self._records: Dict[str, RecordBase] = {}
 
-    def put(self, record: RunRecord) -> None:
+    def put(self, record: RecordBase) -> None:
         self._records[record.key] = record
 
-    def get(self, key: str) -> Optional[RunRecord]:
+    def get(self, key: str) -> Optional[RecordBase]:
         return self._records.get(key)
 
     def keys(self) -> List[str]:
         return list(self._records)
 
-    def records(self) -> Iterator[RunRecord]:
+    def records(self) -> Iterator[RecordBase]:
         return iter(list(self._records.values()))
 
 
@@ -264,7 +264,7 @@ class JsonlStore(ResultStore):
         self._stale = False
         self._dirty = True
 
-    def put(self, record: RunRecord) -> None:
+    def put(self, record: RecordBase) -> None:
         with open(self.path, "ab") as handle:
             offset = handle.tell()
             if offset != self._end:
@@ -275,7 +275,7 @@ class JsonlStore(ResultStore):
         self._offsets[record.key] = offset
         self._dirty = True
 
-    def get(self, key: str) -> Optional[RunRecord]:
+    def get(self, key: str) -> Optional[RecordBase]:
         offset = self._offsets.get(key)
         if offset is None:
             return None
@@ -286,7 +286,7 @@ class JsonlStore(ResultStore):
     def keys(self) -> List[str]:
         return list(self._offsets)
 
-    def records(self) -> Iterator[RunRecord]:
+    def records(self) -> Iterator[RecordBase]:
         if not self._offsets:
             return
         with open(self.path, "rb") as handle:
@@ -364,7 +364,7 @@ class SqliteStore(ResultStore):
         )
         self._connection.commit()
 
-    def put(self, record: RunRecord) -> None:
+    def put(self, record: RecordBase) -> None:
         # One upsert per put: re-putting a key overwrites the payload but
         # keeps the original ordinal, preserving first-insertion order.
         self._connection.execute(
@@ -389,7 +389,7 @@ class SqliteStore(ResultStore):
         )
         self._connection.commit()
 
-    def get(self, key: str) -> Optional[RunRecord]:
+    def get(self, key: str) -> Optional[RecordBase]:
         cursor = self._connection.execute(
             "SELECT payload FROM records WHERE key = ?", (key,)
         )
@@ -400,14 +400,14 @@ class SqliteStore(ResultStore):
         cursor = self._connection.execute("SELECT key FROM records ORDER BY ordinal")
         return [row[0] for row in cursor.fetchall()]
 
-    def records(self) -> Iterator[RunRecord]:
+    def records(self) -> Iterator[RecordBase]:
         cursor = self._connection.execute("SELECT payload FROM records ORDER BY ordinal")
         for (payload,) in cursor:
             yield decode_record_json(payload)
 
     def _scan(
         self, protocol: Optional[str] = None, workload: Optional[str] = None
-    ) -> Iterator[RunRecord]:
+    ) -> Iterator[RecordBase]:
         clauses, args = [], []
         if protocol is not None:
             clauses.append("protocol = ?")

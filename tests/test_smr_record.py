@@ -11,6 +11,7 @@ holds SMR and single-decree records side by side.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -284,6 +285,17 @@ class TestMixedStores:
         by_workload = store.query_records(workload="smr-stable")
         assert len(by_workload) == 1
         store.close()
+
+    def test_query_refuses_smr_records(self, records):
+        """query() lifts run rows only; an SMR record raises instead of becoming a run row."""
+        store = MemoryStore()
+        for record in records:
+            store.put(record)
+        rows = store.query(protocol="modified-paxos")
+        assert [(row.task.kind, row.task.protocol) for row in rows] == [("run", "modified-paxos")]
+        with pytest.raises(ResultSchemaError, match=re.escape(records[0].key)) as excinfo:
+            store.query()
+        assert "query_records()" in str(excinfo.value)
 
     def test_lag_aggregates_include_smr_groups(self, records):
         from repro.results.query import lag_aggregates

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.report import render_record_report, render_smr_record_report
+from repro.analysis.report import render_record_report
 from repro.consensus.registry import default_registry
 from repro.consensus.values import RunOutcome
 from repro.env.registry import default_environment_registry
@@ -310,10 +310,9 @@ class TestRecordBase:
 
     def test_reports_of_both_kinds_open_with_the_same_header(self):
         reports = []
-        for task, render in ((run_task(), render_record_report),
-                             (smr_task(), render_smr_record_report)):
+        for task in (run_task(), smr_task()):
             record = record_for_task(task, task.execute())
-            lines = render(record).splitlines()
+            lines = render_record_report(record).splitlines()
             assert lines[0].endswith(record.key)
             assert lines[1].startswith(f"  identity: protocol={record.protocol} ")
             assert lines[2] == "  tags: seed=1"
