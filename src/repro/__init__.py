@@ -46,15 +46,24 @@ it (see :mod:`repro.results`)::
     with open_store("runs.jsonl") as store:
         print(store.query(protocol="modified-paxos").summary(lag_delta))
 
-``python -m repro list-workloads`` and ``python -m repro list-protocols``
-print everything the registries know; ``python -m repro results ls
---store runs.jsonl`` inspects a store.
+Environments.  A run's environment (pre-``TS`` adversary, synchrony, crash
+and restart schedule) is a declarative :class:`EnvironmentSpec`; the named
+ones live in the :mod:`repro.env.registry` catalogue, and
+:func:`named_environment` builds one::
+
+    spec = named_environment("churn", waves=2)
+    scenario = environment_scenario(spec, n=7, seed=3)
+
+``python -m repro list-workloads``, ``python -m repro list-protocols`` and
+``python -m repro list-environments`` print everything the registries and
+the environment catalogue know; ``python -m repro results ls --store
+runs.jsonl`` inspects a store.
 """
 
 from repro._version import __version__
 from repro.consensus.registry import default_registry
 from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.env.registry import EnvironmentRegistry, default_environment_registry
+from repro.env.registry import named_environment
 from repro.env.spec import (
     AdversarySpec,
     EnvironmentSpec,
@@ -111,7 +120,6 @@ from repro.workloads.stable import stable_scenario
 __all__ = [
     "AdversarySpec",
     "CommandSchedule",
-    "EnvironmentRegistry",
     "EnvironmentSpec",
     "Executor",
     "ExperimentSpec",
@@ -145,7 +153,6 @@ __all__ = [
     "content_key_for_task",
     "coordinator_crash_scenario",
     "decision_bound",
-    "default_environment_registry",
     "default_registry",
     "default_workload_registry",
     "environment_scenario",
@@ -153,6 +160,7 @@ __all__ = [
     "lag_delta",
     "lossy_chaos_scenario",
     "make_executor",
+    "named_environment",
     "obsolete_ballot_scenario",
     "open_store",
     "partitioned_chaos_scenario",

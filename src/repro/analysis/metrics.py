@@ -85,13 +85,6 @@ class RunMetrics:
     duration: float = 0.0
     events_processed: int = 0
 
-    def max_lag_in_delta(self, pids: Optional[Iterable[int]] = None) -> Optional[float]:
-        """Worst post-``TS`` decision lag expressed in units of δ."""
-        lag = self.decisions.max_lag_after_ts(pids)
-        if lag is None:
-            return None
-        return lag / self.delta
-
 
 def _max_field(trace: TraceRecorder, event: str, key: str) -> Optional[int]:
     values = [record.fields.get(key) for record in trace.filter(event=event)]

@@ -19,9 +19,11 @@ workload instead runs the multi-decree Modified Paxos service
 (:mod:`repro.smr`) under a uniform command schedule shaped by
 ``--commands`` / ``--command-start`` / ``--command-interval`` /
 ``--target-pid``.  ``run --env`` takes a declarative environment — a name
-from the :class:`~repro.env.registry.EnvironmentRegistry` or an inline
-:class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it as a
-scenario.  ``experiments`` delegates to the campaign runner
+from :data:`~repro.env.registry.ENVIRONMENTS` or an inline
+:class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it through
+the registered ``environment`` workload.  A configuration error, whether
+found while building the scenario or while validating its fault plan,
+prints one line and exits 2.  ``experiments`` delegates to the campaign runner
 (:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
 process pool, ``--store`` streams every run record into a
 :class:`~repro.results.store.ResultStore`, and ``--resume`` loads runs
@@ -40,46 +42,26 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import render_run_report
 from repro.analysis.timeline import render_timelines
 from repro.consensus.registry import default_registry
-from repro.env.registry import default_environment_registry
+from repro.env.registry import ADVERSARY_KINDS, ENVIRONMENTS, FAULT_KINDS, named_environment
 from repro.env.spec import EnvironmentSpec
 from repro.errors import ConfigurationError
 from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
-from repro.workloads.environments import environment_scenario
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
+from repro.workloads.registry import default_workload_registry
 from repro.workloads.smr import is_smr_workload
-from repro.workloads.scenario import Scenario
 
 __all__ = ["main", "build_parser", "WORKLOADS"]
 
 WORKLOADS: List[str] = default_workload_registry().names()
 
 
-def _build_workload(
-    registry: ScenarioRegistry,
-    name: str,
-    n: int,
-    params: TimingParams,
-    ts: Optional[float],
-    seed: int,
-) -> Scenario:
-    kwargs = {"n": n, "params": params, "seed": seed}
-    if ts is not None:
+def _workload_kwargs(args: argparse.Namespace, params: TimingParams) -> Dict[str, object]:
+    kwargs: Dict[str, object] = {"n": args.n, "params": params, "seed": args.seed}
+    if args.ts is not None:
         # Let a workload without a ts knob (e.g. "stable") reject it clearly.
-        kwargs["ts"] = ts
-    return registry.create(name, **kwargs)
-
-
-def _build_environment(
-    env: str, n: int, params: TimingParams, ts: Optional[float], seed: int
-) -> Scenario:
-    """Resolve ``--env`` (a registry name or inline JSON) into a scenario."""
-    if env.lstrip().startswith("{"):
-        spec = EnvironmentSpec.from_json(env)
-    else:
-        spec = default_environment_registry().environment(env)
-    return environment_scenario(spec, n=n, params=params, ts=ts, seed=seed)
+        kwargs["ts"] = args.ts
+    return kwargs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,12 +206,9 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
     from repro.harness.executors import SmrTask
     from repro.smr.workload import ScheduleSpec
 
-    kwargs = {"n": args.n, "params": params, "seed": args.seed}
-    if args.ts is not None:
-        kwargs["ts"] = args.ts
     task = SmrTask(
         workload=args.workload,
-        workload_kwargs=kwargs,
+        workload_kwargs=_workload_kwargs(args, params),
         schedule=ScheduleSpec(
             num_commands=args.commands,
             start=args.command_start,
@@ -276,23 +255,26 @@ def _command_run(args: argparse.Namespace) -> int:
     if protocol not in registry:
         print(f"unknown protocol {protocol!r}; available: {', '.join(registry.names())}")
         return 2
+    kwargs = _workload_kwargs(args, params)
+    workload = args.workload if args.workload is not None else "partitioned-chaos"
     try:
         if args.env is not None:
-            scenario = _build_environment(args.env, args.n, params, args.ts, args.seed)
-        else:
-            workloads = default_workload_registry()
-            workload = args.workload if args.workload is not None else "partitioned-chaos"
-            scenario = _build_workload(workloads, workload, args.n, params, args.ts, args.seed)
+            env = args.env
+            kwargs["env"] = EnvironmentSpec.from_json(env) if env.lstrip().startswith("{") else env
+            workload = "environment"
+        scenario = default_workload_registry().create(workload, **kwargs)
+        # The fault plan is validated against the config when the simulator
+        # is built, so the run itself can still raise a configuration error.
+        result = run_scenario(
+            scenario,
+            protocol,
+            registry=registry,
+            enforce_safety=not args.allow_unsafe,
+            enforce_invariants=not args.allow_unsafe,
+        )
     except ConfigurationError as error:
         print(error)
         return 2
-    result = run_scenario(
-        scenario,
-        protocol,
-        registry=registry,
-        enforce_safety=not args.allow_unsafe,
-        enforce_invariants=not args.allow_unsafe,
-    )
     print(render_run_report(result))
     if args.timeline:
         print()
@@ -329,27 +311,20 @@ def _command_list_workloads(args: argparse.Namespace) -> int:
 
 
 def _command_list_environments(args: argparse.Namespace) -> int:
-    registry = default_environment_registry()
     if args.as_json:
-        for name in registry.names():
+        for name in sorted(ENVIRONMENTS):
             print(f"{name}:")
-            print(registry.environment(name).to_json(indent=2))
+            print(named_environment(name).to_json(indent=2))
             print()
         return 0
-    entries = [(name, registry.entry(name).summary) for name in registry.names()]
     print("environments (run with `repro run --env <name>`):")
-    print(_render_listing(entries))
+    print(_render_listing([(name, ENVIRONMENTS[name][1]) for name in sorted(ENVIRONMENTS)]))
     print()
     print("adversary primitives (compose into EnvironmentSpec JSON):")
-    print(_render_listing(
-        [(kind, registry.adversary_primitive(kind).summary)
-         for kind in registry.adversary_kinds()]
-    ))
+    print(_render_listing([(kind, ADVERSARY_KINDS[kind].summary) for kind in sorted(ADVERSARY_KINDS)]))
     print()
     print("fault-schedule primitives:")
-    print(_render_listing(
-        [(kind, registry.fault_primitive(kind).summary) for kind in registry.fault_kinds()]
-    ))
+    print(_render_listing([(kind, FAULT_KINDS[kind].summary) for kind in sorted(FAULT_KINDS)]))
     return 0
 
 

@@ -5,20 +5,21 @@ delivery, the stabilization time, crash/restart schedules — determines
 consensus latency.  This package makes the environment a first-class,
 serializable value: an :class:`EnvironmentSpec` bundles a synchrony spec, an
 adversary spec (optionally nested), and a fault-schedule spec, all plain
-data that round-trips through JSON; the
-:class:`~repro.env.registry.EnvironmentRegistry` names the available
-primitives and ready-made environments.  Workloads instantiate scenarios
-*from* specs instead of hand-building networks, and every
+data that round-trips through JSON.  :mod:`repro.env.registry` is the
+catalogue: literal tables of adversary kinds, fault kinds and named
+environments, each a single entry.  Workloads instantiate scenarios *from*
+specs instead of hand-building networks, and every
 :class:`~repro.consensus.values.RunOutcome` records the resolved spec so a
 result is reproducible from its own metadata.
 """
 
 from repro.env.registry import (
+    ADVERSARY_KINDS,
+    ENVIRONMENTS,
+    FAULT_KINDS,
     AdversaryPrimitive,
-    EnvironmentRegistry,
     FaultPrimitive,
-    NamedEnvironment,
-    default_environment_registry,
+    named_environment,
 )
 from repro.env.spec import (
     AdversarySpec,
@@ -29,14 +30,15 @@ from repro.env.spec import (
 )
 
 __all__ = [
+    "ADVERSARY_KINDS",
     "AdversaryPrimitive",
     "AdversarySpec",
-    "EnvironmentRegistry",
+    "ENVIRONMENTS",
     "EnvironmentSpec",
+    "FAULT_KINDS",
     "FaultPrimitive",
     "FaultSpec",
-    "NamedEnvironment",
     "PartitionDecl",
     "SynchronySpec",
-    "default_environment_registry",
+    "named_environment",
 ]

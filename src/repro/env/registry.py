@@ -1,12 +1,21 @@
-"""Registry of named environment primitives and complete environments.
+"""The environment catalogue: adversary kinds, fault kinds, named environments.
 
-This mirrors :class:`repro.workloads.registry.ScenarioRegistry`: adversary
-and fault-schedule *primitives* are registered by kind with a parameter
-schema, and complete named *environments* (ready-made
-:class:`~repro.env.spec.EnvironmentSpec` values) are registered by name so
-the CLI (``repro list-environments``, ``repro run --env <name>``), the
-generic ``environment`` workload, and user code all resolve environments
-through one place.
+Three literal tables are the whole catalogue:
+
+* :data:`ADVERSARY_KINDS` maps an adversary kind to its
+  :class:`AdversaryPrimitive` (builder, summary, accepted parameters, and
+  whether it wraps an ``inner`` adversary);
+* :data:`FAULT_KINDS` maps a fault-schedule kind to its
+  :class:`FaultPrimitive`;
+* :data:`ENVIRONMENTS` maps an environment name to its spec factory and
+  summary: the ``repro run --env <name>`` targets, also what the generic
+  ``environment`` workload and ``repro list-environments`` resolve.
+
+A new adversary kind, fault kind or named environment is one table entry
+plus its builder.  :func:`adversary_primitive`, :func:`fault_primitive` and
+:func:`named_environment` look entries up; :func:`checked_adversary` and
+:func:`checked_faults` are the one per-node check that both building and
+validating a spec run.
 
 Parameter conventions shared by every primitive:
 
@@ -22,7 +31,7 @@ Parameter conventions shared by every primitive:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec, PartitionDecl
 from repro.errors import ConfigurationError
@@ -50,11 +59,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import SimulationConfig
 
 __all__ = [
+    "ADVERSARY_KINDS",
     "AdversaryPrimitive",
-    "EnvironmentRegistry",
+    "ENVIRONMENTS",
+    "FAULT_KINDS",
     "FaultPrimitive",
-    "NamedEnvironment",
-    "default_environment_registry",
+    "adversary_primitive",
+    "asymmetric_link_environment",
+    "checked_adversary",
+    "checked_faults",
+    "churn_environment",
+    "drop_all_environment",
+    "fault_primitive",
+    "gray_partition_environment",
+    "lossy_chaos_environment",
+    "named_environment",
+    "partitioned_chaos_environment",
+    "stable_environment",
+    "worst_case_environment",
 ]
 
 AdversaryBuilder = Callable[
@@ -66,9 +88,8 @@ EnvironmentFactory = Callable[..., EnvironmentSpec]
 
 @dataclass(frozen=True)
 class AdversaryPrimitive:
-    """One registered adversary kind: builder plus parameter schema."""
+    """One adversary kind: builder plus parameter schema."""
 
-    kind: str
     builder: AdversaryBuilder
     summary: str = ""
     parameters: Tuple[str, ...] = ()
@@ -77,143 +98,66 @@ class AdversaryPrimitive:
 
 @dataclass(frozen=True)
 class FaultPrimitive:
-    """One registered fault-schedule kind: builder plus parameter schema."""
+    """One fault-schedule kind: builder plus parameter schema."""
 
-    kind: str
     builder: FaultBuilder
     summary: str = ""
     parameters: Tuple[str, ...] = ()
     post_ts_crashes: bool = False
 
 
-@dataclass(frozen=True)
-class NamedEnvironment:
-    """A complete, ready-made environment registered under a name."""
-
-    name: str
-    factory: EnvironmentFactory
-    summary: str = ""
+_Entry = TypeVar("_Entry")
 
 
-class EnvironmentRegistry:
-    """Kind → primitive and name → environment mappings with validation."""
+def _lookup(table: Mapping[str, _Entry], key: str, what: str) -> _Entry:
+    entry = table.get(key)
+    if entry is None:
+        raise ConfigurationError(f"unknown {what} {key!r}; available: {', '.join(sorted(table))}")
+    return entry
 
-    def __init__(self) -> None:
-        self._adversaries: Dict[str, AdversaryPrimitive] = {}
-        self._faults: Dict[str, FaultPrimitive] = {}
-        self._environments: Dict[str, NamedEnvironment] = {}
 
-    # -- registration -------------------------------------------------------
-    def register_adversary(self, primitive: AdversaryPrimitive) -> None:
-        if primitive.kind in self._adversaries:
-            raise ConfigurationError(f"adversary kind {primitive.kind!r} registered twice")
-        self._adversaries[primitive.kind] = primitive
+def adversary_primitive(kind: str) -> AdversaryPrimitive:
+    return _lookup(ADVERSARY_KINDS, kind, "adversary kind")
 
-    def register_faults(self, primitive: FaultPrimitive) -> None:
-        if primitive.kind in self._faults:
-            raise ConfigurationError(f"fault kind {primitive.kind!r} registered twice")
-        self._faults[primitive.kind] = primitive
 
-    def register_environment(self, entry: NamedEnvironment) -> None:
-        if entry.name in self._environments:
-            raise ConfigurationError(f"environment {entry.name!r} registered twice")
-        self._environments[entry.name] = entry
+def fault_primitive(kind: str) -> FaultPrimitive:
+    return _lookup(FAULT_KINDS, kind, "fault kind")
 
-    # -- lookup -------------------------------------------------------------
-    def adversary_kinds(self) -> List[str]:
-        return sorted(self._adversaries)
 
-    def fault_kinds(self) -> List[str]:
-        return sorted(self._faults)
+def named_environment(name: str, **params: Any) -> EnvironmentSpec:
+    """Build the named environment spec (keyword arguments go to its factory)."""
+    factory, _summary = _lookup(ENVIRONMENTS, name, "environment")
+    return factory(**params)
 
-    def names(self) -> List[str]:
-        return sorted(self._environments)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._environments
+def _check_params(kind: str, params: Mapping[str, Any], accepted: Tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"{what} {kind!r} does not accept parameters {unknown}; "
+            f"accepted: {', '.join(sorted(accepted)) or '(none)'}"
+        )
 
-    def adversary_primitive(self, kind: str) -> AdversaryPrimitive:
-        primitive = self._adversaries.get(kind)
-        if primitive is None:
-            raise ConfigurationError(
-                f"unknown adversary kind {kind!r}; available: {', '.join(self.adversary_kinds())}"
-            )
-        return primitive
 
-    def fault_primitive(self, kind: str) -> FaultPrimitive:
-        primitive = self._faults.get(kind)
-        if primitive is None:
-            raise ConfigurationError(
-                f"unknown fault kind {kind!r}; available: {', '.join(self.fault_kinds())}"
-            )
-        return primitive
+def checked_adversary(spec: AdversarySpec) -> AdversaryPrimitive:
+    """The primitive for one adversary node, once the node is checked against it.
 
-    def entry(self, name: str) -> NamedEnvironment:
-        entry = self._environments.get(name)
-        if entry is None:
-            raise ConfigurationError(
-                f"unknown environment {name!r}; available: {', '.join(self.names())}"
-            )
-        return entry
+    The kind must exist, every parameter must be one the primitive accepts,
+    and only a wrapping kind may have an ``inner``.  The ``inner`` chain
+    itself is not walked: each node is checked on its own.
+    """
+    primitive = adversary_primitive(spec.kind)
+    _check_params(spec.kind, spec.params, primitive.parameters, "adversary")
+    if spec.inner is not None and not primitive.takes_inner:
+        raise ConfigurationError(f"adversary kind {spec.kind!r} does not wrap an inner adversary")
+    return primitive
 
-    def environment(self, name: str, **params: Any) -> EnvironmentSpec:
-        """Build the named environment spec (factory kwargs pass through)."""
-        spec = self.entry(name).factory(**params)
-        self.validate_environment(spec)
-        return spec
 
-    # -- building -----------------------------------------------------------
-    def build_adversary(
-        self,
-        spec: AdversarySpec,
-        config: "SimulationConfig",
-        rng: SeededRng,
-        inner: Optional[Adversary],
-    ) -> Adversary:
-        primitive = self.adversary_primitive(spec.kind)
-        self._check_params(spec.kind, spec.params, primitive.parameters, "adversary")
-        if inner is not None and not primitive.takes_inner:
-            raise ConfigurationError(
-                f"adversary kind {spec.kind!r} does not wrap an inner adversary"
-            )
-        return primitive.builder(config, rng, spec.params, inner)
-
-    def build_faults(self, spec: FaultSpec, config: "SimulationConfig") -> FaultPlan:
-        primitive = self.fault_primitive(spec.kind)
-        self._check_params(spec.kind, spec.params, primitive.parameters, "fault schedule")
-        return primitive.builder(config, spec.params)
-
-    def validate_environment(self, spec: EnvironmentSpec) -> None:
-        """Check kinds and parameter names without building anything."""
-        adversary: Optional[AdversarySpec] = spec.adversary
-        while adversary is not None:
-            primitive = self.adversary_primitive(adversary.kind)
-            self._check_params(adversary.kind, adversary.params, primitive.parameters, "adversary")
-            if adversary.inner is not None and not primitive.takes_inner:
-                raise ConfigurationError(
-                    f"adversary kind {adversary.kind!r} does not wrap an inner adversary"
-                )
-            adversary = adversary.inner
-        fault = self.fault_primitive(spec.faults.kind)
-        self._check_params(spec.faults.kind, spec.faults.params, fault.parameters, "fault schedule")
-
-    @staticmethod
-    def _check_params(
-        kind: str, params: Mapping[str, Any], accepted: Tuple[str, ...], what: str
-    ) -> None:
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            raise ConfigurationError(
-                f"{what} {kind!r} does not accept parameters {unknown}; "
-                f"accepted: {', '.join(sorted(accepted)) or '(none)'}"
-            )
-
-    # -- reporting ----------------------------------------------------------
-    def describe_environment(self, name: str) -> str:
-        entry = self.entry(name)
-        spec = entry.factory()
-        text = f"{name}: {entry.summary}" if entry.summary else name
-        return f"{text}\n  {spec.describe()}"
+def checked_faults(spec: FaultSpec) -> FaultPrimitive:
+    """The primitive for a fault spec, once its kind and parameters are checked."""
+    primitive = fault_primitive(spec.kind)
+    _check_params(spec.kind, spec.params, primitive.parameters, "fault schedule")
+    return primitive
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +236,21 @@ def _build_gray_partition(config, rng, params, inner):
     )
 
 
+def _check_pid(what: str, pid: int, n: int) -> None:
+    if not 0 <= pid < n:
+        raise ConfigurationError(f"{what} must be a pid in [0, {n}), got {pid}")
+
+
 def _build_asymmetric_link(config, rng, params, inner):
-    links = params.get("links")
+    hub, links = params.get("hub"), params.get("links")
+    if hub is not None:
+        _check_pid("hub", hub, config.n)
+    for link in links or ():
+        for pid in link:
+            _check_pid("link endpoint", pid, config.n)
     return AsymmetricLinkAdversary(
         delta=_delta(config),
-        hub=params.get("hub"),
+        hub=hub,
         direction=params.get("direction", "both"),
         links=[tuple(link) for link in links] if links is not None else None,
         slow_factor=params.get("slow_factor", 4.0),
@@ -420,11 +374,12 @@ def _build_churn_waves(config, params):
 
 
 # ---------------------------------------------------------------------------
-# Named complete environments (the `repro run --env <name>` targets).
+# Named complete environments (the `repro run --env <name>` targets).  The
+# workloads call these factories directly.
 # ---------------------------------------------------------------------------
 
 
-def _env_stable() -> EnvironmentSpec:
+def stable_environment() -> EnvironmentSpec:
     return EnvironmentSpec(
         name="stable",
         adversary=AdversarySpec("benign"),
@@ -432,7 +387,7 @@ def _env_stable() -> EnvironmentSpec:
     )
 
 
-def _env_drop_all() -> EnvironmentSpec:
+def drop_all_environment() -> EnvironmentSpec:
     return EnvironmentSpec(
         name="drop-all",
         adversary=AdversarySpec("drop-all"),
@@ -440,7 +395,7 @@ def _env_drop_all() -> EnvironmentSpec:
     )
 
 
-def _env_worst_case() -> EnvironmentSpec:
+def worst_case_environment() -> EnvironmentSpec:
     return EnvironmentSpec(
         name="worst-case",
         adversary=AdversarySpec("worst-case-delay", inner=AdversarySpec("drop-all")),
@@ -455,7 +410,7 @@ def _chaos_faults(with_crashes: bool) -> FaultSpec:
     return FaultSpec("random-before-ts", {"max_faulty": 0})
 
 
-def _env_partitioned_chaos(
+def partitioned_chaos_environment(
     leak_probability: float = 0.05,
     worst_case_post_delays: bool = False,
     with_crashes: bool = True,
@@ -478,7 +433,7 @@ def _env_partitioned_chaos(
     )
 
 
-def _env_lossy_chaos(
+def lossy_chaos_environment(
     drop_probability: float = 0.85,
     defer_probability: float = 0.05,
     with_crashes: bool = True,
@@ -500,7 +455,7 @@ def _env_lossy_chaos(
     )
 
 
-def _env_asymmetric_link(
+def asymmetric_link_environment(
     hub: int = 0,
     direction: str = "both",
     slow_factor: float = 4.0,
@@ -524,7 +479,7 @@ def _env_asymmetric_link(
     )
 
 
-def _env_gray_partition(
+def gray_partition_environment(
     heal_start: float = 0.4, end_drop: float = 0.0, with_crashes: bool = False
 ) -> EnvironmentSpec:
     return EnvironmentSpec(
@@ -542,7 +497,7 @@ def _env_gray_partition(
     )
 
 
-def _env_churn(
+def churn_environment(
     waves: int = 3,
     up_time: float = 1.0,
     down_time: float = 2.0,
@@ -568,128 +523,97 @@ def _env_churn(
     )
 
 
-def _register_defaults(registry: EnvironmentRegistry) -> None:
-    for primitive in (
-        AdversaryPrimitive(
-            "benign",
-            _build_benign,
-            "prompt delivery on every link, even before TS",
-            ("min_delay_fraction",),
-        ),
-        AdversaryPrimitive("drop-all", _build_drop_all, "every pre-TS message is lost"),
-        AdversaryPrimitive(
-            "random-chaos",
-            _build_random_chaos,
-            "independent random loss/delay/deferral/duplication per message",
-            ("drop_probability", "defer_probability", "max_defer_delta",
-             "max_delay_factor", "duplicate_prob"),
-        ),
-        AdversaryPrimitive(
-            "partition",
-            _build_partition,
-            "hard partition: cross-group messages dropped (optionally leaking)",
-            ("partition", "intra_delay_max_delta", "leak_probability",
-             "leak_max_delay_delta", "leak_past_ts"),
-        ),
-        AdversaryPrimitive(
-            "gray-partition",
-            _build_gray_partition,
-            "partial partition whose cross-group drop rate heals gradually before TS",
-            ("partition", "heal_start", "start_drop", "end_drop",
-             "intra_delay_max_delta", "leak_max_delay_delta"),
-        ),
-        AdversaryPrimitive(
-            "asymmetric-link",
-            _build_asymmetric_link,
-            "designated slow links (to/from a hub) crawl; all other links are prompt",
-            ("hub", "direction", "links", "slow_factor", "fast_min_fraction", "slow_post_ts"),
-        ),
-        AdversaryPrimitive(
-            "worst-case-delay",
-            _build_worst_case_delay,
-            "post-TS deliveries stretched to (almost) the full delta; wraps a pre-TS adversary",
-            ("jitter",),
-            takes_inner=True,
-        ),
-        AdversaryPrimitive(
-            "deferring-partition",
-            _build_deferring_partition,
-            "partition whose cross-group leaks surface only after TS; wraps any "
-            "partition-shaped adversary",
-            ("defer_probability", "max_defer_delta", "duplicate_prob"),
-            takes_inner=True,
-        ),
-    ):
-        registry.register_adversary(primitive)
+# ---------------------------------------------------------------------------
+# The catalogue.
+# ---------------------------------------------------------------------------
 
-    for fault in (
-        FaultPrimitive("none", _build_no_faults, "no crashes, no restarts"),
-        FaultPrimitive(
-            "explicit",
-            _build_explicit_faults,
-            "a literal list of timestamped crash/restart events",
-            ("events",),
-        ),
-        FaultPrimitive(
-            "random-before-ts",
-            _build_random_before_ts,
-            "random minority crashes (and optional recoveries) strictly before TS",
-            ("max_faulty", "allow_recovery", "rng_label"),
-        ),
-        FaultPrimitive(
-            "crash-forever",
-            _build_crash_forever,
-            "crash the given pids at one time and never restart them",
-            ("pids", "time"),
-        ),
-        FaultPrimitive(
-            "staggered-restarts",
-            _build_staggered_restarts,
-            "crash pids together, restart them one by one",
-            ("pids", "crash_time", "first_restart", "spacing"),
-        ),
-        FaultPrimitive(
-            "churn-waves",
-            _build_churn_waves,
-            "repeated post-TS crash/restart waves over a minority (majority stays up)",
-            ("victims", "num_victims", "first_offset", "up_time", "down_time",
-             "waves", "stagger", "pre_ts_crash_fraction"),
-            post_ts_crashes=True,
-        ),
-    ):
-        registry.register_faults(fault)
+ADVERSARY_KINDS: Dict[str, AdversaryPrimitive] = {
+    "benign": AdversaryPrimitive(
+        _build_benign,
+        "prompt delivery on every link, even before TS",
+        ("min_delay_fraction",),
+    ),
+    "drop-all": AdversaryPrimitive(_build_drop_all, "every pre-TS message is lost"),
+    "random-chaos": AdversaryPrimitive(
+        _build_random_chaos,
+        "independent random loss/delay/deferral/duplication per message",
+        ("drop_probability", "defer_probability", "max_defer_delta",
+         "max_delay_factor", "duplicate_prob"),
+    ),
+    "partition": AdversaryPrimitive(
+        _build_partition,
+        "hard partition: cross-group messages dropped (optionally leaking)",
+        ("partition", "intra_delay_max_delta", "leak_probability",
+         "leak_max_delay_delta", "leak_past_ts"),
+    ),
+    "gray-partition": AdversaryPrimitive(
+        _build_gray_partition,
+        "partial partition whose cross-group drop rate heals gradually before TS",
+        ("partition", "heal_start", "start_drop", "end_drop",
+         "intra_delay_max_delta", "leak_max_delay_delta"),
+    ),
+    "asymmetric-link": AdversaryPrimitive(
+        _build_asymmetric_link,
+        "designated slow links (to/from a hub) crawl; all other links are prompt",
+        ("hub", "direction", "links", "slow_factor", "fast_min_fraction", "slow_post_ts"),
+    ),
+    "worst-case-delay": AdversaryPrimitive(
+        _build_worst_case_delay,
+        "post-TS deliveries stretched to (almost) the full delta; wraps a pre-TS adversary",
+        ("jitter",),
+        takes_inner=True,
+    ),
+    "deferring-partition": AdversaryPrimitive(
+        _build_deferring_partition,
+        "partition whose cross-group leaks surface only after TS; wraps any "
+        "partition-shaped adversary",
+        ("defer_probability", "max_defer_delta", "duplicate_prob"),
+        takes_inner=True,
+    ),
+}
 
-    for entry in (
-        NamedEnvironment("stable", _env_stable, "benign network, no faults"),
-        NamedEnvironment("drop-all", _env_drop_all, "all pre-TS messages lost"),
-        NamedEnvironment("worst-case", _env_worst_case,
-                         "pre-TS loss plus full-delta post-TS delays"),
-        NamedEnvironment("partitioned-chaos", _env_partitioned_chaos,
-                         "minority partitions, leaks past TS, pre-TS crashes"),
-        NamedEnvironment("lossy-chaos", _env_lossy_chaos,
-                         "random loss/delay/deferral/duplication before TS"),
-        NamedEnvironment("asymmetric-link", _env_asymmetric_link,
-                         "slow links to/from the post-TS coordinator"),
-        NamedEnvironment("gray-partition", _env_gray_partition,
-                         "partial partition healing gradually before TS"),
-        NamedEnvironment("churn", _env_churn,
-                         "post-TS restart waves while a majority stays up"),
-    ):
-        registry.register_environment(entry)
+FAULT_KINDS: Dict[str, FaultPrimitive] = {
+    "none": FaultPrimitive(_build_no_faults, "no crashes, no restarts"),
+    "explicit": FaultPrimitive(
+        _build_explicit_faults,
+        "a literal list of timestamped crash/restart events",
+        ("events",),
+    ),
+    "random-before-ts": FaultPrimitive(
+        _build_random_before_ts,
+        "random minority crashes (and optional recoveries) strictly before TS",
+        ("max_faulty", "allow_recovery", "rng_label"),
+    ),
+    "crash-forever": FaultPrimitive(
+        _build_crash_forever,
+        "crash the given pids at one time and never restart them",
+        ("pids", "time"),
+    ),
+    "staggered-restarts": FaultPrimitive(
+        _build_staggered_restarts,
+        "crash pids together, restart them one by one",
+        ("pids", "crash_time", "first_restart", "spacing"),
+    ),
+    "churn-waves": FaultPrimitive(
+        _build_churn_waves,
+        "repeated post-TS crash/restart waves over a minority (majority stays up)",
+        ("victims", "num_victims", "first_offset", "up_time", "down_time",
+         "waves", "stagger", "pre_ts_crash_fraction"),
+        post_ts_crashes=True,
+    ),
+}
 
-
-_DEFAULT_REGISTRY: Optional[EnvironmentRegistry] = None
-
-
-def default_environment_registry() -> EnvironmentRegistry:
-    """The registry pre-populated with every built-in primitive and environment.
-
-    Cached: adversary and fault specs are resolved through it on every run,
-    so it is built once per process (it holds only immutable entries).
-    """
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        registry = EnvironmentRegistry()
-        _register_defaults(registry)
-        _DEFAULT_REGISTRY = registry
-    return _DEFAULT_REGISTRY
+ENVIRONMENTS: Dict[str, Tuple[EnvironmentFactory, str]] = {
+    "stable": (stable_environment, "benign network, no faults"),
+    "drop-all": (drop_all_environment, "all pre-TS messages lost"),
+    "worst-case": (worst_case_environment, "pre-TS loss plus full-delta post-TS delays"),
+    "partitioned-chaos": (partitioned_chaos_environment,
+                          "minority partitions, leaks past TS, pre-TS crashes"),
+    "lossy-chaos": (lossy_chaos_environment,
+                    "random loss/delay/deferral/duplication before TS"),
+    "asymmetric-link": (asymmetric_link_environment,
+                        "slow links to/from the post-TS coordinator"),
+    "gray-partition": (gray_partition_environment,
+                       "partial partition healing gradually before TS"),
+    "churn": (churn_environment, "post-TS restart waves while a majority stays up"),
+}

@@ -7,8 +7,8 @@ JSON-serializable data.  The paper's whole subject is how the environment
 determines consensus latency; making it a first-class value means:
 
 * **declarative** — a scenario is a spec, not a module: new environments are
-  written as data, composed from the named adversary/fault primitives in the
-  :class:`~repro.env.registry.EnvironmentRegistry`;
+  written as data, composed from the adversary/fault kinds catalogued in
+  :mod:`repro.env.registry`;
 * **reproducible** — the resolved spec is recorded in every
   :class:`~repro.consensus.values.RunOutcome`, so any result row can be
   re-run from its own metadata;
@@ -45,7 +45,6 @@ from repro.net.partition import PartitionSpec, minority_groups
 from repro.net.synchrony import EventualSynchrony
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.env.registry import EnvironmentRegistry
     from repro.faults.plan import FaultPlan
     from repro.net.adversary import Adversary
     from repro.net.network import Network
@@ -187,9 +186,9 @@ class PartitionDecl:
 class AdversarySpec:
     """A named pre-stabilization adversary plus its parameters.
 
-    ``kind`` resolves through the environment registry's adversary
-    primitives; ``params`` are plain data validated against the primitive's
-    schema at build time.  Wrapping adversaries (``worst-case-delay``,
+    ``kind`` resolves through :data:`~repro.env.registry.ADVERSARY_KINDS`;
+    ``params`` are plain data checked against the primitive's schema at
+    build time.  Wrapping adversaries (``worst-case-delay``,
     ``deferring-partition``) take their wrapped adversary as ``inner``, so
     specs compose the same way the adversary classes do.
     """
@@ -203,19 +202,12 @@ class AdversarySpec:
             raise ConfigurationError("AdversarySpec needs a non-empty kind")
         object.__setattr__(self, "params", _plain(dict(self.params), f"adversary {self.kind!r}"))
 
-    def build(
-        self,
-        config: "SimulationConfig",
-        rng: "SeededRng",
-        registry: Optional["EnvironmentRegistry"] = None,
-    ) -> "Adversary":
+    def build(self, config: "SimulationConfig", rng: "SeededRng") -> "Adversary":
         """Instantiate the adversary (and its inner chain) for one run."""
-        if registry is None:
-            from repro.env.registry import default_environment_registry
+        from repro.env.registry import checked_adversary
 
-            registry = default_environment_registry()
-        inner = self.inner.build(config, rng, registry) if self.inner is not None else None
-        return registry.build_adversary(self, config, rng, inner)
+        inner = self.inner.build(config, rng) if self.inner is not None else None
+        return checked_adversary(self).builder(config, rng, self.params, inner)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind, "params": _plain(self.params, self.kind)}
@@ -240,7 +232,7 @@ class AdversarySpec:
 class FaultSpec:
     """A named crash/restart schedule plus its parameters.
 
-    ``kind`` resolves through the environment registry's fault primitives.
+    ``kind`` resolves through :data:`~repro.env.registry.FAULT_KINDS`.
     The default is no faults.  Whether the schedule steps outside the
     paper's no-failures-after-``TS`` assumption (the churn family does) is a
     property of the primitive, consulted when the plan is validated.
@@ -254,17 +246,11 @@ class FaultSpec:
             raise ConfigurationError("FaultSpec needs a non-empty kind")
         object.__setattr__(self, "params", _plain(dict(self.params), f"faults {self.kind!r}"))
 
-    def build(
-        self,
-        config: "SimulationConfig",
-        registry: Optional["EnvironmentRegistry"] = None,
-    ) -> "FaultPlan":
+    def build(self, config: "SimulationConfig") -> "FaultPlan":
         """Instantiate the fault plan for one run."""
-        if registry is None:
-            from repro.env.registry import default_environment_registry
+        from repro.env.registry import checked_faults
 
-            registry = default_environment_registry()
-        return registry.build_faults(self, config)
+        return checked_faults(self).builder(config, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": _plain(self.params, self.kind)}
@@ -296,44 +282,33 @@ class EnvironmentSpec:
     notes: str = ""
 
     # -- instantiation ------------------------------------------------------
-    def build_network(
-        self,
-        config: "SimulationConfig",
-        rng: "SeededRng",
-        registry: Optional["EnvironmentRegistry"] = None,
-    ) -> "Network":
+    def build_network(self, config: "SimulationConfig", rng: "SeededRng") -> "Network":
         """Build the network for one run (the :class:`Scenario` factory hook)."""
         from repro.net.network import Network
 
-        adversary = self.adversary.build(config, rng, registry)
+        adversary = self.adversary.build(config, rng)
         model = self.synchrony.build(config, adversary)
         return Network(model=model, rng=rng)
 
-    def build_fault_plan(
-        self,
-        config: "SimulationConfig",
-        registry: Optional["EnvironmentRegistry"] = None,
-    ) -> "FaultPlan":
+    def build_fault_plan(self, config: "SimulationConfig") -> "FaultPlan":
         """Build the crash/restart schedule for one run."""
-        return self.faults.build(config, registry)
+        return self.faults.build(config)
 
-    def allows_post_ts_crashes(
-        self, registry: Optional["EnvironmentRegistry"] = None
-    ) -> bool:
+    def allows_post_ts_crashes(self) -> bool:
         """Whether the fault schedule may crash processes at or after ``TS``."""
-        if registry is None:
-            from repro.env.registry import default_environment_registry
+        from repro.env.registry import fault_primitive
 
-            registry = default_environment_registry()
-        return registry.fault_primitive(self.faults.kind).post_ts_crashes
+        return fault_primitive(self.faults.kind).post_ts_crashes
 
-    def validate(self, registry: Optional["EnvironmentRegistry"] = None) -> None:
-        """Check that every kind resolves and every parameter is accepted."""
-        if registry is None:
-            from repro.env.registry import default_environment_registry
+    def validate(self) -> None:
+        """Check, without building anything, every node the builds would check."""
+        from repro.env.registry import checked_adversary, checked_faults
 
-            registry = default_environment_registry()
-        registry.validate_environment(self)
+        adversary: Optional[AdversarySpec] = self.adversary
+        while adversary is not None:
+            checked_adversary(adversary)
+            adversary = adversary.inner
+        checked_faults(self.faults)
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

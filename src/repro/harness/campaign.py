@@ -1,9 +1,9 @@
 """Run the full experiment campaign and write a report.
 
-This is the "regenerate everything" entry point::
+This is the "regenerate everything" path behind ``repro experiments``::
 
-    python -m repro.harness.campaign --scale full --out results/
-    python -m repro.harness.campaign --scale full --store results/full.jsonl --resume
+    python -m repro experiments --scale full --out results/
+    python -m repro experiments --scale full --store results/full.jsonl --resume
 
 It runs experiments E1–E9 at the requested scale (``--jobs N`` fans the
 runs of each experiment out over a process pool), writes each regenerated
@@ -25,7 +25,6 @@ tables.
 
 from __future__ import annotations
 
-import argparse
 import os
 import time
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from repro.harness.experiments import (
     experiment_e7_stable_case,
     experiment_e9_smr_stable_case,
 )
-from repro.errors import ConfigurationError, ResultSchemaError, ResultStoreError
+from repro.errors import ConfigurationError
 from repro.harness.tables import ExperimentTable
 from repro.results.store import MemoryStore, ResultStore, open_store
 
@@ -269,44 +268,3 @@ def write_report(
         result.to_store(store)
     return report_path
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the reproduction experiment campaign")
-    parser.add_argument("--scale", choices=("smoke", "full"), default="full")
-    parser.add_argument("--out", default="results")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the experiment runs (1 = serial)")
-    parser.add_argument(
-        "--experiment",
-        action="append",
-        dest="experiments",
-        help="run only the given experiment id (may be repeated), e.g. --experiment E1",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="persist every run record here (.jsonl, .sqlite, or .db)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="load runs already present in --store instead of re-executing them",
-    )
-    args = parser.parse_args(argv)
-    if args.resume and args.store is None:
-        parser.error("--resume needs --store")
-    try:
-        result = run_campaign(
-            scale=args.scale, experiments=args.experiments, progress=print, jobs=args.jobs,
-            store=args.store, resume=args.resume,
-        )
-    except (ConfigurationError, ResultSchemaError, ResultStoreError) as error:
-        print(error)
-        return 2
-    report = write_report(result, args.out)
-    print(f"wrote {report}")
-    if args.store is not None:
-        print(f"store {args.store}: {len(result.store)} records")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

@@ -53,9 +53,6 @@ class CommandRecord:
             return None
         return max(self.learned_times.values()) - self.submit_time
 
-    def learned_by(self, pid: int) -> bool:
-        return pid in self.learned_times
-
 
 def worst_submitter_latency(commands: Mapping[str, CommandRecord]) -> Optional[float]:
     """Worst submitter latency over the given commands (None if none completed)."""

@@ -29,7 +29,6 @@ from repro.workloads.scenario import Scenario
 from repro.workloads.smr import (
     SMR_WORKLOADS,
     is_smr_workload,
-    smr_chaos_scenario,
     smr_stable_scenario,
 )
 from repro.workloads.stable import stable_scenario
@@ -53,7 +52,6 @@ __all__ = [
     "partitioned_chaos_scenario",
     "resolve_environment",
     "restart_after_stability_scenario",
-    "smr_chaos_scenario",
     "smr_stable_scenario",
     "stable_scenario",
 ]

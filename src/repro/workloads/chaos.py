@@ -15,17 +15,17 @@ Two flavours are provided:
   per message, which is messier but statistically may let a protocol decide
   before ``TS`` on lucky seeds.
 
-Both are thin wrappers around the identically named environments in the
-:class:`~repro.env.registry.EnvironmentRegistry` — the registry factory is
-the single definition of each environment; the workload only adds the run
-configuration (``n``, ``ts``, horizon, seed).
+Both are thin wrappers around the identically named environment factories
+in :mod:`repro.env.registry` — the factory is the single definition of each
+environment; the workload only adds the run configuration (``n``, ``ts``,
+horizon, seed).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.env.registry import default_environment_registry
+from repro.env.registry import lossy_chaos_environment, partitioned_chaos_environment
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.registry import register_workload
@@ -77,8 +77,7 @@ def partitioned_chaos_scenario(
     ts = ts if ts is not None else 10.0 * params.delta
     config = _config(n, params, ts, seed, max_time)
 
-    environment = default_environment_registry().environment(
-        "partitioned-chaos",
+    environment = partitioned_chaos_environment(
         leak_probability=leak_probability,
         worst_case_post_delays=worst_case_post_delays,
         with_crashes=with_crashes and n >= 3,
@@ -121,8 +120,7 @@ def lossy_chaos_scenario(
     ts = ts if ts is not None else 10.0 * params.delta
     config = _config(n, params, ts, seed, max_time)
 
-    environment = default_environment_registry().environment(
-        "lossy-chaos",
+    environment = lossy_chaos_environment(
         drop_probability=drop_probability,
         defer_probability=defer_probability,
         with_crashes=with_crashes and n >= 3,

@@ -1,10 +1,11 @@
 """Environment-driven workloads: scenarios written as specs, not modules.
 
 :func:`environment_scenario` turns any :class:`~repro.env.spec.EnvironmentSpec`
-(given directly, as a plain dict, or as a registry name) into a runnable
-:class:`~repro.workloads.scenario.Scenario` — this is the path behind
-``python -m repro run --env <name-or-json>`` and the generic ``environment``
-workload usable from :class:`~repro.harness.experiment.ExperimentSpec` grids.
+(given directly, as a plain dict, or as a catalogue name) into a runnable
+:class:`~repro.workloads.scenario.Scenario`.  The generic ``environment``
+workload wraps it: that workload is the one path behind
+``python -m repro run --env <name-or-json>``, and is usable from
+:class:`~repro.harness.experiment.ExperimentSpec` grids.
 
 On top of it, this module registers the scenario families that the
 pre-environment codebase could not express without a new module:
@@ -23,7 +24,12 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional, Union
 
-from repro.env.registry import default_environment_registry
+from repro.env.registry import (
+    asymmetric_link_environment,
+    churn_environment,
+    gray_partition_environment,
+    named_environment,
+)
 from repro.env.spec import EnvironmentSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
@@ -43,16 +49,16 @@ EnvironmentLike = Union[EnvironmentSpec, Mapping[str, Any], str]
 
 
 def resolve_environment(env: EnvironmentLike) -> EnvironmentSpec:
-    """Coerce a spec, a plain dict, or a registry name into an EnvironmentSpec."""
+    """Coerce a spec, a plain dict, or a catalogue name into an EnvironmentSpec."""
     if isinstance(env, EnvironmentSpec):
         return env
     if isinstance(env, str):
-        return default_environment_registry().environment(env)
+        return named_environment(env)
     if isinstance(env, Mapping):
         return EnvironmentSpec.from_dict(env)
     raise ConfigurationError(
         f"cannot resolve environment from {type(env).__name__}; "
-        "pass an EnvironmentSpec, a registry name, or a spec dict"
+        "pass an EnvironmentSpec, an environment name, or a spec dict"
     )
 
 
@@ -73,8 +79,8 @@ def environment_scenario(
     """A runnable scenario from any environment spec.
 
     Args:
-        env: The environment — an :class:`EnvironmentSpec`, a registry name,
-            or a spec dict (e.g. parsed from ``--env`` JSON).
+        env: The environment — an :class:`EnvironmentSpec`, a name from
+            :data:`~repro.env.registry.ENVIRONMENTS`, or a spec dict.
         n: Number of processes.
         ts: Stabilization time; defaults to ``10δ``.
         max_time: Simulation horizon; defaults to ``ts + horizon_delta * δ``.
@@ -150,8 +156,7 @@ def asymmetric_link_scenario(
         raise ConfigurationError(f"hub must be a pid in [0, {n}), got {hub}")
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 5.0 * params.delta
-    environment = default_environment_registry().environment(
-        "asymmetric-link",
+    environment = asymmetric_link_environment(
         hub=hub,
         direction=direction,
         slow_factor=slow_factor,
@@ -191,8 +196,7 @@ def gray_partition_scenario(
     """A partial partition that degrades from total to leaky before ``TS``."""
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
-    environment = default_environment_registry().environment(
-        "gray-partition",
+    environment = gray_partition_environment(
         heal_start=heal_start,
         end_drop=end_drop,
         with_crashes=with_crashes and n >= 3,
@@ -231,8 +235,7 @@ def churn_scenario(
         raise ConfigurationError("churn_scenario needs n >= 3 (a majority must stay up)")
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
-    environment = default_environment_registry().environment(
-        "churn",
+    environment = churn_environment(
         waves=waves,
         up_time=up_time,
         down_time=down_time,

@@ -13,7 +13,6 @@ from repro.sim.simulator import SimulationConfig, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.base import ProtocolBuilder
-    from repro.env.registry import EnvironmentRegistry
 
 __all__ = ["Scenario"]
 
@@ -34,9 +33,6 @@ class Scenario:
         name: Short identifier used in tables and traces.
         config: The simulation configuration (n, timing constants, ts, seed).
         environment: Declarative environment the run instantiates.
-        environment_registry: Registry resolving the environment's adversary
-            and fault kinds; None uses the default registry.  Pass a custom
-            registry when the spec uses user-registered primitives.
         initial_values: Proposals per process; None lets the simulator use
             its defaults (distinct per-process values).
         post_setup: Optional hook run after the simulator is built but before
@@ -54,7 +50,6 @@ class Scenario:
     name: str
     config: SimulationConfig
     environment: EnvironmentSpec
-    environment_registry: Optional["EnvironmentRegistry"] = None
     initial_values: Optional[List[Any]] = None
     post_setup: Optional[PostSetupHook] = None
     expected_deciders: Optional[List[int]] = None
@@ -63,14 +58,13 @@ class Scenario:
     fault_plan: FaultPlan = field(init=False)
 
     def __post_init__(self) -> None:
-        registry = self.environment_registry
-        self.fault_plan = self.environment.build_fault_plan(self.config, registry)
-        if self.environment.allows_post_ts_crashes(registry):
+        self.fault_plan = self.environment.build_fault_plan(self.config)
+        if self.environment.allows_post_ts_crashes():
             self.allow_post_ts_crashes = True
 
     def build_network(self, config: SimulationConfig, rng: SeededRng) -> Network:
         """Build the network (synchrony model + adversary) from the environment."""
-        return self.environment.build_network(config, rng, self.environment_registry)
+        return self.environment.build_network(config, rng)
 
     def build_simulator(self, builder: "ProtocolBuilder") -> Simulator:
         """Build a ready-to-run simulator of ``builder``'s processes under this scenario.

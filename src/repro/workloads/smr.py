@@ -2,18 +2,22 @@
 
 The multi-decree service (:mod:`repro.smr`) runs on ordinary
 :class:`~repro.workloads.scenario.Scenario` objects — what distinguishes an
-"SMR workload" is only its sizing (a longer default horizon, so a stream of
-commands has room to replicate) and the execution path
-(:func:`~repro.smr.runner.run_smr` instead of a single-decree protocol).
+"SMR workload" is only the execution path
+(:func:`~repro.smr.runner.run_smr` instead of a single-decree protocol) and,
+for two of them, a default sized for a command stream.
 
-Each factory here delegates to the corresponding single-decree scenario
-factory, preserving its scenario *name* — the name seeds the network RNG
-fork, so an ``smr-stable`` run is trace-identical to the pre-registry side
-harness that built ``stable_scenario`` directly.  Three of the variants
-(churn, gray partition, asymmetric link) reuse the declarative
-:class:`~repro.env.spec.EnvironmentSpec` families introduced for the
-single-decree experiments, extending the SMR evaluation beyond the paper's
-stable/chaos cases.
+So the ``smr-*`` names are aliases: each registers a single-decree scenario
+factory under its own name, summary and parameter help.  The factory keeps
+its scenario *name*, and the name seeds the network RNG fork, so an
+``smr-chaos`` run is trace-identical to a ``partitioned-chaos`` run with the
+same arguments.
+
+* ``smr-chaos``, ``smr-gray-partition`` and ``smr-asymmetric-link`` are the
+  single-decree factories themselves;
+* ``smr-churn`` is :func:`~repro.workloads.environments.churn_scenario` with
+  ``waves=2`` bound;
+* ``smr-stable`` is :func:`~repro.workloads.stable.stable_scenario` with a
+  400δ horizon, room for long command streams.
 
 ``SMR_WORKLOADS`` names every registered SMR workload; the CLI uses it to
 route ``repro run --workload smr-*`` through the SMR runner.
@@ -21,6 +25,7 @@ route ``repro run --workload smr-*`` through the SMR runner.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.params import TimingParams
@@ -37,10 +42,6 @@ from repro.workloads.stable import stable_scenario
 __all__ = [
     "SMR_WORKLOADS",
     "is_smr_workload",
-    "smr_asymmetric_link_scenario",
-    "smr_chaos_scenario",
-    "smr_churn_scenario",
-    "smr_gray_partition_scenario",
     "smr_stable_scenario",
 ]
 
@@ -82,7 +83,7 @@ def smr_stable_scenario(
     )
 
 
-@register_workload(
+register_workload(
     "smr-chaos",
     summary="SMR: minority partitions and crashes before TS, commands replicated after (E9)",
     param_help={
@@ -90,29 +91,12 @@ def smr_stable_scenario(
         "ts": "stabilization time (defaults to 10 delta)",
         "leak_probability": "chance a cross-partition message leaks with a long delay",
     },
-)
-def smr_chaos_scenario(
-    n: int,
-    params: Optional[TimingParams] = None,
-    ts: Optional[float] = None,
-    seed: int = 0,
-    with_crashes: bool = True,
-    leak_probability: float = 0.05,
-    max_time: Optional[float] = None,
-) -> Scenario:
-    """The partitioned-chaos scenario, unchanged (its horizon already fits SMR)."""
-    return partitioned_chaos_scenario(
-        n,
-        params=params,
-        ts=ts,
-        seed=seed,
-        with_crashes=with_crashes,
-        leak_probability=leak_probability,
-        max_time=max_time,
-    )
+)(partitioned_chaos_scenario)
 
-
-@register_workload(
+# Every victim restarts, so all replicas are expected to converge on the full
+# log by the horizon: this family exercises the multi-decree catch-up path
+# (decided entries piggybacked on promises).
+register_workload(
     "smr-churn",
     summary="SMR: post-TS crash/restart waves over a minority while commands flow",
     param_help={
@@ -120,40 +104,9 @@ def smr_chaos_scenario(
         "waves": "restart cycles per victim after TS",
         "num_victims": "how many replicas churn (defaults to the largest minority)",
     },
-)
-def smr_churn_scenario(
-    n: int,
-    params: Optional[TimingParams] = None,
-    ts: Optional[float] = None,
-    seed: int = 0,
-    waves: int = 2,
-    up_time: float = 1.0,
-    down_time: float = 2.0,
-    first_offset: float = 2.0,
-    num_victims: Optional[int] = None,
-    max_time: Optional[float] = None,
-) -> Scenario:
-    """Churn waves under a replicated command stream.
+)(partial(churn_scenario, waves=2))
 
-    Every victim restarts, so all replicas are expected to converge on the
-    full log by the horizon — the multi-decree catch-up path (decided entries
-    piggybacked on promises) is what this family exercises.
-    """
-    return churn_scenario(
-        n,
-        params=params,
-        ts=ts,
-        seed=seed,
-        waves=waves,
-        up_time=up_time,
-        down_time=down_time,
-        first_offset=first_offset,
-        num_victims=num_victims,
-        max_time=max_time,
-    )
-
-
-@register_workload(
+register_workload(
     "smr-gray-partition",
     summary="SMR: a minority partition healing gradually before TS under commands",
     param_help={
@@ -161,31 +114,9 @@ def smr_churn_scenario(
         "heal_start": "fraction of ts at which the partition starts healing",
         "end_drop": "cross-group drop probability remaining at TS",
     },
-)
-def smr_gray_partition_scenario(
-    n: int,
-    params: Optional[TimingParams] = None,
-    ts: Optional[float] = None,
-    seed: int = 0,
-    heal_start: float = 0.4,
-    end_drop: float = 0.0,
-    with_crashes: bool = False,
-    max_time: Optional[float] = None,
-) -> Scenario:
-    """A gradually healing partition under a replicated command stream."""
-    return gray_partition_scenario(
-        n,
-        params=params,
-        ts=ts,
-        seed=seed,
-        heal_start=heal_start,
-        end_drop=end_drop,
-        with_crashes=with_crashes,
-        max_time=max_time,
-    )
+)(gray_partition_scenario)
 
-
-@register_workload(
+register_workload(
     "smr-asymmetric-link",
     summary="SMR: slow links around the serving leader; follower submissions feel the hub",
     param_help={
@@ -193,27 +124,4 @@ def smr_gray_partition_scenario(
         "hub": "replica whose links are slow (default 0)",
         "slow_factor": "pre-TS delays on slow links go up to slow_factor * delta",
     },
-)
-def smr_asymmetric_link_scenario(
-    n: int,
-    params: Optional[TimingParams] = None,
-    ts: Optional[float] = None,
-    seed: int = 0,
-    hub: int = 0,
-    direction: str = "both",
-    slow_factor: float = 4.0,
-    slow_post_ts: bool = True,
-    max_time: Optional[float] = None,
-) -> Scenario:
-    """Hub-adjacent slow links under a replicated command stream."""
-    return asymmetric_link_scenario(
-        n,
-        params=params,
-        ts=ts,
-        seed=seed,
-        hub=hub,
-        direction=direction,
-        slow_factor=slow_factor,
-        slow_post_ts=slow_post_ts,
-        max_time=max_time,
-    )
+)(asymmetric_link_scenario)

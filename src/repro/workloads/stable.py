@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.env.registry import default_environment_registry
+from repro.env.registry import stable_environment
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.registry import register_workload
@@ -42,13 +42,10 @@ def stable_scenario(
         seed=seed,
         max_time=max_time if max_time is not None else 200.0 * params.delta,
     )
-
-    environment = default_environment_registry().environment("stable")
-
     return Scenario(
         name=f"stable-n{n}",
         config=config,
-        environment=environment,
+        environment=stable_environment(),
         initial_values=initial_values,
         notes="synchronous from t=0, no faults: failure-free fast path",
     )

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.campaign import campaign_plan, main, run_campaign, write_report
+from repro.harness.campaign import campaign_plan, run_campaign, write_report
 from repro.harness.executors import SerialExecutor
 
 
@@ -63,14 +63,3 @@ class TestReport:
         content = (tmp_path / "experiments_report.md").read_text()
         assert "E7" in content and "E3" in content
         assert "```" in content
-
-    def test_cli_main_smoke(self, tmp_path):
-        exit_code = main(["--scale", "smoke", "--experiment", "E7", "--out", str(tmp_path)])
-        assert exit_code == 0
-        assert (tmp_path / "experiments_report.md").exists()
-
-    def test_cli_main_unknown_experiment_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["--scale", "smoke", "--experiment", "E99", "--out", str(out)]) == 2
-        assert "unknown experiment E99" in capsys.readouterr().out
-        assert not out.exists()

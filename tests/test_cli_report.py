@@ -93,6 +93,14 @@ class TestCliParser:
         assert main(["run", "--workload", "stable", "--env", "drop-all", "--n", "3"]) == 2
         assert "not both" in capsys.readouterr().out
 
+    def test_fault_plan_violating_the_model_exits_2_with_one_line(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--workload", "coordinator-crash", "--n", "3", "--ts", "0"]) == 2
+        assert capsys.readouterr().out.strip() == (
+            "crash of p0 at 0.0 violates the model: no failures at or after ts=0.0"
+        )
+
 
 class TestCliCommands:
     def test_list_protocols(self, capsys):

@@ -88,6 +88,19 @@ class TestAsymmetricLink:
         with pytest.raises(ConfigurationError):
             asymmetric_link_scenario(3, params=PARAMS, hub=7)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"hub": 9}, r"hub must be a pid in \[0, 3\), got 9"),
+        ({"hub": -1}, r"hub must be a pid in \[0, 3\), got -1"),
+        ({"links": [[0, 9]]}, r"link endpoint must be a pid in \[0, 3\), got 9"),
+    ])
+    def test_spec_pids_are_checked_when_the_network_is_built(self, params, message):
+        from repro.env.spec import AdversarySpec
+
+        scenario = asymmetric_link_scenario(3, params=PARAMS, seed=1)
+        spec = EnvironmentSpec(adversary=AdversarySpec("asymmetric-link", params))
+        with pytest.raises(ConfigurationError, match=message):
+            spec.build_network(scenario.config, SeededRng(1, label="net"))
+
 
 class TestGrayPartition:
     def test_decides_with_invariants(self):
@@ -247,6 +260,23 @@ class TestCli:
         exit_code = main(["run", "--env", env, "--n", "3", "--seed", "1"])
         assert exit_code == 0
         assert "decided" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("params, message", [
+        ({"hub": 9}, "hub must be a pid in [0, 3), got 9"),
+        ({"links": [[0, 9]]}, "link endpoint must be a pid in [0, 3), got 9"),
+    ])
+    def test_run_rejects_asymmetric_link_pids_outside_the_system(self, capsys, params, message):
+        env = json.dumps({"adversary": {"kind": "asymmetric-link", "params": params}})
+        assert main(["run", "--env", env, "--n", "3"]) == 2
+        assert capsys.readouterr().out.strip() == message
+
+    def test_run_rejects_a_fault_plan_naming_an_unknown_pid(self, capsys):
+        env = json.dumps({
+            "adversary": {"kind": "drop-all"},
+            "faults": {"kind": "crash-forever", "params": {"pids": [7], "time": 1}},
+        })
+        assert main(["run", "--env", env, "--n", "3"]) == 2
+        assert capsys.readouterr().out.strip() == "fault event references unknown pid 7"
 
     def test_run_with_unknown_environment_fails_cleanly(self, capsys):
         exit_code = main(["run", "--env", "atlantis", "--n", "3"])

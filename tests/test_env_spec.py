@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.env.registry import (
-    AdversaryPrimitive,
-    EnvironmentRegistry,
-    FaultPrimitive,
-    NamedEnvironment,
-    default_environment_registry,
-)
+from repro.env.registry import ENVIRONMENTS, named_environment
 from repro.env.spec import (
     AdversarySpec,
     EnvironmentSpec,
@@ -186,6 +180,8 @@ class TestAdversaryBuilding:
         spec = AdversarySpec("benign", inner=AdversarySpec("drop-all"))
         with pytest.raises(ConfigurationError, match="does not wrap"):
             spec.build(make_config(), SeededRng(1))
+        with pytest.raises(ConfigurationError, match="does not wrap"):
+            EnvironmentSpec(adversary=spec).validate()
 
     def test_deferring_partition_requires_partition_shaped_inner(self):
         spec = AdversarySpec("deferring-partition", inner=AdversarySpec("drop-all"))
@@ -253,34 +249,22 @@ class TestFaultBuilding:
 
 class TestEnvironmentRegistry:
     def test_default_registry_has_the_new_families(self):
-        registry = default_environment_registry()
         for name in ("asymmetric-link", "gray-partition", "churn"):
-            assert name in registry
+            assert name in ENVIRONMENTS
 
     def test_named_environments_validate(self):
-        registry = default_environment_registry()
-        for name in registry.names():
-            spec = registry.environment(name)
+        for name in ENVIRONMENTS:
+            spec = named_environment(name)
+            spec.validate()
             assert EnvironmentSpec.from_json(spec.to_json()) == spec
 
     def test_unknown_environment_lists_alternatives(self):
-        with pytest.raises(ConfigurationError, match="available:"):
-            default_environment_registry().environment("atlantis")
+        with pytest.raises(ConfigurationError, match="unknown environment 'atlantis'; available:"):
+            named_environment("atlantis")
 
-    def test_double_registration_rejected(self):
-        registry = EnvironmentRegistry()
-        entry = NamedEnvironment("x", lambda: EnvironmentSpec(adversary=AdversarySpec("benign")))
-        registry.register_environment(entry)
-        with pytest.raises(ConfigurationError):
-            registry.register_environment(entry)
-        primitive = AdversaryPrimitive("k", lambda *a: DropAllAdversary())
-        registry.register_adversary(primitive)
-        with pytest.raises(ConfigurationError):
-            registry.register_adversary(primitive)
-        fault = FaultPrimitive("f", lambda *a: None)
-        registry.register_faults(fault)
-        with pytest.raises(ConfigurationError):
-            registry.register_faults(fault)
+    def test_unknown_fault_kind_lists_alternatives(self):
+        with pytest.raises(ConfigurationError, match="unknown fault kind 'meteor'; available:"):
+            FaultSpec("meteor").build(make_config())
 
     def test_validate_environment_checks_nested_params(self):
         spec = EnvironmentSpec(
@@ -292,8 +276,7 @@ class TestEnvironmentRegistry:
             spec.validate()
 
     def test_describe_mentions_chain_and_faults(self):
-        spec = default_environment_registry().environment("churn")
-        text = spec.describe()
+        text = named_environment("churn").describe()
         assert "drop-all" in text and "churn-waves" in text
 
 
@@ -320,50 +303,10 @@ class TestEnvironmentBuildDeterminism:
         assert adversary.spec == legacy_spec
         assert adversary.leak_max_delay == config.ts + 2.0 * config.params.delta
 
-    def test_custom_registry_threads_through_scenario(self):
-        """A spec using user-registered primitives runs via Scenario."""
-        from repro.workloads.scenario import Scenario
-
-        registry = EnvironmentRegistry()
-        registry.register_adversary(
-            AdversaryPrimitive(
-                "my-benign",
-                lambda config, rng, params, inner: BenignAdversary(config.params.delta),
-            )
-        )
-        registry.register_faults(
-            FaultPrimitive(
-                "my-churn",
-                lambda config, params: __import__("repro.faults.plan", fromlist=["FaultPlan"])
-                .FaultPlan()
-                .crash(0, config.ts + 1.0)
-                .restart(0, config.ts + 2.0),
-                post_ts_crashes=True,
-            )
-        )
-        spec = EnvironmentSpec(
-            adversary=AdversarySpec("my-benign"), faults=FaultSpec("my-churn")
-        )
-        # The default registry does not know these kinds ...
-        with pytest.raises(ConfigurationError, match="unknown"):
-            Scenario(name="custom", config=make_config(n=3), environment=spec)
-        # ... but a scenario carrying the custom registry builds and resolves.
-        scenario = Scenario(
-            name="custom",
-            config=make_config(n=3),
-            environment=spec,
-            environment_registry=registry,
-        )
-        assert scenario.allow_post_ts_crashes
-        assert len(scenario.fault_plan) == 2
-        network = scenario.build_network(scenario.config, SeededRng(1, label="net"))
-        assert isinstance(network.model.adversary, BenignAdversary)
-
     def test_workloads_and_registry_share_one_definition(self):
-        """The named environments are the same specs the workloads resolve."""
+        """The named environments are the same specs the workloads build."""
         from repro.workloads.registry import default_workload_registry
 
-        registry = default_environment_registry()
         workloads = default_workload_registry()
         for name, kwargs in (
             ("stable", {"n": 5}),
@@ -373,7 +316,7 @@ class TestEnvironmentBuildDeterminism:
             ("gray-partition", {"n": 5}),
             ("churn", {"n": 5}),
         ):
-            assert workloads.create(name, **kwargs).environment == registry.environment(name)
+            assert workloads.create(name, **kwargs).environment == named_environment(name)
 
     def test_environment_params_object_with_defaults(self):
         params = TimingParams()

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import make_params, make_run_record
 from repro.consensus.values import RunOutcome
-from repro.env.registry import default_environment_registry
+from repro.env.registry import ENVIRONMENTS
 from repro.errors import ResultSchemaError
 from repro.harness.executors import RunTask, execute_task
 from repro.results.record import (
@@ -83,7 +83,7 @@ class TestRoundTripEveryWorkload:
 class TestRoundTripEveryEnvironment:
     """Every registered environment, run through the generic workload."""
 
-    @pytest.mark.parametrize("environment", default_environment_registry().names())
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
     def test_environment_record_round_trips(self, environment):
         task = workload_task("environment", env=environment)
         outcome = execute_task(task)

@@ -26,6 +26,12 @@ from repro.harness.tables import ExperimentTable
 from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
 from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
+from repro.workloads.chaos import partitioned_chaos_scenario
+from repro.workloads.environments import (
+    asymmetric_link_scenario,
+    churn_scenario,
+    gray_partition_scenario,
+)
 from repro.workloads.registry import default_workload_registry
 from repro.workloads.smr import SMR_WORKLOADS, is_smr_workload
 from repro.workloads.stable import stable_scenario
@@ -91,6 +97,30 @@ class TestSmrWorkloadFamily:
         direct = stable_scenario(5, params=PARAMS, seed=1, max_time=400.0 * PARAMS.delta)
         assert via_registry.name == direct.name
         assert via_registry.config == direct.config
+
+    @pytest.mark.parametrize("alias, factory, defaults", [
+        ("smr-stable", stable_scenario, {"max_time": 400.0 * PARAMS.delta}),
+        ("smr-chaos", partitioned_chaos_scenario, {}),
+        ("smr-churn", churn_scenario, {"waves": 2}),
+        ("smr-gray-partition", gray_partition_scenario, {}),
+        ("smr-asymmetric-link", asymmetric_link_scenario, {}),
+    ])
+    def test_smr_alias_builds_its_single_decree_scenario(self, alias, factory, defaults):
+        kwargs = {"n": 5, "params": PARAMS, "seed": 3}
+        via_alias = default_workload_registry().create(alias, **kwargs)
+        direct = factory(**kwargs, **defaults)
+        assert via_alias.name == direct.name
+        assert via_alias.config == direct.config
+        assert via_alias.environment.to_dict() == direct.environment.to_dict()
+        assert via_alias.deciders() == direct.deciders()
+
+    def test_smr_churn_runs_two_waves_and_smr_stable_has_a_400_delta_horizon(self):
+        registry = default_workload_registry()
+        churn = registry.create("smr-churn", n=5, params=PARAMS, seed=1)
+        assert churn.environment.faults.params["waves"] == 2
+        assert churn.name == "churn-n5-w2"
+        stable = registry.create("smr-stable", n=5, params=PARAMS, seed=1)
+        assert stable.config.max_time == 400.0 * PARAMS.delta
 
     @pytest.mark.parametrize("workload", SMR_WORKLOADS)
     def test_every_smr_workload_replicates_commands(self, workload):

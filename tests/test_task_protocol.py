@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.report import render_record_report
 from repro.consensus.registry import default_registry
 from repro.consensus.values import RunOutcome
-from repro.env.registry import default_environment_registry
+from repro.env.registry import named_environment
 from repro.errors import ConfigurationError, ExperimentError, ResultSchemaError
 from repro.harness import executors
 from repro.harness.executors import (
@@ -79,7 +79,7 @@ def make_scenario(name: str = "hand-built", env: str = "stable", seed: int = 1) 
     return Scenario(
         name=name,
         config=config,
-        environment=default_environment_registry().environment(env),
+        environment=named_environment(env),
     )
 
 
