@@ -1,6 +1,7 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one experiment (E1–E9) exactly once —
+Each benchmark regenerates one experiment (E1–E9) exactly once, at the
+full campaign scale (each experiment function's defaults) —
 these are macro-benchmarks of whole simulated executions, so
 ``benchmark.pedantic(..., rounds=1, iterations=1)`` is used instead of
 letting pytest-benchmark calibrate thousands of iterations.  The regenerated
@@ -9,15 +10,14 @@ table is printed so that running ``pytest benchmarks/ --benchmark-only -s``
 the timings.
 
 Set ``REPRO_BENCH_JOBS=N`` to fan each experiment's runs out over ``N``
-worker processes (experiments that accept an ``executor`` get a shared
-parallel one; the regenerated tables are identical to serial runs because
+worker processes (every experiment gets one shared parallel executor; the
+regenerated tables are identical to serial runs because
 every simulation is seeded and deterministic — only the wall-clock column
 changes).
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import sys
 
@@ -56,9 +56,9 @@ def run_experiment_once(benchmark, experiment_fn, **kwargs):
     """Run ``experiment_fn(**kwargs)`` once under the benchmark timer.
 
     When ``REPRO_BENCH_JOBS`` asks for parallelism, the shared executor is
-    handed to every experiment that accepts one.
+    handed to the experiment.
     """
-    if _JOBS > 1 and "executor" in inspect.signature(experiment_fn).parameters:
+    if _JOBS > 1:
         kwargs.setdefault("executor", _EXECUTOR)
     table = benchmark.pedantic(lambda: experiment_fn(**kwargs), rounds=1, iterations=1)
     rendered = table.render()

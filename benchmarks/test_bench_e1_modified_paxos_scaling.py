@@ -13,12 +13,7 @@ from repro.harness.experiments import (
 
 def test_e1_modified_paxos_scaling(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e1_modified_paxos_scaling,
-        ns=(3, 5, 7, 9, 13, 17, 21, 25, 31),
-        seeds=(1, 2, 3),
-        params=params,
-    )
+    table = experiment_runner(experiment_e1_modified_paxos_scaling)
     bound = decision_bound(params) / params.delta
     lags = [lag for lag in table.column("max_lag_delta") if lag is not None]
     assert len(lags) == 9, "every system size must reach a decision"

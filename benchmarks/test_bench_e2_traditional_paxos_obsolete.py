@@ -13,12 +13,7 @@ from repro.harness.experiments import (
 
 def test_e2_traditional_paxos_obsolete_ballots(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e2_traditional_obsolete,
-        ns=(5, 9, 13, 17, 21, 25, 31),
-        seeds=(1, 2),
-        params=params,
-    )
+    table = experiment_runner(experiment_e2_traditional_obsolete)
     lags = table.column("max_lag_delta")
     ks = table.column("obsolete_k")
     assert all(lag is not None for lag in lags)

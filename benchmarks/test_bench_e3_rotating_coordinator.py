@@ -13,13 +13,7 @@ from repro.harness.experiments import (
 
 def test_e3_rotating_coordinator_faulty_sweep(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e3_rotating_coordinator,
-        n=21,
-        faulty_counts=(0, 2, 4, 6, 8, 10),
-        seeds=(1, 2),
-        params=params,
-    )
+    table = experiment_runner(experiment_e3_rotating_coordinator)
     lags = table.column("max_lag_delta")
     fs = table.column("faulty_f")
     assert all(lag is not None for lag in lags)

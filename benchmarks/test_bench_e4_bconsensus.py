@@ -13,12 +13,7 @@ from repro.harness.experiments import (
 
 def test_e4_modified_bconsensus_scaling(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e4_modified_bconsensus,
-        ns=(3, 5, 7, 9, 13, 17, 21),
-        seeds=(1, 2),
-        params=params,
-    )
+    table = experiment_runner(experiment_e4_modified_bconsensus)
     lags = [lag for lag in table.column("max_lag_delta") if lag is not None]
     assert len(lags) == 7
     assert sum(table.column("undecided")) == 0

@@ -13,13 +13,7 @@ from repro.harness.experiments import (
 
 def test_e5_restart_recovery(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e5_restart_recovery,
-        n=9,
-        offsets=(5.0, 20.0, 40.0, 80.0),
-        seeds=(1, 2),
-        params=params,
-    )
+    table = experiment_runner(experiment_e5_restart_recovery)
     recoveries = table.column("max_recovery_delta")
     assert all(value is not None for value in recoveries)
     bound = restart_decision_bound(params) / params.delta

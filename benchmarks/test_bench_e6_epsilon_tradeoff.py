@@ -5,21 +5,11 @@ falls (fewer keep-alives) while the analytic bound — and generally the
 measured decision lag — grows once ``2δ + ε`` exceeds ``σ``.
 """
 
-from repro.harness.experiments import (
-    default_experiment_params,
-    experiment_e6_epsilon_tradeoff,
-)
+from repro.harness.experiments import experiment_e6_epsilon_tradeoff
 
 
 def test_e6_epsilon_tradeoff(experiment_runner):
-    base = default_experiment_params()
-    table = experiment_runner(
-        experiment_e6_epsilon_tradeoff,
-        n=9,
-        epsilons=(0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
-        seeds=(1, 2),
-        base_params=base,
-    )
+    table = experiment_runner(experiment_e6_epsilon_tradeoff)
     rates = table.column("post_ts_msgs_per_proc_per_delta")
     bounds = table.column("bound_delta")
     lags = table.column("max_lag_delta")

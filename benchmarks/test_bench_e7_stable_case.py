@@ -11,12 +11,7 @@ from repro.harness.experiments import default_experiment_params, experiment_e7_s
 
 def test_e7_stable_case(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e7_stable_case,
-        n=9,
-        seeds=(1, 2, 3),
-        params=params,
-    )
+    table = experiment_runner(experiment_e7_stable_case)
     lags = table.column("max_decision_delta")
     protocols = table.column("protocol")
     assert all(lag is not None for lag in lags)

@@ -8,18 +8,15 @@ the two baselines grow with N and overtake the modified algorithms.
 from collections import defaultdict
 
 from repro.core.timing import decision_bound
-from repro.harness.comparison import experiment_e8_protocol_comparison
-from repro.harness.experiments import default_experiment_params
+from repro.harness.experiments import (
+    default_experiment_params,
+    experiment_e8_protocol_comparison,
+)
 
 
 def test_e8_protocol_comparison(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e8_protocol_comparison,
-        ns=(5, 9, 15),
-        seeds=(1,),
-        params=params,
-    )
+    table = experiment_runner(experiment_e8_protocol_comparison)
     bound = decision_bound(params) / params.delta
 
     by_protocol = defaultdict(dict)

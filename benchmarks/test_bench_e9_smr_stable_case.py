@@ -23,13 +23,7 @@ from repro.harness.experiments import (
 
 def test_e9_smr_stable_case(experiment_runner):
     params = default_experiment_params()
-    table = experiment_runner(
-        experiment_e9_smr_stable_case,
-        n=9,
-        stable_commands=30,
-        chaos_commands=10,
-        params=params,
-    )
+    table = experiment_runner(experiment_e9_smr_stable_case)
     leader_row, follower_row, chaos_row = table.rows
     assert leader_row["worst_global_latency_delta"] <= 3.0
     assert follower_row["worst_global_latency_delta"] <= 4.0

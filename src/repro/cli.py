@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError
 from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
+from repro.results.store import open_store
 from repro.workloads.registry import default_workload_registry
 from repro.workloads.smr import is_smr_workload
 
@@ -268,7 +269,6 @@ def _command_run(args: argparse.Namespace) -> int:
         result = run_scenario(
             scenario,
             protocol,
-            registry=registry,
             enforce_safety=not args.allow_unsafe,
             enforce_invariants=not args.allow_unsafe,
         )
@@ -345,7 +345,8 @@ def _command_experiments(args: argparse.Namespace) -> int:
     report = write_report(result, args.out)
     print(f"wrote {report}")
     if args.store is not None:
-        print(f"store {args.store}: {len(result.store)} records")
+        with open_store(args.store) as store:
+            print(f"store {args.store}: {len(store)} records")
     return 0
 
 
@@ -371,7 +372,7 @@ def _command_results(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_record_report
     from repro.errors import ResultSchemaError, ResultStoreError
     from repro.harness.tables import render_table
-    from repro.results import diff_aggregates, export_csv, export_json, open_store
+    from repro.results import diff_aggregates, export_csv, export_json
 
     command = args.results_command
     specs = [args.store_a, args.store_b] if command == "diff" else [args.store]

@@ -13,9 +13,9 @@ Layers, bottom-up:
   store/resume execution engine behind ``run_experiment`` and
   ``run_smr_tasks``, one :class:`ResultRow` per executed task of either
   kind, and the queryable :class:`ResultSet`.
-* :mod:`repro.harness.experiments` / :mod:`repro.harness.comparison` /
-  :mod:`repro.harness.campaign` — the paper's E1–E9 tables built on the
-  layers above.
+* :mod:`repro.harness.experiments` — one function per E1–E9 table, built
+  on the layers above; :mod:`repro.harness.campaign` — the catalogue that
+  runs them at smoke or full scale.
 """
 
 from repro.harness.executors import (

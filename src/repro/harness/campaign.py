@@ -5,22 +5,23 @@ This is the "regenerate everything" path behind ``repro experiments``::
     python -m repro experiments --scale full --out results/
     python -m repro experiments --scale full --store results/full.jsonl --resume
 
-It runs experiments E1–E9 at the requested scale (``--jobs N`` fans the
-runs of each experiment out over a process pool), writes each regenerated
-table to ``<out>/E*.txt``, and produces a combined Markdown report
+The campaign is a catalogue: :data:`EXPERIMENTS` maps each id (E1–E9) to
+its function, whose size defaults are the full scale, and :data:`SMOKE`
+holds the smaller keyword sizes of the smoke scale.  :func:`run_campaign`
+runs the selected experiments (``--jobs N`` fans the runs of each out over
+a process pool), :func:`write_report` writes each regenerated table to
+``<out>/E*.txt`` and a combined Markdown report
 (``<out>/experiments_report.md``) with the analytic bounds next to the
 measured values.
 
-Every run of every experiment streams its record — a
+With a ``--store``, every run streams its record — a
 :class:`~repro.results.record.RunRecord` for the single-decree experiments,
 an :class:`~repro.results.smr_record.SmrRecord` for E9's multi-decree runs —
-into a :class:`~repro.results.store.ResultStore`: a durable one named by
-``--store`` or a process-local :class:`~repro.results.store.MemoryStore`
-by default, so :meth:`CampaignResult.to_store` always has records to copy.
-With ``--resume``, runs whose content key is already in the store are
-loaded instead of executed: a campaign killed midway re-executes only the
-missing (protocol, workload, seed) cells and produces byte-identical
-tables.
+into that :class:`~repro.results.store.ResultStore` as it completes; without
+one, no records are built.  With ``--resume``, runs whose content key is
+already in the store are loaded instead of executed: a campaign killed
+midway re-executes only the missing (protocol, workload, seed) cells and
+produces byte-identical tables.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from repro.harness.comparison import experiment_e8_protocol_comparison
+from repro.errors import ConfigurationError
 from repro.harness.executors import Executor, make_executor
 from repro.harness.experiments import (
     default_experiment_params,
@@ -41,140 +42,54 @@ from repro.harness.experiments import (
     experiment_e5_restart_recovery,
     experiment_e6_epsilon_tradeoff,
     experiment_e7_stable_case,
+    experiment_e8_protocol_comparison,
     experiment_e9_smr_stable_case,
 )
-from repro.errors import ConfigurationError
 from repro.harness.tables import ExperimentTable
-from repro.results.store import MemoryStore, ResultStore, open_store
+from repro.results.store import ResultStore, open_store
 
-__all__ = ["CampaignResult", "campaign_plan", "run_campaign", "write_report"]
+__all__ = ["EXPERIMENTS", "SMOKE", "CampaignResult", "run_campaign", "write_report"]
 
-ExperimentFn = Callable[[], ExperimentTable]
+# Each function's defaults are its full-scale sizes.
+EXPERIMENTS: Mapping[str, Callable[..., ExperimentTable]] = {
+    "E1": experiment_e1_modified_paxos_scaling,
+    "E2": experiment_e2_traditional_obsolete,
+    "E3": experiment_e3_rotating_coordinator,
+    "E4": experiment_e4_modified_bconsensus,
+    "E5": experiment_e5_restart_recovery,
+    "E6": experiment_e6_epsilon_tradeoff,
+    "E7": experiment_e7_stable_case,
+    "E8": experiment_e8_protocol_comparison,
+    "E9": experiment_e9_smr_stable_case,
+}
+
+# The smoke scale: sizes small enough that the whole campaign runs in seconds.
+SMOKE: Mapping[str, Mapping[str, Any]] = {
+    "E1": {"ns": (3, 5), "seeds": (1,)},
+    "E2": {"ns": (5, 7), "seeds": (1,)},
+    "E3": {"n": 7, "faulty_counts": (0, 2), "seeds": (1,)},
+    "E4": {"ns": (3, 5), "seeds": (1,)},
+    "E5": {"n": 5, "offsets": (5.0, 15.0), "seeds": (1,)},
+    "E6": {"n": 5, "epsilons": (0.25, 1.0), "seeds": (1,)},
+    "E7": {"n": 5, "seeds": (1,)},
+    "E8": {"ns": (5,), "seeds": (1,)},
+    "E9": {"n": 5, "stable_commands": 6, "chaos_commands": 3},
+}
 
 
 @dataclass
 class CampaignResult:
-    """All regenerated tables, timing information, and the run-record store."""
+    """All regenerated tables and how long each took."""
 
     scale: str
     tables: List[ExperimentTable] = field(default_factory=list)
     durations: Dict[str, float] = field(default_factory=dict)
-    store: Optional[ResultStore] = None
 
     def table(self, experiment: str) -> ExperimentTable:
         for table in self.tables:
             if table.experiment == experiment:
                 return table
         raise KeyError(experiment)
-
-    def to_store(self, target: Union[str, ResultStore]) -> int:
-        """Copy every run record this campaign produced into ``target``.
-
-        ``target`` is a :class:`~repro.results.store.ResultStore` or a path
-        accepted by :func:`~repro.results.store.open_store`.  Returns the
-        number of records copied.  Lets a campaign that ran against the
-        default in-memory store be persisted after the fact (e.g. by
-        :func:`write_report`).
-        """
-        if self.store is None:
-            return 0
-        opened = not isinstance(target, ResultStore)
-        target = open_store(target)
-        try:
-            return self.store.copy_into(target)
-        finally:
-            if opened:
-                target.close()
-
-
-def campaign_plan(
-    scale: str = "full",
-    executor: Optional[Executor] = None,
-    store: Optional[ResultStore] = None,
-    resume: bool = False,
-) -> Dict[str, ExperimentFn]:
-    """The experiments to run, sized for ``scale`` ("smoke" or "full").
-
-    The smoke scale exists so tests (and impatient users) can exercise the
-    whole campaign path in seconds; the full scale matches the benchmark
-    suite.  ``executor``, ``store``, and ``resume`` are
-    threaded into every experiment, so one parallel executor accelerates —
-    and one store caches — the whole campaign.
-    """
-    params = default_experiment_params()
-    ex, st, rs = executor, store, resume
-    if scale == "smoke":
-        return {
-            "E1": lambda: experiment_e1_modified_paxos_scaling(
-                ns=(3, 5), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E2": lambda: experiment_e2_traditional_obsolete(
-                ns=(5, 7), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E3": lambda: experiment_e3_rotating_coordinator(
-                n=7, faulty_counts=(0, 2), seeds=(1,), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E4": lambda: experiment_e4_modified_bconsensus(
-                ns=(3, 5), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E5": lambda: experiment_e5_restart_recovery(
-                n=5, offsets=(5.0, 15.0), seeds=(1,), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E6": lambda: experiment_e6_epsilon_tradeoff(
-                n=5, epsilons=(0.25, 1.0), seeds=(1,), base_params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E7": lambda: experiment_e7_stable_case(
-                n=5, seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E8": lambda: experiment_e8_protocol_comparison(
-                ns=(5,), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E9": lambda: experiment_e9_smr_stable_case(
-                n=5, stable_commands=6, chaos_commands=3, params=params, executor=ex,
-                store=st, resume=rs
-            ),
-        }
-    if scale == "full":
-        return {
-            "E1": lambda: experiment_e1_modified_paxos_scaling(
-                ns=(3, 5, 7, 9, 13, 17, 21, 25, 31), seeds=(1, 2, 3), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E2": lambda: experiment_e2_traditional_obsolete(
-                ns=(5, 9, 13, 17, 21, 25, 31), seeds=(1, 2), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E3": lambda: experiment_e3_rotating_coordinator(
-                n=21, faulty_counts=(0, 2, 4, 6, 8, 10), seeds=(1, 2), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E4": lambda: experiment_e4_modified_bconsensus(
-                ns=(3, 5, 7, 9, 13, 17, 21), seeds=(1, 2), params=params, executor=ex,
-                store=st, resume=rs
-            ),
-            "E5": lambda: experiment_e5_restart_recovery(
-                n=9, offsets=(5.0, 20.0, 40.0, 80.0), seeds=(1, 2), params=params,
-                executor=ex, store=st, resume=rs
-            ),
-            "E6": lambda: experiment_e6_epsilon_tradeoff(
-                n=9, epsilons=(0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0), seeds=(1, 2),
-                base_params=params, executor=ex, store=st, resume=rs
-            ),
-            "E7": lambda: experiment_e7_stable_case(
-                n=9, seeds=(1, 2, 3), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E8": lambda: experiment_e8_protocol_comparison(
-                ns=(5, 9, 15), seeds=(1,), params=params, executor=ex, store=st, resume=rs
-            ),
-            "E9": lambda: experiment_e9_smr_stable_case(
-                n=9, stable_commands=30, chaos_commands=10, params=params, executor=ex,
-                store=st, resume=rs
-            ),
-        }
-    raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
 
 
 def run_campaign(
@@ -186,62 +101,55 @@ def run_campaign(
     store: Optional[Union[str, ResultStore]] = None,
     resume: bool = False,
 ) -> CampaignResult:
-    """Run the selected experiments and return their tables.
+    """Run the selected experiments (each once, in first-seen order) at ``scale``.
 
-    ``executor`` wins over ``jobs``; with neither, everything runs serially
-    in this process.  ``store`` (a path or
+    ``scale`` is ``"full"`` (each function's defaults) or ``"smoke"``
+    (:data:`SMOKE`).  ``executor`` wins over ``jobs``; with neither,
+    everything runs serially in this process.  ``store`` (a path or
     :class:`~repro.results.store.ResultStore`) receives every run's record
-    as it completes; without one, records collect in a process-local
-    :class:`~repro.results.store.MemoryStore` exposed as
-    ``CampaignResult.store``.  With ``resume=True``, runs already in the
+    as it completes; a store opened here from a path is closed on return,
+    one passed in stays open.  With ``resume=True``, runs already in the
     store are loaded instead of re-executed, so an interrupted campaign
     picks up where it stopped.
     """
-    available = sorted(campaign_plan(scale))
-    selected = experiments if experiments is not None else available
-    unknown = [name for name in selected if name not in available]
+    if scale not in ("smoke", "full"):
+        raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
+    selected = list(dict.fromkeys(experiments if experiments is not None else EXPERIMENTS))
+    unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         # Checked before the store opens, so a typo neither runs the valid
         # experiments first nor leaves a store file behind.
         raise ConfigurationError(
-            f"unknown experiment {', '.join(unknown)}; available: {', '.join(available)}"
+            f"unknown experiment {', '.join(unknown)}; available: {', '.join(EXPERIMENTS)}"
         )
     owns_executor = executor is None
     executor = executor if executor is not None else make_executor(jobs)
-    store_obj = open_store(store) if store is not None else MemoryStore()
-    plan = campaign_plan(scale, executor=executor, store=store_obj, resume=resume)
-    result = CampaignResult(scale=scale, store=store_obj)
+    opened = store is not None and not isinstance(store, ResultStore)
+    store = open_store(store) if store is not None else None
+    result = CampaignResult(scale=scale)
     try:
         for name in selected:
             if progress is not None:
                 progress(f"running {name} ({scale} scale)")
+            sizes = SMOKE[name] if scale == "smoke" else {}
             started = time.perf_counter()
-            table = plan[name]()
+            table = EXPERIMENTS[name](**sizes, executor=executor, store=store, resume=resume)
             result.durations[name] = time.perf_counter() - started
             result.tables.append(table)
     finally:
-        # Flush but do not close: CampaignResult.store stays usable (e.g. for
-        # to_store / write_report) after the campaign returns.
-        store_obj.flush()
         if owns_executor:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
+            executor.close()
+        if opened:
+            store.close()
     return result
 
 
-def write_report(
-    result: CampaignResult,
-    out_dir: str,
-    store: Optional[Union[str, ResultStore]] = None,
-) -> str:
+def write_report(result: CampaignResult, out_dir: str) -> str:
     """Write per-experiment text tables and a combined Markdown report.
 
     Each table renders exactly once; the same text feeds both the
-    ``<out>/E*.txt`` file and the Markdown section.  ``store`` additionally
-    persists the campaign's run records there (via
-    :meth:`CampaignResult.to_store`), so one call produces tables *and* a
-    durable, queryable store.  Returns the path of the Markdown report.
+    ``<out>/E*.txt`` file and the Markdown section.  Returns the path of
+    the Markdown report.
     """
     os.makedirs(out_dir, exist_ok=True)
     rendered = {table.experiment: table.render() for table in result.tables}
@@ -263,8 +171,5 @@ def write_report(
             handle.write(rendered[table.experiment])
             handle.write("\n```\n\n")
             handle.write(f"_Regenerated in {duration:.1f} s._\n\n")
-
-    if store is not None:
-        result.to_store(store)
     return report_path
 

@@ -206,28 +206,34 @@ def execute_task(task: AnyTask) -> AnyOutcome:
 
 
 class Executor:
-    """Strategy for executing a batch of :class:`RunTask`/:class:`SmrTask`\\ s."""
+    """Strategy for executing a batch of :class:`RunTask`/:class:`SmrTask`\\ s.
+
+    A subclass implements :meth:`imap`; whoever creates an executor closes
+    it (a no-op unless the executor holds workers).
+    """
+
+    def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
+        """Yield outcomes in task order as they complete.
+
+        Consumers that persist outcomes (``run_experiment(..., store=...)``)
+        write each record as it arrives instead of holding the whole batch,
+        so an interrupted campaign keeps everything finished before the
+        interruption.
+        """
+        raise NotImplementedError(f"{type(self).__name__} must override Executor.imap()")
 
     def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
         """Execute every task and return outcomes in task order."""
         return list(self.imap(tasks))
 
-    def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
-        """Yield outcomes in task order as they complete.
+    def close(self) -> None:
+        """Release whatever the executor holds (nothing, by default)."""
 
-        The streaming counterpart of :meth:`map`: consumers that persist
-        outcomes (e.g. ``run_experiment(..., store=...)``) write each record
-        as it arrives instead of holding the whole batch, so an interrupted
-        campaign keeps everything finished before the interruption.
-        Subclasses must override at least one of :meth:`map` / :meth:`imap`.
-        """
-        if type(self).map is Executor.map:
-            # Neither method overridden: fail clearly instead of recursing
-            # map -> imap -> map until the interpreter gives up.
-            raise NotImplementedError(
-                f"{type(self).__name__} must override Executor.map() or Executor.imap()"
-            )
-        return iter(self.map(tasks))
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SerialExecutor(Executor):
@@ -254,14 +260,11 @@ class ParallelExecutor(Executor):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        # The pool is created on first use and reused across map() calls, so
+        # The pool is created on first use and reused across imap() calls, so
         # an executor threaded through a whole campaign pays spin-up once.
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
-
-    def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
-        return list(self.imap(tasks))
 
     def imap(self, tasks: Sequence[AnyTask]) -> Iterator[AnyOutcome]:
         tasks = list(tasks)
@@ -277,12 +280,6 @@ class ParallelExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def make_executor(jobs: Optional[int] = None) -> Executor:

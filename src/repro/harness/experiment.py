@@ -303,30 +303,29 @@ def _run_tasks(
 ) -> List[ResultRow]:
     """The one store/resume execution engine behind every task kind.
 
-    Executes ``tasks`` through ``executor`` or a new executor for ``jobs``
-    (not both; with neither, execution is serial) and pairs each with its
-    outcome, in task order.  With a ``store``, every executed task is frozen
-    into the record type matching its kind
-    (:func:`~repro.results.record.record_for_task`) and streamed in as it
-    completes — a crash or interrupt mid-batch leaves every finished run
+    Streams ``tasks`` through ``executor.imap`` — or through a new executor
+    for ``jobs`` (not both; with neither, execution is serial), closed again
+    before returning — and pairs each with its outcome, in task order.  With
+    a ``store``, every executed task is frozen into the record type matching
+    its kind (:func:`~repro.results.record.record_for_task`) and written as
+    it completes — a crash or interrupt mid-batch leaves every finished run
     durable; with ``resume=True``, tasks whose content key is already
     present are loaded instead of executed (cache hits are logged on the
     ``repro.results`` logger).
     """
     if executor is not None and jobs is not None:
         raise ExperimentError("pass either executor or jobs, not both")
-    executor = executor if executor is not None else make_executor(jobs)
-    if store is None:
-        if resume:
-            raise ExperimentError("resume=True needs a store to resume from")
-        return [ResultRow(task, outcome) for task, outcome in zip(tasks, executor.map(tasks))]
-
+    if resume and store is None:
+        raise ExperimentError("resume=True needs a store to resume from")
     from repro.results.record import content_key_for_task, record_for_task
-    from repro.results.store import open_store
+    from repro.results.store import ResultStore, open_store
 
-    opened = not hasattr(store, "put")
-    store = open_store(store)
-    keys = [content_key_for_task(task) for task in tasks]
+    opened = store is not None and not isinstance(store, ResultStore)
+    if store is not None:
+        store = open_store(store)
+        keys = [content_key_for_task(task) for task in tasks]
+    else:
+        keys = [None] * len(tasks)
     slots: List[Optional[AnyOutcome]] = [None] * len(tasks)
     pending: List[int] = []
     for index, key in enumerate(keys):
@@ -341,18 +340,21 @@ def _run_tasks(
             "resume: %d of %d runs cached, executing %d",
             len(tasks) - len(pending), len(tasks), len(pending),
         )
+    owns_executor = executor is None
+    if owns_executor:
+        executor = make_executor(jobs)
     try:
-        # Stream records into the store as outcomes complete; a crash or
-        # interrupt mid-batch leaves every finished run durable.
-        for index, outcome in zip(
-            pending, executor.imap([tasks[i] for i in pending])
-        ):
+        for index, outcome in zip(pending, executor.imap([tasks[i] for i in pending])):
             slots[index] = outcome
-            store.put(record_for_task(tasks[index], outcome, key=keys[index]))
+            if store is not None:
+                store.put(record_for_task(tasks[index], outcome, key=keys[index]))
     finally:
-        store.flush()
-        if opened:
-            store.close()
+        if owns_executor:
+            executor.close()
+        if store is not None:
+            store.flush()
+            if opened:
+                store.close()
     return [ResultRow(task, outcome) for task, outcome in zip(tasks, slots) if outcome is not None]
 
 

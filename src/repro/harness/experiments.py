@@ -1,4 +1,4 @@
-"""Experiment definitions E1–E7 (plus E9).
+"""Experiment definitions E1–E9.
 
 The paper contains no numbered tables or figures — its evaluation is the
 timing analysis of Sections 2–5.  Each function here regenerates one of the
@@ -9,11 +9,11 @@ protocols in :mod:`repro.core` / :mod:`repro.consensus`, executing it
 through an :class:`~repro.harness.executors.Executor` (pass ``executor=``
 to fan runs out across processes), and aggregating the resulting
 :class:`~repro.harness.experiment.ResultSet` into an
-:class:`~repro.harness.tables.ExperimentTable`.  The protocol-comparison
-table (E8) lives in :mod:`repro.harness.comparison`.
+:class:`~repro.harness.tables.ExperimentTable`.
 
-All functions take size knobs (process counts, seeds) so tests can run tiny
-instances and benchmarks the full ones.
+Each function's size defaults (process counts, seeds, sweeps) are the full
+campaign scale; :data:`repro.harness.campaign.SMOKE` lists the smaller sizes
+the smoke campaign passes instead, and tests pass their own.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "experiment_e5_restart_recovery",
     "experiment_e6_epsilon_tradeoff",
     "experiment_e7_stable_case",
+    "experiment_e8_protocol_comparison",
     "experiment_e9_smr_stable_case",
 ]
 
@@ -52,8 +53,8 @@ def default_experiment_params(epsilon: float = 0.5) -> TimingParams:
 
 # --------------------------------------------------------------------------- E1
 def experiment_e1_modified_paxos_scaling(
-    ns: Sequence[int] = (3, 5, 7, 9, 13, 17, 21, 25),
-    seeds: Iterable[int] = (1, 2),
+    ns: Sequence[int] = (3, 5, 7, 9, 13, 17, 21, 25, 31),
+    seeds: Iterable[int] = (1, 2, 3),
     params: Optional[TimingParams] = None,
     ts_factor: float = 10.0,
     executor: Optional[Executor] = None,
@@ -92,8 +93,8 @@ def experiment_e1_modified_paxos_scaling(
 
 # --------------------------------------------------------------------------- E2
 def experiment_e2_traditional_obsolete(
-    ns: Sequence[int] = (5, 9, 13, 17, 21, 25),
-    seeds: Iterable[int] = (1,),
+    ns: Sequence[int] = (5, 9, 13, 17, 21, 25, 31),
+    seeds: Iterable[int] = (1, 2),
     params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
@@ -139,9 +140,9 @@ def experiment_e2_traditional_obsolete(
 
 # --------------------------------------------------------------------------- E3
 def experiment_e3_rotating_coordinator(
-    n: int = 15,
+    n: int = 21,
     faulty_counts: Optional[Sequence[int]] = None,
-    seeds: Iterable[int] = (1,),
+    seeds: Iterable[int] = (1, 2),
     params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
@@ -226,8 +227,8 @@ def experiment_e4_modified_bconsensus(
 
 # --------------------------------------------------------------------------- E5
 def experiment_e5_restart_recovery(
-    n: int = 7,
-    offsets: Sequence[float] = (5.0, 20.0, 40.0),
+    n: int = 9,
+    offsets: Sequence[float] = (5.0, 20.0, 40.0, 80.0),
     seeds: Iterable[int] = (1, 2),
     params: Optional[TimingParams] = None,
     protocol: str = "modified-paxos",
@@ -274,7 +275,7 @@ def experiment_e5_restart_recovery(
 
 # --------------------------------------------------------------------------- E6
 def experiment_e6_epsilon_tradeoff(
-    n: int = 7,
+    n: int = 9,
     epsilons: Sequence[float] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
     seeds: Iterable[int] = (1, 2),
     base_params: Optional[TimingParams] = None,
@@ -333,7 +334,7 @@ def experiment_e6_epsilon_tradeoff(
 
 # --------------------------------------------------------------------------- E7
 def experiment_e7_stable_case(
-    n: int = 7,
+    n: int = 9,
     protocols: Sequence[str] = (
         "modified-paxos",
         "traditional-paxos",
@@ -372,6 +373,89 @@ def experiment_e7_stable_case(
             "its 2*delta hold-back"
         ),
     )
+
+
+# --------------------------------------------------------------------------- E8
+_CHAOS_PROTOCOLS = (
+    "modified-paxos",
+    "modified-b-consensus",
+    "traditional-paxos",
+    "rotating-coordinator",
+)
+
+
+def experiment_e8_protocol_comparison(
+    ns: Sequence[int] = (5, 9, 15),
+    seeds: Iterable[int] = (1,),
+    params: Optional[TimingParams] = None,
+    ts_factor: float = 8.0,
+    executor: Optional[Executor] = None,
+    store: Optional[Any] = None,
+    resume: bool = False,
+) -> ExperimentTable:
+    """Every protocol under one chaos workload, and each baseline under its worst case.
+
+    Two views are combined: every protocol under the *same*
+    partitioned-chaos workload (how long after ``TS`` each needs in a
+    "generic bad past"), and the two baselines under their own worst-case
+    adversaries (obsolete high ballots for traditional Paxos, crashed
+    coordinators for the rotating coordinator), which is where the
+    ``O(Nδ)`` behaviour shows.  The three specs run as one task batch, so a
+    parallel executor schedules every run across its workers at once.  The
+    modified algorithms should stay flat in ``N`` while the baselines'
+    adversarial columns grow roughly linearly.
+    """
+    params = params if params is not None else default_experiment_params()
+    bound = decision_bound(params) / params.delta
+
+    chaos = ExperimentSpec(
+        workload="partitioned-chaos",
+        protocols=_CHAOS_PROTOCOLS,
+        seeds=tuple(seeds),
+        base={"params": params, "ts": ts_factor * params.delta},
+        grid={"n": tuple(ns)},
+        tags={"case": "chaos"},
+    )
+    adversarial = [
+        ExperimentSpec(
+            workload=workload,
+            protocols=(protocol,),
+            seeds=tuple(seeds),
+            base={"params": params},
+            grid={"n": tuple(ns)},
+            tags={"case": "adversarial"},
+        )
+        for protocol, workload in (
+            ("traditional-paxos", "obsolete-ballots"),
+            ("rotating-coordinator", "coordinator-crash"),
+        )
+    ]
+    results = run_experiment(
+        [chaos, *adversarial], executor=executor, store=store, resume=resume
+    )
+
+    table = ExperimentTable(
+        experiment="E8",
+        title="Protocol comparison: worst post-TS decision lag (delta units)",
+        headers=["protocol", "n", "chaos_lag_delta", "adversarial_lag_delta", "undecided"],
+        notes=(
+            "chaos = identical partitioned-chaos workload for every protocol; adversarial = "
+            "protocol-specific worst case (obsolete ballots for traditional Paxos, crashed "
+            f"coordinators for the rotating coordinator); Modified Paxos bound = {bound:.1f} delta"
+        ),
+    )
+    for protocol in _CHAOS_PROTOCOLS:
+        for n in ns:
+            chaos_runs = results.filter(case="chaos", protocol=protocol, n=n)
+            adversarial_runs = results.filter(case="adversarial", protocol=protocol, n=n)
+            table.add_row(
+                protocol=protocol,
+                n=n,
+                chaos_lag_delta=chaos_runs.max(lag_delta),
+                adversarial_lag_delta=adversarial_runs.max(lag_delta),
+                undecided=len(chaos_runs) - len(chaos_runs.values(lag_delta)),
+            )
+    return table
 
 
 # --------------------------------------------------------------------------- E9

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Union
 from repro.analysis.invariants import InvariantReport
 from repro.analysis.metrics import RunMetrics, compute_run_metrics
 from repro.consensus.base import ProtocolBuilder
-from repro.consensus.registry import ProtocolRegistry, default_registry
+from repro.consensus.registry import default_registry
 from repro.consensus.spec import SafetyReport, check_safety
 from repro.consensus.values import DecisionOutcome, RunOutcome
 from repro.sim.simulator import Simulator
@@ -83,7 +83,6 @@ def run_scenario(
     scenario: Scenario,
     protocol: Union[str, ProtocolBuilder],
     *,
-    registry: Optional[ProtocolRegistry] = None,
     protocol_kwargs: Optional[dict] = None,
     enforce_safety: bool = True,
     enforce_invariants: bool = True,
@@ -95,8 +94,6 @@ def run_scenario(
         scenario: The workload to run.
         protocol: A protocol name from the registry or a pre-built
             :class:`ProtocolBuilder` instance.
-        registry: Registry used to resolve protocol names (defaults to the
-            built-in one).
         protocol_kwargs: Extra keyword arguments for the builder when the
             protocol is given by name.
         enforce_safety: Raise if the safety spec is violated (otherwise the
@@ -106,8 +103,7 @@ def run_scenario(
             (otherwise run to the scenario's horizon).
     """
     if isinstance(protocol, str):
-        registry = registry if registry is not None else default_registry()
-        builder = registry.create(protocol, **(protocol_kwargs or {}))
+        builder = default_registry().create(protocol, **(protocol_kwargs or {}))
         protocol_name = protocol
     else:
         builder = protocol

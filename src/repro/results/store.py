@@ -4,9 +4,8 @@ Three backends share one :class:`ResultStore` contract (and one
 backend-conformance test suite):
 
 ``MemoryStore``
-    A process-local dict.  The default sink when no path is given — every
-    campaign streams into *some* store, so helpers like
-    ``CampaignResult.to_store`` always have records to copy.
+    A process-local dict (``open_store("memory")``): nothing survives the
+    process, which suits tests and one-off in-process queries.
 ``JsonlStore``
     One append-only ``records.jsonl`` file plus an atomic sidecar index
     (``<path>.index.json``, written via temp-file + ``os.replace``).  Appends
@@ -155,21 +154,12 @@ class ResultStore:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def copy_into(self, target: "ResultStore") -> int:
-        """Upsert every record into ``target``; returns the record count."""
-        count = 0
-        for record in self.records():
-            target.put(record)
-            count += 1
-        target.flush()
-        return count
-
     def describe(self) -> str:
         return f"{self.backend}({len(self)} records)"
 
 
 class MemoryStore(ResultStore):
-    """Insertion-ordered in-process store; the default campaign sink."""
+    """Insertion-ordered in-process store."""
 
     backend = "memory"
 

@@ -1,22 +1,33 @@
 """Tests for the campaign runner (`repro.harness.campaign`) at smoke scale."""
 
+import inspect
 import os
+import sqlite3
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.campaign import campaign_plan, run_campaign, write_report
+from repro.harness import campaign
+from repro.harness.campaign import EXPERIMENTS, SMOKE, run_campaign, write_report
 from repro.harness.executors import SerialExecutor
+from repro.results.store import SqliteStore, open_store
 
 
-class TestPlan:
-    def test_smoke_and_full_cover_all_nine_experiments(self):
-        assert sorted(campaign_plan("smoke")) == [f"E{i}" for i in range(1, 10)]
-        assert sorted(campaign_plan("full")) == [f"E{i}" for i in range(1, 10)]
+class TestCatalogue:
+    def test_experiments_lists_e1_to_e9_and_smoke_sizes_each(self):
+        assert list(EXPERIMENTS) == [f"E{i}" for i in range(1, 10)]
+        assert list(SMOKE) == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(SMOKE))
+    def test_smoke_sizes_are_parameters_of_their_experiment(self, name):
+        parameters = inspect.signature(EXPERIMENTS[name]).parameters
+        assert set(SMOKE[name]) <= set(parameters)
+        # The campaign threads these into every experiment.
+        assert {"executor", "store", "resume"} <= set(parameters)
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            campaign_plan("enormous")
+        with pytest.raises(ValueError, match="use 'smoke' or 'full'"):
+            run_campaign(scale="enormous", experiments=["E7"])
 
 
 class TestRun:
@@ -46,6 +57,29 @@ class TestRun:
         assert "available: E1, E2, E3, E4, E5, E6, E7, E8, E9" in str(excinfo.value)
         assert messages == []
         assert not store.exists()
+
+    def test_repeated_experiment_runs_once(self, tmp_path):
+        store_path = tmp_path / "campaign.jsonl"
+        result = run_campaign(scale="smoke", experiments=["E7", "E7"], store=str(store_path))
+        assert [table.experiment for table in result.tables] == ["E7"]
+        assert len(store_path.read_text().splitlines()) == 4
+
+    def test_store_opened_from_path_is_closed(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open_store(spec):
+            opened.append(open_store(spec))
+            return opened[-1]
+
+        monkeypatch.setattr(campaign, "open_store", recording_open_store)
+        run_campaign(scale="smoke", experiments=["E7"], store=str(tmp_path / "c.sqlite"))
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(opened[0])
+
+    def test_store_passed_in_stays_open(self, tmp_path):
+        with SqliteStore(tmp_path / "c.sqlite") as store:
+            run_campaign(scale="smoke", experiments=["E7"], store=store)
+            assert len(store) == 4
 
     def test_table_lookup_missing(self):
         result = run_campaign(scale="smoke", experiments=["E7"])

@@ -11,7 +11,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.consensus.values import RunOutcome
 from repro.errors import ConfigurationError, ExperimentError
-from repro.harness.comparison import experiment_e8_protocol_comparison
 from repro.harness.executors import (
     ParallelExecutor,
     SerialExecutor,
@@ -24,7 +23,10 @@ from repro.harness.experiment import (
     lag_delta,
     run_experiment,
 )
-from repro.harness.experiments import default_experiment_params
+from repro.harness.experiments import (
+    default_experiment_params,
+    experiment_e8_protocol_comparison,
+)
 from repro.harness.tables import ExperimentTable
 from repro.workloads.registry import (
     ScenarioRegistry,
@@ -148,6 +150,19 @@ class TestExecutors:
         serial = SerialExecutor().map(tasks)
         parallel = ParallelExecutor(jobs=3).map(tasks)
         assert serial == parallel
+
+    def test_jobs_leaves_no_worker_processes(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        spec = ExperimentSpec(
+            workload="stable",
+            protocols=("modified-paxos",),
+            seeds=(1, 2, 3, 4),
+            base={"n": 3, "params": default_experiment_params()},
+        )
+        assert len(run_experiment(spec, jobs=2)) == 4
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_parallel_executor_falls_back_for_single_task(self):
         tasks = self._spec().tasks()[:1]

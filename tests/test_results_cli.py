@@ -200,3 +200,14 @@ class TestExperimentsStoreFlags:
         assert "available: E1, E2, E3, E4, E5, E6, E7, E8, E9" in printed
         assert "running" not in printed
         assert not store.exists() and not out.exists()
+
+    def test_repeated_experiment_runs_once(self, tmp_path, capsys):
+        store = tmp_path / "campaign.jsonl"
+        out = tmp_path / "out"
+        assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
+                     "--experiment", "E7", "--out", str(out), "--store", str(store)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("running E7") == 1
+        assert f"store {store}: 4 records" in printed
+        assert len(store.read_text().splitlines()) == 4
+        assert (out / "experiments_report.md").read_text().count("## E7") == 1

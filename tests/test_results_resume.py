@@ -13,7 +13,7 @@ from repro.harness.executors import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.experiments import default_experiment_params
 from repro.harness.tables import ExperimentTable
-from repro.results import JsonlStore, MemoryStore, open_store
+from repro.results import JsonlStore
 from repro.results.record import content_key_for_task
 
 PARAMS = default_experiment_params()
@@ -108,13 +108,13 @@ class TestRunExperimentResume:
     def test_without_store_behaviour_unchanged(self):
         assert table_of(run_experiment(chaos_spec())) == table_of(run_experiment(chaos_spec()))
 
-    def test_executor_without_map_or_imap_fails_clearly(self):
+    def test_executor_without_imap_fails_clearly(self):
         from repro.harness.executors import Executor
 
         class Hollow(Executor):
             pass
 
-        with pytest.raises(NotImplementedError, match="override"):
+        with pytest.raises(NotImplementedError, match="Hollow must override Executor.imap"):
             Hollow().map([])
 
 
@@ -145,23 +145,3 @@ class TestCampaignResume:
         assert strip(tmp_path / "resumed" / "experiments_report.md") == \
             strip(tmp_path / "baseline" / "experiments_report.md")
         assert baseline_report != resumed_report  # separate files, same tables
-
-    def test_campaign_records_collect_in_memory_store_by_default(self):
-        result = run_campaign(scale="smoke", experiments=["E7"])
-        assert isinstance(result.store, MemoryStore)
-        assert len(result.store) == 4
-
-    def test_to_store_copies_records(self, tmp_path):
-        result = run_campaign(scale="smoke", experiments=["E7"])
-        target = str(tmp_path / "copied.sqlite")
-        assert result.to_store(target) == 4
-        with open_store(target) as reopened:
-            assert sorted(reopened.keys()) == sorted(result.store.keys())
-
-    def test_write_report_accepts_store(self, tmp_path):
-        result = run_campaign(scale="smoke", experiments=["E7"])
-        report = write_report(result, str(tmp_path / "out"),
-                              store=str(tmp_path / "report.jsonl"))
-        assert (tmp_path / "out" / "E7.txt").exists()
-        assert report.endswith("experiments_report.md")
-        assert len(JsonlStore(tmp_path / "report.jsonl")) == 4

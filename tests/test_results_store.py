@@ -127,14 +127,6 @@ class TestConformance:
         )
         assert [row["n"] for row in table.rows] == [3, 5]
 
-    def test_copy_into_other_backend(self, store_factory, tmp_path):
-        store = store_factory()
-        records = seed_records(store)
-        target = SqliteStore(tmp_path / "copy-target.sqlite")
-        assert store.copy_into(target) == len(records)
-        assert target.keys() == store.keys()
-        target.close()
-
     def test_context_manager_flushes(self, store_factory):
         with store_factory("ctx") as store:
             seed_records(store, count=2)

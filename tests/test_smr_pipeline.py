@@ -158,6 +158,14 @@ class TestExecutorIntegration:
             parallel = pool.map(tasks)
         assert parallel == serial
 
+    def test_jobs_leaves_no_worker_processes(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        rows = run_smr_tasks([stable_task(seed=seed) for seed in (1, 2)], jobs=2)
+        assert len(rows) == 2
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_mixed_batches_execute_both_kinds(self):
         from repro.harness.executors import RunTask
 

@@ -177,13 +177,15 @@ class TestSerialExecutor:
         assert list(stream) == [1, 2]
         assert calls == [0, 1, 2]
 
-    def test_map_only_executor_streams_through_imap(self):
-        class MapOnly(Executor):
-            def map(self, tasks):
-                return [task.execute() for task in tasks]
+    def test_imap_only_executor_gets_map_and_close(self):
+        class ImapOnly(Executor):
+            def imap(self, tasks):
+                return (task.execute() for task in tasks)
 
         calls = []
-        assert list(MapOnly().imap([FakeTask("x", calls)])) == ["x"]
+        executor = ImapOnly()
+        assert executor.map([FakeTask("x", calls)]) == ["x"]
+        executor.close()
 
     def test_mixed_batch_matches_each_task_executed_alone(self):
         tasks = [run_task(), smr_task()]
