@@ -94,30 +94,6 @@ def test_ablation_worst_case_post_ts_delays(benchmark):
     assert lags["worst-case delays"] <= bound
 
 
-def test_ablation_omniscient_vs_heartbeat_omega(benchmark):
-    """Replacing the granted Ω oracle with heartbeat election costs only O(δ)."""
-    params = default_experiment_params()
-
-    def run_pair():
-        lags = {}
-        for protocol in ("traditional-paxos", "traditional-paxos-heartbeat"):
-            per_seed = []
-            for seed in (1, 2, 3):
-                scenario = partitioned_chaos_scenario(7, params=params, ts=8.0, seed=seed)
-                result = run_scenario(scenario, protocol)
-                per_seed.append(result.max_lag_after_ts())
-            lags[protocol] = max(per_seed)
-        return lags
-
-    lags = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    print()
-    print("ablation: leader election implementation -> worst decision lag (delta units)")
-    for protocol, lag in lags.items():
-        print(f"  {protocol:28s}: {lag:.2f}")
-    assert all(lag is not None for lag in lags.values())
-    assert lags["traditional-paxos-heartbeat"] <= lags["traditional-paxos"] + 6.0
-
-
 def test_ablation_keepalive_disabled_equivalent(benchmark):
     """A very large ε (keep-alive effectively off) still decides, but slower.
 

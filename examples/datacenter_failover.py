@@ -17,7 +17,7 @@ Run with::
     python examples/datacenter_failover.py
 """
 
-from repro import TimingParams, default_workload_registry, run_scenario
+from repro import WORKLOADS, TimingParams, run_scenario
 from repro.analysis.metrics import restart_recovery_lags
 from repro.core.timing import restart_decision_bound
 
@@ -27,7 +27,7 @@ REJOIN_OFFSETS = [5.0, 25.0, 60.0]  # how long after stabilization each straggle
 
 
 def main() -> None:
-    scenario = default_workload_registry().create(
+    scenario = WORKLOADS.create(
         "restarts", n=NODES, params=PARAMS, ts=10.0, seed=3, restart_offsets=REJOIN_OFFSETS
     )
     scenario.initial_values = [f"prefer-dc-{pid % 2}" for pid in range(NODES)]

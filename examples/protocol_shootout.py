@@ -19,9 +19,9 @@ simulation is seeded and deterministic.
 import argparse
 
 from repro import (
+    PROTOCOLS,
     ExperimentSpec,
     TimingParams,
-    default_registry,
     lag_delta,
     run_experiment,
 )
@@ -40,7 +40,7 @@ def main() -> None:
 
     spec = ExperimentSpec(
         workload="partitioned-chaos",
-        protocols=tuple(default_registry().names()),
+        protocols=tuple(sorted(PROTOCOLS)),
         seeds=SEEDS,
         base={"n": N, "params": PARAMS, "ts": 10.0},
     )

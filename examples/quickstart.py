@@ -17,14 +17,13 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import TimingParams, decision_bound, default_workload_registry, run_scenario
+from repro import WORKLOADS, TimingParams, decision_bound, run_scenario
 
 
 def main() -> None:
     params = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
     ts = 10.0  # the processes do not know this; the harness does
-    workloads = default_workload_registry()
-    scenario = workloads.create("partitioned-chaos", n=7, params=params, ts=ts, seed=42)
+    scenario = WORKLOADS.create("partitioned-chaos", n=7, params=params, ts=ts, seed=42)
 
     print(scenario.describe())
     print()

@@ -22,7 +22,7 @@ Run with::
     python examples/replicated_kv_store.py
 """
 
-from repro import TimingParams, default_workload_registry
+from repro import WORKLOADS, TimingParams
 from repro.smr import KeyValueStore, run_smr
 from repro.smr.workload import CommandSchedule
 
@@ -50,7 +50,7 @@ def build_schedule(survivor: int) -> CommandSchedule:
 
 
 def main() -> None:
-    scenario = default_workload_registry().create(
+    scenario = WORKLOADS.create(
         "partitioned-chaos", n=REPLICAS, params=PARAMS, ts=TS, seed=21
     )
     survivor = scenario.deciders()[0]

@@ -21,12 +21,11 @@ Run with::
     python examples/replicated_lock_service.py
 """
 
-from repro import TimingParams, decision_bound, default_workload_registry, run_scenario
+from repro import WORKLOADS, TimingParams, decision_bound, run_scenario
 
 REPLICAS = 9
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 CANDIDATE_PRIMARIES = [f"replica-{i}" for i in range(REPLICAS)]
-WORKLOADS = default_workload_registry()
 
 
 def report(label: str, result) -> None:

@@ -11,12 +11,12 @@ workloads, metrics, and experiment harness used to regenerate the paper's
 timing analysis as measured tables.
 
 Quick start — one run.  Workloads and protocols are both resolved by name
-through registries; :func:`run_scenario` is the single-run primitive::
+through two literal tables, :data:`WORKLOADS` and :data:`PROTOCOLS`;
+:func:`run_scenario` is the single-run primitive::
 
-    from repro import default_workload_registry, run_scenario
+    from repro import WORKLOADS, run_scenario
 
-    workloads = default_workload_registry()
-    scenario = workloads.create("partitioned-chaos", n=5, seed=7)
+    scenario = WORKLOADS.create("partitioned-chaos", n=5, seed=7)
     result = run_scenario(scenario, "modified-paxos")
     print(result.max_lag_after_ts())       # decision lag after TS
 
@@ -55,13 +55,13 @@ ones live in the :mod:`repro.env.registry` catalogue, and
     scenario = environment_scenario(spec, n=7, seed=3)
 
 ``python -m repro list-workloads``, ``python -m repro list-protocols`` and
-``python -m repro list-environments`` print everything the registries and
-the environment catalogue know; ``python -m repro results ls --store
+``python -m repro list-environments`` print everything the protocol, workload
+and environment catalogues know; ``python -m repro results ls --store
 runs.jsonl`` inspects a store.
 """
 
 from repro._version import __version__
-from repro.consensus.registry import default_registry
+from repro.consensus.registry import PROTOCOLS, protocol_builder
 from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
 from repro.env.registry import named_environment
 from repro.env.spec import (
@@ -112,7 +112,7 @@ from repro.workloads.environments import (
     gray_partition_scenario,
 )
 from repro.workloads.obsolete import obsolete_ballot_scenario
-from repro.workloads.registry import ScenarioRegistry, default_workload_registry
+from repro.workloads.registry import WORKLOADS, ScenarioRegistry
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.scenario import Scenario
 from repro.workloads.stable import stable_scenario
@@ -126,6 +126,7 @@ __all__ = [
     "FaultSpec",
     "JsonlStore",
     "MemoryStore",
+    "PROTOCOLS",
     "PartitionDecl",
     "SynchronySpec",
     "ModifiedPaxosBuilder",
@@ -147,14 +148,13 @@ __all__ = [
     "SmrRecord",
     "SmrTask",
     "TimingParams",
+    "WORKLOADS",
     "__version__",
     "asymmetric_link_scenario",
     "churn_scenario",
     "content_key_for_task",
     "coordinator_crash_scenario",
     "decision_bound",
-    "default_registry",
-    "default_workload_registry",
     "environment_scenario",
     "gray_partition_scenario",
     "lag_delta",
@@ -164,6 +164,7 @@ __all__ = [
     "obsolete_ballot_scenario",
     "open_store",
     "partitioned_chaos_scenario",
+    "protocol_builder",
     "restart_after_stability_scenario",
     "restart_decision_bound",
     "run_experiment",

@@ -13,17 +13,17 @@ Six subcommands::
 
 ``run`` executes a single (workload, protocol) pair and prints the run
 report; workloads are resolved by name through the
-:class:`~repro.workloads.registry.ScenarioRegistry`, protocols through the
-:class:`~repro.consensus.registry.ProtocolRegistry`.  Choosing an ``smr-*``
+:data:`~repro.workloads.registry.WORKLOADS` table, protocols through the
+:data:`~repro.consensus.registry.PROTOCOLS` table.  Choosing an ``smr-*``
 workload instead runs the multi-decree Modified Paxos service
 (:mod:`repro.smr`) under a uniform command schedule shaped by
 ``--commands`` / ``--command-start`` / ``--command-interval`` /
 ``--target-pid``.  ``run --env`` takes a declarative environment — a name
 from :data:`~repro.env.registry.ENVIRONMENTS` or an inline
 :class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it through
-the registered ``environment`` workload.  A configuration error, whether
-found while building the scenario or while validating its fault plan,
-prints one line and exits 2.  ``experiments`` delegates to the campaign runner
+the catalogue's ``environment`` workload.  A configuration error, whether
+an unknown protocol or one found while building the scenario or while
+validating its fault plan, prints one line and exits 2.  ``experiments`` delegates to the campaign runner
 (:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
 process pool, ``--store`` streams every run record into a
 :class:`~repro.results.store.ResultStore`, and ``--resume`` loads runs
@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_run_report
 from repro.analysis.timeline import render_timelines
-from repro.consensus.registry import default_registry
+from repro.consensus.registry import PROTOCOLS
 from repro.env.registry import ADVERSARY_KINDS, ENVIRONMENTS, FAULT_KINDS, named_environment
 from repro.env.spec import EnvironmentSpec
 from repro.errors import ConfigurationError
@@ -49,12 +49,10 @@ from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 from repro.results.store import open_store
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.smr import is_smr_workload
 
 __all__ = ["main", "build_parser", "WORKLOADS"]
-
-WORKLOADS: List[str] = default_workload_registry().names()
 
 
 def _workload_kwargs(args: argparse.Namespace, params: TimingParams) -> Dict[str, object]:
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="protocol name (default: modified-paxos)")
     # Default None so an explicit --workload can be distinguished from the
     # fallback when it conflicts with --env; resolved in _command_run.
-    run_parser.add_argument("--workload", choices=WORKLOADS, default=None,
+    run_parser.add_argument("--workload", choices=sorted(WORKLOADS), default=None,
                             help="workload name (default: partitioned-chaos)")
     run_parser.add_argument(
         "--env", default=None, metavar="NAME_OR_JSON",
@@ -242,7 +240,6 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
 
 def _command_run(args: argparse.Namespace) -> int:
     params = TimingParams(delta=args.delta, rho=args.rho, epsilon=args.epsilon)
-    registry = default_registry()
     if args.env is not None and args.workload is not None:
         print("pass either --workload or --env, not both")
         return 2
@@ -253,9 +250,6 @@ def _command_run(args: argparse.Namespace) -> int:
             return 2
         return _command_run_smr(args, params)
     protocol = args.protocol if args.protocol is not None else "modified-paxos"
-    if protocol not in registry:
-        print(f"unknown protocol {protocol!r}; available: {', '.join(registry.names())}")
-        return 2
     kwargs = _workload_kwargs(args, params)
     workload = args.workload if args.workload is not None else "partitioned-chaos"
     try:
@@ -263,9 +257,9 @@ def _command_run(args: argparse.Namespace) -> int:
             env = args.env
             kwargs["env"] = EnvironmentSpec.from_json(env) if env.lstrip().startswith("{") else env
             workload = "environment"
-        scenario = default_workload_registry().create(workload, **kwargs)
-        # The fault plan is validated against the config when the simulator
-        # is built, so the run itself can still raise a configuration error.
+        scenario = WORKLOADS.create(workload, **kwargs)
+        # The protocol name and the fault plan are checked when the run
+        # starts, so the run itself can still raise a configuration error.
         result = run_scenario(
             scenario,
             protocol,
@@ -284,7 +278,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _render_listing(entries: Sequence[Tuple[str, str]]) -> str:
-    """One aligned ``name  summary`` line per registry entry."""
+    """One aligned ``name  summary`` line per table entry."""
     if not entries:
         return ""
     width = max(len(name) for name, _ in entries)
@@ -294,19 +288,17 @@ def _render_listing(entries: Sequence[Tuple[str, str]]) -> str:
 
 
 def _command_list_protocols(_args: argparse.Namespace) -> int:
-    registry = default_registry()
-    print(_render_listing([(name, registry.summary(name)) for name in registry.names()]))
+    print(_render_listing([(name, PROTOCOLS[name][1]) for name in sorted(PROTOCOLS)]))
     return 0
 
 
 def _command_list_workloads(args: argparse.Namespace) -> int:
-    registry = default_workload_registry()
-    specs = [registry.get(name) for name in registry.names()]
-    print(_render_listing([(spec.name, spec.summary) for spec in specs]))
+    names = sorted(WORKLOADS)
+    print(_render_listing([(name, WORKLOADS[name][1]) for name in names]))
     if args.params:
-        for spec in specs:
+        for name in names:
             print()
-            print(spec.describe())
+            print(WORKLOADS.describe(name))
     return 0
 
 

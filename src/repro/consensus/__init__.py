@@ -15,20 +15,20 @@ safety specification) and the three comparison protocols:
 
 from repro.consensus.base import ConsensusProcess, ProtocolBuilder
 from repro.consensus.quorum import QuorumCounter, ValueQuorum, majority
-from repro.consensus.registry import ProtocolRegistry, default_registry
+from repro.consensus.registry import PROTOCOLS, protocol_builder
 from repro.consensus.spec import SafetyReport, check_safety
 from repro.consensus.values import DecisionOutcome, RunOutcome
 
 __all__ = [
     "ConsensusProcess",
     "DecisionOutcome",
+    "PROTOCOLS",
     "ProtocolBuilder",
-    "ProtocolRegistry",
     "QuorumCounter",
     "RunOutcome",
     "SafetyReport",
     "ValueQuorum",
     "check_safety",
-    "default_registry",
     "majority",
+    "protocol_builder",
 ]

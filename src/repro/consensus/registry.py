@@ -1,78 +1,40 @@
-"""Registry mapping protocol names to builder classes.
+"""The protocol catalogue: one literal table of protocol builders.
 
-The harness, the comparison experiment (E8), and the examples all construct
-protocols by name through this registry so new protocols only need to be
-added in one place.
+:data:`PROTOCOLS` maps each protocol name to its builder class and a
+one-line summary (what ``repro list-protocols`` prints).  The harness, the
+comparison experiment (E8) and the examples construct protocols by name
+through :func:`protocol_builder`, so a new protocol is one table entry.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict
+from typing import Dict, Tuple, Type
 
 from repro.consensus.base import ProtocolBuilder
+from repro.consensus.bconsensus.modified import ModifiedBConsensusBuilder
+from repro.consensus.bconsensus.original import BConsensusBuilder
+from repro.consensus.paxos.traditional import TraditionalPaxosBuilder
+from repro.consensus.roundbased.rotating import RotatingCoordinatorBuilder
+from repro.core.modified_paxos import ModifiedPaxosBuilder
 from repro.errors import ConfigurationError
 
-__all__ = ["ProtocolRegistry", "default_registry"]
+__all__ = ["PROTOCOLS", "protocol_builder"]
 
-BuilderFactory = Callable[..., ProtocolBuilder]
-
-
-class ProtocolRegistry:
-    """Name → builder-factory mapping with helpful error messages."""
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, BuilderFactory] = {}
-
-    def register(self, name: str, factory: BuilderFactory) -> None:
-        if name in self._factories:
-            raise ConfigurationError(f"protocol {name!r} registered twice")
-        self._factories[name] = factory
-
-    def names(self) -> list[str]:
-        return sorted(self._factories)
-
-    def summary(self, name: str) -> str:
-        """First docstring line of the registered builder (for listings)."""
-        factory = self._factories.get(name)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown protocol {name!r}; available: {', '.join(self.names())}"
-            )
-        doc = inspect.getdoc(factory)
-        return doc.splitlines()[0].strip() if doc else ""
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-    def create(self, name: str, **kwargs) -> ProtocolBuilder:
-        """Instantiate the builder registered under ``name``."""
-        factory = self._factories.get(name)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown protocol {name!r}; available: {', '.join(self.names())}"
-            )
-        return factory(**kwargs)
+PROTOCOLS: Dict[str, Tuple[Type[ProtocolBuilder], str]] = {
+    "modified-paxos": (ModifiedPaxosBuilder,
+                       "Builds ModifiedPaxosProcess instances (no oracles needed)."),
+    "traditional-paxos": (TraditionalPaxosBuilder,
+                          "Builds traditional Paxos processes sharing one Ω oracle."),
+    "rotating-coordinator": (RotatingCoordinatorBuilder,
+                             "Builds rotating-coordinator processes (no oracle: timeouts drive rounds)."),
+    "b-consensus": (BConsensusBuilder, "Builds original B-Consensus processes."),
+    "modified-b-consensus": (ModifiedBConsensusBuilder, "Builds modified B-Consensus processes."),
+}
 
 
-def default_registry() -> ProtocolRegistry:
-    """Registry pre-populated with every protocol in this repository.
-
-    Imports happen lazily so importing :mod:`repro.consensus` does not pull
-    in every protocol module.
-    """
-    from repro.consensus.bconsensus.modified import ModifiedBConsensusBuilder
-    from repro.consensus.bconsensus.original import BConsensusBuilder
-    from repro.consensus.paxos.heartbeat_paxos import HeartbeatPaxosBuilder
-    from repro.consensus.paxos.traditional import TraditionalPaxosBuilder
-    from repro.consensus.roundbased.rotating import RotatingCoordinatorBuilder
-    from repro.core.modified_paxos import ModifiedPaxosBuilder
-
-    registry = ProtocolRegistry()
-    registry.register(ModifiedPaxosBuilder.name, ModifiedPaxosBuilder)
-    registry.register(TraditionalPaxosBuilder.name, TraditionalPaxosBuilder)
-    registry.register(HeartbeatPaxosBuilder.name, HeartbeatPaxosBuilder)
-    registry.register(RotatingCoordinatorBuilder.name, RotatingCoordinatorBuilder)
-    registry.register(BConsensusBuilder.name, BConsensusBuilder)
-    registry.register(ModifiedBConsensusBuilder.name, ModifiedBConsensusBuilder)
-    return registry
+def protocol_builder(name: str, **kwargs) -> ProtocolBuilder:
+    """Instantiate the builder of protocol ``name`` with ``kwargs``."""
+    entry = PROTOCOLS.get(name)
+    if entry is None:
+        raise ConfigurationError(f"unknown protocol {name!r}; available: {', '.join(sorted(PROTOCOLS))}")
+    return entry[0](**kwargs)

@@ -1,10 +1,10 @@
 """Declarative tasks that execute themselves, and executors that run batches of them.
 
 The unit of work is a declarative task — either a :class:`RunTask` (one
-single-decree consensus run: a workload *name* resolved through the
-:class:`~repro.workloads.registry.ScenarioRegistry`, its keyword arguments,
-a protocol *name* resolved through the
-:class:`~repro.consensus.registry.ProtocolRegistry`, and the run flags) or
+single-decree consensus run: a workload *name* resolved through
+:data:`~repro.workloads.registry.WORKLOADS`, its keyword arguments, a
+protocol *name* resolved through
+:data:`~repro.consensus.registry.PROTOCOLS`, and the run flags) or
 an :class:`SmrTask` (one multi-decree run: an SMR workload name, a
 declarative :class:`~repro.smr.workload.ScheduleSpec`, and a state-machine
 name).  Both kinds share one protocol:
@@ -43,7 +43,7 @@ from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, snapshot_smr_outcome
 from repro.smr.runner import SmrRunResult, run_smr
 from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
 from repro.smr.workload import ScheduleSpec
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.scenario import Scenario
 
 __all__ = [
@@ -81,8 +81,8 @@ def machine_factory_for(name: str) -> Callable[[], Any]:
 
 
 def build_task_scenario(task: AnyTask) -> Scenario:
-    """Materialize the task's scenario through the workload registry."""
-    return default_workload_registry().create(task.workload, **dict(task.workload_kwargs))
+    """Materialize the task's scenario through the workload table."""
+    return WORKLOADS.create(task.workload, **dict(task.workload_kwargs))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class SmrTask:
     """One declarative multi-decree (SMR) run.
 
     The multi-decree counterpart of :class:`RunTask`: a workload *name*
-    (resolved through the scenario registry — any workload works, the
+    (resolved through the workload table — any workload works, the
     ``smr-*`` family carries SMR-sized defaults), its keyword arguments, a
     declarative :class:`~repro.smr.workload.ScheduleSpec`, and the name of
     the state machine replicas apply (``"kv"`` or ``"ledger"``).  The

@@ -1,7 +1,7 @@
 """The unified Experiment API: declarative grids in, queryable result sets out.
 
 An :class:`ExperimentSpec` declares a full experiment — protocols ×
-workload-parameter grid × seeds over one registry workload — and expands it
+workload-parameter grid × seeds over one catalogue workload — and expands it
 into the declarative :class:`~repro.harness.executors.RunTask` list an
 :class:`~repro.harness.executors.Executor` can run serially or across
 processes.  :func:`run_experiment` pairs every task with its outcome in a
@@ -73,11 +73,11 @@ logger = logging.getLogger("repro.results")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Protocols × parameter grid × seeds over one registry workload.
+    """Protocols × parameter grid × seeds over one catalogue workload.
 
     Attributes:
-        workload: Workload name resolved through the scenario registry.
-        protocols: Protocol names resolved through the protocol registry.
+        workload: Workload name resolved through the workload table.
+        protocols: Protocol names resolved through the protocol table.
         seeds: RNG seeds; every grid point runs once per seed.
         base: Fixed workload keyword arguments shared by every task.
         grid: Swept parameters; the cartesian product (in declaration

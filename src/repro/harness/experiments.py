@@ -4,7 +4,7 @@ The paper contains no numbered tables or figures — its evaluation is the
 timing analysis of Sections 2–5.  Each function here regenerates one of the
 analysis' claims as a measured table (one function per experiment), by
 declaring an :class:`~repro.harness.experiment.ExperimentSpec` over the
-workloads in :mod:`repro.workloads` (resolved by registry name) and the
+workloads in :mod:`repro.workloads` (resolved by catalogue name) and the
 protocols in :mod:`repro.core` / :mod:`repro.consensus`, executing it
 through an :class:`~repro.harness.executors.Executor` (pass ``executor=``
 to fan runs out across processes), and aggregating the resulting
@@ -507,7 +507,7 @@ def experiment_e9_smr_stable_case(
     phase-2 round (plus one forwarding hop when submitted at a follower).
 
     The three cases are declarative :class:`~repro.harness.executors.SmrTask`\\ s
-    over the registered ``smr-stable`` / ``smr-chaos`` workloads, executed
+    over the catalogue's ``smr-stable`` / ``smr-chaos`` workloads, executed
     through :func:`~repro.harness.experiment.run_smr_tasks` — the same
     executor/store/resume pipeline as every single-decree experiment, so
     ``executor=`` parallelizes the cases and ``store=``/``resume=`` cache
@@ -516,7 +516,7 @@ def experiment_e9_smr_stable_case(
     from repro.harness.executors import SmrTask
     from repro.harness.experiment import run_smr_tasks
     from repro.smr.workload import ScheduleSpec
-    from repro.workloads.registry import default_workload_registry
+    from repro.workloads.registry import WORKLOADS
 
     params = params if params is not None else default_experiment_params()
     delta = params.delta
@@ -524,7 +524,7 @@ def experiment_e9_smr_stable_case(
     # The chaos schedule targets the first surviving replica; the fault plan
     # is seeded, so resolving it here and inside a worker agree.
     chaos_kwargs = {"n": n, "params": params, "ts": 10.0 * delta, "seed": 3}
-    survivors = default_workload_registry().create("smr-chaos", **chaos_kwargs).deciders()
+    survivors = WORKLOADS.create("smr-chaos", **chaos_kwargs).deciders()
 
     tasks = [
         SmrTask(

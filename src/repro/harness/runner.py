@@ -16,7 +16,7 @@ from typing import Dict, Optional, Union
 from repro.analysis.invariants import InvariantReport
 from repro.analysis.metrics import RunMetrics, compute_run_metrics
 from repro.consensus.base import ProtocolBuilder
-from repro.consensus.registry import default_registry
+from repro.consensus.registry import protocol_builder
 from repro.consensus.spec import SafetyReport, check_safety
 from repro.consensus.values import DecisionOutcome, RunOutcome
 from repro.sim.simulator import Simulator
@@ -92,7 +92,8 @@ def run_scenario(
 
     Args:
         scenario: The workload to run.
-        protocol: A protocol name from the registry or a pre-built
+        protocol: A protocol name from
+            :data:`~repro.consensus.registry.PROTOCOLS` or a pre-built
             :class:`ProtocolBuilder` instance.
         protocol_kwargs: Extra keyword arguments for the builder when the
             protocol is given by name.
@@ -103,7 +104,7 @@ def run_scenario(
             (otherwise run to the scenario's horizon).
     """
     if isinstance(protocol, str):
-        builder = default_registry().create(protocol, **(protocol_kwargs or {}))
+        builder = protocol_builder(protocol, **(protocol_kwargs or {}))
         protocol_name = protocol
     else:
         builder = protocol

@@ -1,7 +1,7 @@
 """First-class results: schema-versioned records, pluggable stores, queries.
 
-This package is the durable fourth layer of the harness stack.  The scenario
-registry names *what* to run, the executors decide *how*, the environment
+This package is the durable fourth layer of the harness stack.  The workload
+table names *what* to run, the executors decide *how*, the environment
 specs pin *under which conditions* — and ``repro.results`` owns what every
 run *produced*:
 

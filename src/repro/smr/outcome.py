@@ -126,8 +126,8 @@ class SmrOutcome:
 def snapshot_smr_outcome(result: "SmrRunResult", workload: Optional[str] = None) -> SmrOutcome:
     """Condense a full :class:`~repro.smr.runner.SmrRunResult` into an outcome.
 
-    ``workload`` names the registry workload the scenario came from; it
-    defaults to the scenario name for runs built outside the registry.
+    ``workload`` names the catalogue workload the scenario came from; it
+    defaults to the scenario name for runs built outside the catalogue.
     """
     scenario = result.scenario
     config = scenario.config

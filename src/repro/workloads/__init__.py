@@ -18,33 +18,22 @@ from repro.workloads.environments import (
     resolve_environment,
 )
 from repro.workloads.obsolete import obsolete_ballot_scenario
-from repro.workloads.registry import (
-    ScenarioRegistry,
-    WorkloadSpec,
-    default_workload_registry,
-    register_workload,
-)
+from repro.workloads.registry import WORKLOADS, ScenarioRegistry
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.scenario import Scenario
-from repro.workloads.smr import (
-    SMR_WORKLOADS,
-    is_smr_workload,
-    smr_stable_scenario,
-)
-from repro.workloads.stable import stable_scenario
+from repro.workloads.smr import SMR_WORKLOADS, is_smr_workload
+from repro.workloads.stable import smr_stable_scenario, stable_scenario
 
 __all__ = [
     "SMR_WORKLOADS",
     "Scenario",
     "ScenarioRegistry",
-    "WorkloadSpec",
+    "WORKLOADS",
     "asymmetric_link_scenario",
     "churn_scenario",
     "coordinator_crash_scenario",
-    "default_workload_registry",
     "environment_scenario",
     "gray_partition_scenario",
-    "register_workload",
     "is_smr_workload",
     "kitchen_sink_scenario",
     "lossy_chaos_scenario",

@@ -28,7 +28,6 @@ from typing import Optional
 from repro.env.registry import lossy_chaos_environment, partitioned_chaos_environment
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.registry import register_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = ["partitioned_chaos_scenario", "lossy_chaos_scenario"]
@@ -47,16 +46,6 @@ def _config(
     )
 
 
-@register_workload(
-    "partitioned-chaos",
-    summary="minority partitions plus crashes/restarts before TS (E1, E4, E6, E8)",
-    param_help={
-        "n": "number of processes",
-        "ts": "stabilization time (defaults to 10 delta)",
-        "leak_probability": "chance a cross-partition message leaks with a long delay",
-        "worst_case_post_delays": "post-TS deliveries take (almost) the full delta",
-    },
-)
 def partitioned_chaos_scenario(
     n: int,
     params: Optional[TimingParams] = None,
@@ -96,15 +85,6 @@ def partitioned_chaos_scenario(
     )
 
 
-@register_workload(
-    "lossy-chaos",
-    summary="independent random loss/delay/deferral/duplication before TS",
-    param_help={
-        "n": "number of processes",
-        "ts": "stabilization time (defaults to 10 delta)",
-        "drop_probability": "chance a pre-TS message is dropped outright",
-    },
-)
 def lossy_chaos_scenario(
     n: int,
     params: Optional[TimingParams] = None,

@@ -21,21 +21,11 @@ from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.registry import register_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = ["kitchen_sink_scenario"]
 
 
-@register_workload(
-    "kitchen-sink",
-    summary="every adversity the model allows at once: partitions, deferral, duplication, "
-    "crashes, late restarts, worst-case post-TS delays",
-    param_help={
-        "n": "number of processes (at least 3)",
-        "late_restart_offset": "when (after TS, in delta units) the late victim restarts",
-    },
-)
 def kitchen_sink_scenario(
     n: int,
     params: Optional[TimingParams] = None,

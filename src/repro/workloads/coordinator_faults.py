@@ -15,20 +15,11 @@ from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.registry import register_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = ["coordinator_crash_scenario"]
 
 
-@register_workload(
-    "coordinator-crash",
-    summary="the first num_faulty round coordinators crash before TS and stay down (E3)",
-    param_help={
-        "n": "number of processes",
-        "num_faulty": "how many leading coordinators crash (defaults to the model maximum)",
-    },
-)
 def coordinator_crash_scenario(
     n: int,
     params: Optional[TimingParams] = None,

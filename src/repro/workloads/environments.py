@@ -7,7 +7,7 @@ workload wraps it: that workload is the one path behind
 ``python -m repro run --env <name-or-json>``, and is usable from
 :class:`~repro.harness.experiment.ExperimentSpec` grids.
 
-On top of it, this module registers the scenario families that the
+On top of it, this module defines the scenario families that the
 pre-environment codebase could not express without a new module:
 
 * ``asymmetric-link`` — links to/from the post-``TS`` coordinator crawl
@@ -34,13 +34,13 @@ from repro.env.spec import EnvironmentSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.registry import register_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = [
     "asymmetric_link_scenario",
     "churn_scenario",
     "environment_scenario",
+    "environment_workload",
     "gray_partition_scenario",
     "resolve_environment",
 ]
@@ -107,15 +107,6 @@ def environment_scenario(
     )
 
 
-@register_workload(
-    "environment",
-    summary="generic: run any named or inline EnvironmentSpec",
-    param_help={
-        "n": "number of processes",
-        "env": "environment name (see `repro list-environments`) or a spec dict",
-        "ts": "stabilization time (defaults to 10 delta)",
-    },
-)
 def environment_workload(
     n: int,
     env: EnvironmentLike,
@@ -130,16 +121,6 @@ def environment_workload(
     )
 
 
-@register_workload(
-    "asymmetric-link",
-    summary="slow links to/from the post-TS coordinator; every other link prompt",
-    param_help={
-        "n": "number of processes",
-        "hub": "process whose links are slow (default 0, the lowest-id coordinator)",
-        "direction": "'to', 'from', or 'both' hub-adjacent directions",
-        "slow_factor": "pre-TS delays on slow links go up to slow_factor * delta",
-    },
-)
 def asymmetric_link_scenario(
     n: int,
     params: Optional[TimingParams] = None,
@@ -173,16 +154,6 @@ def asymmetric_link_scenario(
     )
 
 
-@register_workload(
-    "gray-partition",
-    summary="a minority partition that heals gradually before TS",
-    param_help={
-        "n": "number of processes",
-        "heal_start": "fraction of ts at which the partition starts healing",
-        "end_drop": "cross-group drop probability remaining at TS",
-        "with_crashes": "also crash (and recover) a random minority before TS",
-    },
-)
 def gray_partition_scenario(
     n: int,
     params: Optional[TimingParams] = None,
@@ -207,17 +178,6 @@ def gray_partition_scenario(
     )
 
 
-@register_workload(
-    "churn",
-    summary="repeated post-TS crash/restart waves over a minority (majority stays up)",
-    param_help={
-        "n": "number of processes (at least 3)",
-        "waves": "restart cycles per victim after TS",
-        "up_time": "delta units a churning victim stays up per wave",
-        "down_time": "delta units a churning victim stays down per wave",
-        "num_victims": "how many processes churn (defaults to the largest minority)",
-    },
-)
 def churn_scenario(
     n: int,
     params: Optional[TimingParams] = None,

@@ -39,8 +39,6 @@ from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig, Simulator
 from repro.workloads.scenario import Scenario
 
-from repro.workloads.registry import register_workload
-
 __all__ = ["obsolete_ballot_scenario"]
 
 
@@ -128,14 +126,6 @@ class _ObsoleteReleaseController:
             self.released += 1
 
 
-@register_workload(
-    "obsolete-ballots",
-    summary="obsolete high-ballot phase-1a messages from crashed processes surface after TS (E2)",
-    param_help={
-        "n": "number of processes (at least 3)",
-        "num_obsolete": "obsolete ballots released after TS (defaults to ceil(N/2) - 1)",
-    },
-)
 def obsolete_ballot_scenario(
     n: int,
     params: Optional[TimingParams] = None,

@@ -17,20 +17,11 @@ from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
-from repro.workloads.registry import register_workload
 from repro.workloads.scenario import Scenario
 
 __all__ = ["restart_after_stability_scenario"]
 
 
-@register_workload(
-    "restarts",
-    summary="a minority crashes before TS and restarts at TS + offset (E5)",
-    param_help={
-        "n": "number of processes (at least 3)",
-        "restart_offsets": "offsets after TS (in delta units) at which victims restart",
-    },
-)
 def restart_after_stability_scenario(
     n: int,
     params: Optional[TimingParams] = None,

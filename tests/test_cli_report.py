@@ -39,7 +39,7 @@ class TestRunReport:
 
 class TestCliParser:
     def test_workload_list_is_complete(self):
-        # Every workload module self-registers, so the CLI list is the registry.
+        # The CLI's --workload choices are the workload table's keys.
         assert set(WORKLOADS) == {
             "stable",
             "partitioned-chaos",
@@ -108,6 +108,13 @@ class TestCliCommands:
         output = capsys.readouterr().out
         assert "modified-paxos" in output
         assert "rotating-coordinator" in output
+
+    def test_list_protocols_prints_plain_summaries(self, capsys):
+        assert main(["list-protocols"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        for line in lines:
+            assert "`" not in line and ":class:" not in line
 
     def test_run_stable(self, capsys):
         exit_code = main(

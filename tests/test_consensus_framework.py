@@ -1,9 +1,9 @@
-"""Unit tests for the shared consensus machinery: base class, spec, registry, outcomes."""
+"""Unit tests for the shared consensus machinery: base class, spec, protocol table, outcomes."""
 
 import pytest
 
 from repro.consensus.base import ConsensusProcess, ProtocolBuilder
-from repro.consensus.registry import ProtocolRegistry, default_registry
+from repro.consensus.registry import PROTOCOLS, protocol_builder
 from repro.consensus.spec import check_safety
 from repro.consensus.values import DecisionOutcome, RunOutcome
 from repro.errors import (
@@ -80,40 +80,35 @@ class TestConsensusProcess:
         assert process.recall("missing", default=9) == 9
 
 
-class TestRegistry:
-    def test_default_registry_contains_all_protocols(self):
-        registry = default_registry()
-        assert set(registry.names()) == {
+class TestProtocolTable:
+    def test_table_contains_all_protocols(self):
+        assert set(PROTOCOLS) == {
             "modified-paxos",
             "traditional-paxos",
-            "traditional-paxos-heartbeat",
             "rotating-coordinator",
             "b-consensus",
             "modified-b-consensus",
         }
 
-    def test_create_builds_builder(self):
-        registry = default_registry()
-        builder = registry.create("modified-paxos")
+    def test_protocol_builder_builds_builder(self):
+        builder = protocol_builder("modified-paxos")
         assert isinstance(builder, ProtocolBuilder)
         assert type(builder).name == "modified-paxos"
 
     def test_unknown_protocol_raises_with_suggestions(self):
-        registry = default_registry()
         with pytest.raises(ConfigurationError) as excinfo:
-            registry.create("raft")
+            protocol_builder("raft")
         assert "modified-paxos" in str(excinfo.value)
 
-    def test_double_registration_rejected(self):
-        registry = ProtocolRegistry()
-        registry.register("x", lambda: None)
-        with pytest.raises(ConfigurationError):
-            registry.register("x", lambda: None)
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_key_is_the_builder_name(self, name):
+        # run_scenario reports type(builder).name for a pre-built builder,
+        # so a table key and its builder's name must agree.
+        assert PROTOCOLS[name][0].name == name
 
     def test_contains(self):
-        registry = default_registry()
-        assert "modified-paxos" in registry
-        assert "raft" not in registry
+        assert "modified-paxos" in PROTOCOLS
+        assert "raft" not in PROTOCOLS
 
 
 def _make_sim(n=3):

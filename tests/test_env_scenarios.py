@@ -24,7 +24,7 @@ from repro.workloads.environments import (
     gray_partition_scenario,
     resolve_environment,
 )
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 
 from tests.helpers import capture_sent_envelopes, make_params
 
@@ -204,8 +204,7 @@ class TestChurn:
 
 class TestEnvironmentWorkload:
     def test_registry_name_resolution(self):
-        registry = default_workload_registry()
-        scenario = registry.create("environment", n=5, env="worst-case", params=PARAMS, seed=2)
+        scenario = WORKLOADS.create("environment", n=5, env="worst-case", params=PARAMS, seed=2)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
 

@@ -305,9 +305,8 @@ class TestEnvironmentBuildDeterminism:
 
     def test_workloads_and_registry_share_one_definition(self):
         """The named environments are the same specs the workloads build."""
-        from repro.workloads.registry import default_workload_registry
+        from repro.workloads.registry import WORKLOADS
 
-        workloads = default_workload_registry()
         for name, kwargs in (
             ("stable", {"n": 5}),
             ("partitioned-chaos", {"n": 5, "ts": 10.0}),
@@ -316,7 +315,7 @@ class TestEnvironmentBuildDeterminism:
             ("gray-partition", {"n": 5}),
             ("churn", {"n": 5}),
         ):
-            assert workloads.create(name, **kwargs).environment == named_environment(name)
+            assert WORKLOADS.create(name, **kwargs).environment == named_environment(name)
 
     def test_environment_params_object_with_defaults(self):
         params = TimingParams()

@@ -1,9 +1,9 @@
 """Tests for the unified Experiment API.
 
-Covers the scenario registry (registration and error paths), the executor
+Covers the workload table (schema and error paths), the executor
 layer (serial vs. process-pool parallel producing identical outcomes), the
 ``ExperimentSpec`` grid expansion, and ``ResultSet`` filtering, grouping,
-and aggregation — plus the registry-backed CLI listings.
+and aggregation — plus the table-backed CLI listings.
 """
 
 import pytest
@@ -28,19 +28,14 @@ from repro.harness.experiments import (
     experiment_e8_protocol_comparison,
 )
 from repro.harness.tables import ExperimentTable
-from repro.workloads.registry import (
-    ScenarioRegistry,
-    WorkloadSpec,
-    default_workload_registry,
-)
+from repro.workloads.registry import WORKLOADS, factory_parameters
 from repro.workloads.stable import stable_scenario
 
 from tests.helpers import make_params
 
 
-class TestScenarioRegistry:
-    def test_default_registry_has_every_workload(self):
-        names = default_workload_registry().names()
+class TestWorkloadTable:
+    def test_table_has_every_workload(self):
         assert {
             "stable",
             "partitioned-chaos",
@@ -49,47 +44,46 @@ class TestScenarioRegistry:
             "coordinator-crash",
             "restarts",
             "kitchen-sink",
-        } <= set(names)
+        } <= set(WORKLOADS)
 
     def test_create_builds_the_same_scenario_as_the_factory(self):
         params = make_params(rho=0.01)
-        via_registry = default_workload_registry().create("stable", n=3, params=params, seed=9)
+        via_registry = WORKLOADS.create("stable", n=3, params=params, seed=9)
         direct = stable_scenario(3, params=params, seed=9)
         assert via_registry.name == direct.name
         assert via_registry.config == direct.config
 
     def test_unknown_workload_rejected(self):
-        registry = default_workload_registry()
         with pytest.raises(ConfigurationError, match="unknown workload"):
-            registry.create("does-not-exist", n=3)
+            WORKLOADS.create("does-not-exist", n=3)
         with pytest.raises(ConfigurationError, match="unknown workload"):
-            registry.get("does-not-exist")
+            WORKLOADS.describe("does-not-exist")
 
     def test_unknown_parameter_rejected(self):
-        registry = default_workload_registry()
         with pytest.raises(ConfigurationError, match="does not accept parameter"):
-            registry.create("stable", n=3, ts=5.0)
+            WORKLOADS.create("stable", n=3, ts=5.0)
 
     def test_missing_required_parameter_rejected(self):
-        registry = default_workload_registry()
         with pytest.raises(ConfigurationError, match="requires parameters"):
-            registry.create("stable")
-
-    def test_double_registration_rejected(self):
-        registry = ScenarioRegistry()
-        spec = WorkloadSpec(name="w", factory=lambda **kwargs: None)
-        registry.register(spec)
-        with pytest.raises(ConfigurationError, match="registered twice"):
-            registry.register(spec)
+            WORKLOADS.create("stable")
 
     def test_schema_records_defaults_and_requirements(self):
-        spec = default_workload_registry().get("partitioned-chaos")
-        assert spec.accepts("ts") and spec.accepts("leak_probability")
-        assert not spec.accepts("bogus")
-        by_name = {parameter.name: parameter for parameter in spec.parameters}
-        assert by_name["n"].required
-        assert not by_name["seed"].required
-        assert "partitioned-chaos" in spec.describe()
+        factory, _summary, _help = WORKLOADS["partitioned-chaos"]
+        by_name = {parameter.name: parameter for parameter in factory_parameters(factory)}
+        assert "ts" in by_name and "leak_probability" in by_name
+        assert "bogus" not in by_name
+        assert by_name["n"].default is by_name["n"].empty
+        assert by_name["seed"].default == 0
+        text = WORKLOADS.describe("partitioned-chaos")
+        assert text.startswith("partitioned-chaos: ")
+        assert "  n (required)  number of processes" in text
+        assert "  seed=0" in text
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_help_names_only_factory_parameters(self, name):
+        factory, _summary, param_help = WORKLOADS[name]
+        accepted = {parameter.name for parameter in factory_parameters(factory)}
+        assert set(param_help) <= accepted
 
 
 class TestExperimentSpec:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus.registry import default_registry
+from repro.consensus.registry import PROTOCOLS
 from repro.core.timing import decision_bound
 from repro.harness.runner import run_scenario
 from repro.workloads.stable import stable_scenario
@@ -12,7 +12,6 @@ from tests.helpers import make_params
 ALL_PROTOCOLS = [
     "modified-paxos",
     "traditional-paxos",
-    "traditional-paxos-heartbeat",
     "rotating-coordinator",
     "b-consensus",
     "modified-b-consensus",
@@ -54,7 +53,7 @@ def test_stable_case_across_seeds(protocol, seed):
 
 
 def test_all_registered_protocols_covered_by_these_tests():
-    assert set(default_registry().names()) == set(ALL_PROTOCOLS)
+    assert set(PROTOCOLS) == set(ALL_PROTOCOLS)
 
 
 def test_identical_proposals_decide_that_value():

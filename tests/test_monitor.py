@@ -81,7 +81,7 @@ class TestPostTsSendRate:
     def test_run_rate_equals_the_trace_recount(self):
         from repro.harness.executors import snapshot_outcome
         from repro.harness.runner import run_scenario
-        from repro.workloads.registry import default_workload_registry
+        from repro.workloads.registry import WORKLOADS
         from tests.helpers import make_params
 
         ts = 10.0
@@ -95,7 +95,7 @@ class TestPostTsSendRate:
                     deliver_time=send_time + 1.0, send_time=send_time,
                 ))
 
-        scenario = default_workload_registry().create(
+        scenario = WORKLOADS.create(
             "partitioned-chaos", n=5, seed=7, ts=ts, params=make_params()
         )
         scenario.post_setup = inject

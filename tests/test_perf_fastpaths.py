@@ -26,7 +26,7 @@ from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
@@ -53,7 +53,7 @@ WORKLOAD_KWARGS = {
 
 def run_digest(protocol: str, workload: str) -> str:
     """Digest of everything observable about one seeded run."""
-    scenario = default_workload_registry().create(
+    scenario = WORKLOADS.create(
         workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
     )
     result = run_scenario(scenario, protocol)
@@ -101,7 +101,7 @@ class TestMonitorMatchesTrace:
 
     @pytest.mark.parametrize("workload", ["stable", "partitioned-chaos", "lossy-chaos"])
     def test_counters_equal_the_trace_rows(self, workload):
-        scenario = default_workload_registry().create(
+        scenario = WORKLOADS.create(
             workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
         )
         sim = run_scenario(scenario, "modified-paxos").simulator

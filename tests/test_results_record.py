@@ -24,7 +24,7 @@ from repro.results.record import (
     content_key_for_task,
     task_fingerprint,
 )
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 
 PARAMS = make_params()
 
@@ -54,7 +54,7 @@ def workload_task(workload: str, **overrides) -> RunTask:
 class TestRoundTripEveryWorkload:
     """from_dict(to_dict(r)) == r for one real run of every registered workload."""
 
-    @pytest.mark.parametrize("workload", default_workload_registry().names())
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_workload_record_round_trips(self, workload):
         task = workload_task(workload)
         outcome = execute_task(task)
@@ -65,7 +65,7 @@ class TestRoundTripEveryWorkload:
         # The dict form must be pure JSON: a serialize/parse cycle is identity.
         assert json.loads(json.dumps(record.to_dict())) == record.to_dict()
 
-    @pytest.mark.parametrize("workload", default_workload_registry().names())
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_workload_outcome_rebuilds_verbatim(self, workload):
         task = workload_task(workload)
         outcome = execute_task(task)
@@ -75,7 +75,7 @@ class TestRoundTripEveryWorkload:
     def test_every_workload_is_covered(self):
         # The registry drives the parametrization above; make sure it is not empty
         # and the protocol map only names real workloads.
-        names = default_workload_registry().names()
+        names = sorted(WORKLOADS)
         assert len(names) >= 10
         assert set(PROTOCOL_FOR) <= set(names)
 

@@ -32,7 +32,7 @@ from repro.workloads.environments import (
     churn_scenario,
     gray_partition_scenario,
 )
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.smr import SMR_WORKLOADS, is_smr_workload
 from repro.workloads.stable import stable_scenario
 
@@ -84,14 +84,13 @@ class TestScheduleSpec:
 
 class TestSmrWorkloadFamily:
     def test_every_smr_workload_is_registered(self):
-        names = default_workload_registry().names()
-        assert set(SMR_WORKLOADS) <= set(names)
+        assert set(SMR_WORKLOADS) <= set(WORKLOADS)
         assert all(is_smr_workload(name) for name in SMR_WORKLOADS)
         assert not is_smr_workload("stable")
 
     def test_smr_stable_preserves_scenario_identity(self):
         """Same scenario name → same RNG fork → trace-identical runs."""
-        via_registry = default_workload_registry().create(
+        via_registry = WORKLOADS.create(
             "smr-stable", n=5, params=PARAMS, seed=1
         )
         direct = stable_scenario(5, params=PARAMS, seed=1, max_time=400.0 * PARAMS.delta)
@@ -107,7 +106,7 @@ class TestSmrWorkloadFamily:
     ])
     def test_smr_alias_builds_its_single_decree_scenario(self, alias, factory, defaults):
         kwargs = {"n": 5, "params": PARAMS, "seed": 3}
-        via_alias = default_workload_registry().create(alias, **kwargs)
+        via_alias = WORKLOADS.create(alias, **kwargs)
         direct = factory(**kwargs, **defaults)
         assert via_alias.name == direct.name
         assert via_alias.config == direct.config
@@ -115,11 +114,10 @@ class TestSmrWorkloadFamily:
         assert via_alias.deciders() == direct.deciders()
 
     def test_smr_churn_runs_two_waves_and_smr_stable_has_a_400_delta_horizon(self):
-        registry = default_workload_registry()
-        churn = registry.create("smr-churn", n=5, params=PARAMS, seed=1)
+        churn = WORKLOADS.create("smr-churn", n=5, params=PARAMS, seed=1)
         assert churn.environment.faults.params["waves"] == 2
         assert churn.name == "churn-n5-w2"
-        stable = registry.create("smr-stable", n=5, params=PARAMS, seed=1)
+        stable = WORKLOADS.create("smr-stable", n=5, params=PARAMS, seed=1)
         assert stable.config.max_time == 400.0 * PARAMS.delta
 
     @pytest.mark.parametrize("workload", SMR_WORKLOADS)
@@ -142,7 +140,7 @@ class TestExecutorIntegration:
 
     def test_serial_executor_matches_direct_snapshot(self):
         task = stable_task()
-        scenario = default_workload_registry().create(
+        scenario = WORKLOADS.create(
             task.workload, **dict(task.workload_kwargs)
         )
         direct = snapshot_smr_outcome(

@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.analysis.report import render_record_report
-from repro.consensus.registry import default_registry
+from repro.consensus.registry import protocol_builder
 from repro.consensus.values import RunOutcome
 from repro.env.registry import named_environment
 from repro.errors import ConfigurationError, ExperimentError, ResultSchemaError
@@ -47,7 +47,7 @@ from repro.sim.simulator import SimulationConfig
 from repro.smr.outcome import SmrOutcome, snapshot_smr_outcome
 from repro.smr.runner import SmrRunResult
 from repro.smr.workload import ScheduleSpec
-from repro.workloads.registry import default_workload_registry
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.scenario import Scenario
 
 PARAMS = default_experiment_params()
@@ -84,7 +84,7 @@ def make_scenario(name: str = "hand-built", env: str = "stable", seed: int = 1) 
 
 
 def builder_for(protocol: str = "modified-paxos"):
-    return default_registry().create(protocol)
+    return protocol_builder(protocol)
 
 
 class FakeTask:
@@ -272,7 +272,7 @@ class TestBuildSimulator:
 
 class TestScenarioEnvironment:
     def test_fault_plan_is_derived_from_the_environment(self):
-        scenario = default_workload_registry().create(
+        scenario = WORKLOADS.create(
             "restarts", n=5, params=PARAMS, seed=3
         )
         expected = scenario.environment.build_fault_plan(scenario.config)
