@@ -58,8 +58,7 @@ class _Gossip(Process):
 def test_bench_simulator_throughput(benchmark):
     def run_simulation():
         params = TimingParams(delta=1.0, rho=0.0, epsilon=0.5)
-        config = SimulationConfig(n=9, params=params, ts=0.0, seed=1, max_time=30.0,
-                                  trace_enabled=False)
+        config = SimulationConfig(n=9, params=params, ts=0.0, seed=1, max_time=30.0)
         network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
         sim = Simulator(config, lambda pid: _Gossip(), network)
         sim.run(until=30.0)

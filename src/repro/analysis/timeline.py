@@ -1,8 +1,9 @@
 """Per-process timelines: how a run unfolded, process by process.
 
-The trace contains everything; this module folds it into a per-process
-sequence of milestones (start, crashes/restarts, session or round entries,
-phase-2 proposals, decision) and renders the result as text.  It is the tool
+The trace holds every lifecycle, protocol and decision event of a run (not
+individual messages); this module folds it into a per-process sequence of
+milestones (start, crashes/restarts, session or round entries, phase-2
+proposals, decision) and renders the result as text.  It is the tool
 to reach for when a run is slower than expected: the timeline makes it
 obvious which process was waiting for what.
 """

@@ -1,43 +1,27 @@
 """Structured execution traces.
 
-Every interesting thing that happens in a simulation — sends, deliveries,
-drops, crashes, restarts, timer firings, protocol-specific events (session
-entries, round entries, ballot bumps), and decisions — is appended to a
-:class:`TraceRecorder`.  Post-hoc analysis (invariant checking, metrics,
-debugging) works exclusively off this trace so it never has to re-run or
-instrument the protocols.
+The simulator records the events the post-run analysis reads: process
+starts, crashes and restarts, protocol events (session entries, phase
+starts, round entries, SMR submissions and slot decisions) and decisions.
+Invariant checks, metrics, outcome snapshots and ``repro run --timeline``
+work exclusively off this trace, so they never have to re-run or
+instrument the protocols.  Per-message traffic (sends, deliveries, timer
+firings) is not traced: the network monitor counts it, and
+``Network.send``/``inject`` return each envelope.
 
-Recording is cheap and reading pays for what it asks for.  The recorder keeps
-one list of plain tuples, one *row* per event::
-
-    (time, category, event, pid, fields)             # record(...)
-    (time, category, event, pid, None, *values)      # record_send/_deliver/_timer
-
-A :meth:`TraceRecorder.record` row keeps the keyword-argument dict it was
-called with.  The three hottest sites (network sends, deliveries and timer
-firings — about 99% of a run's rows) use dedicated methods whose rows hold
-only atoms: ``fields`` is ``None`` and the field values follow positionally,
-named by :data:`HOT_FIELDS`.  Such a tuple owns no container, so the cyclic
-garbage collector stops tracking it.  Readers get :class:`TraceEvent` objects
-built from the rows on demand, with the same field dicts, in the same key
-order, as the recording call.
+The recorder keeps one list of ``(time, category, event, pid, fields)``
+row tuples, where ``fields`` is the keyword-argument dict
+:meth:`TraceRecorder.record` was called with.  Readers get
+:class:`TraceEvent` objects built from the rows on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import merge
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-__all__ = ["HOT_FIELDS", "TraceEvent", "TraceRecorder"]
-
-#: Field names of the rows written by the hot recording methods, by event name.
-HOT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "send": ("dst", "kind", "msg_id", "dropped"),
-    "deliver": ("src", "kind", "msg_id"),
-    "deliver_to_crashed": ("src", "kind", "msg_id"),
-    "timer": ("name",),
-}
+__all__ = ["TraceEvent", "TraceRecorder"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +32,7 @@ class TraceEvent:
         time: Real (simulated) time of the event.
         category: Coarse source of the event: ``"sim"``, ``"net"``,
             ``"node"``, or ``"protocol"``.
-        event: Short event name, e.g. ``"deliver"``, ``"crash"``,
+        event: Short event name, e.g. ``"start"``, ``"crash"``,
             ``"session_enter"``, ``"decide"``.
         pid: Process the event concerns, or ``None`` for global events.
         fields: Free-form structured payload.
@@ -68,10 +52,7 @@ class TraceEvent:
 
 def _to_event(row: tuple) -> TraceEvent:
     """The :class:`TraceEvent` a row stands for."""
-    time, category, event, pid, fields = row[:5]
-    if fields is None:
-        fields = dict(zip(HOT_FIELDS[event], row[5:]))
-    return TraceEvent(time, category, event, pid, fields)
+    return TraceEvent(*row)
 
 
 class TraceRecorder:
@@ -82,26 +63,18 @@ class TraceRecorder:
     kept at record time, so ``filter(event=...)``, :meth:`first`,
     :meth:`last` and :meth:`count` walk only that event's rows.  Every read
     (iteration, :attr:`events`, the queries, :meth:`dump`) builds fresh
-    :class:`TraceEvent` objects; a ``record`` row's event shares the row's
-    field dict.
+    :class:`TraceEvent` objects that share the rows' field dicts.
 
     Args:
-        enabled: When False, every recording method is a no-op (cheap
-            benchmarks).  Hot call sites (the simulator's send/deliver/decide
-            paths and the node lifecycle) additionally check :attr:`enabled`
-            *before* calling, so a disabled run never even builds the
-            arguments — keep that pattern when adding new recording sites on
-            hot paths.
         capacity: Optional hard cap on stored events; older events are never
             evicted — recording simply stops and ``truncated`` becomes True.
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
+    def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = capacity
         self.truncated = False
         self._rows: List[tuple] = []
-        self._index: Dict[str, List[int]] = {name: [] for name in HOT_FIELDS}
+        self._index: Dict[str, List[int]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -122,57 +95,13 @@ class TraceRecorder:
         pid: Optional[int] = None,
         **fields: Any,
     ) -> None:
-        """Append one event (no-op when disabled or over capacity)."""
-        if not self.enabled:
-            return
+        """Append one event (no-op over capacity)."""
         rows = self._rows
         if self.capacity is not None and len(rows) >= self.capacity:
             self.truncated = True
             return
-        positions = self._index.get(event)
-        if positions is None:
-            positions = self._index[event] = []
-        positions.append(len(rows))
+        self._index.setdefault(event, []).append(len(rows))
         rows.append((time, category, event, pid, fields))
-
-    # -- hot rows: atoms only, field names from HOT_FIELDS ----------------------
-    def record_send(
-        self, time: float, src: int, dst: int, kind: str, msg_id: int, dropped: bool
-    ) -> None:
-        """``record(time, "net", "send", pid=src, dst=..., kind=..., msg_id=..., dropped=...)``."""
-        if not self.enabled:
-            return
-        rows = self._rows
-        if self.capacity is not None and len(rows) >= self.capacity:
-            self.truncated = True
-            return
-        self._index["send"].append(len(rows))
-        rows.append((time, "net", "send", src, None, dst, kind, msg_id, dropped))
-
-    def record_deliver(
-        self, time: float, accepted: bool, dst: int, src: int, kind: str, msg_id: int
-    ) -> None:
-        """A ``"net"`` ``deliver`` (or, if not ``accepted``, ``deliver_to_crashed``) row."""
-        if not self.enabled:
-            return
-        rows = self._rows
-        if self.capacity is not None and len(rows) >= self.capacity:
-            self.truncated = True
-            return
-        event = "deliver" if accepted else "deliver_to_crashed"
-        self._index[event].append(len(rows))
-        rows.append((time, "net", event, dst, None, src, kind, msg_id))
-
-    def record_timer(self, time: float, pid: int, name: str) -> None:
-        """``record(time, "node", "timer", pid=pid, name=name)``."""
-        if not self.enabled:
-            return
-        rows = self._rows
-        if self.capacity is not None and len(rows) >= self.capacity:
-            self.truncated = True
-            return
-        self._index["timer"].append(len(rows))
-        rows.append((time, "node", "timer", pid, None, name))
 
     # -- queries -------------------------------------------------------------
     def _select(

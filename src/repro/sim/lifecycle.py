@@ -99,9 +99,7 @@ class Node:
         if self.process is not None:
             self.process.on_stop()
         self.process = None
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(self.simulator.now(), "node", "crash", pid=self.pid)
+        self.simulator.trace.record(self.simulator.now(), "node", "crash", pid=self.pid)
 
     def restart(self) -> None:
         """Restart after a crash with a fresh protocol instance and old storage."""
@@ -120,11 +118,9 @@ class Node:
         context = self._build_context()
         self.process.bind(context)
         event = "restart" if restarting else "start"
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(
-                self.simulator.now(), "node", event, pid=self.pid, incarnation=self.incarnation
-            )
+        self.simulator.trace.record(
+            self.simulator.now(), "node", event, pid=self.pid, incarnation=self.incarnation
+        )
         self.process.on_start()
 
     # -- interaction with the simulator ----------------------------------------
@@ -158,14 +154,7 @@ class Node:
     def _send(self, message: Any, dst: int) -> None:
         if self.status is not _ACTIVE:
             return
-        simulator = self.simulator
-        envelope = simulator.network.send(message, self.pid, dst)
-        trace = simulator.trace
-        if trace.enabled:
-            trace.record_send(
-                envelope.send_time, self.pid, dst, message.kind, envelope.msg_id,
-                envelope.dropped,
-            )
+        self.simulator.network.send(message, self.pid, dst)
 
     def _set_timer(self, name: str, local_delay: float) -> None:
         if self.status is not _ACTIVE:
@@ -175,9 +164,6 @@ class Node:
     def _on_timer_fired(self, name: str) -> None:
         if self.status is not _ACTIVE or self.process is None:
             return
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record_timer(self.simulator.now(), self.pid, name)
         self.process.on_timer(name)
 
     def _decide(self, value: Any) -> None:
@@ -186,6 +172,4 @@ class Node:
         self.simulator.record_decision(self.pid, value, self.incarnation)
 
     def _emit(self, event: str, fields: dict) -> None:
-        trace = self.simulator.trace
-        if trace.enabled:
-            trace.record(self.simulator.now(), "protocol", event, pid=self.pid, **fields)
+        self.simulator.trace.record(self.simulator.now(), "protocol", event, pid=self.pid, **fields)

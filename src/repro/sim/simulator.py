@@ -48,9 +48,8 @@ class SimulationConfig:
             network model and by the analysis).
         seed: Root random seed; every stream is derived from it.
         max_time: Hard stop for the event loop.
-        trace_enabled: Whether to keep a structured trace.
-        trace_capacity: Optional cap on trace size for long benchmark runs;
-            a run whose trace hits it fails the trace invariant checks.
+        trace_capacity: Optional cap on the number of trace rows; a run
+            whose trace hits it fails the trace invariant checks.
     """
 
     n: int
@@ -58,7 +57,6 @@ class SimulationConfig:
     ts: float = 0.0
     seed: int = 0
     max_time: float = 10_000.0
-    trace_enabled: bool = True
     trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -95,9 +93,7 @@ class Simulator:
     ) -> None:
         self.config = config
         self.network = network
-        self.trace = TraceRecorder(
-            enabled=config.trace_enabled, capacity=config.trace_capacity
-        )
+        self.trace = TraceRecorder(capacity=config.trace_capacity)
         self.rng = SeededRng(config.seed, label="sim")
         self._events = EventQueue()
         self._time = 0.0
@@ -128,8 +124,7 @@ class Simulator:
             self.proposals[pid] = value
 
         self.network.bind(self)
-        # Hot-path caches: bound dict lookup for delivery dispatch, and the
-        # trace object whose ``enabled`` flag gates every record call site.
+        # Hot-path cache: bound dict lookup for delivery dispatch.
         self._nodes_get = self.nodes.get
 
     # -- time & scheduling -----------------------------------------------------
@@ -184,22 +179,14 @@ class Simulator:
         node = self._nodes_get(envelope.dst)
         if node is None:
             return False
-        accepted = node.deliver(envelope)
-        trace = self.trace
-        if trace.enabled:
-            trace.record_deliver(
-                self._time, accepted, envelope.dst, envelope.src,
-                envelope.message.kind, envelope.msg_id,
-            )
-        return accepted
+        return node.deliver(envelope)
 
     # -- decisions ----------------------------------------------------------------
     def record_decision(self, pid: int, value: Any, incarnation: int) -> None:
         record = DecisionRecord(pid=pid, value=value, time=self._time, incarnation=incarnation)
         self.all_decisions.append(record)
         self.decisions.setdefault(pid, record)
-        if self.trace.enabled:
-            self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
+        self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
 
     def decided_pids(self) -> List[int]:
         return sorted(self.decisions)

@@ -23,6 +23,7 @@ __all__ = [
     "capture_sent_envelopes",
     "make_params",
     "make_run_record",
+    "trace_wire_rows",
 ]
 
 
@@ -51,6 +52,60 @@ def capture_sent_envelopes(monkeypatch) -> List[Any]:
 
     monkeypatch.setattr(Network, "send", recording_send)
     return sent
+
+
+def trace_wire_rows(monkeypatch) -> None:
+    """Record per-message rows in every simulator's trace while ``monkeypatch`` is active.
+
+    The simulator traces lifecycle, protocol and decision events only.  This
+    wraps the three per-message calls so that each also records one row
+    through ``trace.record``; the seeded-equivalence digests in
+    ``tests/test_perf_fastpaths.py`` cover these rows:
+
+    * ``Network.send``: a ``"net"`` ``send`` row (its only caller,
+      ``Node._send``, has already checked that the sender is active);
+    * ``Simulator.deliver_envelope``: a ``"net"`` ``deliver`` row, or
+      ``deliver_to_crashed`` when the node does not accept the envelope;
+    * ``Node._on_timer_fired``: a ``"node"`` ``timer`` row when the owner is
+      active, before the protocol handles the timer.
+
+    Install it before building the simulator: a node binds its timer
+    callback when it is constructed.
+    """
+    from repro.net.network import Network
+    from repro.sim.lifecycle import Node, ProcessStatus
+    from repro.sim.simulator import Simulator
+
+    send = Network.send
+    deliver_envelope = Simulator.deliver_envelope
+    on_timer_fired = Node._on_timer_fired
+
+    def tracing_send(self, message, src, dst):
+        envelope = send(self, message, src, dst)
+        self._host.trace.record(
+            envelope.send_time, "net", "send", pid=src, dst=dst, kind=message.kind,
+            msg_id=envelope.msg_id, dropped=envelope.dropped,
+        )
+        return envelope
+
+    def tracing_deliver_envelope(self, envelope):
+        accepted = deliver_envelope(self, envelope)
+        if envelope.dst in self.nodes:
+            self.trace.record(
+                self.now(), "net", "deliver" if accepted else "deliver_to_crashed",
+                pid=envelope.dst, src=envelope.src, kind=envelope.message.kind,
+                msg_id=envelope.msg_id,
+            )
+        return accepted
+
+    def tracing_on_timer_fired(self, name):
+        if self.status is ProcessStatus.ACTIVE and self.process is not None:
+            self.simulator.trace.record(self.simulator.now(), "node", "timer", pid=self.pid, name=name)
+        on_timer_fired(self, name)
+
+    monkeypatch.setattr(Network, "send", tracing_send)
+    monkeypatch.setattr(Simulator, "deliver_envelope", tracing_deliver_envelope)
+    monkeypatch.setattr(Node, "_on_timer_fired", tracing_on_timer_fired)
 
 
 def make_run_record(

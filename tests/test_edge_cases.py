@@ -113,37 +113,33 @@ class TestTraceLimits:
         from repro.core.modified_paxos import ModifiedPaxosBuilder
 
         params = make_params()
-        config = SimulationConfig(
-            n=3, params=params, ts=0.0, seed=1, max_time=50.0, trace_capacity=20
-        )
-        builder = ModifiedPaxosBuilder()
-        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
-        simulator = Simulator(config, builder.create, network)
-        builder.attach(simulator)
-        simulator.run_until_decided()
+
+        def run(capacity):
+            config = SimulationConfig(
+                n=3, params=params, ts=0.0, seed=1, max_time=50.0, trace_capacity=capacity
+            )
+            builder = ModifiedPaxosBuilder()
+            network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
+            simulator = Simulator(config, builder.create, network)
+            builder.attach(simulator)
+            simulator.run_until_decided()
+            return simulator
+
+        capacity = len(run(None).trace) // 2
+        simulator = run(capacity)
         assert simulator.trace.truncated
-        assert len(simulator.trace) == 20
+        assert len(simulator.trace) == capacity
         assert len(simulator.decisions) == 3
 
     def test_truncated_trace_fails_the_invariant_checks(self):
         params = make_params()
         scenario = stable_scenario(3, params=params, seed=2)
-        scenario.config = dataclasses.replace(scenario.config, trace_capacity=20)
-        with pytest.raises(InvariantViolation, match="truncated at capacity 20"):
+        capacity = len(run_scenario(scenario, "modified-paxos").simulator.trace) // 2
+        scenario.config = dataclasses.replace(scenario.config, trace_capacity=capacity)
+        with pytest.raises(InvariantViolation, match=f"truncated at capacity {capacity}"):
             run_scenario(scenario, "modified-paxos")
         result = run_scenario(scenario, "modified-paxos", enforce_invariants=False)
         assert result.simulator.trace.truncated
         report = result.invariants["session-entry-rule"]
         assert not report.ok
-        assert "capacity 20" in report.violations[0]
-
-    def test_trace_disabled_still_runs(self):
-        params = make_params()
-        scenario = stable_scenario(3, params=params, seed=2)
-        scenario.config = type(scenario.config)(
-            n=3, params=params, ts=0.0, seed=2, max_time=scenario.config.max_time,
-            trace_enabled=False,
-        )
-        result = run_scenario(scenario, "modified-paxos")
-        assert result.decided_all
-        assert len(result.simulator.trace) == 0
+        assert f"capacity {capacity}" in report.violations[0]

@@ -78,12 +78,13 @@ class TestPostTsSendRate:
         monitor.on_send(envelope(Phase1a(mbal=1), 12.0))
         assert monitor.post_ts_send_rate(10.0, 12.0) == 0.0
 
-    def test_run_rate_equals_the_trace_recount(self):
+    def test_run_rate_equals_the_trace_recount(self, monkeypatch):
         from repro.harness.executors import snapshot_outcome
         from repro.harness.runner import run_scenario
         from repro.workloads.registry import WORKLOADS
-        from tests.helpers import make_params
+        from tests.helpers import capture_sent_envelopes, make_params
 
+        sent = capture_sent_envelopes(monkeypatch)
         ts = 10.0
         injected = []
 
@@ -101,7 +102,7 @@ class TestPostTsSendRate:
         scenario.post_setup = inject
         result = run_scenario(scenario, "modified-paxos")
         end = result.simulator.now()
-        send_times = [event.time for event in result.simulator.trace.filter(event="send")]
+        send_times = [env.send_time for env in sent]
         send_times += [env.send_time for env in injected]
         # The run must exercise both edges the counters handle.
         assert end in send_times

@@ -3,7 +3,7 @@
 Covers the behavioural surfaces the allocation-free refactor touched:
 
 * ``cancellable=False`` scheduling through ``Simulator.schedule_at``,
-* the monitor's counters, which must agree with the trace's ``send`` and
+* the monitor's counters, which must agree with the per-message ``send`` and
   ``deliver`` rows (the network keeps no per-envelope log),
 * per-network ``msg_id`` streams (deterministic, no global state),
 
@@ -11,6 +11,11 @@ plus the seeded-equivalence oracle: three protocols x three workloads whose
 decision/trace digests were captured on the pre-refactor tree (PR1, commit
 dcb8a75).  Any change to event ordering, RNG consumption, envelope ids, or
 trace payloads shows up here as a digest mismatch.
+
+The simulator's trace holds no per-message rows; these tests add them with
+:func:`tests.helpers.trace_wire_rows`, which records every send, delivery
+and timer firing in the trace exactly as the pre-refactor tree did, so the
+digests still cover every message.
 """
 
 import hashlib
@@ -28,6 +33,7 @@ from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
+from tests.helpers import trace_wire_rows
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
@@ -53,10 +59,12 @@ WORKLOAD_KWARGS = {
 
 def run_digest(protocol: str, workload: str) -> str:
     """Digest of everything observable about one seeded run."""
-    scenario = WORKLOADS.create(
-        workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
-    )
-    result = run_scenario(scenario, protocol)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        trace_wire_rows(monkeypatch)
+        scenario = WORKLOADS.create(
+            workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
+        )
+        result = run_scenario(scenario, protocol)
     sim = result.simulator
     payload = {
         "decisions": [
@@ -97,10 +105,11 @@ class TestCancellableFastPath:
 
 
 class TestMonitorMatchesTrace:
-    """The monitor's counters agree with the trace's per-message rows."""
+    """The monitor's counters agree with the per-message trace rows."""
 
     @pytest.mark.parametrize("workload", ["stable", "partitioned-chaos", "lossy-chaos"])
-    def test_counters_equal_the_trace_rows(self, workload):
+    def test_counters_equal_the_trace_rows(self, workload, monkeypatch):
+        trace_wire_rows(monkeypatch)
         scenario = WORKLOADS.create(
             workload, params=PARAMS, **WORKLOAD_KWARGS[workload]
         )
@@ -164,7 +173,9 @@ class TestPerNetworkMessageIds:
         assert injected.msg_id == sent.msg_id + 1
         assert injected.era is Era.PRE
 
-    def test_back_to_back_runs_trace_the_same_msg_ids(self):
+    def test_back_to_back_runs_trace_the_same_msg_ids(self, monkeypatch):
+        trace_wire_rows(monkeypatch)
+
         def send_ids():
             scenario = stable_scenario(3, params=PARAMS, seed=3)
             trace = run_scenario(scenario, "modified-paxos").simulator.trace

@@ -218,8 +218,7 @@ class TestReplicatedLogProperties:
 class ListTraceRecorder:
     """The list-of-TraceEvent recorder the row-based one replaced (oracle)."""
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
+    def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = capacity
         self.truncated = False
         self._events: List[TraceEvent] = []
@@ -235,8 +234,6 @@ class ListTraceRecorder:
         return list(self._events)
 
     def record(self, time, category, event, pid=None, **fields: Any) -> None:
-        if not self.enabled:
-            return
         if self.capacity is not None and len(self._events) >= self.capacity:
             self.truncated = True
             return
@@ -291,55 +288,18 @@ _TRACE_TUPLES = [
     ("deliver_to_crashed", "timer", "session_enter"),
     ("decide", "absent", "decide"),
 ]
-_TIMES = st.floats(0.0, 100.0, allow_nan=False)
-_KINDS = st.sampled_from(["phase1a", "phase2b"])
 _TRACE_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("record"), _TIMES, st.sampled_from(_TRACE_CATEGORIES),
-            st.sampled_from(_TRACE_EVENTS), st.sampled_from(_TRACE_PIDS),
-            st.dictionaries(
-                st.sampled_from(["session", "value", "ballot", "via"]),
-                st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none()),
-                max_size=3,
-            ),
+    st.tuples(
+        st.floats(0.0, 100.0, allow_nan=False), st.sampled_from(_TRACE_CATEGORIES),
+        st.sampled_from(_TRACE_EVENTS), st.sampled_from(_TRACE_PIDS),
+        st.dictionaries(
+            st.sampled_from(["session", "value", "ballot", "via"]),
+            st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none()),
+            max_size=3,
         ),
-        st.tuples(
-            st.just("send"), _TIMES, st.integers(0, 2), st.integers(0, 2), _KINDS,
-            st.integers(0, 10**6), st.booleans(),
-        ),
-        st.tuples(
-            st.just("deliver"), _TIMES, st.booleans(), st.integers(0, 2), st.integers(0, 2),
-            _KINDS, st.integers(0, 10**6),
-        ),
-        st.tuples(st.just("timer"), _TIMES, st.integers(0, 2), st.sampled_from(["eps", "tau"])),
     ),
     max_size=30,
 )
-
-
-def _apply_trace_op(trace: TraceRecorder, oracle: ListTraceRecorder, op: tuple) -> None:
-    """One recording call on ``trace`` and its ``record`` equivalent on ``oracle``."""
-    name, time, *args = op
-    if name == "record":
-        category, event, pid, fields = args
-        trace.record(time, category, event, pid, **fields)
-        oracle.record(time, category, event, pid, **fields)
-    elif name == "send":
-        src, dst, kind, msg_id, dropped = args
-        trace.record_send(time, src, dst, kind, msg_id, dropped)
-        oracle.record(
-            time, "net", "send", pid=src, dst=dst, kind=kind, msg_id=msg_id, dropped=dropped
-        )
-    elif name == "deliver":
-        accepted, dst, src, kind, msg_id = args
-        trace.record_deliver(time, accepted, dst, src, kind, msg_id)
-        event = "deliver" if accepted else "deliver_to_crashed"
-        oracle.record(time, "net", event, pid=dst, src=src, kind=kind, msg_id=msg_id)
-    else:
-        pid, timer = args
-        trace.record_timer(time, pid, timer)
-        oracle.record(time, "node", "timer", pid=pid, name=timer)
 
 
 def _exact(events: List[Optional[TraceEvent]]) -> List[Any]:
@@ -356,13 +316,13 @@ class TestTraceRecorderMatchesListOracle:
     @given(
         ops=_TRACE_OPS,
         capacity=st.one_of(st.none(), st.integers(0, 12)),
-        enabled=st.booleans(),
     )
-    def test_every_read_matches_the_list_recorder(self, ops, capacity, enabled):
-        trace = TraceRecorder(enabled=enabled, capacity=capacity)
-        oracle = ListTraceRecorder(enabled=enabled, capacity=capacity)
-        for op in ops:
-            _apply_trace_op(trace, oracle, op)
+    def test_every_read_matches_the_list_recorder(self, ops, capacity):
+        trace = TraceRecorder(capacity=capacity)
+        oracle = ListTraceRecorder(capacity=capacity)
+        for time, category, event, pid, fields in ops:
+            trace.record(time, category, event, pid, **fields)
+            oracle.record(time, category, event, pid, **fields)
 
         assert len(trace) == len(oracle)
         assert trace.truncated == oracle.truncated

@@ -19,7 +19,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import capture_sent_envelopes, make_params
+from tests.helpers import capture_sent_envelopes, make_params, trace_wire_rows
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ class TestDelivery:
         from repro.net.adversary import DropAllAdversary
 
         sent = capture_sent_envelopes(monkeypatch)
+        trace_wire_rows(monkeypatch)
         # Before TS = 0.5 every message is dropped; afterwards all arrive.
         sim = build_simulator(lambda pid: PingProcess(), n=3, ts=0.5,
                               adversary=DropAllAdversary())
@@ -126,6 +127,7 @@ class TestDelivery:
 
     def test_crashed_node_sends_nothing(self, monkeypatch):
         sent = capture_sent_envelopes(monkeypatch)
+        trace_wire_rows(monkeypatch)
         sim = build_simulator(lambda pid: PingProcess(), n=3)
         sim.start()
         assert len(sent) == len(sim.trace.filter(event="send")) == 6

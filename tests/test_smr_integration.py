@@ -34,9 +34,10 @@ class TestStableReplication:
 
     def test_truncated_trace_fails_the_session_entry_check(self):
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
-        scenario.config = dataclasses.replace(scenario.config, trace_capacity=50)
         schedule = uniform_schedule(5, num_commands=3, start=10.0, interval=1.0)
-        with pytest.raises(InvariantViolation, match="truncated at capacity 50"):
+        capacity = len(run_smr(scenario, schedule).simulator.trace) // 2
+        scenario.config = dataclasses.replace(scenario.config, trace_capacity=capacity)
+        with pytest.raises(InvariantViolation, match=f"truncated at capacity {capacity}"):
             run_smr(scenario, schedule)
         result = run_smr(scenario, schedule, enforce_consistency=False)
         assert not result.invariants["session-entry-rule"].ok

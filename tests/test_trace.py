@@ -1,8 +1,9 @@
 """Unit tests for the structured trace (`repro.analysis.trace`)."""
 
-import gc
-
-from repro.analysis.trace import HOT_FIELDS, TraceEvent, TraceRecorder
+from repro.analysis.trace import TraceEvent, TraceRecorder
+from repro.harness.runner import run_scenario
+from repro.workloads.chaos import partitioned_chaos_scenario
+from tests.helpers import make_params
 
 
 class TestRecording:
@@ -12,11 +13,6 @@ class TestRecording:
         trace.record(2.0, "sim", "decide", pid=1, value="v")
         assert len(trace) == 2
         assert [event.event for event in trace] == ["send", "decide"]
-
-    def test_disabled_recorder_is_noop(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record(1.0, "net", "send")
-        assert len(trace) == 0
 
     def test_capacity_stops_recording_and_flags_truncation(self):
         trace = TraceRecorder(capacity=2)
@@ -32,41 +28,24 @@ class TestRecording:
         events.clear()
         assert len(trace) == 1
 
-
-class TestHotRows:
-    """The hot recording methods read back exactly as the ``record`` calls they replace."""
-
-    def _record_both(self):
-        hot, plain = TraceRecorder(), TraceRecorder()
-        hot.record_send(1.0, 0, 2, "phase1a", 11, False)
-        plain.record(1.0, "net", "send", pid=0, dst=2, kind="phase1a", msg_id=11, dropped=False)
-        hot.record_deliver(2.0, True, 2, 0, "phase1a", 11)
-        plain.record(2.0, "net", "deliver", pid=2, src=0, kind="phase1a", msg_id=11)
-        hot.record_deliver(3.0, False, 1, 0, "phase1b", 12)
-        plain.record(3.0, "net", "deliver_to_crashed", pid=1, src=0, kind="phase1b", msg_id=12)
-        hot.record_timer(4.0, 1, "epsilon")
-        plain.record(4.0, "node", "timer", pid=1, name="epsilon")
-        return hot, plain
-
-    def test_events_equal_record_path_with_same_key_order(self):
-        hot, plain = self._record_both()
-        assert hot.events == plain.events
-        assert [list(e.fields) for e in hot] == [list(e.fields) for e in plain]
-        assert [list(e.fields) for e in hot] == [
-            list(HOT_FIELDS[name]) for name in ("send", "deliver", "deliver_to_crashed", "timer")
-        ]
-        assert hot.dump() == plain.dump()
-
-    def test_hot_rows_are_not_gc_tracked(self):
-        hot, _ = self._record_both()
-        gc.collect()
-        assert all(gc.is_tracked(row) is False for row in hot._rows)
-
     def test_events_builds_fresh_objects(self):
-        hot, _ = self._record_both()
-        first, second = hot.events, hot.events
+        trace = TraceRecorder()
+        trace.record(1.0, "protocol", "session_enter", pid=0, session=1)
+        trace.record(2.0, "sim", "decide", pid=0, value="v")
+        first, second = trace.events, trace.events
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
+
+
+class TestSimulatorTrace:
+    def test_a_run_traces_no_per_message_rows(self):
+        scenario = partitioned_chaos_scenario(9, params=make_params(rho=0.01), ts=10.0, seed=1)
+        simulator = run_scenario(scenario, "modified-paxos").simulator
+        trace = simulator.trace
+        assert trace.count("decide") > 0 and trace.count("session_enter") > 0
+        assert not trace.filter(category="net")
+        assert trace.count("timer") == 0
+        assert len(trace) < simulator.events_processed / 10
 
 
 class TestQueries:
