@@ -143,3 +143,15 @@ class TestTraceLimits:
         report = result.invariants["session-entry-rule"]
         assert not report.ok
         assert f"capacity {capacity}" in report.violations[0]
+
+    def test_every_run_traces_what_the_checks_read(self):
+        """The trace is always on, so a check sees the run's protocol rows, never an empty trace."""
+        scenario = partitioned_chaos_scenario(5, params=make_params(), ts=10.0, seed=3)
+        result = run_scenario(scenario, "modified-paxos")
+        assert result.decided_all
+        trace = result.simulator.trace
+        assert not trace.truncated
+        assert trace.count("start_phase1") > 0
+        assert trace.count("decide") == len(result.simulator.decisions) > 0
+        report = result.invariants["session-entry-rule"]
+        assert report.ok and report.checked > 0

@@ -3,7 +3,7 @@
 from repro.analysis.trace import TraceEvent, TraceRecorder
 from repro.harness.runner import run_scenario
 from repro.workloads.chaos import partitioned_chaos_scenario
-from tests.helpers import make_params
+from tests.helpers import make_params, trace_wire_rows
 
 
 class TestRecording:
@@ -36,6 +36,15 @@ class TestRecording:
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
 
+    def test_fields_keep_their_keyword_order(self):
+        trace = TraceRecorder()
+        trace.record(1.0, "net", "send", pid=0, dst=2, kind="phase1a", msg_id=11, dropped=False)
+        trace.record(2.0, "protocol", "phase2a", pid=1, value="v", ballot=3, session=2)
+        assert [list(event.fields) for event in trace] == [
+            ["dst", "kind", "msg_id", "dropped"], ["value", "ballot", "session"],
+        ]
+        assert [event.describe() for event in trace] == trace.dump().split("\n")
+
 
 class TestSimulatorTrace:
     def test_a_run_traces_no_per_message_rows(self):
@@ -46,6 +55,36 @@ class TestSimulatorTrace:
         assert not trace.filter(category="net")
         assert trace.count("timer") == 0
         assert len(trace) < simulator.events_processed / 10
+
+    def _run(self):
+        scenario = partitioned_chaos_scenario(5, params=make_params(rho=0.01), ts=10.0, seed=2)
+        return run_scenario(scenario, "modified-paxos").simulator
+
+    def test_wire_rows_helper_leaves_the_run_unchanged(self, monkeypatch):
+        """The test-only per-message rows add to the trace but change nothing else."""
+        plain = self._run()
+        trace_wire_rows(monkeypatch)
+        wired = self._run()
+        assert wired.events_processed == plain.events_processed
+        assert wired.decisions == plain.decisions
+        assert wired.network.monitor.stats == plain.network.monitor.stats
+        wire = {"send", "deliver", "deliver_to_crashed", "timer"}
+        assert [event for event in wired.trace if event.event not in wire] == plain.trace.events
+        assert len(wired.trace) > 10 * len(plain.trace)
+
+    def test_wire_rows_helper_records_the_per_message_field_layout(self, monkeypatch):
+        trace_wire_rows(monkeypatch)
+        trace = self._run().trace
+        layouts = {
+            ("net", "send"): ["dst", "kind", "msg_id", "dropped"],
+            ("net", "deliver"): ["src", "kind", "msg_id"],
+            ("node", "timer"): ["name"],
+        }
+        for (category, event), keys in layouts.items():
+            rows = trace.filter(category=category, event=event)
+            assert rows
+            assert all(list(row.fields) == keys for row in rows)
+        assert trace.count("send") == self._run().network.monitor.stats.sent
 
 
 class TestQueries:
