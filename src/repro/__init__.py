@@ -92,11 +92,8 @@ from repro.harness.runner import RunResult, run_scenario
 from repro.params import TimingParams
 from repro.results import (
     JsonlStore,
-    MemoryStore,
-    ResultStore,
     RunRecord,
     SmrRecord,
-    SqliteStore,
     content_key_for_task,
     open_store,
 )
@@ -125,7 +122,6 @@ __all__ = [
     "ExperimentSpec",
     "FaultSpec",
     "JsonlStore",
-    "MemoryStore",
     "PROTOCOLS",
     "PartitionDecl",
     "SynchronySpec",
@@ -134,11 +130,9 @@ __all__ = [
     "ParallelExecutor",
     "ResultRow",
     "ResultSet",
-    "ResultStore",
     "RunRecord",
     "RunResult",
     "RunTask",
-    "SqliteStore",
     "Scenario",
     "ScenarioRegistry",
     "SerialExecutor",

@@ -26,7 +26,7 @@ an unknown protocol or one found while building the scenario or while
 validating its fault plan, prints one line and exits 2.  ``experiments`` delegates to the campaign runner
 (:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
 process pool, ``--store`` streams every run record into a
-:class:`~repro.results.store.ResultStore`, and ``--resume`` loads runs
+:class:`~repro.results.store.JsonlStore`, and ``--resume`` loads runs
 already present instead of re-executing them.  ``results`` inspects such
 stores: ``ls``, ``show <key>``, ``query``, ``export`` (JSON/CSV), and
 ``diff`` over two stores' decision-lag aggregates
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments_parser.add_argument(
         "--store", default=None, metavar="PATH",
-        help="persist every run record here (.jsonl, .sqlite, or .db)",
+        help="persist every run record in this JSON-lines file (*.jsonl)",
     )
     experiments_parser.add_argument(
         "--resume", action="store_true",
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_store_argument(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--store", required=True, metavar="PATH",
-                         help="result store path (.jsonl, .sqlite, or .db)")
+                         help="result store path (*.jsonl)")
 
     results_ls = results_subparsers.add_parser("ls", help="list stored records")
     add_store_argument(results_ls)
@@ -369,11 +369,10 @@ def _command_results(args: argparse.Namespace) -> int:
     command = args.results_command
     specs = [args.store_a, args.store_b] if command == "diff" else [args.store]
     for spec in specs:
-        # open_store treats a missing path as a new, empty store (and SQLite
-        # creates the file), so a mistyped path must fail before it opens.
-        path = spec.partition(":")[2] if spec.startswith(("jsonl:", "sqlite:")) else spec
-        if spec not in ("memory", ":memory:") and not os.path.exists(path):
-            print(f"no store at {path}")
+        # open_store treats a missing path as a new, empty store, so a
+        # mistyped path must fail before it opens.
+        if not os.path.exists(spec):
+            print(f"no store at {spec}")
             return 2
     try:
         if command == "diff":

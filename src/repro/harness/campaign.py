@@ -17,7 +17,7 @@ measured values.
 With a ``--store``, every run streams its record — a
 :class:`~repro.results.record.RunRecord` for the single-decree experiments,
 an :class:`~repro.results.smr_record.SmrRecord` for E9's multi-decree runs —
-into that :class:`~repro.results.store.ResultStore` as it completes; without
+into that :class:`~repro.results.store.JsonlStore` as it completes; without
 one, no records are built.  With ``--resume``, runs whose content key is
 already in the store are loaded instead of executed: a campaign killed
 midway re-executes only the missing (protocol, workload, seed) cells and
@@ -46,7 +46,7 @@ from repro.harness.experiments import (
     experiment_e9_smr_stable_case,
 )
 from repro.harness.tables import ExperimentTable
-from repro.results.store import ResultStore, open_store
+from repro.results.store import JsonlStore, open_store
 
 __all__ = ["EXPERIMENTS", "SMOKE", "CampaignResult", "run_campaign", "write_report"]
 
@@ -98,15 +98,15 @@ def run_campaign(
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    store: Optional[Union[str, ResultStore]] = None,
+    store: Optional[Union[str, JsonlStore]] = None,
     resume: bool = False,
 ) -> CampaignResult:
     """Run the selected experiments (each once, in first-seen order) at ``scale``.
 
     ``scale`` is ``"full"`` (each function's defaults) or ``"smoke"``
     (:data:`SMOKE`).  ``executor`` wins over ``jobs``; with neither,
-    everything runs serially in this process.  ``store`` (a path or
-    :class:`~repro.results.store.ResultStore`) receives every run's record
+    everything runs serially in this process.  ``store`` (a ``*.jsonl`` path
+    or :class:`~repro.results.store.JsonlStore`) receives every run's record
     as it completes; a store opened here from a path is closed on return,
     one passed in stays open.  With ``resume=True``, runs already in the
     store are loaded instead of re-executed, so an interrupted campaign
@@ -124,7 +124,7 @@ def run_campaign(
         )
     owns_executor = executor is None
     executor = executor if executor is not None else make_executor(jobs)
-    opened = store is not None and not isinstance(store, ResultStore)
+    opened = store is not None and not isinstance(store, JsonlStore)
     store = open_store(store) if store is not None else None
     result = CampaignResult(scale=scale)
     try:

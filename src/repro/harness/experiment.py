@@ -279,8 +279,8 @@ def run_experiment(
     Passing several specs runs their concatenated task lists in one batch,
     so a parallel executor can schedule across all of them.
 
-    ``store`` (a :class:`~repro.results.store.ResultStore` or a path
-    accepted by :func:`~repro.results.store.open_store`) persists every
+    ``store`` (a :class:`~repro.results.store.JsonlStore` or a ``*.jsonl``
+    path, opened by :func:`~repro.results.store.open_store`) persists every
     executed task as a :class:`~repro.results.record.RunRecord` under its
     content key, streamed as outcomes complete — an interrupted run keeps
     everything finished so far.  With ``resume=True``, tasks whose key is
@@ -318,9 +318,9 @@ def _run_tasks(
     if resume and store is None:
         raise ExperimentError("resume=True needs a store to resume from")
     from repro.results.record import content_key_for_task, record_for_task
-    from repro.results.store import ResultStore, open_store
+    from repro.results.store import JsonlStore, open_store
 
-    opened = store is not None and not isinstance(store, ResultStore)
+    opened = store is not None and not isinstance(store, JsonlStore)
     if store is not None:
         store = open_store(store)
         keys = [content_key_for_task(task) for task in tasks]

@@ -1,4 +1,4 @@
-"""First-class results: schema-versioned records, pluggable stores, queries.
+"""First-class results: schema-versioned records, a JSON-lines store, queries.
 
 This package is the durable fourth layer of the harness stack.  The workload
 table names *what* to run, the executors decide *how*, the environment
@@ -19,11 +19,9 @@ run *produced*:
   :func:`~repro.results.record.record_for_task` and
   :func:`~repro.results.record.decode_record_dict` dispatch on; a class
   refuses the other kind's records;
-* :class:`~repro.results.store.ResultStore` — the backend contract, with
-  :class:`~repro.results.store.MemoryStore`,
-  :class:`~repro.results.store.JsonlStore` (append-only log + atomic
-  index), and :class:`~repro.results.store.SqliteStore` (indexed queries)
-  implementations behind :func:`~repro.results.store.open_store`;
+* :class:`~repro.results.store.JsonlStore` — the store: an append-only
+  JSON-lines log of records plus an atomic sidecar index, opened from a
+  ``*.jsonl`` path by :func:`~repro.results.store.open_store`;
 * :mod:`~repro.results.query` — record-level aggregation and the bridge
   back into :class:`~repro.harness.experiment.ResultSet`, so the existing
   tables and stats run unchanged on stored data.
@@ -32,7 +30,8 @@ Because simulations are seeded and deterministic, a stored record is a
 faithful substitute for re-executing its task: the harness layers
 (``run_experiment``, ``run_smr_tasks``, ``run_campaign``, the E1–E9
 experiment functions) accept ``store=``/``resume=`` and load any record
-already present under a task's content key instead of running it, which is what makes interrupted or sharded campaigns resumable.
+already present under a task's content key instead of running it, which
+is what makes an interrupted campaign resumable.
 
 Schema-version policy
 =====================
@@ -77,24 +76,15 @@ from repro.results.record import (
     task_fingerprint,
 )
 from repro.results.smr_record import SmrRecord
-from repro.results.store import (
-    JsonlStore,
-    MemoryStore,
-    ResultStore,
-    SqliteStore,
-    open_store,
-)
+from repro.results.store import JsonlStore, open_store
 
 __all__ = [
     "SCHEMA_VERSION",
     "JsonlStore",
     "LagAggregate",
-    "MemoryStore",
     "RecordBase",
-    "ResultStore",
     "RunRecord",
     "SmrRecord",
-    "SqliteStore",
     "content_key_for_task",
     "decode_record_dict",
     "decode_record_json",

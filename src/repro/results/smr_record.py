@@ -5,8 +5,8 @@ An :class:`SmrRecord` wraps the condensed
 prefix lengths, replica digests (already canonical strings) and the
 resolved environment — in the envelope of
 :class:`~repro.results.record.RecordBase`, under the same content-key shape
-as single-decree records, so every store backend holds both kinds side by
-side.  The serialized form carries ``"kind": "smr"``.
+as single-decree records, so one store holds both kinds side by side.  The
+serialized form carries ``"kind": "smr"``.
 """
 
 from __future__ import annotations

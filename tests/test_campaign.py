@@ -2,15 +2,13 @@
 
 import inspect
 import os
-import sqlite3
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness import campaign
 from repro.harness.campaign import EXPERIMENTS, SMOKE, run_campaign, write_report
 from repro.harness.executors import SerialExecutor
-from repro.results.store import SqliteStore, open_store
+from repro.results.store import JsonlStore
 
 
 class TestCatalogue:
@@ -48,7 +46,7 @@ class TestRun:
             def imap(self, tasks):
                 raise AssertionError("no task may run")
 
-        store = tmp_path / "campaign.sqlite"
+        store = tmp_path / "campaign.jsonl"
         messages = []
         with pytest.raises(ConfigurationError) as excinfo:
             run_campaign(scale="smoke", experiments=["E7", "E99"], store=str(store),
@@ -64,22 +62,27 @@ class TestRun:
         assert [table.experiment for table in result.tables] == ["E7"]
         assert len(store_path.read_text().splitlines()) == 4
 
-    def test_store_opened_from_path_is_closed(self, tmp_path, monkeypatch):
-        opened = []
+    @pytest.fixture
+    def close_calls(self, monkeypatch):
+        calls = []
+        original = JsonlStore.close
 
-        def recording_open_store(spec):
-            opened.append(open_store(spec))
-            return opened[-1]
+        def recording_close(store):
+            calls.append(store)
+            original(store)
 
-        monkeypatch.setattr(campaign, "open_store", recording_open_store)
-        run_campaign(scale="smoke", experiments=["E7"], store=str(tmp_path / "c.sqlite"))
-        with pytest.raises(sqlite3.ProgrammingError):
-            len(opened[0])
+        monkeypatch.setattr(JsonlStore, "close", recording_close)
+        return calls
 
-    def test_store_passed_in_stays_open(self, tmp_path):
-        with SqliteStore(tmp_path / "c.sqlite") as store:
-            run_campaign(scale="smoke", experiments=["E7"], store=store)
-            assert len(store) == 4
+    def test_store_opened_from_path_is_closed(self, tmp_path, close_calls):
+        run_campaign(scale="smoke", experiments=["E7"], store=str(tmp_path / "c.jsonl"))
+        assert len(close_calls) == 1
+
+    def test_store_passed_in_stays_open(self, tmp_path, close_calls):
+        store = JsonlStore(tmp_path / "c.jsonl")
+        run_campaign(scale="smoke", experiments=["E7"], store=store)
+        assert close_calls == []
+        assert len(store) == 4
 
     def test_table_lookup_missing(self):
         result = run_campaign(scale="smoke", experiments=["E7"])

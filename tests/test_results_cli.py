@@ -1,12 +1,13 @@
 """CLI tests for the `results` command group and `experiments --store/--resume`."""
 
 import json
+import sqlite3
 
 import pytest
 
 from helpers import make_run_record
 from repro.cli import main
-from repro.results import JsonlStore, SqliteStore
+from repro.results import JsonlStore
 
 
 @pytest.fixture
@@ -44,14 +45,11 @@ class TestResultsLs:
 class TestResultsMissingStore:
     """Reading a path that holds no store fails and creates nothing there."""
 
-    @pytest.mark.parametrize("name", ["typo.jsonl", "typo.sqlite", "jsonl:typo.jsonl",
-                                      "sqlite:typo.db"])
+    @pytest.mark.parametrize("name", ["typo.jsonl", "typo.sqlite", "typo.db"])
     @pytest.mark.parametrize("command", [["ls"], ["show", "k/mp/1"], ["query"], ["export"]])
     def test_single_store_commands(self, tmp_path, capsys, command, name):
-        prefix, _, filename = name.rpartition(":")
-        path = tmp_path / filename
-        spec = f"{prefix}:{path}" if prefix else str(path)
-        assert main(["results", *command, "--store", spec]) == 2
+        path = tmp_path / name
+        assert main(["results", *command, "--store", str(path)]) == 2
         assert f"no store at {path}" in capsys.readouterr().out
         assert not path.exists()
 
@@ -65,22 +63,19 @@ class TestResultsMissingStore:
         assert f"no store at {missing}" in capsys.readouterr().out
         assert not missing.exists()
 
-    @pytest.mark.parametrize("spec", ["memory", ":memory:"])
-    def test_memory_store_needs_no_file(self, tmp_path, monkeypatch, capsys, spec):
-        monkeypatch.chdir(tmp_path)
-        assert main(["results", "ls", "--store", spec]) == 0
-        assert "store is empty" in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("backend", [JsonlStore, SqliteStore])
-    def test_prefixed_existing_store_opens(self, tmp_path, capsys, backend):
-        # The prefix overrides the suffix guess, so the file name says nothing.
-        path = tmp_path / "runs.data"
-        with backend(path) as store:
-            store.put(make_run_record(key="k/mp/1"))
-        prefix = "jsonl" if backend is JsonlStore else "sqlite"
-        assert main(["results", "ls", "--store", f"{prefix}:{path}"]) == 0
-        assert "1 records" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", ["old.sqlite", "old.sqlite3", "old.db"])
+    def test_existing_sqlite_store_is_refused_untouched(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        connection = sqlite3.connect(path)
+        connection.execute("CREATE TABLE records (key TEXT PRIMARY KEY, payload TEXT)")
+        connection.execute("INSERT INTO records VALUES ('k/mp/1', '{}')")
+        connection.commit()
+        connection.close()
+        before = path.read_bytes()
+        assert main(["results", "ls", "--store", str(path)]) == 2
+        assert "*.jsonl path" in capsys.readouterr().out
+        assert path.read_bytes() == before
+        assert not (tmp_path / f"{name}.index.json").exists()
 
 
 class TestResultsShow:
@@ -149,11 +144,11 @@ class TestResultsExport:
 
 class TestResultsDiff:
     def test_diff_two_stores(self, store_path, tmp_path, capsys):
-        other = SqliteStore(tmp_path / "other.sqlite")
+        other = JsonlStore(tmp_path / "other.jsonl")
         other.put(make_run_record(protocol="modified-paxos", workload="partitioned-chaos",
                                   n=3, seed=1, lag=2.5, key="k/mp/1"))
         other.close()
-        assert main(["results", "diff", store_path, str(tmp_path / "other.sqlite")]) == 0
+        assert main(["results", "diff", store_path, str(tmp_path / "other.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "modified-paxos" in out and "max_lag_diff" in out
         assert "obsolete-ballots" in out  # group missing on side B still listed
@@ -171,14 +166,21 @@ class TestExperimentsStoreFlags:
         assert (tmp_path / "out1" / "E7.txt").read_bytes() == \
             (tmp_path / "out2" / "E7.txt").read_bytes()
 
-    def test_new_sqlite_store_is_created(self, tmp_path, capsys):
+    def test_new_store_is_created(self, tmp_path, capsys):
         # Reading commands refuse a missing store; experiments creates one.
-        store = tmp_path / "new.sqlite"
+        store = tmp_path / "new.jsonl"
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
                      "--out", str(tmp_path / "out"), "--store", str(store)]) == 0
         assert "4 records" in capsys.readouterr().out
         assert main(["results", "ls", "--store", str(store)]) == 0
-        assert "4 records (sqlite)" in capsys.readouterr().out
+        assert "4 records (jsonl)" in capsys.readouterr().out
+
+    def test_sqlite_store_path_is_refused(self, tmp_path, capsys):
+        assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
+                     "--out", str(tmp_path / "out"),
+                     "--store", str(tmp_path / "x.sqlite")]) == 2
+        assert "*.jsonl path" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_without_store_rejected(self, tmp_path, capsys):
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
@@ -191,7 +193,7 @@ class TestExperimentsStoreFlags:
         assert "backend" in capsys.readouterr().out
 
     def test_unknown_experiment_runs_nothing(self, tmp_path, capsys):
-        store = tmp_path / "c.sqlite"
+        store = tmp_path / "c.jsonl"
         out = tmp_path / "out"
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
                      "--experiment", "E99", "--out", str(out), "--store", str(store)]) == 2

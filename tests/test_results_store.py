@@ -1,9 +1,8 @@
-"""Backend-conformance suite for `repro.results.store` (PR 4).
+"""Tests for `repro.results.store`: the JSON-lines result store.
 
-Every test in :class:`TestConformance` runs against all three backends
-through one fixture, which *is* the acceptance requirement: MemoryStore,
-JsonlStore, and SqliteStore pass one shared suite.  Backend-specific
-durability details (atomic index, stale-index rescue, reopen) follow.
+:class:`TestConformance` pins the keyed-map contract the harness and the
+CLI rely on; the durability details (atomic index, stale-index rescue,
+reopen, torn tails) follow.
 """
 
 import json
@@ -14,10 +13,9 @@ import pytest
 from helpers import make_run_record
 from repro.errors import ResultStoreError
 from repro.harness.tables import ExperimentTable
+from repro.results import store as store_module
 from repro.results import (
     JsonlStore,
-    MemoryStore,
-    SqliteStore,
     diff_aggregates,
     export_csv,
     export_json,
@@ -26,21 +24,32 @@ from repro.results import (
     result_set_of,
 )
 
-BACKENDS = ("memory", "jsonl", "sqlite")
+
+READ_PATHS = ("live", "indexed", "rescanned")
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=READ_PATHS)
 def store_factory(request, tmp_path):
-    """Opens (and reopens) one named store of the parametrized backend."""
+    """Opens one named store; ``make.reread`` hands it back through one read path.
+
+    ``live`` reads through the instance that wrote the records, ``indexed``
+    reopens the store from its flushed index, and ``rescanned`` reopens it
+    with no index so the log itself is scanned.
+    """
 
     def make(name="conformance"):
-        if request.param == "memory":
-            return MemoryStore()
-        if request.param == "jsonl":
-            return JsonlStore(tmp_path / f"{name}.jsonl")
-        return SqliteStore(tmp_path / f"{name}.sqlite")
+        return JsonlStore(tmp_path / f"{name}.jsonl")
 
-    make.backend = request.param
+    def reread(store):
+        if request.param == "live":
+            return store
+        if request.param == "indexed":
+            store.flush()
+        elif os.path.exists(store.index_path):
+            os.unlink(store.index_path)
+        return JsonlStore(store.path)
+
+    make.reread = reread
     return make
 
 
@@ -61,10 +70,10 @@ def seed_records(store, count=4):
 
 
 class TestConformance:
-    """The shared contract: identical behaviour across every backend."""
+    """The keyed-map contract every caller relies on, through every read path."""
 
     def test_empty_store(self, store_factory):
-        store = store_factory()
+        store = store_factory.reread(store_factory())
         assert len(store) == 0
         assert store.keys() == []
         assert list(store.records()) == []
@@ -74,6 +83,7 @@ class TestConformance:
     def test_put_get_roundtrip(self, store_factory):
         store = store_factory()
         records = seed_records(store)
+        store = store_factory.reread(store)
         for record in records:
             assert store.get(record.key) == record
             assert record.key in store
@@ -82,8 +92,16 @@ class TestConformance:
     def test_keys_keep_insertion_order(self, store_factory):
         store = store_factory()
         records = seed_records(store)
+        store = store_factory.reread(store)
         assert store.keys() == [record.key for record in records]
         assert [r.key for r in store.records()] == [record.key for record in records]
+
+    def test_iteration_and_describe(self, store_factory):
+        store = store_factory()
+        records = seed_records(store)
+        store = store_factory.reread(store)
+        assert list(store) == records
+        assert store.describe() == "jsonl(4 records)"
 
     def test_overwrite_is_last_write_wins(self, store_factory):
         store = store_factory()
@@ -92,6 +110,7 @@ class TestConformance:
                                       workload="partitioned-chaos",
                                       n=3, seed=1, lag=9.0, key="k/mp/chaos/1")
         store.put(replacement)
+        store = store_factory.reread(store)
         assert len(store) == 4
         assert store.get("k/mp/chaos/1") == replacement
         # Overwriting must not disturb iteration order.
@@ -100,6 +119,7 @@ class TestConformance:
     def test_query_records_by_protocol_and_workload(self, store_factory):
         store = store_factory()
         seed_records(store)
+        store = store_factory.reread(store)
         assert len(store.query_records(protocol="modified-paxos")) == 3
         assert len(store.query_records(workload="partitioned-chaos")) == 3
         both = store.query_records(protocol="modified-paxos",
@@ -109,6 +129,7 @@ class TestConformance:
     def test_query_by_tags_and_predicate(self, store_factory):
         store = store_factory()
         seed_records(store)
+        store = store_factory.reread(store)
         assert len(store.query_records(seed=2)) == 1
         heavy = store.query_records(where=lambda r: (r.lag_delta or 0.0) > 2.5)
         assert sorted(record.key for record in heavy) == ["k/mp/chaos/2", "k/tp/chaos/1"]
@@ -117,6 +138,7 @@ class TestConformance:
         """Stored data flows straight into the existing table/stats layers."""
         store = store_factory()
         seed_records(store)
+        store = store_factory.reread(store)
         results = store.query(protocol="modified-paxos", workload="partitioned-chaos")
         assert len(results) == 2
         assert results.tag_values("seed") == [1, 2]
@@ -127,15 +149,27 @@ class TestConformance:
         )
         assert [row["n"] for row in table.rows] == [3, 5]
 
-    def test_context_manager_flushes(self, store_factory):
-        with store_factory("ctx") as store:
-            seed_records(store, count=2)
-        reopened = store_factory("ctx")
-        if store_factory.backend != "memory":  # memory dies with the object
-            assert len(reopened) == 2
-
 
 class TestJsonlDurability:
+    def test_context_manager_flushes(self, tmp_path):
+        path = tmp_path / "ctx.jsonl"
+        with JsonlStore(path) as store:
+            seed_records(store, count=2)
+        assert os.path.exists(store.index_path)
+        assert len(JsonlStore(path)) == 2
+
+    def test_membership_reads_no_record(self, tmp_path, monkeypatch):
+        """``in`` answers from the key map; it decodes nothing from the log."""
+        store = JsonlStore(tmp_path / "runs.jsonl")
+        seed_records(store)
+
+        def no_decode(text):
+            raise AssertionError("membership must not decode a record")
+
+        monkeypatch.setattr(store_module, "decode_record_json", no_decode)
+        assert "k/mp/chaos/1" in store
+        assert "missing" not in store
+
     def test_reopen_without_flush_rescans_log(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         store = JsonlStore(path)
@@ -202,21 +236,21 @@ class TestJsonlDurability:
             JsonlStore(path)
 
     def test_interleaved_writers_are_not_masked_by_the_index(self, tmp_path):
-        """Sharded campaigns append to one log; no flush may hide a shard."""
+        """Two processes appending to one store; no flush may hide the other's records."""
         path = tmp_path / "shared.jsonl"
         writer_a = JsonlStore(path)
         writer_b = JsonlStore(path)
-        writer_a.put(make_run_record(key="shard-a/1"))
-        writer_b.put(make_run_record(key="shard-b/1"))
-        writer_a.put(make_run_record(key="shard-a/2"))
+        writer_a.put(make_run_record(key="writer-a/1"))
+        writer_b.put(make_run_record(key="writer-b/1"))
+        writer_a.put(make_run_record(key="writer-a/2"))
         # A flushes last knowing nothing of B's record; its index must not
-        # claim to cover the whole file while omitting shard-b/1.
+        # claim to cover the whole file while omitting writer-b/1.
         writer_b.flush()
         writer_a.flush()
         reopened = JsonlStore(path)
-        assert sorted(reopened.keys()) == ["shard-a/1", "shard-a/2", "shard-b/1"]
+        assert sorted(reopened.keys()) == ["writer-a/1", "writer-a/2", "writer-b/1"]
         # The rescan also taught writer A about B's record.
-        assert "shard-b/1" in writer_a
+        assert "writer-b/1" in writer_a
 
     def test_appends_are_durable_before_flush(self, tmp_path):
         """A killed process loses at most the index, never a written record."""
@@ -228,47 +262,37 @@ class TestJsonlDurability:
         assert len(lines) == 1
         assert json.loads(lines[0])["key"] == "durable/now"
 
-
-class TestSqlite:
-    def test_reopen_preserves_records_and_order(self, tmp_path):
-        path = tmp_path / "runs.sqlite"
-        store = SqliteStore(path)
-        records = seed_records(store)
-        store.close()
-        reopened = SqliteStore(path)
-        assert reopened.keys() == [record.key for record in records]
-        assert reopened.get(records[0].key) == records[0]
-        reopened.close()
-
-    def test_sql_prefilter_matches_generic_query(self, tmp_path):
-        store = SqliteStore(tmp_path / "runs.sqlite")
-        seed_records(store)
-        via_sql = store.query_records(protocol="modified-paxos")
-        via_scan = [r for r in store.records() if r.protocol == "modified-paxos"]
-        assert via_sql == via_scan
-        store.close()
+    def test_index_is_as_readable_as_the_log(self, tmp_path):
+        """mkstemp's 0600 must not lock other readers out of the index."""
+        old_umask = os.umask(0o022)
+        try:
+            store = JsonlStore(tmp_path / "runs.jsonl")
+            seed_records(store)
+            store.flush()
+        finally:
+            os.umask(old_umask)
+        log_mode = os.stat(store.path).st_mode & 0o777
+        assert log_mode == 0o644
+        assert os.stat(store.index_path).st_mode & 0o777 == log_mode
 
 
 class TestOpenStore:
-    def test_suffix_dispatch(self, tmp_path):
-        assert isinstance(open_store("memory"), MemoryStore)
-        assert isinstance(open_store(":memory:"), MemoryStore)
+    def test_jsonl_path_opens_a_jsonl_store(self, tmp_path):
         assert isinstance(open_store(tmp_path / "a.jsonl"), JsonlStore)
-        for suffix in (".sqlite", ".sqlite3", ".db"):
-            store = open_store(tmp_path / f"a{suffix}")
-            assert isinstance(store, SqliteStore)
-            store.close()
+        assert isinstance(open_store(str(tmp_path / "b.jsonl")), JsonlStore)
 
-    def test_prefix_overrides_suffix(self, tmp_path):
-        store = open_store(f"jsonl:{tmp_path / 'no-suffix.log'}")
-        assert isinstance(store, JsonlStore)
-        sqlite_store = open_store(f"sqlite:{tmp_path / 'no-suffix.data'}")
-        assert isinstance(sqlite_store, SqliteStore)
-        sqlite_store.close()
-
-    def test_store_instance_passes_through(self):
-        store = MemoryStore()
+    def test_store_instance_passes_through(self, tmp_path):
+        store = JsonlStore(tmp_path / "runs.jsonl")
         assert open_store(store) is store
+
+    @pytest.mark.parametrize("spec", ["memory", ":memory:", "new/runs.sqlite",
+                                      "new/runs.sqlite3", "new/runs.db",
+                                      "jsonl:new/runs.log", "sqlite:new/runs.data"])
+    def test_non_jsonl_path_rejected_before_touching_disk(self, tmp_path, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ResultStoreError, match=r"\*\.jsonl path"):
+            open_store(spec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ResultStoreError, match="backend"):
@@ -276,8 +300,8 @@ class TestOpenStore:
 
 
 class TestQueryHelpers:
-    def test_lag_aggregates_group_by_protocol_workload(self):
-        store = MemoryStore()
+    def test_lag_aggregates_group_by_protocol_workload(self, tmp_path):
+        store = JsonlStore(tmp_path / "runs.jsonl")
         seed_records(store)
         aggregates = lag_aggregates(store.records())
         chaos = aggregates[("modified-paxos", "partitioned-chaos")]
@@ -285,8 +309,8 @@ class TestQueryHelpers:
         assert chaos.mean_lag_delta == pytest.approx(2.5)
         assert chaos.max_lag_delta == pytest.approx(3.0)
 
-    def test_diff_aggregates_reports_both_sides(self):
-        a, b = MemoryStore(), MemoryStore()
+    def test_diff_aggregates_reports_both_sides(self, tmp_path):
+        a, b = JsonlStore(tmp_path / "a.jsonl"), JsonlStore(tmp_path / "b.jsonl")
         seed_records(a)
         b.put(make_run_record(protocol="modified-paxos", workload="partitioned-chaos",
                               n=3, seed=1, lag=4.0, key="k/mp/chaos/1"))
@@ -300,8 +324,8 @@ class TestQueryHelpers:
         stable = next(r for r in rows if r["workload"] == "stable")
         assert stable["runs_b"] == 0 and stable["max_lag_diff"] is None
 
-    def test_export_csv_and_json(self):
-        store = MemoryStore()
+    def test_export_csv_and_json(self, tmp_path):
+        store = JsonlStore(tmp_path / "runs.jsonl")
         records = seed_records(store)
         csv_text = export_csv(store.records())
         lines = csv_text.strip().splitlines()

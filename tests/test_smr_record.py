@@ -5,7 +5,7 @@ family: every SMR run the harness can produce freezes into an
 :class:`SmrRecord` that (a) survives ``from_dict(to_dict(r)) == r`` exactly,
 (b) rebuilds the executor's :class:`SmrOutcome` verbatim, and (c) sits under
 a content key that is a pure function of the declarative task — identical
-across processes and interpreter invocations — while every store backend
+across processes and interpreter invocations — while the result store
 holds SMR and single-decree records side by side.
 """
 
@@ -29,7 +29,7 @@ from repro.results.record import (
     task_fingerprint,
 )
 from repro.results.smr_record import SmrRecord
-from repro.results.store import JsonlStore, MemoryStore, SqliteStore
+from repro.results.store import JsonlStore
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.smr import SMR_WORKLOADS
 
@@ -235,7 +235,7 @@ class TestRecordKindCheck:
 
 
 class TestMixedStores:
-    """Every backend holds both record kinds side by side."""
+    """The store holds both record kinds side by side."""
 
     @pytest.fixture()
     def records(self):
@@ -248,16 +248,8 @@ class TestMixedStores:
             record_for_task(run, execute_task(run)),
         ]
 
-    def backend(self, kind, tmp_path):
-        if kind == "memory":
-            return MemoryStore()
-        if kind == "jsonl":
-            return JsonlStore(tmp_path / "mixed.jsonl")
-        return SqliteStore(tmp_path / "mixed.sqlite")
-
-    @pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite"))
-    def test_put_get_roundtrip_both_kinds(self, kind, tmp_path, records):
-        store = self.backend(kind, tmp_path)
+    def test_put_get_roundtrip_both_kinds(self, tmp_path, records):
+        store = JsonlStore(tmp_path / "mixed.jsonl")
         for record in records:
             store.put(record)
         store.flush()
@@ -277,7 +269,7 @@ class TestMixedStores:
         assert reopened.get(records[0].key) == records[0]
 
     def test_query_filters_smr_records(self, tmp_path, records):
-        store = self.backend("sqlite", tmp_path)
+        store = JsonlStore(tmp_path / "mixed.jsonl")
         for record in records:
             store.put(record)
         matched = store.query_records(protocol="multi-paxos-smr")
@@ -286,9 +278,9 @@ class TestMixedStores:
         assert len(by_workload) == 1
         store.close()
 
-    def test_query_refuses_smr_records(self, records):
+    def test_query_refuses_smr_records(self, tmp_path, records):
         """query() lifts run rows only; an SMR record raises instead of becoming a run row."""
-        store = MemoryStore()
+        store = JsonlStore(tmp_path / "mixed.jsonl")
         for record in records:
             store.put(record)
         rows = store.query(protocol="modified-paxos")

@@ -14,7 +14,7 @@ from repro.harness.campaign import run_campaign, write_report
 from repro.harness.executors import SerialExecutor, SmrTask
 from repro.harness.experiment import run_smr_tasks
 from repro.harness.experiments import default_experiment_params
-from repro.results import JsonlStore, MemoryStore
+from repro.results import JsonlStore
 from repro.results.record import content_key_for_task
 from repro.results.smr_record import SmrRecord
 from repro.smr.workload import ScheduleSpec
@@ -105,7 +105,7 @@ class TestRunSmrTasksResume:
 class TestE9CampaignResume:
     def test_interrupted_e9_campaign_yields_byte_identical_tables(self, tmp_path):
         """The PR acceptance scenario, end to end at smoke scale."""
-        baseline_store = MemoryStore()
+        baseline_store = JsonlStore(tmp_path / "baseline.jsonl")
         baseline = run_campaign(scale="smoke", experiments=["E9"], store=baseline_store)
         write_report(baseline, str(tmp_path / "baseline"))
         assert len(baseline_store) == 3  # E9 smoke = 3 SMR cases
@@ -126,8 +126,8 @@ class TestE9CampaignResume:
         assert (tmp_path / "resumed" / "E9.txt").read_bytes() == \
             (tmp_path / "baseline" / "E9.txt").read_bytes()
 
-    def test_e9_campaign_streams_smr_records(self):
-        store = MemoryStore()
+    def test_e9_campaign_streams_smr_records(self, tmp_path):
+        store = JsonlStore(tmp_path / "e9.jsonl")
         run_campaign(scale="smoke", experiments=["E9"], store=store)
         assert all(isinstance(record, SmrRecord) for record in store.records())
         assert len(store) == 3
