@@ -47,23 +47,26 @@ it (see :mod:`repro.results`)::
         print(store.query(protocol="modified-paxos").summary(lag_delta))
 
 Environments.  A run's environment (pre-``TS`` adversary, synchrony, crash
-and restart schedule) is a declarative :class:`EnvironmentSpec`; the named
-ones live in the :mod:`repro.env.registry` catalogue, and
-:func:`named_environment` builds one::
+and restart schedule) is a declarative :class:`EnvironmentSpec`, composed
+from the adversary and fault kinds catalogued in :mod:`repro.env.registry`;
+the named environments are workloads, and every scenario carries its spec::
 
-    spec = named_environment("churn", waves=2)
+    spec = EnvironmentSpec(
+        adversary=AdversarySpec("drop-all"),
+        faults=FaultSpec("churn-waves", {"waves": 2}),
+    )
     scenario = environment_scenario(spec, n=7, seed=3)
+    churn = WORKLOADS.create("churn", n=7).environment   # a named one
 
 ``python -m repro list-workloads``, ``python -m repro list-protocols`` and
-``python -m repro list-environments`` print everything the protocol, workload
-and environment catalogues know; ``python -m repro results ls --store
-runs.jsonl`` inspects a store.
+``python -m repro list-environments`` print the workload and protocol
+catalogues and the environment primitives; ``python -m repro results ls
+--store runs.jsonl`` inspects a store.
 """
 
 from repro._version import __version__
 from repro.consensus.registry import PROTOCOLS, protocol_builder
 from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.env.registry import named_environment
 from repro.env.spec import (
     AdversarySpec,
     EnvironmentSpec,
@@ -154,7 +157,6 @@ __all__ = [
     "lag_delta",
     "lossy_chaos_scenario",
     "make_executor",
-    "named_environment",
     "obsolete_ballot_scenario",
     "open_store",
     "partitioned_chaos_scenario",

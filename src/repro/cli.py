@@ -4,7 +4,7 @@ Six subcommands::
 
     python -m repro run --protocol modified-paxos --workload partitioned-chaos --n 7 --seed 42
     python -m repro run --workload smr-stable --n 9 --commands 20 --target-pid 0
-    python -m repro run --env churn --n 7
+    python -m repro run --env '{"adversary": {"kind": "drop-all"}}' --n 7
     python -m repro list-protocols
     python -m repro list-workloads
     python -m repro list-environments
@@ -18,13 +18,14 @@ report; workloads are resolved by name through the
 workload instead runs the multi-decree Modified Paxos service
 (:mod:`repro.smr`) under a uniform command schedule shaped by
 ``--commands`` / ``--command-start`` / ``--command-interval`` /
-``--target-pid``.  ``run --env`` takes a declarative environment — a name
-from :data:`~repro.env.registry.ENVIRONMENTS` or an inline
-:class:`~repro.env.spec.EnvironmentSpec` JSON object — and runs it through
-the catalogue's ``environment`` workload.  A configuration error, whether
-an unknown protocol or one found while building the scenario or while
-validating its fault plan, prints one line and exits 2.  ``experiments`` delegates to the campaign runner
-(:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
+``--target-pid``.  ``run --env`` takes an inline
+:class:`~repro.env.spec.EnvironmentSpec` JSON object, composed from the
+primitives ``list-environments`` prints, and runs it through the
+catalogue's ``environment`` workload; the named environments are workloads.
+A configuration error, whether an unknown protocol, an ``--env`` value that
+is not a JSON object, or one found while building the scenario or while
+validating its fault plan, prints one line and exits 2.  ``experiments``
+delegates to the campaign runner (:mod:`repro.harness.campaign`); with ``--jobs N`` the runs fan out over a
 process pool, ``--store`` streams every run record into a
 :class:`~repro.results.store.JsonlStore`, and ``--resume`` loads runs
 already present instead of re-executing them.  ``results`` inspects such
@@ -36,14 +37,14 @@ stores: ``ls``, ``show <key>``, ``query``, ``export`` (JSON/CSV), and
 from __future__ import annotations
 
 import argparse
+import json
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_run_report
 from repro.analysis.timeline import render_timelines
 from repro.consensus.registry import PROTOCOLS
-from repro.env.registry import ADVERSARY_KINDS, ENVIRONMENTS, FAULT_KINDS, named_environment
-from repro.env.spec import EnvironmentSpec
+from repro.env.registry import ADVERSARY_KINDS, FAULT_KINDS
 from repro.errors import ConfigurationError
 from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
@@ -83,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--workload", choices=sorted(WORKLOADS), default=None,
                             help="workload name (default: partitioned-chaos)")
     run_parser.add_argument(
-        "--env", default=None, metavar="NAME_OR_JSON",
-        help="run a declarative environment instead of --workload: a name from "
-             "`repro list-environments` or an inline EnvironmentSpec JSON object",
+        "--env", default=None, metavar="JSON",
+        help="run an inline EnvironmentSpec JSON object instead of --workload, composed "
+             "from the primitives `repro list-environments` prints",
     )
     run_parser.add_argument("--n", type=int, default=7, help="number of processes")
     run_parser.add_argument("--seed", type=int, default=0)
@@ -119,13 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     list_workloads.add_argument("--params", action="store_true",
                                 help="also print each workload's parameter schema")
 
-    list_environments = subparsers.add_parser(
+    subparsers.add_parser(
         "list-environments",
-        help="list registered environments and the adversary/fault primitives",
-    )
-    list_environments.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="print each environment's serialized spec instead of the summary",
+        help="list the adversary and fault primitives an EnvironmentSpec composes",
     )
 
     experiments_parser = subparsers.add_parser(
@@ -252,11 +249,18 @@ def _command_run(args: argparse.Namespace) -> int:
     protocol = args.protocol if args.protocol is not None else "modified-paxos"
     kwargs = _workload_kwargs(args, params)
     workload = args.workload if args.workload is not None else "partitioned-chaos"
+    if args.env is not None:
+        try:
+            env = json.loads(args.env)
+        except ValueError:
+            env = None
+        if not isinstance(env, dict):
+            print("--env takes an EnvironmentSpec JSON object; "
+                  "to run a named environment use --workload NAME")
+            return 2
+        kwargs["env"] = env
+        workload = "environment"
     try:
-        if args.env is not None:
-            env = args.env
-            kwargs["env"] = EnvironmentSpec.from_json(env) if env.lstrip().startswith("{") else env
-            workload = "environment"
         scenario = WORKLOADS.create(workload, **kwargs)
         # The protocol name and the fault plan are checked when the run
         # starts, so the run itself can still raise a configuration error.
@@ -302,16 +306,7 @@ def _command_list_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_list_environments(args: argparse.Namespace) -> int:
-    if args.as_json:
-        for name in sorted(ENVIRONMENTS):
-            print(f"{name}:")
-            print(named_environment(name).to_json(indent=2))
-            print()
-        return 0
-    print("environments (run with `repro run --env <name>`):")
-    print(_render_listing([(name, ENVIRONMENTS[name][1]) for name in sorted(ENVIRONMENTS)]))
-    print()
+def _command_list_environments(_args: argparse.Namespace) -> int:
     print("adversary primitives (compose into EnvironmentSpec JSON):")
     print(_render_listing([(kind, ADVERSARY_KINDS[kind].summary) for kind in sorted(ADVERSARY_KINDS)]))
     print()
@@ -344,8 +339,6 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 def _parse_tag_filters(pairs: Sequence[str]) -> Dict[str, object]:
     """``KEY=VALUE`` tag filters; values parse as JSON scalars when possible."""
-    import json
-
     tags: Dict[str, object] = {}
     for pair in pairs:
         key, separator, raw = pair.partition("=")
@@ -359,8 +352,6 @@ def _parse_tag_filters(pairs: Sequence[str]) -> Dict[str, object]:
 
 
 def _command_results(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.report import render_record_report
     from repro.errors import ResultSchemaError, ResultStoreError
     from repro.harness.tables import render_table

@@ -1,19 +1,19 @@
-"""The environment catalogue: adversary kinds, fault kinds, named environments.
+"""The environment primitives: adversary kinds and fault kinds.
 
-Three literal tables are the whole catalogue:
+Two literal tables are the whole catalogue:
 
 * :data:`ADVERSARY_KINDS` maps an adversary kind to its
   :class:`AdversaryPrimitive` (builder, summary, accepted parameters, and
   whether it wraps an ``inner`` adversary);
 * :data:`FAULT_KINDS` maps a fault-schedule kind to its
-  :class:`FaultPrimitive`;
-* :data:`ENVIRONMENTS` maps an environment name to its spec factory and
-  summary: the ``repro run --env <name>`` targets, also what the generic
-  ``environment`` workload and ``repro list-environments`` resolve.
+  :class:`FaultPrimitive`.
 
-A new adversary kind, fault kind or named environment is one table entry
-plus its builder.  :func:`adversary_primitive`, :func:`fault_primitive` and
-:func:`named_environment` look entries up; :func:`checked_adversary` and
+An :class:`~repro.env.spec.EnvironmentSpec` is composed from these kinds,
+either inline (``repro run --env JSON``) or written literally by a
+workload: the named environments are the workloads of
+:data:`~repro.workloads.registry.WORKLOADS`.  A new adversary or fault kind
+is one table entry plus its builder.  :func:`adversary_primitive` and
+:func:`fault_primitive` look entries up; :func:`checked_adversary` and
 :func:`checked_faults` are the one per-node check that both building and
 validating a spec run.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
-from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec, PartitionDecl
+from repro.env.spec import AdversarySpec, FaultSpec, PartitionDecl
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.schedules import (
@@ -61,29 +61,18 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ADVERSARY_KINDS",
     "AdversaryPrimitive",
-    "ENVIRONMENTS",
     "FAULT_KINDS",
     "FaultPrimitive",
     "adversary_primitive",
-    "asymmetric_link_environment",
     "checked_adversary",
     "checked_faults",
-    "churn_environment",
-    "drop_all_environment",
     "fault_primitive",
-    "gray_partition_environment",
-    "lossy_chaos_environment",
-    "named_environment",
-    "partitioned_chaos_environment",
-    "stable_environment",
-    "worst_case_environment",
 ]
 
 AdversaryBuilder = Callable[
     ["SimulationConfig", SeededRng, Mapping[str, Any], Optional[Adversary]], Adversary
 ]
 FaultBuilder = Callable[["SimulationConfig", Mapping[str, Any]], FaultPlan]
-EnvironmentFactory = Callable[..., EnvironmentSpec]
 
 
 @dataclass(frozen=True)
@@ -122,12 +111,6 @@ def adversary_primitive(kind: str) -> AdversaryPrimitive:
 
 def fault_primitive(kind: str) -> FaultPrimitive:
     return _lookup(FAULT_KINDS, kind, "fault kind")
-
-
-def named_environment(name: str, **params: Any) -> EnvironmentSpec:
-    """Build the named environment spec (keyword arguments go to its factory)."""
-    factory, _summary = _lookup(ENVIRONMENTS, name, "environment")
-    return factory(**params)
 
 
 def _check_params(kind: str, params: Mapping[str, Any], accepted: Tuple[str, ...], what: str) -> None:
@@ -374,156 +357,6 @@ def _build_churn_waves(config, params):
 
 
 # ---------------------------------------------------------------------------
-# Named complete environments (the `repro run --env <name>` targets).  The
-# workloads call these factories directly.
-# ---------------------------------------------------------------------------
-
-
-def stable_environment() -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="stable",
-        adversary=AdversarySpec("benign"),
-        notes="benign delivery on every link, no faults",
-    )
-
-
-def drop_all_environment() -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="drop-all",
-        adversary=AdversarySpec("drop-all"),
-        notes="every pre-TS message is lost; the cleanest post-TS lag measurement",
-    )
-
-
-def worst_case_environment() -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="worst-case",
-        adversary=AdversarySpec("worst-case-delay", inner=AdversarySpec("drop-all")),
-        notes="pre-TS messages lost, post-TS deliveries stretched to the full delta",
-    )
-
-
-def _chaos_faults(with_crashes: bool) -> FaultSpec:
-    """The chaos workloads' shared pre-``TS`` crash/recovery schedule."""
-    if with_crashes:
-        return FaultSpec("random-before-ts", {"allow_recovery": True})
-    return FaultSpec("random-before-ts", {"max_faulty": 0})
-
-
-def partitioned_chaos_environment(
-    leak_probability: float = 0.05,
-    worst_case_post_delays: bool = False,
-    with_crashes: bool = True,
-) -> EnvironmentSpec:
-    adversary = AdversarySpec(
-        "partition",
-        {
-            "partition": {"mode": "minority"},
-            "leak_probability": leak_probability,
-            "leak_past_ts": True,
-        },
-    )
-    if worst_case_post_delays:
-        adversary = AdversarySpec("worst-case-delay", inner=adversary)
-    return EnvironmentSpec(
-        name="partitioned-chaos",
-        adversary=adversary,
-        faults=_chaos_faults(with_crashes),
-        notes="minority partitions with leaks past TS, random crashes/recoveries before TS",
-    )
-
-
-def lossy_chaos_environment(
-    drop_probability: float = 0.85,
-    defer_probability: float = 0.05,
-    with_crashes: bool = True,
-) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="lossy-chaos",
-        adversary=AdversarySpec(
-            "random-chaos",
-            {
-                "drop_probability": drop_probability,
-                "defer_probability": defer_probability,
-                "max_defer_delta": 5.0,
-                "max_delay_factor": 4.0,
-                "duplicate_prob": 0.05,
-            },
-        ),
-        faults=_chaos_faults(with_crashes),
-        notes="independent random loss/delay/deferral/duplication before TS",
-    )
-
-
-def asymmetric_link_environment(
-    hub: int = 0,
-    direction: str = "both",
-    slow_factor: float = 4.0,
-    slow_post_ts: bool = True,
-) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="asymmetric-link",
-        adversary=AdversarySpec(
-            "asymmetric-link",
-            {
-                "hub": hub,
-                "direction": direction,
-                "slow_factor": slow_factor,
-                "slow_post_ts": slow_post_ts,
-            },
-        ),
-        notes=(
-            f"links {direction} p{hub} (the lowest-id post-TS coordinator is p0) "
-            "crawl while every other link is prompt"
-        ),
-    )
-
-
-def gray_partition_environment(
-    heal_start: float = 0.4, end_drop: float = 0.0, with_crashes: bool = False
-) -> EnvironmentSpec:
-    return EnvironmentSpec(
-        name="gray-partition",
-        adversary=AdversarySpec(
-            "gray-partition",
-            {
-                "partition": {"mode": "minority"},
-                "heal_start": heal_start,
-                "end_drop": end_drop,
-            },
-        ),
-        faults=_chaos_faults(True) if with_crashes else FaultSpec("none"),
-        notes="a minority partition that heals gradually (linearly) before TS",
-    )
-
-
-def churn_environment(
-    waves: int = 3,
-    up_time: float = 1.0,
-    down_time: float = 2.0,
-    first_offset: float = 2.0,
-    num_victims: Optional[int] = None,
-) -> EnvironmentSpec:
-    fault_params: Dict[str, Any] = {
-        "waves": waves,
-        "up_time": up_time,
-        "down_time": down_time,
-        "first_offset": first_offset,
-    }
-    if num_victims is not None:
-        fault_params["num_victims"] = num_victims
-    return EnvironmentSpec(
-        name="churn",
-        adversary=AdversarySpec("drop-all"),
-        faults=FaultSpec("churn-waves", fault_params),
-        notes=(
-            "pre-TS messages lost; after TS a minority churns through repeated "
-            "crash/restart waves while the majority stays up"
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The catalogue.
 # ---------------------------------------------------------------------------
 
@@ -601,19 +434,4 @@ FAULT_KINDS: Dict[str, FaultPrimitive] = {
          "waves", "stagger", "pre_ts_crash_fraction"),
         post_ts_crashes=True,
     ),
-}
-
-ENVIRONMENTS: Dict[str, Tuple[EnvironmentFactory, str]] = {
-    "stable": (stable_environment, "benign network, no faults"),
-    "drop-all": (drop_all_environment, "all pre-TS messages lost"),
-    "worst-case": (worst_case_environment, "pre-TS loss plus full-delta post-TS delays"),
-    "partitioned-chaos": (partitioned_chaos_environment,
-                          "minority partitions, leaks past TS, pre-TS crashes"),
-    "lossy-chaos": (lossy_chaos_environment,
-                    "random loss/delay/deferral/duplication before TS"),
-    "asymmetric-link": (asymmetric_link_environment,
-                        "slow links to/from the post-TS coordinator"),
-    "gray-partition": (gray_partition_environment,
-                       "partial partition healing gradually before TS"),
-    "churn": (churn_environment, "post-TS restart waves while a majority stays up"),
 }

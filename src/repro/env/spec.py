@@ -222,8 +222,8 @@ class AdversarySpec:
             raise ConfigurationError("AdversarySpec dict needs a 'kind'")
         inner = data.get("inner")
         return cls(
-            kind=data["kind"],
-            params=data.get("params", {}),
+            kind=_expect_string(data["kind"], "AdversarySpec kind"),
+            params=_expect_object(data.get("params", {}), "AdversarySpec params"),
             inner=cls.from_dict(inner) if inner is not None else None,
         )
 
@@ -258,7 +258,10 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
         _expect_keys(data, {"kind", "params"}, "FaultSpec")
-        return cls(kind=data.get("kind", "none"), params=data.get("params", {}))
+        return cls(
+            kind=_expect_string(data.get("kind", "none"), "FaultSpec kind"),
+            params=_expect_object(data.get("params", {}), "FaultSpec params"),
+        )
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,8 @@ class EnvironmentSpec:
             adversary=AdversarySpec.from_dict(data["adversary"]),
             synchrony=SynchronySpec.from_dict(data.get("synchrony", {})),
             faults=FaultSpec.from_dict(data.get("faults", {})),
-            name=data.get("name", ""),
-            notes=data.get("notes", ""),
+            name=_expect_string(data.get("name", ""), "EnvironmentSpec name"),
+            notes=_expect_string(data.get("notes", ""), "EnvironmentSpec notes"),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -363,8 +366,21 @@ class EnvironmentSpec:
         return text
 
 
+def _expect_object(value: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _expect_string(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _expect_keys(data: Mapping[str, Any], allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
+    """The check every ``from_dict`` runs first: a mapping with only ``allowed`` keys."""
+    unknown = sorted(set(_expect_object(data, where)) - allowed)
     if unknown:
         raise ConfigurationError(
             f"{where} does not accept keys {unknown}; allowed: {sorted(allowed)}"

@@ -15,35 +15,28 @@ Two flavours are provided:
   per message, which is messier but statistically may let a protocol decide
   before ``TS`` on lucky seeds.
 
-Both are thin wrappers around the identically named environment factories
-in :mod:`repro.env.registry` — the factory is the single definition of each
-environment; the workload only adds the run configuration (``n``, ``ts``,
-horizon, seed).
+Each writes its environment spec literally and builds through
+:func:`~repro.workloads.environments.environment_scenario`, which adds the
+run configuration (``n``, ``ts``, the ``ts + 400δ`` horizon, seed).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.env.registry import lossy_chaos_environment, partitioned_chaos_environment
+from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["partitioned_chaos_scenario", "lossy_chaos_scenario"]
 
 
-def _config(
-    n: int, params: TimingParams, ts: float, seed: int, max_time: Optional[float]
-) -> SimulationConfig:
-    default_horizon = ts + 400.0 * params.delta
-    return SimulationConfig(
-        n=n,
-        params=params,
-        ts=ts,
-        seed=seed,
-        max_time=max_time if max_time is not None else default_horizon,
-    )
+def _chaos_faults(with_crashes: bool) -> FaultSpec:
+    """The chaos workloads' shared pre-``TS`` crash/recovery schedule."""
+    if with_crashes:
+        return FaultSpec("random-before-ts", {"allow_recovery": True})
+    return FaultSpec("random-before-ts", {"max_faulty": 0})
 
 
 def partitioned_chaos_scenario(
@@ -62,21 +55,32 @@ def partitioned_chaos_scenario(
     takes (almost) the full ``δ`` instead of a uniformly random delay,
     pushing measured decision lags toward the analytic worst case.
     """
-    params = params if params is not None else TimingParams()
-    ts = ts if ts is not None else 10.0 * params.delta
-    config = _config(n, params, ts, seed, max_time)
-
-    environment = partitioned_chaos_environment(
-        leak_probability=leak_probability,
-        worst_case_post_delays=worst_case_post_delays,
-        with_crashes=with_crashes and n >= 3,
+    adversary = AdversarySpec(
+        "partition",
+        {
+            "partition": {"mode": "minority"},
+            "leak_probability": leak_probability,
+            "leak_past_ts": True,
+        },
+    )
+    if worst_case_post_delays:
+        adversary = AdversarySpec("worst-case-delay", inner=adversary)
+    environment = EnvironmentSpec(
+        name="partitioned-chaos",
+        adversary=adversary,
+        faults=_chaos_faults(with_crashes and n >= 3),
+        notes="minority partitions with leaks past TS, random crashes/recoveries before TS",
     )
 
     suffix = "-worstdelay" if worst_case_post_delays else ""
-    return Scenario(
+    return environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=max_time,
         name=f"partitioned-chaos-n{n}{suffix}",
-        config=config,
-        environment=environment,
         notes=(
             "pre-TS: minority partitions (no quorum can form), occasional leaked "
             "messages with long delays, crashes and some restarts; post-TS: "
@@ -96,20 +100,30 @@ def lossy_chaos_scenario(
     max_time: Optional[float] = None,
 ) -> Scenario:
     """Independent random loss, delay, deferral, and duplication before ``TS``."""
-    params = params if params is not None else TimingParams()
-    ts = ts if ts is not None else 10.0 * params.delta
-    config = _config(n, params, ts, seed, max_time)
-
-    environment = lossy_chaos_environment(
-        drop_probability=drop_probability,
-        defer_probability=defer_probability,
-        with_crashes=with_crashes and n >= 3,
+    environment = EnvironmentSpec(
+        name="lossy-chaos",
+        adversary=AdversarySpec(
+            "random-chaos",
+            {
+                "drop_probability": drop_probability,
+                "defer_probability": defer_probability,
+                "max_defer_delta": 5.0,
+                "max_delay_factor": 4.0,
+                "duplicate_prob": 0.05,
+            },
+        ),
+        faults=_chaos_faults(with_crashes and n >= 3),
+        notes="independent random loss/delay/deferral/duplication before TS",
     )
 
-    return Scenario(
+    return environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=max_time,
         name=f"lossy-chaos-n{n}",
-        config=config,
-        environment=environment,
         notes=(
             "pre-TS: random loss/delay/deferral/duplication, crashes and some restarts; "
             "post-TS: synchronous"

@@ -1,14 +1,16 @@
 """Environment-driven workloads: scenarios written as specs, not modules.
 
 :func:`environment_scenario` turns any :class:`~repro.env.spec.EnvironmentSpec`
-(given directly, as a plain dict, or as a catalogue name) into a runnable
-:class:`~repro.workloads.scenario.Scenario`.  The generic ``environment``
-workload wraps it: that workload is the one path behind
-``python -m repro run --env <name-or-json>``, and is usable from
+(given directly or as a plain dict) into a runnable
+:class:`~repro.workloads.scenario.Scenario`; every workload whose scenario
+needs no more than a spec and a run configuration builds through it.  The
+generic ``environment`` workload wraps it: that workload is the one path
+behind ``python -m repro run --env JSON``, and is usable from
 :class:`~repro.harness.experiment.ExperimentSpec` grids.
 
 On top of it, this module defines the scenario families that the
-pre-environment codebase could not express without a new module:
+pre-environment codebase could not express without a new module, each
+writing its spec literally:
 
 * ``asymmetric-link`` — links to/from the post-``TS`` coordinator crawl
   while every other link is prompt (leader-based protocols feel the slow
@@ -22,15 +24,9 @@ pre-environment codebase could not express without a new module:
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.env.registry import (
-    asymmetric_link_environment,
-    churn_environment,
-    gray_partition_environment,
-    named_environment,
-)
-from repro.env.spec import EnvironmentSpec
+from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
@@ -45,20 +41,18 @@ __all__ = [
     "resolve_environment",
 ]
 
-EnvironmentLike = Union[EnvironmentSpec, Mapping[str, Any], str]
+EnvironmentLike = Union[EnvironmentSpec, Mapping[str, Any]]
 
 
 def resolve_environment(env: EnvironmentLike) -> EnvironmentSpec:
-    """Coerce a spec, a plain dict, or a catalogue name into an EnvironmentSpec."""
+    """Coerce a spec or a plain spec dict into an EnvironmentSpec."""
     if isinstance(env, EnvironmentSpec):
         return env
-    if isinstance(env, str):
-        return named_environment(env)
     if isinstance(env, Mapping):
         return EnvironmentSpec.from_dict(env)
     raise ConfigurationError(
         f"cannot resolve environment from {type(env).__name__}; "
-        "pass an EnvironmentSpec, an environment name, or a spec dict"
+        "pass an EnvironmentSpec or a spec dict (named environments are workloads)"
     )
 
 
@@ -74,17 +68,16 @@ def environment_scenario(
     initial_values: Optional[List[Any]] = None,
     expected_deciders: Optional[List[int]] = None,
     notes: Optional[str] = None,
-    horizon_delta: float = 400.0,
 ) -> Scenario:
     """A runnable scenario from any environment spec.
 
     Args:
-        env: The environment — an :class:`EnvironmentSpec`, a name from
-            :data:`~repro.env.registry.ENVIRONMENTS`, or a spec dict.
+        env: The environment — an :class:`EnvironmentSpec` or a spec dict.
         n: Number of processes.
         ts: Stabilization time; defaults to ``10δ``.
-        max_time: Simulation horizon; defaults to ``ts + horizon_delta * δ``.
+        max_time: Simulation horizon; defaults to ``ts + 400δ``.
         name: Scenario name; defaults to ``<env-name>-n<n>``.
+        notes: Scenario notes; default to the spec's own.
     """
     spec = resolve_environment(env)
     spec.validate()
@@ -95,7 +88,7 @@ def environment_scenario(
         params=params,
         ts=ts,
         seed=seed,
-        max_time=max_time if max_time is not None else ts + horizon_delta * params.delta,
+        max_time=max_time if max_time is not None else ts + 400.0 * params.delta,
     )
     return Scenario(
         name=name if name is not None else f"{spec.name or 'environment'}-n{n}",
@@ -115,7 +108,7 @@ def environment_workload(
     seed: int = 0,
     max_time: Optional[float] = None,
 ) -> Scenario:
-    """Run any environment by name or inline spec (the ``--env`` workload)."""
+    """Run any inline environment spec (the ``--env`` workload)."""
     return environment_scenario(
         env, n=n, params=params, ts=ts, seed=seed, max_time=max_time
     )
@@ -137,11 +130,21 @@ def asymmetric_link_scenario(
         raise ConfigurationError(f"hub must be a pid in [0, {n}), got {hub}")
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 5.0 * params.delta
-    environment = asymmetric_link_environment(
-        hub=hub,
-        direction=direction,
-        slow_factor=slow_factor,
-        slow_post_ts=slow_post_ts,
+    environment = EnvironmentSpec(
+        name="asymmetric-link",
+        adversary=AdversarySpec(
+            "asymmetric-link",
+            {
+                "hub": hub,
+                "direction": direction,
+                "slow_factor": slow_factor,
+                "slow_post_ts": slow_post_ts,
+            },
+        ),
+        notes=(
+            f"links {direction} p{hub} (the lowest-id post-TS coordinator is p0) "
+            "crawl while every other link is prompt"
+        ),
     )
     return environment_scenario(
         environment,
@@ -167,10 +170,22 @@ def gray_partition_scenario(
     """A partial partition that degrades from total to leaky before ``TS``."""
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
-    environment = gray_partition_environment(
-        heal_start=heal_start,
-        end_drop=end_drop,
-        with_crashes=with_crashes and n >= 3,
+    environment = EnvironmentSpec(
+        name="gray-partition",
+        adversary=AdversarySpec(
+            "gray-partition",
+            {
+                "partition": {"mode": "minority"},
+                "heal_start": heal_start,
+                "end_drop": end_drop,
+            },
+        ),
+        faults=(
+            FaultSpec("random-before-ts", {"allow_recovery": True})
+            if with_crashes and n >= 3
+            else FaultSpec("none")
+        ),
+        notes="a minority partition that heals gradually (linearly) before TS",
     )
     return environment_scenario(
         environment, n=n, params=params, ts=ts, seed=seed, max_time=max_time,
@@ -195,12 +210,22 @@ def churn_scenario(
         raise ConfigurationError("churn_scenario needs n >= 3 (a majority must stay up)")
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
-    environment = churn_environment(
-        waves=waves,
-        up_time=up_time,
-        down_time=down_time,
-        first_offset=first_offset,
-        num_victims=num_victims,
+    fault_params: Dict[str, Any] = {
+        "waves": waves,
+        "up_time": up_time,
+        "down_time": down_time,
+        "first_offset": first_offset,
+    }
+    if num_victims is not None:
+        fault_params["num_victims"] = num_victims
+    environment = EnvironmentSpec(
+        name="churn",
+        adversary=AdversarySpec("drop-all"),
+        faults=FaultSpec("churn-waves", fault_params),
+        notes=(
+            "pre-TS messages lost; after TS a minority churns through repeated "
+            "crash/restart waves while the majority stays up"
+        ),
     )
     churn_span = first_offset + waves * (up_time + down_time)
     horizon = max_time if max_time is not None else ts + (churn_span + 100.0) * params.delta

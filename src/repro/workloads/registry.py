@@ -171,10 +171,10 @@ WORKLOADS = ScenarioRegistry({
     ),
     "environment": (
         environment_workload,
-        "generic: run any named or inline EnvironmentSpec",
+        "generic: run any inline EnvironmentSpec",
         {
             "n": "number of processes",
-            "env": "environment name (see `repro list-environments`) or a spec dict",
+            "env": "an EnvironmentSpec or a spec dict (primitives: `repro list-environments`)",
             "ts": "stabilization time (defaults to 10 delta)",
         },
     ),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.env.registry import stable_environment
+from repro.env.spec import AdversarySpec, EnvironmentSpec
 from repro.params import TimingParams
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.scenario import Scenario
@@ -38,7 +38,11 @@ def stable_scenario(
     return Scenario(
         name=f"stable-n{n}",
         config=config,
-        environment=stable_environment(),
+        environment=EnvironmentSpec(
+            name="stable",
+            adversary=AdversarySpec("benign"),
+            notes="benign delivery on every link, no faults",
+        ),
         initial_values=initial_values,
         notes="synchronous from t=0, no faults: failure-free fast path",
     )

@@ -90,7 +90,8 @@ class TestCliParser:
     def test_workload_and_env_are_mutually_exclusive(self, capsys):
         from repro.cli import main
 
-        assert main(["run", "--workload", "stable", "--env", "drop-all", "--n", "3"]) == 2
+        env = '{"adversary": {"kind": "drop-all"}}'
+        assert main(["run", "--workload", "stable", "--env", env, "--n", "3"]) == 2
         assert "not both" in capsys.readouterr().out
 
     def test_fault_plan_violating_the_model_exits_2_with_one_line(self, capsys):

@@ -3,7 +3,8 @@
 Covers the three families the environment layer introduces (asymmetric
 links, gray partitions, post-``TS`` churn), the generic ``environment``
 workload, the resolved-spec recording in :class:`RunOutcome`, and the CLI
-``run --env`` / ``list-environments`` paths.
+``run --env`` / ``list-environments`` paths, including malformed ``--env``
+input.
 """
 
 import json
@@ -203,8 +204,9 @@ class TestChurn:
 
 
 class TestEnvironmentWorkload:
-    def test_registry_name_resolution(self):
-        scenario = WORKLOADS.create("environment", n=5, env="worst-case", params=PARAMS, seed=2)
+    def test_workload_resolves_an_inline_spec(self):
+        env = {"adversary": {"kind": "worst-case-delay", "inner": {"kind": "drop-all"}}}
+        scenario = WORKLOADS.create("environment", n=5, env=env, params=PARAMS, seed=2)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
 
@@ -214,12 +216,14 @@ class TestEnvironmentWorkload:
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
 
-    def test_resolve_environment_rejects_other_types(self):
-        with pytest.raises(ConfigurationError):
-            resolve_environment(42)
+    @pytest.mark.parametrize("env", [42, "churn"])
+    def test_resolve_environment_rejects_other_types(self, env):
+        with pytest.raises(ConfigurationError, match="pass an EnvironmentSpec or a spec dict"):
+            resolve_environment(env)
 
     def test_outcome_carries_resolved_spec(self):
-        scenario = environment_scenario("churn", n=5, params=PARAMS, seed=4)
+        churn = WORKLOADS.create("churn", n=5, params=PARAMS).environment
+        scenario = environment_scenario(churn, n=5, params=PARAMS, seed=4)
         result = run_scenario(scenario, "modified-paxos")
         recorded = result.outcome().extra["environment"]
         assert EnvironmentSpec.from_dict(recorded) == scenario.environment
@@ -231,7 +235,7 @@ class TestEnvironmentWorkload:
             workload="environment",
             protocols=("modified-paxos",),
             seeds=(1,),
-            base={"n": 3, "env": "drop-all", "params": PARAMS},
+            base={"n": 3, "env": {"adversary": {"kind": "drop-all"}}, "params": PARAMS},
         )
         results = run_experiment(spec)
         assert len(results) == 1
@@ -249,11 +253,6 @@ class TestEnvironmentWorkload:
 
 
 class TestCli:
-    def test_run_with_named_environment(self, capsys):
-        exit_code = main(["run", "--env", "drop-all", "--n", "3", "--seed", "1"])
-        assert exit_code == 0
-        assert "decided" in capsys.readouterr().out
-
     def test_run_with_inline_json(self, capsys):
         env = json.dumps({"adversary": {"kind": "drop-all"}})
         exit_code = main(["run", "--env", env, "--n", "3", "--seed", "1"])
@@ -277,22 +276,43 @@ class TestCli:
         assert main(["run", "--env", env, "--n", "3"]) == 2
         assert capsys.readouterr().out.strip() == "fault event references unknown pid 7"
 
-    def test_run_with_unknown_environment_fails_cleanly(self, capsys):
-        exit_code = main(["run", "--env", "atlantis", "--n", "3"])
-        assert exit_code == 2
-        assert "available" in capsys.readouterr().out
+    @pytest.mark.parametrize("env", ["churn", "atlantis", '{"adversary": ', '"churn"', "[1, 2]"])
+    def test_run_with_a_name_or_non_object_points_at_workloads(self, capsys, env):
+        assert main(["run", "--env", env, "--n", "3"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "--env takes an EnvironmentSpec JSON object; "
+            "to run a named environment use --workload NAME"
+        ]
+
+    @pytest.mark.parametrize("env, message", [
+        ({"adversary": {"kind": "drop-all"}, "synchrony": []},
+         "SynchronySpec must be a JSON object, got list"),
+        ({"adversary": {"kind": "drop-all", "params": [1]}},
+         "AdversarySpec params must be a JSON object, got list"),
+        ({"adversary": "drop-all"}, "AdversarySpec must be a JSON object, got str"),
+        ({"adversary": {"kind": ["drop-all"]}}, "AdversarySpec kind must be a string, got list"),
+        ({"adversary": {"kind": "drop-all"}, "faults": {"kind": ["none"]}},
+         "FaultSpec kind must be a string, got list"),
+        ({"adversary": {"kind": "partition", "params": {"partition": "minority"}}},
+         "PartitionDecl must be a JSON object, got str"),
+        ({"adversary": {"kind": "drop-all"}, "faults": {"kind": "none", "params": "x"}},
+         "FaultSpec params must be a JSON object, got str"),
+        ({"adversary": {"kind": "drop-all"}, "name": 5},
+         "EnvironmentSpec name must be a string, got int"),
+        ({"adversary": {"kind": "drop-all"}, "notes": ["x"]},
+         "EnvironmentSpec notes must be a string, got list"),
+    ])
+    def test_run_rejects_malformed_spec_json_in_one_line(self, capsys, env, message):
+        assert main(["run", "--env", json.dumps(env), "--n", "3"]) == 2
+        assert capsys.readouterr().out.splitlines() == [message]
 
     def test_list_environments(self, capsys):
         exit_code = main(["list-environments"])
         out = capsys.readouterr().out
         assert exit_code == 0
+        # Only the primitives: the named environments are workloads.
+        assert out.startswith("adversary primitives")
         for name in ("asymmetric-link", "gray-partition", "churn"):
             assert name in out
         assert "adversary primitives" in out
         assert "fault-schedule primitives" in out
-
-    def test_list_environments_json(self, capsys):
-        exit_code = main(["list-environments", "--json"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert '"kind": "drop-all"' in out

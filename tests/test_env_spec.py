@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.env.registry import ENVIRONMENTS, named_environment
 from repro.env.spec import (
     AdversarySpec,
     EnvironmentSpec,
@@ -23,6 +22,7 @@ from repro.net.adversary import (
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig
+from repro.workloads.registry import WORKLOADS
 
 from tests.helpers import make_params
 
@@ -247,20 +247,17 @@ class TestFaultBuilding:
             FaultSpec("churn-waves", {"victims": [0, 1, 2]}).build(config)
 
 
-class TestEnvironmentRegistry:
-    def test_default_registry_has_the_new_families(self):
-        for name in ("asymmetric-link", "gray-partition", "churn"):
-            assert name in ENVIRONMENTS
+def workload_environment(name: str) -> EnvironmentSpec:
+    """The spec workload ``name`` writes at n=5 (its named environment)."""
+    return WORKLOADS.create(name, n=5).environment
 
-    def test_named_environments_validate(self):
-        for name in ENVIRONMENTS:
-            spec = named_environment(name)
+
+class TestEnvironmentRegistry:
+    def test_workload_environments_validate(self):
+        for name in sorted(set(WORKLOADS) - {"environment"}):
+            spec = workload_environment(name)
             spec.validate()
             assert EnvironmentSpec.from_json(spec.to_json()) == spec
-
-    def test_unknown_environment_lists_alternatives(self):
-        with pytest.raises(ConfigurationError, match="unknown environment 'atlantis'; available:"):
-            named_environment("atlantis")
 
     def test_unknown_fault_kind_lists_alternatives(self):
         with pytest.raises(ConfigurationError, match="unknown fault kind 'meteor'; available:"):
@@ -276,7 +273,7 @@ class TestEnvironmentRegistry:
             spec.validate()
 
     def test_describe_mentions_chain_and_faults(self):
-        text = named_environment("churn").describe()
+        text = workload_environment("churn").describe()
         assert "drop-all" in text and "churn-waves" in text
 
 
@@ -302,20 +299,6 @@ class TestEnvironmentBuildDeterminism:
         legacy_spec = minority_groups(7, SeededRng(5, label="net").fork("partition"))
         assert adversary.spec == legacy_spec
         assert adversary.leak_max_delay == config.ts + 2.0 * config.params.delta
-
-    def test_workloads_and_registry_share_one_definition(self):
-        """The named environments are the same specs the workloads build."""
-        from repro.workloads.registry import WORKLOADS
-
-        for name, kwargs in (
-            ("stable", {"n": 5}),
-            ("partitioned-chaos", {"n": 5, "ts": 10.0}),
-            ("lossy-chaos", {"n": 5, "ts": 10.0}),
-            ("asymmetric-link", {"n": 5}),
-            ("gray-partition", {"n": 5}),
-            ("churn", {"n": 5}),
-        ):
-            assert WORKLOADS.create(name, **kwargs).environment == named_environment(name)
 
     def test_environment_params_object_with_defaults(self):
         params = TimingParams()

@@ -15,7 +15,6 @@ import pytest
 
 from helpers import make_params, make_run_record
 from repro.consensus.values import RunOutcome
-from repro.env.registry import ENVIRONMENTS
 from repro.errors import ResultSchemaError
 from repro.harness.executors import RunTask, execute_task
 from repro.results.record import (
@@ -34,9 +33,12 @@ PROTOCOL_FOR = {
     "obsolete-ballots": "traditional-paxos",
 }
 
+# The generic workload runs an inline spec; every other workload writes its own.
+INLINE_ENVIRONMENT = {"adversary": {"kind": "benign"}}
+
 # Extra kwargs needed for workloads whose defaults do not apply at n=5.
 EXTRA_KWARGS = {
-    "environment": {"env": "stable"},
+    "environment": {"env": INLINE_ENVIRONMENT},
 }
 
 
@@ -81,10 +83,14 @@ class TestRoundTripEveryWorkload:
 
 
 class TestRoundTripEveryEnvironment:
-    """Every registered environment, run through the generic workload."""
+    """Every workload's environment spec, run through the generic workload."""
 
-    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
-    def test_environment_record_round_trips(self, environment):
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_environment_record_round_trips(self, workload):
+        if workload == "environment":
+            environment = INLINE_ENVIRONMENT
+        else:
+            environment = WORKLOADS.create(workload, n=5, params=PARAMS).environment.to_dict()
         task = workload_task("environment", env=environment)
         outcome = execute_task(task)
         record = RunRecord.from_task(task, outcome)

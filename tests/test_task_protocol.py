@@ -9,13 +9,14 @@ and both record classes share one envelope (:class:`RecordBase`).
 """
 
 import pickle
+from typing import Union
 
 import pytest
 
 from repro.analysis.report import render_record_report
 from repro.consensus.registry import protocol_builder
 from repro.consensus.values import RunOutcome
-from repro.env.registry import named_environment
+from repro.env.spec import AdversarySpec, EnvironmentSpec
 from repro.errors import ConfigurationError, ExperimentError, ResultSchemaError
 from repro.harness import executors
 from repro.harness.executors import (
@@ -74,13 +75,14 @@ def smr_task(seed: int = 1, commands: int = 3, **tags) -> SmrTask:
 TASK_FACTORIES = {"run": run_task, "smr": smr_task}
 
 
-def make_scenario(name: str = "hand-built", env: str = "stable", seed: int = 1) -> Scenario:
+def make_scenario(
+    name: str = "hand-built", env: Union[str, EnvironmentSpec] = "stable", seed: int = 1
+) -> Scenario:
+    """A hand-built scenario under ``env``: a spec, or the workload whose spec to take."""
+    if isinstance(env, str):
+        env = WORKLOADS.create(env, n=3, params=PARAMS).environment
     config = SimulationConfig(n=3, params=PARAMS, ts=10.0, seed=seed, max_time=200.0)
-    return Scenario(
-        name=name,
-        config=config,
-        environment=named_environment(env),
-    )
+    return Scenario(name=name, config=config, environment=env)
 
 
 def builder_for(protocol: str = "modified-paxos"):
@@ -280,7 +282,7 @@ class TestScenarioEnvironment:
         assert scenario.fault_plan.describe() != "no faults"
 
     def test_hand_built_scenario_records_its_environment(self):
-        scenario = make_scenario(env="drop-all")
+        scenario = make_scenario(env=EnvironmentSpec(adversary=AdversarySpec("drop-all")))
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.outcome().extra["environment"] == scenario.environment.to_dict()
