@@ -17,7 +17,7 @@ from repro.workloads.chaos import partitioned_chaos_scenario
 def _run_many(protocol, scenarios, **kwargs):
     results = [run_scenario(scenario, protocol, **kwargs) for scenario in scenarios]
     lags = [result.max_lag_after_ts() for result in results]
-    messages = [result.metrics.messages_sent for result in results]
+    messages = [result.outcome.messages_sent for result in results]
     return lags, messages
 
 

@@ -79,6 +79,6 @@ def test_bench_modified_paxos_stable_run(benchmark):
     def run_once():
         result = run_scenario(stable_scenario(9, params=params, seed=5), "modified-paxos")
         assert result.decided_all
-        return result.metrics.messages_sent
+        return result.outcome.messages_sent
 
     benchmark.pedantic(run_once, rounds=3, iterations=1)

@@ -32,8 +32,9 @@ def main() -> None:
 
     print(f"safety: {'OK' if result.safety.valid else result.safety.violations}")
     print(f"decided value: {result.safety.decided_value!r}")
-    print(f"messages sent: {result.metrics.messages_sent} "
-          f"(of which {result.metrics.sends_post_ts} after TS)")
+    stats = result.simulator.network.monitor.stats
+    print(f"messages sent: {result.outcome.messages_sent} "
+          f"(of which {stats.sent_post_ts} after TS)")
     print()
     print("per-process decision times (relative to TS):")
     for pid in sorted(result.simulator.decisions):

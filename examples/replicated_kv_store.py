@@ -59,10 +59,10 @@ def main() -> None:
     print(f"replicated KV store on {REPLICAS} replicas; {schedule.describe()}")
     print(f"client co-located with replica {survivor}; network heals at TS={TS:g}\n")
 
-    result = run_smr(scenario, schedule, machine_factory=KeyValueStore)
+    outcome = run_smr(scenario, schedule, machine_factory=KeyValueStore).outcome
 
     print("command                when learned everywhere (relative to TS / to submission)")
-    for command_id, record in sorted(result.commands.items()):
+    for command_id, record in sorted(outcome.commands.items()):
         learned = max(record.learned_times.values())
         print(
             f"  {command_id:10s}  submitted t={record.submit_time:6.2f}  "
@@ -71,11 +71,11 @@ def main() -> None:
         )
 
     print()
-    print(f"all commands replicated everywhere: {result.all_commands_learned_everywhere}")
-    print(f"replica state machines identical  : {result.replicas_agree}")
-    print(f"decided log prefix per replica    : {result.prefix_lengths}")
+    print(f"all commands replicated everywhere: {outcome.all_commands_learned_everywhere}")
+    print(f"replica state machines identical  : {outcome.replicas_agree}")
+    print(f"decided log prefix per replica    : {outcome.prefix_lengths}")
 
-    late = [rec.global_latency for cid, rec in result.commands.items() if cid.startswith("late-")]
+    late = [rec.global_latency for cid, rec in outcome.commands.items() if cid.startswith("late-")]
     print(f"stable-period write latency        : worst {max(late):.2f} delta "
           f"(~3 message delays, as the paper's stable case predicts)")
 

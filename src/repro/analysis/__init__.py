@@ -6,16 +6,14 @@ from repro.analysis.invariants import (
     check_session_entry_rule,
     check_single_session_leadership,
 )
-from repro.analysis.metrics import DecisionMetrics, RunMetrics, compute_run_metrics
+from repro.analysis.metrics import compute_run_metrics, max_lag_after_ts, restart_recovery_lags
 from repro.analysis.stats import Summary, confidence_interval, summarize
 from repro.analysis.timeline import ProcessTimeline, extract_timelines, render_timelines
 from repro.analysis.trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "DecisionMetrics",
     "InvariantReport",
     "ProcessTimeline",
-    "RunMetrics",
     "Summary",
     "TraceEvent",
     "TraceRecorder",
@@ -25,6 +23,8 @@ __all__ = [
     "compute_run_metrics",
     "confidence_interval",
     "extract_timelines",
+    "max_lag_after_ts",
     "render_timelines",
+    "restart_recovery_lags",
     "summarize",
 ]

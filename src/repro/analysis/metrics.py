@@ -1,126 +1,103 @@
-"""Run metrics: the numbers the experiments report.
+"""Run metrics: condense a finished run into its :class:`RunOutcome`.
 
 The central quantity of the whole reproduction is the *decision lag after
 stabilization*: for each process, when did it decide relative to ``TS``
 (clamped at zero for processes that managed to decide earlier), and what is
-the worst lag over the processes that were supposed to decide.  On top of
-that the metrics collect message counts, session/round usage, and restart
-recovery lags for experiment E5.
+the worst lag over the processes that were supposed to decide
+(:func:`max_lag_after_ts`).  :func:`compute_run_metrics` builds a run's one
+condensed outcome at the end of the run: decisions, proposals, traffic, and
+the ``extra`` entries the experiment tables aggregate (the lag, the safety
+verdict, restart recovery lags for experiment E5, the post-``TS`` send
+rate).  Everything downstream — tables, records, reports — reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional
 
-from repro.analysis.trace import TraceRecorder
+from repro.consensus.values import DecisionOutcome, RunOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.sim.simulator import Simulator
+    from repro.workloads.scenario import Scenario
 
-__all__ = ["DecisionMetrics", "RunMetrics", "compute_run_metrics", "restart_recovery_lags"]
+__all__ = ["compute_run_metrics", "max_lag_after_ts", "restart_recovery_lags"]
 
 
-@dataclass
-class DecisionMetrics:
-    """Decision timing of one run."""
+def max_lag_after_ts(
+    decision_times: Mapping[int, float], ts: float, pids: Iterable[int]
+) -> Optional[float]:
+    """Worst decision lag after ``ts`` over ``pids``.
 
-    ts: float
-    decision_times: Dict[int, float] = field(default_factory=dict)
-    undecided: List[int] = field(default_factory=list)
-
-    @property
-    def all_decided(self) -> bool:
-        return not self.undecided
-
-    def lag_after_ts(self, pid: int) -> Optional[float]:
-        """Decision lag of one process after ``TS`` (0 if it decided earlier)."""
-        if pid not in self.decision_times:
+    A process that decided before ``ts`` contributes 0 (it cannot make the
+    post-stability lag worse).  Returns None if any of ``pids`` never
+    decided (the lag is censored by the simulation horizon), or if ``pids``
+    is empty.
+    """
+    lags = []
+    for pid in pids:
+        if pid not in decision_times:
             return None
-        return max(0.0, self.decision_times[pid] - self.ts)
-
-    def max_lag_after_ts(self, pids: Optional[Iterable[int]] = None) -> Optional[float]:
-        """Worst decision lag after ``TS`` over ``pids`` (default: all deciders).
-
-        Returns None if any of the requested processes never decided (the
-        lag is unbounded / censored by the simulation horizon).
-        """
-        targets = list(pids) if pids is not None else sorted(self.decision_times)
-        lags = []
-        for pid in targets:
-            lag = self.lag_after_ts(pid)
-            if lag is None:
-                return None
-            lags.append(lag)
-        return max(lags) if lags else None
-
-    def mean_lag_after_ts(self, pids: Optional[Iterable[int]] = None) -> Optional[float]:
-        targets = list(pids) if pids is not None else sorted(self.decision_times)
-        lags = []
-        for pid in targets:
-            lag = self.lag_after_ts(pid)
-            if lag is None:
-                return None
-            lags.append(lag)
-        if not lags:
-            return None
-        return sum(lags) / len(lags)
-
-
-@dataclass
-class RunMetrics:
-    """Aggregate metrics of one run, ready for tables."""
-
-    protocol: str
-    n: int
-    ts: float
-    delta: float
-    decisions: DecisionMetrics
-    messages_sent: int
-    messages_delivered: int
-    messages_dropped: int
-    sends_post_ts: int
-    max_session: Optional[int] = None
-    max_round: Optional[int] = None
-    duration: float = 0.0
-    events_processed: int = 0
-
-
-def _max_field(trace: TraceRecorder, event: str, key: str) -> Optional[int]:
-    values = [record.fields.get(key) for record in trace.filter(event=event)]
-    values = [value for value in values if isinstance(value, int)]
-    return max(values) if values else None
+        lags.append(max(0.0, decision_times[pid] - ts))
+    return max(lags) if lags else None
 
 
 def compute_run_metrics(
     simulator: "Simulator",
+    scenario: "Scenario",
     protocol: str,
-    expected_deciders: Optional[Iterable[int]] = None,
-) -> RunMetrics:
-    """Extract :class:`RunMetrics` from a finished simulator."""
-    config = simulator.config
-    expected = sorted(expected_deciders) if expected_deciders is not None else sorted(
-        simulator.nodes
-    )
-    decision_times = {pid: record.time for pid, record in simulator.decisions.items()}
-    undecided = [pid for pid in expected if pid not in decision_times]
-    decisions = DecisionMetrics(ts=config.ts, decision_times=decision_times, undecided=undecided)
+    safety_valid: bool,
+) -> RunOutcome:
+    """Condense a finished single-decree run into its :class:`RunOutcome`.
 
+    ``safety_valid`` is the verdict of the safety check, which the caller
+    runs first; the expected deciders and the resolved environment come from
+    ``scenario``.
+    """
+    config = simulator.config
+    expected = sorted(scenario.deciders())
+    decision_times = {pid: record.time for pid, record in simulator.decisions.items()}
     stats = simulator.network.monitor.stats
-    return RunMetrics(
+    # One trace scan to find restarts; the per-pid lag scans only run when a
+    # restart actually happened (most workloads have none).
+    restart_events = sorted(
+        (event.time, event.pid)
+        for event in simulator.trace.filter(event="restart", category="node")
+    )
+    # The resolved environment travels with the outcome, so a result row is
+    # reproducible from its own metadata alone.
+    extra: Dict[str, object] = {
+        "events": simulator.events_processed,
+        "environment": scenario.environment.to_dict(),
+        "max_lag_after_ts": max_lag_after_ts(decision_times, config.ts, expected),
+        "safety_valid": safety_valid,
+        "restart_events": restart_events,
+        "restart_lags": restart_recovery_lags(simulator) if restart_events else {},
+        "post_ts_send_rate": simulator.network.monitor.post_ts_send_rate(
+            config.ts, simulator.now()
+        ),
+    }
+    return RunOutcome(
         protocol=protocol,
         n=config.n,
         ts=config.ts,
         delta=config.params.delta,
-        decisions=decisions,
+        seed=config.seed,
+        decisions=[
+            DecisionOutcome(
+                pid=pid,
+                value=record.value,
+                time=record.time,
+                after_stability=record.time - config.ts,
+            )
+            for pid, record in sorted(simulator.decisions.items())
+        ],
+        proposals=dict(simulator.proposals),
+        undecided_pids=[pid for pid in expected if pid not in decision_times],
         messages_sent=stats.sent,
         messages_delivered=stats.delivered,
-        messages_dropped=stats.dropped,
-        sends_post_ts=stats.sent_post_ts,
-        max_session=_max_field(simulator.trace, "session_enter", "session"),
-        max_round=_max_field(simulator.trace, "round_enter", "round"),
         duration=simulator.now(),
-        events_processed=simulator.events_processed,
+        extra=extra,
     )
 
 

@@ -2,7 +2,8 @@
 
 The harness returns structured :class:`repro.harness.runner.RunResult` and
 :class:`repro.smr.runner.SmrRunResult` objects; :func:`render_run_report`
-and :func:`render_smr_run_report` render them as text for the CLI, the
+and :func:`render_smr_run_report` render them (their ``outcome``, check
+reports, and the trace for per-process detail) as text for the CLI, the
 examples, and for debugging sessions ("why was this run slow?").  Stored
 records of every kind get the same treatment from the one renderer
 :func:`render_record_report` (the ``repro results show`` renderer): a
@@ -12,13 +13,14 @@ read from ``record.outcome`` and ``record.metrics``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.timing import decision_bound
 from repro.harness.tables import render_table
-from repro.smr.outcome import SmrOutcome, snapshot_smr_outcome
+from repro.smr.outcome import SmrOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.trace import TraceRecorder
     from repro.consensus.values import RunOutcome
     from repro.harness.runner import RunResult
     from repro.results.record import RecordBase
@@ -46,6 +48,13 @@ def _decision_rows(result: "RunResult") -> List[List[object]]:
                 [f"p{pid}", repr(record.value), f"{lag:+.3f}", node.status.value, node.incarnation]
             )
     return rows
+
+
+def _max_field(trace: "TraceRecorder", event: str, key: str) -> Optional[int]:
+    """Highest integer ``key`` over the trace's ``event`` rows (None if none)."""
+    values = [record.fields.get(key) for record in trace.filter(event=event)]
+    values = [value for value in values if isinstance(value, int)]
+    return max(values) if values else None
 
 
 def render_run_report(result: "RunResult") -> str:
@@ -94,13 +103,15 @@ def render_run_report(result: "RunResult") -> str:
     )
     by_kind = ", ".join(f"{kind}={count}" for kind, count in sorted(stats.by_kind.items()))
     lines.append(f"by kind : {by_kind}")
-    if result.metrics.max_session is not None:
-        lines.append(f"highest session reached     : {result.metrics.max_session}")
-    if result.metrics.max_round is not None:
-        lines.append(f"highest round reached       : {result.metrics.max_round}")
-    lines.append(
-        f"simulated time: {result.metrics.duration:.3f}  events: {result.metrics.events_processed}"
-    )
+    trace = result.simulator.trace
+    max_session = _max_field(trace, "session_enter", "session")
+    if max_session is not None:
+        lines.append(f"highest session reached     : {max_session}")
+    max_round = _max_field(trace, "round_enter", "round")
+    if max_round is not None:
+        lines.append(f"highest round reached       : {max_round}")
+    outcome = result.outcome
+    lines.append(f"simulated time: {outcome.duration:.3f}  events: {outcome.extra['events']}")
     return "\n".join(lines)
 
 
@@ -148,13 +159,13 @@ def render_smr_run_report(result: "SmrRunResult") -> str:
         f"{config.params.describe()}",
         f"  faults: {result.scenario.fault_plan.describe()}",
         "",
-        *_command_section(snapshot_smr_outcome(result)),
-        f"log consistency checks      : {result.consistency_checks}",
+        *_command_section(result.outcome),
+        f"log consistency checks      : {result.outcome.consistency_checks}",
     ]
     for name, report in sorted(result.invariants.items()):
         status = "OK" if report.ok else "; ".join(report.violations)
         lines.append(f"invariant {name:18s}: {status} ({report.checked} checks)")
-    lines.append(f"simulated time: {result.simulator.now():.3f}")
+    lines.append(f"simulated time: {result.outcome.duration:.3f}")
     return "\n".join(lines)
 
 

@@ -230,7 +230,7 @@ def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
         print("per-process timeline:")
         config = result.scenario.config
         print(render_timelines(result.simulator.trace, config.n, ts=config.ts))
-    ok = result.replicas_agree and result.all_commands_learned_everywhere
+    ok = result.outcome.replicas_agree and result.outcome.all_commands_learned_everywhere
     ok = ok and all(report.ok for report in result.invariants.values())
     return 0 if ok else 1
 

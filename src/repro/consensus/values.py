@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from repro.errors import ResultSchemaError
 
@@ -53,17 +53,14 @@ class DecisionOutcome:
     time: float
     after_stability: float
 
-    @property
-    def decided_before_stability(self) -> bool:
-        return self.after_stability < 0
-
 
 @dataclass
 class RunOutcome:
     """Everything a finished run exposes to analysis and reporting.
 
-    Built by :mod:`repro.harness.runner`; consumed by the metrics, the
-    safety spec, and the experiment tables.
+    Built once, when the run finishes, by
+    :func:`~repro.analysis.metrics.compute_run_metrics`; consumed by the
+    experiment tables, the records, and the reports.
     """
 
     protocol: str
@@ -82,38 +79,3 @@ class RunOutcome:
     @property
     def all_decided(self) -> bool:
         return not self.undecided_pids
-
-    @property
-    def decided_values(self) -> List[Any]:
-        return [decision.value for decision in self.decisions]
-
-    def decision_of(self, pid: int) -> Optional[DecisionOutcome]:
-        for decision in self.decisions:
-            if decision.pid == pid:
-                return decision
-        return None
-
-    def max_decision_after_stability(self, pids: Optional[List[int]] = None) -> Optional[float]:
-        """Worst decision lag after ``TS`` over the given pids (default: all deciders).
-
-        A process that decided before ``TS`` contributes 0 (it cannot make
-        the post-stability lag worse).  Returns None if no relevant process
-        decided.
-        """
-        relevant = [
-            decision
-            for decision in self.decisions
-            if pids is None or decision.pid in pids
-        ]
-        if not relevant:
-            return None
-        return max(max(0.0, decision.after_stability) for decision in relevant)
-
-    def describe(self) -> str:
-        decided = len(self.decisions)
-        lag = self.max_decision_after_stability()
-        lag_text = f"{lag:.3f}" if lag is not None else "n/a"
-        return (
-            f"{self.protocol}: n={self.n} decided={decided}/{self.n} "
-            f"max-lag-after-TS={lag_text} msgs={self.messages_sent}"
-        )

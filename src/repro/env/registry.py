@@ -24,14 +24,20 @@ Parameter conventions shared by every primitive:
 * probabilities are plain floats in ``[0, 1]``;
 * randomized primitives take an ``rng_label`` naming their RNG stream, so a
   spec replayed with the same seed consumes identical randomness;
-* unknown parameters are rejected with an error listing what the primitive
-  accepts (typos fail loudly, not silently).
+* each primitive declares the JSON type of every parameter it accepts
+  (``"number"``, ``"integer or null"``, ``"array of pids"``, ...): unknown
+  parameters are rejected with an error listing what the primitive accepts,
+  and a value of the wrong type with an error naming the parameter (typos
+  and type slips fail loudly, not deep inside a builder).  A number is a
+  finite int or float, never a bool; null is accepted only where the
+  builder's default is None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, TypeVar
 
 from repro.env.spec import AdversarySpec, FaultSpec, PartitionDecl
 from repro.errors import ConfigurationError
@@ -77,21 +83,21 @@ FaultBuilder = Callable[["SimulationConfig", Mapping[str, Any]], FaultPlan]
 
 @dataclass(frozen=True)
 class AdversaryPrimitive:
-    """One adversary kind: builder plus parameter schema."""
+    """One adversary kind: builder plus parameter schema (name -> JSON type)."""
 
     builder: AdversaryBuilder
     summary: str = ""
-    parameters: Tuple[str, ...] = ()
+    parameters: Mapping[str, str] = field(default_factory=dict)
     takes_inner: bool = False
 
 
 @dataclass(frozen=True)
 class FaultPrimitive:
-    """One fault-schedule kind: builder plus parameter schema."""
+    """One fault-schedule kind: builder plus parameter schema (name -> JSON type)."""
 
     builder: FaultBuilder
     summary: str = ""
-    parameters: Tuple[str, ...] = ()
+    parameters: Mapping[str, str] = field(default_factory=dict)
     post_ts_crashes: bool = False
 
 
@@ -113,13 +119,43 @@ def fault_primitive(kind: str) -> FaultPrimitive:
     return _lookup(FAULT_KINDS, kind, "fault kind")
 
 
-def _check_params(kind: str, params: Mapping[str, Any], accepted: Tuple[str, ...], what: str) -> None:
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON types a parameter may declare; "A or B" accepts either.
+_JSON_TYPES: Mapping[str, Callable[[Any], bool]] = {
+    "number": lambda value: (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    ),
+    "integer": _is_integer,
+    "boolean": lambda value: isinstance(value, bool),
+    "string": lambda value: isinstance(value, str),
+    "array": lambda value: isinstance(value, list),
+    "array of pids": lambda value: isinstance(value, list) and all(map(_is_integer, value)),
+    "array of pid pairs": lambda value: isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_is_integer, pair))
+        for pair in value
+    ),
+    "null": lambda value: value is None,
+    # PartitionDecl.from_dict checks a partition declaration's shape itself.
+    "PartitionDecl": lambda value: True,
+}
+
+
+def _check_params(kind: str, params: Mapping[str, Any], accepted: Mapping[str, str], what: str) -> None:
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ConfigurationError(
             f"{what} {kind!r} does not accept parameters {unknown}; "
             f"accepted: {', '.join(sorted(accepted)) or '(none)'}"
         )
+    for name, value in params.items():
+        declared = accepted[name]
+        if not any(_JSON_TYPES[json_type](value) for json_type in declared.split(" or ")):
+            raise ConfigurationError(
+                f"{what} {kind!r} parameter {name!r} must be {declared}, got {value!r}"
+            )
 
 
 def checked_adversary(spec: AdversarySpec) -> AdversaryPrimitive:
@@ -364,43 +400,49 @@ ADVERSARY_KINDS: Dict[str, AdversaryPrimitive] = {
     "benign": AdversaryPrimitive(
         _build_benign,
         "prompt delivery on every link, even before TS",
-        ("min_delay_fraction",),
+        {"min_delay_fraction": "number"},
     ),
     "drop-all": AdversaryPrimitive(_build_drop_all, "every pre-TS message is lost"),
     "random-chaos": AdversaryPrimitive(
         _build_random_chaos,
         "independent random loss/delay/deferral/duplication per message",
-        ("drop_probability", "defer_probability", "max_defer_delta",
-         "max_delay_factor", "duplicate_prob"),
+        {"drop_probability": "number", "defer_probability": "number",
+         "max_defer_delta": "number", "max_delay_factor": "number",
+         "duplicate_prob": "number"},
     ),
     "partition": AdversaryPrimitive(
         _build_partition,
         "hard partition: cross-group messages dropped (optionally leaking)",
-        ("partition", "intra_delay_max_delta", "leak_probability",
-         "leak_max_delay_delta", "leak_past_ts"),
+        {"partition": "PartitionDecl", "intra_delay_max_delta": "number",
+         "leak_probability": "number", "leak_max_delay_delta": "number",
+         "leak_past_ts": "boolean"},
     ),
     "gray-partition": AdversaryPrimitive(
         _build_gray_partition,
         "partial partition whose cross-group drop rate heals gradually before TS",
-        ("partition", "heal_start", "start_drop", "end_drop",
-         "intra_delay_max_delta", "leak_max_delay_delta"),
+        {"partition": "PartitionDecl", "heal_start": "number", "start_drop": "number",
+         "end_drop": "number", "intra_delay_max_delta": "number",
+         "leak_max_delay_delta": "number"},
     ),
     "asymmetric-link": AdversaryPrimitive(
         _build_asymmetric_link,
         "designated slow links (to/from a hub) crawl; all other links are prompt",
-        ("hub", "direction", "links", "slow_factor", "fast_min_fraction", "slow_post_ts"),
+        {"hub": "integer or null", "direction": "string",
+         "links": "array of pid pairs or null", "slow_factor": "number",
+         "fast_min_fraction": "number", "slow_post_ts": "boolean"},
     ),
     "worst-case-delay": AdversaryPrimitive(
         _build_worst_case_delay,
         "post-TS deliveries stretched to (almost) the full delta; wraps a pre-TS adversary",
-        ("jitter",),
+        {"jitter": "number"},
         takes_inner=True,
     ),
     "deferring-partition": AdversaryPrimitive(
         _build_deferring_partition,
         "partition whose cross-group leaks surface only after TS; wraps any "
         "partition-shaped adversary",
-        ("defer_probability", "max_defer_delta", "duplicate_prob"),
+        {"defer_probability": "number", "max_defer_delta": "number",
+         "duplicate_prob": "number"},
         takes_inner=True,
     ),
 }
@@ -410,28 +452,31 @@ FAULT_KINDS: Dict[str, FaultPrimitive] = {
     "explicit": FaultPrimitive(
         _build_explicit_faults,
         "a literal list of timestamped crash/restart events",
-        ("events",),
+        {"events": "array"},
     ),
     "random-before-ts": FaultPrimitive(
         _build_random_before_ts,
         "random minority crashes (and optional recoveries) strictly before TS",
-        ("max_faulty", "allow_recovery", "rng_label"),
+        {"max_faulty": "integer or null", "allow_recovery": "boolean",
+         "rng_label": "string"},
     ),
     "crash-forever": FaultPrimitive(
         _build_crash_forever,
         "crash the given pids at one time and never restart them",
-        ("pids", "time"),
+        {"pids": "array of pids", "time": "number"},
     ),
     "staggered-restarts": FaultPrimitive(
         _build_staggered_restarts,
         "crash pids together, restart them one by one",
-        ("pids", "crash_time", "first_restart", "spacing"),
+        {"pids": "array of pids", "crash_time": "number", "first_restart": "number",
+         "spacing": "number"},
     ),
     "churn-waves": FaultPrimitive(
         _build_churn_waves,
         "repeated post-TS crash/restart waves over a minority (majority stays up)",
-        ("victims", "num_victims", "first_offset", "up_time", "down_time",
-         "waves", "stagger", "pre_ts_crash_fraction"),
+        {"victims": "array of pids", "num_victims": "integer or null",
+         "first_offset": "number", "up_time": "number", "down_time": "number",
+         "waves": "integer", "stagger": "number", "pre_ts_crash_fraction": "number"},
         post_ts_crashes=True,
     ),
 }

@@ -15,7 +15,10 @@ name).  Both kinds share one protocol:
   :class:`~repro.smr.runner.SmrRunResult`, simulator included);
 * ``task.execute()`` — execute and return the condensed outcome
   (:class:`~repro.consensus.values.RunOutcome` or
-  :class:`~repro.smr.outcome.SmrOutcome`), plain picklable data.
+  :class:`~repro.smr.outcome.SmrOutcome`), plain picklable data.  The run
+  built it once when it finished (``result.outcome``); :func:`snapshot_outcome`
+  hands it on and :func:`~repro.smr.outcome.snapshot_smr_outcome` stamps the
+  catalogue workload name on it.
 
 Because a task is plain picklable data, the same task can be executed
 in-process by :class:`SerialExecutor` or shipped to a worker process by
@@ -164,36 +167,13 @@ class SmrTask:
 
 
 def snapshot_outcome(result: RunResult) -> RunOutcome:
-    """Condense a :class:`RunResult` into a process-boundary-safe outcome.
+    """The condensed, process-boundary-safe outcome of a :class:`RunResult`.
 
-    On top of :meth:`RunResult.outcome` this records the aggregation inputs
-    the experiment tables need (and that would otherwise require the
-    simulator): the expected-decider decision lag, restart recovery lags and
-    restart order, and the post-``TS`` send rate.
+    :func:`~repro.analysis.metrics.compute_run_metrics` built it when the
+    run finished; this is the step :meth:`RunTask.execute` takes to hand it
+    on.
     """
-    outcome = result.outcome()
-    outcome.extra["max_lag_after_ts"] = result.max_lag_after_ts()
-    outcome.extra["safety_valid"] = result.safety.valid
-
-    # One trace scan to find restarts; the per-pid lag scans only run when a
-    # restart actually happened (most workloads have none).
-    restart_events = sorted(
-        (event.time, event.pid)
-        for event in result.simulator.trace.filter(event="restart", category="node")
-    )
-    outcome.extra["restart_events"] = restart_events
-    if restart_events:
-        from repro.analysis.metrics import restart_recovery_lags
-
-        outcome.extra["restart_lags"] = restart_recovery_lags(result.simulator)
-    else:
-        outcome.extra["restart_lags"] = {}
-
-    simulator = result.simulator
-    outcome.extra["post_ts_send_rate"] = simulator.network.monitor.post_ts_send_rate(
-        simulator.config.ts, simulator.now()
-    )
-    return outcome
+    return result.outcome
 
 
 def execute_task(task: AnyTask) -> AnyOutcome:

@@ -3,9 +3,12 @@
 The runner is the single integration point: it has the scenario build the
 simulator (:meth:`~repro.workloads.scenario.Scenario.build_simulator`:
 network, protocol builder, fault plan, post-setup hook), runs to completion,
-computes metrics, and checks both the consensus safety spec and the
-protocol's trace invariants.  Every
-example, test, and benchmark goes through :func:`run_scenario`.
+checks the consensus safety spec, condenses the run into its one
+:class:`~repro.consensus.values.RunOutcome`
+(:func:`~repro.analysis.metrics.compute_run_metrics`), and checks the
+protocol's trace invariants.  Every example, test, and benchmark goes
+through :func:`run_scenario`; everything after the run reads
+``result.outcome``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.analysis.invariants import InvariantReport
-from repro.analysis.metrics import RunMetrics, compute_run_metrics
+from repro.analysis.metrics import compute_run_metrics
 from repro.consensus.base import ProtocolBuilder
 from repro.consensus.registry import protocol_builder
 from repro.consensus.spec import SafetyReport, check_safety
-from repro.consensus.values import DecisionOutcome, RunOutcome
+from repro.consensus.values import RunOutcome
 from repro.sim.simulator import Simulator
 from repro.workloads.scenario import Scenario
 
@@ -27,56 +30,22 @@ __all__ = ["RunResult", "run_scenario"]
 
 @dataclass
 class RunResult:
-    """Everything produced by one run."""
+    """One finished run: its scenario and simulator, its outcome, and its check reports."""
 
     scenario: Scenario
     protocol: str
     simulator: Simulator
-    metrics: RunMetrics
+    outcome: RunOutcome
     safety: SafetyReport
     invariants: Dict[str, InvariantReport] = field(default_factory=dict)
 
     @property
     def decided_all(self) -> bool:
-        return self.metrics.decisions.all_decided
+        return self.outcome.all_decided
 
     def max_lag_after_ts(self) -> Optional[float]:
         """Worst post-``TS`` decision lag over the scenario's expected deciders."""
-        return self.metrics.decisions.max_lag_after_ts(self.scenario.deciders())
-
-    def outcome(self) -> RunOutcome:
-        """Condensed, simulator-free record of this run (for aggregation)."""
-        config = self.simulator.config
-        decisions = [
-            DecisionOutcome(
-                pid=pid,
-                value=record.value,
-                time=record.time,
-                after_stability=record.time - config.ts,
-            )
-            for pid, record in sorted(self.simulator.decisions.items())
-        ]
-        stats = self.simulator.network.monitor.stats
-        # The resolved environment travels with the outcome, so a result row
-        # is reproducible from its own metadata alone.
-        extra: Dict[str, object] = {
-            "events": self.simulator.events_processed,
-            "environment": self.scenario.environment.to_dict(),
-        }
-        return RunOutcome(
-            protocol=self.protocol,
-            n=config.n,
-            ts=config.ts,
-            delta=config.params.delta,
-            seed=config.seed,
-            decisions=decisions,
-            proposals=dict(self.simulator.proposals),
-            undecided_pids=list(self.metrics.decisions.undecided),
-            messages_sent=stats.sent,
-            messages_delivered=stats.delivered,
-            duration=self.simulator.now(),
-            extra=extra,
-        )
+        return self.outcome.extra["max_lag_after_ts"]
 
 
 def run_scenario(
@@ -117,10 +86,10 @@ def run_scenario(
     else:
         simulator.run()
 
-    metrics = compute_run_metrics(simulator, protocol_name, expected_deciders=deciders)
     safety = check_safety(simulator, expected_deciders=deciders)
     if enforce_safety:
         safety.raise_if_violated()
+    outcome = compute_run_metrics(simulator, scenario, protocol_name, safety.valid)
 
     invariants: Dict[str, InvariantReport] = {}
     for name, check in builder.invariant_checks().items():
@@ -133,7 +102,7 @@ def run_scenario(
         scenario=scenario,
         protocol=protocol_name,
         simulator=simulator,
-        metrics=metrics,
+        outcome=outcome,
         safety=safety,
         invariants=invariants,
     )

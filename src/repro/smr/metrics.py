@@ -12,7 +12,7 @@ carrying that command id stops it for that replica.  Two latencies matter:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.errors import AgreementViolation
 from repro.sim.simulator import Simulator
@@ -21,12 +21,9 @@ from repro.smr.multi_paxos import MultiPaxosSmrProcess
 __all__ = [
     "CommandRecord",
     "command_latencies",
-    "digests_agree",
     "learned_prefix_lengths",
     "check_log_consistency",
     "replica_digests",
-    "worst_global_latency",
-    "worst_submitter_latency",
 ]
 
 
@@ -52,37 +49,6 @@ class CommandRecord:
         if not self.learned_times:
             return None
         return max(self.learned_times.values()) - self.submit_time
-
-
-def worst_submitter_latency(commands: Mapping[str, CommandRecord]) -> Optional[float]:
-    """Worst submitter latency over the given commands (None if none completed)."""
-    latencies = [
-        record.submitter_latency
-        for record in commands.values()
-        if record.submitter_latency is not None
-    ]
-    return max(latencies) if latencies else None
-
-
-def worst_global_latency(commands: Mapping[str, CommandRecord]) -> Optional[float]:
-    """Worst global latency over the given commands (None if none completed)."""
-    latencies = [
-        record.global_latency
-        for record in commands.values()
-        if record.global_latency is not None
-    ]
-    return max(latencies) if latencies else None
-
-
-def digests_agree(digests: Mapping[int, Any]) -> bool:
-    """Whether every replica digest is equal.
-
-    Compares the digest values themselves — agreement must not depend on
-    repr formatting.  Works on raw state-machine digests and on their
-    canonical string forms alike.
-    """
-    values = list(digests.values())
-    return all(value == values[0] for value in values[1:])
 
 
 def command_latencies(simulator: Simulator) -> Dict[str, CommandRecord]:

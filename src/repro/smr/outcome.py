@@ -7,26 +7,24 @@ multi-decree counterpart.  It freezes everything an SMR experiment aggregates
 resolved environment — as plain picklable data, so the same
 :class:`~repro.harness.executors.SmrTask` produces an identical outcome
 whether it ran serially in-process or inside a pool worker.
+:func:`~repro.smr.runner.run_smr` builds it once, when the run finishes;
+reports, the CLI, records and tables all read that one outcome.
 
 Replica digests are carried as canonical SHA-256 strings
 (:func:`digest_string`) rather than the raw state-machine digests: strings
 survive a JSON round trip exactly (raw digests are nested tuples, which JSON
 would silently turn into lists), and two replicas agree exactly when their
-digest strings are equal.
+digest strings are equal — the one definition of "replicas agree".
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.smr.metrics import (
-    CommandRecord,
-    digests_agree,
-    worst_global_latency,
-    worst_submitter_latency,
-)
+from repro.smr.metrics import CommandRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.runner import SmrRunResult
@@ -75,8 +73,8 @@ class SmrOutcome:
 
     @property
     def replicas_agree(self) -> bool:
-        """Whether every replica's state-machine digest is identical."""
-        return digests_agree(self.digests)
+        """Whether every replica's state-machine digest string is identical."""
+        return len(set(self.digests.values())) <= 1
 
     def unlearned_command_ids(self) -> List[str]:
         """Scheduled commands some expected replica never learned, sorted."""
@@ -98,10 +96,12 @@ class SmrOutcome:
         return self.all_commands_learned_everywhere
 
     def worst_submitter_latency(self) -> Optional[float]:
-        return worst_submitter_latency(self.commands)
+        """Worst submitter latency over the commands (None if none completed)."""
+        return _worst(record.submitter_latency for record in self.commands.values())
 
     def worst_global_latency(self) -> Optional[float]:
-        return worst_global_latency(self.commands)
+        """Worst global latency over the commands (None if none completed)."""
+        return _worst(record.global_latency for record in self.commands.values())
 
     def worst_learned_after(self, ts: Optional[float] = None) -> Optional[float]:
         """Latest learn time relative to ``ts`` (default: the run's ``TS``)."""
@@ -113,44 +113,19 @@ class SmrOutcome:
         ]
         return max(times) - reference if times else None
 
-    def describe(self) -> str:
-        worst = self.worst_global_latency()
-        worst_text = f"{worst:.3f}" if worst is not None else "n/a"
-        return (
-            f"{self.protocol} on {self.workload}: n={self.n} "
-            f"commands={len(self.commands)}/{self.total_commands} "
-            f"worst-global-latency={worst_text} agree={self.replicas_agree}"
-        )
+
+def _worst(latencies) -> Optional[float]:
+    completed = [latency for latency in latencies if latency is not None]
+    return max(completed) if completed else None
 
 
 def snapshot_smr_outcome(result: "SmrRunResult", workload: Optional[str] = None) -> SmrOutcome:
-    """Condense a full :class:`~repro.smr.runner.SmrRunResult` into an outcome.
+    """The outcome of a finished SMR run, stamped with its catalogue workload.
 
-    ``workload`` names the catalogue workload the scenario came from; it
-    defaults to the scenario name for runs built outside the catalogue.
+    :func:`~repro.smr.runner.run_smr` names the outcome's workload after the
+    scenario; ``workload`` (when given) replaces it with the catalogue name
+    the task resolved.
     """
-    scenario = result.scenario
-    config = scenario.config
-    stats = result.simulator.network.monitor.stats
-    extra: Dict[str, Any] = {
-        "scenario": scenario.name,
-        "events": result.simulator.events_processed,
-        "environment": scenario.environment.to_dict(),
-    }
-    return SmrOutcome(
-        workload=workload if workload is not None else scenario.name,
-        n=config.n,
-        ts=config.ts,
-        delta=config.params.delta,
-        seed=config.seed,
-        expected_replicas=tuple(sorted(scenario.deciders())),
-        scheduled_command_ids=tuple(result.schedule.command_ids),
-        commands=dict(result.commands),
-        prefix_lengths=dict(result.prefix_lengths),
-        digests={pid: digest_string(digest) for pid, digest in result.digests.items()},
-        consistency_checks=result.consistency_checks,
-        messages_sent=stats.sent,
-        messages_delivered=stats.delivered,
-        duration=result.simulator.now(),
-        extra=extra,
-    )
+    if workload is None:
+        return result.outcome
+    return dataclasses.replace(result.outcome, workload=workload)

@@ -4,7 +4,11 @@ The single-decree harness (:mod:`repro.harness.runner`) stops when every
 process has *decided*; the SMR layer instead stops when every expected
 replica has learned every scheduled command (or the horizon is reached), and
 its safety check is per-slot log consistency plus identical state-machine
-digests rather than the single-decree spec.
+digests rather than the single-decree spec.  When the run ends,
+:func:`run_smr` condenses it once into its
+:class:`~repro.smr.outcome.SmrOutcome` (per-command latencies, learned
+prefixes, replica digest strings, traffic); the report, the CLI, records and
+tables all read ``result.outcome``.
 
 The stop check runs after every event, so it must not grow with the log: it
 tests the scheduled command ids against each expected replica's
@@ -20,22 +24,19 @@ miss this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.analysis.invariants import InvariantReport, check_session_entry_rule
 from repro.errors import ConfigurationError
 from repro.sim.simulator import Simulator
 from repro.smr.metrics import (
-    CommandRecord,
     check_log_consistency,
     command_latencies,
-    digests_agree,
     learned_prefix_lengths,
     replica_digests,
-    worst_global_latency,
-    worst_submitter_latency,
 )
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
+from repro.smr.outcome import SmrOutcome, digest_string
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 from repro.workloads.scenario import Scenario
@@ -45,33 +46,13 @@ __all__ = ["SmrRunResult", "run_smr"]
 
 @dataclass
 class SmrRunResult:
-    """Everything produced by one SMR run."""
+    """One finished SMR run: its scenario, schedule and simulator, its outcome, and its checks."""
 
     scenario: Scenario
     schedule: CommandSchedule
     simulator: Simulator
-    commands: Dict[str, CommandRecord] = field(default_factory=dict)
-    prefix_lengths: Dict[int, int] = field(default_factory=dict)
-    digests: Dict[int, object] = field(default_factory=dict)
-    consistency_checks: int = 0
+    outcome: SmrOutcome
     invariants: Dict[str, InvariantReport] = field(default_factory=dict)
-
-    @property
-    def all_commands_learned_everywhere(self) -> bool:
-        expected = set(self.scenario.deciders())
-        return all(
-            expected.issubset(record.learned_times.keys()) for record in self.commands.values()
-        ) and len(self.commands) == self.schedule.total_commands
-
-    @property
-    def replicas_agree(self) -> bool:
-        return digests_agree(self.digests)
-
-    def worst_submitter_latency(self) -> Optional[float]:
-        return worst_submitter_latency(self.commands)
-
-    def worst_global_latency(self) -> Optional[float]:
-        return worst_global_latency(self.commands)
 
 
 def _validate_schedule_horizon(schedule: CommandSchedule, max_time: float) -> None:
@@ -123,18 +104,40 @@ def run_smr(
     can_catch_up = bool(expected_commands) and None not in watched
     simulator.run(stop_when=everyone_caught_up if can_catch_up else None)
 
-    result = SmrRunResult(
+    commands = command_latencies(simulator)
+    prefix_lengths = learned_prefix_lengths(simulator)
+    digests = replica_digests(simulator, machine_factory)
+    invariants = {"session-entry-rule": check_session_entry_rule(simulator.trace, config.n)}
+    consistency_checks = check_log_consistency(simulator)
+    if enforce_consistency:
+        invariants["session-entry-rule"].raise_if_violated()
+
+    stats = simulator.network.monitor.stats
+    outcome = SmrOutcome(
+        workload=scenario.name,
+        n=config.n,
+        ts=config.ts,
+        delta=config.params.delta,
+        seed=config.seed,
+        expected_replicas=tuple(sorted(scenario.deciders())),
+        scheduled_command_ids=tuple(schedule.command_ids),
+        commands=commands,
+        prefix_lengths=prefix_lengths,
+        digests={pid: digest_string(digest) for pid, digest in digests.items()},
+        consistency_checks=consistency_checks,
+        messages_sent=stats.sent,
+        messages_delivered=stats.delivered,
+        duration=simulator.now(),
+        extra={
+            "scenario": scenario.name,
+            "events": simulator.events_processed,
+            "environment": scenario.environment.to_dict(),
+        },
+    )
+    return SmrRunResult(
         scenario=scenario,
         schedule=schedule,
         simulator=simulator,
-        commands=command_latencies(simulator),
-        prefix_lengths=learned_prefix_lengths(simulator),
-        digests=replica_digests(simulator, machine_factory),
-        invariants={
-            "session-entry-rule": check_session_entry_rule(simulator.trace, config.n)
-        },
+        outcome=outcome,
+        invariants=invariants,
     )
-    result.consistency_checks = check_log_consistency(simulator)
-    if enforce_consistency:
-        result.invariants["session-entry-rule"].raise_if_violated()
-    return result

@@ -90,7 +90,7 @@ class TestExtremeParameters:
         scenario = partitioned_chaos_scenario(3, params=params, ts=4.0, seed=5)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
-        assert result.metrics.messages_sent > 500  # keep-alives every 0.05 delta
+        assert result.outcome.messages_sent > 500  # keep-alives every 0.05 delta
 
     def test_decision_lag_independent_of_how_late_stability_comes(self):
         """The headline property: lag after TS does not depend on TS itself."""

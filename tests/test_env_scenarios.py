@@ -200,7 +200,7 @@ class TestChurn:
             5, 3, start=scenario.config.ts + 0.5, interval=2.0, target_pid=0
         )
         result = run_smr(scenario, schedule)
-        assert result.replicas_agree
+        assert result.outcome.replicas_agree
 
 
 class TestEnvironmentWorkload:
@@ -225,7 +225,7 @@ class TestEnvironmentWorkload:
         churn = WORKLOADS.create("churn", n=5, params=PARAMS).environment
         scenario = environment_scenario(churn, n=5, params=PARAMS, seed=4)
         result = run_scenario(scenario, "modified-paxos")
-        recorded = result.outcome().extra["environment"]
+        recorded = result.outcome.extra["environment"]
         assert EnvironmentSpec.from_dict(recorded) == scenario.environment
         # The recorded spec is JSON-safe end to end.
         assert EnvironmentSpec.from_json(json.dumps(recorded)) == scenario.environment
@@ -303,6 +303,24 @@ class TestCli:
          "EnvironmentSpec notes must be a string, got list"),
     ])
     def test_run_rejects_malformed_spec_json_in_one_line(self, capsys, env, message):
+        assert main(["run", "--env", json.dumps(env), "--n", "3"]) == 2
+        assert capsys.readouterr().out.splitlines() == [message]
+
+    @pytest.mark.parametrize("env, message", [
+        ({"adversary": {"kind": "benign", "params": {"min_delay_fraction": "x"}}},
+         "adversary 'benign' parameter 'min_delay_fraction' must be number, got 'x'"),
+        ({"adversary": {"kind": "benign", "params": {"min_delay_fraction": True}}},
+         "adversary 'benign' parameter 'min_delay_fraction' must be number, got True"),
+        ({"adversary": {"kind": "partition", "params": {"leak_probability": "0.5"}}},
+         "adversary 'partition' parameter 'leak_probability' must be number, got '0.5'"),
+        ({"adversary": {"kind": "benign"},
+          "faults": {"kind": "churn-waves", "params": {"waves": "2"}}},
+         "fault schedule 'churn-waves' parameter 'waves' must be integer, got '2'"),
+        ({"adversary": {"kind": "benign"},
+          "faults": {"kind": "crash-forever", "params": {"pids": 3, "time": 1}}},
+         "fault schedule 'crash-forever' parameter 'pids' must be array of pids, got 3"),
+    ])
+    def test_run_rejects_a_parameter_of_the_wrong_type_in_one_line(self, capsys, env, message):
         assert main(["run", "--env", json.dumps(env), "--n", "3"]) == 2
         assert capsys.readouterr().out.splitlines() == [message]
 

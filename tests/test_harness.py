@@ -53,7 +53,7 @@ class TestRunner:
         assert result.decided_all
         assert result.safety.valid
         assert "session-entry-rule" in result.invariants
-        assert result.metrics.messages_sent > 0
+        assert result.outcome.messages_sent > 0
         assert result.max_lag_after_ts() is not None
 
     def test_run_scenario_with_builder_instance(self, params):
@@ -67,12 +67,12 @@ class TestRunner:
     def test_outcome_snapshot(self, params):
         scenario = stable_scenario(3, params=params, seed=5)
         result = run_scenario(scenario, "modified-paxos")
-        outcome = result.outcome()
+        outcome = result.outcome
         assert isinstance(outcome, RunOutcome)
         assert outcome.all_decided
         assert outcome.n == 3
         assert len(outcome.decisions) == 3
-        assert outcome.messages_sent == result.metrics.messages_sent
+        assert outcome.messages_sent == result.simulator.network.monitor.stats.sent
 
     def test_unknown_protocol_name_raises(self, params):
         from repro.errors import ConfigurationError

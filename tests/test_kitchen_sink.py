@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.timing import decision_bound
-from repro.analysis.metrics import restart_recovery_lags
+from repro.analysis.metrics import max_lag_after_ts, restart_recovery_lags
 from repro.harness.runner import run_scenario
 from repro.workloads.composite import kitchen_sink_scenario
 
@@ -50,7 +50,8 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
             pid for pid in scenario.deciders()
             if all(e.pid != pid or e.time <= scenario.config.ts for e in scenario.fault_plan)
         ]
-        lag = result.metrics.decisions.max_lag_after_ts(never_restarted)
+        decision_times = {d.pid: d.time for d in result.outcome.decisions}
+        lag = max_lag_after_ts(decision_times, scenario.config.ts, never_restarted)
         assert lag is not None and lag <= BOUND
 
     def test_late_restarter_recovers_quickly(self):

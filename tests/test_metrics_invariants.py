@@ -1,4 +1,4 @@
-"""Unit tests for run metrics and trace invariants (`repro.analysis`)."""
+"""Unit tests for the decision-lag rule and trace invariants (`repro.analysis`)."""
 
 import pytest
 
@@ -8,35 +8,36 @@ from repro.analysis.invariants import (
     check_single_session_leadership,
     check_unique_phase2a_value,
 )
-from repro.analysis.metrics import DecisionMetrics
+from repro.analysis.metrics import max_lag_after_ts
 from repro.analysis.trace import TraceRecorder
+from repro.consensus.values import RunOutcome
 from repro.errors import InvariantViolation
 
 
-class TestDecisionMetrics:
+class TestMaxLagAfterTs:
     def test_lag_clamped_at_zero_for_early_deciders(self):
-        metrics = DecisionMetrics(ts=10.0, decision_times={0: 8.0, 1: 12.5})
-        assert metrics.lag_after_ts(0) == 0.0
-        assert metrics.lag_after_ts(1) == pytest.approx(2.5)
-        assert metrics.lag_after_ts(7) is None
+        times = {0: 8.0, 1: 12.5}
+        assert max_lag_after_ts(times, 10.0, [0]) == 0.0
+        assert max_lag_after_ts(times, 10.0, [1]) == pytest.approx(2.5)
+        assert max_lag_after_ts(times, 10.0, [7]) is None
 
     def test_max_lag_over_selected_pids(self):
-        metrics = DecisionMetrics(ts=10.0, decision_times={0: 11.0, 1: 14.0, 2: 9.0})
-        assert metrics.max_lag_after_ts() == pytest.approx(4.0)
-        assert metrics.max_lag_after_ts([0, 2]) == pytest.approx(1.0)
+        times = {0: 11.0, 1: 14.0, 2: 9.0}
+        assert max_lag_after_ts(times, 10.0, sorted(times)) == pytest.approx(4.0)
+        assert max_lag_after_ts(times, 10.0, [0, 2]) == pytest.approx(1.0)
 
     def test_max_lag_none_if_requested_pid_undecided(self):
-        metrics = DecisionMetrics(ts=10.0, decision_times={0: 11.0}, undecided=[1])
-        assert metrics.max_lag_after_ts([0, 1]) is None
+        assert max_lag_after_ts({0: 11.0}, 10.0, [0, 1]) is None
 
-    def test_mean_lag(self):
-        metrics = DecisionMetrics(ts=10.0, decision_times={0: 11.0, 1: 13.0})
-        assert metrics.mean_lag_after_ts() == pytest.approx(2.0)
-        assert DecisionMetrics(ts=0.0).mean_lag_after_ts() is None
+    def test_no_pids_have_no_lag(self):
+        assert max_lag_after_ts({0: 11.0, 1: 13.0}, 10.0, []) is None
+        assert max_lag_after_ts({}, 0.0, []) is None
 
     def test_all_decided_flag(self):
-        assert DecisionMetrics(ts=0.0).all_decided
-        assert not DecisionMetrics(ts=0.0, undecided=[3]).all_decided
+        outcome = RunOutcome(protocol="p", n=4, ts=0.0, delta=1.0, seed=0)
+        assert outcome.all_decided
+        outcome.undecided_pids = [3]
+        assert not outcome.all_decided
 
 
 def _session_trace(entries, starts):

@@ -79,7 +79,6 @@ class TestPostTsSendRate:
         assert monitor.post_ts_send_rate(10.0, 12.0) == 0.0
 
     def test_run_rate_equals_the_trace_recount(self, monkeypatch):
-        from repro.harness.executors import snapshot_outcome
         from repro.harness.runner import run_scenario
         from repro.workloads.registry import WORKLOADS
         from tests.helpers import capture_sent_envelopes, make_params
@@ -109,4 +108,4 @@ class TestPostTsSendRate:
         assert any(ts <= env.send_time < end for env in injected)
 
         expected = sum(1 for t in send_times if ts <= t < end) / (end - ts)
-        assert snapshot_outcome(result).extra["post_ts_send_rate"] == expected
+        assert result.outcome.extra["post_ts_send_rate"] == expected

@@ -105,7 +105,7 @@ class TestDeterminismProperty:
             result = run_scenario(scenario, protocol, enforce_safety=False)
             return (
                 {pid: (rec.value, rec.time) for pid, rec in result.simulator.decisions.items()},
-                result.metrics.messages_sent,
+                result.outcome.messages_sent,
                 result.simulator.events_processed,
             )
 

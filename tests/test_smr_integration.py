@@ -27,10 +27,10 @@ class TestStableReplication:
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=15, start=10.0, interval=1.0)
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
-        assert result.replicas_agree
-        assert result.consistency_checks > 0
-        assert all(length >= 15 for length in result.prefix_lengths.values())
+        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.replicas_agree
+        assert result.outcome.consistency_checks > 0
+        assert all(length >= 15 for length in result.outcome.prefix_lengths.values())
 
     def test_truncated_trace_fails_the_session_entry_check(self):
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
@@ -49,29 +49,29 @@ class TestStableReplication:
         # ballot, process n-1), measuring the pure fast path.
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=4)
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
+        assert result.outcome.all_commands_learned_everywhere
         # Global learning within 3 maximum message delays; typical delays are
         # ~0.55 delta so this is also about 3 average delays.
-        assert result.worst_global_latency() <= 3.0 * PARAMS.delta
-        assert result.worst_submitter_latency() <= 2.0 * PARAMS.delta
+        assert result.outcome.worst_global_latency() <= 3.0 * PARAMS.delta
+        assert result.outcome.worst_submitter_latency() <= 2.0 * PARAMS.delta
 
     def test_forwarded_commands_cost_at_most_one_extra_delay(self):
         scenario = stable_scenario(5, params=PARAMS, seed=3, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=0)
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
-        assert result.worst_global_latency() <= 4.0 * PARAMS.delta
+        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.worst_global_latency() <= 4.0 * PARAMS.delta
 
     def test_ledger_replicas_apply_identical_sequences(self):
         scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=12, start=10.0, interval=0.5)
         result = run_smr(scenario, schedule, machine_factory=AppendOnlyLedger)
-        assert result.replicas_agree
+        assert result.outcome.replicas_agree
 
     def test_no_commands_is_a_quiet_system(self):
         scenario = stable_scenario(3, params=PARAMS, seed=5, max_time=40.0)
         result = run_smr(scenario, CommandSchedule())
-        assert result.commands == {}
+        assert result.outcome.commands == {}
         assert check_log_consistency(result.simulator) >= 0
 
 
@@ -84,11 +84,11 @@ class TestReplicationUnderChaos:
             7, num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0]
         )
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
-        assert result.replicas_agree
+        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.replicas_agree
         # Everything is learned within the eventual-synchrony bound of TS
         # (commands were submitted before TS, so lag is measured against TS).
-        for record in result.commands.values():
+        for record in result.outcome.commands.values():
             learned = max(record.learned_times.values())
             assert learned - scenario.config.ts <= 2.0 * decision_bound(PARAMS)
 
@@ -99,8 +99,8 @@ class TestReplicationUnderChaos:
             5, num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0]
         )
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
-        assert result.worst_global_latency() <= 8.0 * PARAMS.delta
+        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.worst_global_latency() <= 8.0 * PARAMS.delta
 
 
 class TestLeaderFailover:
@@ -117,9 +117,9 @@ class TestLeaderFailover:
         chaos.expected_deciders = [0, 1, 2, 3]
         schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.4, target_pid=0)
         result = run_smr(chaos, schedule)
-        assert result.replicas_agree
+        assert result.outcome.replicas_agree
         expected = set(chaos.deciders())
-        for record in result.commands.values():
+        for record in result.outcome.commands.values():
             assert expected.issubset(record.learned_times.keys())
         assert scenario is not None  # silence linters about the unused stable scenario
 
@@ -132,11 +132,11 @@ class TestRestartedReplicaCatchUp:
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
         schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
-        assert result.replicas_agree
+        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.replicas_agree
         node = result.simulator.nodes[2]
         assert node.incarnation == 2
-        assert result.prefix_lengths[2] >= 6
+        assert result.outcome.prefix_lengths[2] >= 6
 
 
 class TestCrashRecoveryFromStableStorage:

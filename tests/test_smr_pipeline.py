@@ -198,16 +198,6 @@ class TestDigestSemantics:
         outcome.digests[1] = "abd"
         assert not outcome.replicas_agree
 
-    def test_run_result_agreement_uses_equality(self):
-        from repro.smr.runner import SmrRunResult
-
-        result = SmrRunResult(scenario=None, schedule=CommandSchedule(), simulator=None)
-        # 1 == 1.0 although repr(1) != repr(1.0): equal values must agree.
-        result.digests = {0: (("k", 1),), 1: (("k", 1.0),)}
-        assert result.replicas_agree
-        result.digests = {0: (("k", 1),), 1: (("k", 2),)}
-        assert not result.replicas_agree
-
     def test_digest_string_is_deterministic(self):
         value = (("a", 1), ("b", "x"))
         assert digest_string(value) == digest_string((("a", 1), ("b", "x")))
@@ -226,7 +216,7 @@ class TestScheduleHorizonValidation:
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
         schedule = CommandSchedule().add(0, 12.0, "ok-cmd", ("set", "k", "v"))
         result = run_smr(scenario, schedule)
-        assert result.all_commands_learned_everywhere
+        assert result.outcome.all_commands_learned_everywhere
 
 
 class TestLatencyErrorReporting:
@@ -277,7 +267,7 @@ class TestE9Parity:
             stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=self.N - 1),
-        )
+        ).outcome
         table.add_row(case="stable, submitted at leader", commands=self.STABLE,
                       worst_submitter_latency_delta=leader.worst_submitter_latency() / delta,
                       worst_global_latency_delta=leader.worst_global_latency() / delta)
@@ -285,7 +275,7 @@ class TestE9Parity:
             stable_scenario(self.N, params=PARAMS, seed=2, max_time=400.0 * delta),
             uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
                              target_pid=0),
-        )
+        ).outcome
         table.add_row(case="stable, submitted at follower", commands=self.STABLE,
                       worst_submitter_latency_delta=follower.worst_submitter_latency() / delta,
                       worst_global_latency_delta=follower.worst_global_latency() / delta)
@@ -295,7 +285,7 @@ class TestE9Parity:
             chaos_scenario,
             uniform_schedule(self.N, num_commands=self.CHAOS, start=1.0, interval=0.8,
                              target_pid=chaos_scenario.deciders()[0]),
-        )
+        ).outcome
         worst_after_ts = max(
             max(record.learned_times.values()) - chaos_scenario.config.ts
             for record in chaos.commands.values()
@@ -335,10 +325,8 @@ class TestE9Parity:
             schedule=ScheduleSpec(num_commands=self.STABLE, start=10.0, interval=0.7,
                                   target_pid=self.N - 1),
         ).execute()
-        assert outcome.digests == {
-            pid: digest_string(digest) for pid, digest in direct.digests.items()
-        }
-        assert outcome.prefix_lengths == direct.prefix_lengths
+        assert outcome.digests == direct.outcome.digests
+        assert outcome.prefix_lengths == direct.outcome.prefix_lengths
 
 
 class TestRunSmrTasks:

@@ -17,7 +17,6 @@ from repro.faults.plan import FaultPlan
 from repro.harness.executors import SmrTask, build_task_scenario
 from repro.sim.simulator import Simulator
 from repro.smr.multi_paxos import MultiPaxosSmrProcess
-from repro.smr.outcome import snapshot_smr_outcome
 from repro.smr.runner import run_smr
 from repro.smr.workload import ScheduleSpec, uniform_schedule
 from repro.workloads.smr import SMR_WORKLOADS
@@ -96,7 +95,7 @@ def test_stop_point_matches_full_rescan(monkeypatch, workload, seed):
     assert disagreements == []
     assert result.simulator.events_processed == reference.simulator.events_processed
     assert result.simulator.now() == reference.simulator.now()
-    assert snapshot_smr_outcome(result, workload) == snapshot_smr_outcome(reference, workload)
+    assert result.outcome == reference.outcome
 
 
 class TestCrashedReplicaHoldsTheRun:
@@ -128,8 +127,8 @@ class TestCrashedReplicaHoldsTheRun:
 
     def test_run_waits_for_the_crashed_replica(self):
         result = run_smr(self.scenario(), self.schedule())
-        assert result.all_commands_learned_everywhere
-        records = result.commands.values()
+        assert result.outcome.all_commands_learned_everywhere
+        records = result.outcome.commands.values()
         # The leaver had the whole log before it went down ...
         assert all(record.learned_times[self.LEAVER] < self.LEAVE_AT for record in records)
         # ... and the last learn anywhere happened while it was down.
@@ -147,4 +146,4 @@ class TestCrashedReplicaHoldsTheRun:
         assert disagreements == []
         assert result.simulator.events_processed == reference.simulator.events_processed
         assert result.simulator.now() == reference.simulator.now()
-        assert snapshot_smr_outcome(result) == snapshot_smr_outcome(reference)
+        assert result.outcome == reference.outcome

@@ -118,10 +118,19 @@ class TestTaskProtocol:
         assert isinstance(outcome, RunOutcome)
         assert outcome == snapshot_outcome(task.run())
 
+    @pytest.mark.parametrize("workload", ["restarts", "partitioned-chaos"])
+    def test_a_direct_run_carries_the_task_outcome(self, workload):
+        """run_scenario builds the whole outcome, restart extras included."""
+        task = run_task(workload=workload, n=5)
+        scenario = WORKLOADS.create(workload, **dict(task.workload_kwargs))
+        outcome = run_scenario(scenario, task.protocol).outcome
+        assert outcome == task.execute()
+        assert "restart_lags" in outcome.extra and "restart_events" in outcome.extra
+
     def test_smr_task_run_keeps_the_simulator(self):
         result = smr_task().run()
         assert isinstance(result, SmrRunResult)
-        assert result.replicas_agree
+        assert result.outcome.replicas_agree
         assert result.simulator.now() > 0
 
     def test_smr_task_execute_condenses_run(self):
@@ -269,7 +278,7 @@ class TestBuildSimulator:
         assert scenario.deciders() == [0, 1]
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
-        assert [decision.pid for decision in result.outcome().decisions] == [0, 1]
+        assert [decision.pid for decision in result.outcome.decisions] == [0, 1]
 
 
 class TestScenarioEnvironment:
@@ -285,7 +294,7 @@ class TestScenarioEnvironment:
         scenario = make_scenario(env=EnvironmentSpec(adversary=AdversarySpec("drop-all")))
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
-        assert result.outcome().extra["environment"] == scenario.environment.to_dict()
+        assert result.outcome.extra["environment"] == scenario.environment.to_dict()
         assert "environment: " in scenario.describe()
 
 
