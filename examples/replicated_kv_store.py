@@ -23,7 +23,8 @@ Run with::
 """
 
 from repro import WORKLOADS, TimingParams
-from repro.smr import KeyValueStore, run_smr
+from repro.smr.runner import run_smr
+from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 
 REPLICAS = 5

@@ -28,7 +28,8 @@ import time
 from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment
 from repro.harness.tables import ExperimentTable
 from repro.params import TimingParams
-from repro.results import lag_aggregates, open_store
+from repro.results.query import lag_aggregates
+from repro.results.store import open_store
 
 
 def main() -> None:

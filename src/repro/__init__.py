@@ -22,8 +22,9 @@ through two literal tables, :data:`WORKLOADS` and :data:`PROTOCOLS`;
 
 Quick start — an experiment grid.  :class:`ExperimentSpec` declares
 protocols × workload parameters × seeds; ``jobs=N`` fans the runs out over
-a process pool, and the returned :class:`ResultSet` supports filtering,
-grouping, and summary statistics::
+a process pool, and the returned
+:class:`~repro.harness.experiment.ResultSet` supports filtering, grouping,
+and summary statistics::
 
     from repro import ExperimentSpec, lag_delta, run_experiment
 
@@ -38,9 +39,9 @@ grouping, and summary statistics::
         print(protocol, n, subset.max(lag_delta))
 
 Quick start — durable results.  Pass ``store=`` to persist every run as a
-schema-versioned :class:`RunRecord` under its content key, and
-``resume=True`` to load any run already present instead of re-executing
-it (see :mod:`repro.results`)::
+schema-versioned :class:`~repro.results.record.RunRecord` under its content
+key, and ``resume=True`` to load any run already present instead of
+re-executing it (see :mod:`repro.results`)::
 
     results = run_experiment(spec, store="runs.jsonl", resume=True)
     with open_store("runs.jsonl") as store:
@@ -62,111 +63,36 @@ the named environments are workloads, and every scenario carries its spec::
 ``python -m repro list-environments`` print the workload and protocol
 catalogues and the environment primitives; ``python -m repro results ls
 --store runs.jsonl`` inspects a store.
+
+``repro`` exports the names above plus ``TimingParams``,
+``decision_bound`` and ``__version__`` (see ``__all__``); import every other
+name from the module that defines it.
 """
 
 from repro._version import __version__
-from repro.consensus.registry import PROTOCOLS, protocol_builder
-from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.env.spec import (
-    AdversarySpec,
-    EnvironmentSpec,
-    FaultSpec,
-    PartitionDecl,
-    SynchronySpec,
-)
-from repro.core.timing import decision_bound, restart_decision_bound
-from repro.harness.executors import (
-    Executor,
-    ParallelExecutor,
-    RunTask,
-    SerialExecutor,
-    SmrTask,
-    make_executor,
-)
-from repro.harness.experiment import (
-    ExperimentSpec,
-    ResultRow,
-    ResultSet,
-    lag_delta,
-    run_experiment,
-    run_smr_tasks,
-)
-from repro.harness.runner import RunResult, run_scenario
+from repro.consensus.registry import PROTOCOLS
+from repro.core.timing import decision_bound
+from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
+from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment
+from repro.harness.runner import run_scenario
 from repro.params import TimingParams
-from repro.results import (
-    JsonlStore,
-    RunRecord,
-    SmrRecord,
-    content_key_for_task,
-    open_store,
-)
-from repro.smr.runner import run_smr
-from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
-from repro.sim.simulator import SimulationConfig, Simulator
-from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
-from repro.workloads.coordinator_faults import coordinator_crash_scenario
-from repro.workloads.environments import (
-    asymmetric_link_scenario,
-    churn_scenario,
-    environment_scenario,
-    gray_partition_scenario,
-)
-from repro.workloads.obsolete import obsolete_ballot_scenario
-from repro.workloads.registry import WORKLOADS, ScenarioRegistry
-from repro.workloads.restarts import restart_after_stability_scenario
-from repro.workloads.scenario import Scenario
-from repro.workloads.stable import stable_scenario
+from repro.results.store import open_store
+from repro.workloads.environments import environment_scenario
+from repro.workloads.registry import WORKLOADS
 
 __all__ = [
     "AdversarySpec",
-    "CommandSchedule",
     "EnvironmentSpec",
-    "Executor",
     "ExperimentSpec",
     "FaultSpec",
-    "JsonlStore",
     "PROTOCOLS",
-    "PartitionDecl",
-    "SynchronySpec",
-    "ModifiedPaxosBuilder",
-    "ModifiedPaxosProcess",
-    "ParallelExecutor",
-    "ResultRow",
-    "ResultSet",
-    "RunRecord",
-    "RunResult",
-    "RunTask",
-    "Scenario",
-    "ScenarioRegistry",
-    "SerialExecutor",
-    "ScheduleSpec",
-    "SimulationConfig",
-    "Simulator",
-    "SmrRecord",
-    "SmrTask",
     "TimingParams",
     "WORKLOADS",
     "__version__",
-    "asymmetric_link_scenario",
-    "churn_scenario",
-    "content_key_for_task",
-    "coordinator_crash_scenario",
     "decision_bound",
     "environment_scenario",
-    "gray_partition_scenario",
     "lag_delta",
-    "lossy_chaos_scenario",
-    "make_executor",
-    "obsolete_ballot_scenario",
     "open_store",
-    "partitioned_chaos_scenario",
-    "protocol_builder",
-    "restart_after_stability_scenario",
-    "restart_decision_bound",
     "run_experiment",
     "run_scenario",
-    "run_smr",
-    "run_smr_tasks",
-    "stable_scenario",
-    "uniform_schedule",
 ]

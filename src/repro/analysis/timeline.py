@@ -51,13 +51,6 @@ class ProcessTimeline:
     def add(self, time: float, label: str) -> None:
         self.milestones.append(Milestone(time=time, label=label))
 
-    @property
-    def decision_time(self) -> Optional[float]:
-        for milestone in self.milestones:
-            if milestone.label.startswith("decided"):
-                return milestone.time
-        return None
-
     def between(self, start: float, end: float) -> List[Milestone]:
         return [m for m in self.milestones if start <= m.time <= end]
 

@@ -53,7 +53,7 @@ from repro.results.store import open_store
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.smr import is_smr_workload
 
-__all__ = ["main", "build_parser", "WORKLOADS"]
+__all__ = ["main", "build_parser"]
 
 
 def _workload_kwargs(args: argparse.Namespace, params: TimingParams) -> Dict[str, object]:
@@ -355,7 +355,7 @@ def _command_results(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_record_report
     from repro.errors import ResultSchemaError, ResultStoreError
     from repro.harness.tables import render_table
-    from repro.results import diff_aggregates, export_csv, export_json
+    from repro.results.query import diff_aggregates, export_csv, export_json
 
     command = args.results_command
     specs = [args.store_a, args.store_b] if command == "diff" else [args.store]

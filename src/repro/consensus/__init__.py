@@ -12,23 +12,3 @@ safety specification) and the three comparison protocols:
   of Pedone et al. over the weak ordering oracle, plus the paper's
   Section 5 modification.
 """
-
-from repro.consensus.base import ConsensusProcess, ProtocolBuilder
-from repro.consensus.quorum import QuorumCounter, ValueQuorum, majority
-from repro.consensus.registry import PROTOCOLS, protocol_builder
-from repro.consensus.spec import SafetyReport, check_safety
-from repro.consensus.values import DecisionOutcome, RunOutcome
-
-__all__ = [
-    "ConsensusProcess",
-    "DecisionOutcome",
-    "PROTOCOLS",
-    "ProtocolBuilder",
-    "QuorumCounter",
-    "RunOutcome",
-    "SafetyReport",
-    "ValueQuorum",
-    "check_safety",
-    "majority",
-    "protocol_builder",
-]

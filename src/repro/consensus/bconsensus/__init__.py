@@ -13,21 +13,3 @@ paper, the implementation here is a faithful-in-spirit reconstruction with a
 provably safe voting rule (vote-or-abstain, documented in
 :mod:`repro.consensus.bconsensus.common`).
 """
-
-from repro.consensus.bconsensus.messages import ABSTAIN, BDecision, FirstPayload, Vote
-from repro.consensus.bconsensus.modified import (
-    ModifiedBConsensusBuilder,
-    ModifiedBConsensusProcess,
-)
-from repro.consensus.bconsensus.original import BConsensusBuilder, BConsensusProcess
-
-__all__ = [
-    "ABSTAIN",
-    "BConsensusBuilder",
-    "BConsensusProcess",
-    "BDecision",
-    "FirstPayload",
-    "ModifiedBConsensusBuilder",
-    "ModifiedBConsensusProcess",
-    "Vote",
-]

@@ -7,15 +7,3 @@ replayed by restarting processes — can force the post-stabilization leader
 through one ballot bump per obsolete ballot, i.e. ``O(Nδ)`` in the worst
 case.  Experiment E2 reproduces exactly that behaviour.
 """
-
-from repro.consensus.paxos.acceptor import AcceptorState
-from repro.consensus.paxos.proposer import ProposerAttempt, ProposerState
-from repro.consensus.paxos.traditional import TraditionalPaxosBuilder, TraditionalPaxosProcess
-
-__all__ = [
-    "AcceptorState",
-    "ProposerAttempt",
-    "ProposerState",
-    "TraditionalPaxosBuilder",
-    "TraditionalPaxosProcess",
-]

@@ -10,7 +10,7 @@ bookkeeping out so the protocol code reads like the paper's pseudo-code.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set
 
 from repro.errors import ConfigurationError
 
@@ -56,12 +56,6 @@ class QuorumCounter:
     def reached(self, key: Hashable) -> bool:
         return self.count(key) >= self.threshold
 
-    def keys_with_quorum(self) -> list:
-        return sorted(
-            (key for key, senders in self._senders.items() if len(senders) >= self.threshold),
-            key=repr,
-        )
-
     def clear(self, key: Optional[Hashable] = None) -> None:
         """Forget one key's senders, or everything when ``key`` is None."""
         if key is None:
@@ -100,20 +94,6 @@ class ValueQuorum:
     def votes(self, key: Hashable) -> Dict[int, Any]:
         return dict(self._votes.get(key, ()))
 
-    def unanimous_value(self, key: Hashable) -> Optional[Any]:
-        """The single value reported by a full quorum, if any.
-
-        Returns the value only when a quorum of senders reported for ``key``
-        *and* every one of them reported the same value.
-        """
-        votes = self._votes.get(key)
-        if not votes or len(votes) < self.threshold:
-            return None
-        values = set(votes.values())
-        if len(values) == 1:
-            return next(iter(values))
-        return None
-
     def quorum_value(self, key: Hashable) -> Optional[Any]:
         """A value reported by at least ``threshold`` distinct senders, if any."""
         votes = self._votes.get(key)
@@ -126,17 +106,6 @@ class ValueQuorum:
             if count >= self.threshold:
                 return value
         return None
-
-    def plurality_value(self, key: Hashable) -> Optional[Tuple[Any, int]]:
-        """The most reported value for ``key`` and its count (ties broken by repr)."""
-        votes = self._votes.get(key)
-        if not votes:
-            return None
-        tally: Dict[Any, int] = defaultdict(int)
-        for value in votes.values():
-            tally[value] += 1
-        best = sorted(tally.items(), key=lambda item: (-item[1], repr(item[0])))[0]
-        return best
 
     def clear(self, key: Optional[Hashable] = None) -> None:
         if key is None:

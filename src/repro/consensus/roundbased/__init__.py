@@ -7,18 +7,3 @@ the obsolete-message hazard, but it still has to sit through a full timeout
 for every round whose coordinator crashed before stabilization — up to
 ``⌈N/2⌉ − 1`` of them, hence ``O(Nδ)``.  Experiment E3 reproduces that.
 """
-
-from repro.consensus.roundbased.messages import Ack, Propose, RoundDecision, StartRound
-from repro.consensus.roundbased.rotating import (
-    RotatingCoordinatorBuilder,
-    RotatingCoordinatorProcess,
-)
-
-__all__ = [
-    "Ack",
-    "Propose",
-    "RotatingCoordinatorBuilder",
-    "RotatingCoordinatorProcess",
-    "RoundDecision",
-    "StartRound",
-]

@@ -18,34 +18,3 @@ The proof in the paper yields the decision bound ``TS + ε + 3τ + 5δ`` with
 ``τ = max(2δ + ε, σ)``; :mod:`repro.core.timing` computes those bounds and
 the experiments compare them against measured decision times.
 """
-
-from repro.core.messages import Decision, Phase1a, Phase1b, Phase2a, Phase2b
-from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.core.sessions import (
-    SessionTracker,
-    ballot_for,
-    initial_ballot,
-    next_session_ballot,
-    owner_of,
-    session_of,
-)
-from repro.core.timing import decision_bound, restart_decision_bound, simple_bound_in_delta
-
-__all__ = [
-    "Decision",
-    "ModifiedPaxosBuilder",
-    "ModifiedPaxosProcess",
-    "Phase1a",
-    "Phase1b",
-    "Phase2a",
-    "Phase2b",
-    "SessionTracker",
-    "ballot_for",
-    "decision_bound",
-    "initial_ballot",
-    "next_session_ballot",
-    "owner_of",
-    "restart_decision_bound",
-    "session_of",
-    "simple_bound_in_delta",
-]

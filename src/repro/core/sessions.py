@@ -89,10 +89,6 @@ class SessionTracker:
             raise ConfigurationError(f"sender must be a pid in [0, {self.n}), got {sender}")
         self._senders[session_of(ballot, self.n)].add(sender)
 
-    def senders_in(self, session: int) -> Set[int]:
-        """Processes heard from with a message of exactly ``session``."""
-        return set(self._senders.get(session, ()))
-
     def count_in(self, session: int) -> int:
         return len(self._senders.get(session, ()))
 

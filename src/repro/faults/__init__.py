@@ -1,17 +1,1 @@
 """Fault injection: crash and restart plans applied to a simulator."""
-
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.schedules import (
-    crash_before_stability,
-    crash_forever,
-    staggered_restarts,
-)
-
-__all__ = [
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "crash_before_stability",
-    "crash_forever",
-    "staggered_restarts",
-]

@@ -83,9 +83,6 @@ class FaultPlan:
         return FaultPlan(self._events + other.events)
 
     # -- queries ----------------------------------------------------------------------
-    def pids_touched(self) -> Set[int]:
-        return {event.pid for event in self._events}
-
     def crashed_at(self, time: float) -> Set[int]:
         """Processes that are down at ``time`` according to the plan."""
         down: Set[int] = set()

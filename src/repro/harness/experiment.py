@@ -216,15 +216,6 @@ class ResultSet:
 
         return ResultSet(row for row in self.rows if matches(row))
 
-    def tag_values(self, key: str) -> List[Any]:
-        """Distinct values of one tag, in first-seen order."""
-        seen: List[Any] = []
-        for row in self.rows:
-            value = row.tags.get(key)
-            if value not in seen:
-                seen.append(value)
-        return seen
-
     def group_by(self, *keys: str) -> Dict[Tuple[Any, ...], "ResultSet"]:
         """Partition by tag values; groups keep first-seen order."""
         if not keys:

@@ -11,43 +11,3 @@ The network realizes the communication model of the paper:
 * duplication is permitted (and exercised by some adversaries) because the
   protocols under study tolerate it.
 """
-
-from repro.net.adversary import (
-    Adversary,
-    AsymmetricLinkAdversary,
-    BenignAdversary,
-    DeferringPartitionAdversary,
-    DropAllAdversary,
-    GrayPartitionAdversary,
-    PartitionAdversary,
-    RandomChaosAdversary,
-    ScriptedAdversary,
-    WorstCaseDelayAdversary,
-)
-from repro.net.message import Envelope, Era, Message
-from repro.net.monitor import NetworkMonitor
-from repro.net.network import Network
-from repro.net.partition import PartitionSpec, minority_groups
-from repro.net.synchrony import EventualSynchrony, validate_delivery_time
-
-__all__ = [
-    "Adversary",
-    "AsymmetricLinkAdversary",
-    "BenignAdversary",
-    "DeferringPartitionAdversary",
-    "DropAllAdversary",
-    "Envelope",
-    "Era",
-    "EventualSynchrony",
-    "GrayPartitionAdversary",
-    "Message",
-    "minority_groups",
-    "Network",
-    "NetworkMonitor",
-    "PartitionAdversary",
-    "PartitionSpec",
-    "RandomChaosAdversary",
-    "ScriptedAdversary",
-    "validate_delivery_time",
-    "WorstCaseDelayAdversary",
-]

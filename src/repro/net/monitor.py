@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.net.message import Envelope, Era
 
@@ -34,19 +34,6 @@ class MessageStats:
     sent_post_ts: int = 0
     by_kind: Counter = field(default_factory=Counter)
     delivered_by_kind: Counter = field(default_factory=Counter)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "to_crashed": self.to_crashed,
-            "sent_pre_ts": self.sent_pre_ts,
-            "sent_post_ts": self.sent_post_ts,
-            "by_kind": dict(self.by_kind),
-            "delivered_by_kind": dict(self.delivered_by_kind),
-        }
 
 
 class NetworkMonitor:

@@ -11,15 +11,3 @@ These are the auxiliary abstractions the paper's discussion relies on:
 * :mod:`repro.oracle.wab` — the weak-atomic-broadcast ordering oracle built
   from logical timestamps plus a ``2δ`` hold-back, Section 5's construction.
 """
-
-from repro.oracle.lamport import LamportClock, LogicalTimestamp
-from repro.oracle.omega import OmegaOracle
-from repro.oracle.wab import WabEndpoint, WabMessage
-
-__all__ = [
-    "LamportClock",
-    "LogicalTimestamp",
-    "OmegaOracle",
-    "WabEndpoint",
-    "WabMessage",
-]

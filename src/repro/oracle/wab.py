@@ -124,10 +124,5 @@ class WabEndpoint:
             self.delivered_count += 1
             self.deliver(payload, origin, timestamp)
 
-    # -- introspection ------------------------------------------------------------------
-    @property
-    def held_count(self) -> int:
-        return len(self._held)
-
     def _persist_clock(self) -> None:
         self.ctx.storage.put(_CLOCK_KEY, self.clock.snapshot())

@@ -77,10 +77,6 @@ class TimingParams:
         """Return a copy with a different keep-alive interval."""
         return replace(self, epsilon=epsilon)
 
-    def with_delta(self, delta: float) -> "TimingParams":
-        """Return a copy with a different message-delay bound."""
-        return replace(self, delta=delta)
-
     def describe(self) -> str:
         """One-line human-readable summary used by reports."""
         return (

@@ -56,44 +56,3 @@ serialized shape changes incompatibly.  The contract:
   :class:`~repro.errors.ResultSchemaError` (naming each offending value)
   when the record is built — never silently coerced at read time.
 """
-
-from repro.results.query import (
-    LagAggregate,
-    diff_aggregates,
-    export_csv,
-    export_json,
-    lag_aggregates,
-    result_set_of,
-)
-from repro.results.record import (
-    SCHEMA_VERSION,
-    RecordBase,
-    RunRecord,
-    content_key_for_task,
-    decode_record_dict,
-    decode_record_json,
-    record_for_task,
-    task_fingerprint,
-)
-from repro.results.smr_record import SmrRecord
-from repro.results.store import JsonlStore, open_store
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "JsonlStore",
-    "LagAggregate",
-    "RecordBase",
-    "RunRecord",
-    "SmrRecord",
-    "content_key_for_task",
-    "decode_record_dict",
-    "decode_record_json",
-    "diff_aggregates",
-    "export_csv",
-    "export_json",
-    "lag_aggregates",
-    "open_store",
-    "record_for_task",
-    "result_set_of",
-    "task_fingerprint",
-]

@@ -19,6 +19,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ResultSchemaError, ResultStoreError
 from repro.results.record import SCHEMA_VERSION, RecordBase, decode_record_json
+# Every record is built for, or decoded by, a store.  Defining SmrRecord
+# registers the "smr" kind, and no other module of the package imports it.
+from repro.results import smr_record  # noqa: F401
 
 __all__ = ["JsonlStore", "open_store"]
 

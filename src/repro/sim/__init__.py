@@ -3,30 +3,7 @@
 The kernel is deliberately protocol-agnostic: it knows about events, virtual
 time, per-process drifting clocks, timers, and the crash/restart lifecycle of
 processes, but nothing about consensus.  Consensus protocols are written
-against :class:`repro.sim.process.Process` and :class:`ProcessContext` and
-are driven entirely by the :class:`repro.sim.simulator.Simulator`.
+against :class:`repro.sim.process.Process` and
+:class:`repro.sim.process.ProcessContext` and are driven entirely by the
+:class:`repro.sim.simulator.Simulator`.
 """
-
-from repro.sim.clock import ClockConfig, DriftingClock
-from repro.sim.events import Event, EventHandle, EventQueue
-from repro.sim.lifecycle import Node, ProcessStatus
-from repro.sim.process import Process, ProcessContext
-from repro.sim.rng import SeededRng
-from repro.sim.simulator import SimulationConfig, Simulator
-from repro.sim.timers import TimerManager
-
-__all__ = [
-    "ClockConfig",
-    "DriftingClock",
-    "Event",
-    "EventHandle",
-    "EventQueue",
-    "Node",
-    "Process",
-    "ProcessContext",
-    "ProcessStatus",
-    "SeededRng",
-    "SimulationConfig",
-    "Simulator",
-    "TimerManager",
-]

@@ -47,16 +47,6 @@ class ClockConfig:
         """Largest real duration a local timer of ``local_duration`` can take."""
         return local_duration / (1.0 - self.rho)
 
-    def sigma_for(self, real_minimum: float) -> float:
-        """The paper's σ: the worst-case real expiry of the session timer.
-
-        With the session timer set to a local duration of
-        ``real_minimum * (1 + rho)`` the real expiry lies in
-        ``[real_minimum, sigma]`` with
-        ``sigma = real_minimum * (1 + rho) / (1 - rho)``.
-        """
-        return self.real_upper_bound(self.local_timeout_for(real_minimum))
-
 
 class DriftingClock:
     """A linear local clock with a constant rate.

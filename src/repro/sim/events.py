@@ -155,13 +155,6 @@ class EventQueue:
         self._handles[seq] = handle
         return handle
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        self._skip_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pop_before(self, horizon: float) -> Optional[tuple]:
         """Remove and return the next live entry firing at or before ``horizon``.
 
@@ -232,16 +225,6 @@ class EventQueue:
         self._cancelled.clear()
         self._handles.clear()
         self._live = 0
-
-    def _skip_cancelled(self) -> None:
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap and cancelled:
-            seq = heap[0][2]
-            if seq not in cancelled:
-                return
-            heapq.heappop(heap)
-            cancelled.discard(seq)
 
     def snapshot(self) -> list:
         """Return the live events in firing order without consuming them.

@@ -75,16 +75,6 @@ class ProcessContext:
         """Size of a strict majority quorum (``⌊N/2⌋ + 1``)."""
         return self.n // 2 + 1
 
-    @property
-    def others(self) -> list[int]:
-        """Ids of all processes except this one."""
-        return [pid for pid in range(self.n) if pid != self.pid]
-
-    @property
-    def all_pids(self) -> list[int]:
-        """Ids of all processes including this one."""
-        return list(range(self.n))
-
     def local_time(self) -> float:
         """Current reading of this process's (drifting) local clock."""
         return self._local_time()

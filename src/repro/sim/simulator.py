@@ -98,7 +98,6 @@ class Simulator:
         self._events = EventQueue()
         self._time = 0.0
         self._started = False
-        self._stop_requested = False
         self.events_processed = 0
 
         self.decisions: Dict[int, DecisionRecord] = {}
@@ -212,9 +211,6 @@ class Simulator:
     def alive_pids(self) -> List[int]:
         return [pid for pid, node in self.nodes.items() if node.status is ProcessStatus.ACTIVE]
 
-    def crashed_pids(self) -> List[int]:
-        return [pid for pid, node in self.nodes.items() if node.status is ProcessStatus.CRASHED]
-
     # -- running ------------------------------------------------------------------------
     def start(self) -> None:
         """Start every node at the current time (idempotent)."""
@@ -223,10 +219,6 @@ class Simulator:
         self._started = True
         for pid in sorted(self.nodes):
             self.nodes[pid].start()
-
-    def request_stop(self) -> None:
-        """Ask the event loop to stop after the current event."""
-        self._stop_requested = True
 
     def step(self) -> bool:
         """Process a single event.  Returns False if no event was available."""
@@ -264,7 +256,7 @@ class Simulator:
         horizon = min(until, self.config.max_time) if until is not None else self.config.max_time
         processed = 0
         pop_before = self._events.pop_before
-        while not self._stop_requested:
+        while True:
             if max_events is not None and processed >= max_events:
                 break
             entry = pop_before(horizon)
@@ -276,7 +268,6 @@ class Simulator:
             processed += 1
             if stop_when is not None and stop_when(self):
                 break
-        self._stop_requested = False
         return self._time
 
     def run_until_decided(

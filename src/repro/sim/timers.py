@@ -12,7 +12,7 @@ incarnation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import SchedulingError
 from repro.sim.clock import DriftingClock
@@ -80,13 +80,6 @@ class TimerManager:
     def pending(self) -> list[str]:
         """Names of timers currently pending, in deterministic order."""
         return sorted(self._pending)
-
-    def remaining_real(self, name: str) -> Optional[float]:
-        """Real seconds until the named timer fires, or ``None`` if not set."""
-        record = self._pending.get(name)
-        if record is None:
-            return None
-        return max(0.0, record.fires_at_real - self._now())
 
     def set(self, name: str, local_delay: float, *, pid_label: str = "") -> TimerRecord:
         """(Re)set the named timer to fire ``local_delay`` local seconds from now."""

@@ -26,46 +26,3 @@ Contents:
 * :mod:`repro.smr.workload` — client command schedules;
 * :mod:`repro.smr.metrics` — per-command latency extraction from traces.
 """
-
-from repro.smr.log import ReplicatedLog
-from repro.smr.messages import (
-    CommandRequest,
-    MultiPhase1a,
-    MultiPhase1b,
-    MultiPhase2a,
-    MultiPhase2b,
-    SlotDecision,
-)
-from repro.smr.metrics import CommandRecord, command_latencies, learned_prefix_lengths
-from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
-from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, digest_string, snapshot_smr_outcome
-from repro.smr.runner import SmrRunResult, run_smr
-from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore, StateMachine
-from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
-
-__all__ = [
-    "SMR_PROTOCOL",
-    "AppendOnlyLedger",
-    "CommandRecord",
-    "CommandRequest",
-    "CommandSchedule",
-    "KeyValueStore",
-    "MultiPaxosSmrBuilder",
-    "MultiPaxosSmrProcess",
-    "MultiPhase1a",
-    "MultiPhase1b",
-    "MultiPhase2a",
-    "MultiPhase2b",
-    "ReplicatedLog",
-    "ScheduleSpec",
-    "SlotDecision",
-    "SmrOutcome",
-    "SmrRunResult",
-    "StateMachine",
-    "command_latencies",
-    "digest_string",
-    "learned_prefix_lengths",
-    "run_smr",
-    "snapshot_smr_outcome",
-    "uniform_schedule",
-]

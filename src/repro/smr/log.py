@@ -84,10 +84,6 @@ class ReplicatedLog:
 
     # -- queries ---------------------------------------------------------------
     @property
-    def decided_slots(self) -> List[int]:
-        return sorted(self._entries)
-
-    @property
     def highest_slot(self) -> int:
         """Highest decided slot, or −1 if the log is empty."""
         return max(self._entries) if self._entries else -1

@@ -15,7 +15,7 @@ tests assert.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ProtocolError
 
@@ -33,10 +33,6 @@ class StateMachine(abc.ABC):
         result = self._apply(command)
         self.applied_count += 1
         return result
-
-    def apply_prefix(self, commands: Sequence[Any]) -> List[Any]:
-        """Apply a sequence of commands (a contiguous log prefix) in order."""
-        return [self.apply(command) for command in commands]
 
     @abc.abstractmethod
     def _apply(self, command: Any) -> Any:

@@ -1,6 +1,6 @@
 """Per-process durable key/value store.
 
-The store is deliberately simple — a dict plus read and write counters —
+The store is deliberately simple — a dict plus a write counter —
 because what matters for the reproduction is the *crash semantics*: values
 written before a crash are visible after restart, values held only in the
 protocol object's attributes are not.  Values must be picklable/copyable
@@ -36,7 +36,6 @@ class StableStore:
         self.owner = owner
         self._data: Dict[str, Any] = {}
         self._writes = 0
-        self._reads = 0
 
     def __repr__(self) -> str:
         return f"StableStore(owner={self.owner}, keys={sorted(self._data)})"
@@ -55,10 +54,6 @@ class StableStore:
         """Number of writes performed (used to account for sync costs)."""
         return self._writes
 
-    @property
-    def read_count(self) -> int:
-        return self._reads
-
     def put(self, key: str, value: Any) -> None:
         """Durably store ``value`` under ``key``."""
         if not isinstance(key, str):
@@ -68,16 +63,9 @@ class StableStore:
 
     def get(self, key: str, default: Any = None) -> Any:
         """Read the value stored under ``key`` or ``default`` if absent."""
-        self._reads += 1
         if key not in self._data:
             return default
         return copy.deepcopy(self._data[key])
-
-    def require(self, key: str) -> Any:
-        """Read a value that must exist; raises :class:`StorageError` otherwise."""
-        if key not in self._data:
-            raise StorageError(f"process {self.owner}: required key {key!r} missing")
-        return self.get(key)
 
     def delete(self, key: str) -> bool:
         """Remove ``key`` if present; returns True if something was removed."""

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.report import render_run_report
-from repro.cli import WORKLOADS, build_parser, main
+from repro.cli import build_parser, main
 from repro.harness.runner import run_scenario
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.stable import stable_scenario
 

@@ -27,14 +27,6 @@ class TestClockConfig:
         slowest = DriftingClock(rate=0.95)
         assert slowest.real_duration(local) == pytest.approx(config.real_upper_bound(local))
 
-    def test_sigma_for_matches_paper_formula(self):
-        config = ClockConfig(rho=0.01)
-        assert config.sigma_for(4.0) == pytest.approx(4.0 * 1.01 / 0.99)
-
-    def test_zero_rho_makes_sigma_equal_minimum(self):
-        config = ClockConfig(rho=0.0)
-        assert config.sigma_for(4.0) == pytest.approx(4.0)
-
 
 class TestDriftingClock:
     def test_rejects_non_positive_rate(self):

@@ -148,7 +148,7 @@ class TestChurn:
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
         assert result.safety.valid
         assert result.decided_all
-        victims = sorted(scenario.fault_plan.pids_touched())
+        victims = sorted({event.pid for event in scenario.fault_plan.events})
         for victim in victims:
             restarts = result.simulator.trace.filter(
                 event="restart", category="node", pid=victim
@@ -158,7 +158,7 @@ class TestChurn:
     def test_churn_delays_victim_decisions_past_the_last_restart(self):
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
         result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
-        victims = sorted(scenario.fault_plan.pids_touched())
+        victims = sorted({event.pid for event in scenario.fault_plan.events})
         decided_values = {r.value for r in result.simulator.all_decisions}
         assert len(decided_values) == 1  # uniform agreement across churn
         for victim in victims:

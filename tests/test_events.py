@@ -33,13 +33,6 @@ class TestOrdering:
         queue.push(5.0, lambda: None, priority=0, label="high-priority")
         assert collect_labels(queue) == ["high-priority", "low-priority"]
 
-    def test_peek_time_returns_earliest_live_event(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(7.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert queue.peek_time() == 2.0
-
     def test_snapshot_lists_events_in_firing_order_without_popping(self):
         queue = EventQueue()
         queue.push(2.0, lambda: None, label="b")
@@ -55,7 +48,6 @@ class TestCancellation:
         keep = queue.push(1.0, lambda: None, label="keep")
         drop = queue.push(0.5, lambda: None, label="drop")
         queue.cancel(drop)
-        assert queue.peek_time() == 1.0
         assert queue.pop().label == "keep"
         assert keep.cancelled is False
 

@@ -268,7 +268,7 @@ class TestRunExperiment:
         results = run_experiment(specs)
         assert len(results) == 2
         assert len(results.filter(case="a")) == 1
-        assert results.tag_values("case") == ["a", "b"]
+        assert [row.tag("case") for row in results] == ["a", "b"]
 
     def test_e8_parallel_matches_serial(self):
         params = default_experiment_params()

@@ -25,7 +25,7 @@ class TestFaultPlanConstruction:
         right = FaultPlan().crash(1, 2.0)
         merged = left.merge(right)
         assert len(merged) == 2
-        assert merged.pids_touched() == {0, 1}
+        assert {event.pid for event in merged.events} == {0, 1}
 
     def test_describe(self):
         assert FaultPlan().describe() == "no faults"
@@ -153,7 +153,7 @@ class TestSchedules:
 
     def test_crash_before_stability_respects_max_faulty(self):
         plan = crash_before_stability(7, ts=10.0, rng=SeededRng(1), max_faulty=1)
-        assert len(plan.pids_touched()) <= 1
+        assert len({event.pid for event in plan.events}) <= 1
 
     def test_crash_before_stability_requires_positive_ts(self):
         with pytest.raises(ConfigurationError):

@@ -35,13 +35,6 @@ class TestCounters:
         assert monitor.stats.duplicated == 1
         assert monitor.stats.to_crashed == 1
 
-    def test_as_dict_roundtrip(self):
-        monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.0))
-        data = monitor.stats.as_dict()
-        assert data["sent"] == 1
-        assert data["by_kind"] == {"phase1a": 1}
-
 
 class TestPostTsSendRate:
     """``post_ts_send_rate(ts, end)`` counts sends in the half-open ``[ts, end)``."""

@@ -71,12 +71,6 @@ class TestDerivedQuantities:
         assert params.epsilon == 0.1
         assert other.delta == params.delta
 
-    def test_with_delta_returns_modified_copy(self):
-        params = TimingParams(delta=1.0)
-        other = params.with_delta(3.0)
-        assert other.delta == 3.0
-        assert params.delta == 1.0
-
     def test_describe_mentions_all_constants(self):
         text = TimingParams().describe()
         for token in ("delta=", "rho=", "epsilon=", "sigma=", "tau="):

@@ -12,11 +12,6 @@ class TestIdentity:
         assert ContextHarness(pid=0, n=5).ctx.majority == 3
         assert ContextHarness(pid=0, n=7).ctx.majority == 4
 
-    def test_others_excludes_self(self):
-        ctx = ContextHarness(pid=2, n=5).ctx
-        assert ctx.others == [0, 1, 3, 4]
-        assert ctx.all_pids == [0, 1, 2, 3, 4]
-
     def test_params_exposed(self):
         harness = ContextHarness(params=make_params(delta=2.0, epsilon=0.3))
         assert harness.ctx.params.delta == 2.0

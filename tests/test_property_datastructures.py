@@ -61,13 +61,13 @@ class TestQuorumProperties:
             max_size=40,
         )
     )
-    def test_value_quorum_unanimity_implies_quorum_value(self, votes):
+    def test_value_quorum_value_has_a_quorum_of_reports(self, votes):
         quorum = ValueQuorum(threshold=3)
         for sender, value in votes:
             quorum.add("k", sender, value)
-        unanimous = quorum.unanimous_value("k")
-        if unanimous is not None:
-            assert quorum.quorum_value("k") == unanimous
+        chosen = quorum.quorum_value("k")
+        if chosen is not None:
+            assert sum(1 for value in quorum.votes("k").values() if value == chosen) >= 3
             assert quorum.reached("k")
 
 
@@ -121,7 +121,7 @@ class TestClockProperties:
         fastest = DriftingClock(rate=1.0 + rho)
         slowest = DriftingClock(rate=max(1e-6, 1.0 - rho))
         assert fastest.real_duration(local) >= minimum - 1e-9
-        assert slowest.real_duration(local) <= config.sigma_for(minimum) + 1e-9
+        assert slowest.real_duration(local) <= config.real_upper_bound(local) + 1e-9
 
 
 class TestLamportProperties:

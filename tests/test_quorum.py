@@ -44,13 +44,12 @@ class TestQuorumCounter:
         counter.add("b", 1)
         assert counter.count("a") == 1 and counter.count("b") == 1
 
-    def test_senders_and_keys_with_quorum(self):
+    def test_senders(self):
         counter = QuorumCounter(threshold=2)
         counter.add("a", 0)
         counter.add("a", 1)
         counter.add("b", 2)
         assert counter.senders("a") == {0, 1}
-        assert counter.keys_with_quorum() == ["a"]
 
     def test_clear_single_key_and_all(self):
         counter = QuorumCounter(threshold=1)
@@ -67,15 +66,6 @@ class TestQuorumCounter:
 
 
 class TestValueQuorum:
-    def test_unanimous_value_requires_full_agreement(self):
-        votes = ValueQuorum(threshold=2)
-        votes.add("r", 0, "v")
-        assert votes.unanimous_value("r") is None  # below threshold
-        votes.add("r", 1, "v")
-        assert votes.unanimous_value("r") == "v"
-        votes.add("r", 2, "w")
-        assert votes.unanimous_value("r") is None  # no longer unanimous
-
     def test_first_report_per_sender_wins(self):
         votes = ValueQuorum(threshold=2)
         votes.add("r", 0, "v")
@@ -89,14 +79,6 @@ class TestValueQuorum:
         assert votes.quorum_value("r") is None
         votes.add("r", 2, "v")
         assert votes.quorum_value("r") == "v"
-
-    def test_plurality_value(self):
-        votes = ValueQuorum(threshold=3)
-        votes.add("r", 0, "v")
-        votes.add("r", 1, "v")
-        votes.add("r", 2, "w")
-        assert votes.plurality_value("r") == ("v", 2)
-        assert votes.plurality_value("empty") is None
 
     def test_reached_and_count(self):
         votes = ValueQuorum(threshold=2)

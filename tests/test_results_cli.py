@@ -7,7 +7,7 @@ import pytest
 
 from helpers import make_run_record
 from repro.cli import main
-from repro.results import JsonlStore
+from repro.results.store import JsonlStore
 
 
 @pytest.fixture

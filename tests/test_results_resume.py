@@ -13,7 +13,7 @@ from repro.harness.executors import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.experiments import default_experiment_params
 from repro.harness.tables import ExperimentTable
-from repro.results import JsonlStore
+from repro.results.store import JsonlStore
 from repro.results.record import content_key_for_task
 
 PARAMS = default_experiment_params()

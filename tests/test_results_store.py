@@ -14,15 +14,8 @@ from helpers import make_run_record
 from repro.errors import ResultStoreError
 from repro.harness.tables import ExperimentTable
 from repro.results import store as store_module
-from repro.results import (
-    JsonlStore,
-    diff_aggregates,
-    export_csv,
-    export_json,
-    lag_aggregates,
-    open_store,
-    result_set_of,
-)
+from repro.results.query import diff_aggregates, export_csv, export_json, lag_aggregates, result_set_of
+from repro.results.store import JsonlStore, open_store
 
 
 READ_PATHS = ("live", "indexed", "rescanned")
@@ -141,7 +134,7 @@ class TestConformance:
         store = store_factory.reread(store)
         results = store.query(protocol="modified-paxos", workload="partitioned-chaos")
         assert len(results) == 2
-        assert results.tag_values("seed") == [1, 2]
+        assert [row.tag("seed") for row in results] == [1, 2]
         table = ExperimentTable.from_result_set(
             results,
             experiment="EX", title="stored", group=("n",),

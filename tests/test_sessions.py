@@ -73,7 +73,6 @@ class TestSessionTracker:
         tracker.observe(ballot=4, sender=1)   # session 1
         assert tracker.count_in(0) == 1
         assert tracker.count_in(1) == 1
-        assert tracker.senders_in(1) == {1}
 
     def test_duplicate_senders_counted_once(self):
         tracker = SessionTracker(n=3)

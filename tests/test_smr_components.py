@@ -45,7 +45,7 @@ class TestReplicatedLog:
         assert log.highest_slot == -1
         assert log.first_gap() == 0
         assert log.contiguous_prefix() == []
-        assert log.decided_slots == []
+        assert list(log.slots()) == []
 
     def test_snapshot_restore_roundtrip(self):
         log = ReplicatedLog()
@@ -91,16 +91,20 @@ class TestKeyValueStore:
     def test_digest_is_order_insensitive_for_same_final_state(self):
         left = KeyValueStore()
         right = KeyValueStore()
-        left.apply_prefix([("set", "a", 1), ("set", "b", 2)])
-        right.apply_prefix([("set", "b", 2), ("set", "a", 1)])
+        for command in [("set", "a", 1), ("set", "b", 2)]:
+            left.apply(command)
+        for command in [("set", "b", 2), ("set", "a", 1)]:
+            right.apply(command)
         assert left.digest() == right.digest()
 
     def test_same_prefix_same_digest(self):
         commands = [("set", "a", 1), ("set", "a", 2), ("delete", "a"), ("set", "b", 3)]
         left = KeyValueStore()
         right = KeyValueStore()
-        left.apply_prefix(commands)
-        right.apply_prefix(commands)
+        for command in commands:
+            left.apply(command)
+        for command in commands:
+            right.apply(command)
         assert left.digest() == right.digest()
 
 
@@ -114,8 +118,10 @@ class TestAppendOnlyLedger:
     def test_digest_reflects_order(self):
         left = AppendOnlyLedger()
         right = AppendOnlyLedger()
-        left.apply_prefix(["a", "b"])
-        right.apply_prefix(["b", "a"])
+        for command in ["a", "b"]:
+            left.apply(command)
+        for command in ["b", "a"]:
+            right.apply(command)
         assert left.digest() != right.digest()
 
 

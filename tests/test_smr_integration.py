@@ -157,7 +157,7 @@ class TestCrashRecoveryFromStableStorage:
         def replica_with_open_vote():
             for pid, node in sorted(simulator.nodes.items()):
                 process = node.process
-                if process is not None and set(process.accepted) - set(process.log.decided_slots):
+                if process is not None and set(process.accepted) - set(process.log.slots()):
                     return pid, process
             return None, None
 

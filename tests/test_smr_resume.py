@@ -14,7 +14,7 @@ from repro.harness.campaign import run_campaign, write_report
 from repro.harness.executors import SerialExecutor, SmrTask
 from repro.harness.experiment import run_smr_tasks
 from repro.harness.experiments import default_experiment_params
-from repro.results import JsonlStore
+from repro.results.store import JsonlStore
 from repro.results.record import content_key_for_task
 from repro.results.smr_record import SmrRecord
 from repro.smr.workload import ScheduleSpec

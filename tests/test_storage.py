@@ -17,13 +17,6 @@ class TestStableStoreBasics:
         assert store.get("missing") is None
         assert store.get("missing", default=5) == 5
 
-    def test_require_raises_for_missing_key(self):
-        store = StableStore(owner=0)
-        with pytest.raises(StorageError):
-            store.require("missing")
-        store.put("x", 1)
-        assert store.require("x") == 1
-
     def test_non_string_keys_rejected(self):
         store = StableStore(owner=0)
         with pytest.raises(StorageError):
@@ -53,13 +46,12 @@ class TestStableStoreBasics:
         assert store.get("x") == 1 and store.get("y") == 2
         assert store.write_count == before + 1
 
-    def test_counts_reads_and_writes(self):
+    def test_reads_are_not_counted_as_writes(self):
         store = StableStore(owner=0)
         store.put("x", 1)
         store.get("x")
         store.get("x")
         assert store.write_count == 1
-        assert store.read_count == 2
 
 
 class TestCrashSemantics:

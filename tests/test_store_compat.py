@@ -18,7 +18,7 @@ import pytest
 
 from repro.harness.executors import SerialExecutor, SmrTask
 from repro.harness.experiment import ExperimentSpec, run_experiment, run_smr_tasks
-from repro.results import JsonlStore
+from repro.results.store import JsonlStore
 from repro.results.record import content_key_for_task, decode_record_json
 from repro.smr.workload import ScheduleSpec
 

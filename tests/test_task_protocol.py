@@ -212,7 +212,7 @@ class TestOneResultRow:
         smr_rows = run_smr_tasks([smr_task(family="smr")])
         results = ResultSet(run_rows + smr_rows)
         assert all(isinstance(row, ResultRow) for row in results)
-        assert results.tag_values("family") == ["run", "smr"]
+        assert [row.tag("family") for row in results] == ["run", "smr"]
         groups = results.group_by("family")
         assert isinstance(groups[("run",)].rows[0].outcome, RunOutcome)
         assert isinstance(groups[("smr",)].rows[0].outcome, SmrOutcome)

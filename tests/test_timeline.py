@@ -36,11 +36,6 @@ class TestExtraction:
         timelines = extract_timelines(crafted_trace(), n=2)
         assert all("send" not in m.label for m in timelines[0].milestones)
 
-    def test_decision_time(self):
-        timelines = extract_timelines(crafted_trace(), n=2)
-        assert timelines[0].decision_time == 6.0
-        assert timelines[1].decision_time is None
-
     def test_between_filter(self):
         timelines = extract_timelines(crafted_trace(), n=2)
         assert len(timelines[0].between(5.0, 6.0)) == 3

@@ -82,13 +82,6 @@ class TestSetAndFire:
         with pytest.raises(SchedulingError):
             manager.set("bad", -0.1)
 
-    def test_remaining_real_reports_time_left(self):
-        manager, scheduler, _ = make_manager()
-        manager.set("t", 5.0)
-        scheduler.now = 2.0
-        assert manager.remaining_real("t") == pytest.approx(3.0)
-        assert manager.remaining_real("unknown") is None
-
     def test_pending_lists_names_sorted(self):
         manager, _, _ = make_manager()
         manager.set("zeta", 1.0)

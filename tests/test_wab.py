@@ -48,7 +48,6 @@ class TestHoldBackDelivery:
         incoming = WabMessage(timestamp=LogicalTimestamp(5, 2), origin=2, payload="x")
         endpoint.on_receive(incoming)
         assert delivered == []
-        assert endpoint.held_count == 1
         # Exactly one oracle timer was armed with the 2-delta hold.
         wab_timers = [name for name in harness.timers if endpoint.handles_timer(name)]
         assert len(wab_timers) == 1
@@ -87,7 +86,6 @@ class TestHoldBackDelivery:
         message = WabMessage(timestamp=LogicalTimestamp(4, 1), origin=1, payload="x")
         endpoint.on_receive(message)
         endpoint.on_receive(message)
-        assert endpoint.held_count == 1
         harness.advance_local_time(5.0)
         endpoint.on_timer("wab-release-1")
         assert len(delivered) == 1
