@@ -1,8 +1,7 @@
 """Small statistics helpers for experiment reporting.
 
 Kept dependency-free (standard-library :mod:`statistics`) so the core
-package has no runtime requirements; :mod:`scipy` is used opportunistically
-for exact t-quantiles when it is installed (it is in the test environment).
+package has no runtime requirements.
 """
 
 from __future__ import annotations
@@ -10,11 +9,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Summary", "summarize", "confidence_interval", "percentile"]
+__all__ = ["Summary", "summarize", "percentile"]
 
 
 @dataclass(frozen=True)
@@ -78,35 +77,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p95=percentile(data, 0.95),
         maximum=maximum,
     )
-
-
-def _t_critical(dof: int, confidence: float) -> float:
-    try:
-        from scipy import stats as scipy_stats  # type: ignore
-
-        return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    except Exception:
-        # Without scipy, fall back to the normal quantile at the *requested*
-        # confidence level (the t-quantile's large-dof limit).  A constant
-        # 1.96 here would silently compute every interval at 95%.
-        return float(statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0))
-
-
-def confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Two-sided confidence interval on the mean of a sample.
-
-    For samples of size one the interval degenerates to the single value.
-    """
-    if not values:
-        raise ConfigurationError("cannot compute a confidence interval of an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError("confidence must be in (0, 1)")
-    data = [float(v) for v in values]
-    mean = statistics.fmean(data)
-    if len(data) == 1:
-        return (mean, mean)
-    std_err = statistics.stdev(data) / math.sqrt(len(data))
-    margin = _t_critical(len(data) - 1, confidence) * std_err
-    return (mean - margin, mean + margin)

@@ -35,44 +35,26 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.consensus.base import ConsensusProcess, ProtocolBuilder
+from repro.consensus.base import ProtocolBuilder
 from repro.consensus.quorum import ValueQuorum
-from repro.core.messages import (
-    Decision,
-    Phase1a,
-    Phase1b,
-    Phase2a,
-    Phase2b,
-    ballot_of,
-)
-from repro.core.sessions import (
-    SessionTracker,
-    initial_ballot,
-    next_session_ballot,
-    owner_of,
-    session_of,
-)
+from repro.core.messages import Decision, Phase1a, Phase1b, Phase2a, Phase2b
+from repro.core.sessions import SessionProcess, initial_ballot, owner_of, session_of
 from repro.net.message import Message
 
 __all__ = ["ModifiedPaxosProcess", "ModifiedPaxosBuilder"]
 
 
-class ModifiedPaxosProcess(ConsensusProcess):
+class ModifiedPaxosProcess(SessionProcess):
     """One process of the Modified Paxos algorithm."""
 
-    SESSION_TIMER = "session"
-    KEEPALIVE_TIMER = "keepalive"
+    PHASE1A = Phase1a
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        n = self.n
         # Volatile state (rebuilt on every incarnation).
-        self._tracker = SessionTracker(n)
         self._promises: Dict[int, Dict[int, Tuple[int, Any]]] = {}
         self._accept_votes = ValueQuorum(self.quorum)
         self._phase2a_sent: set[int] = set()
-        self._session_timer_expired = False
-        self._sent_recently = False
 
         if self.recover_decision():
             # A previous incarnation already decided; keep announcing it.
@@ -81,46 +63,19 @@ class ModifiedPaxosProcess(ConsensusProcess):
             return
 
         # Durable Paxos state (the paper keeps it in stable storage).
-        self.mbal: int = self.recall("mbal", initial_ballot(self.pid, n))
+        self.mbal = self.recall("mbal", initial_ballot(self.pid, self.n))
         self.abal: int = self.recall("abal", -1)
         self.aval: Any = self.recall("aval", None)
 
-        self.ctx.emit("session_enter", session=self.session, ballot=self.mbal, via="start")
-        self._broadcast_phase1a()
-        self._arm_session_timer()
-        self._arm_keepalive()
-
-    @property
-    def session(self) -> int:
-        """The session this process is currently in (``⌊mbal/N⌋``)."""
-        return session_of(self.mbal, self.n)
+        self._start_sessions()
 
     # ------------------------------------------------------------------ timers
-    def on_timer(self, name: str) -> None:
-        if name == self.SESSION_TIMER:
-            self._session_timer_expired = True
-            self._try_start_phase1()
-        elif name == self.KEEPALIVE_TIMER:
-            self._on_keepalive()
-
-    def _arm_session_timer(self) -> None:
-        self.ctx.set_timer(self.SESSION_TIMER, self.ctx.params.session_timeout_local)
-        self._session_timer_expired = False
-
-    def _arm_keepalive(self) -> None:
-        # Once decided, the keep-alive degrades into a slower decision
-        # re-broadcast; before that it enforces the ε rule.
-        period = self.delta if self.has_decided else self.epsilon
-        self.ctx.set_timer(self.KEEPALIVE_TIMER, period * (1.0 + self.rho))
-
     def _on_keepalive(self) -> None:
         if self.has_decided:
             self._broadcast_decision()
-        elif not self._sent_recently:
-            # The ε rule: no phase 1a/2a went out during the last interval.
-            self._broadcast_phase1a()
-        self._sent_recently = False
-        self._arm_keepalive()
+            self._arm_keepalive()
+        else:
+            super()._on_keepalive()
 
     # ------------------------------------------------------------------ messages
     def on_message(self, message: Message, sender: int) -> None:
@@ -132,7 +87,7 @@ class ModifiedPaxosProcess(ConsensusProcess):
             self.ctx.send(Decision(value=self.decided_value), sender)
             return
 
-        ballot = ballot_of(message)
+        ballot = getattr(message, "mbal", -1)
         if ballot >= 0:
             self._tracker.observe(ballot, sender)
 
@@ -148,19 +103,8 @@ class ModifiedPaxosProcess(ConsensusProcess):
         self._try_start_phase1()
 
     # -- phase 1 -----------------------------------------------------------------
-    def _on_phase1a(self, message: Phase1a) -> None:
-        if message.mbal > self.mbal:
-            self._advance_ballot(message.mbal, via="phase1a")
-        if message.mbal >= self.mbal:
-            # Promise to the ballot's owner.  Responding on equality (rather
-            # than the paper's strict inequality) lets the owner count its own
-            # promise, which is necessary when only a bare majority is alive;
-            # it is safe because the promise constraint (mbal >= message.mbal)
-            # already holds.
-            owner = owner_of(message.mbal, self.n)
-            self.ctx.send(
-                Phase1b(mbal=message.mbal, voted_bal=self.abal, voted_val=self.aval), owner
-            )
+    def _promise(self, ballot: int) -> Phase1b:
+        return Phase1b(mbal=ballot, voted_bal=self.abal, voted_val=self.aval)
 
     def _on_phase1b(self, message: Phase1b, sender: int) -> None:
         if owner_of(message.mbal, self.n) != self.pid:
@@ -184,11 +128,7 @@ class ModifiedPaxosProcess(ConsensusProcess):
         self.ctx.broadcast(Phase2a(mbal=ballot, value=value))
 
     # -- phase 2 --------------------------------------------------------------------
-    def _on_phase2a(self, message: Phase2a) -> None:
-        if message.mbal < self.mbal:
-            return
-        if message.mbal > self.mbal:
-            self._advance_ballot(message.mbal, via="phase2a")
+    def _accept(self, message: Phase2a) -> None:
         self.abal = message.mbal
         self.aval = message.value
         self.persist(mbal=self.mbal, abal=self.abal, aval=self.aval)
@@ -202,41 +142,9 @@ class ModifiedPaxosProcess(ConsensusProcess):
                 self.decide_once(value)
                 self._broadcast_decision()
 
-    # -- Start Phase 1 ------------------------------------------------------------------
-    def _try_start_phase1(self) -> None:
-        if self.has_decided or not self._session_timer_expired:
-            return
-        if self.session > 0 and not self._tracker.heard_majority_in(self.session):
-            return
-        new_ballot = next_session_ballot(self.mbal, self.pid, self.n)
-        self.ctx.emit(
-            "start_phase1",
-            ballot=new_ballot,
-            session=session_of(new_ballot, self.n),
-            previous_session=self.session,
-        )
-        self._advance_ballot(new_ballot, via="start_phase1")
-
-    # -- ballot/session bookkeeping ----------------------------------------------------------
-    def _advance_ballot(self, new_ballot: int, via: str) -> None:
-        old_session = self.session
-        self.mbal = new_ballot
+    # -- ballot bookkeeping and sends ------------------------------------------------------
+    def _ballot_changed(self) -> None:
         self.persist(mbal=self.mbal, abal=self.abal, aval=self.aval)
-        if session_of(new_ballot, self.n) > old_session:
-            self._enter_session(via)
-
-    def _enter_session(self, via: str) -> None:
-        session = self.session
-        self._tracker.prune_below(session)
-        self._session_timer_expired = False
-        self.ctx.emit("session_enter", session=session, ballot=self.mbal, via=via)
-        self._arm_session_timer()
-        self._broadcast_phase1a()
-
-    # -- sends -------------------------------------------------------------------------------------
-    def _broadcast_phase1a(self) -> None:
-        self._sent_recently = True
-        self.ctx.broadcast(Phase1a(mbal=self.mbal))
 
     def _broadcast_decision(self) -> None:
         self.ctx.broadcast(Decision(value=self.decided_value), include_self=False)

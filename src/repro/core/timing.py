@@ -18,7 +18,6 @@ from repro.params import TimingParams
 __all__ = [
     "decision_bound",
     "restart_decision_bound",
-    "simple_bound_in_delta",
     "traditional_paxos_worst_case",
     "rotating_coordinator_worst_case",
 ]
@@ -40,11 +39,6 @@ def restart_decision_bound(params: TimingParams) -> float:
     :func:`decision_bound` applied from the restart time.)
     """
     return params.tau + 5.0 * params.delta
-
-
-def simple_bound_in_delta(params: TimingParams) -> float:
-    """The decision bound expressed as a multiple of ``δ`` (the paper's "≈ 17δ")."""
-    return decision_bound(params) / params.delta
 
 
 def traditional_paxos_worst_case(params: TimingParams, obsolete_ballots: int) -> float:

@@ -7,45 +7,15 @@ each process clock as linear with a constant rate drawn from
 second.  Protocols set timers in *local* time, so a timer of local duration
 ``L`` elapses after a real duration in ``[L / (1 + ρ), L / (1 − ρ)]`` — this
 is exactly the envelope the Modified Paxos session timer relies on to fire
-within ``[4δ, σ]`` real seconds.
+within ``[4δ, σ]`` real seconds (:class:`repro.params.TimingParams` programs
+it as ``session_timeout_local``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
 
-__all__ = ["ClockConfig", "DriftingClock"]
-
-
-@dataclass(frozen=True)
-class ClockConfig:
-    """Bounds on clock behaviour.
-
-    Attributes:
-        rho: Maximum rate error after stabilization; rates lie in
-            ``[1 - rho, 1 + rho]``.
-    """
-
-    rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigurationError(f"rho must be in [0, 1), got {self.rho}")
-
-    def local_timeout_for(self, real_minimum: float) -> float:
-        """Local duration whose real elapse is guaranteed to be >= ``real_minimum``.
-
-        A timer set for local duration ``L`` elapses after at least
-        ``L / (1 + rho)`` real seconds, so ``L = real_minimum * (1 + rho)``
-        guarantees the real wait is never shorter than ``real_minimum``.
-        """
-        return real_minimum * (1.0 + self.rho)
-
-    def real_upper_bound(self, local_duration: float) -> float:
-        """Largest real duration a local timer of ``local_duration`` can take."""
-        return local_duration / (1.0 - self.rho)
+__all__ = ["DriftingClock"]
 
 
 class DriftingClock:

@@ -11,31 +11,18 @@ incarnation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.errors import SchedulingError
 from repro.sim.clock import DriftingClock
 from repro.sim.events import EventHandle
 
-__all__ = ["TimerManager", "TimerRecord"]
+__all__ = ["TimerManager"]
 
 ScheduleFn = Callable[..., EventHandle]
 """``schedule(real_time, action, *, label=..., args=...)`` -> handle."""
 CancelFn = Callable[[EventHandle], None]
 FireFn = Callable[[str], None]
-
-
-@dataclass
-class TimerRecord:
-    """Bookkeeping for one pending timer."""
-
-    name: str
-    handle: EventHandle
-    set_at_real: float
-    fires_at_real: float
-    local_delay: float
-    epoch: int
 
 
 class TimerManager:
@@ -63,7 +50,7 @@ class TimerManager:
         self._cancel = cancel
         self._on_fire = on_fire
         self._now = now
-        self._pending: Dict[str, TimerRecord] = {}
+        self._pending: Dict[str, EventHandle] = {}
         self._epoch = 0
 
     def __len__(self) -> int:
@@ -81,37 +68,29 @@ class TimerManager:
         """Names of timers currently pending, in deterministic order."""
         return sorted(self._pending)
 
-    def set(self, name: str, local_delay: float, *, pid_label: str = "") -> TimerRecord:
-        """(Re)set the named timer to fire ``local_delay`` local seconds from now."""
+    def set(self, name: str, local_delay: float, *, pid_label: str = "") -> EventHandle:
+        """(Re)set the named timer to fire ``local_delay`` local seconds from now.
+
+        Returns the pending event's handle; ``handle.time`` is the real firing time.
+        """
         if local_delay < 0:
             raise SchedulingError(f"timer {name!r} set with negative delay {local_delay}")
         self.cancel(name)
-        now = self._now()
-        real_delay = self._clock.real_duration(local_delay)
-        fires_at = now + real_delay
-        epoch = self._epoch
+        fires_at = self._now() + self._clock.real_duration(local_delay)
         label = f"timer:{pid_label}:{name}" if pid_label else f"timer:{name}"
         # Bound method + args instead of a closure: one allocation less per
         # timer (re)set, and timers are reset on every protocol cadence tick.
-        handle = self._schedule(fires_at, self._fire, args=(name, epoch), label=label)
-        record = TimerRecord(
-            name=name,
-            handle=handle,
-            set_at_real=now,
-            fires_at_real=fires_at,
-            local_delay=local_delay,
-            epoch=epoch,
-        )
-        self._pending[name] = record
-        return record
+        handle = self._schedule(fires_at, self._fire, args=(name, self._epoch), label=label)
+        self._pending[name] = handle
+        return handle
 
     def cancel(self, name: str) -> bool:
         """Cancel the named timer if pending.  Returns True if one was cancelled."""
-        record = self._pending.pop(name, None)
-        if record is None:
+        handle = self._pending.pop(name, None)
+        if handle is None:
             return False
-        if not record.handle.cancelled:
-            self._cancel(record.handle)
+        if not handle.cancelled:
+            self._cancel(handle)
         return True
 
     def invalidate_all(self) -> None:
@@ -124,8 +103,7 @@ class TimerManager:
         if epoch != self._epoch:
             # Timer belongs to a previous incarnation; drop silently.
             return
-        record = self._pending.pop(name, None)
-        if record is None:
+        if self._pending.pop(name, None) is None:
             # Cancelled between scheduling and firing (should have been
             # caught by handle cancellation, but be defensive).
             return

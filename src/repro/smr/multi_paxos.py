@@ -1,8 +1,9 @@
 """Multi-decree Modified Paxos: one ballot (and one phase 1) for every slot.
 
 The session machinery — session-gated Start Phase 1, the ≥4δ session timer,
-the ε keep-alive, session-entry re-broadcasts — is identical to the
-single-decree algorithm in :mod:`repro.core.modified_paxos`; what changes is
+the ε keep-alive, session-entry re-broadcasts — is
+:class:`repro.core.sessions.SessionProcess`, the driver the single-decree
+algorithm in :mod:`repro.core.modified_paxos` extends too; what changes is
 that a ballot covers the whole log:
 
 * a ``MultiPhase1b`` promise reports the sender's accepted values for *all*
@@ -15,7 +16,9 @@ that a ballot covers the whole log:
   instances ... all nonfaulty processes decide within 3 message delays when
   the system is stable";
 * commands submitted at a non-owner are forwarded to the owner of the ballot
-  that process has promised (one extra message delay).
+  that process has promised (one extra message delay);
+* any message from the owner of the current ballot re-arms the session timer,
+  so a healthy leader is not interrupted every ``4δ``.
 
 Log entries are ``(command_id, command)`` pairs so duplicate submissions can
 be recognised; like any at-least-once SMR pipeline, a command can in rare
@@ -29,15 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.consensus.base import ConsensusProcess, ProtocolBuilder
+from repro.consensus.base import ProtocolBuilder
 from repro.consensus.quorum import ValueQuorum
-from repro.core.sessions import (
-    SessionTracker,
-    initial_ballot,
-    next_session_ballot,
-    owner_of,
-    session_of,
-)
+from repro.core.sessions import SessionProcess, initial_ballot, owner_of
 from repro.net.message import Message
 from repro.smr.log import ReplicatedLog
 from repro.smr.messages import (
@@ -59,11 +56,10 @@ _ACCEPTED = "accepted:"
 _LOG = "log:"
 
 
-class MultiPaxosSmrProcess(ConsensusProcess):
+class MultiPaxosSmrProcess(SessionProcess):
     """One replica of the multi-decree Modified Paxos state-machine service."""
 
-    SESSION_TIMER = "session"
-    KEEPALIVE_TIMER = "keepalive"
+    PHASE1A = MultiPhase1a
     SUBMIT_TIMER_PREFIX = "submit-"
 
     def __init__(self, schedule: Optional[List[Tuple[float, str, Any]]] = None) -> None:
@@ -72,11 +68,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        n = self.n
         # Volatile state.
-        self._tracker = SessionTracker(n)
-        self._session_timer_expired = False
-        self._sent_recently = False
         self._promises: Dict[int, Dict[int, MultiPhase1b]] = {}
         self._accept_votes = ValueQuorum(self.quorum)
         self._proposed: Dict[Tuple[int, int], Any] = {}  # (ballot, slot) -> value
@@ -89,7 +81,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         # slot — ``proto:accepted:<slot>`` holds the (ballot, value) vote and
         # ``proto:log:<slot>`` the decided command.  Each write stores only
         # what changed, so a write costs the same however long the log is.
-        self.mbal: int = self.recall("mbal", initial_ballot(self.pid, n))
+        self.mbal = self.recall("mbal", initial_ballot(self.pid, self.n))
         self.accepted: Dict[int, Tuple[int, Any]] = {}
         decided: Dict[int, Any] = {}
         for key in self.ctx.storage:
@@ -100,15 +92,8 @@ class MultiPaxosSmrProcess(ConsensusProcess):
                 decided[int(field[len(_LOG):])] = self.recall(field)
         self.log = ReplicatedLog.restore(decided)
 
-        self.ctx.emit("session_enter", session=self.session, ballot=self.mbal, via="start")
-        self._broadcast_phase1a()
-        self._arm_session_timer()
-        self._arm_keepalive()
+        self._start_sessions()
         self._schedule_submissions()
-
-    @property
-    def session(self) -> int:
-        return session_of(self.mbal, self.n)
 
     @property
     def is_established_leader(self) -> bool:
@@ -118,13 +103,6 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         )
 
     # ------------------------------------------------------------------ timers
-    def _arm_session_timer(self) -> None:
-        self.ctx.set_timer(self.SESSION_TIMER, self.ctx.params.session_timeout_local)
-        self._session_timer_expired = False
-
-    def _arm_keepalive(self) -> None:
-        self.ctx.set_timer(self.KEEPALIVE_TIMER, self.epsilon * (1.0 + self.rho))
-
     def _schedule_submissions(self) -> None:
         now_local = self.ctx.local_time()
         for index, (submit_local, command_id, command) in enumerate(self._schedule):
@@ -132,22 +110,15 @@ class MultiPaxosSmrProcess(ConsensusProcess):
             self.ctx.set_timer(f"{self.SUBMIT_TIMER_PREFIX}{index}", delay)
 
     def on_timer(self, name: str) -> None:
-        if name == self.SESSION_TIMER:
-            self._session_timer_expired = True
-            self._try_start_phase1()
-        elif name == self.KEEPALIVE_TIMER:
-            self._on_keepalive()
-        elif name.startswith(self.SUBMIT_TIMER_PREFIX):
+        if name.startswith(self.SUBMIT_TIMER_PREFIX):
             index = int(name[len(self.SUBMIT_TIMER_PREFIX):])
             _, command_id, command = self._schedule[index]
             self._submit(command_id, command)
+        else:
+            super().on_timer(name)
 
-    def _on_keepalive(self) -> None:
-        if not self._sent_recently:
-            self._broadcast_phase1a()
-        self._sent_recently = False
+    def _after_keepalive(self) -> None:
         self._dispatch_pending()
-        self._arm_keepalive()
 
     # ------------------------------------------------------------------ client commands
     def _submit(self, command_id: str, command: Any) -> None:
@@ -233,18 +204,12 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         self._dispatch_pending()
 
     # -- phase 1 ----------------------------------------------------------------
-    def _on_phase1a(self, message: MultiPhase1a) -> None:
-        if message.mbal > self.mbal:
-            self._advance_ballot(message.mbal, via="phase1a")
-        if message.mbal >= self.mbal:
-            owner = owner_of(message.mbal, self.n)
-            accepted = self.accepted
-            votes = tuple(
-                (slot, accepted[slot]) for slot in sorted(accepted.keys() - self.log.slots())
-            )
-            self.ctx.send(
-                MultiPhase1b(mbal=message.mbal, votes=votes, decided=self.log.items()), owner
-            )
+    def _promise(self, ballot: int) -> MultiPhase1b:
+        accepted = self.accepted
+        votes = tuple(
+            (slot, accepted[slot]) for slot in sorted(accepted.keys() - self.log.slots())
+        )
+        return MultiPhase1b(mbal=ballot, votes=votes, decided=self.log.items())
 
     def _on_phase1b(self, message: MultiPhase1b, sender: int) -> None:
         # Decided entries are useful regardless of the ballot.  Only entries
@@ -302,11 +267,7 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         self.ctx.emit("phase2a", ballot=ballot, slot=slot)
         self.ctx.broadcast(MultiPhase2a(mbal=ballot, slot=slot, value=value))
 
-    def _on_phase2a(self, message: MultiPhase2a) -> None:
-        if message.mbal < self.mbal:
-            return
-        if message.mbal > self.mbal:
-            self._advance_ballot(message.mbal, via="phase2a")
+    def _accept(self, message: MultiPhase2a) -> None:
         vote = (message.mbal, message.value)
         self.accepted[message.slot] = vote
         self.persist(mbal=self.mbal, **{f"{_ACCEPTED}{message.slot}": vote})
@@ -333,41 +294,11 @@ class MultiPaxosSmrProcess(ConsensusProcess):
         if slot >= self._next_slot:
             self._next_slot = slot + 1
 
-    # ------------------------------------------------------------------ Start Phase 1
-    def _try_start_phase1(self) -> None:
-        if not self._session_timer_expired:
-            return
-        if self.session > 0 and not self._tracker.heard_majority_in(self.session):
-            return
-        new_ballot = next_session_ballot(self.mbal, self.pid, self.n)
-        self.ctx.emit(
-            "start_phase1",
-            ballot=new_ballot,
-            session=session_of(new_ballot, self.n),
-            previous_session=self.session,
-        )
-        self._advance_ballot(new_ballot, via="start_phase1")
-
-    def _advance_ballot(self, new_ballot: int, via: str) -> None:
-        old_session = self.session
-        self.mbal = new_ballot
-        self.persist(mbal=new_ballot)
-        if self._established_ballot is not None and self._established_ballot != new_ballot:
+    # ------------------------------------------------------------------ ballot bookkeeping
+    def _ballot_changed(self) -> None:
+        self.persist(mbal=self.mbal)
+        if self._established_ballot is not None and self._established_ballot != self.mbal:
             self._established_ballot = None
-        if session_of(new_ballot, self.n) > old_session:
-            self._enter_session(via)
-
-    def _enter_session(self, via: str) -> None:
-        self._tracker.prune_below(self.session)
-        self._session_timer_expired = False
-        self.ctx.emit("session_enter", session=self.session, ballot=self.mbal, via=via)
-        self._arm_session_timer()
-        self._broadcast_phase1a()
-
-    # ------------------------------------------------------------------ helpers
-    def _broadcast_phase1a(self) -> None:
-        self._sent_recently = True
-        self.ctx.broadcast(MultiPhase1a(mbal=self.mbal))
 
 
 class MultiPaxosSmrBuilder(ProtocolBuilder):

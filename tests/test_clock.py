@@ -1,31 +1,32 @@
-"""Unit tests for drifting clocks (`repro.sim.clock`)."""
+"""Unit tests for drifting clocks (`repro.sim.clock`) and the session timer they drive."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.clock import ClockConfig, DriftingClock
+from repro.params import TimingParams
+from repro.sim.clock import DriftingClock
 
 
-class TestClockConfig:
+class TestSessionTimerEnvelope:
+    """``TimingParams`` programs the session timer for the drifting clocks."""
+
     def test_rejects_out_of_range_rho(self):
         with pytest.raises(ConfigurationError):
-            ClockConfig(rho=-0.1)
+            TimingParams(rho=-0.1)
         with pytest.raises(ConfigurationError):
-            ClockConfig(rho=1.0)
+            TimingParams(rho=1.0)
 
-    def test_local_timeout_guarantees_real_minimum(self):
-        config = ClockConfig(rho=0.05)
-        local = config.local_timeout_for(4.0)
-        # The fastest admissible clock (rate 1 + rho) turns this local
-        # duration into exactly the requested real minimum.
+    def test_session_timeout_lasts_four_delta_on_fastest_clock(self):
+        params = TimingParams(delta=1.0, rho=0.05)
+        # The fastest admissible clock (rate 1 + rho) turns the programmed
+        # local duration into exactly the real minimum, 4δ.
         fastest = DriftingClock(rate=1.05)
-        assert fastest.real_duration(local) == pytest.approx(4.0)
+        assert fastest.real_duration(params.session_timeout_local) == pytest.approx(4.0)
 
-    def test_real_upper_bound_on_slowest_clock(self):
-        config = ClockConfig(rho=0.05)
-        local = config.local_timeout_for(4.0)
+    def test_session_timeout_lasts_sigma_on_slowest_clock(self):
+        params = TimingParams(delta=1.0, rho=0.05)
         slowest = DriftingClock(rate=0.95)
-        assert slowest.real_duration(local) == pytest.approx(config.real_upper_bound(local))
+        assert slowest.real_duration(params.session_timeout_local) == pytest.approx(params.sigma)
 
 
 class TestDriftingClock:

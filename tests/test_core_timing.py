@@ -6,7 +6,6 @@ from repro.core.timing import (
     decision_bound,
     restart_decision_bound,
     rotating_coordinator_worst_case,
-    simple_bound_in_delta,
     traditional_paxos_worst_case,
 )
 from repro.params import TimingParams
@@ -21,7 +20,7 @@ class TestDecisionBound:
     def test_paper_headline_about_seventeen_delta(self):
         # sigma ~= 4 delta and epsilon << delta gives the paper's "about 17 delta".
         params = TimingParams(delta=1.0, rho=0.001, epsilon=0.01)
-        assert simple_bound_in_delta(params) == pytest.approx(17.0, abs=0.2)
+        assert decision_bound(params) / params.delta == pytest.approx(17.0, abs=0.2)
 
     def test_bound_scales_linearly_with_delta(self):
         small = TimingParams(delta=1.0, rho=0.0, epsilon=0.1)

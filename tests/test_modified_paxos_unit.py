@@ -1,14 +1,15 @@
 """Transition-level unit tests for Modified Paxos (`repro.core.modified_paxos`).
 
 Each test drives a single process through the relevant rule of Section 4
-using the :class:`tests.helpers.ContextHarness`, without a simulator.
+using the :class:`tests.helpers.ContextHarness`, without a simulator.  The
+session rules of :class:`repro.core.sessions.SessionProcess` are tested for
+both Modified Paxos variants in ``tests/test_sessions.py``.
 """
 
 import pytest
 
 from repro.core.messages import Decision, Phase1a, Phase1b, Phase2a, Phase2b
 from repro.core.modified_paxos import ModifiedPaxosBuilder, ModifiedPaxosProcess
-from repro.core.sessions import ballot_for
 
 from tests.helpers import ContextHarness, make_params
 
@@ -75,15 +76,6 @@ class TestPhase1:
         harness.clear_sent()
         harness.deliver(Phase1a(mbal=4), sender=1)
         assert harness.sent == []  # no promise, and no "rejected" message exists
-
-    def test_entering_new_session_rebroadcasts_phase1a(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.clear_sent()
-        harness.deliver(Phase1a(mbal=4), sender=1)  # session 1
-        rebroadcasts = harness.sent_of_kind("phase1a")
-        assert len(rebroadcasts) == 3
-        assert all(item.message.mbal == 4 for item in rebroadcasts)
-        assert [f for f in harness.emitted_events("session_enter") if f["session"] == 1]
 
     def test_same_session_ballot_increase_does_not_rebroadcast(self):
         harness, process = start_process(pid=0, n=5)
@@ -158,64 +150,7 @@ class TestPhase2:
         assert not process.has_decided
 
 
-class TestStartPhase1Rule:
-    def test_session_zero_timeout_starts_next_session(self):
-        harness, process = start_process(pid=1, n=3)
-        harness.clear_sent()
-        harness.fire_timer("session")
-        # New ballot: session 1 owned by pid 1 -> ballot 4.
-        assert process.mbal == ballot_for(1, 1, 3)
-        assert process.session == 1
-        assert harness.sent_of_kind("phase1a")
-        assert harness.emitted_events("start_phase1")
-
-    def test_timeout_in_higher_session_requires_majority_evidence(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.deliver(Phase1a(mbal=4), sender=1)  # enter session 1 (heard only p1)
-        harness.clear_sent()
-        harness.fire_timer("session")
-        assert process.session == 1  # blocked: no majority heard in session 1
-
-    def test_majority_evidence_after_timeout_triggers_start(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.deliver(Phase1a(mbal=4), sender=1)
-        harness.fire_timer("session")
-        assert process.session == 1
-        # Second distinct sender with a session-1 ballot completes the majority.
-        harness.deliver(Phase1b(mbal=5, voted_bal=-1, voted_val=None), sender=2)
-        assert process.session == 2
-        assert process.mbal == ballot_for(2, 0, 3)
-
-    def test_entering_session_rearms_timer_and_clears_expiry(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.fire_timer("session")
-        assert "session" in harness.timers  # re-armed by the session entry
-        harness.clear_sent()
-        # Without a new expiry, more evidence must not trigger another start.
-        harness.deliver(Phase1a(mbal=ballot_for(1, 1, 3)), sender=1)
-        harness.deliver(Phase1b(mbal=ballot_for(1, 2, 3), voted_bal=-1, voted_val=None), sender=2)
-        assert process.session == 1
-
-
 class TestKeepAlive:
-    def test_keepalive_rebroadcasts_when_idle(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.fire_timer("keepalive")  # nothing sent since start? start sent 1a...
-        # First fire observes the start broadcast, so nothing extra; second fire
-        # with no traffic in between must re-send.
-        harness.clear_sent()
-        harness.fire_timer("keepalive")
-        assert len(harness.sent_of_kind("phase1a")) == 3
-        assert "keepalive" in harness.timers
-
-    def test_keepalive_suppressed_after_recent_send(self):
-        harness, process = start_process(pid=0, n=3)
-        harness.fire_timer("keepalive")
-        harness.deliver(Phase1a(mbal=4), sender=1)  # session entry re-broadcasts 1a
-        harness.clear_sent()
-        harness.fire_timer("keepalive")
-        assert harness.sent_of_kind("phase1a") == []
-
     def test_keepalive_after_decision_rebroadcasts_decision(self):
         harness, process = start_process(pid=0, n=3)
         process.decide_once("v")

@@ -15,7 +15,8 @@ from repro.core.sessions import ballot_for, next_session_ballot, owner_of, sessi
 from repro.errors import ProtocolError
 from repro.net.partition import minority_groups
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
-from repro.sim.clock import ClockConfig, DriftingClock
+from repro.params import TimingParams
+from repro.sim.clock import DriftingClock
 from repro.sim.rng import SeededRng
 from repro.smr.log import ReplicatedLog
 from repro.storage.stable import StableStore
@@ -114,14 +115,14 @@ class TestClockProperties:
         clock = DriftingClock(rate=rate)
         assert abs(clock.real_duration(clock.local_duration(duration)) - duration) < 1e-6
 
-    @given(rho=st.floats(0.0, 0.2), minimum=st.floats(0.1, 100.0))
-    def test_session_timeout_respects_real_minimum_for_any_admissible_rate(self, rho, minimum):
-        config = ClockConfig(rho=rho)
-        local = config.local_timeout_for(minimum)
+    @given(rho=st.floats(0.0, 0.2), delta=st.floats(0.025, 25.0))
+    def test_session_timeout_respects_real_minimum_for_any_admissible_rate(self, rho, delta):
+        params = TimingParams(delta=delta, rho=rho)
+        local = params.session_timeout_local
         fastest = DriftingClock(rate=1.0 + rho)
         slowest = DriftingClock(rate=max(1e-6, 1.0 - rho))
-        assert fastest.real_duration(local) >= minimum - 1e-9
-        assert slowest.real_duration(local) <= config.real_upper_bound(local) + 1e-9
+        assert fastest.real_duration(local) >= 4.0 * delta - 1e-9
+        assert slowest.real_duration(local) <= params.sigma + 1e-9
 
 
 class TestLamportProperties:

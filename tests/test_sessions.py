@@ -1,8 +1,17 @@
-"""Unit tests for session arithmetic and tracking (`repro.core.sessions`)."""
+"""Unit tests for session arithmetic, tracking and the session driver (`repro.core.sessions`).
+
+The driver's rules are tested through both classes that extend
+:class:`SessionProcess`, each driven by :class:`tests.helpers.ContextHarness`.
+"""
+
+from typing import Any, Callable, NamedTuple
 
 import pytest
 
+from repro.core.messages import Phase1b
+from repro.core.modified_paxos import ModifiedPaxosProcess
 from repro.core.sessions import (
+    SessionProcess,
     SessionTracker,
     ballot_for,
     initial_ballot,
@@ -11,6 +20,10 @@ from repro.core.sessions import (
     session_of,
 )
 from repro.errors import ConfigurationError
+from repro.smr.messages import MultiPhase1b
+from repro.smr.multi_paxos import MultiPaxosSmrProcess
+
+from tests.helpers import ContextHarness, make_params
 
 
 class TestArithmetic:
@@ -95,6 +108,112 @@ class TestSessionTracker:
         with pytest.raises(ConfigurationError):
             tracker.observe(ballot=1, sender=5)
 
+    def test_negative_ballot_rejected(self):
+        tracker = SessionTracker(n=3)
+        with pytest.raises(ConfigurationError):
+            tracker.observe(ballot=-1, sender=0)
+
     def test_invalid_n_rejected(self):
         with pytest.raises(ConfigurationError):
             SessionTracker(n=0)
+
+
+class Driver(NamedTuple):
+    """One class extending the session driver, plus its promise message."""
+
+    process_class: type
+    promise: Callable[[int], Any]
+
+    @property
+    def phase1a_kind(self) -> str:
+        return self.process_class.PHASE1A.kind
+
+    def phase1a(self, mbal: int) -> Any:
+        return self.process_class.PHASE1A(mbal=mbal)
+
+    def start(self, pid: int = 0, n: int = 3):
+        harness = ContextHarness(pid=pid, n=n, params=make_params())
+        process = harness.start(self.process_class(), initial_value=f"v{pid}")
+        assert isinstance(process, SessionProcess)
+        return harness, process
+
+
+@pytest.fixture(
+    params=[
+        Driver(ModifiedPaxosProcess, lambda mbal: Phase1b(mbal=mbal, voted_bal=-1, voted_val=None)),
+        Driver(MultiPaxosSmrProcess, lambda mbal: MultiPhase1b(mbal=mbal, votes=(), decided=())),
+    ],
+    ids=["modified-paxos", "multi-paxos-smr"],
+)
+def driver(request) -> Driver:
+    return request.param
+
+
+class TestSessionEntry:
+    def test_entering_new_session_rebroadcasts_phase1a(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        harness.clear_sent()
+        harness.deliver(driver.phase1a(4), sender=1)  # session 1
+        rebroadcasts = harness.sent_of_kind(driver.phase1a_kind)
+        assert len(rebroadcasts) == 3
+        assert all(item.message.mbal == 4 for item in rebroadcasts)
+        assert [f for f in harness.emitted_events("session_enter") if f["session"] == 1]
+
+
+class TestStartPhase1Rule:
+    def test_session_zero_timeout_starts_next_session(self, driver):
+        harness, process = driver.start(pid=1, n=3)
+        harness.clear_sent()
+        harness.fire_timer("session")
+        # New ballot: session 1 owned by pid 1 -> ballot 4.
+        assert process.mbal == ballot_for(1, 1, 3)
+        assert process.session == 1
+        assert harness.sent_of_kind(driver.phase1a_kind)
+        assert harness.emitted_events("start_phase1")
+
+    def test_timeout_in_higher_session_requires_majority_evidence(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        harness.deliver(driver.phase1a(4), sender=1)  # enter session 1 (heard only p1)
+        harness.clear_sent()
+        harness.fire_timer("session")
+        assert process.session == 1  # blocked: no majority heard in session 1
+
+    def test_majority_evidence_after_timeout_triggers_start(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        harness.deliver(driver.phase1a(4), sender=1)
+        harness.fire_timer("session")
+        assert process.session == 1
+        # Second distinct sender with a session-1 ballot completes the majority.
+        harness.deliver(driver.promise(5), sender=2)
+        assert process.session == 2
+        assert process.mbal == ballot_for(2, 0, 3)
+
+    def test_entering_session_rearms_timer_and_clears_expiry(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        harness.fire_timer("session")
+        assert "session" in harness.timers  # re-armed by the session entry
+        harness.clear_sent()
+        # Without a new expiry, more evidence must not trigger another start.
+        harness.deliver(driver.phase1a(ballot_for(1, 1, 3)), sender=1)
+        harness.deliver(driver.promise(ballot_for(1, 2, 3)), sender=2)
+        assert process.session == 1
+
+
+class TestKeepAlive:
+    def test_keepalive_rebroadcasts_when_idle(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        # The first fire sees the start broadcast, so nothing extra is sent;
+        # a second fire with no traffic in between must re-send.
+        harness.fire_timer("keepalive")
+        harness.clear_sent()
+        harness.fire_timer("keepalive")
+        assert len(harness.sent_of_kind(driver.phase1a_kind)) == 3
+        assert "keepalive" in harness.timers
+
+    def test_keepalive_suppressed_after_recent_send(self, driver):
+        harness, process = driver.start(pid=0, n=3)
+        harness.fire_timer("keepalive")
+        harness.deliver(driver.phase1a(4), sender=1)  # session entry re-broadcasts 1a
+        harness.clear_sent()
+        harness.fire_timer("keepalive")
+        assert harness.sent_of_kind(driver.phase1a_kind) == []

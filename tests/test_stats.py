@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import Summary, confidence_interval, percentile, summarize
+from repro.analysis.stats import Summary, percentile, summarize
 from repro.errors import ConfigurationError
 
 
@@ -50,67 +50,6 @@ class TestSummarize:
 
     def test_accepts_ints(self):
         assert summarize([1, 2, 3]).mean == pytest.approx(2.0)
-
-
-class TestConfidenceInterval:
-    def test_interval_contains_mean(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        low, high = confidence_interval(data)
-        assert low < 3.0 < high
-
-    def test_single_value_degenerates(self):
-        assert confidence_interval([4.0]) == (4.0, 4.0)
-
-    def test_tighter_with_more_samples(self):
-        small = confidence_interval([1.0, 2.0, 3.0])
-        large = confidence_interval([1.0, 2.0, 3.0] * 10)
-        assert (large[1] - large[0]) < (small[1] - small[0])
-
-    def test_higher_confidence_widens_interval(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        narrow = confidence_interval(data, confidence=0.80)
-        wide = confidence_interval(data, confidence=0.99)
-        assert (wide[1] - wide[0]) > (narrow[1] - narrow[0])
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            confidence_interval([])
-        with pytest.raises(ConfigurationError):
-            confidence_interval([1.0], confidence=1.5)
-
-
-class TestTCriticalFallback:
-    """The no-scipy fallback must honor the requested confidence level."""
-
-    @pytest.fixture()
-    def no_scipy(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kwargs):
-            if name == "scipy" or name.startswith("scipy."):
-                raise ImportError("scipy blocked for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", blocked)
-
-    def test_fallback_tracks_confidence_level(self, no_scipy):
-        from statistics import NormalDist
-
-        from repro.analysis.stats import _t_critical
-
-        for confidence in (0.80, 0.95, 0.99):
-            expected = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-            assert _t_critical(10, confidence) == pytest.approx(expected)
-        # The regression this guards: every level used to collapse to 1.96.
-        assert _t_critical(10, 0.99) > _t_critical(10, 0.95) > _t_critical(10, 0.80)
-
-    def test_fallback_interval_widens_with_confidence(self, no_scipy):
-        data = [1.0, 2.0, 3.0, 4.0]
-        narrow = confidence_interval(data, confidence=0.80)
-        wide = confidence_interval(data, confidence=0.99)
-        assert (wide[1] - wide[0]) > (narrow[1] - narrow[0])
 
 
 class TestSummaryDataclass:

@@ -65,9 +65,9 @@ def make_manager(rate: float = 1.0):
 class TestSetAndFire:
     def test_set_schedules_at_converted_real_time(self):
         manager, scheduler, _ = make_manager(rate=2.0)
-        record = manager.set("session", 4.0)
+        handle = manager.set("session", 4.0)
         # Local 4.0 at rate 2.0 means 2.0 real seconds.
-        assert record.fires_at_real == pytest.approx(2.0)
+        assert handle.time == pytest.approx(2.0)
         assert scheduler.scheduled[0].time == pytest.approx(2.0)
 
     def test_fire_invokes_callback_and_clears_pending(self):
