@@ -179,7 +179,8 @@ class SessionProcess(ConsensusProcess):
             # promise, which is necessary when only a bare majority is alive;
             # it is safe because the promise constraint (mbal >= message.mbal)
             # already holds.
-            self.ctx.send(self._promise(message.mbal), owner_of(message.mbal, self.n))
+            # ``owner_of`` inlined (hot; n was checked when the tracker was built).
+            self.ctx.send(self._promise(message.mbal), message.mbal % self.ctx.n)
 
     def _on_phase2a(self, message: Any) -> None:
         if message.mbal < self.mbal:

@@ -39,7 +39,14 @@ __all__ = [
 
 
 class Adversary(abc.ABC):
-    """Decides the fate of pre-stabilization messages."""
+    """Decides the fate of pre-stabilization messages.
+
+    Attributes:
+        duplicate_prob: Probability that the network also delivers a
+            duplicate copy of a delivered message (read once per network).
+    """
+
+    duplicate_prob: float = 0.0
 
     @abc.abstractmethod
     def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
@@ -52,10 +59,6 @@ class Adversary(abc.ABC):
         cannot break the synchrony bound after stabilization.
         """
         return None
-
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        """Probability that the network also delivers a duplicate copy."""
-        return 0.0
 
 
 class BenignAdversary(Adversary):
@@ -140,9 +143,6 @@ class RandomChaosAdversary(Adversary):
             return self.ts + rng.delay(0.0, self.max_defer)
         delay = rng.delay(0.05 * self.delta, self.max_delay_factor * self.delta)
         return now + delay
-
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        return self.duplicate_prob
 
 
 class PartitionAdversary(Adversary):
@@ -368,6 +368,7 @@ class WorstCaseDelayAdversary(Adversary):
         self.delta = delta
         self.pre_ts = pre_ts if pre_ts is not None else DropAllAdversary()
         self.jitter = jitter
+        self.duplicate_prob = self.pre_ts.duplicate_prob
 
     def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
         return self.pre_ts.pre_ts_fate(envelope, now, rng)
@@ -376,9 +377,6 @@ class WorstCaseDelayAdversary(Adversary):
         if self.jitter == 0.0:
             return self.delta
         return self.delta * (1.0 - rng.uniform(0.0, self.jitter))
-
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        return self.pre_ts.duplicate_probability(envelope, now)
 
 
 class DeferringPartitionAdversary(Adversary):
@@ -425,9 +423,6 @@ class DeferringPartitionAdversary(Adversary):
                 return self.ts + rng.delay(0.0, self.max_defer)
             return None
         return self.inner.pre_ts_fate(envelope, now, rng)
-
-    def duplicate_probability(self, envelope: Envelope, now: float) -> float:
-        return self.duplicate_prob
 
 
 @dataclass

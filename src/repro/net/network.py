@@ -1,59 +1,43 @@
 """The network: turns sends into scheduled deliveries.
 
 The :class:`Network` is intentionally thin.  It asks the synchrony model for
-each message's fate, schedules the delivery event on its host (the
-simulator), and reports everything to the :class:`repro.net.monitor.NetworkMonitor`.
-Scenario builders can additionally *inject* in-flight messages — the
-mechanism used to install reachable pre-stabilization states (obsolete
-high-ballot messages and the like) without replaying the whole pre-``TS``
-history.
+each message's fate, pushes the delivery event onto its simulator's event
+queue, hands each delivered envelope to its destination node, and reports
+everything to the :class:`repro.net.monitor.NetworkMonitor`.  Scenario
+builders can additionally *inject* in-flight messages — the mechanism used
+to install reachable pre-stabilization states (obsolete high-ballot
+messages and the like) without replaying the whole pre-``TS`` history.
 
-The send path is the hottest code outside the event queue, so
-:meth:`Network.send` keeps its calls few: the era is computed inline from
-the model's ``TS``, the message id from a plain per-network integer counter
-(deterministic per run, no global state), and the delivery is scheduled as
-a pre-bound method plus an argument tuple instead of a fresh closure.  The
+The send path is the hottest code outside the event queue, so a message
+makes one call per layer: ``ProcessContext`` → ``Node._send`` →
+:meth:`Network.send` → ``EventQueue.push``, then ``EventQueue.pop_before`` →
+``Network._deliver`` → ``Node.deliver`` → the protocol.  :meth:`Network.bind`
+keeps the simulator's queue ``push`` and node table and reads the
+adversary's ``duplicate_prob`` once; :meth:`Network.send` reads the clock
+once, takes the era from the model's ``TS`` and the message id from a
+per-network counter (deterministic per run), calls the model's ``fate``
+once, and pushes the pre-bound delivery method with an argument tuple.  The
 network keeps no per-envelope log: :meth:`Network.send` and
-:meth:`Network.inject` return the envelope, the simulator's trace records
-every send and delivery, and the monitor keeps the aggregate counts.
+:meth:`Network.inject` return the envelope; the monitor keeps the counts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Envelope, Era, Message
 from repro.net.monitor import NetworkMonitor
 from repro.net.synchrony import EventualSynchrony
-from repro.sim.events import EventHandle
 from repro.sim.rng import SeededRng
 
-__all__ = ["Network", "TransportHost"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.simulator import Simulator
+
+__all__ = ["Network"]
 
 # Enum member lookups cost a descriptor call; the send path uses these.
 _PRE, _POST = Era.PRE, Era.POST
-
-
-class TransportHost(Protocol):
-    """What the network needs from its host (implemented by the simulator)."""
-
-    def now(self) -> float:
-        """Current real time."""
-
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[..., None],
-        *,
-        label: str = "",
-        args: Tuple = (),
-        cancellable: bool = True,
-    ) -> Optional[EventHandle]:
-        """Schedule ``action(*args)`` at an absolute real time."""
-
-    def deliver_envelope(self, envelope: Envelope) -> bool:
-        """Hand the envelope to its destination; False if the destination is crashed."""
 
 
 class Network:
@@ -74,16 +58,19 @@ class Network:
         self.model = model
         self.rng = rng
         self.monitor = monitor if monitor is not None else NetworkMonitor()
-        self._host: Optional[TransportHost] = None
+        self._simulator: Optional["Simulator"] = None
         self._next_msg_id = 0
-        # Bound once: scheduled as the delivery action for every envelope,
-        # so the send path never builds a closure.
+        # Bound once: pushed as the delivery action for every envelope, so
+        # the send path never builds a closure.
         self._deliver_action = self._deliver
 
     # -- wiring --------------------------------------------------------------
-    def bind(self, host: TransportHost) -> None:
-        """Attach the transport host; must be called before the first send."""
-        self._host = host
+    def bind(self, simulator: "Simulator") -> None:
+        """Attach the simulator; must be called before the first send."""
+        self._simulator = simulator
+        self._push = simulator._events.push
+        self._nodes_get = simulator.nodes.get
+        self._duplicate_prob = self.model.adversary.duplicate_prob
 
     def _next_id(self) -> int:
         msg_id = self._next_msg_id
@@ -93,10 +80,10 @@ class Network:
     # -- the send path --------------------------------------------------------
     def send(self, message: Message, src: int, dst: int) -> Envelope:
         """Send ``message`` from ``src`` to ``dst`` and schedule its fate."""
-        host = self._host
-        if host is None:
-            raise NetworkError("Network.bind(host) must be called before sending")
-        now = host.now()
+        simulator = self._simulator
+        if simulator is None:
+            raise NetworkError("Network.bind(simulator) must be called before sending")
+        now = simulator._time
         model = self.model
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
@@ -105,17 +92,19 @@ class Network:
         monitor.on_send(envelope)
 
         rng = self.rng
+        # ``fate`` never returns a time before ``now``: push without re-checking,
+        # and with no cancellation handle (deliveries are never cancelled).
         deliver_time = model.fate(envelope, now, rng)
         if deliver_time is None:
             envelope.dropped = True
             monitor.on_drop(envelope)
             return envelope
+        envelope.deliver_time = deliver_time
+        self._push(deliver_time, self._deliver_action, 0, "net:deliver", (envelope,), False)
 
-        self._schedule_delivery(envelope, deliver_time)
-
-        duplicate_prob = model.adversary.duplicate_probability(envelope, now)
+        duplicate_prob = self._duplicate_prob
         if duplicate_prob > 0 and rng.coin(duplicate_prob):
-            self._schedule_duplicate(envelope, now)
+            self._send_duplicate(envelope, now)
         return envelope
 
     def inject(
@@ -135,8 +124,8 @@ class Network:
         """
         if deliver_time < send_time:
             raise NetworkError("injected message would be delivered before it was sent")
-        if self._host is None:
-            raise NetworkError("Network.bind(host) must be called before injecting")
+        if self._simulator is None:
+            raise NetworkError("Network.bind(simulator) must be called before injecting")
         envelope = Envelope(
             message=message,
             src=src,
@@ -146,24 +135,16 @@ class Network:
             msg_id=self._next_id(),
         )
         self.monitor.on_inject(envelope)
-        self._schedule_delivery(envelope, deliver_time)
+        envelope.deliver_time = deliver_time
+        # Through ``schedule_at``: a scripted delivery time may lie in the past.
+        self._simulator.schedule_at(
+            deliver_time, self._deliver_action, args=(envelope,), label="net:deliver",
+            cancellable=False,
+        )
         return envelope
 
     # -- internals -------------------------------------------------------------
-    def _schedule_delivery(self, envelope: Envelope, deliver_time: float) -> None:
-        # Deliveries are never cancelled, so the handle allocation is skipped
-        # and the action is the pre-bound method with the envelope as its
-        # argument — no per-delivery closure or label formatting.
-        envelope.deliver_time = deliver_time
-        self._host.schedule_at(
-            deliver_time,
-            self._deliver_action,
-            args=(envelope,),
-            label="net:deliver",
-            cancellable=False,
-        )
-
-    def _schedule_duplicate(self, envelope: Envelope, now: float) -> None:
+    def _send_duplicate(self, envelope: Envelope, now: float) -> None:
         duplicate = Envelope(
             message=envelope.message,
             src=envelope.src,
@@ -179,11 +160,12 @@ class Network:
             duplicate.dropped = True
             self.monitor.on_drop(duplicate)
             return
-        self._schedule_delivery(duplicate, deliver_time)
+        duplicate.deliver_time = deliver_time
+        self._push(deliver_time, self._deliver_action, 0, "net:deliver", (duplicate,), False)
 
     def _deliver(self, envelope: Envelope) -> None:
-        accepted = self._host.deliver_envelope(envelope)
-        if accepted:
+        node = self._nodes_get(envelope.dst)
+        if node is not None and node.deliver(envelope):
             self.monitor.on_deliver(envelope)
         else:
             self.monitor.on_lost_to_crashed(envelope)

@@ -88,7 +88,9 @@ class EventualSynchrony:
         """
         if envelope.era is _PRE:
             when = self.adversary.pre_ts_fate(envelope, now, rng)
-            return validate_delivery_time(envelope, when, now)
+            if when is not None and when < now:
+                validate_delivery_time(envelope, when, now)  # raises, naming the envelope
+            return when
         suggested = self.adversary.post_ts_delay(envelope, now, rng)
         if suggested is None:
             delay = rng.delay(self.post_min_delay_fraction * self.delta, self.delta)

@@ -87,7 +87,8 @@ class SeededRng:
         """Sample a message delay uniformly from ``[low, high]``."""
         if low < 0 or high < low:
             raise ValueError(f"invalid delay bounds [{low}, {high}]")
-        return self._random.uniform(low, high)
+        # ``random.uniform``'s own formula, minus its call frame: bit-identical draws.
+        return low + (high - low) * self._random.random()
 
     def coin(self, probability: float) -> bool:
         """Return True with the given probability."""

@@ -2,20 +2,20 @@
 
 The :class:`Simulator` wires together the event queue, the network, and the
 nodes, and exposes the handful of operations the rest of the library builds
-on: scheduling, message delivery, crash/restart injection, and decision
-recording.  Nodes hand their sends straight to the network.  A simulation is
-deterministic given its configuration (including the seed), which the
-regression tests rely on.
+on: scheduling, crash/restart injection, decision recording, and the run
+loop.  Messages bypass it: nodes hand their sends straight to the network,
+which pushes each delivery onto the event queue and hands it to the
+destination node when it fires.  A simulation is deterministic given its
+configuration (including the seed), which the regression tests rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.trace import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError
-from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
@@ -79,7 +79,7 @@ class Simulator:
         config: Static run configuration.
         process_factory: Builds a fresh protocol instance for a pid.
         network: The network substrate (already constructed with its
-            synchrony model); the simulator binds itself as transport host.
+            synchrony model); the simulator binds it to its queue and nodes.
         initial_values: Proposal per process; defaults to ``"value-<pid>"``.
             A shorter sequence is padded with defaults.
     """
@@ -99,6 +99,10 @@ class Simulator:
         self._time = 0.0
         self._started = False
         self.events_processed = 0
+        # Set by ``run_until_decided``: the pids still to decide, and the
+        # flag ``record_decision`` raises once none is left.
+        self._awaited: Optional[Set[int]] = None
+        self._halt = False
 
         self.decisions: Dict[int, DecisionRecord] = {}
         self.all_decisions: List[DecisionRecord] = []
@@ -123,8 +127,6 @@ class Simulator:
             self.proposals[pid] = value
 
         self.network.bind(self)
-        # Hot-path cache: bound dict lookup for delivery dispatch.
-        self._nodes_get = self.nodes.get
 
     # -- time & scheduling -----------------------------------------------------
     def now(self) -> float:
@@ -172,20 +174,17 @@ class Simulator:
     def cancel(self, handle: EventHandle) -> None:
         self._events.cancel(handle)
 
-    # -- transport host interface -------------------------------------------------
-    def deliver_envelope(self, envelope: Envelope) -> bool:
-        """Deliver an envelope to its destination node (network callback)."""
-        node = self._nodes_get(envelope.dst)
-        if node is None:
-            return False
-        return node.deliver(envelope)
-
     # -- decisions ----------------------------------------------------------------
     def record_decision(self, pid: int, value: Any, incarnation: int) -> None:
         record = DecisionRecord(pid=pid, value=value, time=self._time, incarnation=incarnation)
         self.all_decisions.append(record)
         self.decisions.setdefault(pid, record)
         self.trace.record(self._time, "sim", "decide", pid=pid, value=value)
+        awaited = self._awaited
+        if awaited is not None:
+            awaited.discard(pid)
+            if not awaited:
+                self._halt = True
 
     def decided_pids(self) -> List[int]:
         return sorted(self.decisions)
@@ -244,6 +243,12 @@ class Simulator:
         :meth:`~repro.sim.events.EventQueue.pop_before` — a single combined
         peek-and-pop with no per-event object construction.
 
+        The run stops, after the event being processed, at the first of: the
+        queue holds no event at or before the horizon (``until``, capped by
+        ``config.max_time``); ``max_events`` events were processed;
+        ``stop_when`` returned True; or, under :meth:`run_until_decided`,
+        the last awaited pid decided.
+
         Args:
             until: Stop once the next event would be after this time.
             stop_when: Predicate evaluated after every event; True stops the loop.
@@ -266,7 +271,7 @@ class Simulator:
             entry[3](*entry[4])
             self.events_processed += 1
             processed += 1
-            if stop_when is not None and stop_when(self):
+            if self._halt or (stop_when is not None and stop_when(self)):
                 break
         return self._time
 
@@ -275,12 +280,23 @@ class Simulator:
         pids: Optional[Iterable[int]] = None,
         until: Optional[float] = None,
     ) -> float:
-        """Run until every pid in ``pids`` has decided (default: all processes)."""
-        targets = set(pids) if pids is not None else set(self.nodes)
-        return self.run(
-            until=until,
-            stop_when=lambda sim: targets.issubset(sim.decisions.keys()),
-        )
+        """Run until every pid in ``pids`` has decided (default: all processes).
+
+        :meth:`record_decision` stops the run from inside the event in which
+        the last awaited pid decides, so no predicate runs per event; the run
+        ends at the same event a ``stop_when`` of "every pid has decided"
+        would.  If every pid has already decided, one event is processed (as
+        with that predicate); if one never decides, the run ends at the horizon.
+        """
+        awaited = set(pids) if pids is not None else set(self.nodes)
+        awaited -= self.decisions.keys()
+        self._awaited = awaited
+        self._halt = not awaited
+        try:
+            return self.run(until=until)
+        finally:
+            self._awaited = None
+            self._halt = False
 
     # -- helpers ---------------------------------------------------------------------------
     def _node(self, pid: int) -> Node:

@@ -20,9 +20,11 @@ from repro.storage.stable import StableStore
 __all__ = [
     "ContextHarness",
     "SentMessage",
+    "SilentProcess",
     "capture_sent_envelopes",
     "make_params",
     "make_run_record",
+    "silent_simulator",
     "trace_wire_rows",
 ]
 
@@ -32,6 +34,31 @@ def make_params(**overrides: Any) -> TimingParams:
     values = {"delta": 1.0, "rho": 0.0, "epsilon": 0.5}
     values.update(overrides)
     return TimingParams(**values)
+
+
+class SilentProcess(Process):
+    """Sends nothing and sets no timer, so the queue holds only the network's events."""
+
+    def on_start(self) -> None:
+        pass
+
+    def on_message(self, message: Any, sender: int) -> None:
+        pass
+
+    def on_timer(self, name: str) -> None:
+        pass
+
+
+def silent_simulator(network: Any, n: int = 5):
+    """A started :class:`Simulator` of ``n`` silent processes, bound to ``network``."""
+    from repro.sim.simulator import SimulationConfig, Simulator
+
+    ts = network.model.ts
+    simulator = Simulator(
+        SimulationConfig(n=n, ts=ts, max_time=ts + 1000.0), lambda pid: SilentProcess(), network
+    )
+    simulator.start()
+    return simulator
 
 
 def capture_sent_envelopes(monkeypatch) -> List[Any]:
@@ -64,8 +91,9 @@ def trace_wire_rows(monkeypatch) -> None:
 
     * ``Network.send``: a ``"net"`` ``send`` row (its only caller,
       ``Node._send``, has already checked that the sender is active);
-    * ``Simulator.deliver_envelope``: a ``"net"`` ``deliver`` row, or
-      ``deliver_to_crashed`` when the node does not accept the envelope;
+    * ``Node.deliver``: a ``"net"`` ``deliver`` row, or ``deliver_to_crashed``
+      when the node does not accept the envelope (the network calls it for
+      every delivery whose destination exists);
     * ``Node._on_timer_fired``: a ``"node"`` ``timer`` row when the owner is
       active, before the protocol handles the timer.
 
@@ -74,28 +102,26 @@ def trace_wire_rows(monkeypatch) -> None:
     """
     from repro.net.network import Network
     from repro.sim.lifecycle import Node, ProcessStatus
-    from repro.sim.simulator import Simulator
 
     send = Network.send
-    deliver_envelope = Simulator.deliver_envelope
+    deliver = Node.deliver
     on_timer_fired = Node._on_timer_fired
 
     def tracing_send(self, message, src, dst):
         envelope = send(self, message, src, dst)
-        self._host.trace.record(
+        self._simulator.trace.record(
             envelope.send_time, "net", "send", pid=src, dst=dst, kind=message.kind,
             msg_id=envelope.msg_id, dropped=envelope.dropped,
         )
         return envelope
 
-    def tracing_deliver_envelope(self, envelope):
-        accepted = deliver_envelope(self, envelope)
-        if envelope.dst in self.nodes:
-            self.trace.record(
-                self.now(), "net", "deliver" if accepted else "deliver_to_crashed",
-                pid=envelope.dst, src=envelope.src, kind=envelope.message.kind,
-                msg_id=envelope.msg_id,
-            )
+    def tracing_deliver(self, envelope):
+        accepted = deliver(self, envelope)
+        self.simulator.trace.record(
+            self.simulator.now(), "net", "deliver" if accepted else "deliver_to_crashed",
+            pid=envelope.dst, src=envelope.src, kind=envelope.message.kind,
+            msg_id=envelope.msg_id,
+        )
         return accepted
 
     def tracing_on_timer_fired(self, name):
@@ -104,7 +130,7 @@ def trace_wire_rows(monkeypatch) -> None:
         on_timer_fired(self, name)
 
     monkeypatch.setattr(Network, "send", tracing_send)
-    monkeypatch.setattr(Simulator, "deliver_envelope", tracing_deliver_envelope)
+    monkeypatch.setattr(Node, "deliver", tracing_deliver)
     monkeypatch.setattr(Node, "_on_timer_fired", tracing_on_timer_fired)
 
 

@@ -45,7 +45,7 @@ class TestDropAllAdversary:
         )
 
     def test_no_duplication(self):
-        assert DropAllAdversary().duplicate_probability(make_envelope(), 0.0) == 0.0
+        assert DropAllAdversary().duplicate_prob == 0.0
 
 
 class TestRandomChaosAdversary:
@@ -78,7 +78,7 @@ class TestRandomChaosAdversary:
 
     def test_duplicate_probability_passthrough(self):
         adversary = RandomChaosAdversary(ts=1.0, delta=1.0, duplicate_prob=0.25)
-        assert adversary.duplicate_probability(make_envelope(), 0.0) == 0.25
+        assert adversary.duplicate_prob == 0.25
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -138,6 +138,13 @@ class TestWorstCaseDelayAdversary:
         assert when is not None
         dropping = WorstCaseDelayAdversary(delta=1.0)
         assert dropping.pre_ts_fate(make_envelope(), 1.0, SeededRng(1)) is None
+
+    def test_duplicate_prob_comes_from_the_pre_ts_adversary(self):
+        from repro.net.adversary import WorstCaseDelayAdversary
+
+        chaos = RandomChaosAdversary(ts=1.0, delta=1.0, duplicate_prob=0.25)
+        assert WorstCaseDelayAdversary(delta=1.0, pre_ts=chaos).duplicate_prob == 0.25
+        assert WorstCaseDelayAdversary(delta=1.0).duplicate_prob == 0.0
 
     def test_validation(self):
         from repro.net.adversary import WorstCaseDelayAdversary

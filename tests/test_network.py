@@ -1,7 +1,6 @@
-"""Unit tests for the network transport (`repro.net.network`) with a fake host."""
+"""Unit tests for the network transport (`repro.net.network`) on a real simulator."""
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List
 
 import pytest
 
@@ -11,44 +10,67 @@ from repro.net.adversary import BenignAdversary, DropAllAdversary
 from repro.net.message import Envelope, Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
-from repro.sim.events import EventHandle
 from repro.sim.rng import SeededRng
+from tests.helpers import silent_simulator
 
 
-@dataclass
-class FakeHost:
-    """Implements the TransportHost protocol with manual event firing."""
+class SimHost:
+    """A started five-process simulator seen through the network's eyes.
 
-    time: float = 0.0
-    accept_deliveries: bool = True
-    scheduled: List[Tuple[float, Callable[..., None], tuple, str]] = field(default_factory=list)
-    delivered: List[Envelope] = field(default_factory=list)
+    ``scheduled`` lists the queued events as ``(time, action, args, label)``,
+    ``delivered`` collects the envelopes the nodes accept, setting ``time``
+    moves the clock without firing anything, clearing ``accept_deliveries``
+    crashes every node, and ``fire_all`` runs the queue dry.
+    """
 
-    def now(self) -> float:
-        return self.time
+    def __init__(self, network: Network) -> None:
+        self.simulator = silent_simulator(network)
+        self.delivered: List[Envelope] = []
+        for node in self.simulator.nodes.values():
+            node.deliver = self._recording(node.deliver)
 
-    def schedule_at(self, time, action, *, label="", args=(), cancellable=True):
-        self.scheduled.append((time, action, args, label))
-        if not cancellable:
-            return None
-        return EventHandle(time=time, label=label, seq=len(self.scheduled))
+    def _recording(self, deliver):
+        def recording_deliver(envelope):
+            accepted = deliver(envelope)
+            if accepted:
+                self.delivered.append(envelope)
+            return accepted
 
-    def deliver_envelope(self, envelope: Envelope) -> bool:
-        if not self.accept_deliveries:
-            return False
-        self.delivered.append(envelope)
-        return True
+        return recording_deliver
+
+    @property
+    def time(self) -> float:
+        return self.simulator.now()
+
+    @time.setter
+    def time(self, value: float) -> None:
+        self.simulator._time = value
+
+    @property
+    def accept_deliveries(self) -> bool:
+        return bool(self.simulator.alive_pids())
+
+    @accept_deliveries.setter
+    def accept_deliveries(self, accept: bool) -> None:
+        assert not accept, "a crashed node is not restarted here"
+        for pid in self.simulator.alive_pids():
+            self.simulator.crash(pid)
+
+    @property
+    def scheduled(self):
+        return [
+            (event.time, event.action, event.args, event.label)
+            for event in self.simulator._events.snapshot()
+        ]
 
     def fire_all(self):
-        for _, action, args, _ in list(self.scheduled):
-            action(*args)
+        self.simulator.run()
 
 
 def make_network(ts=0.0, delta=1.0, adversary=None, seed=0):
     model = EventualSynchrony(ts=ts, delta=delta, adversary=adversary)
     network = Network(model=model, rng=SeededRng(seed, label="net"))
-    host = FakeHost()
-    network.bind(host)
+    host = SimHost(network)
     return network, host
 
 
@@ -104,15 +126,15 @@ class TestSendPath:
 class TestDuplication:
     def test_duplicates_delivered_when_adversary_requests(self):
         class DuplicatingAdversary(BenignAdversary):
-            def duplicate_probability(self, envelope, now):
-                return 1.0
+            duplicate_prob = 1.0
 
         network, host = make_network(ts=100.0, adversary=DuplicatingAdversary(delta=1.0))
         network.send(Phase1a(mbal=1), src=0, dst=1)
         host.fire_all()
         assert network.monitor.stats.duplicated == 1
         assert len(host.delivered) == 2
-        original, duplicate = host.delivered
+        # The simulator delivers in time order; the copy may arrive first.
+        original, duplicate = sorted(host.delivered, key=lambda envelope: envelope.msg_id)
         assert original.duplicated_from is None
         assert (duplicate.send_time, duplicate.era) == (original.send_time, original.era)
         assert duplicate.duplicated_from == original.msg_id

@@ -33,7 +33,7 @@ from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
-from tests.helpers import trace_wire_rows
+from tests.helpers import silent_simulator, trace_wire_rows
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
@@ -138,20 +138,7 @@ class TestPerNetworkMessageIds:
         network = Network(
             model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1, label="net")
         )
-
-        class _Host:
-            time = 0.0
-
-            def now(self):
-                return self.time
-
-            def schedule_at(self, time, action, *, label="", args=(), cancellable=True):
-                return None
-
-            def deliver_envelope(self, envelope):
-                return True
-
-        network.bind(_Host())
+        silent_simulator(network)
         return network
 
     def test_fresh_networks_start_at_zero(self):

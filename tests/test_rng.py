@@ -1,5 +1,7 @@
 """Unit tests for the seeded randomness streams (`repro.sim.rng`)."""
 
+import random
+
 import pytest
 
 from repro.sim.rng import SeededRng, derive_seed
@@ -61,6 +63,15 @@ class TestHelpers:
         for _ in range(100):
             delay = rng.delay(0.2, 0.9)
             assert 0.2 <= delay <= 0.9
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 5])
+    def test_delay_draws_equal_random_uniform_bit_for_bit(self, seed):
+        bounds = random.Random(f"bounds/{seed}")
+        rng, reference = SeededRng(seed), random.Random(seed)
+        for draw in range(10_000):
+            low = bounds.choice([0.0, 0.05, 0.1, 1.0]) * bounds.uniform(0.0, 10.0)
+            high = low if draw % 7 == 0 else low + bounds.choice([1e-9, 0.5, 1.0, 20.0])
+            assert rng.delay(low, high) == reference.uniform(low, high), (draw, low, high)
 
     def test_delay_rejects_bad_bounds(self):
         rng = SeededRng(1)
