@@ -10,9 +10,6 @@ safety properties:
 * the analogous round-entry rule of the rotating-coordinator baseline;
 * proposer consistency — a given ballot never carries two different values
   in phase 2a.
-
-A trace that stopped recording at its ``capacity`` (``trace.truncated``)
-fails every check: the events a check would need may be missing.
 """
 
 from __future__ import annotations
@@ -50,20 +47,6 @@ class InvariantReport:
             raise InvariantViolation(f"{self.name}: " + "; ".join(self.violations))
 
 
-def _new_report(name: str, trace: TraceRecorder) -> InvariantReport:
-    """An empty report, already violated if the trace stopped at its capacity.
-
-    A truncated trace lacks the events a check would have to see, so passing
-    it would be vacuous.
-    """
-    report = InvariantReport(name=name, checked=0)
-    if trace.truncated:
-        report.violations.append(
-            f"trace truncated at capacity {trace.capacity}; the check cannot see the whole run"
-        )
-    return report
-
-
 def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
     """Modified Paxos: Start Phase 1 into session ``s ≥ 2`` needs a majority in ``s − 1``.
 
@@ -71,7 +54,7 @@ def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
     the highest session it has entered so far, and verifies each
     ``start_phase1`` event against the state strictly before it.
     """
-    report = _new_report("session-entry-rule", trace)
+    report = InvariantReport(name="session-entry-rule", checked=0)
     quorum = majority(n)
     highest_session: Dict[int, int] = defaultdict(lambda: -1)
 
@@ -99,7 +82,7 @@ def check_session_entry_rule(trace: TraceRecorder, n: int) -> InvariantReport:
 
 def check_rotating_round_entry(trace: TraceRecorder, n: int) -> InvariantReport:
     """Rotating coordinator: timeout-driven entry to round ``r`` needs a majority in ``r − 1``."""
-    report = _new_report("round-entry-rule", trace)
+    report = InvariantReport(name="round-entry-rule", checked=0)
     quorum = majority(n)
     highest_round: Dict[int, int] = defaultdict(lambda: -1)
 
@@ -122,7 +105,7 @@ def check_rotating_round_entry(trace: TraceRecorder, n: int) -> InvariantReport:
 
 def check_unique_phase2a_value(trace: TraceRecorder, n: int) -> InvariantReport:
     """Paxos family: a ballot's phase 2a messages all carry the same value."""
-    report = _new_report("unique-phase2a-value", trace)
+    report = InvariantReport(name="unique-phase2a-value", checked=0)
     values_by_ballot: Dict[int, Set[str]] = defaultdict(set)
     for record in trace.filter(event="phase2a", category="protocol"):
         ballot = record.fields.get("ballot")
@@ -146,7 +129,7 @@ def check_single_session_leadership(trace: TraceRecorder, n: int) -> InvariantRe
     that owns the ballot (``ballot mod n``).  This is structural in the
     implementation but checking it from traces guards against regressions.
     """
-    report = _new_report("single-session-leadership", trace)
+    report = InvariantReport(name="single-session-leadership", checked=0)
     for record in trace.filter(event="phase2a", category="protocol"):
         ballot = record.fields.get("ballot")
         if ballot is None or record.pid is None:

@@ -51,9 +51,6 @@ class ProcessTimeline:
     def add(self, time: float, label: str) -> None:
         self.milestones.append(Milestone(time=time, label=label))
 
-    def between(self, start: float, end: float) -> List[Milestone]:
-        return [m for m in self.milestones if start <= m.time <= end]
-
     def describe(self) -> str:
         lines = [f"p{self.pid}:"]
         lines.extend(f"  {milestone.describe()}" for milestone in self.milestones)
@@ -91,30 +88,20 @@ def extract_timelines(trace: TraceRecorder, n: int) -> Dict[int, ProcessTimeline
     return timelines
 
 
-def render_timelines(
-    trace: TraceRecorder,
-    n: int,
-    ts: Optional[float] = None,
-    only_after: Optional[float] = None,
-) -> str:
+def render_timelines(trace: TraceRecorder, n: int, ts: Optional[float] = None) -> str:
     """Render every process's timeline as text.
 
     Args:
         trace: The run's trace.
         n: Number of processes.
         ts: If given, a marker line is added showing the stabilization time.
-        only_after: If given, milestones before this time are omitted (useful
-            to focus on the post-stabilization part of a long run).
     """
     timelines = extract_timelines(trace, n)
     lines: List[str] = []
     if ts is not None:
         lines.append(f"(stabilization time TS = {ts:g})")
     for pid in sorted(timelines):
-        timeline = timelines[pid]
-        milestones = timeline.milestones
-        if only_after is not None:
-            milestones = [m for m in milestones if m.time >= only_after]
+        milestones = timelines[pid].milestones
         lines.append(f"p{pid}:")
         if not milestones:
             lines.append("   (no milestones)")

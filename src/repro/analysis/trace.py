@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import merge
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
@@ -64,15 +64,9 @@ class TraceRecorder:
     :meth:`last` and :meth:`count` walk only that event's rows.  Every read
     (iteration, :attr:`events`, the queries, :meth:`dump`) builds fresh
     :class:`TraceEvent` objects that share the rows' field dicts.
-
-    Args:
-        capacity: Optional hard cap on stored events; older events are never
-            evicted — recording simply stops and ``truncated`` becomes True.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = capacity
-        self.truncated = False
+    def __init__(self) -> None:
         self._rows: List[tuple] = []
         self._index: Dict[str, List[int]] = {}
 
@@ -95,11 +89,8 @@ class TraceRecorder:
         pid: Optional[int] = None,
         **fields: Any,
     ) -> None:
-        """Append one event (no-op over capacity)."""
+        """Append one event."""
         rows = self._rows
-        if self.capacity is not None and len(rows) >= self.capacity:
-            self.truncated = True
-            return
         self._index.setdefault(event, []).append(len(rows))
         rows.append((time, category, event, pid, fields))
 
@@ -109,7 +100,6 @@ class TraceRecorder:
         event: Union[None, str, Sequence[str]] = None,
         category: Optional[str] = None,
         pid: Optional[int] = None,
-        predicate: Optional[Callable[[TraceEvent], bool]] = None,
     ) -> List[tuple]:
         """Rows matching all the given criteria, in record order."""
         rows = self._rows
@@ -128,8 +118,6 @@ class TraceRecorder:
                 for row in selected
                 if (category is None or row[1] == category) and (pid is None or row[3] == pid)
             ]
-        if predicate is not None:
-            selected = [row for row in selected if predicate(_to_event(row))]
         return selected
 
     def filter(
@@ -137,14 +125,13 @@ class TraceRecorder:
         event: Union[None, str, Sequence[str]] = None,
         category: Optional[str] = None,
         pid: Optional[int] = None,
-        predicate: Optional[Callable[[TraceEvent], bool]] = None,
     ) -> List[TraceEvent]:
         """Events matching all the given criteria, in record order.
 
         ``event`` is one event name or a tuple of names (merged in record
         order).
         """
-        return [_to_event(row) for row in self._select(event, category, pid, predicate)]
+        return [_to_event(row) for row in self._select(event, category, pid)]
 
     def first(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
         """Earliest event with the given name (and optional pid/category)."""

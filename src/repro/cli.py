@@ -264,12 +264,7 @@ def _command_run(args: argparse.Namespace) -> int:
         scenario = WORKLOADS.create(workload, **kwargs)
         # The protocol name and the fault plan are checked when the run
         # starts, so the run itself can still raise a configuration error.
-        result = run_scenario(
-            scenario,
-            protocol,
-            enforce_safety=not args.allow_unsafe,
-            enforce_invariants=not args.allow_unsafe,
-        )
+        result = run_scenario(scenario, protocol, enforce=not args.allow_unsafe)
     except ConfigurationError as error:
         print(error)
         return 2
@@ -278,7 +273,8 @@ def _command_run(args: argparse.Namespace) -> int:
         print()
         print("per-process timeline:")
         print(render_timelines(result.simulator.trace, scenario.config.n, ts=scenario.config.ts))
-    return 0 if result.safety.valid else 1
+    ok = result.safety.valid and all(report.ok for report in result.invariants.values())
+    return 0 if ok else 1
 
 
 def _render_listing(entries: Sequence[Tuple[str, str]]) -> str:

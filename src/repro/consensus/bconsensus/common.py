@@ -41,7 +41,6 @@ from typing import Any, Dict, List
 
 from repro.consensus.base import ConsensusProcess
 from repro.consensus.bconsensus.messages import ABSTAIN, BDecision, FirstPayload, Vote
-from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.oracle.lamport import LogicalTimestamp
 from repro.oracle.wab import WabEndpoint, WabMessage
@@ -58,35 +57,21 @@ class BConsensusCore(ConsensusProcess):
         retransmit_all_rounds: Whether the periodic retransmission re-sends
             the messages of *all* rounds up to the current one (the original
             algorithm's requirement) or only the current round's.
-        retransmit_factor: Retransmission period as a multiple of ``ε``.
-        oracle_hold_factor: Oracle hold-back as a multiple of ``δ``
-            (the paper's construction uses 2).
+
+    Retransmission runs every ``ε``; the oracle holds messages back its
+    default ``2δ``, as in the paper's construction.
     """
 
     RETRANSMIT_TIMER = "b-retransmit"
 
-    def __init__(
-        self,
-        allow_jump: bool,
-        retransmit_all_rounds: bool,
-        retransmit_factor: float = 1.0,
-        oracle_hold_factor: float = 2.0,
-    ) -> None:
+    def __init__(self, allow_jump: bool, retransmit_all_rounds: bool) -> None:
         super().__init__()
-        if retransmit_factor <= 0 or oracle_hold_factor <= 0:
-            raise ConfigurationError("retransmit_factor and oracle_hold_factor must be positive")
         self.allow_jump = allow_jump
         self.retransmit_all_rounds = retransmit_all_rounds
-        self.retransmit_factor = retransmit_factor
-        self.oracle_hold_factor = oracle_hold_factor
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        self.wab = WabEndpoint(
-            self.ctx,
-            deliver=self._on_wab_deliver,
-            hold_real=self.oracle_hold_factor * self.delta,
-        )
+        self.wab = WabEndpoint(self.ctx, deliver=self._on_wab_deliver)
         # round -> origin -> value, in arrival (delivery) order per round.
         self._first_values: Dict[int, Dict[int, Any]] = defaultdict(dict)
         self._first_order: Dict[int, List[Any]] = defaultdict(list)
@@ -109,7 +94,7 @@ class BConsensusCore(ConsensusProcess):
 
     # ------------------------------------------------------------------ timers
     def _arm_retransmit(self) -> None:
-        local = self.retransmit_factor * self.epsilon * (1.0 + self.rho)
+        local = self.epsilon * (1.0 + self.rho)
         self.ctx.set_timer(self.RETRANSMIT_TIMER, local)
 
     def on_timer(self, name: str) -> None:

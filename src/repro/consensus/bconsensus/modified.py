@@ -23,13 +23,8 @@ __all__ = ["ModifiedBConsensusProcess", "ModifiedBConsensusBuilder"]
 class ModifiedBConsensusProcess(BConsensusCore):
     """B-Consensus with the Section 5 modifications."""
 
-    def __init__(self, retransmit_factor: float = 1.0, oracle_hold_factor: float = 2.0) -> None:
-        super().__init__(
-            allow_jump=True,
-            retransmit_all_rounds=False,
-            retransmit_factor=retransmit_factor,
-            oracle_hold_factor=oracle_hold_factor,
-        )
+    def __init__(self) -> None:
+        super().__init__(allow_jump=True, retransmit_all_rounds=False)
 
 
 class ModifiedBConsensusBuilder(ProtocolBuilder):
@@ -37,13 +32,5 @@ class ModifiedBConsensusBuilder(ProtocolBuilder):
 
     name = "modified-b-consensus"
 
-    def __init__(self, retransmit_factor: float = 1.0, oracle_hold_factor: float = 2.0) -> None:
-        super().__init__()
-        self.retransmit_factor = retransmit_factor
-        self.oracle_hold_factor = oracle_hold_factor
-
     def create(self, pid: int) -> ModifiedBConsensusProcess:
-        return ModifiedBConsensusProcess(
-            retransmit_factor=self.retransmit_factor,
-            oracle_hold_factor=self.oracle_hold_factor,
-        )
+        return ModifiedBConsensusProcess()

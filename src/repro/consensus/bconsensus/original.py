@@ -20,13 +20,8 @@ __all__ = ["BConsensusProcess", "BConsensusBuilder"]
 class BConsensusProcess(BConsensusCore):
     """B-Consensus as in Pedone et al.: rounds are executed strictly in order."""
 
-    def __init__(self, retransmit_factor: float = 1.0, oracle_hold_factor: float = 2.0) -> None:
-        super().__init__(
-            allow_jump=False,
-            retransmit_all_rounds=True,
-            retransmit_factor=retransmit_factor,
-            oracle_hold_factor=oracle_hold_factor,
-        )
+    def __init__(self) -> None:
+        super().__init__(allow_jump=False, retransmit_all_rounds=True)
 
 
 class BConsensusBuilder(ProtocolBuilder):
@@ -34,13 +29,5 @@ class BConsensusBuilder(ProtocolBuilder):
 
     name = "b-consensus"
 
-    def __init__(self, retransmit_factor: float = 1.0, oracle_hold_factor: float = 2.0) -> None:
-        super().__init__()
-        self.retransmit_factor = retransmit_factor
-        self.oracle_hold_factor = oracle_hold_factor
-
     def create(self, pid: int) -> BConsensusProcess:
-        return BConsensusProcess(
-            retransmit_factor=self.retransmit_factor,
-            oracle_hold_factor=self.oracle_hold_factor,
-        )
+        return BConsensusProcess()

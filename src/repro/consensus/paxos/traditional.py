@@ -40,13 +40,11 @@ class TraditionalPaxosProcess(ConsensusProcess):
     """One process of traditional Paxos with an Ω oracle."""
 
     LEADER_PULSE_TIMER = "leader-pulse"
+    RETRY_FACTOR = 2.0  # the leader pulse period, in δ
 
-    def __init__(self, oracle: OmegaOracle, retry_factor: float = 2.0) -> None:
+    def __init__(self, oracle: OmegaOracle) -> None:
         super().__init__()
-        if retry_factor <= 0:
-            raise ConfigurationError("retry_factor must be positive")
         self.oracle = oracle
-        self.retry_factor = retry_factor
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -65,7 +63,7 @@ class TraditionalPaxosProcess(ConsensusProcess):
     @property
     def retry_interval(self) -> float:
         """How often a self-believed leader spontaneously restarts phase 1."""
-        return self.retry_factor * self.delta
+        return self.RETRY_FACTOR * self.delta
 
     def _arm_pulse(self) -> None:
         self.ctx.set_timer(self.LEADER_PULSE_TIMER, self.retry_interval * (1.0 + self.rho))
@@ -189,19 +187,17 @@ class TraditionalPaxosBuilder(ProtocolBuilder):
 
     name = "traditional-paxos"
 
-    def __init__(self, retry_factor: float = 2.0, oracle_delay: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.retry_factor = retry_factor
-        self.oracle_delay = oracle_delay
         self.oracle: Optional[OmegaOracle] = None
 
     def attach(self, simulator) -> None:  # type: ignore[override]
         super().attach(simulator)
-        self.oracle = OmegaOracle(simulator, stabilization_delay=self.oracle_delay)
+        self.oracle = OmegaOracle(simulator)
 
     def create(self, pid: int) -> TraditionalPaxosProcess:
         if self.oracle is None:
             raise ConfigurationError(
                 "TraditionalPaxosBuilder.attach(simulator) must be called before create()"
             )
-        return TraditionalPaxosProcess(oracle=self.oracle, retry_factor=self.retry_factor)
+        return TraditionalPaxosProcess(oracle=self.oracle)

@@ -50,9 +50,6 @@ class QuorumCounter:
     def count(self, key: Hashable) -> int:
         return len(self._senders.get(key, ()))
 
-    def senders(self, key: Hashable) -> Set[int]:
-        return set(self._senders.get(key, ()))
-
     def reached(self, key: Hashable) -> bool:
         return self.count(key) >= self.threshold
 

@@ -32,9 +32,9 @@ PROTOCOLS: Dict[str, Tuple[Type[ProtocolBuilder], str]] = {
 }
 
 
-def protocol_builder(name: str, **kwargs) -> ProtocolBuilder:
-    """Instantiate the builder of protocol ``name`` with ``kwargs``."""
+def protocol_builder(name: str) -> ProtocolBuilder:
+    """Instantiate the builder of protocol ``name``."""
     entry = PROTOCOLS.get(name)
     if entry is None:
         raise ConfigurationError(f"unknown protocol {name!r}; available: {', '.join(sorted(PROTOCOLS))}")
-    return entry[0](**kwargs)
+    return entry[0]()

@@ -35,7 +35,7 @@ from typing import Any, Dict, Tuple
 from repro.consensus.base import ConsensusProcess, ProtocolBuilder
 from repro.consensus.quorum import ValueQuorum
 from repro.consensus.roundbased.messages import Ack, Propose, RoundDecision, StartRound, round_of
-from repro.errors import ConfigurationError
+from repro.core.timing import ROUND_TIMEOUT_FACTOR
 from repro.net.message import Message
 
 __all__ = ["RotatingCoordinatorProcess", "RotatingCoordinatorBuilder"]
@@ -46,13 +46,6 @@ class RotatingCoordinatorProcess(ConsensusProcess):
 
     ROUND_TIMER = "round"
     RETRANSMIT_TIMER = "retransmit"
-
-    def __init__(self, round_timeout_factor: float = 4.0, retransmit_factor: float = 1.0) -> None:
-        super().__init__()
-        if round_timeout_factor <= 0 or retransmit_factor <= 0:
-            raise ConfigurationError("timeout factors must be positive")
-        self.round_timeout_factor = round_timeout_factor
-        self.retransmit_factor = retransmit_factor
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -87,11 +80,11 @@ class RotatingCoordinatorProcess(ConsensusProcess):
     # ------------------------------------------------------------------ timers
     def _arm_round_timer(self) -> None:
         self._round_timer_expired = False
-        local = self.round_timeout_factor * self.delta * (1.0 + self.rho)
+        local = ROUND_TIMEOUT_FACTOR * self.delta * (1.0 + self.rho)
         self.ctx.set_timer(self.ROUND_TIMER, local)
 
     def _arm_retransmit(self) -> None:
-        local = self.retransmit_factor * self.delta * (1.0 + self.rho)
+        local = self.delta * (1.0 + self.rho)
         self.ctx.set_timer(self.RETRANSMIT_TIMER, local)
 
     def on_timer(self, name: str) -> None:
@@ -209,16 +202,8 @@ class RotatingCoordinatorBuilder(ProtocolBuilder):
 
     name = "rotating-coordinator"
 
-    def __init__(self, round_timeout_factor: float = 4.0, retransmit_factor: float = 1.0) -> None:
-        super().__init__()
-        self.round_timeout_factor = round_timeout_factor
-        self.retransmit_factor = retransmit_factor
-
     def create(self, pid: int) -> RotatingCoordinatorProcess:
-        return RotatingCoordinatorProcess(
-            round_timeout_factor=self.round_timeout_factor,
-            retransmit_factor=self.retransmit_factor,
-        )
+        return RotatingCoordinatorProcess()
 
     def invariant_checks(self):
         from repro.analysis.invariants import check_rotating_round_entry

@@ -16,11 +16,15 @@ from __future__ import annotations
 from repro.params import TimingParams
 
 __all__ = [
+    "ROUND_TIMEOUT_FACTOR",
     "decision_bound",
     "restart_decision_bound",
     "traditional_paxos_worst_case",
     "rotating_coordinator_worst_case",
 ]
+
+ROUND_TIMEOUT_FACTOR = 4.0
+"""The rotating-coordinator round timeout, in ``δ``: the protocol arms it, the model charges it."""
 
 
 def decision_bound(params: TimingParams) -> float:
@@ -53,12 +57,11 @@ def traditional_paxos_worst_case(params: TimingParams, obsolete_ballots: int) ->
     return (2.0 * obsolete_ballots + 4.0) * params.delta
 
 
-def rotating_coordinator_worst_case(params: TimingParams, faulty_coordinators: int,
-                                    round_timeout_factor: float = 4.0) -> float:
+def rotating_coordinator_worst_case(params: TimingParams, faulty_coordinators: int) -> float:
     """Order-of-magnitude worst case for the rotating-coordinator baseline (Section 3).
 
     Every round whose coordinator crashed before ``TS`` must time out
-    (``round_timeout_factor · δ``) before the next round starts; after the
+    (``ROUND_TIMEOUT_FACTOR · δ``) before the next round starts; after the
     first round with a correct coordinator, deciding takes a few more ``δ``.
     """
-    return (round_timeout_factor * faulty_coordinators + 4.0) * params.delta
+    return (ROUND_TIMEOUT_FACTOR * faulty_coordinators + 4.0) * params.delta

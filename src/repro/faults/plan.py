@@ -78,10 +78,6 @@ class FaultPlan:
         insort(self._events, FaultEvent(time=time, pid=pid, kind=FaultKind.RESTART))
         return self
 
-    def merge(self, other: "FaultPlan") -> "FaultPlan":
-        """A new plan containing the events of both plans."""
-        return FaultPlan(self._events + other.events)
-
     # -- queries ----------------------------------------------------------------------
     def crashed_at(self, time: float) -> Set[int]:
         """Processes that are down at ``time`` according to the plan."""

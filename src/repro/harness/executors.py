@@ -4,7 +4,7 @@ The unit of work is a declarative task — either a :class:`RunTask` (one
 single-decree consensus run: a workload *name* resolved through
 :data:`~repro.workloads.registry.WORKLOADS`, its keyword arguments, a
 protocol *name* resolved through
-:data:`~repro.consensus.registry.PROTOCOLS`, and the run flags) or
+:data:`~repro.consensus.registry.PROTOCOLS`, and grid-point tags) or
 an :class:`SmrTask` (one multi-decree run: an SMR workload name, a
 declarative :class:`~repro.smr.workload.ScheduleSpec`, and a state-machine
 name).  Both kinds share one protocol:
@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.consensus.values import RunOutcome
 from repro.errors import ConfigurationError, ExperimentError
@@ -96,30 +96,22 @@ class RunTask:
     (``n``, ``seed``, ``params``, ...) and must be picklable so the task can
     cross a process boundary.  ``tags`` carry grid-point labels (protocol,
     seed, swept parameters); they are not interpreted by the task, only
-    echoed back alongside the outcome by the experiment layer.
+    echoed back alongside the outcome by the experiment layer.  Every task
+    runs the way :func:`run_scenario` does by default: the protocol's
+    builder with no arguments, stopped at the last expected decision, with
+    a safety or invariant violation raised.
     """
 
     protocol: str
     workload: str
     workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    protocol_kwargs: Mapping[str, Any] = field(default_factory=dict)
     tags: Mapping[str, Any] = field(default_factory=dict)
-    enforce_safety: bool = True
-    enforce_invariants: bool = True
-    run_until_decided: bool = True
 
     kind = "run"
 
     def run(self) -> RunResult:
         """Execute in this process and keep the full result (simulator included)."""
-        return run_scenario(
-            build_task_scenario(self),
-            self.protocol,
-            protocol_kwargs=dict(self.protocol_kwargs) or None,
-            enforce_safety=self.enforce_safety,
-            enforce_invariants=self.enforce_invariants,
-            run_until_decided=self.run_until_decided,
-        )
+        return run_scenario(build_task_scenario(self), self.protocol)
 
     def execute(self) -> RunOutcome:
         """Execute and return the condensed, picklable outcome."""
@@ -201,10 +193,6 @@ class Executor:
         interruption.
         """
         raise NotImplementedError(f"{type(self).__name__} must override Executor.imap()")
-
-    def map(self, tasks: Sequence[AnyTask]) -> List[AnyOutcome]:
-        """Execute every task and return outcomes in task order."""
-        return list(self.imap(tasks))
 
     def close(self) -> None:
         """Release whatever the executor holds (nothing, by default)."""

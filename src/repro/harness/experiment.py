@@ -87,10 +87,10 @@ class ExperimentSpec:
             swept values that are not literal factory parameters (e.g. an
             epsilon that must be folded into ``TimingParams``).  Runs in the
             parent process, so it may close over anything.
-        protocol_kwargs: Extra keyword arguments for the protocol builder.
         tags: Constant tags stamped on every task (e.g. ``case="chaos"``).
-        enforce_safety / enforce_invariants / run_until_decided: Run flags,
-            passed through to :func:`~repro.harness.runner.run_scenario`.
+
+    Every task runs as :class:`~repro.harness.executors.RunTask` runs: to
+    the last expected decision, with violations raised.
     """
 
     workload: str
@@ -99,11 +99,7 @@ class ExperimentSpec:
     base: Mapping[str, Any] = field(default_factory=dict)
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     bind: Optional[Binder] = None
-    protocol_kwargs: Mapping[str, Any] = field(default_factory=dict)
     tags: Mapping[str, Any] = field(default_factory=dict)
-    enforce_safety: bool = True
-    enforce_invariants: bool = True
-    run_until_decided: bool = True
 
     def points(self) -> List[GridPoint]:
         """The cartesian product of the grid, in declaration order."""
@@ -132,11 +128,7 @@ class ExperimentSpec:
                             protocol=protocol,
                             workload=self.workload,
                             workload_kwargs=kwargs,
-                            protocol_kwargs=dict(self.protocol_kwargs),
                             tags={**self.tags, **point, "protocol": protocol, "seed": seed},
-                            enforce_safety=self.enforce_safety,
-                            enforce_invariants=self.enforce_invariants,
-                            run_until_decided=self.run_until_decided,
                         )
                     )
         return tasks
@@ -204,17 +196,12 @@ class ResultSet:
         return ResultSet(self.rows + other.rows)
 
     # -- querying -----------------------------------------------------------
-    def filter(
-        self, predicate: Optional[Callable[[ResultRow], bool]] = None, **tags: Any
-    ) -> "ResultSet":
-        """Rows matching every given tag (and the predicate, if any)."""
-
-        def matches(row: ResultRow) -> bool:
-            if any(row.tags.get(key) != value for key, value in tags.items()):
-                return False
-            return predicate(row) if predicate is not None else True
-
-        return ResultSet(row for row in self.rows if matches(row))
+    def filter(self, **tags: Any) -> "ResultSet":
+        """Rows matching every given tag."""
+        return ResultSet(
+            row for row in self.rows
+            if all(row.tags.get(key) == value for key, value in tags.items())
+        )
 
     def group_by(self, *keys: str) -> Dict[Tuple[Any, ...], "ResultSet"]:
         """Partition by tag values; groups keep first-seen order."""

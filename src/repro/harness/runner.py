@@ -52,28 +52,23 @@ def run_scenario(
     scenario: Scenario,
     protocol: Union[str, ProtocolBuilder],
     *,
-    protocol_kwargs: Optional[dict] = None,
-    enforce_safety: bool = True,
-    enforce_invariants: bool = True,
-    run_until_decided: bool = True,
+    enforce: bool = True,
 ) -> RunResult:
     """Execute ``protocol`` under ``scenario`` and return the analysed result.
+
+    The run stops at the event in which the last of the scenario's expected
+    deciders decides (or at the scenario's horizon if one never does).
 
     Args:
         scenario: The workload to run.
         protocol: A protocol name from
             :data:`~repro.consensus.registry.PROTOCOLS` or a pre-built
             :class:`ProtocolBuilder` instance.
-        protocol_kwargs: Extra keyword arguments for the builder when the
-            protocol is given by name.
-        enforce_safety: Raise if the safety spec is violated (otherwise the
-            report is only attached to the result).
-        enforce_invariants: Raise if a protocol trace invariant is violated.
-        run_until_decided: Stop as soon as every expected decider has decided
-            (otherwise run to the scenario's horizon).
+        enforce: Raise if the safety spec or a protocol trace invariant is
+            violated (otherwise the reports are only attached to the result).
     """
     if isinstance(protocol, str):
-        builder = protocol_builder(protocol, **(protocol_kwargs or {}))
+        builder = protocol_builder(protocol)
         protocol_name = protocol
     else:
         builder = protocol
@@ -81,13 +76,10 @@ def run_scenario(
 
     simulator = scenario.build_simulator(builder)
     deciders = scenario.deciders()
-    if run_until_decided:
-        simulator.run_until_decided(deciders)
-    else:
-        simulator.run()
+    simulator.run_until_decided(deciders)
 
     safety = check_safety(simulator, expected_deciders=deciders)
-    if enforce_safety:
+    if enforce:
         safety.raise_if_violated()
     outcome = compute_run_metrics(simulator, scenario, protocol_name, safety.valid)
 
@@ -95,7 +87,7 @@ def run_scenario(
     for name, check in builder.invariant_checks().items():
         report = check(simulator.trace, scenario.config.n)
         invariants[name] = report
-        if enforce_invariants:
+        if enforce:
             report.raise_if_violated()
 
     return RunResult(

@@ -100,7 +100,7 @@ class Network:
             monitor.on_drop(envelope)
             return envelope
         envelope.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, 0, "net:deliver", (envelope,), False)
+        self._push(deliver_time, self._deliver_action, "net:deliver", (envelope,), False)
 
         duplicate_prob = self._duplicate_prob
         if duplicate_prob > 0 and rng.coin(duplicate_prob):
@@ -161,7 +161,7 @@ class Network:
             self.monitor.on_drop(duplicate)
             return
         duplicate.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, 0, "net:deliver", (duplicate,), False)
+        self._push(deliver_time, self._deliver_action, "net:deliver", (duplicate,), False)
 
     def _deliver(self, envelope: Envelope) -> None:
         node = self._nodes_get(envelope.dst)

@@ -24,8 +24,8 @@ class PartitionSpec:
     """A disjoint grouping of process ids.
 
     A pid -> group-index dict is built once, outside the dataclass fields, so
-    :meth:`group_of` and :meth:`connected` are O(1) while equality, hashing,
-    ``repr`` and the pickled state still cover ``groups`` alone.
+    :meth:`connected` is O(1) while equality, hashing, ``repr`` and the
+    pickled state still cover ``groups`` alone.
     """
 
     groups: Tuple[Tuple[int, ...], ...]
@@ -53,10 +53,6 @@ class PartitionSpec:
     @property
     def pids(self) -> List[int]:
         return sorted(pid for group in self.groups for pid in group)
-
-    def group_of(self, pid: int) -> int:
-        """Index of the group containing ``pid`` (-1 if isolated/unlisted)."""
-        return self._group_index.get(pid, -1)
 
     def connected(self, src: int, dst: int) -> bool:
         """Whether a message from ``src`` to ``dst`` crosses no partition boundary."""

@@ -49,10 +49,6 @@ class LamportClock:
     def counter(self) -> int:
         return self._counter
 
-    def peek(self) -> LogicalTimestamp:
-        """Current timestamp without advancing the clock."""
-        return LogicalTimestamp(self._counter, self.pid)
-
     def tick(self) -> LogicalTimestamp:
         """Advance for a local event (e.g. a send) and return the new timestamp."""
         self._counter += 1

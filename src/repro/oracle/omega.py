@@ -4,9 +4,9 @@ Section 2 of the paper analyses traditional Paxos under the *assumption*
 that "the leader-election procedure is guaranteed to choose a unique,
 nonfaulty leader within O(δ) seconds after the system is stable".  The
 oracle here realizes exactly that assumption without simulating a concrete
-election protocol: after ``ts + stabilization_delay`` every query returns the
-lowest-id process that is up (and, by the model, will stay up); before that,
-the answers are adversary-controlled and may differ between processes.
+election protocol: from ``ts + δ`` on every query returns the lowest-id
+process that is up (and, by the model, will stay up); before that, every
+process trusts itself, so the answers differ between processes.
 
 The oracle is deliberately omniscient — it peeks at the node table — because
 its correctness is an *assumption granted to the baseline*, not a system
@@ -16,46 +16,30 @@ paper's own algorithm, which uses no oracle at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
-
-from repro.errors import ConfigurationError
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
 
 __all__ = ["OmegaOracle"]
 
-PreStabilityLeader = Callable[[int, float], int]
-"""Maps (querying pid, time) to the leader that process trusts before stabilization."""
-
 
 class OmegaOracle:
-    """Eventual leader election with a bounded post-stability convergence delay.
+    """Eventual leader election that converges ``δ`` after ``ts``.
+
+    Before convergence every process trusts itself, the most disruptive
+    benign-looking choice (it maximizes competing ballots).  After it, every
+    query returns the lowest-id process that is up.
 
     Args:
         simulator: The simulator whose node liveness is consulted.
-        stabilization_delay: How long after ``ts`` the oracle may still give
-            wrong or divergent answers; must be O(δ) to honour the paper's
-            assumption (default ``delta``).
-        pre_stability_leader: Optional adversary choice of pre-``TS`` answers;
-            default is "everyone trusts themselves", the most disruptive
-            benign-looking choice (it maximizes competing ballots).
     """
 
-    def __init__(
-        self,
-        simulator: "Simulator",
-        stabilization_delay: Optional[float] = None,
-        pre_stability_leader: Optional[PreStabilityLeader] = None,
-    ) -> None:
+    def __init__(self, simulator: "Simulator") -> None:
         self.simulator = simulator
-        delta = simulator.config.params.delta
-        self.stabilization_delay = (
-            stabilization_delay if stabilization_delay is not None else delta
-        )
-        if self.stabilization_delay < 0:
-            raise ConfigurationError("stabilization_delay must be non-negative")
-        self.pre_stability_leader = pre_stability_leader or (lambda pid, now: pid)
+        # How long after ``ts`` the oracle may still give divergent answers:
+        # O(δ), as the paper's assumption requires.
+        self.stabilization_delay = simulator.config.params.delta
         self.queries = 0
 
     @property
@@ -68,7 +52,7 @@ class OmegaOracle:
         self.queries += 1
         now = self.simulator.now()
         if now < self.convergence_time:
-            return self.pre_stability_leader(querying_pid, now)
+            return querying_pid
         alive = self.simulator.alive_pids()
         if not alive:
             # Degenerate corner: everything crashed; fall back to self-trust.

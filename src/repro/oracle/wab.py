@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Set, Tuple
 
 from repro.net.message import Message
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
@@ -50,27 +50,22 @@ DeliverCallback = Callable[[Any, int, LogicalTimestamp], None]
 class WabEndpoint:
     """Per-process endpoint of the weak ordering oracle.
 
+    Each received message is held for ``2δ`` of real time, as in the paper:
+    the local timer is inflated by ``(1 + ρ)`` so the real hold is never
+    shorter than that.
+
     Args:
         ctx: The owning process's context (used for broadcast, timers,
             stable storage, and the local clock).
         deliver: Callback invoked as ``deliver(payload, origin, timestamp)``
             when a message is w-delivered, in timestamp order.
-        hold_real: Real-time hold-back before delivery; defaults to ``2δ``
-            as in the paper.  The local timer is inflated by ``(1 + ρ)`` so
-            the real hold is never shorter than requested.
     """
 
-    def __init__(
-        self,
-        ctx: ProcessContext,
-        deliver: DeliverCallback,
-        hold_real: Optional[float] = None,
-    ) -> None:
+    def __init__(self, ctx: ProcessContext, deliver: DeliverCallback) -> None:
         self.ctx = ctx
         self.deliver = deliver
         params = ctx.params
-        real_hold = hold_real if hold_real is not None else 2.0 * params.delta
-        self.hold_local = real_hold * (1.0 + params.rho)
+        self.hold_local = 2.0 * params.delta * (1.0 + params.rho)
         stored_counter = ctx.storage.get(_CLOCK_KEY, 0)
         self.clock = LamportClock.restore(ctx.pid, stored_counter)
         # Hold-back queue ordered by timestamp; each entry also records the

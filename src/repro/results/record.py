@@ -98,16 +98,12 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
     """The canonical identity of a declarative task (run or SMR).
 
     For a :class:`~repro.harness.executors.RunTask` this covers everything
-    that determines the run's outcome: protocol, workload, both kwarg
-    mappings (normalized), and ``run_until_decided`` — stopping at the first
-    decision versus running to the horizon changes durations and message
-    counts, so the two must never share a cache entry.  ``n``, ``ts``, and
-    ``seed`` are left out of the hashed kwargs — they appear readably in the
-    content key itself, so every run of one scenario family shares an
-    ``env-hash``.  The *enforcement* flags (``enforce_safety``,
-    ``enforce_invariants``, ``enforce_consistency``) are deliberately
-    excluded — they change what failures raise, never what a successful run
-    produces.
+    that determines the run's outcome: protocol, workload and the workload
+    kwargs (normalized).  ``n``, ``ts``, and ``seed`` are left out of the
+    hashed kwargs — they appear readably in the content key itself, so every
+    run of one scenario family shares an ``env-hash``.  SMR's
+    ``enforce_consistency`` is deliberately excluded — it changes what
+    failures raise, never what a successful run produces.
 
     For an :class:`~repro.harness.executors.SmrTask` (``task.kind ==
     "smr"``) the fingerprint instead covers the command schedule and the
@@ -134,8 +130,11 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
         "protocol": task.protocol,
         "workload": task.workload,
         "workload_kwargs": _fingerprint_value(kwargs, "workload_kwargs"),
-        "protocol_kwargs": _fingerprint_value(dict(task.protocol_kwargs), "protocol_kwargs"),
-        "run_until_decided": bool(task.run_until_decided),
+        # Every run builds its protocol with no arguments and stops at the
+        # last expected decision.  Tasks once carried both as settings; the
+        # literals keep every content key already in a store valid.
+        "protocol_kwargs": {},
+        "run_until_decided": True,
     }
 
 

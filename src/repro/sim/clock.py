@@ -19,41 +19,26 @@ __all__ = ["DriftingClock"]
 
 
 class DriftingClock:
-    """A linear local clock with a constant rate.
+    """A linear local clock with a constant rate, reading 0 at real time 0.
 
     Args:
         rate: Local seconds elapsed per real second; must be positive.
-        start_real: Real time at which the clock starts.
-        start_local: Local reading at ``start_real``.
     """
 
-    def __init__(self, rate: float = 1.0, start_real: float = 0.0, start_local: float = 0.0) -> None:
+    def __init__(self, rate: float = 1.0) -> None:
         if rate <= 0:
             raise ConfigurationError(f"clock rate must be positive, got {rate}")
         self.rate = rate
-        self._start_real = start_real
-        self._start_local = start_local
 
     def __repr__(self) -> str:
         return f"DriftingClock(rate={self.rate:.6f})"
 
     def local_time(self, real_time: float) -> float:
         """Local clock reading at the given real time."""
-        return self._start_local + (real_time - self._start_real) * self.rate
+        return real_time * self.rate
 
     def real_duration(self, local_duration: float) -> float:
         """Real seconds needed for the local clock to advance ``local_duration``."""
         if local_duration < 0:
             raise ConfigurationError("local_duration must be non-negative")
         return local_duration / self.rate
-
-    def local_duration(self, real_duration: float) -> float:
-        """Local seconds elapsed during ``real_duration`` real seconds."""
-        if real_duration < 0:
-            raise ConfigurationError("real_duration must be non-negative")
-        return real_duration * self.rate
-
-    def reset(self, real_time: float, local_time: float = 0.0) -> None:
-        """Restart the clock (e.g. after a process restart)."""
-        self._start_real = real_time
-        self._start_local = local_time

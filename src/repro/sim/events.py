@@ -1,20 +1,19 @@
 """Event queue for the discrete-event simulator.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number
-guarantees a deterministic total order for events scheduled at the same
-instant with the same priority: ties are broken by insertion order, which is
-itself deterministic because the whole simulation is single-threaded and
-seeded.
+Events are ordered by ``(time, sequence)``.  The sequence number guarantees
+a deterministic total order for events scheduled at the same instant: ties
+are broken by insertion order, which is itself deterministic because the
+whole simulation is single-threaded and seeded.
 
 The queue is the hottest data structure in the simulator, so it stores each
-entry as a plain ``(time, priority, seq, action, args, label)`` tuple rather
-than an object: tuples compare element-wise, which gives heapq the ordering
-for free (``seq`` is unique, so the comparison never reaches ``action``),
-and pushing one costs a single small allocation.  :class:`Event` is a
-``NamedTuple`` over the same six slots — ``pop`` and ``snapshot`` return
-entries through it so inspection code can say ``event.label`` instead of
-``event[5]`` — while the run loop uses :meth:`EventQueue.pop_before`, which
-hands back the raw tuple without any wrapping.
+entry as a plain ``(time, seq, action, args, label)`` tuple rather than an
+object: tuples compare element-wise, which gives heapq the ordering for free
+(``seq`` is unique, so the comparison never reaches ``action``), and pushing
+one costs a single small allocation.  :class:`Event` is a ``NamedTuple``
+over the same five slots — ``pop`` and ``snapshot`` return entries through
+it so inspection code can say ``event.label`` instead of ``event[4]`` —
+while the run loop uses :meth:`EventQueue.pop_before`, which hands back the
+raw tuple without any wrapping.
 
 Cancellation is opt-in and lazy.  ``push(..., cancellable=True)`` (the
 default) allocates an :class:`EventHandle` and registers it; schedulers that
@@ -45,23 +44,17 @@ class Event(NamedTuple):
 
     Attributes:
         time: Simulated time at which the event fires.
-        priority: Lower priorities fire first among events at the same time.
-        seq: Monotonic sequence number used as the final tie-breaker.
+        seq: Monotonic sequence number breaking ties at the same time.
         action: Callable invoked as ``action(*args)`` when the event fires.
         args: Positional arguments for ``action`` (empty for thunks).
         label: Human-readable tag used by traces and debugging output.
     """
 
     time: float
-    priority: int
     seq: int
     action: Callable[..., None]
     args: Tuple = ()
     label: str = ""
-
-    def fire(self) -> None:
-        """Invoke the action with its bound arguments."""
-        self.action(*self.args)
 
 
 class EventHandle:
@@ -132,7 +125,6 @@ class EventQueue:
         self,
         time: float,
         action: Callable[..., None],
-        priority: int = 0,
         label: str = "",
         args: Tuple = (),
         cancellable: bool = True,
@@ -147,7 +139,7 @@ class EventQueue:
         """
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, action, args, label))
+        heapq.heappush(self._heap, (time, seq, action, args, label))
         self._live += 1
         if not cancellable:
             return None
@@ -158,8 +150,8 @@ class EventQueue:
     def pop_before(self, horizon: float) -> Optional[tuple]:
         """Remove and return the next live entry firing at or before ``horizon``.
 
-        Returns the raw ``(time, priority, seq, action, args, label)`` tuple
-        (fire it with ``entry[3](*entry[4])``), or ``None`` if the queue is
+        Returns the raw ``(time, seq, action, args, label)`` tuple (fire it
+        with ``entry[2](*entry[3])``), or ``None`` if the queue is
         empty or the next live event lies beyond the horizon.  This is the
         run loop's single peek-and-pop operation.
         """
@@ -169,9 +161,9 @@ class EventQueue:
             if not heap:
                 return None
             entry = heap[0]
-            if cancelled and entry[2] in cancelled:
+            if cancelled and entry[1] in cancelled:
                 heapq.heappop(heap)
-                cancelled.discard(entry[2])
+                cancelled.discard(entry[1])
                 continue
             break
         if entry[0] > horizon:
@@ -180,7 +172,7 @@ class EventQueue:
         self._live -= 1
         handles = self._handles
         if handles:
-            handle = handles.pop(entry[2], None)
+            handle = handles.pop(entry[1], None)
             if handle is not None:
                 handle.fired = True
         return entry
@@ -232,6 +224,6 @@ class EventQueue:
         Intended for tests and debugging; cost is O(n log n).
         """
         cancelled = self._cancelled
-        entries = [entry for entry in self._heap if entry[2] not in cancelled]
+        entries = [entry for entry in self._heap if entry[1] not in cancelled]
         entries.sort()
         return [Event._make(entry) for entry in entries]

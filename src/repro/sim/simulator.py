@@ -48,8 +48,6 @@ class SimulationConfig:
             network model and by the analysis).
         seed: Root random seed; every stream is derived from it.
         max_time: Hard stop for the event loop.
-        trace_capacity: Optional cap on the number of trace rows; a run
-            whose trace hits it fails the trace invariant checks.
     """
 
     n: int
@@ -57,7 +55,6 @@ class SimulationConfig:
     ts: float = 0.0
     seed: int = 0
     max_time: float = 10_000.0
-    trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -93,7 +90,7 @@ class Simulator:
     ) -> None:
         self.config = config
         self.network = network
-        self.trace = TraceRecorder(capacity=config.trace_capacity)
+        self.trace = TraceRecorder()
         self.rng = SeededRng(config.seed, label="sim")
         self._events = EventQueue()
         self._time = 0.0
@@ -139,7 +136,6 @@ class Simulator:
         action: Callable[..., None],
         *,
         label: str = "",
-        priority: int = 0,
         args: Tuple = (),
         cancellable: bool = True,
     ) -> Optional[EventHandle]:
@@ -153,7 +149,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule {label!r} at {time} before current time {self._time}"
             )
-        return self._events.push(time, action, priority, label, args, cancellable)
+        return self._events.push(time, action, label, args, cancellable)
 
     def schedule_in(
         self,
@@ -161,7 +157,6 @@ class Simulator:
         action: Callable[..., None],
         *,
         label: str = "",
-        priority: int = 0,
         args: Tuple = (),
     ) -> EventHandle:
         """Schedule ``action`` after a real delay (>= 0)."""
@@ -169,7 +164,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule {label!r} with negative delay {delay}")
         # A non-negative delay cannot land before the current time, so push
         # directly instead of re-validating through schedule_at.
-        return self._events.push(self._time + delay, action, priority, label, args)
+        return self._events.push(self._time + delay, action, label, args)
 
     def cancel(self, handle: EventHandle) -> None:
         self._events.cancel(handle)
@@ -219,17 +214,6 @@ class Simulator:
         for pid in sorted(self.nodes):
             self.nodes[pid].start()
 
-    def step(self) -> bool:
-        """Process a single event.  Returns False if no event was available."""
-        self.start()
-        entry = self._events.pop_before(self.config.max_time)
-        if entry is None:
-            return False
-        self._time = entry[0]
-        entry[3](*entry[4])
-        self.events_processed += 1
-        return True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -238,8 +222,8 @@ class Simulator:
     ) -> float:
         """Run the event loop.
 
-        The loop body pulls raw ``(time, priority, seq, action, args, label)``
-        entries straight off the queue via
+        The loop body pulls raw ``(time, seq, action, args, label)`` entries
+        straight off the queue via
         :meth:`~repro.sim.events.EventQueue.pop_before` — a single combined
         peek-and-pop with no per-event object construction.
 
@@ -268,32 +252,29 @@ class Simulator:
             if entry is None:
                 break
             self._time = entry[0]
-            entry[3](*entry[4])
+            entry[2](*entry[3])
             self.events_processed += 1
             processed += 1
             if self._halt or (stop_when is not None and stop_when(self)):
                 break
         return self._time
 
-    def run_until_decided(
-        self,
-        pids: Optional[Iterable[int]] = None,
-        until: Optional[float] = None,
-    ) -> float:
-        """Run until every pid in ``pids`` has decided (default: all processes).
+    def run_until_decided(self, pids: Iterable[int]) -> float:
+        """Run until every pid in ``pids`` has decided.
 
         :meth:`record_decision` stops the run from inside the event in which
         the last awaited pid decides, so no predicate runs per event; the run
         ends at the same event a ``stop_when`` of "every pid has decided"
         would.  If every pid has already decided, one event is processed (as
-        with that predicate); if one never decides, the run ends at the horizon.
+        with that predicate); if one never decides, the run ends at
+        ``config.max_time``.
         """
-        awaited = set(pids) if pids is not None else set(self.nodes)
+        awaited = set(pids)
         awaited -= self.decisions.keys()
         self._awaited = awaited
         self._halt = not awaited
         try:
-            return self.run(until=until)
+            return self.run()
         finally:
             self._awaited = None
             self._halt = False

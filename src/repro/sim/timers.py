@@ -59,15 +59,6 @@ class TimerManager:
     def __contains__(self, name: str) -> bool:
         return name in self._pending
 
-    @property
-    def epoch(self) -> int:
-        """Incarnation counter; bumped by :meth:`invalidate_all`."""
-        return self._epoch
-
-    def pending(self) -> list[str]:
-        """Names of timers currently pending, in deterministic order."""
-        return sorted(self._pending)
-
     def set(self, name: str, local_delay: float, *, pid_label: str = "") -> EventHandle:
         """(Re)set the named timer to fire ``local_delay`` local seconds from now.
 

@@ -88,15 +88,8 @@ class ReplicatedLog:
         """Highest decided slot, or −1 if the log is empty."""
         return max(self._entries) if self._entries else -1
 
-    def first_gap(self) -> int:
-        """The lowest slot that has not been decided yet."""
-        slot = 0
-        while slot in self._entries:
-            slot += 1
-        return slot
-
     def contiguous_prefix(self) -> List[Any]:
-        """Commands of slots ``0 .. first_gap() - 1`` in order (safe to apply)."""
+        """Commands of the slots before the first undecided one, in order (safe to apply)."""
         prefix = []
         slot = 0
         while slot in self._entries:

@@ -24,6 +24,7 @@ __all__ = [
     "capture_sent_envelopes",
     "make_params",
     "make_run_record",
+    "run_to_horizon",
     "silent_simulator",
     "trace_wire_rows",
 ]
@@ -58,6 +59,27 @@ def silent_simulator(network: Any, n: int = 5):
         SimulationConfig(n=n, ts=ts, max_time=ts + 1000.0), lambda pid: SilentProcess(), network
     )
     simulator.start()
+    return simulator
+
+
+def run_to_horizon(scenario: Any, protocol: str):
+    """Run ``protocol`` under ``scenario`` to its horizon, past every decision.
+
+    Asserts the consensus safety spec and every trace invariant the
+    protocol's builder declares, over the whole run, then returns the
+    simulator.
+    """
+    from repro.consensus.registry import protocol_builder
+    from repro.consensus.spec import check_safety
+
+    builder = protocol_builder(protocol)
+    simulator = scenario.build_simulator(builder)
+    simulator.run()
+    safety = check_safety(simulator, expected_deciders=scenario.deciders())
+    assert safety.valid, safety.violations
+    for name, check in builder.invariant_checks().items():
+        report = check(simulator.trace, scenario.config.n)
+        assert report.ok, f"{name}: {report.violations}"
     return simulator
 
 

@@ -8,7 +8,6 @@ from repro.consensus.bconsensus.modified import (
     ModifiedBConsensusProcess,
 )
 from repro.consensus.bconsensus.original import BConsensusBuilder, BConsensusProcess
-from repro.errors import ConfigurationError
 from repro.oracle.lamport import LogicalTimestamp
 from repro.oracle.wab import WabMessage
 
@@ -47,9 +46,13 @@ class TestStartup:
         harness, process = start_process()
         assert process.RETRANSMIT_TIMER in harness.timers
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ModifiedBConsensusProcess(retransmit_factor=0.0)
+    @pytest.mark.parametrize("cls", [BConsensusProcess, ModifiedBConsensusProcess])
+    def test_retransmits_every_epsilon_and_holds_back_two_delta(self, cls):
+        harness = ContextHarness(pid=0, n=3, params=make_params(rho=0.01))
+        process = harness.start(cls(), initial_value="v0")
+        params = harness.params
+        assert harness.timers[process.RETRANSMIT_TIMER] == params.epsilon * (1.0 + params.rho)
+        assert process.wab.hold_local == 2.0 * params.delta * (1.0 + params.rho)
 
 
 class TestStageOne:

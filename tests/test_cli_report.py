@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.invariants import InvariantReport
 from repro.analysis.report import render_run_report
 from repro.cli import build_parser, main
+from repro.core.modified_paxos import ModifiedPaxosBuilder
 from repro.harness.runner import run_scenario
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.restarts import restart_after_stability_scenario
@@ -30,12 +32,9 @@ class TestRunReport:
         scenario = restart_after_stability_scenario(
             5, params=params, ts=6.0, seed=1, restart_offsets=[3.0]
         )
-        # Stop before everyone decided so the report shows a dash.
-        result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
-        # Force re-render regardless of how far the run got.
-        report = render_run_report(result)
+        report = render_run_report(run_scenario(scenario, "modified-paxos"))
         assert "highest session reached" in report
-        assert "crash" in result.scenario.fault_plan.describe()
+        assert "crash" in scenario.fault_plan.describe()
 
 
 class TestCliParser:
@@ -127,6 +126,29 @@ class TestCliCommands:
         output = capsys.readouterr().out
         assert "run report" in output
         assert "safety                      : OK" in output
+
+    def test_allow_unsafe_run_fails_on_a_violated_invariant(self, capsys, monkeypatch):
+        def forced_violation(trace, n):
+            return InvariantReport(name="forced", checked=1, violations=["forced violation"])
+
+        monkeypatch.setattr(
+            ModifiedPaxosBuilder, "invariant_checks", lambda self: {"forced": forced_violation}
+        )
+        exit_code = main(["run", "--workload", "stable", "--n", "3", "--allow-unsafe"])
+        output = capsys.readouterr().out
+        assert "safety                      : OK" in output
+        assert "forced violation" in output
+        assert exit_code == 1
+
+    def test_allow_unsafe_run_fails_on_a_safety_violation(self, capsys, monkeypatch):
+        from repro.consensus.spec import SafetyReport
+        from repro.harness import runner
+
+        unsafe = SafetyReport(valid=False, violations=["agreement: forced"])
+        monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: unsafe)
+        exit_code = main(["run", "--workload", "stable", "--n", "3", "--allow-unsafe"])
+        assert "agreement: forced" in capsys.readouterr().out
+        assert exit_code == 1
 
     def test_run_unknown_protocol_fails_cleanly(self, capsys):
         exit_code = main(["run", "--protocol", "raft", "--workload", "stable", "--n", "3"])

@@ -37,14 +37,14 @@ class TestDriftingClock:
             DriftingClock(rate=-1.0)
 
     def test_local_time_advances_at_rate(self):
-        clock = DriftingClock(rate=2.0, start_real=10.0, start_local=0.0)
-        assert clock.local_time(10.0) == 0.0
-        assert clock.local_time(11.0) == pytest.approx(2.0)
-        assert clock.local_time(13.5) == pytest.approx(7.0)
+        clock = DriftingClock(rate=2.0)
+        assert clock.local_time(0.0) == 0.0
+        assert clock.local_time(1.0) == pytest.approx(2.0)
+        assert clock.local_time(3.5) == pytest.approx(7.0)
 
-    def test_real_duration_inverse_of_local_duration(self):
+    def test_real_duration_inverse_of_local_time(self):
         clock = DriftingClock(rate=1.25)
-        local = clock.local_duration(8.0)
+        local = clock.local_time(8.0)
         assert clock.real_duration(local) == pytest.approx(8.0)
 
     def test_fast_clock_shortens_real_waits(self):
@@ -56,15 +56,6 @@ class TestDriftingClock:
         clock = DriftingClock()
         with pytest.raises(ConfigurationError):
             clock.real_duration(-1.0)
-        with pytest.raises(ConfigurationError):
-            clock.local_duration(-1.0)
-
-    def test_reset_restarts_local_time(self):
-        clock = DriftingClock(rate=1.0)
-        assert clock.local_time(5.0) == pytest.approx(5.0)
-        clock.reset(real_time=5.0, local_time=0.0)
-        assert clock.local_time(5.0) == pytest.approx(0.0)
-        assert clock.local_time(7.0) == pytest.approx(2.0)
 
     def test_repr_shows_rate(self):
         assert "1.2" in repr(DriftingClock(rate=1.2))

@@ -17,13 +17,13 @@ WORKLOAD_NAMES = ("stable", "partitioned-chaos", "restarts")
 SEEDS = (1, 2, 3)
 
 
-def build(protocol, workload, seed):
-    scenario = WORKLOADS.create(workload, n=5, seed=seed)
+def build(protocol, workload, seed, **kwargs):
+    scenario = WORKLOADS.create(workload, n=5, seed=seed, **kwargs)
     return scenario.build_simulator(protocol_builder(protocol)), set(scenario.deciders())
 
 
-def run_reference(sim, targets, until=None):
-    return sim.run(until=until, stop_when=lambda s: targets <= s.decisions.keys())
+def run_reference(sim, targets):
+    return sim.run(stop_when=lambda s: targets <= s.decisions.keys())
 
 
 def observed(sim):
@@ -51,8 +51,8 @@ def test_runs_without_a_per_event_predicate(monkeypatch):
 
     monkeypatch.setattr(Simulator, "run", recording_run)
     sim, targets = build("modified-paxos", "partitioned-chaos", 1)
-    sim.run_until_decided(targets, until=40.0)
-    assert calls == [(40.0, None, None)]
+    sim.run_until_decided(targets)
+    assert calls == [(None, None, None)]
 
 
 def test_targets_already_decided_process_one_event_like_the_predicate():
@@ -69,21 +69,21 @@ def test_targets_already_decided_process_one_event_like_the_predicate():
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_a_target_that_never_decides_runs_to_the_horizon(protocol):
-    horizon = 30.0
     runs = []
     for stop in ("decided", "predicate", "horizon"):
-        sim, targets = build(protocol, "stable", 2)
+        sim, targets = build(protocol, "stable", 2, max_time=30.0)
         assert 4 in targets
         sim.schedule_crash(4, 0.5)  # p4 crashes for good and never decides
         if stop == "decided":
-            sim.run_until_decided(targets, until=horizon)
+            sim.run_until_decided(targets)
         elif stop == "predicate":
-            run_reference(sim, targets, until=horizon)
+            run_reference(sim, targets)
         else:
-            sim.run(until=horizon)
+            sim.run()
         assert 4 not in sim.decisions
         runs.append(observed(sim))
     assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1] <= 30.0
 
 
 def test_a_later_plain_run_is_not_cut_short():

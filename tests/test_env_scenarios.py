@@ -27,7 +27,7 @@ from repro.workloads.environments import (
 )
 from repro.workloads.registry import WORKLOADS
 
-from tests.helpers import capture_sent_envelopes, make_params
+from tests.helpers import capture_sent_envelopes, make_params, run_to_horizon
 
 PARAMS = make_params()
 
@@ -145,21 +145,18 @@ class TestGrayPartition:
 class TestChurn:
     def test_full_wave_schedule_plays_out(self):
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=3)
-        result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
-        assert result.safety.valid
-        assert result.decided_all
+        simulator = run_to_horizon(scenario, "modified-paxos")  # past every wave
+        assert set(scenario.deciders()) <= set(simulator.decisions)
         victims = sorted({event.pid for event in scenario.fault_plan.events})
         for victim in victims:
-            restarts = result.simulator.trace.filter(
-                event="restart", category="node", pid=victim
-            )
+            restarts = simulator.trace.filter(event="restart", category="node", pid=victim)
             assert len(list(restarts)) == 3  # every wave executed
 
     def test_churn_delays_victim_decisions_past_the_last_restart(self):
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
-        result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
+        simulator = run_to_horizon(scenario, "modified-paxos")
         victims = sorted({event.pid for event in scenario.fault_plan.events})
-        decided_values = {r.value for r in result.simulator.all_decisions}
+        decided_values = {r.value for r in simulator.all_decisions}
         assert len(decided_values) == 1  # uniform agreement across churn
         for victim in victims:
             # The waves bite: the victim's up-windows are too short to decide
@@ -168,7 +165,7 @@ class TestChurn:
                 event.time for event in scenario.fault_plan
                 if event.pid == victim and event.kind.value == "restart"
             )
-            decisions = [r for r in result.simulator.all_decisions if r.pid == victim]
+            decisions = [r for r in simulator.all_decisions if r.pid == victim]
             assert decisions
             assert min(r.time for r in decisions) > last_restart
 

@@ -27,12 +27,6 @@ class TestOrdering:
             queue.push(5.0, lambda: None, label=label)
         assert collect_labels(queue) == ["first", "second", "third"]
 
-    def test_priority_breaks_ties_before_sequence(self):
-        queue = EventQueue()
-        queue.push(5.0, lambda: None, priority=1, label="low-priority")
-        queue.push(5.0, lambda: None, priority=0, label="high-priority")
-        assert collect_labels(queue) == ["high-priority", "low-priority"]
-
     def test_snapshot_lists_events_in_firing_order_without_popping(self):
         queue = EventQueue()
         queue.push(2.0, lambda: None, label="b")
@@ -158,7 +152,8 @@ class TestNonCancellable:
         queue.push(1.0, calls.append, args=("a",), cancellable=False)
         queue.push(1.5, calls.append, args=("mid",))
         while queue:
-            queue.pop().fire()
+            event = queue.pop()
+            event.action(*event.args)
         assert calls == ["a", "mid", "b"]
 
     def test_cancelling_none_handle_raises(self):
@@ -180,7 +175,7 @@ class TestPopBefore:
         queue.push(1.0, lambda: None, label="early")
         queue.push(5.0, lambda: None, label="late")
         entry = queue.pop_before(2.0)
-        assert entry is not None and entry[5] == "early"
+        assert entry is not None and entry[4] == "early"
         assert queue.pop_before(2.0) is None
         assert len(queue) == 1  # the late event was not consumed
 
@@ -190,8 +185,15 @@ class TestPopBefore:
         queue.push(2.0, lambda: None, label="keep")
         queue.cancel(drop)
         entry = queue.pop_before(10.0)
-        assert entry is not None and entry[5] == "keep"
+        assert entry is not None and entry[4] == "keep"
         assert queue.pop_before(10.0) is None
+
+    def test_pop_before_returns_the_raw_time_seq_action_args_label_tuple(self):
+        queue = EventQueue()
+        queue.push(1.0, print, label="first", args=("a",))
+        queue.push(1.0, len, label="second", args=("b",), cancellable=False)
+        assert queue.pop_before(2.0) == (1.0, 0, print, ("a",), "first")
+        assert queue.pop_before(2.0) == (1.0, 1, len, ("b",), "second")
 
     def test_pop_before_empty_returns_none(self):
         assert EventQueue().pop_before(10.0) is None
@@ -209,5 +211,6 @@ class TestExecution:
         queue = EventQueue()
         calls = []
         queue.push(1.0, calls.append, args=("payload",))
-        queue.pop().fire()
+        event = queue.pop()
+        event.action(*event.args)
         assert calls == ["payload"]

@@ -20,13 +20,6 @@ class TestFaultPlanConstruction:
         assert times == sorted(times)
         assert len(plan) == 3
 
-    def test_merge_combines_plans(self):
-        left = FaultPlan().crash(0, 1.0)
-        right = FaultPlan().crash(1, 2.0)
-        merged = left.merge(right)
-        assert len(merged) == 2
-        assert {event.pid for event in merged.events} == {0, 1}
-
     def test_describe(self):
         assert FaultPlan().describe() == "no faults"
         text = FaultPlan().crash(2, 1.5).describe()

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.analysis.invariants import InvariantReport
 from repro.consensus.values import RunOutcome
 from repro.harness.runner import run_scenario
 from repro.harness.tables import ExperimentTable, render_table
 from repro.workloads.stable import stable_scenario
 
+from tests.helpers import run_to_horizon
+
+
+def forced_violation(trace, n):
+    return InvariantReport(name="forced", checked=1, violations=["forced violation"])
 
 
 class TestRenderTable:
@@ -81,9 +87,32 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_scenario(scenario, "raft")
 
-    def test_run_to_horizon_when_requested(self, params):
+    def test_enforce_raises_on_a_violated_invariant(self, params, monkeypatch):
+        from repro.core.modified_paxos import ModifiedPaxosBuilder
+        from repro.errors import InvariantViolation
+
+        monkeypatch.setattr(ModifiedPaxosBuilder, "invariant_checks",
+                            lambda self: {"forced": forced_violation})
+        with pytest.raises(InvariantViolation, match="forced violation"):
+            run_scenario(stable_scenario(3, params=params, seed=5), "modified-paxos")
+
+    def test_unenforced_run_attaches_every_failed_report(self, params, monkeypatch):
+        from repro.consensus.spec import SafetyReport
+        from repro.core.modified_paxos import ModifiedPaxosBuilder
+        from repro.harness import runner
+
+        unsafe = SafetyReport(valid=False, violations=["agreement: forced"])
+        monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: unsafe)
+        monkeypatch.setattr(ModifiedPaxosBuilder, "invariant_checks",
+                            lambda self: {"forced": forced_violation})
+        result = run_scenario(stable_scenario(3, params=params, seed=5), "modified-paxos",
+                              enforce=False)
+        assert result.safety is unsafe
+        assert result.outcome.extra["safety_valid"] is False
+        assert result.invariants["forced"].violations == ["forced violation"]
+
+    def test_run_to_horizon_stays_safe(self, params):
         scenario = stable_scenario(3, params=params, seed=5, max_time=30.0)
-        result = run_scenario(scenario, "modified-paxos", run_until_decided=False)
         # Running past the decision is allowed and must stay safe.
-        assert result.decided_all
-        assert result.safety.valid
+        simulator = run_to_horizon(scenario, "modified-paxos")
+        assert sorted(simulator.decisions) == [0, 1, 2]

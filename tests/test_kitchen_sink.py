@@ -75,8 +75,10 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
     def test_baselines_remain_safe_even_here(self):
         for protocol in ("traditional-paxos", "rotating-coordinator"):
             scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=4)
-            result = run_scenario(scenario, protocol, enforce_safety=False)
+            result = run_scenario(scenario, protocol, enforce=False)
             assert result.safety.valid, f"{protocol}: {result.safety.violations}"
+            for name, report in result.invariants.items():
+                assert report.ok, f"{protocol} {name}: {report.violations}"
 
     def test_deferred_pre_ts_messages_really_arrive_after_ts(self, monkeypatch):
         sent = capture_sent_envelopes(monkeypatch)

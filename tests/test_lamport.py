@@ -38,12 +38,6 @@ class TestLamportClock:
         assert clock.tick() == LogicalTimestamp(1, 3)
         assert clock.tick() == LogicalTimestamp(2, 3)
 
-    def test_peek_does_not_advance(self):
-        clock = LamportClock(pid=0)
-        clock.tick()
-        assert clock.peek() == LogicalTimestamp(1, 0)
-        assert clock.peek() == LogicalTimestamp(1, 0)
-
     def test_observe_jumps_past_received_timestamp(self):
         clock = LamportClock(pid=0)
         after = clock.observe(LogicalTimestamp(10, 4))

@@ -1,8 +1,5 @@
 """Unit tests for the Ω oracle (`repro.oracle.omega`)."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.oracle.omega import OmegaOracle
@@ -50,15 +47,23 @@ class TestOmega:
         leaders = {oracle.leader(pid) for pid in range(1, 5)}
         assert leaders == {1}
 
-    def test_convergence_time_is_ts_plus_delay(self):
+    def test_convergence_time_is_ts_plus_delta(self):
         sim = make_simulator(ts=10.0)
-        oracle = OmegaOracle(sim, stabilization_delay=2.5)
-        assert oracle.convergence_time == 12.5
+        oracle = OmegaOracle(sim)
+        assert oracle.convergence_time == 10.0 + sim.config.params.delta
 
-    def test_custom_pre_stability_behaviour(self):
+    def test_converges_exactly_delta_after_ts(self):
         sim = make_simulator(ts=10.0)
-        oracle = OmegaOracle(sim, pre_stability_leader=lambda pid, now: 3)
-        assert oracle.leader(0) == 3
+        oracle = OmegaOracle(sim)
+        delta = sim.config.params.delta
+        for time in (10.0 + 0.99 * delta, 10.0 + delta):
+            sim.schedule_at(time, lambda: None)
+        sim.run(until=10.0 + 0.99 * delta)
+        assert sim.now() == 10.0 + 0.99 * delta
+        assert [oracle.leader(pid) for pid in range(5)] == [0, 1, 2, 3, 4]
+        sim.run(until=10.0 + delta)
+        assert sim.now() == 10.0 + delta
+        assert {oracle.leader(pid) for pid in range(5)} == {0}
 
     def test_believes_self_leader(self):
         sim = make_simulator(ts=10.0)
@@ -71,8 +76,3 @@ class TestOmega:
         oracle.leader(0)
         oracle.leader(1)
         assert oracle.queries == 2
-
-    def test_negative_delay_rejected(self):
-        sim = make_simulator()
-        with pytest.raises(ConfigurationError):
-            OmegaOracle(sim, stabilization_delay=-1.0)

@@ -27,7 +27,6 @@ class TestPartitionSpec:
         spec = PartitionSpec.of([[0, 1]])
         assert not spec.connected(2, 0)
         assert not spec.connected(0, 2)
-        assert spec.group_of(2) == -1
 
     def test_duplicate_pid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -52,14 +51,16 @@ class TestPartitionSpec:
 class TestPartitionSpecValueSemantics:
     """The pid -> group index is a cache: the value is still just ``groups``."""
 
-    def test_group_of_matches_a_scan_of_the_groups(self):
+    def test_connected_matches_a_scan_of_the_groups(self):
         spec = minority_groups(15, SeededRng(4))
+
+        def scanned(pid):
+            return next((i for i, group in enumerate(spec.groups) if pid in group), -1)
+
         for pid in range(-1, 17):
-            scanned = next((i for i, group in enumerate(spec.groups) if pid in group), -1)
-            assert spec.group_of(pid) == scanned
             for other in range(-1, 17):
                 assert spec.connected(pid, other) == (
-                    pid == other or (scanned >= 0 and scanned == spec.group_of(other))
+                    pid == other or (scanned(pid) >= 0 and scanned(pid) == scanned(other))
                 )
 
     def test_equality_hash_and_repr_cover_groups_only(self):
@@ -75,7 +76,7 @@ class TestPartitionSpecValueSemantics:
         for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert clone == spec and hash(clone) == hash(spec)
             assert clone.connected(0, 3) and not clone.connected(0, 1)
-            assert clone.group_of(4) == 2
+            assert clone.connected(2, 4) and not clone.connected(1, 4)
 
     def test_environment_spec_json_round_trip(self):
         env = EnvironmentSpec(

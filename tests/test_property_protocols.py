@@ -49,7 +49,7 @@ class TestSafetyUnderRandomizedChaos:
             drop_probability=drop,
             max_time=ts + 60.0,
         )
-        result = run_scenario(scenario, protocol, enforce_safety=False, enforce_invariants=False)
+        result = run_scenario(scenario, protocol, enforce=False)
         report = check_safety(result.simulator, expected_deciders=scenario.deciders())
         assert report.valid, report.violations
 
@@ -63,7 +63,7 @@ class TestSafetyUnderRandomizedChaos:
         scenario = partitioned_chaos_scenario(
             n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0
         )
-        result = run_scenario(scenario, protocol, enforce_safety=False, enforce_invariants=False)
+        result = run_scenario(scenario, protocol, enforce=False)
         report = check_safety(result.simulator, expected_deciders=scenario.deciders())
         assert report.valid, report.violations
 
@@ -71,7 +71,7 @@ class TestSafetyUnderRandomizedChaos:
     @given(n=st.integers(3, 6), seed=st.integers(0, 10_000))
     def test_modified_paxos_invariants_under_random_chaos(self, n, seed):
         scenario = lossy_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=60.0)
-        result = run_scenario(scenario, "modified-paxos", enforce_safety=False)
+        result = run_scenario(scenario, "modified-paxos")
         assert check_session_entry_rule(result.simulator.trace, n).ok
         assert check_unique_phase2a_value(result.simulator.trace, n).ok
 
@@ -102,7 +102,7 @@ class TestDeterminismProperty:
             scenario = partitioned_chaos_scenario(
                 n, params=PARAMS, ts=5.0, seed=seed, max_time=60.0
             )
-            result = run_scenario(scenario, protocol, enforce_safety=False)
+            result = run_scenario(scenario, protocol)
             return (
                 {pid: (rec.value, rec.time) for pid, rec in result.simulator.decisions.items()},
                 result.outcome.messages_sent,

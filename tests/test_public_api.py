@@ -7,6 +7,8 @@ as written against them.
 """
 
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import re
@@ -16,6 +18,7 @@ import sys
 import pytest
 
 import repro
+from repro.harness.executors import RunTask
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -69,6 +72,24 @@ def test_top_level_exports_exactly_the_quick_start():
         for alias in node.names
     }
     assert imported == set(repro.__all__) == QUICK_START
+
+
+@pytest.mark.parametrize("name", sorted(repro.PROTOCOLS))
+def test_every_protocol_builder_constructs_with_no_arguments(name):
+    builder_class = repro.PROTOCOLS[name][0]
+    assert not inspect.signature(builder_class).parameters
+    assert builder_class().name == name
+
+
+def test_one_configuration_per_run():
+    """A run task is its protocol, its workload and its tags: nothing else is a setting."""
+    assert {field.name for field in dataclasses.fields(RunTask)} == {
+        "protocol", "workload", "workload_kwargs", "tags",
+    }
+    assert {field.name for field in dataclasses.fields(repro.ExperimentSpec)} == {
+        "workload", "protocols", "seeds", "base", "grid", "bind", "tags",
+    }
+    assert list(inspect.signature(repro.run_scenario).parameters) == ["scenario", "protocol", "enforce"]
 
 
 def test_readme_has_the_four_runnable_blocks():

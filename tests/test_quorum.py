@@ -44,13 +44,6 @@ class TestQuorumCounter:
         counter.add("b", 1)
         assert counter.count("a") == 1 and counter.count("b") == 1
 
-    def test_senders(self):
-        counter = QuorumCounter(threshold=2)
-        counter.add("a", 0)
-        counter.add("a", 1)
-        counter.add("b", 2)
-        assert counter.senders("a") == {0, 1}
-
     def test_clear_single_key_and_all(self):
         counter = QuorumCounter(threshold=1)
         counter.add("a", 0)

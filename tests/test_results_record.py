@@ -14,15 +14,18 @@ import sys
 import pytest
 
 from helpers import make_params, make_run_record
+from repro.consensus.registry import PROTOCOLS
 from repro.consensus.values import RunOutcome
 from repro.errors import ResultSchemaError
-from repro.harness.executors import RunTask, execute_task
+from repro.harness.executors import RunTask, SmrTask, execute_task
+from repro.harness.experiments import default_experiment_params
 from repro.results.record import (
     SCHEMA_VERSION,
     RunRecord,
     content_key_for_task,
     task_fingerprint,
 )
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.registry import WORKLOADS
 
 PARAMS = make_params()
@@ -167,22 +170,6 @@ class TestContentKey:
     def test_fingerprint_embeds_schema_version(self):
         assert task_fingerprint(workload_task("stable"))["schema"] == SCHEMA_VERSION
 
-    def test_run_until_decided_changes_the_key(self):
-        """Stop-at-decision vs run-to-horizon runs must never share a cache entry."""
-        base = workload_task("partitioned-chaos", ts=10.0)
-        horizon = RunTask(protocol=base.protocol, workload=base.workload,
-                          workload_kwargs=dict(base.workload_kwargs),
-                          tags=dict(base.tags), run_until_decided=False)
-        assert content_key_for_task(base) != content_key_for_task(horizon)
-
-    def test_enforcement_flags_do_not_change_the_key(self):
-        base = workload_task("partitioned-chaos", ts=10.0)
-        lenient = RunTask(protocol=base.protocol, workload=base.workload,
-                          workload_kwargs=dict(base.workload_kwargs),
-                          tags=dict(base.tags), enforce_safety=False,
-                          enforce_invariants=False)
-        assert content_key_for_task(base) == content_key_for_task(lenient)
-
     def test_unserializable_task_argument_rejected(self):
         task = RunTask(
             protocol="modified-paxos", workload="partitioned-chaos",
@@ -190,6 +177,40 @@ class TestContentKey:
         )
         with pytest.raises(ResultSchemaError, match="hook"):
             content_key_for_task(task)
+
+
+# Content keys of default tasks, as stores hold them.  A fingerprint change
+# that moved one would orphan every record stored under it.
+PINNED_RUN_KEYS = {
+    "b-consensus": "b-consensus/partitioned-chaos/b7c361a9a432/n5-ts10.0-d1.0-s1",
+    "modified-b-consensus": "modified-b-consensus/partitioned-chaos/dba39f9636ea/n5-ts10.0-d1.0-s1",
+    "modified-paxos": "modified-paxos/partitioned-chaos/b393b4985665/n5-ts10.0-d1.0-s1",
+    "rotating-coordinator": "rotating-coordinator/partitioned-chaos/7a9cc5234176/n5-ts10.0-d1.0-s1",
+    "traditional-paxos": "traditional-paxos/partitioned-chaos/68055d0e3fa7/n5-ts10.0-d1.0-s1",
+}
+PINNED_SMR_KEY = "multi-paxos-smr/smr-stable/649b4b024c0e/n5-tsauto-d1.0-s1"
+
+
+class TestContentKeysArePinned:
+    def test_protocol_table_is_the_pinned_one(self):
+        assert set(PROTOCOLS) == set(PINNED_RUN_KEYS)
+
+    @pytest.mark.parametrize("protocol", sorted(PINNED_RUN_KEYS))
+    def test_default_run_task_key(self, protocol):
+        task = RunTask(
+            protocol=protocol,
+            workload="partitioned-chaos",
+            workload_kwargs={"n": 5, "ts": 10.0, "seed": 1, "params": default_experiment_params()},
+        )
+        assert content_key_for_task(task) == PINNED_RUN_KEYS[protocol]
+
+    def test_smr_task_key(self):
+        task = SmrTask(
+            workload="smr-stable",
+            schedule=ScheduleSpec(num_commands=5),
+            workload_kwargs={"n": 5, "seed": 1, "params": default_experiment_params()},
+        )
+        assert content_key_for_task(task) == PINNED_SMR_KEY
 
 
 class TestExtraValidation:

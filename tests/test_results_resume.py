@@ -115,7 +115,7 @@ class TestRunExperimentResume:
             pass
 
         with pytest.raises(NotImplementedError, match="Hollow must override Executor.imap"):
-            Hollow().map([])
+            Hollow().imap([])
 
 
 class TestCampaignResume:

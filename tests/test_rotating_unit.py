@@ -7,7 +7,7 @@ from repro.consensus.roundbased.rotating import (
     RotatingCoordinatorBuilder,
     RotatingCoordinatorProcess,
 )
-from repro.errors import ConfigurationError
+from repro.core.timing import ROUND_TIMEOUT_FACTOR, rotating_coordinator_worst_case
 
 from tests.helpers import ContextHarness, make_params
 
@@ -31,15 +31,25 @@ class TestStartup:
         harness, process = start_process()
         assert harness.timers[RotatingCoordinatorProcess.ROUND_TIMER] == pytest.approx(4.0)
 
+    def test_retransmit_timer_armed_for_one_delta(self):
+        harness, process = start_process()
+        assert harness.timers[RotatingCoordinatorProcess.RETRANSMIT_TIMER] == pytest.approx(1.0)
+
+    def test_round_timer_is_the_one_the_e3_model_charges(self):
+        harness, process = start_process()
+        params = harness.params
+        per_crashed_coordinator = (
+            rotating_coordinator_worst_case(params, 1) - rotating_coordinator_worst_case(params, 0)
+        )
+        assert per_crashed_coordinator == ROUND_TIMEOUT_FACTOR * params.delta
+        armed = harness.timers[RotatingCoordinatorProcess.ROUND_TIMER]
+        assert armed == pytest.approx(per_crashed_coordinator * (1.0 + params.rho))
+
     def test_coordinator_identity(self):
         _, process = start_process(pid=0, n=3)
         assert process.coordinator_of(0) == 0
         assert process.coordinator_of(4) == 1
         assert process.is_coordinator
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RotatingCoordinatorProcess(round_timeout_factor=0.0)
 
 
 class TestCoordinator:
@@ -155,8 +165,7 @@ class TestRoundChanges:
 
 class TestBuilder:
     def test_builder_creates_processes(self):
-        builder = RotatingCoordinatorBuilder(round_timeout_factor=5.0)
+        builder = RotatingCoordinatorBuilder()
         process = builder.create(0)
         assert isinstance(process, RotatingCoordinatorProcess)
-        assert process.round_timeout_factor == 5.0
         assert "round-entry-rule" in builder.invariant_checks()

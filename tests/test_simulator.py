@@ -148,7 +148,7 @@ class TestDelivery:
 class TestTimers:
     def test_timer_driven_decisions(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)
-        sim.run_until_decided()
+        sim.run_until_decided(sim.nodes)
         assert sorted(sim.decisions) == [0, 1, 2]
         # Three ticks of one (zero-drift) local second each.
         for record in sim.decisions.values():
@@ -156,7 +156,7 @@ class TestTimers:
 
     def test_clock_drift_changes_real_firing_times(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=5, rho=0.05, seed=3)
-        sim.run_until_decided()
+        sim.run_until_decided(sim.nodes)
         times = sorted(record.time for record in sim.decisions.values())
         assert times[0] != times[-1]
         for time in times:
@@ -237,11 +237,6 @@ class TestScheduling:
         sim = build_simulator(lambda pid: PingProcess(), n=5)
         sim.run(max_events=3)
         assert sim.events_processed == 3
-
-    def test_step_processes_one_event(self):
-        sim = build_simulator(lambda pid: PingProcess(), n=3)
-        assert sim.step() is True
-        assert sim.events_processed == 1
 
     def test_stop_when_predicate(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)

@@ -34,16 +34,13 @@ class TestReplicatedLog:
         log.learn(1, "b")
         log.learn(3, "d")
         assert log.contiguous_prefix() == ["a", "b"]
-        assert log.first_gap() == 2
         assert log.highest_slot == 3
         log.learn(2, "c")
         assert log.contiguous_prefix() == ["a", "b", "c", "d"]
-        assert log.first_gap() == 4
 
     def test_empty_log_properties(self):
         log = ReplicatedLog()
         assert log.highest_slot == -1
-        assert log.first_gap() == 0
         assert log.contiguous_prefix() == []
         assert list(log.slots()) == []
 

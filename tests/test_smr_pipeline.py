@@ -147,13 +147,13 @@ class TestExecutorIntegration:
             run_smr(scenario, task.schedule.to_schedule(scenario.config.n)),
             workload=task.workload,
         )
-        assert SerialExecutor().map([task]) == [direct]
+        assert list(SerialExecutor().imap([task])) == [direct]
 
     def test_parallel_equals_serial(self):
         tasks = [stable_task(seed=seed) for seed in (1, 2, 3)]
-        serial = SerialExecutor().map(tasks)
+        serial = list(SerialExecutor().imap(tasks))
         with ParallelExecutor(jobs=2) as pool:
-            parallel = pool.map(tasks)
+            parallel = list(pool.imap(tasks))
         assert parallel == serial
 
     def test_jobs_leaves_no_worker_processes(self):
@@ -170,7 +170,7 @@ class TestExecutorIntegration:
         run = RunTask(protocol="modified-paxos", workload="stable",
                       workload_kwargs={"n": 3, "params": PARAMS, "seed": 1})
         smr = stable_task()
-        outcomes = SerialExecutor().map([run, smr])
+        outcomes = list(SerialExecutor().imap([run, smr]))
         assert outcomes[0].protocol == "modified-paxos"
         assert isinstance(outcomes[1], SmrOutcome)
 

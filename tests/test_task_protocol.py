@@ -176,7 +176,7 @@ class TestSerialExecutor:
     def test_executes_anything_with_execute(self):
         calls = []
         tasks = [FakeTask("a", calls), FakeTask("b", calls)]
-        assert SerialExecutor().map(tasks) == ["a", "b"]
+        assert list(SerialExecutor().imap(tasks)) == ["a", "b"]
         assert calls == ["a", "b"]
 
     def test_imap_executes_lazily_in_order(self):
@@ -188,19 +188,19 @@ class TestSerialExecutor:
         assert list(stream) == [1, 2]
         assert calls == [0, 1, 2]
 
-    def test_imap_only_executor_gets_map_and_close(self):
+    def test_imap_only_executor_gets_close(self):
         class ImapOnly(Executor):
             def imap(self, tasks):
                 return (task.execute() for task in tasks)
 
         calls = []
         executor = ImapOnly()
-        assert executor.map([FakeTask("x", calls)]) == ["x"]
+        assert list(executor.imap([FakeTask("x", calls)])) == ["x"]
         executor.close()
 
     def test_mixed_batch_matches_each_task_executed_alone(self):
         tasks = [run_task(), smr_task()]
-        assert SerialExecutor().map(tasks) == [task.execute() for task in tasks]
+        assert list(SerialExecutor().imap(tasks)) == [task.execute() for task in tasks]
 
 
 class TestOneResultRow:

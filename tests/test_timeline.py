@@ -36,10 +36,6 @@ class TestExtraction:
         timelines = extract_timelines(crafted_trace(), n=2)
         assert all("send" not in m.label for m in timelines[0].milestones)
 
-    def test_between_filter(self):
-        timelines = extract_timelines(crafted_trace(), n=2)
-        assert len(timelines[0].between(5.0, 6.0)) == 3
-
     def test_unknown_pids_ignored(self):
         trace = TraceRecorder()
         trace.record(1.0, "node", "crash", pid=7)
@@ -55,11 +51,6 @@ class TestRendering:
         assert "p0:" in text and "p1:" in text
         assert "stabilization time TS = 4" in text
         assert "[TS+2.00]" in text  # the decision at t=6 with ts=4
-
-    def test_only_after_filter(self):
-        text = render_timelines(crafted_trace(), n=2, only_after=5.0)
-        assert "crash" not in text
-        assert "decided" in text
 
     def test_empty_processes_marked(self):
         trace = TraceRecorder()

@@ -14,13 +14,6 @@ class TestRecording:
         assert len(trace) == 2
         assert [event.event for event in trace] == ["send", "decide"]
 
-    def test_capacity_stops_recording_and_flags_truncation(self):
-        trace = TraceRecorder(capacity=2)
-        for i in range(5):
-            trace.record(float(i), "sim", "tick")
-        assert len(trace) == 2
-        assert trace.truncated is True
-
     def test_events_returns_copy(self):
         trace = TraceRecorder()
         trace.record(1.0, "sim", "tick")
@@ -101,13 +94,6 @@ class TestQueries:
         assert len(trace.filter(event="session_enter")) == 2
         assert len(trace.filter(event="session_enter", pid=0)) == 1
         assert len(trace.filter(category="node")) == 1
-
-    def test_filter_with_predicate(self):
-        trace = self._populate()
-        high_sessions = trace.filter(
-            event="session_enter", predicate=lambda e: e.fields.get("session", 0) >= 1
-        )
-        assert len(high_sessions) == 1
 
     def test_filter_by_tuple_of_events_keeps_record_order(self):
         trace = self._populate()

@@ -28,12 +28,10 @@ class FakeOmega:
         return self.leader(pid) == pid
 
 
-def start_process(pid=0, n=3, value="v0", leader=True, retry_factor=2.0):
+def start_process(pid=0, n=3, value="v0", leader=True):
     oracle = FakeOmega(leaders={pid: pid if leader else (pid + 1) % n})
     harness = ContextHarness(pid=pid, n=n, params=make_params())
-    process = harness.start(
-        TraditionalPaxosProcess(oracle=oracle, retry_factor=retry_factor), initial_value=value
-    )
+    process = harness.start(TraditionalPaxosProcess(oracle=oracle), initial_value=value)
     return harness, process, oracle
 
 
@@ -47,6 +45,13 @@ class TestLeaderBehaviour:
     def test_non_leader_stays_quiet(self):
         harness, _, _ = start_process(leader=False)
         assert harness.sent_of_kind("phase1a") == []
+
+    def test_pulse_timer_armed_for_two_delta(self):
+        harness, process, _ = start_process(leader=True)
+        assert process.retry_interval == 2.0 * harness.params.delta
+        assert harness.timers[TraditionalPaxosProcess.LEADER_PULSE_TIMER] == pytest.approx(
+            process.retry_interval * (1.0 + harness.params.rho)
+        )
 
     def test_pulse_retries_with_new_ballot_after_interval(self):
         harness, process, _ = start_process(leader=True)
@@ -65,10 +70,6 @@ class TestLeaderBehaviour:
         harness.fire_timer(TraditionalPaxosProcess.LEADER_PULSE_TIMER)
         assert process.proposer.current_ballot() == first_ballot
         assert harness.sent_of_kind("phase1a") == []
-
-    def test_retry_factor_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraditionalPaxosProcess(oracle=FakeOmega(), retry_factor=0.0)
 
 
 class TestAcceptorSide:

@@ -6,14 +6,14 @@ from repro.oracle.wab import WabEndpoint, WabMessage
 from tests.helpers import ContextHarness, make_params
 
 
-def make_endpoint(pid=0, n=3, hold_real=2.0, rho=0.0):
+def make_endpoint(pid=0, n=3, rho=0.0):
     harness = ContextHarness(pid=pid, n=n, params=make_params(rho=rho))
     delivered = []
 
     def deliver(payload, origin, timestamp):
         delivered.append((payload, origin, timestamp))
 
-    endpoint = WabEndpoint(harness.ctx, deliver=deliver, hold_real=hold_real)
+    endpoint = WabEndpoint(harness.ctx, deliver=deliver)
     return harness, endpoint, delivered
 
 
@@ -97,7 +97,7 @@ class TestHoldBackDelivery:
         assert outgoing.timestamp.counter > 50
 
     def test_hold_uses_rho_inflation(self):
-        harness, endpoint, _ = make_endpoint(rho=0.05, hold_real=2.0)
+        harness, endpoint, _ = make_endpoint(rho=0.05)
         endpoint.on_receive(WabMessage(timestamp=LogicalTimestamp(1, 1), origin=1, payload="x"))
         wab_timers = [name for name in harness.timers if endpoint.handles_timer(name)]
         assert harness.timers[wab_timers[0]] == 2.0 * 1.05
