@@ -15,24 +15,15 @@ from repro.params import TimingParams
 
 
 def test_bench_event_queue_push_pop(benchmark):
-    def push_pop():
-        queue = EventQueue()
-        for i in range(2000):
-            queue.push(float(i % 97), lambda: None)
-        while queue:
-            queue.pop()
+    """Push 2000 entries, then drain them through pop_before (the run-loop path)."""
 
-    benchmark(push_pop)
-
-
-def test_bench_event_queue_fast_path(benchmark):
-    """Handle-free scheduling drained through pop_before (the run-loop path)."""
+    def action():
+        pass
 
     def push_pop():
         queue = EventQueue()
-        action = lambda: None
         for i in range(2000):
-            queue.push(float(i % 97), action, cancellable=False)
+            queue.push(float(i % 97), action)
         while queue.pop_before(float("inf")) is not None:
             pass
 

@@ -45,7 +45,7 @@ from repro.analysis.report import render_run_report
 from repro.analysis.timeline import render_timelines
 from repro.consensus.registry import PROTOCOLS
 from repro.env.registry import ADVERSARY_KINDS, FAULT_KINDS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.harness.campaign import run_campaign, write_report
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
     """Run an ``smr-*`` workload through the multi-decree service."""
     from repro.analysis.report import render_smr_run_report
-    from repro.errors import ExperimentError, ReproError
+    from repro.errors import ExperimentError
     from repro.harness.executors import SmrTask
     from repro.smr.workload import ScheduleSpec
 
@@ -268,6 +268,9 @@ def _command_run(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(error)
         return 2
+    except ReproError as error:
+        print(f"run failed: {error}")
+        return 1
     print(render_run_report(result))
     if args.timeline:
         print()

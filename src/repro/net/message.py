@@ -68,7 +68,6 @@ class Envelope:
             fallback counter serves directly constructed envelopes).
         deliver_time: Real delivery time once the fate is decided, else None.
         dropped: True if the network decided to lose the message.
-        duplicated_from: msg_id of the original if this is a duplicate copy.
     """
 
     message: Message
@@ -79,7 +78,6 @@ class Envelope:
     msg_id: int = field(default_factory=lambda: next(_envelope_ids))
     deliver_time: Optional[float] = None
     dropped: bool = False
-    duplicated_from: Optional[int] = None
 
     @property
     def kind(self) -> str:

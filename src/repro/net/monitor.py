@@ -33,7 +33,6 @@ class MessageStats:
     sent_pre_ts: int = 0
     sent_post_ts: int = 0
     by_kind: Counter = field(default_factory=Counter)
-    delivered_by_kind: Counter = field(default_factory=Counter)
 
 
 class NetworkMonitor:
@@ -74,7 +73,6 @@ class NetworkMonitor:
 
     def on_deliver(self, envelope: Envelope) -> None:
         self.stats.delivered += 1
-        self.stats.delivered_by_kind[envelope.message.kind] += 1
 
     def on_duplicate(self, envelope: Envelope) -> None:
         self.stats.duplicated += 1

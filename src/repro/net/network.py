@@ -92,15 +92,14 @@ class Network:
         monitor.on_send(envelope)
 
         rng = self.rng
-        # ``fate`` never returns a time before ``now``: push without re-checking,
-        # and with no cancellation handle (deliveries are never cancelled).
+        # ``fate`` never returns a time before ``now``: push without re-checking.
         deliver_time = model.fate(envelope, now, rng)
         if deliver_time is None:
             envelope.dropped = True
             monitor.on_drop(envelope)
             return envelope
         envelope.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, "net:deliver", (envelope,), False)
+        self._push(deliver_time, self._deliver_action, (envelope,))
 
         duplicate_prob = self._duplicate_prob
         if duplicate_prob > 0 and rng.coin(duplicate_prob):
@@ -137,10 +136,7 @@ class Network:
         self.monitor.on_inject(envelope)
         envelope.deliver_time = deliver_time
         # Through ``schedule_at``: a scripted delivery time may lie in the past.
-        self._simulator.schedule_at(
-            deliver_time, self._deliver_action, args=(envelope,), label="net:deliver",
-            cancellable=False,
-        )
+        self._simulator.schedule_at(deliver_time, self._deliver_action, args=(envelope,))
         return envelope
 
     # -- internals -------------------------------------------------------------
@@ -152,7 +148,6 @@ class Network:
             send_time=envelope.send_time,
             era=envelope.era,
             msg_id=self._next_id(),
-            duplicated_from=envelope.msg_id,
         )
         self.monitor.on_duplicate(duplicate)
         deliver_time = self.model.fate(duplicate, now, self.rng)
@@ -161,7 +156,7 @@ class Network:
             self.monitor.on_drop(duplicate)
             return
         duplicate.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, "net:deliver", (duplicate,), False)
+        self._push(deliver_time, self._deliver_action, (duplicate,))
 
     def _deliver(self, envelope: Envelope) -> None:
         node = self._nodes_get(envelope.dst)

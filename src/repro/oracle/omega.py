@@ -40,7 +40,6 @@ class OmegaOracle:
         # How long after ``ts`` the oracle may still give divergent answers:
         # O(δ), as the paper's assumption requires.
         self.stabilization_delay = simulator.config.params.delta
-        self.queries = 0
 
     @property
     def convergence_time(self) -> float:
@@ -49,7 +48,6 @@ class OmegaOracle:
 
     def leader(self, querying_pid: int) -> int:
         """The process ``querying_pid`` currently trusts as leader."""
-        self.queries += 1
         now = self.simulator.now()
         if now < self.convergence_time:
             return querying_pid

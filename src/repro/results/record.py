@@ -472,10 +472,6 @@ class RecordBase:
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ResultSchemaError(f"malformed {cls.kind} record dict: {error!r}") from error
 
-    @classmethod
-    def from_json(cls, text: str) -> Any:
-        return cls.from_dict(_load_json_object(text))
-
 
 class RunRecord(RecordBase):
     """One single-decree run: the envelope around a :class:`RunOutcome`."""

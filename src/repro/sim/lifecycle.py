@@ -8,20 +8,27 @@ fresh protocol instance from the factory and hands it the same stable
 storage, exactly matching the paper's "a failed process can restart at any
 time ... by simply resuming where it left off" (with the resumption driven
 by what the protocol persisted).
+
+Timers are named and set in *local* clock time (the node's
+:class:`~repro.sim.clock.DriftingClock` converts the delay to real time).
+The node keeps ``name -> seq`` for the pending timers of the current
+incarnation, where ``seq`` is the event queue's sequence number for the
+timer's entry.  Setting a name again cancels the old entry and pushes a new
+one; a firing timer leaves the table before the protocol sees it; a crash
+cancels every pending entry, so no timer outlives its incarnation.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.errors import ProcessStateError
+from repro.errors import ProcessStateError, SchedulingError
 from repro.net.message import Envelope
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
 from repro.sim.process import Process, ProcessContext, ProcessFactory
 from repro.sim.rng import SeededRng
-from repro.sim.timers import TimerManager
 from repro.storage.stable import StableStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,13 +76,9 @@ class Node:
         self.process: Optional[Process] = None
         self.crash_count = 0
         self.restart_count = 0
-        self._timers = TimerManager(
-            clock=clock,
-            schedule=simulator.schedule_at,
-            cancel=simulator.cancel,
-            on_fire=self._on_timer_fired,
-            now=simulator.now,
-        )
+        self._queue = simulator._events
+        # Timer name -> sequence number of its pending queue entry.
+        self._timers: Dict[str, int] = {}
 
     def __repr__(self) -> str:
         return f"Node(pid={self.pid}, status={self.status.value}, incarnation={self.incarnation})"
@@ -95,7 +98,10 @@ class Node:
             )
         self.status = ProcessStatus.CRASHED
         self.crash_count += 1
-        self._timers.invalidate_all()
+        queue = self._queue
+        for seq in self._timers.values():
+            queue.cancel(seq)
+        self._timers.clear()
         if self.process is not None:
             self.process.on_stop()
         self.process = None
@@ -144,8 +150,6 @@ class Node:
             rng=self.rng,
             send=self._send,
             set_timer=self._set_timer,
-            cancel_timer=self._timers.cancel,
-            timer_pending=lambda name: name in self._timers,
             decide=self._decide,
             local_time=self.local_time,
             emit=self._emit,
@@ -159,12 +163,22 @@ class Node:
     def _set_timer(self, name: str, local_delay: float) -> None:
         if self.status is not _ACTIVE:
             return
-        self._timers.set(name, local_delay, pid_label=f"p{self.pid}")
+        if local_delay < 0:
+            raise SchedulingError(f"timer {name!r} set with negative delay {local_delay}")
+        queue = self._queue
+        timers = self._timers
+        seq = timers.get(name)
+        if seq is not None:
+            queue.cancel(seq)
+        fires_at = self.simulator._time + self.clock.real_duration(local_delay)
+        # Bound method + args instead of a closure: timers are reset on every
+        # protocol cadence tick.
+        timers[name] = queue.push(fires_at, self._timer_fired, (name,))
 
-    def _on_timer_fired(self, name: str) -> None:
-        if self.status is not _ACTIVE or self.process is None:
-            return
-        self.process.on_timer(name)
+    def _timer_fired(self, name: str) -> None:
+        del self._timers[name]
+        if self.status is _ACTIVE and self.process is not None:
+            self.process.on_timer(name)
 
     def _decide(self, value: Any) -> None:
         if self.status is not _ACTIVE:

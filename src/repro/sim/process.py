@@ -7,7 +7,8 @@ it, which exposes exactly the capabilities a process has in the paper's
 model:
 
 * send a message to one process or to all processes,
-* set and cancel named local timers (driven by a drifting local clock),
+* set named local timers (driven by a drifting local clock); setting a
+  name again replaces its pending timer,
 * read and write stable storage (the only state surviving a crash),
 * decide a value,
 * observe its own id, the number of processes, and the known timing
@@ -50,8 +51,6 @@ class ProcessContext:
         rng: SeededRng,
         send: Callable[["Message", int], None],
         set_timer: Callable[[str, float], None],
-        cancel_timer: Callable[[str], bool],
-        timer_pending: Callable[[str], bool],
         decide: Callable[[Any], None],
         local_time: Callable[[], float],
         emit: Callable[[str, dict], None],
@@ -63,8 +62,6 @@ class ProcessContext:
         self.rng = rng
         self._send = send
         self._set_timer = set_timer
-        self._cancel_timer = cancel_timer
-        self._timer_pending = timer_pending
         self._decide = decide
         self._local_time = local_time
         self._emit = emit
@@ -99,16 +96,11 @@ class ProcessContext:
 
     # -- timers --------------------------------------------------------------
     def set_timer(self, name: str, local_delay: float) -> None:
-        """(Re)arm the named timer to fire after ``local_delay`` local seconds."""
+        """(Re)arm the named timer to fire after ``local_delay`` local seconds.
+
+        A pending timer of the same name is replaced: only the new one fires.
+        """
         self._set_timer(name, local_delay)
-
-    def cancel_timer(self, name: str) -> bool:
-        """Cancel the named timer; returns True if it was pending."""
-        return self._cancel_timer(name)
-
-    def timer_pending(self, name: str) -> bool:
-        """Whether the named timer is currently armed."""
-        return self._timer_pending(name)
 
     # -- outcome & tracing -----------------------------------------------
     def decide(self, value: Any) -> None:

@@ -59,20 +59,11 @@ class SeededRng:
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)
 
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._random.choice(seq)
-
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         return self._random.sample(seq, k)
 
     def shuffle(self, items: list[T]) -> None:
         self._random.shuffle(items)
-
-    def expovariate(self, rate: float) -> float:
-        return self._random.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
 
     # -- domain helpers ---------------------------------------------------
     def clock_rate(self, rho: float) -> float:

@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.net.network import Network
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.lifecycle import Node, ProcessStatus
 from repro.sim.process import ProcessFactory
 from repro.sim.rng import SeededRng
@@ -130,44 +130,21 @@ class Simulator:
         """Current simulated real time."""
         return self._time
 
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[..., None],
-        *,
-        label: str = "",
-        args: Tuple = (),
-        cancellable: bool = True,
-    ) -> Optional[EventHandle]:
-        """Schedule ``action(*args)`` at absolute time ``time`` (>= now).
-
-        ``cancellable=False`` skips the :class:`EventHandle` allocation for
-        events that are never cancelled (the network's deliveries) and
-        returns ``None``.
-        """
+    def schedule_at(self, time: float, action: Callable[..., None], *, args: Tuple = ()) -> None:
+        """Schedule ``action(*args)`` at absolute time ``time`` (>= now)."""
         if time < self._time:
             raise SimulationError(
-                f"cannot schedule {label!r} at {time} before current time {self._time}"
+                f"cannot schedule an event at {time} before current time {self._time}"
             )
-        return self._events.push(time, action, label, args, cancellable)
+        self._events.push(time, action, args)
 
-    def schedule_in(
-        self,
-        delay: float,
-        action: Callable[..., None],
-        *,
-        label: str = "",
-        args: Tuple = (),
-    ) -> EventHandle:
-        """Schedule ``action`` after a real delay (>= 0)."""
+    def schedule_in(self, delay: float, action: Callable[..., None], *, args: Tuple = ()) -> None:
+        """Schedule ``action(*args)`` after a real delay (>= 0)."""
         if delay < 0:
-            raise SimulationError(f"cannot schedule {label!r} with negative delay {delay}")
+            raise SimulationError(f"cannot schedule an event with negative delay {delay}")
         # A non-negative delay cannot land before the current time, so push
         # directly instead of re-validating through schedule_at.
-        return self._events.push(self._time + delay, action, label, args)
-
-    def cancel(self, handle: EventHandle) -> None:
-        self._events.cancel(handle)
+        self._events.push(self._time + delay, action, args)
 
     # -- decisions ----------------------------------------------------------------
     def record_decision(self, pid: int, value: Any, incarnation: int) -> None:
@@ -196,11 +173,11 @@ class Simulator:
         """Restart process ``pid`` now (it must be crashed)."""
         self._node(pid).restart()
 
-    def schedule_crash(self, pid: int, time: float) -> Optional[EventHandle]:
-        return self.schedule_at(time, self.crash, args=(pid,), label=f"crash:p{pid}")
+    def schedule_crash(self, pid: int, time: float) -> None:
+        self.schedule_at(time, self.crash, args=(pid,))
 
-    def schedule_restart(self, pid: int, time: float) -> Optional[EventHandle]:
-        return self.schedule_at(time, self.restart, args=(pid,), label=f"restart:p{pid}")
+    def schedule_restart(self, pid: int, time: float) -> None:
+        self.schedule_at(time, self.restart, args=(pid,))
 
     def alive_pids(self) -> List[int]:
         return [pid for pid, node in self.nodes.items() if node.status is ProcessStatus.ACTIVE]
@@ -222,7 +199,7 @@ class Simulator:
     ) -> float:
         """Run the event loop.
 
-        The loop body pulls raw ``(time, seq, action, args, label)`` entries
+        The loop body pulls raw ``(time, seq, action, args)`` entries
         straight off the queue via
         :meth:`~repro.sim.events.EventQueue.pop_before` — a single combined
         peek-and-pop with no per-event object construction.

@@ -16,7 +16,7 @@ content key.  ``spec.to_schedule(n)`` materializes the concrete
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -127,20 +127,6 @@ class ScheduleSpec:
                 for pid, submit_at, command_id, command in self.entries
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScheduleSpec":
-        return cls(
-            num_commands=data.get("num_commands", 0),
-            start=data.get("start", 10.0),
-            interval=data.get("interval", 1.0),
-            target_pid=data.get("target_pid"),
-            entries=tuple(
-                (entry[0], entry[1], entry[2],
-                 tuple(entry[3]) if isinstance(entry[3], list) else entry[3])
-                for entry in data.get("entries", ())
-            ),
-        )
 
 
 def uniform_schedule(

@@ -67,14 +67,6 @@ class StableStore:
             return default
         return copy.deepcopy(self._data[key])
 
-    def delete(self, key: str) -> bool:
-        """Remove ``key`` if present; returns True if something was removed."""
-        if key in self._data:
-            del self._data[key]
-            self._writes += 1
-            return True
-        return False
-
     def update(self, values: Dict[str, Any]) -> None:
         """Store several keys atomically (one logical write)."""
         for key in values:

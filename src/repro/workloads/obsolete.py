@@ -69,7 +69,7 @@ class _ObsoleteReleaseController:
 
     def install(self) -> None:
         start = self.simulator.config.ts + 0.5 * self.poll_interval
-        self.simulator.schedule_at(start, self._poll, label="obsolete-adversary")
+        self.simulator.schedule_at(start, self._poll)
 
     # -- internals ---------------------------------------------------------------
     def _poll(self) -> None:
@@ -83,7 +83,7 @@ class _ObsoleteReleaseController:
         if attempt.phase2a_sent and attempt.ballot > self.last_ruined_ballot:
             self._release(above_ballot=attempt.ballot)
             self.last_ruined_ballot = attempt.ballot
-        self.simulator.schedule_in(self.poll_interval, self._poll, label="obsolete-adversary")
+        self.simulator.schedule_in(self.poll_interval, self._poll)
 
     def _leader_attempt(self):
         node = self.simulator.nodes[self.leader]

@@ -116,18 +116,18 @@ def trace_wire_rows(monkeypatch) -> None:
     * ``Node.deliver``: a ``"net"`` ``deliver`` row, or ``deliver_to_crashed``
       when the node does not accept the envelope (the network calls it for
       every delivery whose destination exists);
-    * ``Node._on_timer_fired``: a ``"node"`` ``timer`` row when the owner is
+    * ``Node._timer_fired``: a ``"node"`` ``timer`` row when the owner is
       active, before the protocol handles the timer.
 
-    Install it before building the simulator: a node binds its timer
-    callback when it is constructed.
+    Install it before building the simulator: the network binds the event
+    queue's ``push`` when the simulator is constructed.
     """
     from repro.net.network import Network
     from repro.sim.lifecycle import Node, ProcessStatus
 
     send = Network.send
     deliver = Node.deliver
-    on_timer_fired = Node._on_timer_fired
+    timer_fired = Node._timer_fired
 
     def tracing_send(self, message, src, dst):
         envelope = send(self, message, src, dst)
@@ -146,14 +146,14 @@ def trace_wire_rows(monkeypatch) -> None:
         )
         return accepted
 
-    def tracing_on_timer_fired(self, name):
+    def tracing_timer_fired(self, name):
         if self.status is ProcessStatus.ACTIVE and self.process is not None:
             self.simulator.trace.record(self.simulator.now(), "node", "timer", pid=self.pid, name=name)
-        on_timer_fired(self, name)
+        timer_fired(self, name)
 
     monkeypatch.setattr(Network, "send", tracing_send)
     monkeypatch.setattr(Node, "deliver", tracing_deliver)
-    monkeypatch.setattr(Node, "_on_timer_fired", tracing_on_timer_fired)
+    monkeypatch.setattr(Node, "_timer_fired", tracing_timer_fired)
 
 
 def make_run_record(
@@ -213,6 +213,10 @@ class ContextHarness:
         harness.start(process, initial_value="v0")
         harness.deliver(Phase1a(mbal=7), sender=1)
         assert harness.sent_of_kind("phase1b")
+
+    ``harness.timers`` maps each pending timer name to the local delay it was
+    last set with.  As on a real node, setting a name again replaces its
+    timer, and :meth:`fire_timer` removes the name before the process sees it.
     """
 
     pid: int = 0
@@ -224,7 +228,6 @@ class ContextHarness:
         self.storage = StableStore(owner=self.pid)
         self.sent: List[SentMessage] = []
         self.timers: Dict[str, float] = {}
-        self.cancelled: List[str] = []
         self.decisions: List[Any] = []
         self.emitted: List[Tuple[str, dict]] = []
         self._local_time = self.initial_local_time
@@ -241,8 +244,6 @@ class ContextHarness:
             rng=SeededRng(self.pid, label=f"test-p{self.pid}"),
             send=self._send,
             set_timer=self._set_timer,
-            cancel_timer=self._cancel_timer,
-            timer_pending=lambda name: name in self.timers,
             decide=self.decisions.append,
             local_time=lambda: self._local_time,
             emit=lambda event, fields: self.emitted.append((event, fields)),
@@ -253,13 +254,6 @@ class ContextHarness:
 
     def _set_timer(self, name: str, local_delay: float) -> None:
         self.timers[name] = local_delay
-
-    def _cancel_timer(self, name: str) -> bool:
-        if name in self.timers:
-            del self.timers[name]
-            self.cancelled.append(name)
-            return True
-        return False
 
     # -- driving the process ----------------------------------------------------
     def start(self, process: Process, initial_value: Any = "v") -> Process:

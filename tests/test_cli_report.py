@@ -150,6 +150,35 @@ class TestCliCommands:
         assert "agreement: forced" in capsys.readouterr().out
         assert exit_code == 1
 
+    def test_enforced_run_reports_a_violated_invariant_instead_of_raising(
+        self, capsys, monkeypatch
+    ):
+        def forced_violation(trace, n):
+            return InvariantReport(name="forced", checked=1, violations=["forced violation"])
+
+        monkeypatch.setattr(
+            ModifiedPaxosBuilder, "invariant_checks", lambda self: {"forced": forced_violation}
+        )
+        exit_code = main(["run", "--workload", "stable", "--n", "3"])
+        output = capsys.readouterr().out
+        assert output.startswith("run failed: ")
+        assert "forced violation" in output
+        assert exit_code == 1
+
+    def test_enforced_run_reports_a_safety_violation_instead_of_raising(
+        self, capsys, monkeypatch
+    ):
+        from repro.consensus.spec import SafetyReport
+        from repro.harness import runner
+
+        unsafe = SafetyReport(valid=False, violations=["agreement: forced"])
+        monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: unsafe)
+        exit_code = main(["run", "--workload", "stable", "--n", "3"])
+        output = capsys.readouterr().out
+        assert output.startswith("run failed: ")
+        assert "agreement: forced" in output
+        assert exit_code == 1
+
     def test_run_unknown_protocol_fails_cleanly(self, capsys):
         exit_code = main(["run", "--protocol", "raft", "--workload", "stable", "--n", "3"])
         assert exit_code == 2

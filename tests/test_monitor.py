@@ -25,7 +25,6 @@ class TestCounters:
         assert stats.sent_pre_ts == 1
         assert stats.sent_post_ts == 1
         assert stats.by_kind == {"phase1a": 1, "phase2a": 1}
-        assert stats.delivered_by_kind == {"phase1a": 1}
 
     def test_duplicate_and_crashed_counters(self):
         monitor = NetworkMonitor()

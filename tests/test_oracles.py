@@ -69,10 +69,3 @@ class TestOmega:
         sim = make_simulator(ts=10.0)
         oracle = OmegaOracle(sim)
         assert oracle.believes_self_leader(2)
-
-    def test_counts_queries(self):
-        sim = make_simulator()
-        oracle = OmegaOracle(sim)
-        oracle.leader(0)
-        oracle.leader(1)
-        assert oracle.queries == 2

@@ -2,7 +2,6 @@
 
 Covers the behavioural surfaces the allocation-free refactor touched:
 
-* ``cancellable=False`` scheduling through ``Simulator.schedule_at``,
 * the monitor's counters, which must agree with the per-message ``send`` and
   ``deliver`` rows (the network keeps no per-envelope log),
 * per-network ``msg_id`` streams (deterministic, no global state),
@@ -91,19 +90,6 @@ class TestSeededEquivalence:
         assert run_digest(protocol, workload) == ORACLE_DIGESTS[key]
 
 
-class TestCancellableFastPath:
-    def test_schedule_without_handle_fires(self):
-        scenario = stable_scenario(3, params=PARAMS, seed=1)
-        result = run_scenario(scenario, "modified-paxos")
-        sim = result.simulator
-        calls = []
-        handle = sim.schedule_at(sim.now() + 1.0, calls.append, args=("fired",),
-                                 cancellable=False)
-        assert handle is None
-        sim.run(until=sim.now() + 2.0)
-        assert calls == ["fired"]
-
-
 class TestMonitorMatchesTrace:
     """The monitor's counters agree with the per-message trace rows."""
 
@@ -122,9 +108,6 @@ class TestMonitorMatchesTrace:
         assert stats.delivered == len(delivers) > 0
         assert stats.to_crashed == len(lost)
         assert dict(stats.by_kind) == Counter(event.fields["kind"] for event in sends)
-        assert dict(stats.delivered_by_kind) == Counter(
-            event.fields["kind"] for event in delivers
-        )
         ts = sim.config.ts
         assert stats.sent_pre_ts == sum(1 for event in sends if event.time < ts)
         assert stats.sent_post_ts == sum(1 for event in sends if event.time >= ts)

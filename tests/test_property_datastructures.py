@@ -17,6 +17,7 @@ from repro.net.partition import minority_groups
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
+from repro.sim.events import EventQueue
 from repro.sim.rng import SeededRng
 from repro.smr.log import ReplicatedLog
 from repro.storage.stable import StableStore
@@ -172,6 +173,93 @@ class TestStorageProperties:
         for key, value in reference.items():
             assert store.get(key) == value
         assert store.snapshot() == reference
+
+
+# Queue operations: push at a small integer time (many ties), cancel the
+# i-th still-pending entry (mod their count), pop at or before a horizon.
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 5)),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+        st.tuples(st.just("pop"), st.one_of(st.integers(0, 6), st.just(float("inf")))),
+    ),
+    max_size=60,
+)
+
+
+class TestEventQueueProperties:
+    @given(ops=_QUEUE_OPS)
+    def test_pops_follow_time_seq_order_and_skip_exactly_the_cancelled(self, ops):
+        queue = EventQueue()
+        pending = {}  # seq -> time of every pushed, not cancelled, not popped entry
+        for op, arg in ops:
+            if op == "push":
+                seq = queue.push(float(arg), print)
+                assert seq not in pending
+                pending[seq] = float(arg)
+            elif op == "cancel" and pending:
+                seq = sorted(pending)[arg % len(pending)]
+                queue.cancel(seq)
+                del pending[seq]
+            elif op == "pop":
+                due = [(time, seq) for seq, time in pending.items() if time <= arg]
+                entry = queue.pop_before(arg)
+                if not due:
+                    assert entry is None
+                else:
+                    assert entry[:2] == min(due)
+                    del pending[entry[1]]
+            in_heap = {entry[1] for entry in queue._heap}
+            # Every cancelled seq is still in the heap, and the heap holds
+            # nothing but pending and cancelled entries.
+            assert queue._cancelled <= in_heap
+            assert in_heap == set(pending) | queue._cancelled
+        drained = []
+        while (entry := queue.pop_before(float("inf"))) is not None:
+            drained.append(entry[:2])
+        assert drained == sorted((time, seq) for seq, time in pending.items())
+        assert queue._cancelled == set()
+
+    @given(ops=_QUEUE_OPS)
+    def test_push_returns_the_number_of_earlier_pushes(self, ops):
+        queue = EventQueue()
+        pushes = 0
+        live = []  # seqs pushed and neither cancelled nor popped
+        for op, arg in ops:
+            if op == "push":
+                assert queue.push(float(arg), print) == pushes
+                live.append(pushes)
+                pushes += 1
+            elif op == "cancel" and live:
+                queue.cancel(live.pop(arg % len(live)))
+            elif op == "pop":
+                entry = queue.pop_before(arg)
+                if entry is not None:
+                    live.remove(entry[1])
+
+    @given(
+        times=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+        picks=st.lists(st.integers(0, 29), max_size=30),
+        data=st.data(),
+    )
+    def test_the_order_of_cancels_does_not_change_the_pops(self, times, picks, data):
+        doomed = sorted({pick % len(times) for pick in picks})
+        shuffled = data.draw(st.permutations(doomed))
+        pops = []
+        for order in (doomed, shuffled):
+            queue = EventQueue()
+            for time in times:
+                queue.push(float(time), print)
+            for seq in order:
+                queue.cancel(seq)
+            popped = []
+            while (entry := queue.pop_before(float("inf"))) is not None:
+                popped.append(entry[:2])
+            pops.append(popped)
+        assert pops[0] == pops[1]
+        assert [seq for _, seq in pops[0]] == sorted(
+            set(range(len(times))) - set(doomed), key=lambda seq: (times[seq], seq)
+        )
 
 # Log entries: (command_id, command) pairs, including a duplicate submission of
 # one id in a second slot, and bare values that carry no command id.

@@ -92,6 +92,23 @@ def test_one_configuration_per_run():
     assert list(inspect.signature(repro.run_scenario).parameters) == ["scenario", "protocol", "enforce"]
 
 
+def test_the_event_queue_has_one_way_to_schedule_and_cancel():
+    from repro.sim.events import EventQueue
+
+    public = {name for name in vars(EventQueue) if not name.startswith("_")}
+    assert public == {"push", "cancel", "pop_before"}
+    assert list(inspect.signature(EventQueue.push).parameters) == ["self", "time", "action", "args"]
+
+
+def test_timers_are_set_through_the_context_and_never_cancelled_by_name():
+    from repro.sim.process import ProcessContext
+
+    assert hasattr(ProcessContext, "set_timer")
+    assert not hasattr(ProcessContext, "cancel_timer")
+    assert not hasattr(ProcessContext, "timer_pending")
+    assert not (PACKAGE / "sim" / "timers.py").exists()
+
+
 def test_readme_has_the_four_runnable_blocks():
     assert len(README_BLOCKS) == len(README_BLOCK_IDS)
 

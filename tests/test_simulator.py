@@ -14,7 +14,6 @@ from repro.errors import ProcessStateError, SimulationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
-from repro.sim.events import EventHandle
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
@@ -214,18 +213,36 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_in(-0.5, lambda: None)
 
-    def test_schedule_in_returns_a_cancellable_handle(self):
+    def test_schedule_in_fires_after_the_delay_in_insertion_order(self):
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        start = sim.now()
+        calls = []
+        for name in ("first", "second"):
+            sim.schedule_in(0.5, lambda name=name: calls.append((name, sim.now())))
+        sim.run(until=start + 1.0)
+        assert calls == [("first", start + 0.5), ("second", start + 0.5)]
+
+    def test_schedule_at_the_current_instant_is_allowed(self):
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        sim.run(until=1.0)
+        calls = []
+        sim.schedule_at(sim.now(), calls.append, args=("now",))
+        sim.run(until=sim.now())
+        assert calls == ["now"]
+
+    def test_schedule_at_passes_args_to_the_action(self):
         sim = build_simulator(lambda pid: PingProcess(), n=3)
         calls = []
-        kept = sim.schedule_in(0.5, calls.append, label="kept", args=("kept",))
-        dropped = sim.schedule_in(0.5, calls.append, label="dropped", args=("dropped",))
-        assert isinstance(kept, EventHandle) and isinstance(dropped, EventHandle)
-        assert dropped.time == kept.time == sim.now() + 0.5
-        sim.cancel(dropped)
-        sim.run(until=sim.now() + 1.0)
-        assert calls == ["kept"]
-        assert kept.fired and not kept.cancelled
-        assert dropped.cancelled and not dropped.fired
+        sim.schedule_at(0.25, lambda *args: calls.append((args, sim.now())), args=("a", 1))
+        sim.run(until=0.5)
+        assert calls == [(("a", 1), 0.25)]
+
+    def test_scheduled_crash_and_restart_return_no_token(self):
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        assert sim.schedule_crash(2, 1.0) is None
+        assert sim.schedule_restart(2, 2.0) is None
+        sim.run(until=3.0)
+        assert (sim.nodes[2].crash_count, sim.nodes[2].restart_count) == (1, 1)
 
     def test_run_respects_until(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)

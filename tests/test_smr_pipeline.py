@@ -75,12 +75,6 @@ class TestScheduleSpec:
         with pytest.raises(ConfigurationError, match="out of range"):
             spec.to_schedule(3)
 
-    def test_dict_round_trip(self):
-        spec = ScheduleSpec(num_commands=5, start=2.0, interval=0.5, target_pid=1)
-        assert ScheduleSpec.from_dict(spec.to_dict()) == spec
-        explicit = ScheduleSpec(entries=((0, 1.0, "a", ("set", "k", "v")),))
-        assert ScheduleSpec.from_dict(explicit.to_dict()) == explicit
-
 
 class TestSmrWorkloadFamily:
     def test_every_smr_workload_is_registered(self):

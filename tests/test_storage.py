@@ -24,13 +24,6 @@ class TestStableStoreBasics:
         with pytest.raises(StorageError):
             store.update({3: "value"})
 
-    def test_delete(self):
-        store = StableStore(owner=0)
-        store.put("x", 1)
-        assert store.delete("x") is True
-        assert store.delete("x") is False
-        assert "x" not in store
-
     def test_contains_len_iter(self):
         store = StableStore(owner=0)
         store.put("b", 2)

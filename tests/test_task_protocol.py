@@ -41,6 +41,7 @@ from repro.results.record import (
     RecordBase,
     RunRecord,
     content_key_for_task,
+    decode_record_json,
     record_for_task,
 )
 from repro.results.smr_record import SmrRecord
@@ -313,7 +314,7 @@ class TestRecordBase:
         assert type(record).from_task(task, outcome) == record
         assert type(record).from_task(task, outcome, key="pinned").key == "pinned"
         assert record.environment == outcome.extra["environment"]
-        assert type(record).from_json(record.to_json()) == record
+        assert decode_record_json(record.to_json()) == record
 
     @pytest.mark.parametrize("record_class", [RunRecord, SmrRecord])
     def test_missing_schema_version_rejected(self, record_class):

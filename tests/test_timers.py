@@ -1,128 +1,181 @@
-"""Unit tests for named timers (`repro.sim.timers`) against a fake scheduler."""
+"""Named per-process timers, driven through a real :class:`Simulator`.
 
-from dataclasses import dataclass, field
-from typing import Callable, List
+A node keeps one pending queue entry per timer name: setting a name again
+replaces the pending timer, a firing timer leaves the node's table before the
+protocol sees it, and a crash drops every pending timer of the incarnation.
+"""
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim.clock import DriftingClock
-from repro.sim.events import EventHandle
-from repro.sim.timers import TimerManager
+from repro.net.network import Network
+from repro.net.synchrony import EventualSynchrony
+from repro.sim.process import Process
+from repro.sim.rng import SeededRng
+from repro.sim.simulator import SimulationConfig, Simulator
+
+from tests.helpers import make_params
 
 
-@dataclass
-class FakeEntry:
-    """One scheduled (time, action, args) triple plus its handle."""
+class ScriptedTimers(Process):
+    """Sets the timers of ``script[None]`` at start and ``script[name]`` when ``name`` fires.
 
-    time: float
-    action: Callable[..., None]
-    args: tuple
-    handle: EventHandle
+    Each script entry is a list of ``(timer, local_delay)`` pairs; a fired
+    name's entry is used only on its first firing.  Every firing is logged
+    as ``(pid, incarnation, name, real time)``.
+    """
 
-    def fire(self) -> None:
-        self.action(*self.args)
+    def __init__(self, script, log, sim_of):
+        super().__init__()
+        self.script = script
+        self.log = log
+        self.sim_of = sim_of
+        self.seen = set()
 
+    def on_start(self):
+        for timer, delay in self.script.get(None, ()):
+            self.ctx.set_timer(timer, delay)
 
-@dataclass
-class FakeScheduler:
-    """Minimal stand-in for the simulator's scheduling interface."""
+    def on_message(self, message, sender):
+        pass
 
-    now: float = 0.0
-    scheduled: List[FakeEntry] = field(default_factory=list)
-
-    def schedule(
-        self, time: float, action: Callable[..., None], *, label: str = "", args: tuple = ()
-    ) -> EventHandle:
-        handle = EventHandle(time=time, label=label, seq=len(self.scheduled))
-        self.scheduled.append(FakeEntry(time=time, action=action, args=args, handle=handle))
-        return handle
-
-    def cancel(self, handle: EventHandle) -> None:
-        handle.cancel()
-
-    def fire_due(self, up_to: float) -> None:
-        """Fire every non-cancelled event scheduled at or before ``up_to``."""
-        for entry in list(self.scheduled):
-            if not entry.handle.cancelled and entry.time <= up_to:
-                self.now = entry.time
-                entry.fire()
+    def on_timer(self, name):
+        sim = self.sim_of()
+        pid = self.ctx.pid
+        self.log.append((pid, sim.nodes[pid].incarnation, name, sim.now()))
+        if name not in self.seen:
+            self.seen.add(name)
+            for timer, delay in self.script.get(name, ()):
+                self.ctx.set_timer(timer, delay)
 
 
-def make_manager(rate: float = 1.0):
-    scheduler = FakeScheduler()
-    fired: List[str] = []
-    manager = TimerManager(
-        clock=DriftingClock(rate=rate),
-        schedule=scheduler.schedule,
-        cancel=scheduler.cancel,
-        on_fire=fired.append,
-        now=lambda: scheduler.now,
+def build(script, n=1, rho=0.0, seed=0):
+    """A simulator whose processes all follow ``script``, and its firing log."""
+    log = []
+    params = make_params(rho=rho)
+    config = SimulationConfig(n=n, params=params, seed=seed, max_time=100.0)
+    network = Network(
+        model=EventualSynchrony(ts=0.0, delta=params.delta), rng=SeededRng(seed, label="net")
     )
-    return manager, scheduler, fired
+    sim = Simulator(config, lambda pid: ScriptedTimers(script, log, lambda: sim), network)
+    return sim, log
 
 
 class TestSetAndFire:
-    def test_set_schedules_at_converted_real_time(self):
-        manager, scheduler, _ = make_manager(rate=2.0)
-        handle = manager.set("session", 4.0)
-        # Local 4.0 at rate 2.0 means 2.0 real seconds.
-        assert handle.time == pytest.approx(2.0)
-        assert scheduler.scheduled[0].time == pytest.approx(2.0)
-
-    def test_fire_invokes_callback_and_clears_pending(self):
-        manager, scheduler, fired = make_manager()
-        manager.set("ping", 1.0)
-        scheduler.fire_due(1.0)
-        assert fired == ["ping"]
-        assert "ping" not in manager
+    def test_fires_at_the_real_time_of_the_local_delay(self):
+        sim, log = build({None: [("session", 4.0)]}, n=3, rho=0.05, seed=3)
+        sim.run()
+        assert sorted(pid for pid, _, _, _ in log) == [0, 1, 2]
+        assert len({time for _, _, _, time in log}) == 3  # three drifting clocks
+        for pid, _, name, time in log:
+            assert name == "session"
+            assert time == sim.nodes[pid].clock.real_duration(4.0)
 
     def test_negative_delay_rejected(self):
-        manager, _, _ = make_manager()
+        sim, _ = build({})
+        sim.start()
         with pytest.raises(SchedulingError):
-            manager.set("bad", -0.1)
+            sim.nodes[0].process.ctx.set_timer("bad", -0.1)
 
 
-class TestReplaceAndCancel:
-    def test_setting_same_name_replaces_previous(self):
-        manager, scheduler, fired = make_manager()
-        manager.set("session", 1.0)
-        manager.set("session", 10.0)
-        # The first scheduled event was cancelled; firing up to t=1 does nothing.
-        scheduler.fire_due(1.0)
-        assert fired == []
-        assert len(manager) == 1
+    def test_zero_delay_fires_at_the_same_instant_after_the_current_event(self):
+        sim, log = build({None: [("a", 1.0)], "a": [("b", 0.0)]})
+        sim.run()
+        assert log == [(0, 1, "a", 1.0), (0, 1, "b", 1.0)]
 
-    def test_cancel_prevents_firing(self):
-        manager, scheduler, fired = make_manager()
-        manager.set("once", 1.0)
-        assert manager.cancel("once") is True
-        scheduler.fire_due(10.0)
-        assert fired == []
+    def test_distinct_names_fire_independently(self):
+        sim, log = build({None: [("a", 2.0), ("b", 1.0)], "b": [("b", 3.0)]})
+        sim.run()
+        assert log == [(0, 1, "b", 1.0), (0, 1, "a", 2.0), (0, 1, "b", 4.0)]
 
-    def test_cancel_unknown_returns_false(self):
-        manager, _, _ = make_manager()
-        assert manager.cancel("nothing") is False
+    def test_a_timer_is_in_the_node_table_until_it_fires(self):
+        sim, _ = build({None: [("tick", 1.0), ("tock", 2.0)]})
+        sim.start()
+        node = sim.nodes[0]
+        assert set(node._timers) == {"tick", "tock"}
+        sim.run(until=1.5)
+        assert set(node._timers) == {"tock"}
+        sim.run()
+        assert node._timers == {}
 
 
-class TestEpochInvalidation:
-    def test_invalidate_all_cancels_every_timer(self):
-        manager, scheduler, fired = make_manager()
-        manager.set("a", 1.0)
-        manager.set("b", 2.0)
-        manager.invalidate_all()
-        scheduler.fire_due(10.0)
-        assert fired == []
-        assert len(manager) == 0
+class TestReset:
+    def test_reset_inside_its_own_callback_fires_once_at_the_new_time(self):
+        sim, log = build({None: [("tick", 1.0)], "tick": [("tick", 2.0)]})
+        sim.run()
+        assert log == [(0, 1, "tick", 1.0), (0, 1, "tick", 3.0)]
 
-    def test_stale_epoch_timer_never_fires_into_new_incarnation(self):
-        manager, scheduler, fired = make_manager()
-        manager.set("session", 1.0)
-        # Simulate a crash/restart between scheduling and firing: the handle
-        # is not cancelled (e.g. it was already popped by the event loop) but
-        # the epoch moved on.
-        stale_entry = scheduler.scheduled[0]
-        manager.invalidate_all()
-        manager.set("session", 5.0)
-        stale_entry.fire()
-        assert fired == []
+    def test_reset_by_another_event_at_the_same_instant_drops_the_old_entry(self):
+        # "other" is set first, so at t=1 it fires before "tick" and resets it.
+        sim, log = build({None: [("other", 1.0), ("tick", 1.0)], "other": [("tick", 5.0)]})
+        sim.run()
+        assert log == [(0, 1, "other", 1.0), (0, 1, "tick", 6.0)]
+
+    def test_setting_a_pending_name_again_replaces_it(self):
+        sim, log = build({None: [("tick", 1.0), ("tick", 2.0)]})
+        sim.run()
+        assert log == [(0, 1, "tick", 2.0)]
+
+
+    def test_reset_to_an_earlier_time_fires_only_at_the_earlier_time(self):
+        sim, log = build({None: [("tick", 5.0), ("early", 1.0)], "early": [("tick", 1.0)]})
+        sim.run()
+        assert log == [(0, 1, "early", 1.0), (0, 1, "tick", 2.0)]
+
+    def test_resetting_one_node_leaves_the_same_name_on_another_node_alone(self):
+        sim, log = build({None: [("tick", 1.0)]}, n=2)
+        sim.start()
+        sim.nodes[0].process.ctx.set_timer("tick", 5.0)
+        sim.run()
+        assert log == [(1, 1, "tick", 1.0), (0, 1, "tick", 5.0)]
+
+    def test_replaced_entries_are_not_counted_as_processed_events(self):
+        replaced, replaced_log = build({None: [("tick", 1.0), ("tick", 2.0)]})
+        replaced.run()
+        single, single_log = build({None: [("tick", 2.0)]})
+        single.run()
+        assert replaced_log == single_log
+        assert replaced.events_processed == single.events_processed
+
+
+class TestCrash:
+    def test_no_pre_crash_timer_fires_but_the_restarted_incarnation_timers_do(self):
+        sim, log = build({None: [("tick", 2.0), ("tock", 3.0)]}, n=2)
+        sim.schedule_crash(0, 1.0)
+        sim.schedule_restart(0, 1.5)
+        sim.run()
+        assert [entry for entry in log if entry[0] == 0] == [
+            (0, 2, "tick", 3.5),
+            (0, 2, "tock", 4.5),
+        ]
+        assert [entry for entry in log if entry[0] == 1] == [
+            (1, 1, "tick", 2.0),
+            (1, 1, "tock", 3.0),
+        ]
+
+    def test_crash_without_restart_fires_no_timer_and_clears_the_table(self):
+        sim, log = build({None: [("tick", 2.0), ("tock", 3.0)]}, n=2)
+        sim.schedule_crash(0, 1.0)
+        sim.run()
+        assert [entry for entry in log if entry[0] == 0] == []
+        assert sim.nodes[0]._timers == {}
+        assert [entry[2] for entry in log if entry[0] == 1] == ["tick", "tock"]
+
+    def test_a_second_crash_drops_the_restarted_incarnation_timers(self):
+        sim, log = build({None: [("tick", 2.0)]}, n=2)
+        sim.schedule_crash(0, 1.0)
+        sim.schedule_restart(0, 1.5)
+        sim.schedule_crash(0, 2.5)
+        sim.run()
+        assert [entry for entry in log if entry[0] == 0] == []
+        assert sim.nodes[0].incarnation == 2
+
+    def test_a_crashed_incarnation_cannot_set_timers(self):
+        sim, log = build({}, n=2)
+        sim.start()
+        stale_ctx = sim.nodes[0].process.ctx
+        sim.crash(0)
+        stale_ctx.set_timer("late", 1.0)
+        assert sim.nodes[0]._timers == {}
+        sim.run()
+        assert log == []
