@@ -6,21 +6,24 @@ the same slot; the log enforces that locally (a conflicting ``learn`` raises)
 so any protocol bug surfaces immediately rather than corrupting downstream
 state machines.
 
-Two views are maintained incrementally so that the per-message and per-event
+Three views are maintained incrementally so that the per-message and per-event
 work of the SMR layer does not grow with the log:
 
 * :attr:`ReplicatedLog.command_ids` — the ids of every ``(command_id,
-  command)`` entry, updated by each successful :meth:`~ReplicatedLog.learn`
-  (the run's stop check and the leader's duplicate filter are set lookups);
-* :meth:`ReplicatedLog.items` — the entries in slot order, sorted once and
-  cached until the next successful ``learn``.
+  command)`` entry (the run's stop check and the leader's duplicate filter
+  are set lookups);
+* :attr:`ReplicatedLog.prefix` — the length of the contiguous decided
+  prefix, advanced past each newly closed gap (amortised O(1) per learn);
+* :attr:`ReplicatedLog.highest_slot` — the highest decided slot, so
+  :meth:`~ReplicatedLog.items_from` walks only the tail it returns.
 
-A rejected ``learn`` (negative slot, conflicting command) changes neither.
+Each successful :meth:`~ReplicatedLog.learn` updates all three; a rejected
+``learn`` (negative slot, conflicting command) changes none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, KeysView, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 
@@ -35,7 +38,10 @@ class ReplicatedLog:
         #: Ids of the ``(command_id, command)`` entries learned so far.
         #: Maintained by :meth:`learn`; callers must treat it as read-only.
         self.command_ids: Set[Any] = set()
-        self._items: Optional[Tuple[Tuple[int, Any], ...]] = None
+        #: Number of slots before the first undecided one (read-only).
+        self.prefix = 0
+        #: Highest decided slot, or −1 if the log is empty (read-only).
+        self.highest_slot = -1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -43,18 +49,18 @@ class ReplicatedLog:
     def __contains__(self, slot: int) -> bool:
         return slot in self._entries
 
-    def __iter__(self) -> Iterator[Tuple[int, Any]]:
-        return iter(self.items())
+    def items_from(self, start: int) -> Tuple[Tuple[int, Any], ...]:
+        """``(slot, command)`` pairs with ``slot >= start``, in slot order.
 
-    def slots(self) -> KeysView[int]:
-        """Live view of the decided slots (supports set operations)."""
-        return self._entries.keys()
-
-    def items(self) -> Tuple[Tuple[int, Any], ...]:
-        """``(slot, command)`` pairs in slot order (cached until the next learn)."""
-        if self._items is None:
-            self._items = tuple(sorted(self._entries.items()))
-        return self._items
+        Costs one step per slot from ``start`` to :attr:`highest_slot`, that
+        is the entries returned plus the gaps between them.
+        """
+        entries = self._entries
+        return tuple(
+            (slot, entries[slot])
+            for slot in range(max(start, 0), self.highest_slot + 1)
+            if slot in entries
+        )
 
     def get(self, slot: int) -> Optional[Any]:
         """The decided command of ``slot``, or None if not yet learned."""
@@ -69,33 +75,32 @@ class ReplicatedLog:
         """
         if slot < 0:
             raise ProtocolError(f"slot must be non-negative, got {slot}")
-        if slot in self._entries:
-            if self._entries[slot] != command:
+        entries = self._entries
+        if slot in entries:
+            if entries[slot] != command:
                 raise ProtocolError(
-                    f"slot {slot} already decided {self._entries[slot]!r}, "
+                    f"slot {slot} already decided {entries[slot]!r}, "
                     f"refusing to overwrite with {command!r}"
                 )
             return False
         if isinstance(command, tuple) and len(command) == 2:
             self.command_ids.add(command[0])
-        self._entries[slot] = command
-        self._items = None
+        entries[slot] = command
+        if slot > self.highest_slot:
+            self.highest_slot = slot
+        if slot == self.prefix:
+            # Each slot is stepped over once in the log's lifetime.
+            prefix = slot + 1
+            while prefix in entries:
+                prefix += 1
+            self.prefix = prefix
         return True
 
     # -- queries ---------------------------------------------------------------
-    @property
-    def highest_slot(self) -> int:
-        """Highest decided slot, or −1 if the log is empty."""
-        return max(self._entries) if self._entries else -1
-
     def contiguous_prefix(self) -> List[Any]:
         """Commands of the slots before the first undecided one, in order (safe to apply)."""
-        prefix = []
-        slot = 0
-        while slot in self._entries:
-            prefix.append(self._entries[slot])
-            slot += 1
-        return prefix
+        entries = self._entries
+        return [entries[slot] for slot in range(self.prefix)]
 
     def snapshot(self) -> Dict[int, Any]:
         """Copy of the whole log."""

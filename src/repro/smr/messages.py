@@ -4,8 +4,10 @@ The phase structure is the same as single-decree Modified Paxos, with two
 differences:
 
 * phase 1 covers *all* slots at once — a ``MultiPhase1b`` reply carries the
-  sender's votes for every slot it has accepted a value in (and the decided
-  entries it already knows, which doubles as catch-up for restarted
+  sender's votes for every undecided slot it has accepted a value in, and
+  the tail of its decided log from the ballot owner's known prefix on (the
+  entries the owner may lack), and the sender's own prefix, which tells the
+  owner which decisions to push back (the catch-up for restarted
   processes);
 * phase 2 messages name the slot they are about.
 
@@ -44,20 +46,31 @@ class CommandRequest(Message):
 
 @dataclass(frozen=True, slots=True)
 class MultiPhase1a(Message):
-    """Prepare for every slot at once."""
+    """Prepare for every slot at once.
+
+    ``prefix`` is the length of the sender's contiguous decided prefix when
+    it sent the message.  A log only grows, so any prefix heard from a
+    process is a lower bound on that process's prefix from then on; 0 (the
+    default) claims nothing.
+    """
 
     kind = "mphase1a"
 
     mbal: int
+    prefix: int = 0
 
 
 @dataclass(frozen=True, slots=True)
 class MultiPhase1b(Message):
-    """Promise carrying per-slot votes and already-decided entries.
+    """Promise carrying per-slot votes and the tail of the sender's decided log.
 
-    ``votes`` maps slot → (voted ballot, voted value); ``decided`` maps
-    slot → decided command.  Both are tuples of pairs (not dicts) so the
-    message stays hashable/frozen.
+    ``votes`` maps each undecided slot the sender voted in → (voted ballot,
+    voted value); ``decided`` maps slot → decided command for the sender's
+    entries from the smaller of the ballot owner's known prefix and its own
+    on; ``prefix`` is the sender's contiguous decided prefix (0, the
+    default, claims nothing).
+    ``votes`` and ``decided`` are tuples of pairs in slot order (not dicts)
+    so the message stays hashable/frozen.
     """
 
     kind = "mphase1b"
@@ -65,12 +78,10 @@ class MultiPhase1b(Message):
     mbal: int
     votes: Tuple[Tuple[int, Tuple[int, Any]], ...]
     decided: Tuple[Tuple[int, Any], ...]
+    prefix: int = 0
 
     def votes_dict(self) -> Dict[int, Tuple[int, Any]]:
         return dict(self.votes)
-
-    def decided_dict(self) -> Dict[int, Any]:
-        return dict(self.decided)
 
 
 @dataclass(frozen=True, slots=True)

@@ -79,7 +79,7 @@ def learned_prefix_lengths(simulator: Simulator) -> Dict[int, int]:
     for pid, node in simulator.nodes.items():
         process = node.process
         if isinstance(process, MultiPaxosSmrProcess):
-            lengths[pid] = len(process.log.contiguous_prefix())
+            lengths[pid] = process.log.prefix
     return lengths
 
 

@@ -7,8 +7,11 @@ algorithm in :mod:`repro.core.modified_paxos` extends too; what changes is
 that a ballot covers the whole log:
 
 * a ``MultiPhase1b`` promise reports the sender's accepted values for *all*
-  slots (plus the decided entries it knows, which doubles as catch-up for
-  restarted processes);
+  undecided slots, plus the tail of its decided log from the prefix the
+  ballot owner last announced in a phase 1a (the entries the owner may
+  lack) and the sender's own prefix (from which the owner pushes back the
+  decisions the sender lacks, the catch-up for restarted processes), so a
+  promise costs the same however long the log is;
 * once the owner of the current ballot holds promises from a majority it is
   *established*: it re-proposes every slot that any promise voted for (and
   fills gaps with no-ops), and from then on a new command costs only one
@@ -71,7 +74,10 @@ class MultiPaxosSmrProcess(SessionProcess):
         # Volatile state.
         self._promises: Dict[int, Dict[int, MultiPhase1b]] = {}
         self._accept_votes = ValueQuorum(self.quorum)
-        self._proposed: Dict[Tuple[int, int], Any] = {}  # (ballot, slot) -> value
+        self._proposed_ids: set[str] = set()  # command ids this process proposed
+        # pid -> highest log prefix heard in that pid's phase 1a: a lower
+        # bound on its prefix, since a log only grows (and survives restarts).
+        self._peer_prefix: Dict[int, int] = {}
         self._established_ballot: Optional[int] = None
         self._next_slot = 0
         self._pending: Dict[str, Any] = {}  # command_id -> command awaiting a decision
@@ -81,16 +87,18 @@ class MultiPaxosSmrProcess(SessionProcess):
         # slot — ``proto:accepted:<slot>`` holds the (ballot, value) vote and
         # ``proto:log:<slot>`` the decided command.  Each write stores only
         # what changed, so a write costs the same however long the log is.
+        # In memory, ``accepted`` holds the votes of undecided slots only.
         self.mbal = self.recall("mbal", initial_ballot(self.pid, self.n))
-        self.accepted: Dict[int, Tuple[int, Any]] = {}
+        votes: Dict[int, Tuple[int, Any]] = {}
         decided: Dict[int, Any] = {}
         for key in self.ctx.storage:
             field = key.removeprefix("proto:")
             if field.startswith(_ACCEPTED):
-                self.accepted[int(field[len(_ACCEPTED):])] = self.recall(field)
+                votes[int(field[len(_ACCEPTED):])] = self.recall(field)
             elif field.startswith(_LOG):
                 decided[int(field[len(_LOG):])] = self.recall(field)
         self.log = ReplicatedLog.restore(decided)
+        self.accepted = {slot: vote for slot, vote in votes.items() if slot not in self.log}
 
         self._start_sessions()
         self._schedule_submissions()
@@ -152,14 +160,8 @@ class MultiPaxosSmrProcess(SessionProcess):
     def _already_logged(self, command_id: str) -> bool:
         return command_id in self.log.command_ids
 
-    def _already_proposed(self, command_id: str) -> bool:
-        for value in self._proposed.values():
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == command_id:
-                return True
-        return False
-
     def _assign(self, command_id: str, command: Any) -> None:
-        if self._already_logged(command_id) or self._already_proposed(command_id):
+        if self._already_logged(command_id) or command_id in self._proposed_ids:
             return
         slot = self._next_slot
         self._next_slot += 1
@@ -182,6 +184,8 @@ class MultiPaxosSmrProcess(SessionProcess):
             self._arm_session_timer()
 
         if isinstance(message, MultiPhase1a):
+            if message.prefix > self._peer_prefix.get(sender, 0):
+                self._peer_prefix[sender] = message.prefix
             self._on_phase1a(message)
         elif isinstance(message, MultiPhase1b):
             self._on_phase1b(message, sender)
@@ -204,29 +208,40 @@ class MultiPaxosSmrProcess(SessionProcess):
         self._dispatch_pending()
 
     # -- phase 1 ----------------------------------------------------------------
+    def _broadcast_phase1a(self) -> None:
+        self._sent_recently = True
+        self.ctx.broadcast(MultiPhase1a(mbal=self.mbal, prefix=self.log.prefix))
+
     def _promise(self, ballot: int) -> MultiPhase1b:
-        accepted = self.accepted
-        votes = tuple(
-            (slot, accepted[slot]) for slot in sorted(accepted.keys() - self.log.slots())
+        # The promise goes to the ballot's owner, which holds every slot below
+        # the prefix it last announced (not that of the phase 1a answered
+        # here, whose sender may be any replica re-broadcasting the ballot).
+        log = self.log
+        cut = min(self._peer_prefix.get(ballot % self.ctx.n, 0), log.prefix)
+        return MultiPhase1b(
+            mbal=ballot,
+            votes=tuple(sorted(self.accepted.items())),
+            decided=log.items_from(cut),
+            prefix=log.prefix,
         )
-        return MultiPhase1b(mbal=ballot, votes=votes, decided=self.log.items())
 
     def _on_phase1b(self, message: MultiPhase1b, sender: int) -> None:
-        # Decided entries are useful regardless of the ballot.  Only entries
-        # the local log lacks, or holds with a different command (which
-        # ``_learn`` rejects), need learning.
-        senders_log = message.decided_dict()
-        log = self.log
-        for slot, value in sorted(senders_log.items() - log.items()):
+        # Decided entries are useful regardless of the ballot.  ``_learn``
+        # ignores the ones the local log holds and rejects a conflicting one.
+        for slot, value in message.decided:
             self._learn(slot, value)
         if message.mbal % self.ctx.n != self.pid or message.mbal != self.mbal:
             return
         # Targeted catch-up: the promise shows which decisions the sender is
         # missing (a replica that restarted after stabilization, say); push
-        # them directly so it converges within O(δ) of its restart.
+        # them directly so it converges within O(δ) of its restart.  The
+        # sender holds every slot below its prefix and lists every entry it
+        # holds from there on.
         if sender != self.pid:
-            for slot in sorted(log.slots() - senders_log.keys()):
-                self.ctx.send(SlotDecision(slot=slot, value=log.get(slot)), sender)
+            listed = {slot for slot, _ in message.decided}
+            for slot, value in self.log.items_from(message.prefix):
+                if slot not in listed:
+                    self.ctx.send(SlotDecision(slot=slot, value=value), sender)
         promises = self._promises.setdefault(message.mbal, {})
         promises.setdefault(sender, message)
         if len(promises) >= self.quorum and self._established_ballot != message.mbal:
@@ -262,14 +277,16 @@ class MultiPaxosSmrProcess(SessionProcess):
 
     # -- phase 2 --------------------------------------------------------------------
     def _send_phase2a(self, ballot: int, slot: int, value: Any) -> None:
-        self._proposed[(ballot, slot)] = value
+        if isinstance(value, tuple) and len(value) == 2:
+            self._proposed_ids.add(value[0])
         self._sent_recently = True
         self.ctx.emit("phase2a", ballot=ballot, slot=slot)
         self.ctx.broadcast(MultiPhase2a(mbal=ballot, slot=slot, value=value))
 
     def _accept(self, message: MultiPhase2a) -> None:
         vote = (message.mbal, message.value)
-        self.accepted[message.slot] = vote
+        if message.slot not in self.log:
+            self.accepted[message.slot] = vote
         self.persist(mbal=self.mbal, **{f"{_ACCEPTED}{message.slot}": vote})
         self.ctx.broadcast(
             MultiPhase2b(mbal=message.mbal, slot=message.slot, value=message.value)
@@ -286,6 +303,7 @@ class MultiPaxosSmrProcess(SessionProcess):
     def _learn(self, slot: int, value: Any) -> None:
         if not self.log.learn(slot, value):
             return
+        self.accepted.pop(slot, None)
         self.persist(**{f"{_LOG}{slot}": value})
         command_id = value[0] if isinstance(value, tuple) and len(value) == 2 else None
         self.ctx.emit("slot_decide", slot=slot, command_id=command_id)

@@ -34,15 +34,18 @@ class TestReplicatedLog:
         log.learn(1, "b")
         log.learn(3, "d")
         assert log.contiguous_prefix() == ["a", "b"]
+        assert log.prefix == 2
         assert log.highest_slot == 3
         log.learn(2, "c")
         assert log.contiguous_prefix() == ["a", "b", "c", "d"]
+        assert log.prefix == 4
 
     def test_empty_log_properties(self):
         log = ReplicatedLog()
         assert log.highest_slot == -1
         assert log.contiguous_prefix() == []
-        assert list(log.slots()) == []
+        assert log.prefix == 0
+        assert log.items_from(0) == ()
 
     def test_snapshot_restore_roundtrip(self):
         log = ReplicatedLog()
@@ -56,7 +59,9 @@ class TestReplicatedLog:
         log = ReplicatedLog()
         log.learn(2, "c")
         log.learn(0, "a")
-        assert list(log) == [(0, "a"), (2, "c")]
+        assert log.items_from(0) == ((0, "a"), (2, "c"))
+        assert log.items_from(1) == ((2, "c"),)
+        assert log.items_from(3) == ()
 
 
 class TestKeyValueStore:
@@ -179,4 +184,3 @@ class TestMultiPhase1bHelpers:
             decided=((1, "x"),),
         )
         assert message.votes_dict() == {0: (3, "a"), 2: (5, "b")}
-        assert message.decided_dict() == {1: "x"}

@@ -144,7 +144,7 @@ class TestCrashRecoveryFromStableStorage:
         def replica_with_open_vote():
             for pid, node in sorted(simulator.nodes.items()):
                 process = node.process
-                if process is not None and set(process.accepted) - set(process.log.slots()):
+                if process is not None and set(process.accepted) - set(process.log.snapshot()):
                     return pid, process
             return None, None
 
@@ -154,10 +154,10 @@ class TestCrashRecoveryFromStableStorage:
             simulator.run(max_events=1)
             assert simulator.events_processed > processed, "no replica ever held an undecided vote"
             pid, process = replica_with_open_vote()
-        before = (process.mbal, dict(process.accepted), process.log.items())
+        before = (process.mbal, dict(process.accepted), process.log.snapshot())
 
         simulator.crash(pid)
         simulator.restart(pid)
         restarted = simulator.nodes[pid].process
         assert restarted is not process
-        assert (restarted.mbal, restarted.accepted, restarted.log.items()) == before
+        assert (restarted.mbal, restarted.accepted, restarted.log.snapshot()) == before

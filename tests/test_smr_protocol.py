@@ -54,7 +54,8 @@ class TestStartupAndPhase1:
         assert [item.dst for item in replies] == [1]
         message = replies[0].message
         assert message.votes_dict() == {4: (2, ("cmd-x", ("set", "k", 1)))}
-        assert message.decided_dict() == {0: ("cmd-0", ("set", "a", 1))}
+        assert message.decided == ((0, ("cmd-0", ("set", "a", 1))),)
+        assert message.prefix == 1
 
     def test_establishment_requires_quorum(self):
         harness, process = start_replica(pid=0, n=5)
@@ -90,8 +91,9 @@ class TestPhase1LogExchange:
     def test_promise_votes_skip_decided_slots_in_slot_order(self):
         harness, process = start_replica(pid=0, n=3)
         for slot in (5, 1, 3):
-            process.accepted[slot] = (2, command(slot))
-        process.log.learn(3, command(3))
+            harness.deliver(MultiPhase2a(mbal=2, slot=slot, value=command(slot)), sender=2)
+        harness.deliver(SlotDecision(slot=3, value=command(3)), sender=1)
+        assert sorted(process.accepted) == [1, 5]
         harness.clear_sent()
         harness.deliver(MultiPhase1a(mbal=7), sender=1)
         message = harness.sent_of_kind("mphase1b")[0].message
@@ -104,7 +106,7 @@ class TestPhase1LogExchange:
         harness.deliver(make_promise(0, decided=[(slot, command(slot)) for slot in (0, 1, 4)]),
                         sender=1)
         assert [f["slot"] for f in harness.emitted_events("slot_decide")] == [0, 4]
-        assert process.log.items() == tuple((slot, command(slot)) for slot in (0, 1, 4))
+        assert process.log.snapshot() == {slot: command(slot) for slot in (0, 1, 4)}
 
     def test_conflicting_decided_entry_in_a_promise_raises(self):
         harness, process = start_replica(pid=2, n=3)
@@ -124,6 +126,49 @@ class TestPhase1LogExchange:
             (1, 0, command(0)), (1, 4, command(4)),
         ]
 
+    def test_promise_ships_the_log_from_the_owners_announced_prefix(self):
+        harness, process = start_replica(pid=2, n=3)
+        for slot in range(5):
+            harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=0)
+        harness.clear_sent()
+        harness.deliver(MultiPhase1a(mbal=7, prefix=3), sender=1)  # from ballot 7's owner
+        message = harness.sent_of_kind("mphase1b")[0].message
+        assert message.decided == ((3, command(3)), (4, command(4)))
+        assert message.prefix == 5
+
+    def test_promise_cut_follows_the_owner_not_the_phase1a_sender(self):
+        harness, process = start_replica(pid=2, n=3)
+        for slot in range(5):
+            harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=0)
+        harness.deliver(MultiPhase1a(mbal=7, prefix=3), sender=1)
+        harness.clear_sent()
+        # p0 re-broadcasts ballot 7 (owned by p1) with a longer prefix: the
+        # promise still goes to p1, so it is cut at what p1 announced.
+        harness.deliver(MultiPhase1a(mbal=7, prefix=5), sender=0)
+        replies = harness.sent_of_kind("mphase1b")
+        assert [item.dst for item in replies] == [1]
+        assert [slot for slot, _ in replies[0].message.decided] == [3, 4]
+
+    def test_promise_cut_never_passes_the_senders_own_prefix(self):
+        harness, process = start_replica(pid=2, n=3)
+        for slot in (0, 1, 3):
+            harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=0)
+        harness.clear_sent()
+        harness.deliver(MultiPhase1a(mbal=7, prefix=4), sender=1)
+        message = harness.sent_of_kind("mphase1b")[0].message
+        assert message.prefix == 2
+        assert message.decided == ((3, command(3)),)
+
+    def test_ballot_owner_pushes_only_what_lies_past_the_senders_prefix(self):
+        harness, process = start_replica(pid=0, n=3)
+        for slot in range(6):
+            process.log.learn(slot, command(slot))
+        harness.clear_sent()
+        promise = MultiPhase1b(mbal=process.mbal, votes=(), decided=((3, command(3)),), prefix=2)
+        harness.deliver(promise, sender=1)
+        pushes = harness.sent_of_kind("slot_decision")
+        assert [(item.dst, item.message.slot) for item in pushes] == [(1, 2), (1, 4), (1, 5)]
+
     def test_own_promise_pushes_nothing(self):
         harness, process = start_replica(pid=0, n=3)
         process.log.learn(0, command(0))
@@ -133,6 +178,25 @@ class TestPhase1LogExchange:
 
 
 class TestPhase2:
+    def test_learning_a_slot_drops_its_vote(self):
+        harness, process = start_replica(pid=1, n=3)
+        harness.deliver(MultiPhase2a(mbal=6, slot=0, value=command(0)), sender=0)
+        assert 0 in process.accepted
+        harness.deliver(SlotDecision(slot=0, value=command(0)), sender=0)
+        assert 0 not in process.accepted
+        assert harness.storage.get("proto:accepted:0") == (6, command(0))
+
+    def test_accept_for_a_decided_slot_is_persisted_but_not_kept(self):
+        harness, process = start_replica(pid=1, n=3)
+        harness.deliver(SlotDecision(slot=0, value=command(0)), sender=0)
+        harness.clear_sent()
+        harness.deliver(MultiPhase2a(mbal=6, slot=0, value=command(0)), sender=0)
+        assert len(harness.sent_of_kind("mphase2b")) == 3
+        assert harness.storage.get("proto:accepted:0") == (6, command(0))
+        assert 0 not in process.accepted
+        restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v1")
+        assert restarted.accepted == {} and restarted.log.get(0) == command(0)
+
     def test_accept_and_ack(self):
         harness, process = start_replica(pid=1, n=3)
         harness.clear_sent()
@@ -203,6 +267,16 @@ class TestCommands:
         slots = {item.message.slot for item in harness.sent_of_kind("mphase2a")}
         assert slots == {0}
 
+    def test_reproposed_command_is_not_assigned_again(self):
+        harness, process = start_replica(pid=0, n=3)
+        harness.deliver(make_promise(process.mbal, votes=[(0, (1, command(0)))]), sender=1)
+        harness.deliver(make_promise(process.mbal), sender=2)
+        assert process.is_established_leader
+        harness.clear_sent()
+        process._submit("cmd-0", command(0)[1])
+        assert harness.emitted_events("command_assign") == []
+        assert harness.sent_of_kind("mphase2a") == []
+
     def test_logged_command_not_reassigned(self):
         harness, process = start_replica(pid=0, n=3)
         establish(harness, process)
@@ -241,6 +315,32 @@ class TestLeaderStability:
 
 
 class TestRestart:
+    def test_restarted_replica_is_pushed_every_missing_slot(self):
+        owner_harness, owner = start_replica(pid=0, n=3)
+        harness, process = start_replica(pid=1, n=3)
+        for slot in range(6):
+            owner_harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=2)
+        for slot in (0, 1):
+            harness.deliver(SlotDecision(slot=slot, value=command(slot)), sender=2)
+        harness.deliver(MultiPhase1a(mbal=0, prefix=6), sender=0)  # p1 hears p0's prefix
+        restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v1")
+        harness.clear_sent()
+        # The restart forgot p0's prefix, so the promise for p0's ballot 3
+        # (re-broadcast by p2) is cut at 0: it lists the whole restored log.
+        harness.deliver(MultiPhase1a(mbal=3, prefix=6), sender=2)
+        promise = harness.sent_of_kind("mphase1b")[0]
+        assert promise.dst == 0
+        assert promise.message.decided == ((0, command(0)), (1, command(1)))
+        assert promise.message.prefix == 2
+        owner_harness.deliver(MultiPhase1a(mbal=3, prefix=6), sender=2)
+        owner_harness.clear_sent()
+        owner_harness.deliver(promise.message, sender=1)
+        pushes = owner_harness.sent_of_kind("slot_decision")
+        assert [(item.dst, item.message.slot) for item in pushes] == [(1, slot) for slot in range(2, 6)]
+        for item in pushes:
+            harness.deliver(item.message, sender=0)
+        assert restarted.log.snapshot() == owner.log.snapshot()
+
     def test_restart_recovers_log_ballot_and_accepted_state(self):
         harness, process = start_replica(pid=0, n=3)
         harness.deliver(MultiPhase1a(mbal=7), sender=1)
@@ -264,7 +364,7 @@ class TestRestart:
             "proto:accepted:0", "proto:accepted:11", "proto:accepted:2",
             "proto:log:1", "proto:log:10", "proto:mbal",
         ]
-        before = (process.mbal, dict(process.accepted), process.log.items(), set(process.log.command_ids))
+        before = (process.mbal, dict(process.accepted), process.log.snapshot(), set(process.log.command_ids))
 
         # Volatile state is lost in a crash: mutating it after the writes must
         # not reach what the restart recovers.
@@ -273,7 +373,7 @@ class TestRestart:
         process.mbal = 99
 
         restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v0")
-        after = (restarted.mbal, restarted.accepted, restarted.log.items(), restarted.log.command_ids)
+        after = (restarted.mbal, restarted.accepted, restarted.log.snapshot(), restarted.log.command_ids)
         assert after == before
         assert 0 in restarted.accepted and 0 not in restarted.log
 
