@@ -22,8 +22,8 @@ Run with::
     python examples/replicated_kv_store.py
 """
 
-from repro import WORKLOADS, TimingParams
-from repro.smr.runner import run_smr
+from repro import WORKLOADS, TimingParams, run_scenario
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 
@@ -60,7 +60,8 @@ def main() -> None:
     print(f"replicated KV store on {REPLICAS} replicas; {schedule.describe()}")
     print(f"client co-located with replica {survivor}; network heals at TS={TS:g}\n")
 
-    outcome = run_smr(scenario, schedule, machine_factory=KeyValueStore).outcome
+    builder = MultiPaxosSmrBuilder(schedule=schedule, machine_factory=KeyValueStore)
+    outcome = run_scenario(scenario, builder).outcome
 
     print("command                when learned everywhere (relative to TS / to submission)")
     for command_id, record in sorted(outcome.commands.items()):

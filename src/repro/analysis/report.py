@@ -1,9 +1,8 @@
 """Human-readable reports for single runs.
 
-The harness returns structured :class:`repro.harness.runner.RunResult` and
-:class:`repro.smr.runner.SmrRunResult` objects; :func:`render_run_report`
-and :func:`render_smr_run_report` render them (their ``outcome``, check
-reports, and the trace for per-process detail) as text for the CLI, the
+The harness returns a structured :class:`repro.harness.runner.RunResult`
+for every run kind; :func:`render_run_report` renders it (its ``outcome``,
+check reports, and the trace for per-process detail) as text for the CLI, the
 examples, and for debugging sessions ("why was this run slow?").  Stored
 records of every kind get the same treatment from the one renderer
 :func:`render_record_report` (the ``repro results show`` renderer): a
@@ -24,12 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.consensus.values import RunOutcome
     from repro.harness.runner import RunResult
     from repro.results.record import RecordBase
-    from repro.smr.runner import SmrRunResult
 
 __all__ = [
     "render_record_report",
     "render_run_report",
-    "render_smr_run_report",
 ]
 
 
@@ -58,7 +55,9 @@ def _max_field(trace: "TraceRecorder", event: str, key: str) -> Optional[int]:
 
 
 def render_run_report(result: "RunResult") -> str:
-    """Render one finished run as a multi-section text report."""
+    """Render one finished run, of either kind, as a multi-section text report."""
+    if isinstance(result.outcome, SmrOutcome):
+        return _render_smr_run_report(result)
     config = result.simulator.config
     params = config.params
     stats = result.simulator.network.monitor.stats
@@ -149,12 +148,11 @@ def _command_section(outcome: SmrOutcome) -> List[str]:
     return lines
 
 
-def render_smr_run_report(result: "SmrRunResult") -> str:
-    """Render one finished SMR run as a multi-section text report."""
+def _render_smr_run_report(result: "RunResult") -> str:
     config = result.scenario.config
     lines = [
         f"smr run report: multi-paxos-smr scenario={result.scenario.name} "
-        f"({result.schedule.describe()})",
+        f"({result.builder.schedule.describe()})",
         f"  model: n={config.n} ts={config.ts:g} seed={config.seed} "
         f"{config.params.describe()}",
         f"  faults: {result.scenario.fault_plan.describe()}",
@@ -162,6 +160,8 @@ def render_smr_run_report(result: "SmrRunResult") -> str:
         *_command_section(result.outcome),
         f"log consistency checks      : {result.outcome.consistency_checks}",
     ]
+    if not result.safety.valid:
+        lines.append(f"safety                      : {'; '.join(result.safety.violations)}")
     for name, report in sorted(result.invariants.items()):
         status = "OK" if report.ok else "; ".join(report.violations)
         lines.append(f"invariant {name:18s}: {status} ({report.checked} checks)")
@@ -201,11 +201,10 @@ _RECORD_SECTIONS = {"run": _decision_section, "smr": _command_section}
 def render_record_report(record: "RecordBase") -> str:
     """Render one stored record, of any kind, as a multi-section report.
 
-    The stored counterpart of :func:`render_run_report` and
-    :func:`render_smr_run_report`: everything here comes from the record's
-    serialized data alone, so any store can be inspected without re-running
-    (or even being able to re-run) the task.  The identity header and the
-    traffic footer are shared; the middle section depends on the kind.
+    The stored counterpart of :func:`render_run_report`: everything here comes
+    from the record's serialized data alone, so any store can be inspected
+    without re-running (or even being able to re-run) the task.  The identity
+    header and the traffic footer are shared; the middle section depends on the kind.
     """
     outcome = record.outcome
     lines = [

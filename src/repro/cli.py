@@ -47,9 +47,12 @@ from repro.consensus.registry import PROTOCOLS
 from repro.env.registry import ADVERSARY_KINDS, FAULT_KINDS
 from repro.errors import ConfigurationError, ReproError
 from repro.harness.campaign import run_campaign, write_report
+from repro.harness.executors import SmrTask
 from repro.harness.runner import run_scenario
 from repro.params import TimingParams
 from repro.results.store import open_store
+from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.smr import is_smr_workload
 
@@ -195,60 +198,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_run_smr(args: argparse.Namespace, params: TimingParams) -> int:
-    """Run an ``smr-*`` workload through the multi-decree service."""
-    from repro.analysis.report import render_smr_run_report
-    from repro.errors import ExperimentError
-    from repro.harness.executors import SmrTask
-    from repro.smr.workload import ScheduleSpec
-
-    task = SmrTask(
-        workload=args.workload,
-        workload_kwargs=_workload_kwargs(args, params),
-        schedule=ScheduleSpec(
-            num_commands=args.commands,
-            start=args.command_start,
-            interval=args.command_interval,
-            target_pid=args.target_pid,
-        ),
-        machine=args.machine,
-        # --allow-unsafe mirrors the single-decree run: invariant violations
-        # are reported in the output instead of raised.
-        enforce_consistency=not args.allow_unsafe,
-    )
-    try:
-        result = task.run()
-    except (ConfigurationError, ExperimentError) as error:
-        print(error)
-        return 2
-    except ReproError as error:
-        print(f"run failed: {error}")
-        return 1
-    print(render_smr_run_report(result))
-    if args.timeline:
-        print()
-        print("per-process timeline:")
-        config = result.scenario.config
-        print(render_timelines(result.simulator.trace, config.n, ts=config.ts))
-    ok = result.outcome.replicas_agree and result.outcome.all_commands_learned_everywhere
-    ok = ok and all(report.ok for report in result.invariants.values())
-    return 0 if ok else 1
-
-
 def _command_run(args: argparse.Namespace) -> int:
     params = TimingParams(delta=args.delta, rho=args.rho, epsilon=args.epsilon)
     if args.env is not None and args.workload is not None:
         print("pass either --workload or --env, not both")
         return 2
-    if args.workload is not None and is_smr_workload(args.workload):
-        if args.protocol is not None and args.protocol != "multi-paxos-smr":
-            print(f"workload {args.workload!r} always runs the multi-decree service "
-                  "(multi-paxos-smr); drop --protocol")
-            return 2
-        return _command_run_smr(args, params)
-    protocol = args.protocol if args.protocol is not None else "modified-paxos"
     kwargs = _workload_kwargs(args, params)
     workload = args.workload if args.workload is not None else "partitioned-chaos"
+    smr_task = None
+    if is_smr_workload(workload):
+        if args.protocol is not None and args.protocol != SMR_PROTOCOL:
+            print(f"workload {workload!r} always runs the multi-decree service "
+                  f"({SMR_PROTOCOL}); drop --protocol")
+            return 2
+        schedule = ScheduleSpec(num_commands=args.commands, start=args.command_start,
+                                interval=args.command_interval, target_pid=args.target_pid)
+        smr_task = SmrTask(workload, schedule, kwargs, machine=args.machine)
+    protocol = args.protocol if args.protocol is not None else "modified-paxos"
     if args.env is not None:
         try:
             env = json.loads(args.env)
@@ -262,6 +228,8 @@ def _command_run(args: argparse.Namespace) -> int:
         workload = "environment"
     try:
         scenario = WORKLOADS.create(workload, **kwargs)
+        if smr_task is not None:
+            protocol = smr_task.builder(scenario.config.n)
         # The protocol name and the fault plan are checked when the run
         # starts, so the run itself can still raise a configuration error.
         result = run_scenario(scenario, protocol, enforce=not args.allow_unsafe)
@@ -277,6 +245,8 @@ def _command_run(args: argparse.Namespace) -> int:
         print("per-process timeline:")
         print(render_timelines(result.simulator.trace, scenario.config.n, ts=scenario.config.ts))
     ok = result.safety.valid and all(report.ok for report in result.invariants.values())
+    if isinstance(result.outcome, SmrOutcome):  # and every replica caught up and agrees
+        ok = ok and result.outcome.replicas_agree and result.outcome.all_commands_learned_everywhere
     return 0 if ok else 1
 
 

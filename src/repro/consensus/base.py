@@ -4,21 +4,23 @@
 four protocols in this repository need: a persisted decision, guarded
 "decide once" semantics, convenience accessors for timing constants, and
 small persistence helpers.  :class:`ProtocolBuilder` is the uniform way the
-harness constructs protocol instances — it exists because some protocols
-(traditional Paxos, the rotating-coordinator baseline) need oracles that can
-only be built once the simulator exists.
+harness constructs protocol instances (some protocols need oracles that can
+only be built once the simulator exists), and it tells the run driver what
+differs between run kinds.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.consensus.spec import SafetyReport
     from repro.sim.simulator import Simulator
+    from repro.workloads.scenario import Scenario
 
 __all__ = ["ConsensusProcess", "ProtocolBuilder"]
 
@@ -116,7 +118,8 @@ class ProtocolBuilder(abc.ABC):
     Lifecycle: the runner instantiates the builder, passes ``builder.create``
     as the simulator's process factory, constructs the simulator, and then
     calls :meth:`attach` so the builder can grab simulator-scoped resources
-    (oracles, extra scheduled events) before any process starts.
+    (oracles, extra scheduled events) before any process starts.  The hooks
+    the runner calls next default to a single-decree run's.
     """
 
     name: ClassVar[str] = "protocol"
@@ -131,6 +134,24 @@ class ProtocolBuilder(abc.ABC):
     @abc.abstractmethod
     def create(self, pid: int) -> Process:
         """Build a fresh protocol instance for process ``pid``."""
+
+    def run_to_stop(self, simulator: "Simulator", deciders: List[int]) -> None:
+        """Run until the last of ``deciders`` decides (or to the horizon)."""
+        simulator.run_until_decided(deciders)
+
+    def check_safety(self, simulator: "Simulator", deciders: List[int]) -> "SafetyReport":
+        """Check the finished run against the consensus safety spec."""
+        # Looked up on the runner module (which imports this one) at call
+        # time, so patching ``runner.check_safety`` reaches every run.
+        from repro.harness import runner
+
+        return runner.check_safety(simulator, expected_deciders=deciders)
+
+    def build_outcome(self, simulator: "Simulator", scenario: "Scenario", protocol: str, safety: "SafetyReport") -> Any:
+        """Condense the finished run into its :class:`~repro.consensus.values.RunOutcome`."""
+        from repro.harness import runner
+
+        return runner.compute_run_metrics(simulator, scenario, protocol, safety.valid)
 
     def invariant_checks(self) -> Dict[str, Any]:
         """Protocol-specific trace invariants the harness should run.

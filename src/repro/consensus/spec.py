@@ -33,13 +33,14 @@ __all__ = ["SafetyReport", "check_safety"]
 
 @dataclass
 class SafetyReport:
-    """Result of checking one run against the consensus specification."""
+    """Result of checking one run against its safety spec (an SMR run's log check fills ``checked``)."""
 
     valid: bool = True
     violations: List[str] = field(default_factory=list)
     decided_pids: List[int] = field(default_factory=list)
     undecided_pids: List[int] = field(default_factory=list)
     decided_value: Optional[Any] = None
+    checked: int = 0
 
     def raise_if_violated(self) -> None:
         """Raise the first violation as an exception (tests use this)."""

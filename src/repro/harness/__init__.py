@@ -3,7 +3,8 @@
 Layers, bottom-up:
 
 * :mod:`repro.harness.runner` — ``run_scenario``, the single-run
-  primitive (one scenario, one protocol, full ``RunResult``).
+  primitive of both run kinds (one scenario, one protocol builder, full
+  ``RunResult``).
 * :mod:`repro.harness.executors` — declarative tasks (``RunTask``,
   ``SmrTask``) that execute themselves (``task.run()`` for the full
   result, ``task.execute()`` for the condensed outcome), batched by a

@@ -10,9 +10,9 @@ declarative :class:`~repro.smr.workload.ScheduleSpec`, and a state-machine
 name).  Both kinds share one protocol:
 
 * ``task.kind`` — ``"run"`` or ``"smr"``; records and content keys read it;
-* ``task.run()`` — execute in this process and return the full result
-  (:class:`~repro.harness.runner.RunResult` or
-  :class:`~repro.smr.runner.SmrRunResult`, simulator included);
+* ``task.run()`` — execute in this process through
+  :func:`~repro.harness.runner.run_scenario` and return the full
+  :class:`~repro.harness.runner.RunResult`, simulator included;
 * ``task.execute()`` — execute and return the condensed outcome
   (:class:`~repro.consensus.values.RunOutcome` or
   :class:`~repro.smr.outcome.SmrOutcome`), plain picklable data.  The run
@@ -28,8 +28,8 @@ what comes back in either case is the condensed outcome, never a
 deterministic, so serial and parallel execution of the same tasks produce
 identical outcomes.
 
-:func:`run_scenario` and :func:`~repro.smr.runner.run_smr` remain the
-single-run primitives: tasks call them, they do not replace them.
+:func:`run_scenario` remains the single-run primitive for both kinds:
+tasks call it, they do not replace it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from repro.consensus.values import RunOutcome
 from repro.errors import ConfigurationError, ExperimentError
 from repro.harness.runner import RunResult, run_scenario
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, snapshot_smr_outcome
-from repro.smr.runner import SmrRunResult, run_smr
 from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.registry import WORKLOADS
@@ -137,21 +137,19 @@ class SmrTask:
     schedule: ScheduleSpec
     workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
     machine: str = "kv"
-    enforce_consistency: bool = True
     tags: Mapping[str, Any] = field(default_factory=dict)
 
     kind = "smr"
     protocol = SMR_PROTOCOL
 
-    def run(self) -> SmrRunResult:
+    def builder(self, n: int) -> MultiPaxosSmrBuilder:
+        """The SMR builder for this task's schedule and state machine, over ``n`` replicas."""
+        return MultiPaxosSmrBuilder(self.schedule.to_schedule(n), machine_factory_for(self.machine))
+
+    def run(self) -> RunResult:
         """Execute in this process and keep the full result (simulator included)."""
         scenario = build_task_scenario(self)
-        return run_smr(
-            scenario,
-            self.schedule.to_schedule(scenario.config.n),
-            machine_factory=machine_factory_for(self.machine),
-            enforce_consistency=self.enforce_consistency,
-        )
+        return run_scenario(scenario, self.builder(scenario.config.n))
 
     def execute(self) -> SmrOutcome:
         """Execute and return the condensed, picklable outcome."""

@@ -1,41 +1,46 @@
-"""Run one (scenario, protocol) pair end to end.
+"""Run one (scenario, protocol) pair end to end, for either run kind.
 
 The runner is the single integration point: it has the scenario build the
 simulator (:meth:`~repro.workloads.scenario.Scenario.build_simulator`:
-network, protocol builder, fault plan, post-setup hook), runs to completion,
-checks the consensus safety spec, condenses the run into its one
-:class:`~repro.consensus.values.RunOutcome`
-(:func:`~repro.analysis.metrics.compute_run_metrics`), and checks the
-protocol's trace invariants.  Every example, test, and benchmark goes
-through :func:`run_scenario`; everything after the run reads
-``result.outcome``.
+network, protocol builder, fault plan, post-setup hook), and the protocol
+builder (:class:`~repro.consensus.base.ProtocolBuilder`) runs it to its stop
+event, checks safety, condenses it into its one outcome (a
+:class:`~repro.consensus.values.RunOutcome`, or an SMR run's
+:class:`~repro.smr.outcome.SmrOutcome`) and names the trace invariants to
+check.  Every example, test, and benchmark goes through
+:func:`run_scenario`; everything after the run reads ``result.outcome``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.analysis.invariants import InvariantReport
-from repro.analysis.metrics import compute_run_metrics
 from repro.consensus.base import ProtocolBuilder
 from repro.consensus.registry import protocol_builder
-from repro.consensus.spec import SafetyReport, check_safety
+# ProtocolBuilder's single-decree hooks call compute_run_metrics and check_safety here.
+from repro.analysis.metrics import compute_run_metrics  # noqa: F401
+from repro.consensus.spec import SafetyReport, check_safety  # noqa: F401
 from repro.consensus.values import RunOutcome
 from repro.sim.simulator import Simulator
 from repro.workloads.scenario import Scenario
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.smr.outcome import SmrOutcome
 
 __all__ = ["RunResult", "run_scenario"]
 
 
 @dataclass
 class RunResult:
-    """One finished run: its scenario and simulator, its outcome, and its check reports."""
+    """One finished run: its scenario, builder and simulator, its outcome, and its check reports."""
 
     scenario: Scenario
     protocol: str
+    builder: ProtocolBuilder
     simulator: Simulator
-    outcome: RunOutcome
+    outcome: Union[RunOutcome, "SmrOutcome"]
     safety: SafetyReport
     invariants: Dict[str, InvariantReport] = field(default_factory=dict)
 
@@ -56,15 +61,15 @@ def run_scenario(
 ) -> RunResult:
     """Execute ``protocol`` under ``scenario`` and return the analysed result.
 
-    The run stops at the event in which the last of the scenario's expected
-    deciders decides (or at the scenario's horizon if one never does).
+    The run stops at the builder's stop event (for a single-decree protocol,
+    the last expected decision), or at the scenario's horizon.
 
     Args:
         scenario: The workload to run.
         protocol: A protocol name from
             :data:`~repro.consensus.registry.PROTOCOLS` or a pre-built
-            :class:`ProtocolBuilder` instance.
-        enforce: Raise if the safety spec or a protocol trace invariant is
+            :class:`ProtocolBuilder` instance (such as an SMR run's).
+        enforce: Raise if the safety check or a protocol trace invariant is
             violated (otherwise the reports are only attached to the result).
     """
     if isinstance(protocol, str):
@@ -76,12 +81,12 @@ def run_scenario(
 
     simulator = scenario.build_simulator(builder)
     deciders = scenario.deciders()
-    simulator.run_until_decided(deciders)
+    builder.run_to_stop(simulator, deciders)
 
-    safety = check_safety(simulator, expected_deciders=deciders)
+    safety = builder.check_safety(simulator, deciders)
     if enforce:
         safety.raise_if_violated()
-    outcome = compute_run_metrics(simulator, scenario, protocol_name, safety.valid)
+    outcome = builder.build_outcome(simulator, scenario, protocol_name, safety)
 
     invariants: Dict[str, InvariantReport] = {}
     for name, check in builder.invariant_checks().items():
@@ -93,6 +98,7 @@ def run_scenario(
     return RunResult(
         scenario=scenario,
         protocol=protocol_name,
+        builder=builder,
         simulator=simulator,
         outcome=outcome,
         safety=safety,

@@ -101,9 +101,7 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
     that determines the run's outcome: protocol, workload and the workload
     kwargs (normalized).  ``n``, ``ts``, and ``seed`` are left out of the
     hashed kwargs — they appear readably in the content key itself, so every
-    run of one scenario family shares an ``env-hash``.  SMR's
-    ``enforce_consistency`` is deliberately excluded — it changes what
-    failures raise, never what a successful run produces.
+    run of one scenario family shares an ``env-hash``.
 
     For an :class:`~repro.harness.executors.SmrTask` (``task.kind ==
     "smr"``) the fingerprint instead covers the command schedule and the

@@ -97,7 +97,7 @@ class Simulator:
         self._started = False
         self.events_processed = 0
         # Set by ``run_until_decided``: the pids still to decide, and the
-        # flag ``record_decision`` raises once none is left.
+        # flag ``record_decision`` (or ``halt``) raises to stop the run.
         self._awaited: Optional[Set[int]] = None
         self._halt = False
 
@@ -156,10 +156,11 @@ class Simulator:
         if awaited is not None:
             awaited.discard(pid)
             if not awaited:
-                self._halt = True
+                self.halt()
 
-    def decided_pids(self) -> List[int]:
-        return sorted(self.decisions)
+    def halt(self) -> None:
+        """Stop the current run after the event being processed."""
+        self._halt = True
 
     def has_decided(self, pid: int) -> bool:
         return pid in self.decisions
@@ -207,8 +208,8 @@ class Simulator:
         The run stops, after the event being processed, at the first of: the
         queue holds no event at or before the horizon (``until``, capped by
         ``config.max_time``); ``max_events`` events were processed;
-        ``stop_when`` returned True; or, under :meth:`run_until_decided`,
-        the last awaited pid decided.
+        ``stop_when`` returned True; or :meth:`halt` was called (as under
+        :meth:`run_until_decided` once the last awaited pid decides).
 
         Args:
             until: Stop once the next event would be after this time.
@@ -234,6 +235,7 @@ class Simulator:
             processed += 1
             if self._halt or (stop_when is not None and stop_when(self)):
                 break
+        self._halt = False
         return self._time
 
     def run_until_decided(self, pids: Iterable[int]) -> float:
@@ -254,7 +256,6 @@ class Simulator:
             return self.run()
         finally:
             self._awaited = None
-            self._halt = False
 
     # -- helpers ---------------------------------------------------------------------------
     def _node(self, pid: int) -> Node:

@@ -33,11 +33,12 @@ idempotent under such duplicates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.base import ProtocolBuilder
 from repro.consensus.quorum import ValueQuorum
 from repro.core.sessions import SessionProcess, initial_ballot, owner_of
+from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.smr.log import ReplicatedLog
 from repro.smr.messages import (
@@ -48,6 +49,7 @@ from repro.smr.messages import (
     MultiPhase2b,
     SlotDecision,
 )
+from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 
 __all__ = ["MultiPaxosSmrProcess", "MultiPaxosSmrBuilder"]
@@ -65,9 +67,12 @@ class MultiPaxosSmrProcess(SessionProcess):
     PHASE1A = MultiPhase1a
     SUBMIT_TIMER_PREFIX = "submit-"
 
-    def __init__(self, schedule: Optional[List[Tuple[float, str, Any]]] = None) -> None:
+    def __init__(self, schedule: Optional[List[Tuple[float, str, Any]]] = None, on_learn: Optional[Callable] = None):
         super().__init__()
         self._schedule = list(schedule or [])
+        # Called with each newly learned command id, and with None once the
+        # log is restored on start.
+        self._on_learn = on_learn
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -99,6 +104,9 @@ class MultiPaxosSmrProcess(SessionProcess):
                 decided[int(field[len(_LOG):])] = self.recall(field)
         self.log = ReplicatedLog.restore(decided)
         self.accepted = {slot: vote for slot, vote in votes.items() if slot not in self.log}
+
+        if self._on_learn is not None:
+            self._on_learn(self, None)
 
         self._start_sessions()
         self._schedule_submissions()
@@ -309,6 +317,8 @@ class MultiPaxosSmrProcess(SessionProcess):
         self.ctx.emit("slot_decide", slot=slot, command_id=command_id)
         if command_id is not None:
             self._pending.pop(command_id, None)
+            if self._on_learn is not None:
+                self._on_learn(self, command_id)
         if slot >= self._next_slot:
             self._next_slot = slot + 1
 
@@ -320,16 +330,80 @@ class MultiPaxosSmrProcess(SessionProcess):
 
 
 class MultiPaxosSmrBuilder(ProtocolBuilder):
-    """Builds SMR replicas, each with its own client command schedule."""
+    """Builds SMR replicas, each with its own client command schedule, and drives SMR runs.
+
+    Replica digests apply each log to a fresh ``machine_factory()``.
+    """
 
     name = "multi-paxos-smr"
 
-    def __init__(self, schedule: Optional[CommandSchedule] = None) -> None:
+    def __init__(
+        self,
+        schedule: Optional[CommandSchedule] = None,
+        machine_factory: Callable[[], object] = KeyValueStore,
+    ) -> None:
         super().__init__()
         self.schedule = schedule if schedule is not None else CommandSchedule()
+        self.machine_factory = machine_factory
+        # While run_to_stop waits: the scheduled ids and the expected replicas' nodes.
+        self._awaited_ids: frozenset = frozenset()
+        self._watched: Optional[Dict[int, Any]] = None
+
+    def attach(self, simulator) -> None:
+        """Bind to ``simulator``, rejecting submissions past its horizon (they would never fire)."""
+        super().attach(simulator)
+        max_time = simulator.config.max_time
+        for pid, entries in sorted(self.schedule.entries.items()):
+            for submit_at, command_id, _ in entries:
+                if submit_at > max_time:
+                    raise ConfigurationError(
+                        f"command {command_id!r} is scheduled at p{pid} local time "
+                        f"{submit_at:g}, past the scenario horizon max_time={max_time:g}; "
+                        "it would silently never be submitted — extend max_time or move "
+                        "the submission earlier"
+                    )
 
     def create(self, pid: int) -> MultiPaxosSmrProcess:
-        return MultiPaxosSmrProcess(schedule=self.schedule.for_pid(pid))
+        return MultiPaxosSmrProcess(schedule=self.schedule.for_pid(pid), on_learn=self._learned)
+
+    def run_to_stop(self, simulator, deciders) -> None:
+        """Run until every expected replica's *current* incarnation has learned every scheduled command.
+
+        A replica that is down is not caught up, even with a complete log on disk.
+        With nothing scheduled, or an expected replica not hosted, the run ends at the horizon.
+        """
+        nodes = [simulator.nodes.get(pid) for pid in deciders]
+        self._awaited_ids = frozenset(self.schedule.command_ids)
+        if self._awaited_ids and None not in nodes:
+            self._watched = {node.pid: node for node in nodes}
+        try:
+            simulator.run()
+        finally:
+            self._watched = None
+
+    def _learned(self, process: MultiPaxosSmrProcess, command_id: Optional[str]) -> None:
+        # The stop condition can only become true when an expected replica
+        # learns a scheduled command or restores its log (``command_id`` None).
+        watched, awaited = self._watched, self._awaited_ids
+        if watched is None or process.pid not in watched or (
+            command_id is not None and command_id not in awaited
+        ):
+            return
+        for node in watched.values():
+            if node.process is None or not awaited <= node.process.log.command_ids:
+                return
+        self.simulator.halt()
+
+    def check_safety(self, simulator, deciders):
+        # repro.smr.runner imports this module, so it is looked up at call time.
+        from repro.smr import runner
+
+        return runner.check_smr_safety(simulator)
+
+    def build_outcome(self, simulator, scenario, protocol, safety):
+        from repro.smr import runner
+
+        return runner.compute_smr_outcome(simulator, scenario, self, safety)
 
     def invariant_checks(self):
         from repro.analysis.invariants import check_session_entry_rule

@@ -7,8 +7,8 @@ multi-decree counterpart.  It freezes everything an SMR experiment aggregates
 resolved environment — as plain picklable data, so the same
 :class:`~repro.harness.executors.SmrTask` produces an identical outcome
 whether it ran serially in-process or inside a pool worker.
-:func:`~repro.smr.runner.run_smr` builds it once, when the run finishes;
-reports, the CLI, records and tables all read that one outcome.
+:func:`~repro.smr.runner.compute_smr_outcome` builds it once, when the run
+finishes; reports, the CLI, records and tables all read that one outcome.
 
 Replica digests are carried as canonical SHA-256 strings
 (:func:`digest_string`) rather than the raw state-machine digests: strings
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.smr.metrics import CommandRecord
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.smr.runner import SmrRunResult
+    from repro.harness.runner import RunResult
 
 __all__ = ["SMR_PROTOCOL", "SmrOutcome", "digest_string", "snapshot_smr_outcome"]
 
@@ -119,12 +119,12 @@ def _worst(latencies) -> Optional[float]:
     return max(completed) if completed else None
 
 
-def snapshot_smr_outcome(result: "SmrRunResult", workload: Optional[str] = None) -> SmrOutcome:
+def snapshot_smr_outcome(result: "RunResult", workload: Optional[str] = None) -> SmrOutcome:
     """The outcome of a finished SMR run, stamped with its catalogue workload.
 
-    :func:`~repro.smr.runner.run_smr` names the outcome's workload after the
-    scenario; ``workload`` (when given) replaces it with the catalogue name
-    the task resolved.
+    :func:`~repro.smr.runner.compute_smr_outcome` names the outcome's
+    workload after the scenario; ``workload`` (when given) replaces it with
+    the catalogue name the task resolved.
     """
     if workload is None:
         return result.outcome

@@ -2,9 +2,9 @@
 
 The multi-decree service (:mod:`repro.smr`) runs on ordinary
 :class:`~repro.workloads.scenario.Scenario` objects — what distinguishes an
-"SMR workload" is only the execution path
-(:func:`~repro.smr.runner.run_smr` instead of a single-decree protocol) and,
-for two of them, a default sized for a command stream.
+"SMR workload" is only the protocol builder
+(:class:`~repro.smr.multi_paxos.MultiPaxosSmrBuilder`) and, for two of
+them, a default sized for a command stream.
 
 So the ``smr-*`` names are aliases: each is a
 :data:`~repro.workloads.registry.WORKLOADS` entry that pairs a
@@ -21,7 +21,7 @@ run with the same arguments.
   stable scenario with a 400δ horizon, room for long command streams.
 
 ``SMR_WORKLOADS`` is read off the table's ``smr-`` entries; the CLI uses it
-to route ``repro run --workload smr-*`` through the SMR runner.
+to route ``repro run --workload smr-*`` to the multi-decree service.
 """
 
 from __future__ import annotations
@@ -34,5 +34,5 @@ SMR_WORKLOADS = tuple(name for name in WORKLOADS if name.startswith("smr-"))
 
 
 def is_smr_workload(name: str) -> bool:
-    """Whether ``name`` is a workload meant for the SMR runner."""
+    """Whether ``name`` is a workload meant for multi-decree (SMR) runs."""
     return name in SMR_WORKLOADS

@@ -22,6 +22,7 @@ __all__ = [
     "SentMessage",
     "SilentProcess",
     "capture_sent_envelopes",
+    "diverge_slot_zero_after_each_run",
     "make_params",
     "make_run_record",
     "run_to_horizon",
@@ -101,6 +102,31 @@ def capture_sent_envelopes(monkeypatch) -> List[Any]:
 
     monkeypatch.setattr(Network, "send", recording_send)
     return sent
+
+
+def diverge_slot_zero_after_each_run(monkeypatch) -> None:
+    """Make p0's slot 0 disagree with every other replica once each ``Simulator.run`` returns.
+
+    A divergence mutant for the SMR safety check: every replica must have
+    learned slot 0 by the end of the run, and p0's log is then rebuilt with
+    a different command there, so only the end-of-run log consistency check
+    can see the conflict.
+    """
+    from repro.sim.simulator import Simulator
+    from repro.smr.log import ReplicatedLog
+
+    run = Simulator.run
+
+    def run_then_diverge(simulator, *args, **kwargs):
+        end = run(simulator, *args, **kwargs)
+        assert all(node.process.log.get(0) is not None for node in simulator.nodes.values())
+        replica = simulator.nodes[0].process
+        entries = replica.log.snapshot()
+        entries[0] = ("cmd-diverged", ("set", "k", -1))
+        replica.log = ReplicatedLog.restore(entries)
+        return end
+
+    monkeypatch.setattr(Simulator, "run", run_then_diverge)
 
 
 def trace_wire_rows(monkeypatch) -> None:

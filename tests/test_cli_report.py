@@ -11,7 +11,7 @@ from repro.workloads.registry import WORKLOADS
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import diverge_slot_zero_after_each_run, make_params
 
 
 class TestRunReport:
@@ -148,6 +148,24 @@ class TestCliCommands:
         monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: unsafe)
         exit_code = main(["run", "--workload", "stable", "--n", "3", "--allow-unsafe"])
         assert "agreement: forced" in capsys.readouterr().out
+        assert exit_code == 1
+
+    def test_allow_unsafe_smr_run_reports_a_slot_conflict(self, capsys, monkeypatch):
+        diverge_slot_zero_after_each_run(monkeypatch)
+        exit_code = main(["run", "--workload", "smr-stable", "--n", "5", "--commands", "5",
+                          "--seed", "1", "--allow-unsafe"])
+        output = capsys.readouterr().out
+        assert output.startswith("smr run report: ")
+        assert "safety                      : agreement: slot 0: " in output
+        assert "run failed" not in output
+        assert exit_code == 1
+
+    def test_enforced_smr_run_fails_on_a_slot_conflict(self, capsys, monkeypatch):
+        diverge_slot_zero_after_each_run(monkeypatch)
+        exit_code = main(["run", "--workload", "smr-stable", "--n", "5", "--commands", "5",
+                          "--seed", "1"])
+        output = capsys.readouterr().out
+        assert output.startswith("run failed: agreement: slot 0: ")
         assert exit_code == 1
 
     def test_enforced_run_reports_a_violated_invariant_instead_of_raising(

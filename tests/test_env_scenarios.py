@@ -187,16 +187,17 @@ class TestChurn:
             churn_scenario(2, params=PARAMS)
 
     def test_churn_runs_under_the_smr_runner(self):
-        # The SMR entry point validates the fault plan too — it must honor
-        # the scenario's allow_post_ts_crashes flag like the consensus runner.
-        from repro.smr.runner import run_smr
+        # An SMR run validates the fault plan too — it must honor the
+        # scenario's allow_post_ts_crashes flag like a single-decree run.
+        from repro.harness.runner import run_scenario
+        from repro.smr.multi_paxos import MultiPaxosSmrBuilder
         from repro.smr.workload import uniform_schedule
 
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
         schedule = uniform_schedule(
             5, 3, start=scenario.config.ts + 0.5, interval=2.0, target_pid=0
         )
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.replicas_agree
 
 

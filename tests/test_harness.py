@@ -4,8 +4,13 @@ import pytest
 
 from repro.analysis.invariants import InvariantReport
 from repro.consensus.values import RunOutcome
+from repro.core.modified_paxos import ModifiedPaxosBuilder
+from repro.harness import runner
 from repro.harness.runner import run_scenario
 from repro.harness.tables import ExperimentTable, render_table
+from repro.smr import runner as smr_runner
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
+from repro.smr.workload import uniform_schedule
 from repro.workloads.stable import stable_scenario
 
 from tests.helpers import run_to_horizon
@@ -13,6 +18,23 @@ from tests.helpers import run_to_horizon
 
 def forced_violation(trace, n):
     return InvariantReport(name="forced", checked=1, violations=["forced violation"])
+
+
+RUN_KINDS = ["single-decree", "smr"]
+
+
+def builder_of(kind):
+    if kind == "smr":
+        return MultiPaxosSmrBuilder(uniform_schedule(3, num_commands=3, start=1.0, interval=0.5))
+    return ModifiedPaxosBuilder()
+
+
+def force_safety(monkeypatch, kind, report):
+    """Make the run kind's safety check return ``report``, patched where its builder calls it."""
+    if kind == "smr":
+        monkeypatch.setattr(smr_runner, "check_smr_safety", lambda simulator: report)
+    else:
+        monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: report)
 
 
 class TestRenderTable:
@@ -87,28 +109,29 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_scenario(scenario, "raft")
 
-    def test_enforce_raises_on_a_violated_invariant(self, params, monkeypatch):
-        from repro.core.modified_paxos import ModifiedPaxosBuilder
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_enforce_raises_on_a_violated_invariant(self, params, monkeypatch, kind):
         from repro.errors import InvariantViolation
 
-        monkeypatch.setattr(ModifiedPaxosBuilder, "invariant_checks",
+        builder = builder_of(kind)
+        monkeypatch.setattr(type(builder), "invariant_checks",
                             lambda self: {"forced": forced_violation})
         with pytest.raises(InvariantViolation, match="forced violation"):
-            run_scenario(stable_scenario(3, params=params, seed=5), "modified-paxos")
+            run_scenario(stable_scenario(3, params=params, seed=5), builder)
 
-    def test_unenforced_run_attaches_every_failed_report(self, params, monkeypatch):
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_unenforced_run_attaches_every_failed_report(self, params, monkeypatch, kind):
         from repro.consensus.spec import SafetyReport
-        from repro.core.modified_paxos import ModifiedPaxosBuilder
-        from repro.harness import runner
 
         unsafe = SafetyReport(valid=False, violations=["agreement: forced"])
-        monkeypatch.setattr(runner, "check_safety", lambda simulator, expected_deciders: unsafe)
-        monkeypatch.setattr(ModifiedPaxosBuilder, "invariant_checks",
+        force_safety(monkeypatch, kind, unsafe)
+        builder = builder_of(kind)
+        monkeypatch.setattr(type(builder), "invariant_checks",
                             lambda self: {"forced": forced_violation})
-        result = run_scenario(stable_scenario(3, params=params, seed=5), "modified-paxos",
-                              enforce=False)
+        result = run_scenario(stable_scenario(3, params=params, seed=5), builder, enforce=False)
         assert result.safety is unsafe
-        assert result.outcome.extra["safety_valid"] is False
+        if kind == "single-decree":
+            assert result.outcome.extra["safety_valid"] is False
         assert result.invariants["forced"].violations == ["forced violation"]
 
     def test_run_to_horizon_stays_safe(self, params):

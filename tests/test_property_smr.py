@@ -3,8 +3,9 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.harness.runner import run_scenario
 from repro.smr.metrics import check_log_consistency, replica_digests
-from repro.smr.runner import run_smr
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import CommandSchedule
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
@@ -48,7 +49,7 @@ class TestSmrSafetyProperties:
     def test_logs_never_conflict_under_lossy_chaos(self, n, seed, raw):
         scenario = lossy_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=80.0)
         schedule = build_schedule(n, raw, scenario.deciders())
-        result = run_smr(scenario, schedule, enforce_consistency=False)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule), enforce=False)
         # check_log_consistency raises AgreementViolation on any conflict.
         assert check_log_consistency(result.simulator) >= 0
 
@@ -57,7 +58,7 @@ class TestSmrSafetyProperties:
     def test_contiguous_prefixes_yield_identical_state_machines(self, n, seed, raw):
         scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=120.0)
         schedule = build_schedule(n, raw, scenario.deciders())
-        result = run_smr(scenario, schedule, enforce_consistency=False)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule), enforce=False)
         digests = replica_digests(result.simulator, KeyValueStore)
         # Replicas may have learned prefixes of different lengths, but whenever
         # two replicas both learned a slot they learned the same command, so
@@ -83,6 +84,6 @@ class TestSmrSafetyProperties:
         n = 4
         scenario = stable_scenario(n, params=PARAMS, seed=seed, max_time=200.0)
         schedule = build_schedule(n, raw, list(range(n)))
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.timing import decision_bound
 from repro.faults.plan import FaultPlan
+from repro.harness.runner import run_scenario
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.smr.metrics import check_log_consistency
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-from repro.smr.runner import run_smr
 from repro.smr.state_machine import AppendOnlyLedger
 from repro.smr.workload import CommandSchedule, uniform_schedule
 from repro.workloads.chaos import partitioned_chaos_scenario
@@ -23,7 +23,7 @@ class TestStableReplication:
     def test_all_commands_replicated_and_states_agree(self):
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=15, start=10.0, interval=1.0)
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
         assert result.outcome.consistency_checks > 0
@@ -35,7 +35,7 @@ class TestStableReplication:
         # Submit at the established leader (the owner of the highest initial
         # ballot, process n-1), measuring the pure fast path.
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=4)
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         # Global learning within 3 maximum message delays; typical delays are
         # ~0.55 delta so this is also about 3 average delays.
@@ -45,19 +45,20 @@ class TestStableReplication:
     def test_forwarded_commands_cost_at_most_one_extra_delay(self):
         scenario = stable_scenario(5, params=PARAMS, seed=3, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=0)
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.worst_global_latency() <= 4.0 * PARAMS.delta
 
     def test_ledger_replicas_apply_identical_sequences(self):
         scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=300.0)
         schedule = uniform_schedule(5, num_commands=12, start=10.0, interval=0.5)
-        result = run_smr(scenario, schedule, machine_factory=AppendOnlyLedger)
+        builder = MultiPaxosSmrBuilder(schedule, machine_factory=AppendOnlyLedger)
+        result = run_scenario(scenario, builder)
         assert result.outcome.replicas_agree
 
     def test_no_commands_is_a_quiet_system(self):
         scenario = stable_scenario(3, params=PARAMS, seed=5, max_time=40.0)
-        result = run_smr(scenario, CommandSchedule())
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(CommandSchedule()))
         assert result.outcome.commands == {}
         assert check_log_consistency(result.simulator) >= 0
 
@@ -70,7 +71,7 @@ class TestReplicationUnderChaos:
         schedule = uniform_schedule(
             7, num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0]
         )
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
         # Everything is learned within the eventual-synchrony bound of TS
@@ -85,7 +86,7 @@ class TestReplicationUnderChaos:
         schedule = uniform_schedule(
             5, num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0]
         )
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.worst_global_latency() <= 8.0 * PARAMS.delta
 
@@ -103,7 +104,7 @@ class TestLeaderFailover:
         chaos.fault_plan = FaultPlan().crash(4, 3.0)
         chaos.expected_deciders = [0, 1, 2, 3]
         schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.4, target_pid=0)
-        result = run_smr(chaos, schedule)
+        result = run_scenario(chaos, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.replicas_agree
         expected = set(chaos.deciders())
         for record in result.outcome.commands.values():
@@ -118,7 +119,7 @@ class TestRestartedReplicaCatchUp:
         scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=9, with_crashes=False)
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
         schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
         node = result.simulator.nodes[2]

@@ -12,14 +12,14 @@ import hashlib
 
 import pytest
 
+from repro.analysis.report import render_run_report
 from repro.errors import AgreementViolation
 from repro.harness.executors import SmrTask, build_task_scenario
-from repro.sim.simulator import Simulator
-from repro.smr.log import ReplicatedLog
+from repro.harness.runner import run_scenario
 from repro.smr.messages import MultiPhase1b
 from repro.smr.workload import ScheduleSpec
 
-from tests.helpers import capture_sent_envelopes
+from tests.helpers import capture_sent_envelopes, diverge_slot_zero_after_each_run
 
 
 def smr_task(workload: str, n: int, seed: int, submitter: str, commands: int = 20) -> SmrTask:
@@ -129,16 +129,18 @@ def test_a_replica_diverging_below_the_cut_fails_the_run(monkeypatch):
     """No promise carries slot 0 once every owner's prefix is past it, so no
     owner's ``learn`` can reject a conflict there; the end-of-run log check
     still catches it."""
-    original_run = Simulator.run
-
-    def run_then_diverge(simulator, **kwargs):
-        original_run(simulator, **kwargs)
-        assert all(node.process.log.get(0) is not None for node in simulator.nodes.values())
-        follower = simulator.nodes[0].process
-        entries = follower.log.snapshot()
-        entries[0] = ("cmd-diverged", ("set", "k", -1))
-        follower.log = ReplicatedLog.restore(entries)
-
-    monkeypatch.setattr(Simulator, "run", run_then_diverge)
+    diverge_slot_zero_after_each_run(monkeypatch)
     with pytest.raises(AgreementViolation, match="slot 0"):
         smr_task("smr-stable", 5, 1, "leader", commands=5).run()
+
+
+def test_an_unenforced_run_reports_the_divergence(monkeypatch):
+    """With ``enforce=False`` the conflict lands in ``result.safety`` and the report."""
+    diverge_slot_zero_after_each_run(monkeypatch)
+    task = smr_task("smr-stable", 5, 1, "leader", commands=5)
+    scenario = build_task_scenario(task)
+    result = run_scenario(scenario, task.builder(scenario.config.n), enforce=False)
+    assert not result.safety.valid
+    [violation] = result.safety.violations
+    assert violation.startswith("agreement: slot 0: ")
+    assert f"safety                      : {violation}" in render_run_report(result)

@@ -4,7 +4,7 @@ The tentpole contract: SMR is a first-class workload family — declarative
 :class:`SmrTask`\\ s run through the same executors as single-decree tasks,
 parallel equals serial, and the registry-routed E9 produces byte-identical
 tables (and replica digests) to the retired side harness that drove
-``run_smr`` directly.
+each run directly.
 """
 
 import pytest
@@ -22,9 +22,10 @@ from repro.harness.experiments import (
     default_experiment_params,
     experiment_e9_smr_stable_case,
 )
+from repro.harness.runner import run_scenario
 from repro.harness.tables import ExperimentTable
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
-from repro.smr.runner import run_smr
 from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.workloads.chaos import partitioned_chaos_scenario
 from repro.workloads.environments import (
@@ -138,7 +139,7 @@ class TestExecutorIntegration:
             task.workload, **dict(task.workload_kwargs)
         )
         direct = snapshot_smr_outcome(
-            run_smr(scenario, task.schedule.to_schedule(scenario.config.n)),
+            run_scenario(scenario, task.builder(scenario.config.n)),
             workload=task.workload,
         )
         assert list(SerialExecutor().imap([task])) == [direct]
@@ -203,13 +204,13 @@ class TestScheduleHorizonValidation:
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=20.0)
         schedule = CommandSchedule().add(0, 25.0, "late-cmd", ("set", "k", "v"))
         with pytest.raises(ConfigurationError, match="late-cmd") as excinfo:
-            run_smr(scenario, schedule)
+            run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert "25" in str(excinfo.value) and "20" in str(excinfo.value)
 
     def test_submission_at_horizon_is_allowed(self):
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
         schedule = CommandSchedule().add(0, 12.0, "ok-cmd", ("set", "k", "v"))
-        result = run_smr(scenario, schedule)
+        result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
 
 
@@ -257,28 +258,28 @@ class TestE9Parity:
                 "submitted before TS and replicated once the system stabilizes"
             ),
         )
-        leader = run_smr(
+        leader = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
-            uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
-                             target_pid=self.N - 1),
+            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
+                                                  interval=0.7, target_pid=self.N - 1)),
         ).outcome
         table.add_row(case="stable, submitted at leader", commands=self.STABLE,
                       worst_submitter_latency_delta=leader.worst_submitter_latency() / delta,
                       worst_global_latency_delta=leader.worst_global_latency() / delta)
-        follower = run_smr(
+        follower = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=2, max_time=400.0 * delta),
-            uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
-                             target_pid=0),
+            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
+                                                  interval=0.7, target_pid=0)),
         ).outcome
         table.add_row(case="stable, submitted at follower", commands=self.STABLE,
                       worst_submitter_latency_delta=follower.worst_submitter_latency() / delta,
                       worst_global_latency_delta=follower.worst_global_latency() / delta)
         chaos_scenario = partitioned_chaos_scenario(self.N, params=PARAMS,
                                                     ts=10.0 * delta, seed=3)
-        chaos = run_smr(
+        chaos = run_scenario(
             chaos_scenario,
-            uniform_schedule(self.N, num_commands=self.CHAOS, start=1.0, interval=0.8,
-                             target_pid=chaos_scenario.deciders()[0]),
+            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.CHAOS, start=1.0,
+                                                  interval=0.8, target_pid=chaos_scenario.deciders()[0])),
         ).outcome
         worst_after_ts = max(
             max(record.learned_times.values()) - chaos_scenario.config.ts
@@ -308,10 +309,10 @@ class TestE9Parity:
 
     def test_seeded_digests_identical_to_side_harness(self):
         delta = PARAMS.delta
-        direct = run_smr(
+        direct = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
-            uniform_schedule(self.N, num_commands=self.STABLE, start=10.0, interval=0.7,
-                             target_pid=self.N - 1),
+            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
+                                                  interval=0.7, target_pid=self.N - 1)),
         )
         outcome = SmrTask(
             workload="smr-stable",

@@ -114,17 +114,6 @@ class TestSmrContentKey:
         )
         assert content_key_for_task(base) != content_key_for_task(other)
 
-    def test_enforcement_flag_does_not_change_the_key(self):
-        base = smr_task()
-        lenient = SmrTask(
-            workload=base.workload,
-            workload_kwargs=dict(base.workload_kwargs),
-            schedule=base.schedule,
-            enforce_consistency=False,
-            tags=dict(base.tags),
-        )
-        assert content_key_for_task(base) == content_key_for_task(lenient)
-
     def test_smr_and_run_tasks_never_collide(self):
         """Same workload kwargs, different task kinds → different keys."""
         run = RunTask(protocol="multi-paxos-smr", workload="smr-stable",

@@ -1,24 +1,24 @@
-"""The SMR runner's incremental stop check stops exactly where a full rescan does.
+"""An SMR run stops on the event that completes it, exactly where a predicate would.
 
-``run_smr`` stops once every expected replica has learned every scheduled
-command.  It answers that from each log's incrementally maintained
-``command_ids`` set; the reference below is the full-rescan predicate it
-replaced, which rebuilt a command → replicas map from every replica's whole
-log after every event.  Both must agree on every event of every run, so the
-runner stops at the same event, at the same simulated time, with the same
-outcome.
+``MultiPaxosSmrBuilder.run_to_stop`` evaluates no predicate per event: a
+replica that learns a scheduled command, or restarts with its log restored,
+halts the run from inside that event once every expected replica's current
+incarnation holds every scheduled command.  The reference below is the
+full-rescan ``stop_when`` predicate, which rebuilds a command → replicas map
+from every replica's whole log after every event.  Both must end every run
+at the same event, at the same simulated time, with the same outcome.
 """
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.harness.executors import SmrTask, build_task_scenario
+from repro.harness.runner import run_scenario
 from repro.sim.simulator import Simulator
-from repro.smr.multi_paxos import MultiPaxosSmrProcess
-from repro.smr.runner import run_smr
-from repro.smr.workload import ScheduleSpec, uniform_schedule
+from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
+from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
 from repro.workloads.smr import SMR_WORKLOADS
 from repro.workloads.stable import stable_scenario
 
@@ -43,34 +43,32 @@ def reference_caught_up(sim: Simulator, expected_replicas: Set[int], expected_co
     )
 
 
-def use_reference_stop(monkeypatch, expected_replicas: Iterable[int], expected_commands: Iterable[str]):
-    """Make ``Simulator.run`` stop on the reference predicate.
+def predicate_stop(builder, simulator, deciders):
+    replicas, commands = set(deciders), set(builder.schedule.command_ids)
+    simulator.run(stop_when=lambda s: reference_caught_up(s, replicas, commands))
 
-    The runner's own predicate is still evaluated after every event; the
-    events where the two disagree are collected in the returned list.
-    """
-    replicas, commands = set(expected_replicas), set(expected_commands)
-    original_run = Simulator.run
-    disagreements = []
 
-    def run(sim, until=None, stop_when=None, max_events=None):
-        def reference_stop(s):
-            expected = reference_caught_up(s, replicas, commands)
-            if stop_when(s) != expected:
-                disagreements.append((s.events_processed, s.now()))
-            return expected
+def horizon_stop(builder, simulator, deciders):
+    simulator.run()
 
-        return original_run(sim, until=until, stop_when=reference_stop, max_events=max_events)
 
-    monkeypatch.setattr(Simulator, "run", run)
-    return disagreements
+def observed(result):
+    return result.simulator.events_processed, result.simulator.now(), result.outcome
+
+
+def run_with(monkeypatch, run, stop=None):
+    """``run()``'s observed end, with ``stop`` in place of the builder's own stop if given."""
+    with monkeypatch.context() as patch:
+        if stop is not None:
+            patch.setattr(MultiPaxosSmrBuilder, "run_to_stop", stop)
+        return observed(run())
 
 
 def smr_task(workload: str, seed: int) -> SmrTask:
     """Eight commands submitted at the first expected replica, over a 30δ horizon.
 
     Some seeds of the partitioned workloads leave commands unlearned at the
-    horizon, so those runs end there rather than on the stop check.
+    horizon, so those runs end there rather than on the stop event.
     """
     kwargs = {"n": 5, "seed": seed, "max_time": 30.0}
     target = build_task_scenario(SmrTask(workload, ScheduleSpec(), kwargs)).deciders()[0]
@@ -83,19 +81,55 @@ def smr_task(workload: str, seed: int) -> SmrTask:
 
 @pytest.mark.parametrize("workload", SMR_WORKLOADS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_stop_point_matches_full_rescan(monkeypatch, workload, seed):
+def test_stops_on_the_same_event_as_the_predicate(monkeypatch, workload, seed):
     task = smr_task(workload, seed)
-    result = task.run()
+    assert run_with(monkeypatch, task.run) == run_with(monkeypatch, task.run, predicate_stop)
 
-    scenario = build_task_scenario(task)
-    schedule = task.schedule.to_schedule(scenario.config.n)
-    disagreements = use_reference_stop(monkeypatch, scenario.deciders(), schedule.command_ids)
-    reference = task.run()
 
-    assert disagreements == []
-    assert result.simulator.events_processed == reference.simulator.events_processed
-    assert result.simulator.now() == reference.simulator.now()
-    assert result.outcome == reference.outcome
+def test_runs_without_a_per_event_predicate(monkeypatch):
+    calls = []
+    run = Simulator.run
+
+    def recording_run(self, until=None, stop_when=None, max_events=None):
+        calls.append((until, stop_when, max_events))
+        return run(self, until, stop_when, max_events)
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    smr_task("smr-chaos", 1).run()
+    assert calls == [(None, None, None)]
+
+
+class TestRunsThatEndAtTheHorizon:
+    """With nothing to wait for, or a replica that cannot be waited for, no stop event exists."""
+
+    def scenario(self):
+        return stable_scenario(5, params=make_params(), seed=2, max_time=30.0)
+
+    def assert_runs_to_the_horizon(self, monkeypatch, run):
+        own = run_with(monkeypatch, run)
+        assert own == run_with(monkeypatch, run, predicate_stop)
+        assert own == run_with(monkeypatch, run, horizon_stop)
+        assert own[1] <= 30.0
+
+    def test_an_empty_schedule(self, monkeypatch):
+        self.assert_runs_to_the_horizon(
+            monkeypatch, lambda: run_scenario(self.scenario(), MultiPaxosSmrBuilder(CommandSchedule()))
+        )
+
+    def test_an_expected_replica_the_simulator_does_not_host(self, monkeypatch):
+        def run():
+            scenario = self.scenario()
+            scenario.expected_deciders = [0, 1, 2, 3, 4, 5]
+            schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.5, target_pid=4)
+            return run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
+
+        self.assert_runs_to_the_horizon(monkeypatch, run)
+        # Every hosted replica learned every command long before the horizon.
+        outcome = run().outcome
+        assert all(
+            set(record.learned_times) == {0, 1, 2, 3, 4} and max(record.learned_times.values()) < 10.0
+            for record in outcome.commands.values()
+        )
 
 
 class TestCrashedReplicaHoldsTheRun:
@@ -110,7 +144,7 @@ class TestCrashedReplicaHoldsTheRun:
     LATE, LEAVER = 1, 2
     LEAVE_AT, LATE_BACK_AT, LEAVER_BACK_AT = 20.0, 30.0, 60.0
 
-    def scenario(self):
+    def run(self):
         scenario = stable_scenario(5, params=make_params(), seed=3, max_time=200.0)
         scenario.fault_plan = (
             FaultPlan()
@@ -120,13 +154,11 @@ class TestCrashedReplicaHoldsTheRun:
             .restart(self.LEAVER, self.LEAVER_BACK_AT)
         )
         scenario.allow_post_ts_crashes = True
-        return scenario
-
-    def schedule(self):
-        return uniform_schedule(5, num_commands=4, start=1.0, interval=0.5, target_pid=4)
+        schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.5, target_pid=4)
+        return run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
 
     def test_run_waits_for_the_crashed_replica(self):
-        result = run_smr(self.scenario(), self.schedule())
+        result = self.run()
         assert result.outcome.all_commands_learned_everywhere
         records = result.outcome.commands.values()
         # The leaver had the whole log before it went down ...
@@ -139,11 +171,4 @@ class TestCrashedReplicaHoldsTheRun:
         assert result.simulator.nodes[self.LEAVER].incarnation == 2
 
     def test_matches_full_rescan(self, monkeypatch):
-        result = run_smr(self.scenario(), self.schedule())
-        scenario, schedule = self.scenario(), self.schedule()
-        disagreements = use_reference_stop(monkeypatch, scenario.deciders(), schedule.command_ids)
-        reference = run_smr(scenario, schedule)
-        assert disagreements == []
-        assert result.simulator.events_processed == reference.simulator.events_processed
-        assert result.simulator.now() == reference.simulator.now()
-        assert result.outcome == reference.outcome
+        assert run_with(monkeypatch, self.run) == run_with(monkeypatch, self.run, predicate_stop)

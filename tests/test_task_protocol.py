@@ -47,7 +47,6 @@ from repro.results.record import (
 from repro.results.smr_record import SmrRecord
 from repro.sim.simulator import SimulationConfig
 from repro.smr.outcome import SmrOutcome, snapshot_smr_outcome
-from repro.smr.runner import SmrRunResult
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.scenario import Scenario
@@ -130,7 +129,7 @@ class TestTaskProtocol:
 
     def test_smr_task_run_keeps_the_simulator(self):
         result = smr_task().run()
-        assert isinstance(result, SmrRunResult)
+        assert isinstance(result, RunResult)
         assert result.outcome.replicas_agree
         assert result.simulator.now() > 0
 
