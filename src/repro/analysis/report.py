@@ -141,6 +141,9 @@ def _command_section(outcome: SmrOutcome) -> List[str]:
         text = f"{value:.3f}" if value is not None else "n/a"
         lines.append(f"{label:28s}: {text}")
     lines.append(f"{'replicas agree':28s}: {'OK' if outcome.replicas_agree else 'DIVERGED'}")
+    unlearned = outcome.unlearned_command_ids()
+    if unlearned:
+        lines.append(f"{'unlearned commands':28s}: {', '.join(unlearned)}")
     lines.append(
         f"{'learned prefixes':28s}: "
         + " ".join(f"p{pid}={length}" for pid, length in sorted(outcome.prefix_lengths.items()))

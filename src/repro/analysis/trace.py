@@ -44,11 +44,6 @@ class TraceEvent:
     pid: Optional[int] = None
     fields: Dict[str, Any] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        where = f"p{self.pid}" if self.pid is not None else "--"
-        payload = " ".join(f"{key}={value!r}" for key, value in sorted(self.fields.items()))
-        return f"[{self.time:10.4f}] {self.category:8s} {where:>4s} {self.event:18s} {payload}"
-
 
 def _to_event(row: tuple) -> TraceEvent:
     """The :class:`TraceEvent` a row stands for."""
@@ -60,10 +55,9 @@ class TraceRecorder:
 
     Storage is one list of row tuples in record order (layout in the module
     docstring) plus an index from event name to the positions of its rows,
-    kept at record time, so ``filter(event=...)``, :meth:`first`,
-    :meth:`last` and :meth:`count` walk only that event's rows.  Every read
-    (iteration, :attr:`events`, the queries, :meth:`dump`) builds fresh
-    :class:`TraceEvent` objects that share the rows' field dicts.
+    kept at record time, so ``filter(event=...)`` walks only that event's
+    rows.  Every read (iteration, :attr:`events`, :meth:`filter`) builds
+    fresh :class:`TraceEvent` objects that share the rows' field dicts.
     """
 
     def __init__(self) -> None:
@@ -95,13 +89,17 @@ class TraceRecorder:
         rows.append((time, category, event, pid, fields))
 
     # -- queries -------------------------------------------------------------
-    def _select(
+    def filter(
         self,
         event: Union[None, str, Sequence[str]] = None,
         category: Optional[str] = None,
         pid: Optional[int] = None,
-    ) -> List[tuple]:
-        """Rows matching all the given criteria, in record order."""
+    ) -> List[TraceEvent]:
+        """Events matching all the given criteria, in record order.
+
+        ``event`` is one event name or a tuple of names (merged in record
+        order).
+        """
         rows = self._rows
         if event is None:
             selected = rows
@@ -118,38 +116,4 @@ class TraceRecorder:
                 for row in selected
                 if (category is None or row[1] == category) and (pid is None or row[3] == pid)
             ]
-        return selected
-
-    def filter(
-        self,
-        event: Union[None, str, Sequence[str]] = None,
-        category: Optional[str] = None,
-        pid: Optional[int] = None,
-    ) -> List[TraceEvent]:
-        """Events matching all the given criteria, in record order.
-
-        ``event`` is one event name or a tuple of names (merged in record
-        order).
-        """
-        return [_to_event(row) for row in self._select(event, category, pid)]
-
-    def first(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
-        """Earliest event with the given name (and optional pid/category)."""
-        matches = self._select(event, **criteria)
-        return _to_event(matches[0]) if matches else None
-
-    def last(self, event: str, **criteria: Any) -> Optional[TraceEvent]:
-        """Latest event with the given name (and optional pid/category)."""
-        matches = self._select(event, **criteria)
-        return _to_event(matches[-1]) if matches else None
-
-    def count(self, event: str, **criteria: Any) -> int:
-        return len(self._select(event, **criteria))
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering of (a prefix of) the trace."""
-        rows = self._rows if limit is None else self._rows[:limit]
-        lines = [_to_event(row).describe() for row in rows]
-        if limit is not None and len(self._rows) > limit:
-            lines.append(f"... ({len(self._rows) - limit} more events)")
-        return "\n".join(lines)
+        return [_to_event(row) for row in selected]

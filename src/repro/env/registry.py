@@ -312,19 +312,20 @@ def _build_no_faults(config, params):
 def _build_explicit_faults(config, params):
     events = []
     for entry in params.get("events", []):
-        try:
-            events.append(
-                FaultEvent(
-                    time=float(entry["time"]),
-                    pid=int(entry["pid"]),
-                    kind=FaultKind(entry["kind"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as error:
+        # Checked, not coerced: a NaN time would break the event queue's order.
+        if not (
+            isinstance(entry, Mapping)
+            and _JSON_TYPES["number"](entry.get("time"))
+            and _is_integer(entry.get("pid"))
+            and entry.get("kind") in ("crash", "restart")
+        ):
             raise ConfigurationError(
-                f"explicit fault event {entry!r} is malformed: {error}; "
-                "expected {'time': float, 'pid': int, 'kind': 'crash'|'restart'}"
-            ) from error
+                f"explicit fault event {entry!r} is malformed; expected "
+                "{'time': finite number, 'pid': integer, 'kind': 'crash'|'restart'}"
+            )
+        events.append(
+            FaultEvent(time=float(entry["time"]), pid=entry["pid"], kind=FaultKind(entry["kind"]))
+        )
     return FaultPlan(events)
 
 

@@ -11,9 +11,11 @@ to fan runs out across processes), and aggregating the resulting
 :class:`~repro.harness.experiment.ResultSet` into an
 :class:`~repro.harness.tables.ExperimentTable`.
 
-Each function's size defaults (process counts, seeds, sweeps) are the full
-campaign scale; :data:`repro.harness.campaign.SMOKE` lists the smaller sizes
-the smoke campaign passes instead, and tests pass their own.
+Each function's only parameters are its sizes (process counts, seeds,
+sweeps), whose defaults are the full campaign scale, plus ``executor``,
+``store`` and ``resume``; :data:`repro.harness.campaign.SMOKE` lists the
+smaller sizes the smoke campaign passes instead.  Everything else — the
+timing constants, ``TS``, the protocols — is fixed here.
 """
 
 from __future__ import annotations
@@ -46,29 +48,27 @@ __all__ = [
 ]
 
 
-def default_experiment_params(epsilon: float = 0.5) -> TimingParams:
+def default_experiment_params() -> TimingParams:
     """Timing constants used by the experiments (δ = 1, ρ = 1%, ε = 0.5δ)."""
-    return TimingParams(delta=1.0, rho=0.01, epsilon=epsilon)
+    return TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
 
 # --------------------------------------------------------------------------- E1
 def experiment_e1_modified_paxos_scaling(
     ns: Sequence[int] = (3, 5, 7, 9, 13, 17, 21, 25, 31),
     seeds: Iterable[int] = (1, 2, 3),
-    params: Optional[TimingParams] = None,
-    ts_factor: float = 10.0,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C1: Modified Paxos decides within the analytic bound, independently of N."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     bound = decision_bound(params) / params.delta
     spec = ExperimentSpec(
         workload="partitioned-chaos",
         protocols=("modified-paxos",),
         seeds=tuple(seeds),
-        base={"params": params, "ts": ts_factor * params.delta},
+        base={"params": params, "ts": 10.0 * params.delta},
         grid={"n": tuple(ns)},
     )
     results = run_experiment(spec, executor=executor, store=store, resume=resume)
@@ -95,13 +95,12 @@ def experiment_e1_modified_paxos_scaling(
 def experiment_e2_traditional_obsolete(
     ns: Sequence[int] = (5, 9, 13, 17, 21, 25, 31),
     seeds: Iterable[int] = (1, 2),
-    params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C2: traditional Paxos needs O(Nδ) when obsolete high ballots surface after TS."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     modified_bound = decision_bound(params) / params.delta
 
     def obsolete_k(n: int) -> int:
@@ -143,13 +142,12 @@ def experiment_e3_rotating_coordinator(
     n: int = 21,
     faulty_counts: Optional[Sequence[int]] = None,
     seeds: Iterable[int] = (1, 2),
-    params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C3: the rotating-coordinator baseline pays one round timeout per dead coordinator."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     max_faulty = n - (n // 2 + 1)
     if faulty_counts is None:
         step = max(1, max_faulty // 4)
@@ -191,19 +189,17 @@ def experiment_e3_rotating_coordinator(
 def experiment_e4_modified_bconsensus(
     ns: Sequence[int] = (3, 5, 7, 9, 13, 17, 21),
     seeds: Iterable[int] = (1, 2),
-    params: Optional[TimingParams] = None,
-    ts_factor: float = 10.0,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C5: Modified B-Consensus also decides within O(δ) of TS, independently of N."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     spec = ExperimentSpec(
         workload="partitioned-chaos",
         protocols=("modified-b-consensus",),
         seeds=tuple(seeds),
-        base={"params": params, "ts": ts_factor * params.delta},
+        base={"params": params, "ts": 10.0 * params.delta},
         grid={"n": tuple(ns)},
     )
     results = run_experiment(spec, executor=executor, store=store, resume=resume)
@@ -226,29 +222,30 @@ def experiment_e4_modified_bconsensus(
 
 
 # --------------------------------------------------------------------------- E5
+_E5_PROTOCOL = "modified-paxos"
+
+
 def experiment_e5_restart_recovery(
     n: int = 9,
     offsets: Sequence[float] = (5.0, 20.0, 40.0, 80.0),
     seeds: Iterable[int] = (1, 2),
-    params: Optional[TimingParams] = None,
-    protocol: str = "modified-paxos",
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C4: a process restarting after TS decides within O(δ) of its restart."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     bound = restart_decision_bound(params) / params.delta
     table = ExperimentTable(
         experiment="E5",
-        title=f"{protocol}: recovery lag of processes restarting after TS (n={n})",
+        title=f"{_E5_PROTOCOL}: recovery lag of processes restarting after TS (n={n})",
         headers=["restart_offset_delta", "runs", "mean_recovery_delta", "max_recovery_delta",
                  "bound_delta"],
         notes=f"bound = tau + 5*delta = {bound:.1f} delta once the post-TS session cadence runs",
     )
     spec = ExperimentSpec(
         workload="restarts",
-        protocols=(protocol,),
+        protocols=(_E5_PROTOCOL,),
         seeds=tuple(seeds),
         base={"n": n, "params": params, "restart_offsets": list(offsets)},
     )
@@ -278,14 +275,12 @@ def experiment_e6_epsilon_tradeoff(
     n: int = 9,
     epsilons: Sequence[float] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0),
     seeds: Iterable[int] = (1, 2),
-    base_params: Optional[TimingParams] = None,
-    ts_factor: float = 8.0,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C6: the ε keep-alive trades steady-state message rate against recovery latency."""
-    base_params = base_params if base_params is not None else default_experiment_params()
+    base_params = default_experiment_params()
 
     def params_for(epsilon: float) -> TimingParams:
         return base_params.with_epsilon(epsilon * base_params.delta)
@@ -294,7 +289,7 @@ def experiment_e6_epsilon_tradeoff(
         workload="partitioned-chaos",
         protocols=("modified-paxos",),
         seeds=tuple(seeds),
-        base={"n": n, "ts": ts_factor * base_params.delta},
+        base={"n": n, "ts": 8.0 * base_params.delta},
         grid={"epsilon_delta": tuple(epsilons)},
         bind=lambda point: {"params": params_for(point["epsilon_delta"])},
     )
@@ -333,25 +328,26 @@ def experiment_e6_epsilon_tradeoff(
 
 
 # --------------------------------------------------------------------------- E7
+_E7_PROTOCOLS = (
+    "modified-paxos",
+    "traditional-paxos",
+    "rotating-coordinator",
+    "modified-b-consensus",
+)
+
+
 def experiment_e7_stable_case(
     n: int = 9,
-    protocols: Sequence[str] = (
-        "modified-paxos",
-        "traditional-paxos",
-        "rotating-coordinator",
-        "modified-b-consensus",
-    ),
     seeds: Iterable[int] = (1, 2, 3),
-    params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
 ) -> ExperimentTable:
     """C6: with a stable, failure-free system all protocols decide in a few message delays."""
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     spec = ExperimentSpec(
         workload="stable",
-        protocols=tuple(protocols),
+        protocols=_E7_PROTOCOLS,
         seeds=tuple(seeds),
         base={"n": n, "params": params},
     )
@@ -387,8 +383,6 @@ _CHAOS_PROTOCOLS = (
 def experiment_e8_protocol_comparison(
     ns: Sequence[int] = (5, 9, 15),
     seeds: Iterable[int] = (1,),
-    params: Optional[TimingParams] = None,
-    ts_factor: float = 8.0,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
@@ -405,14 +399,14 @@ def experiment_e8_protocol_comparison(
     modified algorithms should stay flat in ``N`` while the baselines'
     adversarial columns grow roughly linearly.
     """
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     bound = decision_bound(params) / params.delta
 
     chaos = ExperimentSpec(
         workload="partitioned-chaos",
         protocols=_CHAOS_PROTOCOLS,
         seeds=tuple(seeds),
-        base={"params": params, "ts": ts_factor * params.delta},
+        base={"params": params, "ts": 8.0 * params.delta},
         grid={"n": tuple(ns)},
         tags={"case": "chaos"},
     )
@@ -495,7 +489,6 @@ def experiment_e9_smr_stable_case(
     n: int = 9,
     stable_commands: int = 30,
     chaos_commands: int = 10,
-    params: Optional[TimingParams] = None,
     executor: Optional[Executor] = None,
     store: Optional[Any] = None,
     resume: bool = False,
@@ -518,7 +511,7 @@ def experiment_e9_smr_stable_case(
     from repro.smr.workload import ScheduleSpec
     from repro.workloads.registry import WORKLOADS
 
-    params = params if params is not None else default_experiment_params()
+    params = default_experiment_params()
     delta = params.delta
 
     # The chaos schedule targets the first surviving replica; the fault plan

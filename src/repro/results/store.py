@@ -211,16 +211,13 @@ class JsonlStore:
         workload: Optional[str] = None,
         where: Optional[Where] = None,
         tags: Optional[Dict[str, Any]] = None,
-        **tag_kwargs: Any,
     ) -> List[RecordBase]:
         """Records matching every given filter, in store order.
 
-        Tag equality filters come either as keyword arguments
-        (``store.query_records(seed=2)``) or — for tag names that collide
-        with the named parameters, like the ubiquitous ``protocol`` tag —
-        via the ``tags`` mapping.
+        ``tags`` maps tag names to the values they must equal
+        (``store.query_records(tags={"seed": 2})``).
         """
-        filters = {**(tags or {}), **tag_kwargs}
+        filters = tags or {}
         matched = []
         for record in self.records():
             if protocol is not None and record.protocol != protocol:
@@ -241,14 +238,12 @@ class JsonlStore:
         workload: Optional[str] = None,
         where: Optional[Where] = None,
         tags: Optional[Dict[str, Any]] = None,
-        **tag_kwargs: Any,
     ):
         """Matching records as a :class:`~repro.harness.experiment.ResultSet`."""
         from repro.results.query import result_set_of
 
         return result_set_of(
-            self.query_records(protocol=protocol, workload=workload, where=where,
-                               tags=tags, **tag_kwargs)
+            self.query_records(protocol=protocol, workload=workload, where=where, tags=tags)
         )
 
 

@@ -131,8 +131,8 @@ class Simulator:
         return self._time
 
     def schedule_at(self, time: float, action: Callable[..., None], *, args: Tuple = ()) -> None:
-        """Schedule ``action(*args)`` at absolute time ``time`` (>= now)."""
-        if time < self._time:
+        """Schedule ``action(*args)`` at absolute time ``time`` (>= now; NaN is refused)."""
+        if not time >= self._time:
             raise SimulationError(
                 f"cannot schedule an event at {time} before current time {self._time}"
             )

@@ -17,7 +17,10 @@ Two flavours are provided:
 
 Each writes its environment spec literally and builds through
 :func:`~repro.workloads.environments.environment_scenario`, which adds the
-run configuration (``n``, ``ts``, the ``ts + 400δ`` horizon, seed).
+run configuration (``n``, ``ts``, the ``ts + 400δ`` horizon, seed).  A
+variant (another leak or drop rate, no crashes) is a different spec: derive
+it from the scenario's ``environment`` with :func:`dataclasses.replace` and
+build it through ``environment_scenario``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from repro.workloads.scenario import Scenario
 __all__ = ["partitioned_chaos_scenario", "lossy_chaos_scenario"]
 
 
-def _chaos_faults(with_crashes: bool) -> FaultSpec:
-    """The chaos workloads' shared pre-``TS`` crash/recovery schedule."""
-    if with_crashes:
+def _chaos_faults(n: int) -> FaultSpec:
+    """The chaos workloads' shared pre-``TS`` crash/recovery schedule (none below n=3)."""
+    if n >= 3:
         return FaultSpec("random-before-ts", {"allow_recovery": True})
     return FaultSpec("random-before-ts", {"max_faulty": 0})
 
@@ -44,8 +47,6 @@ def partitioned_chaos_scenario(
     params: Optional[TimingParams] = None,
     ts: Optional[float] = None,
     seed: int = 0,
-    with_crashes: bool = True,
-    leak_probability: float = 0.05,
     worst_case_post_delays: bool = False,
     max_time: Optional[float] = None,
 ) -> Scenario:
@@ -59,7 +60,7 @@ def partitioned_chaos_scenario(
         "partition",
         {
             "partition": {"mode": "minority"},
-            "leak_probability": leak_probability,
+            "leak_probability": 0.05,
             "leak_past_ts": True,
         },
     )
@@ -68,7 +69,7 @@ def partitioned_chaos_scenario(
     environment = EnvironmentSpec(
         name="partitioned-chaos",
         adversary=adversary,
-        faults=_chaos_faults(with_crashes and n >= 3),
+        faults=_chaos_faults(n),
         notes="minority partitions with leaks past TS, random crashes/recoveries before TS",
     )
 
@@ -94,9 +95,6 @@ def lossy_chaos_scenario(
     params: Optional[TimingParams] = None,
     ts: Optional[float] = None,
     seed: int = 0,
-    drop_probability: float = 0.85,
-    defer_probability: float = 0.05,
-    with_crashes: bool = True,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """Independent random loss, delay, deferral, and duplication before ``TS``."""
@@ -105,14 +103,14 @@ def lossy_chaos_scenario(
         adversary=AdversarySpec(
             "random-chaos",
             {
-                "drop_probability": drop_probability,
-                "defer_probability": defer_probability,
+                "drop_probability": 0.85,
+                "defer_probability": 0.05,
                 "max_defer_delta": 5.0,
                 "max_delay_factor": 4.0,
                 "duplicate_prob": 0.05,
             },
         ),
-        faults=_chaos_faults(with_crashes and n >= 3),
+        faults=_chaos_faults(n),
         notes="independent random loss/delay/deferral/duplication before TS",
     )
 

@@ -31,9 +31,6 @@ def kitchen_sink_scenario(
     params: Optional[TimingParams] = None,
     ts: Optional[float] = None,
     seed: int = 0,
-    defer_probability: float = 0.25,
-    duplicate_prob: float = 0.1,
-    late_restart_offset: float = 12.0,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """Combine partitions, deferral, duplication, crashes, restarts, and slow post-``TS`` links."""
@@ -42,6 +39,8 @@ def kitchen_sink_scenario(
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
     delta = params.delta
+    # The late victim restarts 12 delta after TS; the horizon leaves 200 delta beyond that.
+    late_restart_offset = 12.0
     horizon = max_time if max_time is not None else ts + (late_restart_offset + 200.0) * delta
     config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
 
@@ -68,9 +67,9 @@ def kitchen_sink_scenario(
             inner=AdversarySpec(
                 "deferring-partition",
                 {
-                    "defer_probability": defer_probability,
+                    "defer_probability": 0.25,
                     "max_defer_delta": 3.0,
-                    "duplicate_prob": duplicate_prob,
+                    "duplicate_prob": 0.1,
                 },
                 inner=AdversarySpec("partition", {"partition": {"mode": "minority"}}),
             ),

@@ -20,11 +20,16 @@ writing its spec literally:
 * ``churn`` — repeated post-``TS`` crash/restart waves over a minority
   while a majority stays up (the one family that deliberately steps outside
   the paper's no-failures-after-``TS`` assumption).
+
+A family's factory takes only the run sizes (and ``churn`` its wave count);
+a variant — another hub, a faster heal, crashes under the gray partition —
+is another spec: derive it from the scenario's ``environment`` with
+:func:`dataclasses.replace` and build it through :func:`environment_scenario`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
@@ -65,8 +70,6 @@ def environment_scenario(
     seed: int = 0,
     max_time: Optional[float] = None,
     name: Optional[str] = None,
-    initial_values: Optional[List[Any]] = None,
-    expected_deciders: Optional[List[int]] = None,
     notes: Optional[str] = None,
 ) -> Scenario:
     """A runnable scenario from any environment spec.
@@ -94,8 +97,6 @@ def environment_scenario(
         name=name if name is not None else f"{spec.name or 'environment'}-n{n}",
         config=config,
         environment=spec,
-        initial_values=initial_values,
-        expected_deciders=expected_deciders,
         notes=notes if notes is not None else spec.notes,
     )
 
@@ -119,15 +120,9 @@ def asymmetric_link_scenario(
     params: Optional[TimingParams] = None,
     ts: Optional[float] = None,
     seed: int = 0,
-    hub: int = 0,
-    direction: str = "both",
-    slow_factor: float = 4.0,
-    slow_post_ts: bool = True,
     max_time: Optional[float] = None,
 ) -> Scenario:
-    """Per-link asymmetry around a hub process (the post-``TS`` coordinator)."""
-    if not 0 <= hub < n:
-        raise ConfigurationError(f"hub must be a pid in [0, {n}), got {hub}")
+    """Links to and from p0 (the post-``TS`` coordinator) crawl; every other link is prompt."""
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 5.0 * params.delta
     environment = EnvironmentSpec(
@@ -135,14 +130,14 @@ def asymmetric_link_scenario(
         adversary=AdversarySpec(
             "asymmetric-link",
             {
-                "hub": hub,
-                "direction": direction,
-                "slow_factor": slow_factor,
-                "slow_post_ts": slow_post_ts,
+                "hub": 0,
+                "direction": "both",
+                "slow_factor": 4.0,
+                "slow_post_ts": True,
             },
         ),
         notes=(
-            f"links {direction} p{hub} (the lowest-id post-TS coordinator is p0) "
+            "links both p0 (the lowest-id post-TS coordinator is p0) "
             "crawl while every other link is prompt"
         ),
     )
@@ -153,7 +148,7 @@ def asymmetric_link_scenario(
         ts=ts,
         seed=seed,
         max_time=max_time,
-        name=f"asymmetric-link-n{n}-hub{hub}",
+        name=f"asymmetric-link-n{n}-hub0",
     )
 
 
@@ -162,9 +157,6 @@ def gray_partition_scenario(
     params: Optional[TimingParams] = None,
     ts: Optional[float] = None,
     seed: int = 0,
-    heal_start: float = 0.4,
-    end_drop: float = 0.0,
-    with_crashes: bool = False,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """A partial partition that degrades from total to leaky before ``TS``."""
@@ -176,15 +168,11 @@ def gray_partition_scenario(
             "gray-partition",
             {
                 "partition": {"mode": "minority"},
-                "heal_start": heal_start,
-                "end_drop": end_drop,
+                "heal_start": 0.4,
+                "end_drop": 0.0,
             },
         ),
-        faults=(
-            FaultSpec("random-before-ts", {"allow_recovery": True})
-            if with_crashes and n >= 3
-            else FaultSpec("none")
-        ),
+        faults=FaultSpec("none"),
         notes="a minority partition that heals gradually (linearly) before TS",
     )
     return environment_scenario(
@@ -199,10 +187,6 @@ def churn_scenario(
     ts: Optional[float] = None,
     seed: int = 0,
     waves: int = 3,
-    up_time: float = 1.0,
-    down_time: float = 2.0,
-    first_offset: float = 2.0,
-    num_victims: Optional[int] = None,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """Post-``TS`` churn: a minority cycles through crash/restart waves."""
@@ -210,14 +194,15 @@ def churn_scenario(
         raise ConfigurationError("churn_scenario needs n >= 3 (a majority must stay up)")
     params = params if params is not None else TimingParams()
     ts = ts if ts is not None else 10.0 * params.delta
-    fault_params: Dict[str, Any] = {
+    # Each victim starts churning 2 delta after TS, then stays up 1 delta and
+    # down 2 delta per wave.
+    first_offset, up_time, down_time = 2.0, 1.0, 2.0
+    fault_params = {
         "waves": waves,
         "up_time": up_time,
         "down_time": down_time,
         "first_offset": first_offset,
     }
-    if num_victims is not None:
-        fault_params["num_victims"] = num_victims
     environment = EnvironmentSpec(
         name="churn",
         adversary=AdversarySpec("drop-all"),

@@ -8,7 +8,11 @@ it, so a new workload is one table entry plus its factory.
 A factory's parameter schema (names, defaults, which are required) is read
 from its signature: :meth:`ScenarioRegistry.create` rejects unknown and
 missing keyword arguments, and :meth:`ScenarioRegistry.describe` is what
-``repro list-workloads --params`` prints.
+``repro list-workloads --params`` prints.  A factory takes the run sizes
+(``n``, ``params``, ``ts``, ``seed``, ``max_time``) plus the few knobs an
+experiment grid, an example or a benchmark sets; any other variant is an
+:class:`~repro.env.spec.EnvironmentSpec`, run through the ``environment``
+workload.
 
 The ``smr-*`` entries are aliases of single-decree factories sized for
 command streams; :mod:`repro.workloads.smr` explains them.
@@ -123,7 +127,6 @@ WORKLOADS = ScenarioRegistry({
         {
             "n": "number of processes",
             "ts": "stabilization time (defaults to 10 delta)",
-            "leak_probability": "chance a cross-partition message leaks with a long delay",
             "worst_case_post_delays": "post-TS deliveries take (almost) the full delta",
         },
     ),
@@ -133,7 +136,6 @@ WORKLOADS = ScenarioRegistry({
         {
             "n": "number of processes",
             "ts": "stabilization time (defaults to 10 delta)",
-            "drop_probability": "chance a pre-TS message is dropped outright",
         },
     ),
     "obsolete-ballots": (
@@ -166,7 +168,6 @@ WORKLOADS = ScenarioRegistry({
         "crashes, late restarts, worst-case post-TS delays",
         {
             "n": "number of processes (at least 3)",
-            "late_restart_offset": "when (after TS, in delta units) the late victim restarts",
         },
     ),
     "environment": (
@@ -183,9 +184,6 @@ WORKLOADS = ScenarioRegistry({
         "slow links to/from the post-TS coordinator; every other link prompt",
         {
             "n": "number of processes",
-            "hub": "process whose links are slow (default 0, the lowest-id coordinator)",
-            "direction": "'to', 'from', or 'both' hub-adjacent directions",
-            "slow_factor": "pre-TS delays on slow links go up to slow_factor * delta",
         },
     ),
     "gray-partition": (
@@ -193,9 +191,6 @@ WORKLOADS = ScenarioRegistry({
         "a minority partition that heals gradually before TS",
         {
             "n": "number of processes",
-            "heal_start": "fraction of ts at which the partition starts healing",
-            "end_drop": "cross-group drop probability remaining at TS",
-            "with_crashes": "also crash (and recover) a random minority before TS",
         },
     ),
     "churn": (
@@ -204,9 +199,6 @@ WORKLOADS = ScenarioRegistry({
         {
             "n": "number of processes (at least 3)",
             "waves": "restart cycles per victim after TS",
-            "up_time": "delta units a churning victim stays up per wave",
-            "down_time": "delta units a churning victim stays down per wave",
-            "num_victims": "how many processes churn (defaults to the largest minority)",
         },
     ),
     "smr-stable": (
@@ -223,7 +215,6 @@ WORKLOADS = ScenarioRegistry({
         {
             "n": "number of replicas",
             "ts": "stabilization time (defaults to 10 delta)",
-            "leak_probability": "chance a cross-partition message leaks with a long delay",
         },
     ),
     # Every victim restarts, so all replicas are expected to converge on the
@@ -235,7 +226,6 @@ WORKLOADS = ScenarioRegistry({
         {
             "n": "number of replicas (at least 3)",
             "waves": "restart cycles per victim after TS",
-            "num_victims": "how many replicas churn (defaults to the largest minority)",
         },
     ),
     "smr-gray-partition": (
@@ -243,8 +233,6 @@ WORKLOADS = ScenarioRegistry({
         "SMR: a minority partition healing gradually before TS under commands",
         {
             "n": "number of replicas",
-            "heal_start": "fraction of ts at which the partition starts healing",
-            "end_drop": "cross-group drop probability remaining at TS",
         },
     ),
     "smr-asymmetric-link": (
@@ -252,8 +240,6 @@ WORKLOADS = ScenarioRegistry({
         "SMR: slow links around the serving leader; follower submissions feel the hub",
         {
             "n": "number of replicas",
-            "hub": "replica whose links are slow (default 0)",
-            "slow_factor": "pre-TS delays on slow links go up to slow_factor * delta",
         },
     ),
 })

@@ -230,6 +230,15 @@ class TestCliCommands:
         assert "smr run report" in output
         assert "replicas agree              : OK" in output
         assert "cmd-0000" in output
+        assert "unlearned commands" not in output
+
+    def test_run_smr_report_names_the_unlearned_commands(self, capsys):
+        # cmd-0003 and cmd-0004 are scheduled at p3 and p4, which crash for good.
+        exit_code = main(["run", "--workload", "smr-chaos", "--n", "5", "--commands", "5"])
+        assert exit_code == 1
+        lines = capsys.readouterr().out.splitlines()
+        agree = lines.index("replicas agree              : OK")
+        assert lines[agree + 1] == "unlearned commands          : cmd-0003, cmd-0004"
 
     def test_run_smr_rejects_foreign_protocol(self, capsys):
         exit_code = main(

@@ -108,7 +108,7 @@ class TestTraceCoverage:
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         trace = result.simulator.trace
-        assert trace.count("start_phase1") > 0
-        assert trace.count("decide") == len(result.simulator.decisions) > 0
+        assert trace.filter("start_phase1")
+        assert len(trace.filter("decide")) == len(result.simulator.decisions) > 0
         report = result.invariants["session-entry-rule"]
         assert report.ok and report.checked > 0

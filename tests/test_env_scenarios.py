@@ -8,11 +8,12 @@ input.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.env.spec import EnvironmentSpec
+from repro.env.spec import EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.runner import run_scenario
@@ -31,11 +32,21 @@ from tests.helpers import capture_sent_envelopes, make_params, run_to_horizon
 
 PARAMS = make_params()
 
+_EVENT_SHAPE = "expected {'time': finite number, 'pid': integer, 'kind': 'crash'|'restart'}"
+
+
+def _explicit_event(event):
+    """An --env spec whose fault plan is the one explicit ``event``."""
+    return {
+        "adversary": {"kind": "benign"},
+        "faults": {"kind": "explicit", "params": {"events": [event]}},
+    }
+
 
 class TestAsymmetricLink:
     def test_decides_and_slow_links_crawl_pre_ts(self, monkeypatch):
         envelopes = capture_sent_envelopes(monkeypatch)
-        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3, hub=0)
+        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3)
         result = run_scenario(scenario, "modified-paxos")
         assert result.decided_all
         assert result.safety.valid
@@ -56,7 +67,7 @@ class TestAsymmetricLink:
         from repro.core.messages import Phase1a
         from repro.net.message import Envelope
 
-        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3, hub=0)
+        scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3)
         network = scenario.build_network(scenario.config, SeededRng(3, label="net"))
         model = network.model
         adversary = model.adversary
@@ -80,14 +91,16 @@ class TestAsymmetricLink:
 
     def test_leaderless_protocol_is_hub_insensitive(self):
         # The hub choice must not break decisions for any protocol.
+        workload = asymmetric_link_scenario(5, params=PARAMS, seed=7)
+        spec = workload.environment
         for hub in (0, 4):
-            scenario = asymmetric_link_scenario(5, params=PARAMS, seed=7, hub=hub)
+            adversary = replace(spec.adversary, params={**spec.adversary.params, "hub": hub})
+            scenario = environment_scenario(
+                replace(spec, adversary=adversary), n=5, params=PARAMS, ts=workload.config.ts,
+                seed=7, name=f"asymmetric-link-n5-hub{hub}",
+            )
             result = run_scenario(scenario, "modified-paxos")
             assert result.decided_all
-
-    def test_hub_must_be_a_pid(self):
-        with pytest.raises(ConfigurationError):
-            asymmetric_link_scenario(3, params=PARAMS, hub=7)
 
     @pytest.mark.parametrize("params, message", [
         ({"hub": 9}, r"hub must be a pid in \[0, 3\), got 9"),
@@ -111,7 +124,11 @@ class TestGrayPartition:
         assert result.safety.valid
 
     def test_healing_is_monotone(self):
-        scenario = gray_partition_scenario(5, params=PARAMS, seed=3, heal_start=0.5)
+        spec = gray_partition_scenario(5, params=PARAMS, seed=3).environment
+        adversary = replace(spec.adversary, params={**spec.adversary.params, "heal_start": 0.5})
+        scenario = environment_scenario(
+            replace(spec, adversary=adversary), n=5, params=PARAMS, seed=3
+        )
         network = scenario.build_network(scenario.config, SeededRng(3, label="net"))
         adversary = network.model.adversary
         ts = scenario.config.ts
@@ -136,7 +153,11 @@ class TestGrayPartition:
         assert delivered and dropped
 
     def test_with_crashes_keeps_model_valid(self):
-        scenario = gray_partition_scenario(7, params=PARAMS, seed=5, with_crashes=True)
+        spec = gray_partition_scenario(7, params=PARAMS, seed=5).environment
+        crashes = FaultSpec("random-before-ts", {"allow_recovery": True})
+        scenario = environment_scenario(
+            replace(spec, faults=crashes), n=7, params=PARAMS, seed=5
+        )
         scenario.fault_plan.validate(7, ts=scenario.config.ts)
         result = run_scenario(scenario, "modified-paxos")
         assert result.safety.valid
@@ -317,6 +338,15 @@ class TestCli:
         ({"adversary": {"kind": "benign"},
           "faults": {"kind": "crash-forever", "params": {"pids": 3, "time": 1}}},
          "fault schedule 'crash-forever' parameter 'pids' must be array of pids, got 3"),
+        # An explicit fault event is checked, not coerced: a NaN time used to run.
+        (_explicit_event({"time": float("nan"), "pid": 0, "kind": "crash"}),
+         "explicit fault event {'time': nan, 'pid': 0, 'kind': 'crash'} is malformed; " + _EVENT_SHAPE),
+        (_explicit_event({"time": "0.5", "pid": 0, "kind": "crash"}),
+         "explicit fault event {'time': '0.5', 'pid': 0, 'kind': 'crash'} is malformed; " + _EVENT_SHAPE),
+        (_explicit_event({"time": 0.5, "pid": 0.9, "kind": "crash"}),
+         "explicit fault event {'time': 0.5, 'pid': 0.9, 'kind': 'crash'} is malformed; " + _EVENT_SHAPE),
+        (_explicit_event({"time": 0.5, "pid": 0, "kind": "explode"}),
+         "explicit fault event {'time': 0.5, 'pid': 0, 'kind': 'explode'} is malformed; " + _EVENT_SHAPE),
     ])
     def test_run_rejects_a_parameter_of_the_wrong_type_in_one_line(self, capsys, env, message):
         assert main(["run", "--env", json.dumps(env), "--n", "3"]) == 2

@@ -70,7 +70,7 @@ class TestWorkloadTable:
     def test_schema_records_defaults_and_requirements(self):
         factory, _summary, _help = WORKLOADS["partitioned-chaos"]
         by_name = {parameter.name: parameter for parameter in factory_parameters(factory)}
-        assert "ts" in by_name and "leak_probability" in by_name
+        assert "ts" in by_name and "worst_case_post_delays" in by_name
         assert "bogus" not in by_name
         assert by_name["n"].default is by_name["n"].empty
         assert by_name["seed"].default == 0
@@ -268,10 +268,9 @@ class TestRunExperiment:
         assert [row.tag("case") for row in results] == ["a", "b"]
 
     def test_e8_parallel_matches_serial(self):
-        params = default_experiment_params()
-        serial = experiment_e8_protocol_comparison(ns=(5,), seeds=(1,), params=params)
+        serial = experiment_e8_protocol_comparison(ns=(5,), seeds=(1,))
         parallel = experiment_e8_protocol_comparison(
-            ns=(5,), seeds=(1,), params=params, executor=ParallelExecutor(jobs=4)
+            ns=(5,), seeds=(1,), executor=ParallelExecutor(jobs=4)
         )
         assert serial.rows == parallel.rows
 

@@ -61,7 +61,7 @@ class TestRestartAfterStabilization:
         values = {record.value for record in result.simulator.decisions.values()}
         assert len(values) == 1
         # The majority decided well before the restart happened.
-        restart_time = result.simulator.trace.first("restart").time
+        restart_time = result.simulator.trace.filter("restart")[0].time
         early_deciders = [
             record for pid, record in result.simulator.decisions.items() if record.time < restart_time
         ]

@@ -8,6 +8,8 @@ invariants must hold as well.  Sizes are kept small so the suite stays fast;
 the point is breadth of adversarial schedules, not scale.
 """
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from repro.analysis.invariants import check_session_entry_rule, check_unique_pha
 from repro.consensus.spec import check_safety
 from repro.harness.runner import run_scenario
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
+from repro.workloads.environments import environment_scenario
 from repro.workloads.stable import stable_scenario
 
 from tests.helpers import make_params
@@ -41,13 +44,12 @@ class TestSafetyUnderRandomizedChaos:
         drop=st.floats(0.3, 0.95),
     )
     def test_lossy_chaos_never_violates_safety(self, protocol, n, seed, ts, drop):
-        scenario = lossy_chaos_scenario(
-            n,
-            params=PARAMS,
-            ts=ts,
-            seed=seed,
-            drop_probability=drop,
-            max_time=ts + 60.0,
+        # The lossy-chaos spec with its random-chaos drop rate swept.
+        spec = lossy_chaos_scenario(n).environment
+        adversary = replace(spec.adversary, params={**spec.adversary.params, "drop_probability": drop})
+        scenario = environment_scenario(
+            replace(spec, adversary=adversary),
+            n=n, params=PARAMS, ts=ts, seed=seed, max_time=ts + 60.0,
         )
         result = run_scenario(scenario, protocol, enforce=False)
         report = check_safety(result.simulator, expected_deciders=scenario.deciders())

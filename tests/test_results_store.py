@@ -123,7 +123,7 @@ class TestConformance:
         store = store_factory()
         seed_records(store)
         store = store_factory.reread(store)
-        assert len(store.query_records(seed=2)) == 1
+        assert len(store.query_records(tags={"seed": 2})) == 1
         heavy = store.query_records(where=lambda r: (r.lag_delta or 0.0) > 2.5)
         assert sorted(record.key for record in heavy) == ["k/mp/chaos/2", "k/tp/chaos/1"]
 

@@ -198,9 +198,9 @@ class TestCrashAndRestart:
         sim.schedule_crash(2, 1.0)
         sim.schedule_restart(2, 2.0)
         sim.run(until=3.0)
-        assert sim.trace.count("crash", pid=2) == 1
-        assert sim.trace.count("restart", pid=2) == 1
-        assert sim.trace.count("start") == 3
+        assert len(sim.trace.filter("crash", pid=2)) == 1
+        assert len(sim.trace.filter("restart", pid=2)) == 1
+        assert len(sim.trace.filter("start")) == 3
 
 
 class TestScheduling:
@@ -212,6 +212,11 @@ class TestScheduling:
             sim.schedule_at(sim.now() - 0.1, lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_in(-0.5, lambda: None)
+
+    def test_cannot_schedule_at_nan(self):
+        sim = build_simulator(lambda pid: PingProcess(), n=3)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
 
     def test_schedule_in_fires_after_the_delay_in_insertion_order(self):
         sim = build_simulator(lambda pid: PingProcess(), n=3)

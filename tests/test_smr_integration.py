@@ -100,7 +100,7 @@ class TestLeaderFailover:
         # Rebuild as an eventually-synchronous scenario with a crash of the
         # initial leader (process 4, owner of the highest initial ballot)
         # shortly after it starts serving, before TS.
-        chaos = partitioned_chaos_scenario(5, params=params, ts=ts, seed=7, with_crashes=False)
+        chaos = partitioned_chaos_scenario(5, params=params, ts=ts, seed=7)
         chaos.fault_plan = FaultPlan().crash(4, 3.0)
         chaos.expected_deciders = [0, 1, 2, 3]
         schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.4, target_pid=0)
@@ -116,7 +116,7 @@ class TestRestartedReplicaCatchUp:
     def test_replica_restarting_after_ts_catches_up_on_the_log(self):
         params = PARAMS
         ts = 8.0
-        scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=9, with_crashes=False)
+        scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=9)
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
         schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))

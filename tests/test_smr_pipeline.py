@@ -292,18 +292,18 @@ class TestE9Parity:
 
     def test_e9_table_byte_identical_to_side_harness(self):
         pipeline = experiment_e9_smr_stable_case(
-            n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS, params=PARAMS
+            n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS
         ).render()
         assert pipeline == self.side_harness_table()
 
     def test_e9_parallel_equals_serial(self):
         serial = experiment_e9_smr_stable_case(
-            n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS, params=PARAMS
+            n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS
         )
         with ParallelExecutor(jobs=3) as pool:
             parallel = experiment_e9_smr_stable_case(
                 n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS,
-                params=PARAMS, executor=pool,
+                executor=pool,
             )
         assert parallel.render() == serial.render()
 

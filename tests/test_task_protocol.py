@@ -243,7 +243,7 @@ class TestBuildSimulator:
         simulator.run_until_decided(scenario.deciders())
         reference = run_scenario(make_scenario(env="partitioned-chaos"), "modified-paxos")
         assert simulator.now() == reference.simulator.now()
-        assert simulator.trace.dump() == reference.simulator.trace.dump()
+        assert simulator.trace.events == reference.simulator.trace.events
 
     def test_builder_is_attached_before_post_setup(self):
         seen = []
@@ -261,7 +261,7 @@ class TestBuildSimulator:
                 builder_for()
             )
             simulator.run_until_decided([0, 1, 2])
-            return simulator.trace.dump()
+            return simulator.trace.events
 
         assert run("same") == run("same")
         assert run("same") != run("other")

@@ -8,10 +8,47 @@ from repro.sim.rng import SeededRng
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
 from repro.workloads.coordinator_faults import coordinator_crash_scenario
 from repro.workloads.obsolete import obsolete_ballot_scenario
+from repro.workloads.registry import WORKLOADS, factory_parameters
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.stable import stable_scenario
 
 from tests.helpers import make_params
+
+# The run sizes; every factory takes them, except that the stable ones fix ts.
+_SIZES = {"n", "params", "ts", "seed", "max_time"}
+_STABLE_SIZES = _SIZES - {"ts"}
+
+# Each workload's parameters: the run sizes plus only the knobs that a caller
+# outside the tests sets.  A variant a test needs is an EnvironmentSpec.
+_WORKLOAD_PARAMETERS = {
+    "stable": _STABLE_SIZES | {"initial_values"},
+    "partitioned-chaos": _SIZES | {"worst_case_post_delays"},
+    "lossy-chaos": _SIZES,
+    "obsolete-ballots": _SIZES | {"num_obsolete", "ballot_stride", "poll_interval_factor"},
+    "coordinator-crash": _SIZES | {"num_faulty"},
+    "restarts": _SIZES | {"restart_offsets"},
+    "kitchen-sink": _SIZES,
+    "environment": _SIZES | {"env"},
+    "asymmetric-link": _SIZES,
+    "gray-partition": _SIZES,
+    "churn": _SIZES | {"waves"},
+    "smr-stable": _STABLE_SIZES,
+    "smr-chaos": _SIZES | {"worst_case_post_delays"},
+    "smr-churn": _SIZES | {"waves"},
+    "smr-gray-partition": _SIZES,
+    "smr-asymmetric-link": _SIZES,
+}
+
+
+def test_catalogue_lists_every_workload_parameter():
+    assert set(_WORKLOAD_PARAMETERS) == set(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_takes_only_the_run_sizes_and_its_own_knobs(name):
+    factory, _summary, _help = WORKLOADS[name]
+    names = {parameter.name for parameter in factory_parameters(factory)}
+    assert names == _WORKLOAD_PARAMETERS[name]
 
 
 class TestStableScenario:
