@@ -3,6 +3,8 @@
 A :class:`FaultPlan` is a validated list of timestamped crash and restart
 events.  Validation enforces the constraints of the paper's model:
 
+* every event lies at a finite time no earlier than 0, the start of the
+  run;
 * a process can only crash while running and restart while crashed
   (per-process alternation);
 * no crash may be scheduled at or after the stabilization time ``TS`` when
@@ -16,6 +18,7 @@ events.  Validation enforces the constraints of the paper's model:
 from __future__ import annotations
 
 import enum
+import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
@@ -121,6 +124,11 @@ class FaultPlan:
         for event in self._events:
             if not 0 <= event.pid < n:
                 raise ConfigurationError(f"fault event references unknown pid {event.pid}")
+            if not 0.0 <= event.time < math.inf:  # also false for NaN
+                raise ConfigurationError(
+                    f"fault event {event.describe()} lies outside the run: "
+                    "a fault time must be finite and not negative"
+                )
             if event.kind is FaultKind.CRASH:
                 if ts is not None and event.time >= ts and not allow_post_ts_crashes:
                     raise ConfigurationError(

@@ -1,10 +1,12 @@
 """Message accounting.
 
-The monitor sees every envelope the network handles and keeps the counts
-the experiments need: totals by fate and era, per-kind breakdowns, and the
-post-``TS`` send rate the ε-tradeoff experiment (E6) reports as messages per
-second during the stable period.  Its state is a fixed set of counters plus
-one entry per injected envelope, whatever the length of the run.
+The network reports each send call once (how many envelopes of which kind,
+era and time, and how many it lost), and each duplicate, injection and
+delivery.  The monitor keeps the counts the experiments need: totals by
+fate and era, per-kind breakdowns, and the post-``TS`` send rate the
+ε-tradeoff experiment (E6) reports as messages per second during the
+stable period.  Its state is a fixed set of counters plus one entry per
+injected envelope, whatever the length of the run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.net.message import Envelope, Era
 
 __all__ = ["NetworkMonitor", "MessageStats"]
 
-# Enum member lookups cost a descriptor call; the per-send hook uses this.
+# Enum member lookups cost a descriptor call; the send hook uses this.
 _PRE = Era.PRE
 
 
@@ -36,7 +38,7 @@ class MessageStats:
 
 
 class NetworkMonitor:
-    """Observes every envelope and answers count and send-rate queries."""
+    """Counts what the network reports and answers count and send-rate queries."""
 
     def __init__(self) -> None:
         self.stats = MessageStats()
@@ -50,26 +52,29 @@ class NetworkMonitor:
         self._injected_send_times: List[float] = []
 
     # -- recording hooks (called by Network) --------------------------------
-    def on_send(self, envelope: Envelope) -> None:
+    def on_send(self, kind: str, era: Era, now: float, count: int, dropped: int) -> None:
+        """Count one ``Network.send`` call: ``count`` sends of ``kind`` at ``now``.
+
+        ``dropped`` is how many envelopes the call lost, duplicate copies
+        included.
+        """
         stats = self.stats
-        stats.sent += 1
-        stats.by_kind[envelope.message.kind] += 1
-        if envelope.era is _PRE:
-            stats.sent_pre_ts += 1
+        stats.sent += count
+        stats.dropped += dropped
+        stats.by_kind[kind] += count
+        if era is _PRE:
+            stats.sent_pre_ts += count
             return
-        stats.sent_post_ts += 1
-        if envelope.send_time == self._last_post_ts_send:
-            self._sends_at_last += 1
+        stats.sent_post_ts += count
+        if now == self._last_post_ts_send:
+            self._sends_at_last += count
         else:
-            self._last_post_ts_send = envelope.send_time
-            self._sends_at_last = 1
+            self._last_post_ts_send = now
+            self._sends_at_last = count
 
     def on_inject(self, envelope: Envelope) -> None:
-        self.on_send(envelope)
+        self.on_send(envelope.message.kind, envelope.era, envelope.send_time, 1, 0)
         self._injected_send_times.append(envelope.send_time)
-
-    def on_drop(self, envelope: Envelope) -> None:
-        self.stats.dropped += 1
 
     def on_deliver(self, envelope: Envelope) -> None:
         self.stats.delivered += 1

@@ -8,22 +8,26 @@ builders can additionally *inject* in-flight messages — the mechanism used
 to install reachable pre-stabilization states (obsolete high-ballot
 messages and the like) without replaying the whole pre-``TS`` history.
 
-The send path is the hottest code outside the event queue, so a message
-makes one call per layer: ``ProcessContext`` → ``Node._send`` →
-:meth:`Network.send` → ``EventQueue.push``, then ``EventQueue.pop_before`` →
-``Network._deliver`` → ``Node.deliver`` → the protocol.  :meth:`Network.bind`
-keeps the simulator's queue ``push`` and node table and reads the
-adversary's ``duplicate_prob`` once; :meth:`Network.send` reads the clock
-once, takes the era from the model's ``TS`` and the message id from a
-per-network counter (deterministic per run), calls the model's ``fate``
-once, and pushes the pre-bound delivery method with an argument tuple.  The
-network keeps no per-envelope log: :meth:`Network.send` and
-:meth:`Network.inject` return the envelope; the monitor keeps the counts.
+The send path is the hottest code outside the event queue, so a send or a
+broadcast makes one call per layer: ``ProcessContext`` → ``Node._send`` →
+:meth:`Network.send` over a tuple of destinations (``(dst,)`` for a send,
+everyone or everyone else for a broadcast) → ``EventQueue.push`` per
+envelope, then ``EventQueue.pop_before`` → ``Network._deliver`` →
+``Node.deliver`` → the protocol.  :meth:`Network.bind` keeps the
+simulator's queue ``push`` and node table and reads the adversary's
+``duplicate_prob`` once; :meth:`Network.send` reads the clock, the era and
+its other state once per call, then serves the destinations in order, each
+exactly as a lone send: the next message id from a per-network counter
+(deterministic per run), one call to the model's ``fate``, the delivery
+push (the pre-bound delivery method with an argument tuple) and the
+duplicate coin.  The monitor counts each call once.  The network keeps no
+per-envelope log: :meth:`Network.send` returns the envelopes it made and
+:meth:`Network.inject` the one it installed; the monitor keeps the counts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.net.message import Envelope, Era, Message
@@ -72,39 +76,57 @@ class Network:
         self._nodes_get = simulator.nodes.get
         self._duplicate_prob = self.model.adversary.duplicate_prob
 
-    def _next_id(self) -> int:
-        msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + 1
-        return msg_id
-
     # -- the send path --------------------------------------------------------
-    def send(self, message: Message, src: int, dst: int) -> Envelope:
-        """Send ``message`` from ``src`` to ``dst`` and schedule its fate."""
+    def send(self, message: Message, src: int, dsts: Sequence[int]) -> List[Envelope]:
+        """Send ``message`` from ``src`` to each of ``dsts`` and schedule the fates.
+
+        Destinations are served in order, each exactly as a lone send: the
+        next message id, one ``fate``, the delivery push, then the duplicate
+        coin (a copy takes the id after its original).  Returns one envelope
+        per destination, in order; duplicate copies are not returned.
+        """
         simulator = self._simulator
         if simulator is None:
             raise NetworkError("Network.bind(simulator) must be called before sending")
         now = simulator._time
         model = self.model
-        msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + 1
-        envelope = Envelope(message, src, dst, now, _POST if now >= model.ts else _PRE, msg_id)
-        monitor = self.monitor
-        monitor.on_send(envelope)
-
+        era = _POST if now >= model.ts else _PRE
+        fate = model.fate
         rng = self.rng
-        # ``fate`` never returns a time before ``now``: push without re-checking.
-        deliver_time = model.fate(envelope, now, rng)
-        if deliver_time is None:
-            envelope.dropped = True
-            monitor.on_drop(envelope)
-            return envelope
-        envelope.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, (envelope,))
-
+        push = self._push
+        deliver = self._deliver_action
         duplicate_prob = self._duplicate_prob
-        if duplicate_prob > 0 and rng.coin(duplicate_prob):
-            self._send_duplicate(envelope, now)
-        return envelope
+        monitor = self.monitor
+        msg_id = self._next_msg_id
+        envelopes = []
+        dropped = 0
+        for dst in dsts:
+            envelope = Envelope(message, src, dst, now, era, msg_id)
+            msg_id += 1
+            envelopes.append(envelope)
+            # ``fate`` never returns a time before ``now``: push without re-checking.
+            deliver_time = fate(envelope, now, rng)
+            if deliver_time is None:
+                envelope.dropped = True
+                dropped += 1
+                continue
+            envelope.deliver_time = deliver_time
+            push(deliver_time, deliver, (envelope,))
+            if duplicate_prob > 0 and rng.coin(duplicate_prob):
+                duplicate = Envelope(message, src, dst, now, era, msg_id)
+                msg_id += 1
+                monitor.on_duplicate(duplicate)
+                deliver_time = fate(duplicate, now, rng)
+                if deliver_time is None:
+                    duplicate.dropped = True
+                    dropped += 1
+                else:
+                    duplicate.deliver_time = deliver_time
+                    push(deliver_time, deliver, (duplicate,))
+        self._next_msg_id = msg_id
+        if envelopes:
+            monitor.on_send(message.kind, era, now, len(envelopes), dropped)
+        return envelopes
 
     def inject(
         self,
@@ -125,14 +147,9 @@ class Network:
             raise NetworkError("injected message would be delivered before it was sent")
         if self._simulator is None:
             raise NetworkError("Network.bind(simulator) must be called before injecting")
-        envelope = Envelope(
-            message=message,
-            src=src,
-            dst=dst,
-            send_time=send_time,
-            era=Era.PRE,
-            msg_id=self._next_id(),
-        )
+        msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
+        envelope = Envelope(message, src, dst, send_time, _PRE, msg_id)
         self.monitor.on_inject(envelope)
         envelope.deliver_time = deliver_time
         # Through ``schedule_at``: a scripted delivery time may lie in the past.
@@ -140,24 +157,6 @@ class Network:
         return envelope
 
     # -- internals -------------------------------------------------------------
-    def _send_duplicate(self, envelope: Envelope, now: float) -> None:
-        duplicate = Envelope(
-            message=envelope.message,
-            src=envelope.src,
-            dst=envelope.dst,
-            send_time=envelope.send_time,
-            era=envelope.era,
-            msg_id=self._next_id(),
-        )
-        self.monitor.on_duplicate(duplicate)
-        deliver_time = self.model.fate(duplicate, now, self.rng)
-        if deliver_time is None:
-            duplicate.dropped = True
-            self.monitor.on_drop(duplicate)
-            return
-        duplicate.deliver_time = deliver_time
-        self._push(deliver_time, self._deliver_action, (duplicate,))
-
     def _deliver(self, envelope: Envelope) -> None:
         node = self._nodes_get(envelope.dst)
         if node is not None and node.deliver(envelope):

@@ -68,10 +68,12 @@ class WabEndpoint:
         self.hold_local = 2.0 * params.delta * (1.0 + params.rho)
         stored_counter = ctx.storage.get(_CLOCK_KEY, 0)
         self.clock = LamportClock.restore(ctx.pid, stored_counter)
-        # Hold-back queue ordered by timestamp; each entry also records the
-        # local time at which its 2δ hold expires.
-        self._held: List[Tuple[LogicalTimestamp, float, int, Any]] = []
-        self._seen: Set[Tuple[LogicalTimestamp, int]] = set()
+        # Hold-back queue ordered by timestamp, keyed by its plain
+        # ``(counter, pid)`` ints (Lamport order, compared in C); each entry
+        # also records the local time at which its 2δ hold expires and
+        # carries the timestamp object for the deliver callback.
+        self._held: List[Tuple[int, int, float, int, Any, LogicalTimestamp]] = []
+        self._seen: Set[Tuple[int, int, int]] = set()
         self._timer_seq = 0
         self.delivered_count = 0
         self.broadcast_count = 0
@@ -89,15 +91,18 @@ class WabEndpoint:
     # -- receiving ------------------------------------------------------------------
     def on_receive(self, message: WabMessage) -> None:
         """Handle an incoming oracle message (called by the owning protocol)."""
-        key = (message.timestamp, message.origin)
+        timestamp = message.timestamp
+        key = (timestamp.counter, timestamp.pid, message.origin)
         if key in self._seen:
             return  # duplicate copy from the network
         self._seen.add(key)
-        self.clock.observe(message.timestamp)
+        self.clock.observe(timestamp)
         self._persist_clock()
         release_local = self.ctx.local_time() + self.hold_local
         heapq.heappush(
-            self._held, (message.timestamp, release_local, message.origin, message.payload)
+            self._held,
+            (timestamp.counter, timestamp.pid, release_local, message.origin, message.payload,
+             timestamp),
         )
         self._timer_seq += 1
         self.ctx.set_timer(f"{_TIMER_PREFIX}{self._timer_seq}", self.hold_local)
@@ -114,8 +119,8 @@ class WabEndpoint:
         # Small tolerance so the message whose own timer fired is released even
         # if floating-point rounding puts its release a hair in the future.
         tolerance = 1e-9 * max(1.0, abs(now_local))
-        while self._held and self._held[0][1] <= now_local + tolerance:
-            timestamp, _, origin, payload = heapq.heappop(self._held)
+        while self._held and self._held[0][2] <= now_local + tolerance:
+            _, _, _, origin, payload, timestamp = heapq.heappop(self._held)
             self.delivered_count += 1
             self.deliver(payload, origin, timestamp)
 

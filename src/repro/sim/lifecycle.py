@@ -21,7 +21,7 @@ cancels every pending entry, so no timer outlives its incarnation.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import ProcessStateError, SchedulingError
 from repro.net.message import Envelope
@@ -155,10 +155,10 @@ class Node:
             emit=self._emit,
         )
 
-    def _send(self, message: Any, dst: int) -> None:
+    def _send(self, message: Any, dsts: Tuple[int, ...]) -> None:
         if self.status is not _ACTIVE:
             return
-        self.simulator.network.send(message, self.pid, dst)
+        self.simulator.network.send(message, self.pid, dsts)
 
     def _set_timer(self, name: str, local_delay: float) -> None:
         if self.status is not _ACTIVE:

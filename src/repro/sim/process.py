@@ -21,7 +21,7 @@ faulty processes, or global real time — processes cannot know those.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
@@ -49,7 +49,7 @@ class ProcessContext:
         params: TimingParams,
         storage: StableStore,
         rng: SeededRng,
-        send: Callable[["Message", int], None],
+        send: Callable[["Message", Tuple[int, ...]], None],
         set_timer: Callable[[str, float], None],
         decide: Callable[[Any], None],
         local_time: Callable[[], float],
@@ -61,6 +61,8 @@ class ProcessContext:
         self.storage = storage
         self.rng = rng
         self._send = send
+        self._everyone = tuple(range(n))
+        self._others = tuple(other for other in range(n) if other != pid)
         self._set_timer = set_timer
         self._decide = decide
         self._local_time = local_time
@@ -78,8 +80,11 @@ class ProcessContext:
 
     # -- communication -----------------------------------------------------
     def send(self, message: "Message", dst: int) -> None:
-        """Send ``message`` to process ``dst`` (may be ``self.pid``)."""
-        self._send(message, dst)
+        """Send ``message`` to process ``dst`` (may be ``self.pid``).
+
+        One network call with the destination tuple ``(dst,)``.
+        """
+        self._send(message, (dst,))
 
     def broadcast(self, message: "Message", include_self: bool = True) -> None:
         """Send ``message`` to every process, optionally including oneself.
@@ -87,12 +92,11 @@ class ProcessContext:
         Self-delivery goes through the network like any other message (it is
         still bounded by ``δ`` after stabilization), which keeps protocol
         code uniform and matches the paper's "send ... to every process
-        (including itself)".
+        (including itself)".  A broadcast is one network call over a
+        destination tuple built once per incarnation, in pid order; the
+        network serves each destination exactly as a lone send.
         """
-        for pid in range(self.n):
-            if pid == self.pid and not include_self:
-                continue
-            self._send(message, pid)
+        self._send(message, self._everyone if include_self else self._others)
 
     # -- timers --------------------------------------------------------------
     def set_timer(self, name: str, local_delay: float) -> None:

@@ -95,10 +95,10 @@ def capture_sent_envelopes(monkeypatch) -> List[Any]:
     sent: List[Any] = []
     send = Network.send
 
-    def recording_send(self, message, src, dst):
-        envelope = send(self, message, src, dst)
-        sent.append(envelope)
-        return envelope
+    def recording_send(self, message, src, dsts):
+        envelopes = send(self, message, src, dsts)
+        sent.extend(envelopes)
+        return envelopes
 
     monkeypatch.setattr(Network, "send", recording_send)
     return sent
@@ -137,8 +137,9 @@ def trace_wire_rows(monkeypatch) -> None:
     through ``trace.record``; the seeded-equivalence digests in
     ``tests/test_perf_fastpaths.py`` cover these rows:
 
-    * ``Network.send``: a ``"net"`` ``send`` row (its only caller,
-      ``Node._send``, has already checked that the sender is active);
+    * ``Network.send``: a ``"net"`` ``send`` row per returned envelope, in
+      destination order (its only caller, ``Node._send``, has already
+      checked that the sender is active);
     * ``Node.deliver``: a ``"net"`` ``deliver`` row, or ``deliver_to_crashed``
       when the node does not accept the envelope (the network calls it for
       every delivery whose destination exists);
@@ -155,13 +156,15 @@ def trace_wire_rows(monkeypatch) -> None:
     deliver = Node.deliver
     timer_fired = Node._timer_fired
 
-    def tracing_send(self, message, src, dst):
-        envelope = send(self, message, src, dst)
-        self._simulator.trace.record(
-            envelope.send_time, "net", "send", pid=src, dst=dst, kind=message.kind,
-            msg_id=envelope.msg_id, dropped=envelope.dropped,
-        )
-        return envelope
+    def tracing_send(self, message, src, dsts):
+        envelopes = send(self, message, src, dsts)
+        record = self._simulator.trace.record
+        for envelope in envelopes:
+            record(
+                envelope.send_time, "net", "send", pid=src, dst=envelope.dst, kind=message.kind,
+                msg_id=envelope.msg_id, dropped=envelope.dropped,
+            )
+        return envelopes
 
     def tracing_deliver(self, envelope):
         accepted = deliver(self, envelope)
@@ -275,8 +278,8 @@ class ContextHarness:
             emit=lambda event, fields: self.emitted.append((event, fields)),
         )
 
-    def _send(self, message: Any, dst: int) -> None:
-        self.sent.append(SentMessage(message=message, dst=dst))
+    def _send(self, message: Any, dsts: Tuple[int, ...]) -> None:
+        self.sent.extend(SentMessage(message=message, dst=dst) for dst in dsts)
 
     def _set_timer(self, name: str, local_delay: float) -> None:
         self.timers[name] = local_delay

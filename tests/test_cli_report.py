@@ -102,6 +102,22 @@ class TestCliParser:
             "crash of p0 at 0.0 violates the model: no failures at or after ts=0.0"
         )
 
+    @pytest.mark.parametrize("faults, event", [
+        ({"kind": "explicit", "params": {"events": [{"time": -1, "pid": 0, "kind": "crash"}]}},
+         "crash p0 @ -1"),
+        ({"kind": "crash-forever", "params": {"pids": [1], "time": -2}}, "crash p1 @ -2"),
+    ])
+    def test_fault_event_at_a_negative_time_exits_2_naming_it(self, faults, event, capsys):
+        import json
+
+        from repro.cli import main
+
+        env = json.dumps({"adversary": {"kind": "benign"}, "faults": faults})
+        assert main(["run", "--env", env, "--n", "3"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert f"fault event {event} " in out
+
 
 class TestCliCommands:
     def test_list_protocols(self, capsys):

@@ -1,5 +1,7 @@
 """Unit tests for fault plans and schedules (`repro.faults`)."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -74,6 +76,18 @@ class TestValidation:
             plan.validate(n=3, ts=5.0)
         plan_ok = FaultPlan().crash(0, 1.0)
         plan_ok.validate(n=3, ts=5.0)
+
+    @pytest.mark.parametrize("time", [-1.0, -1e-9, float("inf"), float("-inf"), float("nan")])
+    def test_crash_outside_the_run_rejected_naming_the_event(self, time):
+        with pytest.raises(ConfigurationError, match=re.escape(f"fault event crash p1 @ {time:g} ")):
+            FaultPlan().crash(1, time).validate(n=3)
+
+    def test_restart_before_the_run_rejected_naming_the_event(self):
+        with pytest.raises(ConfigurationError, match="fault event restart p1 @ -0.5 "):
+            FaultPlan().crash(1, 1.0).restart(1, -0.5).validate(n=3)
+
+    def test_time_zero_allowed(self):
+        FaultPlan().crash(0, 0.0).restart(0, 1.0).validate(n=3, ts=5.0)
 
     def test_without_ts_majority_not_enforced(self):
         plan = FaultPlan().crash(0, 1.0).crash(1, 1.5)

@@ -9,15 +9,19 @@ def envelope(kind_msg, send_time, era=Era.POST, src=0, dst=1):
     return Envelope(message=kind_msg, src=src, dst=dst, send_time=send_time, era=era)
 
 
+def send(monitor, sent, dropped=0):
+    """Report ``sent`` to ``monitor`` as a one-destination ``Network.send`` call."""
+    monitor.on_send(sent.message.kind, sent.era, sent.send_time, 1, dropped)
+
+
 class TestCounters:
     def test_send_deliver_drop_counts(self):
         monitor = NetworkMonitor()
         first = envelope(Phase1a(mbal=1), 0.5)
         second = envelope(Phase2a(mbal=1, value="v"), 1.5, era=Era.PRE)
-        monitor.on_send(first)
-        monitor.on_send(second)
+        send(monitor, first)
+        send(monitor, second, dropped=1)
         monitor.on_deliver(first)
-        monitor.on_drop(second)
         stats = monitor.stats
         assert stats.sent == 2
         assert stats.delivered == 1
@@ -41,7 +45,7 @@ class TestPostTsSendRate:
     def test_sends_at_the_final_time_are_excluded(self):
         monitor = NetworkMonitor()
         for t in (9.0, 10.0, 11.0, 12.0, 12.0):
-            monitor.on_send(envelope(Phase1a(mbal=1), t, era=Era.PRE if t < 10.0 else Era.POST))
+            send(monitor, envelope(Phase1a(mbal=1), t, era=Era.PRE if t < 10.0 else Era.POST))
         # [10, 12) holds the sends at 10 and 11, not the two at 12.
         assert monitor.post_ts_send_rate(10.0, 12.0) == 2 / 2.0
         # Once the run ends later, the sends at 12 are inside the window.
@@ -49,7 +53,7 @@ class TestPostTsSendRate:
 
     def test_injected_envelopes_count_by_send_time(self):
         monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 10.5))
+        send(monitor, envelope(Phase1a(mbal=1), 10.5))
         # Injected envelopes are PRE whatever their send time.
         for t in (0.0, 9.5, 10.0, 11.0, 14.0, 20.0):
             monitor.on_inject(envelope(Phase1a(mbal=9), t, era=Era.PRE))
@@ -60,14 +64,14 @@ class TestPostTsSendRate:
 
     def test_run_ending_at_or_before_ts_has_no_rate(self):
         monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 0.5, era=Era.PRE))
+        send(monitor, envelope(Phase1a(mbal=1), 0.5, era=Era.PRE))
         monitor.on_inject(envelope(Phase1a(mbal=9), 0.5, era=Era.PRE))
         assert monitor.post_ts_send_rate(10.0, 10.0) is None
         assert monitor.post_ts_send_rate(10.0, 4.0) is None
 
     def test_empty_window_after_ts_is_a_zero_rate(self):
         monitor = NetworkMonitor()
-        monitor.on_send(envelope(Phase1a(mbal=1), 12.0))
+        send(monitor, envelope(Phase1a(mbal=1), 12.0))
         assert monitor.post_ts_send_rate(10.0, 12.0) == 0.0
 
     def test_run_rate_equals_the_trace_recount(self, monkeypatch):

@@ -77,7 +77,7 @@ def make_network(ts=0.0, delta=1.0, adversary=None, seed=0):
 class TestSendPath:
     def test_send_schedules_delivery_within_delta(self):
         network, host = make_network(delta=2.0)
-        envelope = network.send(Phase1a(mbal=1), src=0, dst=1)
+        (envelope,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         assert not envelope.dropped
         assert envelope.deliver_time is not None
         assert host.scheduled[0][0] == envelope.deliver_time
@@ -85,7 +85,7 @@ class TestSendPath:
 
     def test_delivery_invokes_host_and_monitor(self):
         network, host = make_network()
-        network.send(Phase1a(mbal=1), src=0, dst=1)
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.fire_all()
         assert len(host.delivered) == 1
         assert network.monitor.stats.delivered == 1
@@ -93,14 +93,14 @@ class TestSendPath:
     def test_delivery_to_crashed_counts_separately(self):
         network, host = make_network()
         host.accept_deliveries = False
-        network.send(Phase1a(mbal=1), src=0, dst=1)
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.fire_all()
         assert network.monitor.stats.delivered == 0
         assert network.monitor.stats.to_crashed == 1
 
     def test_pre_ts_drop_records_drop(self):
         network, host = make_network(ts=100.0, adversary=DropAllAdversary())
-        envelope = network.send(Phase1a(mbal=1), src=0, dst=1)
+        (envelope,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         assert envelope.dropped
         assert network.monitor.stats.dropped == 1
         assert host.scheduled == []
@@ -109,13 +109,13 @@ class TestSendPath:
         model = EventualSynchrony(ts=0.0, delta=1.0)
         network = Network(model=model, rng=SeededRng(0))
         with pytest.raises(NetworkError):
-            network.send(Phase1a(mbal=1), src=0, dst=1)
+            network.send(Phase1a(mbal=1), src=0, dsts=(1,))
 
     def test_sends_get_consecutive_ids_and_eras(self):
         network, host = make_network(ts=5.0)
-        first = network.send(Phase1a(mbal=1), src=0, dst=1)
+        (first,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.time = 5.0
-        second = network.send(Phase1a(mbal=2), src=1, dst=0)
+        (second,) = network.send(Phase1a(mbal=2), src=1, dsts=(0,))
         assert [first.msg_id, second.msg_id] == [0, 1]
         assert [first.send_time, second.send_time] == [0.0, 5.0]
         assert [first.era, second.era] == [Era.PRE, Era.POST]
@@ -129,7 +129,7 @@ class TestDuplication:
             duplicate_prob = 1.0
 
         network, host = make_network(ts=100.0, adversary=DuplicatingAdversary(delta=1.0))
-        network.send(Phase1a(mbal=1), src=0, dst=1)
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.fire_all()
         assert network.monitor.stats.duplicated == 1
         assert len(host.delivered) == 2

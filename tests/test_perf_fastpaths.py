@@ -127,18 +127,18 @@ class TestPerNetworkMessageIds:
     def test_fresh_networks_start_at_zero(self):
         for _ in range(2):  # back-to-back networks, no reset helper needed
             network = self._network()
-            ids = [network.send(Phase1a(mbal=1), src=0, dst=1).msg_id for _ in range(3)]
+            ids = [network.send(Phase1a(mbal=1), src=0, dsts=(1,))[0].msg_id for _ in range(3)]
             assert ids == [0, 1, 2]
 
     def test_concurrent_networks_have_independent_streams(self):
         a, b = self._network(), self._network()
-        assert a.send(Phase1a(mbal=1), 0, 1).msg_id == 0
-        assert a.send(Phase1a(mbal=1), 0, 1).msg_id == 1
-        assert b.send(Phase1a(mbal=1), 0, 1).msg_id == 0
+        assert a.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 0
+        assert a.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 1
+        assert b.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 0
 
     def test_inject_shares_the_network_stream(self):
         network = self._network()
-        sent = network.send(Phase1a(mbal=1), 0, 1)
+        (sent,) = network.send(Phase1a(mbal=1), 0, (1,))
         injected = network.inject(Phase1a(mbal=9), src=1, dst=0, deliver_time=5.0)
         assert injected.msg_id == sent.msg_id + 1
         assert injected.era is Era.PRE

@@ -1,5 +1,10 @@
 """Unit tests for the weak ordering oracle endpoint (`repro.oracle.wab`)."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.oracle.lamport import LogicalTimestamp
 from repro.oracle.wab import WabEndpoint, WabMessage
 
@@ -115,3 +120,41 @@ class TestHoldBackDelivery:
         endpoint.on_timer("wab-release-1")
         assert endpoint.broadcast_count == 1
         assert endpoint.delivered_count == 1
+
+
+# sha256 of every w-delivery of a seeded n=5 run, in the order the endpoints
+# made them: (pid, origin, timestamp counter, timestamp pid, payload repr).
+# Captured when the hold-back queue was still ordered by LogicalTimestamp
+# objects; a queue keyed by plain ints must deliver in the same order.
+W_DELIVERY_DIGESTS = {
+    "b-consensus/partitioned-chaos": (439, "c58c5433d61d11fbce8f033ba9e43d02d290566e2f09c64b868745b474305060"),
+    "b-consensus/lossy-chaos": (746, "d1d168a300c1391bfa2b80ddbd6d41873d7f4afa4da56ad7c0342befc9873076"),
+    "b-consensus/restarts": (1148, "6f41d7a1c840da47283a320f64792b390886ffeb37dd2b0a0b6d936529d43b3b"),
+    "modified-b-consensus/partitioned-chaos": (336, "e821a44ec249334dbf378f0ff0a19315e3c4fccba35b1f3820f3a2be62fd938c"),
+    "modified-b-consensus/lossy-chaos": (237, "f2f132da1bb264349c18c9717d937dc81e432ef9ba4cd7abdfb964549b0c6ce0"),
+    "modified-b-consensus/restarts": (424, "982f847199b50d5530c35353d6a93f23b0a8def06b297b56d27f5dde5937bb8c"),
+}
+
+
+class TestSeededDeliveryOrder:
+    @pytest.mark.parametrize("key", sorted(W_DELIVERY_DIGESTS))
+    def test_w_delivery_order_is_pinned(self, key, monkeypatch):
+        from repro.consensus.bconsensus.common import BConsensusCore
+        from repro.harness.runner import run_scenario
+        from repro.params import TimingParams
+        from repro.workloads.registry import WORKLOADS
+
+        order = []
+        deliver = BConsensusCore._on_wab_deliver
+
+        def recording_deliver(self, payload, origin, timestamp):
+            assert isinstance(timestamp, LogicalTimestamp)
+            order.append((self.ctx.pid, origin, timestamp.counter, timestamp.pid, repr(payload)))
+            deliver(self, payload, origin, timestamp)
+
+        monkeypatch.setattr(BConsensusCore, "_on_wab_deliver", recording_deliver)
+        protocol, workload = key.split("/")
+        params = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
+        run_scenario(WORKLOADS.create(workload, n=5, seed=1, params=params), protocol)
+        digest = hashlib.sha256(json.dumps(order).encode()).hexdigest()
+        assert (len(order), digest) == W_DELIVERY_DIGESTS[key]
