@@ -5,8 +5,7 @@ they track the cost of the event queue and of a full simulated broadcast
 workload, which bounds how large the experiment sweeps can be pushed.
 """
 
-from repro.net.network import Network
-from repro.net.synchrony import EventualSynchrony
+from repro.env.spec import AdversarySpec, EnvironmentSpec
 from repro.sim.events import EventQueue
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
@@ -50,7 +49,7 @@ def test_bench_simulator_throughput(benchmark):
     def run_simulation():
         params = TimingParams(delta=1.0, rho=0.0, epsilon=0.5)
         config = SimulationConfig(n=9, params=params, ts=0.0, seed=1, max_time=30.0)
-        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1))
+        network = EnvironmentSpec(AdversarySpec("benign")).build_network(config, SeededRng(1))
         sim = Simulator(config, lambda pid: _Gossip(), network)
         sim.run(until=30.0)
         return sim.events_processed

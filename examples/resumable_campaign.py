@@ -21,15 +21,39 @@ Run with::
     python examples/resumable_campaign.py
 """
 
+import logging
 import os
 import tempfile
 import time
 
+from repro.harness.executors import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, lag_delta, run_experiment
 from repro.harness.tables import ExperimentTable
 from repro.params import TimingParams
 from repro.results.query import lag_aggregates
 from repro.results.store import open_store
+
+
+class CountingExecutor(SerialExecutor):
+    """Runs tasks in this process and counts how many it executes."""
+
+    def __init__(self) -> None:
+        self.executed = 0
+
+    def imap(self, tasks):
+        self.executed += len(tasks)
+        return super().imap(tasks)
+
+
+class CacheHits(logging.Handler):
+    """Counts the ``cache hit`` lines the results logger emits on resume."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.INFO)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += record.getMessage().startswith("cache hit: ")
 
 
 def main() -> None:
@@ -49,9 +73,18 @@ def main() -> None:
     fresh_wall = time.perf_counter() - started
     print(f"fresh run    : {len(fresh)} simulations in {fresh_wall:.2f}s -> {store_path}")
 
-    started = time.perf_counter()
-    resumed = run_experiment(spec, store=store_path, resume=True)
-    resumed_wall = time.perf_counter() - started
+    executor, hits = CountingExecutor(), CacheHits()
+    results_logger = logging.getLogger("repro.results")
+    level = results_logger.level
+    results_logger.setLevel(logging.INFO)
+    results_logger.addHandler(hits)
+    try:
+        started = time.perf_counter()
+        resumed = run_experiment(spec, executor=executor, store=store_path, resume=True)
+        resumed_wall = time.perf_counter() - started
+    finally:
+        results_logger.removeHandler(hits)
+        results_logger.setLevel(level)
     print(f"resumed run  : {len(resumed)} rows in {resumed_wall:.3f}s (all cache hits)")
 
     table = ExperimentTable.from_result_set(
@@ -72,7 +105,9 @@ def main() -> None:
         for (protocol, workload), aggregate in lag_aggregates(store.records()).items():
             print(f"  {aggregate.describe()}")
 
-    assert resumed_wall < fresh_wall, "cache hits should be much cheaper than simulating"
+    # Resuming executes nothing: every row is loaded from the store.
+    assert executor.executed == 0, f"resume executed {executor.executed} simulations"
+    assert hits.count == len(resumed) == len(fresh), (hits.count, len(resumed), len(fresh))
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ re-executing it (see :mod:`repro.results`)::
     with open_store("runs.jsonl") as store:
         print(store.query(protocol="modified-paxos").summary(lag_delta))
 
-Environments.  A run's environment (pre-``TS`` adversary, synchrony, crash
+Environments.  A run's environment (pre-``TS`` adversary and crash
 and restart schedule) is a declarative :class:`EnvironmentSpec`, composed
 from the adversary and fault kinds catalogued in :mod:`repro.env.registry`;
 the named environments are workloads, and every scenario carries its spec::

@@ -1,8 +1,8 @@
 """Declarative environment specifications.
 
 An :class:`EnvironmentSpec` describes everything about a run's *environment*
-— the synchrony model, the pre-stabilization adversary (including any
-partition), and the crash/restart schedule — as plain, validated,
+— the pre-stabilization adversary (including any partition) and the
+crash/restart schedule — as plain, validated,
 JSON-serializable data.  The paper's whole subject is how the environment
 determines consensus latency; making it a first-class value means:
 
@@ -16,33 +16,37 @@ determines consensus latency; making it a first-class value means:
   a ``partition``), and fault schedules combine freely with any adversary.
 
 Scale-dependent quantities are expressed relative to the run configuration:
-builders receive the :class:`~repro.sim.simulator.SimulationConfig` (for
-``n``, ``ts``, ``δ``, and the seed), so one spec works across system sizes.
-Parameters named ``*_delta`` are multiples of ``δ``; randomized primitives
+each kind is built from the :class:`~repro.sim.simulator.SimulationConfig`
+(for ``n``, ``ts``, ``δ``, and the seed), so one spec works across system
+sizes.  Parameters named ``*_delta`` are multiples of ``δ``; randomized kinds
 (minority partitions, random crash schedules) name their RNG stream label so
 replays consume the exact same randomness.
 
 The split mirrors the model itself:
 
-* :class:`SynchronySpec` — when messages are delivered (the ``TS``/``δ``
-  regime; instantiates :class:`~repro.net.synchrony.EventualSynchrony`);
-* :class:`AdversarySpec` — who rules before ``TS`` (instantiates the
-  :mod:`repro.net.adversary` classes);
+* :class:`AdversarySpec` — who rules before ``TS`` (instantiates a class of
+  :mod:`repro.env.adversaries`, which the network's
+  :class:`~repro.net.synchrony.EventualSynchrony` consults);
 * :class:`PartitionDecl` — how processes are grouped (instantiates
   :class:`~repro.net.partition.PartitionSpec`);
-* :class:`FaultSpec` — who crashes and restarts, and when (instantiates
-  :class:`~repro.faults.plan.FaultPlan`).
+* :class:`FaultSpec` — who crashes and restarts, and when (a function of
+  :mod:`repro.env.faults` builds the :class:`~repro.faults.plan.FaultPlan`).
+
+The synchrony model has one regime, the paper's.  It is not a field: a
+spec's serialized form names it in a ``"synchrony"`` entry, which
+:meth:`EnvironmentSpec.from_dict` checks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.partition import PartitionSpec, minority_groups
-from repro.net.synchrony import EventualSynchrony
+from repro.net.synchrony import POST_MIN_DELAY_FRACTION, EventualSynchrony
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -56,8 +60,27 @@ __all__ = [
     "EnvironmentSpec",
     "FaultSpec",
     "PartitionDecl",
-    "SynchronySpec",
+    "is_integer",
+    "is_number",
 ]
+
+# The one synchrony regime, the paper's: what every spec's "synchrony" entry
+# says.  TS and δ themselves live in the run configuration, so a spec stays
+# scale-free.
+_SYNCHRONY: Mapping[str, Any] = {
+    "kind": "eventual",
+    "post_min_delay_fraction": POST_MIN_DELAY_FRACTION,
+}
+
+
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer (an int, never a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a JSON number: a finite int or float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _plain(value: Any, where: str) -> Any:
@@ -84,49 +107,6 @@ def _plain(value: Any, where: str) -> Any:
         f"{where}: value {value!r} of type {type(value).__name__} is not "
         "JSON-serializable; specs must be plain data"
     )
-
-
-@dataclass(frozen=True)
-class SynchronySpec:
-    """The synchrony regime: how ``TS`` and ``δ`` turn into a delivery model.
-
-    Only the paper's eventually-synchronous model exists today, but keeping
-    the kind explicit means alternative regimes (e.g. probabilistic
-    synchrony) slot in without changing the serialized format.  ``ts`` and
-    ``δ`` themselves live in the run configuration, not here — a spec is
-    scale-free.
-    """
-
-    kind: str = "eventual"
-    post_min_delay_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.kind != "eventual":
-            raise ConfigurationError(
-                f"unknown synchrony kind {self.kind!r}; only 'eventual' is implemented"
-            )
-        if not 0.0 <= self.post_min_delay_fraction <= 1.0:
-            raise ConfigurationError("post_min_delay_fraction must be in [0, 1]")
-
-    def build(self, config: "SimulationConfig", adversary: "Adversary") -> EventualSynchrony:
-        """Instantiate the synchrony model for one run."""
-        return EventualSynchrony(
-            ts=config.ts,
-            delta=config.params.delta,
-            adversary=adversary,
-            post_min_delay_fraction=self.post_min_delay_fraction,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "post_min_delay_fraction": self.post_min_delay_fraction}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SynchronySpec":
-        _expect_keys(data, {"kind", "post_min_delay_fraction"}, "SynchronySpec")
-        return cls(
-            kind=data.get("kind", "eventual"),
-            post_min_delay_fraction=data.get("post_min_delay_fraction", 0.1),
-        )
 
 
 @dataclass(frozen=True)
@@ -187,8 +167,8 @@ class AdversarySpec:
     """A named pre-stabilization adversary plus its parameters.
 
     ``kind`` resolves through :data:`~repro.env.registry.ADVERSARY_KINDS`;
-    ``params`` are plain data checked against the primitive's schema at
-    build time.  Wrapping adversaries (``worst-case-delay``,
+    ``params`` are plain data checked against the kind's schema at build
+    time.  Wrapping adversaries (``worst-case-delay``,
     ``deferring-partition``) take their wrapped adversary as ``inner``, so
     specs compose the same way the adversary classes do.
     """
@@ -207,7 +187,7 @@ class AdversarySpec:
         from repro.env.registry import checked_adversary
 
         inner = self.inner.build(config, rng) if self.inner is not None else None
-        return checked_adversary(self).builder(config, rng, self.params, inner)
+        return checked_adversary(self)(config, rng, self.params, inner)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind, "params": _plain(self.params, self.kind)}
@@ -235,7 +215,7 @@ class FaultSpec:
     ``kind`` resolves through :data:`~repro.env.registry.FAULT_KINDS`.
     The default is no faults.  Whether the schedule steps outside the
     paper's no-failures-after-``TS`` assumption (the churn family does) is a
-    property of the primitive, consulted when the plan is validated.
+    property of the kind, consulted when the plan is validated.
     """
 
     kind: str = "none"
@@ -250,7 +230,7 @@ class FaultSpec:
         """Instantiate the fault plan for one run."""
         from repro.env.registry import checked_faults
 
-        return checked_faults(self).builder(config, self.params)
+        return checked_faults(self)(config, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": _plain(self.params, self.kind)}
@@ -266,11 +246,11 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """One complete run environment: synchrony + adversary + faults.
+    """One complete run environment: adversary + faults.
 
     The spec is the declarative counterpart of what every workload module
     used to hand-build: :meth:`build_network` instantiates the network
-    (synchrony model wrapping the adversary chain) and
+    (the eventual-synchrony model wrapping the adversary chain) and
     :meth:`build_fault_plan` the crash/restart schedule, both against a
     concrete :class:`~repro.sim.simulator.SimulationConfig`.  Specs
     round-trip through :meth:`to_dict`/:meth:`from_dict` (and JSON) with
@@ -279,7 +259,6 @@ class EnvironmentSpec:
     """
 
     adversary: AdversarySpec
-    synchrony: SynchronySpec = field(default_factory=SynchronySpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
     name: str = ""
     notes: str = ""
@@ -290,7 +269,7 @@ class EnvironmentSpec:
         from repro.net.network import Network
 
         adversary = self.adversary.build(config, rng)
-        model = self.synchrony.build(config, adversary)
+        model = EventualSynchrony(ts=config.ts, delta=config.params.delta, adversary=adversary)
         return Network(model=model, rng=rng)
 
     def build_fault_plan(self, config: "SimulationConfig") -> "FaultPlan":
@@ -299,9 +278,9 @@ class EnvironmentSpec:
 
     def allows_post_ts_crashes(self) -> bool:
         """Whether the fault schedule may crash processes at or after ``TS``."""
-        from repro.env.registry import fault_primitive
+        from repro.env.registry import checked_faults
 
-        return fault_primitive(self.faults.kind).post_ts_crashes
+        return checked_faults(self.faults).post_ts_crashes
 
     def validate(self) -> None:
         """Check, without building anything, every node the builds would check."""
@@ -317,7 +296,7 @@ class EnvironmentSpec:
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "adversary": self.adversary.to_dict(),
-            "synchrony": self.synchrony.to_dict(),
+            "synchrony": dict(_SYNCHRONY),
             "faults": self.faults.to_dict(),
         }
         if self.name:
@@ -331,9 +310,9 @@ class EnvironmentSpec:
         _expect_keys(data, {"adversary", "synchrony", "faults", "name", "notes"}, "EnvironmentSpec")
         if "adversary" not in data:
             raise ConfigurationError("EnvironmentSpec dict needs an 'adversary'")
+        _check_synchrony(data.get("synchrony", {}))
         return cls(
             adversary=AdversarySpec.from_dict(data["adversary"]),
-            synchrony=SynchronySpec.from_dict(data.get("synchrony", {})),
             faults=FaultSpec.from_dict(data.get("faults", {})),
             name=_expect_string(data.get("name", ""), "EnvironmentSpec name"),
             notes=_expect_string(data.get("notes", ""), "EnvironmentSpec notes"),
@@ -364,6 +343,23 @@ class EnvironmentSpec:
         if self.name:
             text = f"{self.name}: {text}"
         return text
+
+
+def _check_synchrony(data: Mapping[str, Any]) -> None:
+    """Accept the one synchrony regime there is, :data:`_SYNCHRONY`, written in full or in part."""
+    _expect_keys(data, set(_SYNCHRONY), "SynchronySpec")
+    synchrony = {**_SYNCHRONY, **data}
+    if synchrony["kind"] != "eventual":
+        raise ConfigurationError(
+            f"unknown synchrony kind {synchrony['kind']!r}; only 'eventual' is implemented"
+        )
+    fraction = synchrony["post_min_delay_fraction"]
+    if not is_number(fraction) or not 0.0 <= fraction <= 1.0:
+        raise ConfigurationError("post_min_delay_fraction must be in [0, 1]")
+    if fraction != POST_MIN_DELAY_FRACTION:
+        raise ConfigurationError(
+            f"post_min_delay_fraction is fixed at {POST_MIN_DELAY_FRACTION}, got {fraction!r}"
+        )
 
 
 def _expect_object(value: Any, where: str) -> Mapping[str, Any]:

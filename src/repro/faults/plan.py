@@ -18,6 +18,7 @@ events.  Validation enforces the constraints of the paper's model:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -31,14 +32,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["FaultEvent", "FaultKind", "FaultPlan"]
 
 
+@functools.total_ordering
 class FaultKind(enum.Enum):
     CRASH = "crash"
     RESTART = "restart"
 
+    def __lt__(self, other: "FaultKind") -> bool:
+        return self is FaultKind.CRASH and other is FaultKind.RESTART
+
 
 @dataclass(frozen=True, order=True)
 class FaultEvent:
-    """One scheduled crash or restart."""
+    """One scheduled crash or restart.
+
+    Events order by ``(time, pid, kind)``; on a tie in time and pid a crash
+    comes before a restart, so :meth:`FaultPlan.validate` judges the pair
+    whatever order it was written in.
+    """
 
     time: float
     pid: int

@@ -12,24 +12,27 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.net.adversary import Adversary, BenignAdversary
+from repro.net.adversary import Adversary
 from repro.net.message import Envelope, Era
 from repro.sim.rng import SeededRng
 
-__all__ = ["EventualSynchrony", "validate_delivery_time"]
+__all__ = ["EventualSynchrony", "POST_MIN_DELAY_FRACTION", "validate_delivery_time"]
 
 # Enum member lookups cost a descriptor call; the per-send fate check uses this.
 _PRE = Era.PRE
+
+# Post-stabilization delays are at least this fraction of δ (messages are not instant).
+POST_MIN_DELAY_FRACTION = 0.1
 
 
 def validate_delivery_time(envelope: Envelope, when: Optional[float], now: float) -> Optional[float]:
     """Guard against an adversary scheduling a delivery in the past.
 
     Used by :meth:`EventualSynchrony.fate` (and usable by adversary
-    implementations directly): a scripted or hand-written adversary that
+    implementations directly): a hand-written adversary that
     mis-computes a delivery time would otherwise surface as an unexplained
     scheduling error deep inside the event queue.  The error names the offending envelope so
-    the buggy script is diagnosable from the message alone.
+    the buggy adversary is diagnosable from the message alone.
 
     Returns ``when`` unchanged when it is valid (or ``None`` for a drop).
     """
@@ -48,28 +51,17 @@ class EventualSynchrony:
     Args:
         ts: Global stabilization time (unknown to the processes).
         delta: Post-stabilization bound on delivery + processing time.
-        adversary: Controls pre-``TS`` messages; defaults to prompt delivery.
-        post_min_delay_fraction: Lower bound on post-``TS`` delays, as a
-            fraction of ``delta`` (models that messages are not instant).
+        adversary: Controls pre-``TS`` messages (and may shape post-``TS`` delays).
     """
 
-    def __init__(
-        self,
-        ts: float,
-        delta: float,
-        adversary: Optional[Adversary] = None,
-        post_min_delay_fraction: float = 0.1,
-    ) -> None:
+    def __init__(self, ts: float, delta: float, adversary: Adversary) -> None:
         if delta <= 0:
             raise ConfigurationError(f"delta must be positive, got {delta}")
         if ts < 0:
             raise ConfigurationError(f"ts must be non-negative, got {ts}")
-        if not 0.0 <= post_min_delay_fraction <= 1.0:
-            raise ConfigurationError("post_min_delay_fraction must be in [0, 1]")
         self.ts = ts
         self.delta = delta
-        self.adversary = adversary if adversary is not None else BenignAdversary(delta)
-        self.post_min_delay_fraction = post_min_delay_fraction
+        self.adversary = adversary
 
     def __repr__(self) -> str:
         return (
@@ -84,7 +76,7 @@ class EventualSynchrony:
     def fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
         """Absolute delivery time for the envelope, or ``None`` if it is lost.
 
-        Post-stabilization delays lie in ``[post_min_delay_fraction * δ, δ]``.
+        Post-stabilization delays lie in ``[POST_MIN_DELAY_FRACTION * δ, δ]``.
         """
         if envelope.era is _PRE:
             when = self.adversary.pre_ts_fate(envelope, now, rng)
@@ -93,7 +85,7 @@ class EventualSynchrony:
             return when
         suggested = self.adversary.post_ts_delay(envelope, now, rng)
         if suggested is None:
-            delay = rng.delay(self.post_min_delay_fraction * self.delta, self.delta)
+            delay = rng.delay(POST_MIN_DELAY_FRACTION * self.delta, self.delta)
         else:
             # Clamp: after stabilization nothing can exceed delta or be negative.
             delay = min(max(suggested, 0.0), self.delta)

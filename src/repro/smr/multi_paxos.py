@@ -370,12 +370,11 @@ class MultiPaxosSmrBuilder(ProtocolBuilder):
         """Run until every expected replica's *current* incarnation has learned every scheduled command.
 
         A replica that is down is not caught up, even with a complete log on disk.
-        With nothing scheduled, or an expected replica not hosted, the run ends at the horizon.
+        With nothing scheduled, the run ends at the horizon.
         """
-        nodes = [simulator.nodes.get(pid) for pid in deciders]
         self._awaited_ids = frozenset(self.schedule.command_ids)
-        if self._awaited_ids and None not in nodes:
-            self._watched = {node.pid: node for node in nodes}
+        if self._awaited_ids:
+            self._watched = {pid: simulator.nodes[pid] for pid in deciders}
         try:
             simulator.run()
         finally:

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["kitchen_sink_scenario"]
@@ -42,7 +42,6 @@ def kitchen_sink_scenario(
     # The late victim restarts 12 delta after TS; the horizon leaves 200 delta beyond that.
     late_restart_offset = 12.0
     horizon = max_time if max_time is not None else ts + (late_restart_offset + 200.0) * delta
-    config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
 
     majority = n // 2 + 1
     max_faulty = n - majority
@@ -77,10 +76,14 @@ def kitchen_sink_scenario(
         faults=FaultSpec("explicit", {"events": events}),
     )
 
-    return Scenario(
+    return environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=horizon,
         name=f"kitchen-sink-n{n}",
-        config=config,
-        environment=environment,
         notes=(
             "pre-TS: minority partitions, cross-partition messages lost or deferred past TS, "
             "duplication, crashes with one pre-TS restart; post-TS: full-delta deliveries and "

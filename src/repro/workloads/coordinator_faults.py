@@ -14,7 +14,7 @@ from typing import Optional
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["coordinator_crash_scenario"]
@@ -43,7 +43,6 @@ def coordinator_crash_scenario(
 
     delta = params.delta
     horizon = max_time if max_time is not None else ts + (8.0 * f + 80.0) * delta
-    config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
 
     environment = EnvironmentSpec(
         name="coordinator-crash",
@@ -55,11 +54,13 @@ def coordinator_crash_scenario(
         ),
     )
 
-    survivors = list(range(f, n))
-    return Scenario(
+    return environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=horizon,
         name=f"coordinator-crash-n{n}-f{f}",
-        config=config,
-        environment=environment,
-        expected_deciders=survivors,
         notes=f"coordinators of rounds 0..{f - 1} crashed before TS; pre-TS messages all lost",
     )

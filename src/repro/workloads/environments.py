@@ -2,8 +2,8 @@
 
 :func:`environment_scenario` turns any :class:`~repro.env.spec.EnvironmentSpec`
 (given directly or as a plain dict) into a runnable
-:class:`~repro.workloads.scenario.Scenario`; every workload whose scenario
-needs no more than a spec and a run configuration builds through it.  The
+:class:`~repro.workloads.scenario.Scenario`; every workload builds through
+it (``obsolete-ballots`` then sets the scenario's ``post_setup``).  The
 generic ``environment`` workload wraps it: that workload is the one path
 behind ``python -m repro run --env JSON``, and is usable from
 :class:`~repro.harness.experiment.ExperimentSpec` grids.

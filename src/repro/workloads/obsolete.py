@@ -36,7 +36,8 @@ from repro.core.messages import Phase1a
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig, Simulator
+from repro.sim.simulator import Simulator
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["obsolete_ballot_scenario"]
@@ -168,7 +169,6 @@ def obsolete_ballot_scenario(
     delta = params.delta
     # Generous horizon: the whole point is that the decision takes O(k·δ).
     horizon = max_time if max_time is not None else ts + (6.0 * k + 80.0) * delta
-    config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
 
     environment = EnvironmentSpec(
         name="obsolete-ballots",
@@ -196,15 +196,19 @@ def obsolete_ballot_scenario(
         )
         controller.install()
 
-    return Scenario(
+    scenario = environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=horizon,
         name=f"obsolete-ballots-n{n}-k{k}",
-        config=config,
-        environment=environment,
-        post_setup=post_setup,
-        expected_deciders=survivors,
         notes=(
             f"{k} obsolete phase-1a messages with anomalously high ballots from crashed "
             f"processes surface after TS, one per ballot attempt of the post-TS leader "
             f"p{post_ts_leader}"
         ),
     )
+    scenario.post_setup = post_setup
+    return scenario

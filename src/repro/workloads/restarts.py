@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec
 from repro.errors import ConfigurationError
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["restart_after_stability_scenario"]
@@ -53,7 +53,6 @@ def restart_after_stability_scenario(
     victims = list(range(n - len(offsets), n))
 
     horizon = max_time if max_time is not None else ts + (max(offsets) + 100.0) * delta
-    config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=horizon)
 
     events = []
     for victim, offset in zip(victims, offsets):
@@ -66,10 +65,14 @@ def restart_after_stability_scenario(
         faults=FaultSpec("explicit", {"events": events}),
     )
 
-    return Scenario(
+    return environment_scenario(
+        environment,
+        n=n,
+        params=params,
+        ts=ts,
+        seed=seed,
+        max_time=horizon,
         name=f"restart-after-ts-n{n}",
-        config=config,
-        environment=environment,
         notes=(
             "processes "
             + ", ".join(f"p{pid}" for pid in victims)

@@ -37,8 +37,6 @@ class Scenario:
             its defaults (distinct per-process values).
         post_setup: Optional hook run after the simulator is built but before
             it starts — used to inject in-flight pre-``TS`` messages.
-        expected_deciders: Pids expected to decide; None means every process
-            that is not left permanently crashed by the fault plan.
         allow_post_ts_crashes: Relax the paper's no-failures-after-``TS``
             assumption when validating the fault plan (set automatically for
             churn environments).
@@ -52,7 +50,6 @@ class Scenario:
     environment: EnvironmentSpec
     initial_values: Optional[List[Any]] = None
     post_setup: Optional[PostSetupHook] = None
-    expected_deciders: Optional[List[int]] = None
     allow_post_ts_crashes: bool = False
     notes: str = ""
     fault_plan: FaultPlan = field(init=False)
@@ -91,9 +88,7 @@ class Scenario:
         return simulator
 
     def deciders(self) -> List[int]:
-        """Pids expected to decide in this scenario."""
-        if self.expected_deciders is not None:
-            return sorted(self.expected_deciders)
+        """Pids expected to decide: every process the fault plan does not leave crashed."""
         down_forever = self.fault_plan.final_down()
         return [pid for pid in range(self.config.n) if pid not in down_forever]
 

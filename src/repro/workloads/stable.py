@@ -9,11 +9,11 @@ for an SMR command stream.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Optional
 
 from repro.env.spec import AdversarySpec, EnvironmentSpec
 from repro.params import TimingParams
-from repro.sim.simulator import SimulationConfig
+from repro.workloads.environments import environment_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["smr_stable_scenario", "stable_scenario"]
@@ -23,27 +23,23 @@ def stable_scenario(
     n: int,
     params: Optional[TimingParams] = None,
     seed: int = 0,
-    initial_values: Optional[List[Any]] = None,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """A failure-free, synchronous-from-time-zero scenario."""
     params = params if params is not None else TimingParams()
-    config = SimulationConfig(
+    environment = EnvironmentSpec(
+        name="stable",
+        adversary=AdversarySpec("benign"),
+        notes="benign delivery on every link, no faults",
+    )
+    return environment_scenario(
+        environment,
         n=n,
         params=params,
         ts=0.0,
         seed=seed,
         max_time=max_time if max_time is not None else 200.0 * params.delta,
-    )
-    return Scenario(
         name=f"stable-n{n}",
-        config=config,
-        environment=EnvironmentSpec(
-            name="stable",
-            adversary=AdversarySpec("benign"),
-            notes="benign delivery on every link, no faults",
-        ),
-        initial_values=initial_values,
         notes="synchronous from t=0, no faults: failure-free fast path",
     )
 

@@ -19,6 +19,7 @@ from repro.storage.stable import StableStore
 
 __all__ = [
     "ContextHarness",
+    "build_adversary",
     "SentMessage",
     "SilentProcess",
     "capture_sent_envelopes",
@@ -36,6 +37,31 @@ def make_params(**overrides: Any) -> TimingParams:
     values = {"delta": 1.0, "rho": 0.0, "epsilon": 0.5}
     values.update(overrides)
     return TimingParams(**values)
+
+
+def build_adversary(
+    kind: str,
+    params: Optional[Dict[str, Any]] = None,
+    inner: Any = None,
+    *,
+    n: int = 5,
+    ts: float = 10.0,
+    delta: float = 1.0,
+    seed: int = 0,
+):
+    """An adversary of ``kind`` built from its spec, params in spec units (δ multiples).
+
+    ``inner`` is an :class:`~repro.env.spec.AdversarySpec` for wrapping kinds.
+    The run configuration is ``n`` processes, stabilization at ``ts`` and
+    ``δ = delta``; the adversary draws from the seeded ``net`` stream.
+    """
+    from repro.env.spec import AdversarySpec
+    from repro.sim.simulator import SimulationConfig
+
+    config = SimulationConfig(
+        n=n, params=make_params(delta=delta), ts=ts, seed=seed, max_time=ts + 1000.0
+    )
+    return AdversarySpec(kind, params or {}, inner).build(config, SeededRng(seed, label="net"))
 
 
 class SilentProcess(Process):

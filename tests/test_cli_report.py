@@ -118,6 +118,33 @@ class TestCliParser:
         assert out.count("\n") == 1
         assert f"fault event {event} " in out
 
+    @staticmethod
+    def explicit_env(*events):
+        import json
+
+        return json.dumps({"adversary": {"kind": "benign"},
+                           "faults": {"kind": "explicit", "params": {"events": list(events)}}})
+
+    CRASH_AT_1 = {"time": 1, "pid": 0, "kind": "crash"}
+    RESTART_AT_1 = {"time": 1, "pid": 0, "kind": "restart"}
+
+    @pytest.mark.parametrize("events", [(CRASH_AT_1, RESTART_AT_1), (RESTART_AT_1, CRASH_AT_1)])
+    def test_crash_and_restart_at_one_time_run_in_either_order(self, events, capsys):
+        from repro.cli import main
+
+        assert main(["run", "--env", self.explicit_env(*events), "--n", "3"]) == 0
+        assert "faults: crash p0 @ 1; restart p0 @ 1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("events", [(CRASH_AT_1, RESTART_AT_1), (RESTART_AT_1, CRASH_AT_1)])
+    def test_a_second_crash_at_the_time_of_a_restart_exits_2_naming_it(self, events, capsys):
+        from repro.cli import main
+
+        earlier = {"time": 0.5, "pid": 0, "kind": "crash"}
+        assert main(["run", "--env", self.explicit_env(earlier, *events), "--n", "3"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "p0 crashed twice without a restart (at 1.0)" in out
+
 
 class TestCliCommands:
     def test_list_protocols(self, capsys):

@@ -18,7 +18,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import ContextHarness
+from tests.helpers import ContextHarness, build_adversary
 
 
 class MinimalConsensus(ConsensusProcess):
@@ -113,7 +113,8 @@ class TestProtocolTable:
 
 def _make_sim(n=3):
     config = SimulationConfig(n=n, ts=1.0, seed=0, max_time=10.0)
-    network = Network(model=EventualSynchrony(ts=1.0, delta=1.0), rng=SeededRng(0))
+    model = EventualSynchrony(ts=1.0, delta=1.0, adversary=build_adversary("benign"))
+    network = Network(model=model, rng=SeededRng(0))
 
     class Idle(Process):
         def on_start(self):

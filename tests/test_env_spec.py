@@ -4,21 +4,14 @@ import json
 
 import pytest
 
-from repro.env.spec import (
-    AdversarySpec,
-    EnvironmentSpec,
-    FaultSpec,
-    PartitionDecl,
-    SynchronySpec,
-)
-from repro.errors import ConfigurationError
-from repro.net.adversary import (
+from repro.env.adversaries import (
     BenignAdversary,
     DeferringPartitionAdversary,
-    DropAllAdversary,
     PartitionAdversary,
     WorstCaseDelayAdversary,
 )
+from repro.env.spec import AdversarySpec, EnvironmentSpec, FaultSpec, PartitionDecl
+from repro.errors import ConfigurationError
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig
@@ -106,16 +99,37 @@ class TestSerializationRoundTrip:
             EnvironmentSpec.from_json("[1, 2]")
 
 
-class TestSynchronySpec:
-    def test_only_eventual_kind(self):
-        with pytest.raises(ConfigurationError):
-            SynchronySpec(kind="lockstep")
+class TestSynchronyEntry:
+    """The serialized ``"synchrony"`` entry names the one regime there is."""
 
-    def test_builds_eventual_synchrony(self):
-        config = make_config()
-        model = SynchronySpec(post_min_delay_fraction=0.2).build(config, DropAllAdversary())
-        assert model.ts == config.ts
-        assert model.post_min_delay_fraction == 0.2
+    LITERAL = {"kind": "eventual", "post_min_delay_fraction": 0.1}
+
+    def test_to_dict_writes_the_literal(self):
+        spec = EnvironmentSpec(adversary=AdversarySpec("benign"))
+        assert spec.to_dict()["synchrony"] == self.LITERAL
+
+    def test_from_dict_accepts_the_literal_in_full_in_part_or_absent(self):
+        spec = EnvironmentSpec(adversary=AdversarySpec("benign"))
+        for synchrony in (self.LITERAL, {"kind": "eventual"}, {}):
+            data = {"adversary": {"kind": "benign"}, "synchrony": synchrony}
+            assert EnvironmentSpec.from_dict(data) == spec
+        assert EnvironmentSpec.from_dict({"adversary": {"kind": "benign"}}) == spec
+
+    @pytest.mark.parametrize("synchrony, message", [
+        ({"kind": "lockstep"}, "unknown synchrony kind 'lockstep'"),
+        ({"post_min_delay_fraction": 1.5}, r"must be in \[0, 1\]"),
+        ({"post_min_delay_fraction": 0.2}, "fixed at 0.1, got 0.2"),
+        ({"jitter": 1}, "SynchronySpec does not accept keys"),
+    ])
+    def test_from_dict_rejects_any_other_value(self, synchrony, message):
+        data = {"adversary": {"kind": "benign"}, "synchrony": synchrony}
+        with pytest.raises(ConfigurationError, match=message):
+            EnvironmentSpec.from_dict(data)
+
+    def test_post_ts_delay_floor_is_a_tenth_of_delta(self):
+        from repro.net.synchrony import POST_MIN_DELAY_FRACTION
+
+        assert POST_MIN_DELAY_FRACTION == self.LITERAL["post_min_delay_fraction"]
 
 
 class TestPartitionDecl:
@@ -189,7 +203,7 @@ class TestAdversaryBuilding:
             spec.build(make_config(), SeededRng(1))
 
     def test_deferring_partition_composes_over_gray_partition(self):
-        from repro.net.adversary import GrayPartitionAdversary
+        from repro.env.adversaries import GrayPartitionAdversary
 
         spec = AdversarySpec(
             "deferring-partition",
@@ -220,12 +234,12 @@ class TestFaultBuilding:
             FaultSpec("explicit", {"events": [{"time": 1.0}]}).build(make_config())
 
     def test_random_before_ts_matches_legacy_stream(self):
-        from repro.faults.schedules import crash_before_stability
+        from repro.env.faults import crash_before_stability
 
         config = make_config(n=7, seed=9)
         plan = FaultSpec("random-before-ts", {"allow_recovery": True}).build(config)
         legacy = crash_before_stability(
-            7, config.ts, SeededRng(9, label="chaos-faults"), allow_recovery=True
+            config, {"rng_label": "chaos-faults", "allow_recovery": True}
         )
         assert plan.events == legacy.events
 

@@ -1,18 +1,22 @@
-"""Unit tests for fault plans and schedules (`repro.faults`)."""
+"""Unit tests for fault plans (`repro.faults`) and the fault kinds built from specs."""
 
 import re
 
 import pytest
 
+from repro.env.spec import FaultSpec
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.schedules import (
-    churn_waves,
-    crash_before_stability,
-    crash_forever,
-    staggered_restarts,
-)
-from repro.sim.rng import SeededRng
+from repro.sim.simulator import SimulationConfig
+from tests.helpers import make_params
+
+
+def build_faults(kind, params=None, *, n=5, ts=10.0, delta=1.0, seed=0):
+    """The fault plan of ``kind`` built from its spec for an ``n``-process run."""
+    config = SimulationConfig(
+        n=n, params=make_params(delta=delta), ts=ts, seed=seed, max_time=ts + 1000.0
+    )
+    return FaultSpec(kind, params or {}).build(config)
 
 
 class TestFaultPlanConstruction:
@@ -138,40 +142,47 @@ class TestPostTsChurnValidation:
 
 class TestSchedules:
     def test_crash_forever(self):
-        plan = crash_forever([3, 4], time=2.0)
+        plan = build_faults("crash-forever", {"pids": [3, 4], "time": 2.0})
         assert plan.final_down() == {3, 4}
         assert all(event.kind is FaultKind.CRASH for event in plan)
 
     def test_staggered_restarts_order_and_spacing(self):
-        plan = staggered_restarts([5, 6], crash_time=1.0, first_restart=10.0, spacing=2.0)
+        plan = build_faults(
+            "staggered-restarts",
+            {"pids": [5, 6], "crash_time": 1.0, "first_restart": 10.0, "spacing": 2.0},
+            n=8,
+        )
         restarts = [event for event in plan if event.kind is FaultKind.RESTART]
         assert [(event.pid, event.time) for event in restarts] == [(5, 10.0), (6, 12.0)]
         plan.validate(n=8, ts=5.0)
 
     def test_staggered_restarts_rejects_negative_spacing(self):
         with pytest.raises(ConfigurationError):
-            staggered_restarts([0], crash_time=1.0, first_restart=2.0, spacing=-1.0)
+            build_faults(
+                "staggered-restarts",
+                {"pids": [0], "crash_time": 1.0, "first_restart": 2.0, "spacing": -1.0},
+            )
 
     @pytest.mark.parametrize("n", [3, 5, 7, 10])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_crash_before_stability_is_always_valid(self, n, seed):
-        plan = crash_before_stability(n, ts=10.0, rng=SeededRng(seed))
+        plan = build_faults("random-before-ts", n=n, ts=10.0, seed=seed)
         plan.validate(n=n, ts=10.0)
 
     def test_crash_before_stability_respects_max_faulty(self):
-        plan = crash_before_stability(7, ts=10.0, rng=SeededRng(1), max_faulty=1)
+        plan = build_faults("random-before-ts", {"max_faulty": 1}, n=7, ts=10.0, seed=1)
         assert len({event.pid for event in plan.events}) <= 1
 
     def test_crash_before_stability_requires_positive_ts(self):
         with pytest.raises(ConfigurationError):
-            crash_before_stability(5, ts=0.0, rng=SeededRng(0))
+            build_faults("random-before-ts", n=5, ts=0.0)
 
     def test_crash_before_stability_tiny_system_is_empty(self):
-        assert len(crash_before_stability(1, ts=5.0, rng=SeededRng(0))) == 0
+        assert len(build_faults("random-before-ts", n=1, ts=5.0)) == 0
 
     def test_churn_waves_shape(self):
-        plan = churn_waves([3, 4], ts=10.0, delta=1.0, first_offset=2.0,
-                           up_time=1.0, down_time=2.0, waves=2, stagger=0.5)
+        plan = build_faults("churn-waves", {"victims": [3, 4], "first_offset": 2.0, "up_time": 1.0,
+                                            "down_time": 2.0, "waves": 2, "stagger": 0.5})
         # Per victim: one pre-ts crash, `waves` restarts, `waves - 1` churn crashes.
         crashes = [e for e in plan if e.kind is FaultKind.CRASH]
         restarts = [e for e in plan if e.kind is FaultKind.RESTART]
@@ -185,13 +196,13 @@ class TestSchedules:
 
     def test_churn_waves_validation(self):
         with pytest.raises(ConfigurationError):
-            churn_waves([0], ts=0.0, delta=1.0)
+            build_faults("churn-waves", {"victims": [0]}, ts=0.0)
         with pytest.raises(ConfigurationError):
-            churn_waves([0], ts=10.0, delta=1.0, waves=0)
+            build_faults("churn-waves", {"victims": [0], "waves": 0})
         with pytest.raises(ConfigurationError):
-            churn_waves([0], ts=10.0, delta=1.0, up_time=0.0)
+            build_faults("churn-waves", {"victims": [0], "up_time": 0.0})
         with pytest.raises(ConfigurationError):
-            churn_waves([0], ts=10.0, delta=1.0, pre_ts_crash_fraction=1.0)
+            build_faults("churn-waves", {"victims": [0], "pre_ts_crash_fraction": 1.0})
 
 
 class TestFaultEvent:
@@ -200,3 +211,14 @@ class TestFaultEvent:
         late = FaultEvent(time=2.0, pid=0, kind=FaultKind.RESTART)
         assert early < late
         assert "crash p0" in early.describe()
+
+    @pytest.mark.parametrize("first", [FaultKind.CRASH, FaultKind.RESTART])
+    def test_a_crash_orders_before_a_restart_of_the_same_pid_at_the_same_time(self, first):
+        second = FaultKind.RESTART if first is FaultKind.CRASH else FaultKind.CRASH
+        plan = FaultPlan([FaultEvent(1.0, 0, first), FaultEvent(1.0, 0, second)])
+        assert [event.kind for event in plan] == [FaultKind.CRASH, FaultKind.RESTART]
+        plan.validate(n=3, ts=5.0)
+        built = FaultPlan()
+        getattr(built, first.value)(0, 1.0)
+        getattr(built, second.value)(0, 1.0)
+        assert built.events == plan.events

@@ -13,12 +13,11 @@ from dataclasses import fields
 import pytest
 
 from repro.core.messages import Phase1a
-from repro.net.adversary import RandomChaosAdversary
 from repro.net.monitor import MessageStats
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.sim.rng import SeededRng
-from tests.helpers import capture_sent_envelopes, silent_simulator
+from tests.helpers import build_adversary, capture_sent_envelopes, silent_simulator
 
 K = 5
 TS = 10.0
@@ -28,9 +27,10 @@ CALL_TIMES = (0.0, 3.5, TS, TS + 0.5, TS + 0.5, TS + 2.0)
 
 
 def make_network(seed, duplicate_prob=1.0):
-    adversary = RandomChaosAdversary(
-        ts=TS, delta=1.0, drop_probability=0.3, defer_probability=0.2,
-        duplicate_prob=duplicate_prob,
+    adversary = build_adversary(
+        "random-chaos",
+        {"drop_probability": 0.3, "defer_probability": 0.2, "duplicate_prob": duplicate_prob},
+        n=K, ts=TS,
     )
     network = Network(EventualSynchrony(ts=TS, delta=1.0, adversary=adversary),
                       SeededRng(seed, label="net"))

@@ -58,7 +58,8 @@ def test_all_registered_protocols_covered_by_these_tests():
 
 def test_identical_proposals_decide_that_value():
     params = make_params()
-    scenario = stable_scenario(5, params=params, seed=2, initial_values=["same"] * 5)
+    scenario = stable_scenario(5, params=params, seed=2)
+    scenario.initial_values = ["same"] * 5
     result = run_scenario(scenario, "modified-paxos")
     decided = {record.value for record in result.simulator.decisions.values()}
     assert decided == {"same"}

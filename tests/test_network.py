@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.messages import Phase1a
 from repro.errors import NetworkError
-from repro.net.adversary import BenignAdversary, DropAllAdversary
 from repro.net.message import Envelope, Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.sim.rng import SeededRng
-from tests.helpers import silent_simulator
+from tests.helpers import build_adversary, silent_simulator
 
 
 class SimHost:
@@ -67,7 +66,13 @@ class SimHost:
         self.simulator.run()
 
 
+def benign_model(ts=0.0, delta=1.0):
+    return EventualSynchrony(ts=ts, delta=delta, adversary=build_adversary("benign", delta=delta))
+
+
 def make_network(ts=0.0, delta=1.0, adversary=None, seed=0):
+    if adversary is None:
+        adversary = build_adversary("benign", delta=delta)
     model = EventualSynchrony(ts=ts, delta=delta, adversary=adversary)
     network = Network(model=model, rng=SeededRng(seed, label="net"))
     host = SimHost(network)
@@ -99,15 +104,14 @@ class TestSendPath:
         assert network.monitor.stats.to_crashed == 1
 
     def test_pre_ts_drop_records_drop(self):
-        network, host = make_network(ts=100.0, adversary=DropAllAdversary())
+        network, host = make_network(ts=100.0, adversary=build_adversary("drop-all"))
         (envelope,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         assert envelope.dropped
         assert network.monitor.stats.dropped == 1
         assert host.scheduled == []
 
     def test_send_before_bind_raises(self):
-        model = EventualSynchrony(ts=0.0, delta=1.0)
-        network = Network(model=model, rng=SeededRng(0))
+        network = Network(model=benign_model(), rng=SeededRng(0))
         with pytest.raises(NetworkError):
             network.send(Phase1a(mbal=1), src=0, dsts=(1,))
 
@@ -125,10 +129,10 @@ class TestSendPath:
 
 class TestDuplication:
     def test_duplicates_delivered_when_adversary_requests(self):
-        class DuplicatingAdversary(BenignAdversary):
-            duplicate_prob = 1.0
+        duplicating = build_adversary("benign")
+        duplicating.duplicate_prob = 1.0
 
-        network, host = make_network(ts=100.0, adversary=DuplicatingAdversary(delta=1.0))
+        network, host = make_network(ts=100.0, adversary=duplicating)
         network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.fire_all()
         assert network.monitor.stats.duplicated == 1
@@ -150,7 +154,7 @@ class TestInjection:
         assert host.delivered[0].message.mbal == 999
 
     def test_inject_before_bind_raises(self):
-        network = Network(model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(0))
+        network = Network(model=benign_model(), rng=SeededRng(0))
         with pytest.raises(NetworkError):
             network.inject(Phase1a(mbal=1), src=0, dst=1, deliver_time=1.0)
 

@@ -7,7 +7,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import make_params
+from tests.helpers import build_adversary, make_params
 
 
 class IdleProcess(Process):
@@ -25,7 +25,8 @@ def make_simulator(n=5, ts=10.0, seed=0):
     params = make_params()
     config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=1000.0)
     network = Network(
-        model=EventualSynchrony(ts=ts, delta=params.delta), rng=SeededRng(seed, label="net")
+        model=EventualSynchrony(ts=ts, delta=params.delta, adversary=build_adversary("benign")),
+        rng=SeededRng(seed, label="net"),
     )
     sim = Simulator(config, lambda pid: IdleProcess(), network)
     sim.start()

@@ -32,7 +32,7 @@ from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
-from tests.helpers import silent_simulator, trace_wire_rows
+from tests.helpers import build_adversary, silent_simulator, trace_wire_rows
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
@@ -119,7 +119,8 @@ class TestMonitorMatchesTrace:
 class TestPerNetworkMessageIds:
     def _network(self):
         network = Network(
-            model=EventualSynchrony(ts=0.0, delta=1.0), rng=SeededRng(1, label="net")
+            model=EventualSynchrony(ts=0.0, delta=1.0, adversary=build_adversary("benign")),
+            rng=SeededRng(1, label="net"),
         )
         silent_simulator(network)
         return network

@@ -85,7 +85,8 @@ class TestSafetyUnderRandomizedChaos:
         values=st.lists(st.sampled_from(["red", "green", "blue"]), min_size=6, max_size=6),
     )
     def test_decided_value_is_always_someones_proposal(self, protocol, n, seed, values):
-        scenario = stable_scenario(n, params=PARAMS, seed=seed, initial_values=values[:n])
+        scenario = stable_scenario(n, params=PARAMS, seed=seed)
+        scenario.initial_values = values[:n]
         result = run_scenario(scenario, protocol)
         decided = {record.value for record in result.simulator.decisions.values()}
         assert len(decided) == 1

@@ -18,7 +18,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import capture_sent_envelopes, make_params, trace_wire_rows
+from tests.helpers import build_adversary, capture_sent_envelopes, make_params, trace_wire_rows
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ class PersistentCounterProcess(Process):
 def build_simulator(factory, n=3, ts=0.0, seed=0, rho=0.0, adversary=None, max_time=1000.0):
     params = make_params(rho=rho)
     config = SimulationConfig(n=n, params=params, ts=ts, seed=seed, max_time=max_time)
+    if adversary is None:
+        adversary = build_adversary("benign", delta=params.delta)
     model = EventualSynchrony(ts=ts, delta=params.delta, adversary=adversary)
     network = Network(model=model, rng=SeededRng(seed, label="net"))
     return Simulator(config=config, process_factory=factory, network=network)
@@ -102,13 +104,11 @@ class TestDelivery:
             assert envelope.latency <= sim.config.params.delta
 
     def test_trace_rows_match_the_envelopes_sent_and_delivered(self, monkeypatch):
-        from repro.net.adversary import DropAllAdversary
-
         sent = capture_sent_envelopes(monkeypatch)
         trace_wire_rows(monkeypatch)
         # Before TS = 0.5 every message is dropped; afterwards all arrive.
         sim = build_simulator(lambda pid: PingProcess(), n=3, ts=0.5,
-                              adversary=DropAllAdversary())
+                              adversary=build_adversary("drop-all"))
         sim.schedule_at(1.0, lambda: sim.nodes[0].process.ctx.broadcast(Note(text="late")))
         sim.run(until=5.0)
         sends = sim.trace.filter(event="send")
@@ -312,7 +312,7 @@ class TestConfigValidation:
     def test_explicit_initial_values(self):
         params = make_params()
         config = SimulationConfig(n=3, params=params, ts=0.0, seed=0, max_time=10.0)
-        model = EventualSynchrony(ts=0.0, delta=1.0)
+        model = EventualSynchrony(ts=0.0, delta=1.0, adversary=build_adversary("benign"))
         network = Network(model=model, rng=SeededRng(0))
         sim = Simulator(config, lambda pid: PingProcess(), network, initial_values=["a", "b"])
         assert sim.proposals == {0: "a", 1: "b", 2: "value-2"}

@@ -4,10 +4,15 @@ import pytest
 
 from repro.core.messages import Phase1a
 from repro.errors import ConfigurationError
-from repro.net.adversary import Adversary, DropAllAdversary
+from repro.net.adversary import Adversary
 from repro.net.message import Envelope, Era
 from repro.net.synchrony import EventualSynchrony
 from repro.sim.rng import SeededRng
+from tests.helpers import build_adversary
+
+
+def benign_model(ts: float, delta: float) -> EventualSynchrony:
+    return EventualSynchrony(ts=ts, delta=delta, adversary=build_adversary("benign", delta=delta))
 
 
 def envelope(send_time: float, era: Era):
@@ -16,19 +21,19 @@ def envelope(send_time: float, era: Era):
 
 class TestEra:
     def test_era_split_at_ts(self):
-        model = EventualSynchrony(ts=10.0, delta=1.0)
+        model = benign_model(ts=10.0, delta=1.0)
         assert model.era(9.999) is Era.PRE
         assert model.era(10.0) is Era.POST
         assert model.era(11.0) is Era.POST
 
     def test_ts_zero_means_always_post(self):
-        model = EventualSynchrony(ts=0.0, delta=1.0)
+        model = benign_model(ts=0.0, delta=1.0)
         assert model.era(0.0) is Era.POST
 
 
 class TestPostStabilizationBound:
     def test_post_ts_messages_delivered_within_delta(self):
-        model = EventualSynchrony(ts=5.0, delta=2.0)
+        model = benign_model(ts=5.0, delta=2.0)
         rng = SeededRng(0)
         for _ in range(100):
             when = model.fate(envelope(6.0, Era.POST), now=6.0, rng=rng)
@@ -59,18 +64,18 @@ class TestPostStabilizationBound:
         when = model.fate(envelope(3.0, Era.POST), now=3.0, rng=SeededRng(1))
         assert when == pytest.approx(3.0)
 
-    def test_delay_bounds_respect_min_fraction(self):
-        model = EventualSynchrony(ts=0.0, delta=1.0, post_min_delay_fraction=0.5)
+    def test_post_ts_delays_have_a_tenth_delta_floor(self):
+        model = benign_model(ts=0.0, delta=2.0)
         rng = SeededRng(4)
         delays = [model.fate(envelope(2.0, Era.POST), now=2.0, rng=rng) - 2.0
                   for _ in range(200)]
-        assert all(0.5 <= delay <= 1.0 for delay in delays)
-        assert min(delays) < 0.6 and max(delays) > 0.9
+        assert all(0.2 <= delay <= 2.0 for delay in delays)
+        assert min(delays) < 0.4 and max(delays) > 1.8
 
 
 class TestPreStabilizationFate:
     def test_pre_ts_fate_delegates_to_adversary(self):
-        model = EventualSynchrony(ts=10.0, delta=1.0, adversary=DropAllAdversary())
+        model = EventualSynchrony(ts=10.0, delta=1.0, adversary=build_adversary("drop-all"))
         assert model.fate(envelope(1.0, Era.PRE), now=1.0, rng=SeededRng(0)) is None
 
     def test_adversary_cannot_deliver_in_the_past(self):
@@ -82,21 +87,15 @@ class TestPreStabilizationFate:
         with pytest.raises(ConfigurationError):
             model.fate(envelope(5.0, Era.PRE), now=5.0, rng=SeededRng(0))
 
-    def test_default_adversary_is_benign(self):
-        model = EventualSynchrony(ts=10.0, delta=1.0)
-        when = model.fate(envelope(1.0, Era.PRE), now=1.0, rng=SeededRng(0))
-        assert when is not None and 1.0 < when <= 2.0
-
 
 class TestValidation:
     def test_rejects_bad_parameters(self):
+        drop_all = build_adversary("drop-all")
         with pytest.raises(ConfigurationError):
-            EventualSynchrony(ts=-1.0, delta=1.0)
+            EventualSynchrony(ts=-1.0, delta=1.0, adversary=drop_all)
         with pytest.raises(ConfigurationError):
-            EventualSynchrony(ts=0.0, delta=0.0)
-        with pytest.raises(ConfigurationError):
-            EventualSynchrony(ts=0.0, delta=1.0, post_min_delay_fraction=1.5)
+            EventualSynchrony(ts=0.0, delta=0.0, adversary=drop_all)
 
     def test_repr_names_adversary(self):
-        model = EventualSynchrony(ts=1.0, delta=1.0, adversary=DropAllAdversary())
+        model = EventualSynchrony(ts=1.0, delta=1.0, adversary=build_adversary("drop-all"))
         assert "DropAllAdversary" in repr(model)

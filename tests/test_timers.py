@@ -14,7 +14,7 @@ from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig, Simulator
 
-from tests.helpers import make_params
+from tests.helpers import build_adversary, make_params
 
 
 class ScriptedTimers(Process):
@@ -55,7 +55,8 @@ def build(script, n=1, rho=0.0, seed=0):
     params = make_params(rho=rho)
     config = SimulationConfig(n=n, params=params, seed=seed, max_time=100.0)
     network = Network(
-        model=EventualSynchrony(ts=0.0, delta=params.delta), rng=SeededRng(seed, label="net")
+        model=EventualSynchrony(ts=0.0, delta=params.delta, adversary=build_adversary("benign")),
+        rng=SeededRng(seed, label="net"),
     )
     sim = Simulator(config, lambda pid: ScriptedTimers(script, log, lambda: sim), network)
     return sim, log

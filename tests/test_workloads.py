@@ -21,7 +21,7 @@ _STABLE_SIZES = _SIZES - {"ts"}
 # Each workload's parameters: the run sizes plus only the knobs that a caller
 # outside the tests sets.  A variant a test needs is an EnvironmentSpec.
 _WORKLOAD_PARAMETERS = {
-    "stable": _STABLE_SIZES | {"initial_values"},
+    "stable": _STABLE_SIZES,
     "partitioned-chaos": _SIZES | {"worst_case_post_delays"},
     "lossy-chaos": _SIZES,
     "obsolete-ballots": _SIZES | {"num_obsolete", "ballot_stride", "poll_interval_factor"},
