@@ -6,8 +6,7 @@ starts, round entries, SMR submissions and slot decisions) and decisions.
 Invariant checks, metrics, outcome snapshots and ``repro run --timeline``
 work exclusively off this trace, so they never have to re-run or
 instrument the protocols.  Per-message traffic (sends, deliveries, timer
-firings) is not traced: the network monitor counts it, and
-``Network.send``/``inject`` return each envelope.
+firings) is not traced: the network monitor counts it.
 
 The recorder keeps one list of ``(time, category, event, pid, fields)``
 row tuples, where ``fields`` is the keyword-argument dict

@@ -14,16 +14,25 @@ and ``takes_inner``.
 
 Parameters named ``*_delta`` are multiples of ``δ``; probabilities are
 plain floats in ``[0, 1]``.
+
+Each kind answers a whole send in one call of its batch hooks
+(:meth:`~repro.net.adversary.Adversary.pre_ts_fates`, and
+``post_ts_delays`` where it shapes post-``TS`` delays), drawing destination
+by destination in ``dsts`` order.  A delay bound is checked and turned into
+``(low, span)`` when the kind is built, and a delay is drawn inline as
+``low + span * rng.random()``, the float :meth:`SeededRng.delay
+<repro.sim.rng.SeededRng.delay>` returns for ``[low, low + span]``; a
+probability is a ``rng.random() < p`` coin, like :meth:`SeededRng.coin
+<repro.sim.rng.SeededRng.coin>`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.env.spec import PartitionDecl
 from repro.errors import ConfigurationError
 from repro.net.adversary import Adversary
-from repro.net.message import Envelope
 from repro.net.partition import PartitionSpec
 from repro.sim.rng import SeededRng
 
@@ -42,12 +51,27 @@ __all__ = [
 ]
 
 Params = Mapping[str, Any]
+Fates = List[Optional[float]]
+
+# The least pre-TS delay of the partition-shaped and chaos kinds, as a multiple of δ.
+DELAY_FLOOR_DELTA = 0.05
 
 
 def _check_probabilities(**probabilities: float) -> None:
     for name, prob in probabilities.items():
         if not 0.0 <= prob <= 1.0:
             raise ConfigurationError(f"{name} must be a probability, got {prob}")
+
+
+def _delay_span(name: str, high: float, delta: float) -> Tuple[float, float]:
+    """``(low, span)`` of delays drawn from ``[0.05δ, high]``, where param ``name`` sets ``high``."""
+    low = DELAY_FLOOR_DELTA * delta
+    if high < low:
+        raise ConfigurationError(
+            f"{name} must be at least {DELAY_FLOOR_DELTA} (the least delay, in δ), "
+            f"got {high / delta:g}"
+        )
+    return low, high - low
 
 
 def _partition(config: "SimulationConfig", rng: SeededRng, params: Params) -> PartitionSpec:
@@ -70,14 +94,20 @@ class BenignAdversary(Adversary):
 
     def __init__(self, config: "SimulationConfig", rng: SeededRng, params: Params,
                  inner: Optional[Adversary] = None) -> None:
-        self.delta = config.params.delta
-        self.min_delay_fraction = params.get("min_delay_fraction", 0.1)
-        if not 0.0 <= self.min_delay_fraction <= 1.0:
+        self.delta = delta = config.params.delta
+        min_delay_fraction = params.get("min_delay_fraction", 0.1)
+        if not 0.0 <= min_delay_fraction <= 1.0:
             raise ConfigurationError("min_delay_fraction must be in [0, 1]")
+        self._low = min_delay_fraction * delta
+        self._span = delta - self._low
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        delay = rng.delay(self.min_delay_fraction * self.delta, self.delta)
-        return now + delay
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        random = rng.random
+        low, span = self._low, self._span
+        fates: Fates = []
+        for _ in dsts:
+            fates.append(now + (low + span * random()))
+        return fates
 
 
 class DropAllAdversary(Adversary):
@@ -96,8 +126,8 @@ class DropAllAdversary(Adversary):
                  inner: Optional[Adversary] = None) -> None:
         pass
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        return None
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        return [None] * len(dsts)
 
 
 class RandomChaosAdversary(Adversary):
@@ -122,25 +152,33 @@ class RandomChaosAdversary(Adversary):
     def __init__(self, config: "SimulationConfig", rng: SeededRng, params: Params,
                  inner: Optional[Adversary] = None) -> None:
         self.ts = config.ts
-        self.delta = delta = config.params.delta
+        delta = config.params.delta
         self.drop_probability = params.get("drop_probability", 0.5)
         self.defer_probability = params.get("defer_probability", 0.1)
         self.max_defer = params.get("max_defer_delta", 10.0) * delta
-        self.max_delay_factor = params.get("max_delay_factor", 5.0)
+        max_delay_factor = params.get("max_delay_factor", 5.0)
         self.duplicate_prob = params.get("duplicate_prob", 0.05)
         _check_probabilities(drop_probability=self.drop_probability,
                              defer_probability=self.defer_probability,
                              duplicate_prob=self.duplicate_prob)
-        if self.max_defer < 0 or self.max_delay_factor <= 0:
+        if self.max_defer < 0 or max_delay_factor <= 0:
             raise ConfigurationError("invalid RandomChaosAdversary parameters")
+        self._delay = _delay_span("max_delay_factor", max_delay_factor * delta, delta)
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if rng.coin(self.drop_probability):
-            return None
-        if rng.coin(self.defer_probability):
-            return self.ts + rng.delay(0.0, self.max_defer)
-        delay = rng.delay(0.05 * self.delta, self.max_delay_factor * self.delta)
-        return now + delay
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        random = rng.random
+        drop, defer = self.drop_probability, self.defer_probability
+        ts, max_defer = self.ts, self.max_defer
+        low, span = self._delay
+        fates: Fates = []
+        for _ in dsts:
+            if random() < drop:
+                fates.append(None)
+            elif random() < defer:
+                fates.append(ts + max_defer * random())
+            else:
+                fates.append(now + (low + span * random()))
+        return fates
 
 
 class PartitionAdversary(Adversary):
@@ -171,24 +209,34 @@ class PartitionAdversary(Adversary):
     def __init__(self, config: "SimulationConfig", rng: SeededRng, params: Params,
                  inner: Optional[Adversary] = None) -> None:
         self.spec = _partition(config, rng, params)
-        self.delta = delta = config.params.delta
-        self.intra_delay_max = params.get("intra_delay_max_delta", 1.0) * delta
+        delta = config.params.delta
         self.leak_probability = params.get("leak_probability", 0.0)
+        if not 0.0 <= self.leak_probability <= 1.0:
+            raise ConfigurationError("leak_probability must be a probability")
         if params.get("leak_past_ts"):
             self.leak_max_delay = config.ts + 2.0 * delta
         else:
             self.leak_max_delay = params.get("leak_max_delay_delta", 2.0) * delta
-        if not 0.0 <= self.leak_probability <= 1.0:
-            raise ConfigurationError("leak_probability must be a probability")
-        if self.leak_max_delay <= 0:
-            raise ConfigurationError("leak_max_delay_delta must be positive")
+        self._intra = _delay_span(
+            "intra_delay_max_delta", params.get("intra_delay_max_delta", 1.0) * delta, delta
+        )
+        self._leak = _delay_span("leak_max_delay_delta", self.leak_max_delay, delta)
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if self.spec.connected(envelope.src, envelope.dst):
-            return now + rng.delay(0.05 * self.delta, self.intra_delay_max)
-        if self.leak_probability and rng.coin(self.leak_probability):
-            return now + rng.delay(0.05 * self.delta, self.leak_max_delay)
-        return None
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        reachable = self.spec.reachable(src)
+        random = rng.random
+        low, span = self._intra
+        leak = self.leak_probability
+        leak_low, leak_span = self._leak
+        fates: Fates = []
+        for dst in dsts:
+            if dst in reachable:
+                fates.append(now + (low + span * random()))
+            elif leak and random() < leak:
+                fates.append(now + (leak_low + leak_span * random()))
+            else:
+                fates.append(None)
+        return fates
 
 
 class GrayPartitionAdversary(Adversary):
@@ -221,17 +269,21 @@ class GrayPartitionAdversary(Adversary):
                  inner: Optional[Adversary] = None) -> None:
         self.spec = _partition(config, rng, params)
         self.ts = config.ts
-        self.delta = delta = config.params.delta
+        delta = config.params.delta
         self.heal_start = params.get("heal_start", 0.4)
         self.start_drop = params.get("start_drop", 1.0)
         self.end_drop = params.get("end_drop", 0.0)
-        self.intra_delay_max = params.get("intra_delay_max_delta", 1.0) * delta
-        self.leak_max_delay = params.get("leak_max_delay_delta", 2.0) * delta
         if not 0.0 <= self.heal_start < 1.0:
             raise ConfigurationError("heal_start must be in [0, 1)")
         _check_probabilities(start_drop=self.start_drop, end_drop=self.end_drop)
         if self.end_drop > self.start_drop:
             raise ConfigurationError("a gray partition heals: end_drop must not exceed start_drop")
+        self._intra = _delay_span(
+            "intra_delay_max_delta", params.get("intra_delay_max_delta", 1.0) * delta, delta
+        )
+        self._leak = _delay_span(
+            "leak_max_delay_delta", params.get("leak_max_delay_delta", 2.0) * delta, delta
+        )
 
     def drop_probability_at(self, now: float) -> float:
         """Cross-group drop probability at real time ``now`` (monotone healing)."""
@@ -245,12 +297,21 @@ class GrayPartitionAdversary(Adversary):
         progress = (now - heal_begin) / (self.ts - heal_begin)
         return self.start_drop + (self.end_drop - self.start_drop) * progress
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if self.spec.connected(envelope.src, envelope.dst):
-            return now + rng.delay(0.05 * self.delta, self.intra_delay_max)
-        if rng.coin(self.drop_probability_at(now)):
-            return None
-        return now + rng.delay(0.05 * self.delta, self.leak_max_delay)
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        reachable = self.spec.reachable(src)
+        random = rng.random
+        low, span = self._intra
+        drop = self.drop_probability_at(now)
+        leak_low, leak_span = self._leak
+        fates: Fates = []
+        for dst in dsts:
+            if dst in reachable:
+                fates.append(now + (low + span * random()))
+            elif random() < drop:
+                fates.append(None)
+            else:
+                fates.append(now + (leak_low + leak_span * random()))
+        return fates
 
 
 def _check_pid(what: str, pid: int, n: int) -> None:
@@ -329,15 +390,18 @@ class AsymmetricLinkAdversary(Adversary):
             return src == self.hub
         return src == self.hub or dst == self.hub
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if self.is_slow(envelope.src, envelope.dst):
-            return now + rng.delay(self.delta, self.slow_factor * self.delta)
-        return now + rng.delay(self.fast_min_fraction * self.delta, self.delta)
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        delta = self.delta
+        slow_high, fast_low = self.slow_factor * delta, self.fast_min_fraction * delta
+        return [
+            now + rng.delay(delta, slow_high) if self.is_slow(src, dst)
+            else now + rng.delay(fast_low, delta)
+            for dst in dsts
+        ]
 
-    def post_ts_delay(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if self.slow_post_ts and self.is_slow(envelope.src, envelope.dst):
-            return self.delta
-        return None
+    def post_ts_delays(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        slow_post_ts, delta = self.slow_post_ts, self.delta
+        return [delta if slow_post_ts and self.is_slow(src, dst) else None for dst in dsts]
 
 
 class WorstCaseDelayAdversary(Adversary):
@@ -367,13 +431,14 @@ class WorstCaseDelayAdversary(Adversary):
             raise ConfigurationError("jitter must be in [0, 1)")
         self.duplicate_prob = self.pre_ts.duplicate_prob
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        return self.pre_ts.pre_ts_fate(envelope, now, rng)
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        return self.pre_ts.pre_ts_fates(src, dsts, now, rng)
 
-    def post_ts_delay(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if self.jitter == 0.0:
-            return self.delta
-        return self.delta * (1.0 - rng.uniform(0.0, self.jitter))
+    def post_ts_delays(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        delta, jitter = self.delta, self.jitter
+        if jitter == 0.0:
+            return [delta] * len(dsts)
+        return [delta * (1.0 - rng.uniform(0.0, jitter)) for _ in dsts]
 
 
 class DeferringPartitionAdversary(Adversary):
@@ -403,7 +468,7 @@ class DeferringPartitionAdversary(Adversary):
     def __init__(self, config: "SimulationConfig", rng: SeededRng, params: Params,
                  inner: Optional[Adversary] = None) -> None:
         self.ts = config.ts
-        self.delta = delta = config.params.delta
+        delta = config.params.delta
         self.defer_probability = params.get("defer_probability", 0.25)
         self.max_defer = params.get("max_defer_delta", 3.0) * delta
         self.duplicate_prob = params.get("duplicate_prob", 0.1)
@@ -419,9 +484,19 @@ class DeferringPartitionAdversary(Adversary):
             )
         self.inner = inner
 
-    def pre_ts_fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        if not self.inner.spec.connected(envelope.src, envelope.dst):
-            if rng.coin(self.defer_probability):
-                return self.ts + rng.delay(0.0, self.max_defer)
-            return None
-        return self.inner.pre_ts_fate(envelope, now, rng)
+    def pre_ts_fates(self, src: int, dsts: Sequence[int], now: float, rng: SeededRng) -> Fates:
+        # The inner kind answers each intra-group destination in turn, so
+        # its draws interleave with the deferral coins exactly as in dsts.
+        reachable = self.inner.spec.reachable(src)
+        inner_fates = self.inner.pre_ts_fates
+        random = rng.random
+        defer, ts, max_defer = self.defer_probability, self.ts, self.max_defer
+        fates: Fates = []
+        for dst in dsts:
+            if dst in reachable:
+                fates.extend(inner_fates(src, (dst,), now, rng))
+            elif random() < defer:
+                fates.append(ts + max_defer * random())
+            else:
+                fates.append(None)
+        return fates

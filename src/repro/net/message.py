@@ -1,9 +1,10 @@
 """Message and envelope types.
 
 Protocol messages are small frozen dataclasses subclassing :class:`Message`.
-The network wraps each send in an :class:`Envelope` carrying transport
-metadata (source, destination, send time, fate); protocols never see
-envelopes, only messages and the sender id.
+The network wraps each delivery it schedules in an :class:`Envelope`
+carrying transport metadata (source, destination, send time, delivery
+time); a lost message gets no envelope.  Protocols never see envelopes,
+only messages and the sender id.
 
 Both layers are declared with ``slots=True``: envelopes are the most
 frequently allocated objects in a simulation, and slotted instances are
@@ -67,7 +68,6 @@ class Envelope:
         msg_id: Unique id for tracing (per-network stream; a module-level
             fallback counter serves directly constructed envelopes).
         deliver_time: Real delivery time once the fate is decided, else None.
-        dropped: True if the network decided to lose the message.
     """
 
     message: Message
@@ -77,24 +77,13 @@ class Envelope:
     era: Era
     msg_id: int = field(default_factory=lambda: next(_envelope_ids))
     deliver_time: Optional[float] = None
-    dropped: bool = False
 
     @property
     def kind(self) -> str:
         return type(self.message).kind
 
-    @property
-    def latency(self) -> Optional[float]:
-        """Delivery latency, or None if undecided / dropped."""
-        if self.dropped or self.deliver_time is None:
-            return None
-        return self.deliver_time - self.send_time
-
     def describe(self) -> str:
-        fate: str
-        if self.dropped:
-            fate = "dropped"
-        elif self.deliver_time is None:
+        if self.deliver_time is None:
             fate = "pending"
         else:
             fate = f"deliver@{self.deliver_time:.3f}"

@@ -1,11 +1,11 @@
 """Message accounting.
 
-The network reports each send call once (how many envelopes of which kind,
-era and time, and how many it lost), and each duplicate, injection and
-delivery.  The monitor keeps the counts the experiments need: totals by
-fate and era, per-kind breakdowns, and the post-``TS`` send rate the
-ε-tradeoff experiment (E6) reports as messages per second during the
-stable period.  Its state is a fixed set of counters plus one entry per
+The network reports each send call once (how many messages of which kind,
+era and time, how many it lost and how many duplicate copies it made), and
+each injection and delivery.  The monitor keeps the counts the experiments
+need: totals by fate and era, per-kind breakdowns, and the post-``TS`` send
+rate the ε-tradeoff experiment (E6) reports as messages per second during
+the stable period.  Its state is a fixed set of counters plus one entry per
 injected envelope, whatever the length of the run.
 """
 
@@ -52,15 +52,20 @@ class NetworkMonitor:
         self._injected_send_times: List[float] = []
 
     # -- recording hooks (called by Network) --------------------------------
-    def on_send(self, kind: str, era: Era, now: float, count: int, dropped: int) -> None:
+    def on_send(
+        self, kind: str, era: Era, now: float, count: int, dropped: int, duplicated: int
+    ) -> None:
         """Count one ``Network.send`` call: ``count`` sends of ``kind`` at ``now``.
 
-        ``dropped`` is how many envelopes the call lost, duplicate copies
-        included.
+        ``dropped`` is how many messages the call lost, duplicate copies
+        included; ``duplicated`` is how many copies it made.
         """
         stats = self.stats
         stats.sent += count
-        stats.dropped += dropped
+        if dropped:
+            stats.dropped += dropped
+        if duplicated:
+            stats.duplicated += duplicated
         stats.by_kind[kind] += count
         if era is _PRE:
             stats.sent_pre_ts += count
@@ -73,14 +78,11 @@ class NetworkMonitor:
             self._sends_at_last = count
 
     def on_inject(self, envelope: Envelope) -> None:
-        self.on_send(envelope.message.kind, envelope.era, envelope.send_time, 1, 0)
+        self.on_send(envelope.message.kind, envelope.era, envelope.send_time, 1, 0, 0)
         self._injected_send_times.append(envelope.send_time)
 
     def on_deliver(self, envelope: Envelope) -> None:
         self.stats.delivered += 1
-
-    def on_duplicate(self, envelope: Envelope) -> None:
-        self.stats.duplicated += 1
 
     def on_lost_to_crashed(self, envelope: Envelope) -> None:
         self.stats.to_crashed += 1

@@ -11,28 +11,28 @@ messages and the like) without replaying the whole pre-``TS`` history.
 The send path is the hottest code outside the event queue, so a send or a
 broadcast makes one call per layer: ``ProcessContext`` → ``Node._send`` →
 :meth:`Network.send` over a tuple of destinations (``(dst,)`` for a send,
-everyone or everyone else for a broadcast) → ``EventQueue.push`` per
-envelope, then ``EventQueue.pop_before`` → ``Network._deliver`` →
-``Node.deliver`` → the protocol.  :meth:`Network.bind` keeps the
-simulator's queue ``push`` and node table and reads the adversary's
-``duplicate_prob`` once; :meth:`Network.send` reads the clock, the era and
-its other state once per call, then serves the destinations in order, each
-exactly as a lone send: the next message id from a per-network counter
-(deterministic per run), one call to the model's ``fate``, the delivery
-push (the pre-bound delivery method with an argument tuple) and the
-duplicate coin.  The monitor counts each call once.  The network keeps no
-per-envelope log: :meth:`Network.send` returns the envelopes it made and
-:meth:`Network.inject` the one it installed; the monitor keeps the counts.
+everyone or everyone else for a broadcast) → one
+:meth:`~repro.net.synchrony.EventualSynchrony.fates` call for all of its
+destinations → ``EventQueue.push`` per delivery; then
+``EventQueue.pop_before`` → ``Network._deliver`` → ``Node.deliver`` → the
+protocol.  Every message of a send, lost or not and duplicate copies
+included, takes the next id from a per-network counter (deterministic per
+run), in the order the model answers; only a message with a delivery time
+is wrapped in an :class:`~repro.net.message.Envelope` and pushed, so a lost
+message costs no object and no queue call.  The monitor counts each call
+once.  The network keeps no per-envelope log:
+:meth:`Network.inject` returns the one envelope it installs, and the
+monitor keeps the counts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.net.message import Envelope, Era, Message
 from repro.net.monitor import NetworkMonitor
-from repro.net.synchrony import EventualSynchrony
+from repro.net.synchrony import EventualSynchrony, validate_delivery_time
 from repro.sim.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,16 +74,14 @@ class Network:
         self._simulator = simulator
         self._push = simulator._events.push
         self._nodes_get = simulator.nodes.get
-        self._duplicate_prob = self.model.adversary.duplicate_prob
 
     # -- the send path --------------------------------------------------------
-    def send(self, message: Message, src: int, dsts: Sequence[int]) -> List[Envelope]:
-        """Send ``message`` from ``src`` to each of ``dsts`` and schedule the fates.
+    def send(self, message: Message, src: int, dsts: Sequence[int]) -> None:
+        """Send ``message`` from ``src`` to each of ``dsts`` and schedule the deliveries.
 
-        Destinations are served in order, each exactly as a lone send: the
-        next message id, one ``fate``, the delivery push, then the duplicate
-        coin (a copy takes the id after its original).  Returns one envelope
-        per destination, in order; duplicate copies are not returned.
+        One ``fates`` call answers for every destination, in order, with
+        any duplicate copy right after its original; each message takes the
+        next id, and each one with a delivery time is pushed in that order.
         """
         simulator = self._simulator
         if simulator is None:
@@ -91,42 +89,24 @@ class Network:
         now = simulator._time
         model = self.model
         era = _POST if now >= model.ts else _PRE
-        fate = model.fate
-        rng = self.rng
+        targets, times = model.fates(src, dsts, now, self.rng)
         push = self._push
         deliver = self._deliver_action
-        duplicate_prob = self._duplicate_prob
-        monitor = self.monitor
-        msg_id = self._next_msg_id
-        envelopes = []
-        dropped = 0
-        for dst in dsts:
-            envelope = Envelope(message, src, dst, now, era, msg_id)
-            msg_id += 1
-            envelopes.append(envelope)
-            # ``fate`` never returns a time before ``now``: push without re-checking.
-            deliver_time = fate(envelope, now, rng)
-            if deliver_time is None:
-                envelope.dropped = True
-                dropped += 1
-                continue
-            envelope.deliver_time = deliver_time
-            push(deliver_time, deliver, (envelope,))
-            if duplicate_prob > 0 and rng.coin(duplicate_prob):
-                duplicate = Envelope(message, src, dst, now, era, msg_id)
-                msg_id += 1
-                monitor.on_duplicate(duplicate)
-                deliver_time = fate(duplicate, now, rng)
-                if deliver_time is None:
-                    duplicate.dropped = True
-                    dropped += 1
-                else:
-                    duplicate.deliver_time = deliver_time
-                    push(deliver_time, deliver, (duplicate,))
-        self._next_msg_id = msg_id
-        if envelopes:
-            monitor.on_send(message.kind, era, now, len(envelopes), dropped)
-        return envelopes
+        first_id = self._next_msg_id
+        delivered = 0
+        slot = 0
+        for when in times:
+            if when is not None:
+                envelope = Envelope(message, src, targets[slot], now, era, first_id + slot, when)
+                if when < now:
+                    validate_delivery_time(envelope, when, now)  # raises, naming the envelope
+                push(when, deliver, (envelope,))
+                delivered += 1
+            slot += 1
+        self._next_msg_id = first_id + slot
+        if dsts:
+            count = len(dsts)
+            self.monitor.on_send(message.kind, era, now, count, slot - delivered, slot - count)
 
     def inject(
         self,

@@ -11,7 +11,7 @@ that nothing is decided before the stabilization time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import SeededRng
@@ -23,21 +23,22 @@ __all__ = ["PartitionSpec", "minority_groups"]
 class PartitionSpec:
     """A disjoint grouping of process ids.
 
-    A pid -> group-index dict is built once, outside the dataclass fields, so
-    :meth:`connected` is O(1) while equality, hashing, ``repr`` and the
-    pickled state still cover ``groups`` alone.
+    A pid -> reachable-set dict is built once, outside the dataclass fields,
+    so :meth:`reachable` is one lookup while equality, hashing, ``repr`` and
+    the pickled state still cover ``groups`` alone.
     """
 
     groups: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        group_index: Dict[int, int] = {}
-        for index, group in enumerate(self.groups):
+        reachable: Dict[int, FrozenSet[int]] = {}
+        for group in self.groups:
+            members = frozenset(group)
             for pid in group:
-                if pid in group_index:
+                if pid in reachable:
                     raise ConfigurationError(f"pid {pid} appears in two partition groups")
-                group_index[pid] = index
-        object.__setattr__(self, "_group_index", group_index)
+                reachable[pid] = members
+        object.__setattr__(self, "_reachable", reachable)
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"groups": self.groups}
@@ -54,13 +55,10 @@ class PartitionSpec:
     def pids(self) -> List[int]:
         return sorted(pid for group in self.groups for pid in group)
 
-    def connected(self, src: int, dst: int) -> bool:
-        """Whether a message from ``src`` to ``dst`` crosses no partition boundary."""
-        if src == dst:
-            return True
-        group_index = self._group_index
-        src_group = group_index.get(src, -1)
-        return src_group >= 0 and src_group == group_index.get(dst, -1)
+    def reachable(self, src: int) -> FrozenSet[int]:
+        """The pids a message from ``src`` reaches without crossing a boundary (``src`` included)."""
+        members = self._reachable.get(src)
+        return members if members is not None else frozenset((src,))
 
     def largest_group_size(self) -> int:
         return max((len(group) for group in self.groups), default=0)

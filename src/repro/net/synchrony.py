@@ -5,21 +5,27 @@ stabilization time ``TS`` before which the adversary rules and after which
 every message to a live process arrives within ``δ``.  Setting ``ts=0``
 yields a synchronous system from the start (used for the stable-case
 experiment E7).
+
+:meth:`EventualSynchrony.fates` is the network's one call per send: it
+answers for every destination of the send, duplicate copies included.  The
+era's batch hook gives the fates (the adversary's
+:meth:`~repro.net.adversary.Adversary.pre_ts_fates` before ``TS``,
+:meth:`EventualSynchrony.post_ts_fates` from ``TS`` on), and when the
+adversary duplicates messages each destination is served in turn: its fate,
+then the duplicate coin, then the copy's fate, so the draws are those of one
+destination at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import Adversary
-from repro.net.message import Envelope, Era
+from repro.net.message import Envelope
 from repro.sim.rng import SeededRng
 
 __all__ = ["EventualSynchrony", "POST_MIN_DELAY_FRACTION", "validate_delivery_time"]
-
-# Enum member lookups cost a descriptor call; the per-send fate check uses this.
-_PRE = Era.PRE
 
 # Post-stabilization delays are at least this fraction of δ (messages are not instant).
 POST_MIN_DELAY_FRACTION = 0.1
@@ -28,11 +34,11 @@ POST_MIN_DELAY_FRACTION = 0.1
 def validate_delivery_time(envelope: Envelope, when: Optional[float], now: float) -> Optional[float]:
     """Guard against an adversary scheduling a delivery in the past.
 
-    Used by :meth:`EventualSynchrony.fate` (and usable by adversary
-    implementations directly): a hand-written adversary that
-    mis-computes a delivery time would otherwise surface as an unexplained
-    scheduling error deep inside the event queue.  The error names the offending envelope so
-    the buggy adversary is diagnosable from the message alone.
+    Used by :meth:`repro.net.network.Network.send` on a fate before ``now``:
+    a hand-written adversary that mis-computes a delivery time would
+    otherwise surface as an unexplained ordering error deep inside the
+    event queue.  The error names the offending envelope so the buggy
+    adversary is diagnosable from the message alone.
 
     Returns ``when`` unchanged when it is valid (or ``None`` for a drop).
     """
@@ -62,6 +68,11 @@ class EventualSynchrony:
         self.ts = ts
         self.delta = delta
         self.adversary = adversary
+        self.duplicate_prob = adversary.duplicate_prob
+        self._post_ts_delays = adversary.post_ts_delays
+        # The post-TS default delay is drawn from [_post_low, _post_low + _post_span].
+        self._post_low = POST_MIN_DELAY_FRACTION * delta
+        self._post_span = delta - self._post_low
 
     def __repr__(self) -> str:
         return (
@@ -69,24 +80,60 @@ class EventualSynchrony:
             f"adversary={type(self.adversary).__name__})"
         )
 
-    def era(self, send_time: float) -> Era:
-        """Which era a message sent at ``send_time`` belongs to."""
-        return Era.POST if send_time >= self.ts else Era.PRE
+    def fates(
+        self, src: int, dsts: Sequence[int], now: float, rng: SeededRng
+    ) -> Tuple[Sequence[int], List[Optional[float]]]:
+        """The fates of one send from ``src`` to each of ``dsts`` at ``now``.
 
-    def fate(self, envelope: Envelope, now: float, rng: SeededRng) -> Optional[float]:
-        """Absolute delivery time for the envelope, or ``None`` if it is lost.
-
-        Post-stabilization delays lie in ``[POST_MIN_DELAY_FRACTION * δ, δ]``.
+        Returns ``(targets, times)``: one slot per message the send makes,
+        in message-id order, ``targets`` naming each slot's destination and
+        ``times`` its absolute delivery time or ``None`` if it is lost.
+        Without duplicates ``targets`` is ``dsts`` itself; otherwise a copy
+        takes the slot right after its original, with the same destination.
+        Pre-``TS`` times come from the adversary unchecked (the network
+        rejects one before ``now``).
         """
-        if envelope.era is _PRE:
-            when = self.adversary.pre_ts_fate(envelope, now, rng)
-            if when is not None and when < now:
-                validate_delivery_time(envelope, when, now)  # raises, naming the envelope
-            return when
-        suggested = self.adversary.post_ts_delay(envelope, now, rng)
-        if suggested is None:
-            delay = rng.delay(POST_MIN_DELAY_FRACTION * self.delta, self.delta)
-        else:
-            # Clamp: after stabilization nothing can exceed delta or be negative.
-            delay = min(max(suggested, 0.0), self.delta)
-        return now + delay
+        duplicate_prob = self.duplicate_prob
+        if not duplicate_prob:
+            if now < self.ts:
+                return dsts, self.adversary.pre_ts_fates(src, dsts, now, rng)
+            return dsts, self.post_ts_fates(src, dsts, now, rng)
+        hook = self.adversary.pre_ts_fates if now < self.ts else self.post_ts_fates
+        random = rng.random
+        targets: List[int] = []
+        times: List[Optional[float]] = []
+        for dst in dsts:
+            one = (dst,)
+            (when,) = hook(src, one, now, rng)
+            targets.append(dst)
+            times.append(when)
+            if when is not None and random() < duplicate_prob:
+                targets.append(dst)
+                times.extend(hook(src, one, now, rng))
+        return targets, times
+
+    def post_ts_fates(
+        self, src: int, dsts: Sequence[int], now: float, rng: SeededRng
+    ) -> List[float]:
+        """Delivery times of a post-``TS`` send: the bound holds whatever the adversary says.
+
+        An adversary's delay is clamped into ``[0, δ]``; a destination it
+        leaves to the model is drawn from ``[POST_MIN_DELAY_FRACTION * δ, δ]``.
+        """
+        shape = self._post_ts_delays
+        random = rng.random
+        low, span = self._post_low, self._post_span
+        times = []
+        if shape is None:
+            # A loop, not a comprehension: most sends have one destination,
+            # and a comprehension's own call costs more than the draw.
+            for _ in dsts:
+                times.append(now + (low + span * random()))
+            return times
+        delta = self.delta
+        for delay in shape(src, dsts, now, rng):
+            if delay is None:
+                times.append(now + (low + span * random()))
+            else:
+                times.append(now + min(max(delay, 0.0), delta))
+        return times

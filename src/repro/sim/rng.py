@@ -40,9 +40,23 @@ class SeededRng:
         self.seed = int(seed)
         self.label = label
         self._random = random.Random(self.seed)
+        # The draw the hot paths call, bound once so each call is a bare C
+        # call: ``random()`` returns the next float in ``[0, 1)``.
+        self.random = self._random.random
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, label={self.label!r})"
+
+    # ``copy`` treats a bound C method as atomic, so a copy (or an
+    # unpickled one) binds ``random`` again to its own ``random.Random``.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["random"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.random = self._random.random
 
     def fork(self, label: str) -> "SeededRng":
         """Create an independent child stream named ``label``."""
@@ -50,9 +64,6 @@ class SeededRng:
         return SeededRng(derive_seed(self.seed, child_label), label=child_label)
 
     # -- thin delegations -------------------------------------------------
-    def random(self) -> float:
-        return self._random.random()
-
     def uniform(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
 

@@ -20,6 +20,7 @@ from repro.storage.stable import StableStore
 __all__ = [
     "ContextHarness",
     "build_adversary",
+    "SentEnvelope",
     "SentMessage",
     "SilentProcess",
     "capture_sent_envelopes",
@@ -110,23 +111,90 @@ def run_to_horizon(scenario: Any, protocol: str):
     return simulator
 
 
-def capture_sent_envelopes(monkeypatch) -> List[Any]:
-    """Every envelope ``Network.send`` returns while ``monkeypatch`` is active.
+@dataclass(frozen=True)
+class SentEnvelope:
+    """One destination of a ``Network.send`` call: its envelope, or the one a lost message would have had.
 
-    The network keeps no envelope log; tests that inspect individual sends
-    (fates, delivery times, latencies) collect them here, in send order.
+    ``deliver_time`` is ``None`` when the message was lost (the network
+    builds no envelope for it).
     """
-    from repro.net.network import Network
 
-    sent: List[Any] = []
+    message: Any
+    src: int
+    dst: int
+    send_time: float
+    era: Any
+    msg_id: int
+    deliver_time: Optional[float]
+
+    @property
+    def kind(self) -> str:
+        return type(self.message).kind
+
+    @property
+    def dropped(self) -> bool:
+        return self.deliver_time is None
+
+    @property
+    def latency(self) -> Optional[float]:
+        return None if self.deliver_time is None else self.deliver_time - self.send_time
+
+
+def _watch_sends(monkeypatch, on_send) -> None:
+    """Call ``on_send(network, message, src, sent)`` after each ``Network.send``.
+
+    ``sent`` holds one :class:`SentEnvelope` per destination, in order, lost
+    ones included and duplicate copies left out.  They are read from the
+    call's one ``EventualSynchrony.fates`` answer, whose slots take
+    consecutive message ids, a copy right after its original.
+    """
+    from repro.net.message import Era
+    from repro.net.network import Network
+    from repro.net.synchrony import EventualSynchrony
+
+    answers: List[Tuple] = []
+    fates = EventualSynchrony.fates
     send = Network.send
 
-    def recording_send(self, message, src, dsts):
-        envelopes = send(self, message, src, dsts)
-        sent.extend(envelopes)
-        return envelopes
+    def watched_fates(self, src, dsts, now, rng):
+        targets, times = fates(self, src, dsts, now, rng)
+        answers.append((now, targets, times))
+        return targets, times
 
-    monkeypatch.setattr(Network, "send", recording_send)
+    def watched_send(self, message, src, dsts):
+        first_id = self._next_msg_id
+        answers.clear()
+        send(self, message, src, dsts)
+        ((now, targets, times),) = answers
+        assert self._next_msg_id == first_id + len(times)
+        era = Era.POST if now >= self.model.ts else Era.PRE
+        copies = len(times) - len(dsts)
+        # A copy has its original's destination, so one repeated in a row is ambiguous.
+        assert not copies or all(a != b for a, b in zip(dsts, dsts[1:]))
+        sent, slot = [], 0
+        for dst in dsts:
+            sent.append(SentEnvelope(message, src, dst, now, era, first_id + slot, times[slot]))
+            slot += 1
+            if copies and times[slot - 1] is not None and slot < len(targets) \
+                    and targets[slot] == dst:
+                slot += 1
+                copies -= 1
+        on_send(self, message, src, sent)
+
+    monkeypatch.setattr(EventualSynchrony, "fates", watched_fates)
+    monkeypatch.setattr(Network, "send", watched_send)
+
+
+def capture_sent_envelopes(monkeypatch) -> List[SentEnvelope]:
+    """One :class:`SentEnvelope` per destination of every ``Network.send`` while ``monkeypatch`` is active.
+
+    The network keeps no envelope log and builds none for a lost message;
+    tests that inspect individual sends (fates, delivery times, latencies)
+    collect them here, in send order, lost ones included and duplicate
+    copies left out.
+    """
+    sent: List[SentEnvelope] = []
+    _watch_sends(monkeypatch, lambda network, message, src, envelopes: sent.extend(envelopes))
     return sent
 
 
@@ -163,34 +231,30 @@ def trace_wire_rows(monkeypatch) -> None:
     through ``trace.record``; the seeded-equivalence digests in
     ``tests/test_perf_fastpaths.py`` cover these rows:
 
-    * ``Network.send``: a ``"net"`` ``send`` row per returned envelope, in
-      destination order (its only caller, ``Node._send``, has already
-      checked that the sender is active);
+    * ``Network.send``: a ``"net"`` ``send`` row per destination, lost ones
+      included and duplicate copies left out, in destination order (its
+      only caller, ``Node._send``, has already checked that the sender is
+      active);
     * ``Node.deliver``: a ``"net"`` ``deliver`` row, or ``deliver_to_crashed``
       when the node does not accept the envelope (the network calls it for
       every delivery whose destination exists);
     * ``Node._timer_fired``: a ``"node"`` ``timer`` row when the owner is
       active, before the protocol handles the timer.
 
-    Install it before building the simulator: the network binds the event
-    queue's ``push`` when the simulator is constructed.
+    Install it before the run starts, so the trace holds every row.
     """
-    from repro.net.network import Network
     from repro.sim.lifecycle import Node, ProcessStatus
 
-    send = Network.send
     deliver = Node.deliver
     timer_fired = Node._timer_fired
 
-    def tracing_send(self, message, src, dsts):
-        envelopes = send(self, message, src, dsts)
-        record = self._simulator.trace.record
-        for envelope in envelopes:
+    def trace_sends(network, message, src, sent):
+        record = network._simulator.trace.record
+        for envelope in sent:
             record(
                 envelope.send_time, "net", "send", pid=src, dst=envelope.dst, kind=message.kind,
                 msg_id=envelope.msg_id, dropped=envelope.dropped,
             )
-        return envelopes
 
     def tracing_deliver(self, envelope):
         accepted = deliver(self, envelope)
@@ -206,7 +270,7 @@ def trace_wire_rows(monkeypatch) -> None:
             self.simulator.trace.record(self.simulator.now(), "node", "timer", pid=self.pid, name=name)
         timer_fired(self, name)
 
-    monkeypatch.setattr(Network, "send", tracing_send)
+    _watch_sends(monkeypatch, trace_sends)
     monkeypatch.setattr(Node, "deliver", tracing_deliver)
     monkeypatch.setattr(Node, "_timer_fired", tracing_timer_fired)
 

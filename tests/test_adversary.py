@@ -6,14 +6,15 @@ from repro.core.messages import Phase1a
 from repro.env.spec import AdversarySpec
 from repro.errors import ConfigurationError
 from repro.net.adversary import Adversary
-from repro.net.message import Envelope, Era
 from repro.net.partition import PartitionSpec
 from repro.sim.rng import SeededRng
 from tests.helpers import build_adversary
 
 
-def make_envelope(src=0, dst=1, send_time=1.0):
-    return Envelope(message=Phase1a(mbal=0), src=src, dst=dst, send_time=send_time, era=Era.PRE)
+def fate(adversary, src, dst, now, rng):
+    """The pre-``TS`` fate of one message from ``src`` to ``dst`` sent at ``now``."""
+    (when,) = adversary.pre_ts_fates(src, (dst,), now, rng)
+    return when
 
 
 class TestBenignAdversary:
@@ -21,7 +22,7 @@ class TestBenignAdversary:
         adversary = build_adversary("benign", delta=2.0)
         rng = SeededRng(0)
         for _ in range(50):
-            when = adversary.pre_ts_fate(make_envelope(send_time=5.0), now=5.0, rng=rng)
+            when = fate(adversary, 0, 1, 5.0, rng)
             assert when is not None
             assert 5.0 < when <= 7.0
 
@@ -37,7 +38,7 @@ class TestDropAllAdversary:
         adversary = build_adversary("drop-all")
         rng = SeededRng(0)
         assert all(
-            adversary.pre_ts_fate(make_envelope(), now=1.0, rng=rng) is None for _ in range(20)
+            fate(adversary, 0, 1, 1.0, rng) is None for _ in range(20)
         )
 
     def test_no_duplication(self):
@@ -49,7 +50,7 @@ class TestRandomChaosAdversary:
         adversary = build_adversary("random-chaos", {"drop_probability": 1.0})
         rng = SeededRng(1)
         assert all(
-            adversary.pre_ts_fate(make_envelope(), now=1.0, rng=rng) is None for _ in range(20)
+            fate(adversary, 0, 1, 1.0, rng) is None for _ in range(20)
         )
 
     def test_defer_probability_one_defers_past_ts(self):
@@ -58,7 +59,7 @@ class TestRandomChaosAdversary:
         )
         rng = SeededRng(2)
         for _ in range(50):
-            when = adversary.pre_ts_fate(make_envelope(send_time=1.0), now=1.0, rng=rng)
+            when = fate(adversary, 0, 1, 1.0, rng)
             assert when is not None
             assert 10.0 <= when <= 13.0
 
@@ -68,7 +69,7 @@ class TestRandomChaosAdversary:
         )
         rng = SeededRng(3)
         for _ in range(50):
-            when = adversary.pre_ts_fate(make_envelope(send_time=4.0), now=4.0, rng=rng)
+            when = fate(adversary, 0, 1, 4.0, rng)
             assert when is not None
             assert 4.0 < when <= 6.0
 
@@ -90,8 +91,8 @@ class TestPartitionAdversary:
         groups = {"mode": "explicit", "groups": [[0, 1], [2, 3]]}
         adversary = build_adversary("partition", {"partition": groups})
         rng = SeededRng(4)
-        intra = adversary.pre_ts_fate(make_envelope(src=0, dst=1, send_time=2.0), 2.0, rng)
-        cross = adversary.pre_ts_fate(make_envelope(src=0, dst=2, send_time=2.0), 2.0, rng)
+        intra = fate(adversary, 0, 1, 2.0, rng)
+        cross = fate(adversary, 0, 2, 2.0, rng)
         assert intra is not None and intra > 2.0
         assert cross is None
 
@@ -99,7 +100,7 @@ class TestPartitionAdversary:
         groups = {"mode": "explicit", "groups": [[0], [1]]}
         adversary = build_adversary("partition", {"partition": groups, "leak_probability": 1.0})
         rng = SeededRng(5)
-        when = adversary.pre_ts_fate(make_envelope(src=0, dst=1, send_time=0.0), 0.0, rng)
+        when = fate(adversary, 0, 1, 0.0, rng)
         assert when is not None
 
     def test_validation(self):
@@ -115,19 +116,19 @@ class TestWorstCaseDelayAdversary:
         adversary = build_adversary("worst-case-delay", {"jitter": 0.01}, delta=2.0)
         rng = SeededRng(7)
         for _ in range(30):
-            delay = adversary.post_ts_delay(make_envelope(), now=5.0, rng=rng)
+            delay = adversary.post_ts_delays(0, (1,), 5.0, rng)[0]
             assert 2.0 * 0.99 <= delay <= 2.0
 
     def test_zero_jitter_is_exactly_delta(self):
         adversary = build_adversary("worst-case-delay", {"jitter": 0.0}, delta=1.5)
-        assert adversary.post_ts_delay(make_envelope(), 0.0, SeededRng(0)) == 1.5
+        assert adversary.post_ts_delays(0, (1,), 0.0, SeededRng(0))[0] == 1.5
 
     def test_pre_ts_behaviour_delegates(self):
         adversary = build_adversary("worst-case-delay", inner=AdversarySpec("benign"))
-        when = adversary.pre_ts_fate(make_envelope(send_time=1.0), 1.0, SeededRng(1))
+        when = fate(adversary, 0, 1, 1.0, SeededRng(1))
         assert when is not None
         dropping = build_adversary("worst-case-delay")
-        assert dropping.pre_ts_fate(make_envelope(), 1.0, SeededRng(1)) is None
+        assert fate(dropping, 0, 1, 1.0, SeededRng(1)) is None
 
     def test_duplicate_prob_comes_from_the_pre_ts_adversary(self):
         chaos = AdversarySpec("random-chaos", {"duplicate_prob": 0.25})
@@ -142,10 +143,10 @@ class TestWorstCaseDelayAdversary:
 
 
 class _PastDeliveryAdversary(Adversary):
-    """Mis-computes every pre-``TS`` delivery time: 1.0 before now."""
+    """Mis-computes the pre-``TS`` delivery time to p4: 1.0 before now (others 1.0 after)."""
 
-    def pre_ts_fate(self, envelope, now, rng):
-        return now - 1.0
+    def pre_ts_fates(self, src, dsts, now, rng):
+        return [now - 1.0 if dst == 4 else now + 1.0 for dst in dsts]
 
 
 class TestPastDeliveryGuard:
@@ -153,16 +154,25 @@ class TestPastDeliveryGuard:
         # An adversary that schedules delivery in the past surfaces through the
         # shared validation helper with the envelope named in the message.
         from repro.errors import ConfigurationError
+        from repro.net.network import Network
         from repro.net.synchrony import EventualSynchrony
+        from tests.helpers import silent_simulator
 
         model = EventualSynchrony(ts=10.0, delta=1.0, adversary=_PastDeliveryAdversary())
-        envelope = make_envelope(src=2, dst=4, send_time=3.0)
+        network = Network(model, SeededRng(0, label="net"))
+        simulator = silent_simulator(network)
+        simulator._time = 3.0
         with pytest.raises(ConfigurationError) as exc_info:
-            model.fate(envelope, 3.0, SeededRng(0))
+            network.send(Phase1a(mbal=0), 2, (3, 4, 0))
         message = str(exc_info.value)
         assert "p2->p4" in message
-        assert f"#{envelope.msg_id}" in message
+        assert "#1" in message
         assert "sent at 3" in message
+        # The same text, byte for byte, as when the fate was asked per envelope.
+        assert message == (
+            "adversary scheduled delivery in the past (2 < now 3) "
+            "for msg #1 (phase1a) p2->p4 sent at 3"
+        )
 
 
 class TestWorstCaseDelayAtExactlyTs:
@@ -174,14 +184,10 @@ class TestWorstCaseDelayAtExactlyTs:
             ts=ts, delta=delta,
             adversary=build_adversary("worst-case-delay", {"jitter": 0.0}, ts=ts, delta=delta),
         )
-        # The boundary send belongs to the post-stabilization era ...
-        assert model.era(ts) is Era.POST
-        envelope = Envelope(
-            message=Phase1a(mbal=0), src=0, dst=1, send_time=ts, era=model.era(ts)
-        )
-        when = model.fate(envelope, ts, SeededRng(0))
-        # ... so the adversary's stretch is clamped to exactly delta: the
-        # bound holds from the very first post-TS instant.
+        # The boundary send belongs to the post-stabilization era, so the
+        # adversary's stretch is clamped to exactly delta: the bound holds
+        # from the very first post-TS instant.
+        (when,) = model.fates(0, (1,), ts, SeededRng(0))[1]
         assert when == ts + delta
 
     def test_just_before_ts_is_still_adversarial(self):
@@ -192,9 +198,8 @@ class TestWorstCaseDelayAtExactlyTs:
             ts=ts, delta=delta, adversary=build_adversary("worst-case-delay", ts=ts, delta=delta)
         )
         before = ts - 1e-9
-        assert model.era(before) is Era.PRE
-        envelope = make_envelope(send_time=before)
-        assert model.fate(envelope, before, SeededRng(0)) is None  # pre-TS default drops
+        # pre-TS default drops
+        assert model.fates(0, (1,), before, SeededRng(0)) == ((1,), [None])
 
 
 class TestHealedPartition:
@@ -211,15 +216,15 @@ class TestHealedPartition:
         )
         rng = SeededRng(3)
         # While the partition is total, a process sees only its own side.
-        early = [adversary.pre_ts_fate(make_envelope(src=0, dst=2, send_time=1.0), 1.0, rng)
+        early = [fate(adversary, 0, 2, 1.0, rng)
                  for _ in range(20)]
         assert all(when is None for when in early)
         # Once healed, the same cross-boundary link delivers: the process
         # that was cut off from group 1 now talks to both sides.
-        healed = [adversary.pre_ts_fate(make_envelope(src=0, dst=2, send_time=9.999), 9.999, rng)
+        healed = [fate(adversary, 0, 2, 9.999, rng)
                   for _ in range(20)]
         assert all(when is not None for when in healed)
-        intra = adversary.pre_ts_fate(make_envelope(src=0, dst=1, send_time=9.999), 9.999, rng)
+        intra = fate(adversary, 0, 1, 9.999, rng)
         assert intra is not None
 
     def test_gray_partition_validation(self):

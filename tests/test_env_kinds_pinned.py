@@ -3,11 +3,20 @@
 Each adversary case builds an environment's network from an
 :class:`~repro.env.spec.AdversarySpec` (default params, each param set on
 its own, every param set, and the nested chains) and feeds one fixed stream
-of 500 envelopes, sent before and after ``TS``, through the network's
-synchrony model with the network's own seeded rng.  The SHA-256 of the
+of 500 envelopes, sent before and after ``TS``, one at a time through the
+batch hook of its era (the adversary's ``pre_ts_fates`` or the synchrony
+model's ``post_ts_fates``) with the network's own seeded rng.  The SHA-256 of the
 resulting fates, together with the adversary's ``duplicate_prob``, is
 pinned.  Each fault case pins the SHA-256 of the built plan's events at
 n = 5 and n = 9.
+
+Each adversary case is also driven through ``Network.send`` on a silent
+simulator, as broadcasts to every pid and to every pid but the sender,
+before and after ``TS``: that pins whole multi-destination calls, the
+network's duplicate coin and the queue's sequence numbers.  The digest
+covers each destination's message id and delivery time (``None`` when
+lost), every queued delivery (duplicate copies included) as ``(time, seq,
+msg_id)``, the next message id and the monitor's counts.
 
 δ is 1.5 rather than 1, so a dropped δ conversion changes the fates.  Any
 change to a default, to a unit conversion or to the order in which a
@@ -28,6 +37,7 @@ from repro.net.message import Envelope, Era, Message
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig
+from tests.helpers import capture_sent_envelopes, silent_simulator
 
 PARAMS = TimingParams(delta=1.5)
 TS = 10.0 * PARAMS.delta
@@ -66,11 +76,54 @@ def _adversary_digest(spec: AdversarySpec) -> str:
     )
     rng = SeededRng(config.seed, label="net").fork("pinned")
     network = EnvironmentSpec(adversary=spec).build_network(config, rng)
+    model = network.model
     fates: List[Optional[str]] = []
     for envelope in _stream(N_ADVERSARY):
-        when = network.model.fate(envelope, envelope.send_time, network.rng)
+        # Each envelope alone through its era's batch hook: no duplicate coin.
+        hook = model.adversary.pre_ts_fates if envelope.era is Era.PRE else model.post_ts_fates
+        (when,) = hook(envelope.src, (envelope.dst,), envelope.send_time, network.rng)
         fates.append(None if when is None else repr(when))
     payload = {"fates": fates, "duplicate_prob": repr(network.model.adversary.duplicate_prob)}
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+# Broadcast calls as (time, src): twelve before TS, one at TS and eleven after.
+_BROADCASTS = [(k * TS / 12.0, k % N_ADVERSARY) for k in range(12)] + [
+    (TS + k * 0.7 * PARAMS.delta, (k + 3) % N_ADVERSARY) for k in range(12)
+]
+
+
+def _broadcast_digest(spec: AdversarySpec, monkeypatch) -> str:
+    sent = capture_sent_envelopes(monkeypatch)
+    config = SimulationConfig(
+        n=N_ADVERSARY, params=PARAMS, ts=TS, seed=17, max_time=TS + 400.0 * PARAMS.delta
+    )
+    rng = SeededRng(config.seed, label="net").fork("broadcast")
+    network = EnvironmentSpec(adversary=spec).build_network(config, rng)
+    simulator = silent_simulator(network, n=N_ADVERSARY)
+    everyone = tuple(range(N_ADVERSARY))
+    calls = []
+    for send_time, src in _BROADCASTS:
+        simulator._time = send_time
+        for dsts in (everyone, tuple(pid for pid in everyone if pid != src)):
+            before = len(sent)
+            network.send(_Probe(), src, dsts)
+            calls.append([
+                [envelope.msg_id, None if envelope.deliver_time is None
+                 else repr(envelope.deliver_time)]
+                for envelope in sent[before:]
+            ])
+    queued = sorted(
+        [repr(time), seq, args[0].msg_id] for time, seq, _, args in simulator._events._heap
+    )
+    stats = network.monitor.stats
+    payload = {
+        "calls": calls,
+        "queued": queued,
+        "next_msg_id": network._next_msg_id,
+        "counts": [stats.sent, stats.dropped, stats.duplicated, stats.sent_pre_ts,
+                   stats.sent_post_ts],
+    }
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
@@ -298,6 +351,111 @@ ADVERSARY_DIGESTS: Dict[str, str] = {
         "0d70959c39dc78d4d91a4bed93782790e90b2348c5cafbd35cfd8c392fafe080",
 }
 
+BROADCAST_DIGESTS: Dict[str, str] = {
+    "asymmetric-link/all":
+        "93b1322c69624045ee633a47d69204c3f3f2069b5ea1b90fe93effc9e03e7a11",
+    "asymmetric-link/defaults":
+        "4c11eae829dbef113ccf9184f51555fcf92d013f7c6b2481cf657d9092888fa0",
+    "asymmetric-link/direction":
+        "12ea97d63497a388f885daadcd7c63599b5774648f00bf517df16dee79fd2342",
+    "asymmetric-link/direction-from":
+        "bc923eb6ce8f932d67db1c07112bd6d5a70682cbe7b71240c52d85f853e502a4",
+    "asymmetric-link/fast_min_fraction":
+        "a7fbbf5015b0ce6b38856816196add19f18dac41bffe3412c46b2f1b1032a9fc",
+    "asymmetric-link/links":
+        "1e082139b68666dfbccbc79d3d172dc45c496753f8b7efcec48cce360c7d39f9",
+    "asymmetric-link/slow_factor":
+        "a74957b542a7e550951a9908e5d3940e5c161088517f046b53d0e57be2734e48",
+    "asymmetric-link/slow_post_ts":
+        "e12f6475d3f17204e3cd7f5e4c42083668f575a46a64e8cf854ba2f586c8a21f",
+    "benign/all":
+        "a1ff5aa26b765520fe7796667273329f40af138267f7be3ec9c23e6d702f981c",
+    "benign/defaults":
+        "2b8ad2d09ecc14ce3ab0da2f1242592358cb5909d3ccc35325913e83282e650d",
+    "benign/min_delay_fraction":
+        "a1ff5aa26b765520fe7796667273329f40af138267f7be3ec9c23e6d702f981c",
+    "deferring-partition/all":
+        "e5fc17cf53950219bf8881b65ca06e0ec03f885f5be5b964ab909417516dd517",
+    "deferring-partition/defaults":
+        "9c16dca6e0de7324d3e204fcf90586eb5f84eb76e2fd2917ad03bf37dae521f6",
+    "deferring-partition/defer_probability":
+        "8730ed6a2af0dfcb28e458d450686d34baea43141a58c362403cdd91e47db22d",
+    "deferring-partition/duplicate_prob":
+        "0228b3c742ba8887251718615c025a1ce116a1c991a9c7c263d6531cc2426107",
+    "deferring-partition/max_defer_delta":
+        "8dbc062c1cc28450106dad8c16e49a5b4f4cdf99ea2f4aacb5e370befc6e1409",
+    "deferring-partition>gray-partition":
+        "9c16dca6e0de7324d3e204fcf90586eb5f84eb76e2fd2917ad03bf37dae521f6",
+    "drop-all/defaults":
+        "718d007c03d05f36a58bbbe1221e95f7600e9d150cc74f8137f3bb6ec938841b",
+    "gray-partition/all":
+        "4be72237c3c2b26951cd478fada783ce61316468b23b4d7a887f16e8fc516af7",
+    "gray-partition/defaults":
+        "945ab9c264e53127e57113deec1b64b224e9ce492af51a620593bca1d6d16fda",
+    "gray-partition/end_drop":
+        "b5f6b5df7d77cc038e6ca37595fea63e554e27607a38061531290b71bc3293d8",
+    "gray-partition/heal_start":
+        "96fcb5e5f7af7b44b15bae051cbab7d34b2f0b905bcabdc365c4c5f13485a4b6",
+    "gray-partition/intra_delay_max_delta":
+        "17b2f0261e896131e257137816f0179105149b55430a86fe26faf824ad0d5f29",
+    "gray-partition/leak_max_delay_delta":
+        "1e8c92c33a84f736d5ae625b32c7a9af66569d7fd496e9ceb61bd18376ae4532",
+    "gray-partition/partition":
+        "98c51f111d5eda605df22a0e44c4611362802b1ec9b33679b8308b2b25a1f0bf",
+    "gray-partition/start_drop":
+        "e4180c9a9aef683bfb48639a4d70e1ffa3b1d7bc4f194ec6f6d0894e97c360c9",
+    "partition/all":
+        "dc678092289b63ac094de9e284d4e0453cdcd02c4bba8ec275022fd4588d5d9c",
+    "partition/defaults":
+        "804c37f050558f7e1243ae8bc579f0024c3bec329c3f72c10dcf9b0fa4af654c",
+    "partition/intra_delay_max_delta":
+        "ed11ea55c53f523ff378833b759ae21e49922b26d60785dd449a3516c9f3b46f",
+    "partition/leak_max_delay_delta":
+        "804c37f050558f7e1243ae8bc579f0024c3bec329c3f72c10dcf9b0fa4af654c",
+    "partition/leak_past_ts":
+        "804c37f050558f7e1243ae8bc579f0024c3bec329c3f72c10dcf9b0fa4af654c",
+    "partition/leak_probability":
+        "bf9d80034714dbdfe2e63f6918c0e2ff7d0b66f31bb1e963b09ea962009ec756",
+    "partition/leak_probability+leak_max_delay_delta":
+        "6c1c977293c975582e17889641a148698fe351add677aa87f56006ed64709d61",
+    "partition/leak_probability+leak_past_ts":
+        "fedd182716fae98f2315546b10a5257a2e87f650833dde0ef059183e71ed211d",
+    "partition/partition":
+        "012eb3de6000588a776edd238ea719bc82e2bfd966bf25360dc0a7ac6fbf1c5a",
+    "partition/rng-label":
+        "7bbac3659582ca8e7191334ab04f8be994193c3164514c4b6e0f2bade0ad0081",
+    "random-chaos/all":
+        "db73cb9043e071e096f6e87fa66f0215478daeb9e54893622c8dde50453db3cf",
+    "random-chaos/defaults":
+        "2e76b408c00559219b614591c7cf4bc82b6add24834904a2322deab2957fb04f",
+    "random-chaos/defer_probability":
+        "6881b4fe3e8cf0d105a06d409f00d3a31a8589b27c280d6a78a913ac24e2304e",
+    "random-chaos/drop_probability":
+        "c4b4ab306b49640b23333388fa1cd0ecb38075c16dfc0c6bca2afb87b737b849",
+    "random-chaos/duplicate_prob":
+        "74ee31ea165be614d7dd802b32338173844a3b0890b8c118b3cb4f8df10c00e3",
+    "random-chaos/max_defer_delta":
+        "42f463f6d0b921fa284be531d5c175058b9828af291755c61a2044d3f965e8d1",
+    "random-chaos/max_delay_factor":
+        "391a4548c3925a14104133fecb88b5f83249efb307ed87edfcd74e51f83e210a",
+    "worst-case-delay/all":
+        "79db8f4bc508fa7eaeb0e48a41463c38cbf4b32a6e5d2a1665deb131642e6ee2",
+    "worst-case-delay/defaults":
+        "75feb9cffd17ca6845c1cba95522526d6a95e01f3f02702f48cd4764119d44a8",
+    "worst-case-delay/jitter":
+        "79db8f4bc508fa7eaeb0e48a41463c38cbf4b32a6e5d2a1665deb131642e6ee2",
+    "worst-case-delay/no-jitter>benign":
+        "fbdb9bdb43d00bda5c3450575879fa20f074d61a55b806bda6ea61f0f395e04e",
+    "worst-case-delay>deferring-partition>gray-partition":
+        "8738f1873166a1846734574e4ccef56944f37254c89eb7be9e30fde1762eee25",
+    "worst-case-delay>deferring-partition>gray-partition/all":
+        "a34d947eec5be4b2dbbae13a4cdf02d5bf6f62ecfb89a82030459b764582d07a",
+    "worst-case-delay>deferring-partition>partition":
+        "8738f1873166a1846734574e4ccef56944f37254c89eb7be9e30fde1762eee25",
+    "worst-case-delay>deferring-partition>partition/all":
+        "a34d947eec5be4b2dbbae13a4cdf02d5bf6f62ecfb89a82030459b764582d07a",
+}
+
 FAULT_DIGESTS: Dict[str, str] = {
     "churn-waves/all@n5":
         "c5d582ade0fda98e2c7ba3c33669286a13a6d74629c9c13c3cce5b969bd80df0",
@@ -364,12 +522,18 @@ def test_every_kind_has_pinned_cases():
     assert set(_ADVERSARY_KINDS) == set(ADVERSARY_KINDS)
     assert {case.kind for case in _FAULT_CASES.values()} == set(FAULT_KINDS)
     assert set(ADVERSARY_DIGESTS) == set(_adversary_cases())
+    assert set(BROADCAST_DIGESTS) == set(_adversary_cases())
     assert set(FAULT_DIGESTS) == {f"{case}@n{n}" for case in _FAULT_CASES for n in (5, 9)}
 
 
 @pytest.mark.parametrize("case", sorted(_adversary_cases()))
 def test_adversary_fates_are_pinned(case):
     assert _adversary_digest(_adversary_cases()[case]) == ADVERSARY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_adversary_cases()))
+def test_broadcast_streams_are_pinned(case, monkeypatch):
+    assert _broadcast_digest(_adversary_cases()[case], monkeypatch) == BROADCAST_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(f"{case}@n{n}" for case in _FAULT_CASES for n in (5, 9)))

@@ -64,9 +64,6 @@ class TestAsymmetricLink:
         assert max(e.latency for e in fast) <= delta + 1e-9
 
     def test_post_ts_slow_link_pinned_to_delta_fast_links_random(self):
-        from repro.core.messages import Phase1a
-        from repro.net.message import Envelope
-
         scenario = asymmetric_link_scenario(5, params=PARAMS, seed=3)
         network = scenario.build_network(scenario.config, SeededRng(3, label="net"))
         model = network.model
@@ -77,10 +74,8 @@ class TestAsymmetricLink:
         delta = PARAMS.delta
 
         def fate(src, dst):
-            envelope = Envelope(
-                message=Phase1a(mbal=0), src=src, dst=dst, send_time=now, era=Era.POST
-            )
-            return model.fate(envelope, now, SeededRng(9)) - now
+            (when,) = model.fates(src, (dst,), now, SeededRng(9))[1]
+            return when - now
 
         # Slow links are stretched to exactly the bound; never beyond it.
         assert fate(0, 2) == pytest.approx(delta)
@@ -145,7 +140,7 @@ class TestGrayPartition:
         adversary = result.simulator.network.model.adversary
         spec = adversary.spec
         cross = [e for e in envelopes
-                 if e.era is Era.PRE and not spec.connected(e.src, e.dst)]
+                 if e.era is Era.PRE and e.dst not in spec.reachable(e.src)]
         delivered = [e for e in cross if not e.dropped]
         dropped = [e for e in cross if e.dropped]
         # A gray partition is neither total (some cross messages get through
@@ -286,6 +281,28 @@ class TestCli:
         env = json.dumps({"adversary": {"kind": "asymmetric-link", "params": params}})
         assert main(["run", "--env", env, "--n", "3"]) == 2
         assert capsys.readouterr().out.strip() == message
+
+    @pytest.mark.parametrize("kind, param, value", [
+        ("partition", "intra_delay_max_delta", 0.01),
+        ("partition", "leak_max_delay_delta", 0.01),
+        ("gray-partition", "intra_delay_max_delta", 0.01),
+        ("gray-partition", "leak_max_delay_delta", 0.01),
+        ("random-chaos", "max_delay_factor", 0.01),
+    ])
+    def test_run_rejects_a_delay_bound_below_the_least_delay(self, capsys, kind, param, value):
+        # Every delay these kinds draw is at least 0.05δ: a lower upper bound
+        # is a configuration error when the adversary is built, not a crash
+        # at its first draw.
+        env = json.dumps({"adversary": {"kind": kind, "params": {param: value}}})
+        assert main(["run", "--env", env, "--n", "3"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{param} must be at least 0.05 (the least delay, in δ), got {value}"
+        ]
+
+    def test_a_delay_bound_at_the_least_delay_runs(self, capsys):
+        env = json.dumps({"adversary": {"kind": "random-chaos",
+                                        "params": {"max_delay_factor": 0.05}}})
+        assert main(["run", "--env", env, "--n", "3", "--seed", "1"]) == 0
 
     def test_run_rejects_a_fault_plan_naming_an_unknown_pid(self, capsys):
         env = json.dumps({

@@ -148,7 +148,7 @@ class TestPartitionDecl:
     def test_explicit_mode_pins_groups(self):
         decl = PartitionDecl(mode="explicit", groups=[[0, 1], [2]])
         spec = decl.materialize(3, SeededRng(0))
-        assert spec.connected(0, 1) and not spec.connected(0, 2)
+        assert 1 in spec.reachable(0) and 2 not in spec.reachable(0)
 
     def test_explicit_requires_groups(self):
         with pytest.raises(ConfigurationError):

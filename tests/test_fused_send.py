@@ -5,7 +5,9 @@ Each destination must be served exactly as a lone send is: the next message
 id, one fate, the delivery push and the duplicate coin, in destination
 order, so ids, RNG draws, queue sequence numbers and every monitor count
 match a run of single sends.  The monitor hears each call once, with the
-call's count.
+call's count.  Each destination's fate is read through
+:func:`tests.helpers.capture_sent_envelopes` (the network returns nothing
+and builds no envelope for a lost message).
 """
 
 from dataclasses import fields
@@ -37,25 +39,36 @@ def make_network(seed, duplicate_prob=1.0):
     return network, silent_simulator(network, n=K)
 
 
-def drive(fused, seed, duplicate_prob=1.0, call_times=CALL_TIMES):
-    """Make each call of ``call_times`` to all K pids; return network, simulator, envelopes."""
+@pytest.fixture
+def sent(monkeypatch):
+    """Every destination of every ``Network.send`` call the test makes, in order."""
+    return capture_sent_envelopes(monkeypatch)
+
+
+def drive(sent, fused, seed, duplicate_prob=1.0, call_times=CALL_TIMES):
+    """Make each call of ``call_times`` to all K pids; return network, simulator, envelopes.
+
+    The envelopes are the records ``sent`` gains meanwhile: one per
+    destination, lost ones included (``deliver_time`` None).
+    """
     network, simulator = make_network(seed, duplicate_prob)
     everyone = tuple(range(K))
-    returned = []
+    before = len(sent)
     for mbal, time in enumerate(call_times):
         simulator._time = time
         message = Phase1a(mbal=mbal)
         if fused:
-            returned += network.send(message, SENDER, everyone)
+            network.send(message, SENDER, everyone)
         else:
             for dst in everyone:
-                returned += network.send(message, SENDER, (dst,))
-    return network, simulator, returned
+                network.send(message, SENDER, (dst,))
+    return network, simulator, sent[before:]
 
 
 def row(envelope):
+    """A queued envelope's or a captured record's fields; ``deliver_time`` is None when lost."""
     return (envelope.message, envelope.src, envelope.dst, envelope.send_time, envelope.era,
-            envelope.msg_id, envelope.deliver_time, envelope.dropped)
+            envelope.msg_id, envelope.deliver_time)
 
 
 def counts(stats):
@@ -73,9 +86,9 @@ def queued(simulator):
 @pytest.mark.parametrize("duplicate_prob", [0.0, 1.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 class TestOneCallEqualsSingleSends:
-    def test_envelopes_ids_and_delivery_times_match(self, seed, duplicate_prob):
-        _, fused_sim, fused = drive(True, seed, duplicate_prob)
-        _, single_sim, singles = drive(False, seed, duplicate_prob)
+    def test_envelopes_ids_and_delivery_times_match(self, sent, seed, duplicate_prob):
+        _, fused_sim, fused = drive(sent, True, seed, duplicate_prob)
+        _, single_sim, singles = drive(sent, False, seed, duplicate_prob)
         assert [row(envelope) for envelope in fused] == [row(envelope) for envelope in singles]
         assert [envelope.dst for envelope in fused] == list(range(K)) * len(CALL_TIMES)
         # Duplicates, delivery times and queue sequence numbers all agree.
@@ -83,9 +96,9 @@ class TestOneCallEqualsSingleSends:
         assert any(envelope.dropped for envelope in fused)
         assert any(not envelope.dropped for envelope in fused)
 
-    def test_every_message_stats_field_matches(self, seed, duplicate_prob):
-        fused_net, _, _ = drive(True, seed, duplicate_prob)
-        single_net, _, _ = drive(False, seed, duplicate_prob)
+    def test_every_message_stats_field_matches(self, sent, seed, duplicate_prob):
+        fused_net, _, _ = drive(sent, True, seed, duplicate_prob)
+        single_net, _, _ = drive(sent, False, seed, duplicate_prob)
         fused, single = fused_net.monitor.stats, single_net.monitor.stats
         assert counts(fused) == counts(single)
         assert fused.sent == K * len(CALL_TIMES)
@@ -94,13 +107,15 @@ class TestOneCallEqualsSingleSends:
         assert (fused.duplicated > 0) == (duplicate_prob > 0)
 
     @pytest.mark.parametrize("calls", range(3, len(CALL_TIMES) + 1))
-    def test_rate_window_ending_on_a_call_excludes_all_its_sends(self, seed, duplicate_prob, calls):
+    def test_rate_window_ending_on_a_call_excludes_all_its_sends(
+        self, sent, seed, duplicate_prob, calls
+    ):
         # A run ends at its last call's time; [TS, end) holds none of the
         # sends made at ``end`` (two whole calls when the run stops at TS + 0.5).
         call_times = CALL_TIMES[:calls]
         end = call_times[-1]
-        fused_net, _, _ = drive(True, seed, duplicate_prob, call_times)
-        single_net, _, _ = drive(False, seed, duplicate_prob, call_times)
+        fused_net, _, _ = drive(sent, True, seed, duplicate_prob, call_times)
+        single_net, _, _ = drive(sent, False, seed, duplicate_prob, call_times)
         for window_end in (end, end + 1.0):
             rate = fused_net.monitor.post_ts_send_rate(TS, window_end)
             assert rate == single_net.monitor.post_ts_send_rate(TS, window_end)
@@ -109,8 +124,8 @@ class TestOneCallEqualsSingleSends:
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_a_duplicate_takes_the_id_after_its_original(seed):
-    network, simulator, fused = drive(True, seed, duplicate_prob=1.0)
+def test_a_duplicate_takes_the_id_after_its_original(sent, seed):
+    network, simulator, fused = drive(sent, True, seed, duplicate_prob=1.0)
     queued_by_id = {args[0].msg_id: args[0] for _, _, _, args in simulator._events._heap}
     next_id = 0
     for original in fused:
@@ -118,7 +133,7 @@ def test_a_duplicate_takes_the_id_after_its_original(seed):
         next_id += 1
         if original.dropped:
             continue
-        assert queued_by_id[original.msg_id] is original
+        assert row(queued_by_id[original.msg_id]) == row(original)
         # Under duplicate_prob = 1.0 every pushed original is copied; the copy
         # takes the next id even when its own fate drops it.
         copy = queued_by_id.get(next_id)
@@ -137,11 +152,12 @@ def test_a_duplicate_takes_the_id_after_its_original(seed):
     assert stats.dropped == len(fused) - pushed + lost_copies
 
 
-def test_a_call_to_no_destination_counts_nothing():
+def test_a_call_to_no_destination_counts_nothing(sent):
     # A one-process run's broadcast to everyone else reaches the network empty.
     network, simulator = make_network(1)
     simulator._time = TS + 1.0
-    assert network.send(Phase1a(mbal=1), SENDER, ()) == []
+    network.send(Phase1a(mbal=1), SENDER, ())
+    assert sent == []
     assert counts(network.monitor.stats) == counts(MessageStats())
     assert network._next_msg_id == 0
 
@@ -153,7 +169,7 @@ class TestThroughTheProcessContext:
 
         def counting_send(self, message, src, dsts):
             calls.append((src, tuple(dsts)))
-            return send(self, message, src, dsts)
+            send(self, message, src, dsts)
 
         monkeypatch.setattr(Network, "send", counting_send)
         network, simulator = make_network(1)

@@ -39,14 +39,6 @@ class TestEnvelope:
         fields.update(overrides)
         return Envelope(**fields)
 
-    def test_latency_requires_delivery(self):
-        envelope = self._envelope()
-        assert envelope.latency is None
-        envelope.deliver_time = 2.75
-        assert envelope.latency == 0.75
-        envelope.dropped = True
-        assert envelope.latency is None
-
     def test_kind_comes_from_message(self):
         assert self._envelope().kind == "phase1a"
 
@@ -60,8 +52,6 @@ class TestEnvelope:
         assert "pending" in pending.describe()
         delivered = self._envelope(deliver_time=3.0)
         assert "deliver@" in delivered.describe()
-        dropped = self._envelope(dropped=True)
-        assert "dropped" in dropped.describe()
 
     def test_era_labels(self):
         assert Era.PRE.value.startswith("pre")

@@ -11,7 +11,7 @@ def envelope(kind_msg, send_time, era=Era.POST, src=0, dst=1):
 
 def send(monitor, sent, dropped=0):
     """Report ``sent`` to ``monitor`` as a one-destination ``Network.send`` call."""
-    monitor.on_send(sent.message.kind, sent.era, sent.send_time, 1, dropped)
+    monitor.on_send(sent.message.kind, sent.era, sent.send_time, 1, dropped, 0)
 
 
 class TestCounters:
@@ -33,7 +33,7 @@ class TestCounters:
     def test_duplicate_and_crashed_counters(self):
         monitor = NetworkMonitor()
         env = envelope(Phase1a(mbal=1), 0.0)
-        monitor.on_duplicate(env)
+        monitor.on_send(env.message.kind, env.era, env.send_time, 1, 0, 1)
         monitor.on_lost_to_crashed(env)
         assert monitor.stats.duplicated == 1
         assert monitor.stats.to_crashed == 1

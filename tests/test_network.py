@@ -10,7 +10,7 @@ from repro.net.message import Envelope, Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.sim.rng import SeededRng
-from tests.helpers import build_adversary, silent_simulator
+from tests.helpers import build_adversary, capture_sent_envelopes, silent_simulator
 
 
 class SimHost:
@@ -66,6 +66,12 @@ class SimHost:
         self.simulator.run()
 
 
+def fields(envelope):
+    """What a queued envelope and a captured send record have in common."""
+    return (envelope.message, envelope.src, envelope.dst, envelope.send_time, envelope.era,
+            envelope.msg_id, envelope.deliver_time)
+
+
 def benign_model(ts=0.0, delta=1.0):
     return EventualSynchrony(ts=ts, delta=delta, adversary=build_adversary("benign", delta=delta))
 
@@ -80,9 +86,11 @@ def make_network(ts=0.0, delta=1.0, adversary=None, seed=0):
 
 
 class TestSendPath:
-    def test_send_schedules_delivery_within_delta(self):
+    def test_send_schedules_delivery_within_delta(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         network, host = make_network(delta=2.0)
-        (envelope,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        (envelope,) = sent
         assert not envelope.dropped
         assert envelope.deliver_time is not None
         assert host.scheduled[0][0] == envelope.deliver_time
@@ -103,9 +111,11 @@ class TestSendPath:
         assert network.monitor.stats.delivered == 0
         assert network.monitor.stats.to_crashed == 1
 
-    def test_pre_ts_drop_records_drop(self):
+    def test_pre_ts_drop_records_drop(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         network, host = make_network(ts=100.0, adversary=build_adversary("drop-all"))
-        (envelope,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        (envelope,) = sent
         assert envelope.dropped
         assert network.monitor.stats.dropped == 1
         assert host.scheduled == []
@@ -115,15 +125,17 @@ class TestSendPath:
         with pytest.raises(NetworkError):
             network.send(Phase1a(mbal=1), src=0, dsts=(1,))
 
-    def test_sends_get_consecutive_ids_and_eras(self):
+    def test_sends_get_consecutive_ids_and_eras(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         network, host = make_network(ts=5.0)
-        (first,) = network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
         host.time = 5.0
-        (second,) = network.send(Phase1a(mbal=2), src=1, dsts=(0,))
+        network.send(Phase1a(mbal=2), src=1, dsts=(0,))
+        first, second = sent
         assert [first.msg_id, second.msg_id] == [0, 1]
         assert [first.send_time, second.send_time] == [0.0, 5.0]
         assert [first.era, second.era] == [Era.PRE, Era.POST]
-        assert [args[0] for _, _, args in host.scheduled] == [first, second]
+        assert [fields(args[0]) for _, _, args in host.scheduled] == [fields(first), fields(second)]
         assert network.monitor.stats.sent_pre_ts == network.monitor.stats.sent_post_ts == 1
 
 

@@ -15,18 +15,18 @@ from repro.sim.simulator import SimulationConfig
 class TestPartitionSpec:
     def test_connected_within_group(self):
         spec = PartitionSpec.of([[0, 1], [2, 3, 4]])
-        assert spec.connected(0, 1)
-        assert spec.connected(3, 4)
-        assert not spec.connected(1, 2)
+        assert 1 in spec.reachable(0)
+        assert 4 in spec.reachable(3)
+        assert 2 not in spec.reachable(1)
 
     def test_self_connection_always_allowed(self):
         spec = PartitionSpec.of([[0], [1]])
-        assert spec.connected(0, 0)
+        assert 0 in spec.reachable(0)
 
     def test_unlisted_pid_is_isolated(self):
         spec = PartitionSpec.of([[0, 1]])
-        assert not spec.connected(2, 0)
-        assert not spec.connected(0, 2)
+        assert 0 not in spec.reachable(2)
+        assert 2 not in spec.reachable(0)
 
     def test_duplicate_pid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -49,9 +49,9 @@ class TestPartitionSpec:
 
 
 class TestPartitionSpecValueSemantics:
-    """The pid -> group index is a cache: the value is still just ``groups``."""
+    """The pid -> reachable-set table is a cache: the value is still just ``groups``."""
 
-    def test_connected_matches_a_scan_of_the_groups(self):
+    def test_reachable_matches_a_scan_of_the_groups(self):
         spec = minority_groups(15, SeededRng(4))
 
         def scanned(pid):
@@ -59,7 +59,7 @@ class TestPartitionSpecValueSemantics:
 
         for pid in range(-1, 17):
             for other in range(-1, 17):
-                assert spec.connected(pid, other) == (
+                assert (other in spec.reachable(pid)) == (
                     pid == other or (scanned(pid) >= 0 and scanned(pid) == scanned(other))
                 )
 
@@ -75,8 +75,8 @@ class TestPartitionSpecValueSemantics:
         assert spec.__reduce_ex__(2)[2] == {"groups": spec.groups}
         for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert clone == spec and hash(clone) == hash(spec)
-            assert clone.connected(0, 3) and not clone.connected(0, 1)
-            assert clone.connected(2, 4) and not clone.connected(1, 4)
+            assert 3 in clone.reachable(0) and 1 not in clone.reachable(0)
+            assert 4 in clone.reachable(2) and 4 not in clone.reachable(1)
 
     def test_environment_spec_json_round_trip(self):
         env = EnvironmentSpec(

@@ -32,7 +32,12 @@ from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
-from tests.helpers import build_adversary, silent_simulator, trace_wire_rows
+from tests.helpers import (
+    build_adversary,
+    capture_sent_envelopes,
+    silent_simulator,
+    trace_wire_rows,
+)
 
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 
@@ -125,21 +130,31 @@ class TestPerNetworkMessageIds:
         silent_simulator(network)
         return network
 
-    def test_fresh_networks_start_at_zero(self):
+    @staticmethod
+    def _send_id(network, sent):
+        """The message id ``network`` gives one send to p1, read from the captured record."""
+        network.send(Phase1a(mbal=1), src=0, dsts=(1,))
+        return sent[-1].msg_id
+
+    def test_fresh_networks_start_at_zero(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         for _ in range(2):  # back-to-back networks, no reset helper needed
             network = self._network()
-            ids = [network.send(Phase1a(mbal=1), src=0, dsts=(1,))[0].msg_id for _ in range(3)]
+            ids = [self._send_id(network, sent) for _ in range(3)]
             assert ids == [0, 1, 2]
 
-    def test_concurrent_networks_have_independent_streams(self):
+    def test_concurrent_networks_have_independent_streams(self, monkeypatch):
+        sent = capture_sent_envelopes(monkeypatch)
         a, b = self._network(), self._network()
-        assert a.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 0
-        assert a.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 1
-        assert b.send(Phase1a(mbal=1), 0, (1,))[0].msg_id == 0
+        assert self._send_id(a, sent) == 0
+        assert self._send_id(a, sent) == 1
+        assert self._send_id(b, sent) == 0
 
-    def test_inject_shares_the_network_stream(self):
+    def test_inject_shares_the_network_stream(self, monkeypatch):
+        captured = capture_sent_envelopes(monkeypatch)
         network = self._network()
-        (sent,) = network.send(Phase1a(mbal=1), 0, (1,))
+        network.send(Phase1a(mbal=1), 0, (1,))
+        (sent,) = captured
         injected = network.inject(Phase1a(mbal=9), src=1, dst=0, deliver_time=5.0)
         assert injected.msg_id == sent.msg_id + 1
         assert injected.era is Era.PRE

@@ -1,5 +1,7 @@
 """Unit tests for the seeded randomness streams (`repro.sim.rng`)."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,15 @@ class TestDeterminism:
         a = SeededRng(1)
         b = SeededRng(2)
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))])
+    def test_a_copy_replays_the_same_draws_from_its_own_stream(self, clone):
+        rng = SeededRng(11)
+        rng.random()
+        twin = clone(rng)
+        draws = [rng.random(), rng.delay(0.1, 1.0), rng.random(), rng.coin(0.5)]
+        assert [twin.random(), twin.delay(0.1, 1.0), twin.random(), twin.coin(0.5)] == draws
+        assert twin.random() == rng.random()
 
     def test_fork_is_deterministic(self):
         a = SeededRng(7).fork("net")

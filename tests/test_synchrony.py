@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.messages import Phase1a
 from repro.errors import ConfigurationError
 from repro.net.adversary import Adversary
-from repro.net.message import Envelope, Era
 from repro.net.synchrony import EventualSynchrony
 from repro.sim.rng import SeededRng
 from tests.helpers import build_adversary
@@ -15,20 +13,25 @@ def benign_model(ts: float, delta: float) -> EventualSynchrony:
     return EventualSynchrony(ts=ts, delta=delta, adversary=build_adversary("benign", delta=delta))
 
 
-def envelope(send_time: float, era: Era):
-    return Envelope(message=Phase1a(mbal=0), src=0, dst=1, send_time=send_time, era=era)
+def fate(model: EventualSynchrony, now: float, rng: SeededRng):
+    """The fate of one message from p0 to p1 sent at ``now``."""
+    targets, (when,) = model.fates(0, (1,), now, rng)
+    assert targets == (1,)
+    return when
 
 
 class TestEra:
+    """The era is decided by the send time: the adversary rules strictly before TS."""
+
     def test_era_split_at_ts(self):
-        model = benign_model(ts=10.0, delta=1.0)
-        assert model.era(9.999) is Era.PRE
-        assert model.era(10.0) is Era.POST
-        assert model.era(11.0) is Era.POST
+        model = EventualSynchrony(ts=10.0, delta=1.0, adversary=build_adversary("drop-all"))
+        assert fate(model, 9.999, SeededRng(0)) is None
+        assert fate(model, 10.0, SeededRng(0)) is not None
+        assert fate(model, 11.0, SeededRng(0)) is not None
 
     def test_ts_zero_means_always_post(self):
-        model = benign_model(ts=0.0, delta=1.0)
-        assert model.era(0.0) is Era.POST
+        model = EventualSynchrony(ts=0.0, delta=1.0, adversary=build_adversary("drop-all"))
+        assert fate(model, 0.0, SeededRng(0)) is not None
 
 
 class TestPostStabilizationBound:
@@ -36,39 +39,38 @@ class TestPostStabilizationBound:
         model = benign_model(ts=5.0, delta=2.0)
         rng = SeededRng(0)
         for _ in range(100):
-            when = model.fate(envelope(6.0, Era.POST), now=6.0, rng=rng)
+            when = fate(model, 6.0, rng)
             assert when is not None
             assert 6.0 < when <= 8.0
 
     def test_adversary_cannot_exceed_delta_after_ts(self):
         class SlowAdversary(Adversary):
-            def pre_ts_fate(self, env, now, rng):
-                return None
+            def pre_ts_fates(self, src, dsts, now, rng):
+                return [None] * len(dsts)
 
-            def post_ts_delay(self, env, now, rng):
-                return 100.0  # tries to break the bound
+            def post_ts_delays(self, src, dsts, now, rng):
+                return [100.0] * len(dsts)  # tries to break the bound
 
         model = EventualSynchrony(ts=0.0, delta=1.0, adversary=SlowAdversary())
-        when = model.fate(envelope(3.0, Era.POST), now=3.0, rng=SeededRng(1))
+        when = fate(model, 3.0, SeededRng(1))
         assert when == pytest.approx(4.0)
 
     def test_adversary_post_delay_clamped_to_non_negative(self):
         class NegativeAdversary(Adversary):
-            def pre_ts_fate(self, env, now, rng):
-                return None
+            def pre_ts_fates(self, src, dsts, now, rng):
+                return [None] * len(dsts)
 
-            def post_ts_delay(self, env, now, rng):
-                return -5.0
+            def post_ts_delays(self, src, dsts, now, rng):
+                return [-5.0] * len(dsts)
 
         model = EventualSynchrony(ts=0.0, delta=1.0, adversary=NegativeAdversary())
-        when = model.fate(envelope(3.0, Era.POST), now=3.0, rng=SeededRng(1))
+        when = fate(model, 3.0, SeededRng(1))
         assert when == pytest.approx(3.0)
 
     def test_post_ts_delays_have_a_tenth_delta_floor(self):
         model = benign_model(ts=0.0, delta=2.0)
         rng = SeededRng(4)
-        delays = [model.fate(envelope(2.0, Era.POST), now=2.0, rng=rng) - 2.0
-                  for _ in range(200)]
+        delays = [fate(model, 2.0, rng) - 2.0 for _ in range(200)]
         assert all(0.2 <= delay <= 2.0 for delay in delays)
         assert min(delays) < 0.4 and max(delays) > 1.8
 
@@ -76,16 +78,22 @@ class TestPostStabilizationBound:
 class TestPreStabilizationFate:
     def test_pre_ts_fate_delegates_to_adversary(self):
         model = EventualSynchrony(ts=10.0, delta=1.0, adversary=build_adversary("drop-all"))
-        assert model.fate(envelope(1.0, Era.PRE), now=1.0, rng=SeededRng(0)) is None
+        assert fate(model, 1.0, SeededRng(0)) is None
 
     def test_adversary_cannot_deliver_in_the_past(self):
+        from repro.core.messages import Phase1a
+        from repro.net.network import Network
+        from tests.helpers import silent_simulator
+
         class TimeTravelAdversary(Adversary):
-            def pre_ts_fate(self, env, now, rng):
-                return now - 1.0
+            def pre_ts_fates(self, src, dsts, now, rng):
+                return [now - 1.0 for _ in dsts]
 
         model = EventualSynchrony(ts=10.0, delta=1.0, adversary=TimeTravelAdversary())
+        network = Network(model, SeededRng(0, label="net"))
+        silent_simulator(network)._time = 5.0
         with pytest.raises(ConfigurationError):
-            model.fate(envelope(5.0, Era.PRE), now=5.0, rng=SeededRng(0))
+            network.send(Phase1a(mbal=0), 0, (1,))
 
 
 class TestValidation:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.message import Era
 from repro.sim.rng import SeededRng
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
 from repro.workloads.coordinator_faults import coordinator_crash_scenario
@@ -61,7 +60,8 @@ class TestStableScenario:
     def test_network_is_always_post_stabilization(self):
         scenario = stable_scenario(3, params=make_params(), seed=1)
         network = scenario.build_network(scenario.config, SeededRng(0))
-        assert network.model.era(0.0) is Era.POST
+        # Every send, from time 0 on, is in the post-stabilization era.
+        assert network.model.ts == 0.0
 
 
 class TestChaosScenarios:
