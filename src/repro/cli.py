@@ -303,6 +303,10 @@ def _command_experiments(args: argparse.Namespace) -> int:
     if args.store is not None:
         with open_store(args.store) as store:
             print(f"store {args.store}: {len(store)} records")
+    failed = result.failed_verdicts()
+    if failed:
+        print(f"failed verdicts: {', '.join(failed)}")
+        return 1
     return 0
 
 

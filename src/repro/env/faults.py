@@ -78,7 +78,7 @@ def explicit_faults(config: "SimulationConfig", params: Params) -> FaultPlan:
 
 @_fault_kind(
     "random minority crashes (and optional recoveries) strictly before TS",
-    {"max_faulty": "integer or null", "allow_recovery": "boolean", "rng_label": "string"},
+    {"max_faulty": "integer or null", "allow_recovery": "boolean"},
 )
 def crash_before_stability(config: "SimulationConfig", params: Params) -> FaultPlan:
     """Random crashes (and optional recoveries) strictly before ``ts``.
@@ -89,12 +89,12 @@ def crash_before_stability(config: "SimulationConfig", params: Params) -> FaultP
     ``allow_recovery`` is true, roughly half of the crashed processes are
     restarted before ``ts`` (exercising the restart-with-stable-storage
     path); the rest stay down forever, which the model permits as long as a
-    majority is up.  The draws come from the stream named ``rng_label``.
+    majority is up.  The draws come from a stream of the run's seed.
     """
     n, ts = config.n, config.ts
     if ts <= 0:
         raise ConfigurationError("crash_before_stability needs ts > 0")
-    rng = SeededRng(config.seed, label=params.get("rng_label", "chaos-faults"))
+    rng = SeededRng(config.seed, label="chaos-faults")
     max_faulty = params.get("max_faulty")
     majority = n // 2 + 1
     limit = max_faulty if max_faulty is not None else max(0, n - majority)

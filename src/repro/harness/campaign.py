@@ -14,6 +14,12 @@ a process pool), :func:`write_report` writes each regenerated table to
 (``<out>/experiments_report.md``) with the analytic bounds next to the
 measured values.
 
+At full scale, each table is also judged against the paper's claims
+(:data:`repro.core.timing.CLAIMS`) and prints one verdict line per claim;
+``repro experiments`` exits 1 naming any failed verdict.  The smoke grids
+are too small to show the claims (E8 has one ``n``), so smoke tables carry
+no verdicts.
+
 With a ``--store``, every run streams its record — a
 :class:`~repro.results.record.RunRecord` for the single-decree experiments,
 an :class:`~repro.results.smr_record.SmrRecord` for E9's multi-decree runs —
@@ -31,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
+from repro.core.timing import judge
 from repro.errors import ConfigurationError
 from repro.harness.executors import Executor, make_executor
 from repro.harness.experiments import (
@@ -91,6 +98,12 @@ class CampaignResult:
                 return table
         raise KeyError(experiment)
 
+    def failed_verdicts(self) -> List[str]:
+        """The name of every verdict that failed (each names its experiment)."""
+        return [
+            verdict.name for table in self.tables for verdict in table.verdicts if not verdict.passed
+        ]
+
 
 def run_campaign(
     scale: str = "full",
@@ -110,7 +123,8 @@ def run_campaign(
     as it completes; a store opened here from a path is closed on return,
     one passed in stays open.  With ``resume=True``, runs already in the
     store are loaded instead of re-executed, so an interrupted campaign
-    picks up where it stopped.
+    picks up where it stopped.  At full scale each table carries the
+    verdicts of its claims (:func:`repro.core.timing.judge`).
     """
     if scale not in ("smoke", "full"):
         raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
@@ -135,6 +149,8 @@ def run_campaign(
             started = time.perf_counter()
             table = EXPERIMENTS[name](**sizes, executor=executor, store=store, resume=resume)
             result.durations[name] = time.perf_counter() - started
+            if scale == "full":
+                table.verdicts = judge(name, table, default_experiment_params())
             result.tables.append(table)
     finally:
         if owns_executor:

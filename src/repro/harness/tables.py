@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
+from repro.core.timing import Verdict
+
 __all__ = ["render_table", "ExperimentTable"]
 
 
@@ -43,6 +45,8 @@ class ExperimentTable:
         headers: Column names.
         rows: Row values (as dicts keyed by header for robustness).
         notes: Free-form notes: analytic bounds, shape expectations, caveats.
+        verdicts: The paper's claims checked on this table (full scale only;
+            see :data:`repro.core.timing.CLAIMS`), one line each after the notes.
     """
 
     experiment: str
@@ -50,6 +54,7 @@ class ExperimentTable:
     headers: List[str]
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: str = ""
+    verdicts: List[Verdict] = field(default_factory=list)
 
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
@@ -94,4 +99,9 @@ class ExperimentTable:
         lines = [f"{self.experiment}: {self.title}", body]
         if self.notes:
             lines.append(f"notes: {self.notes}")
+        for verdict in self.verdicts:
+            lines.append(
+                f"verdict {verdict.name}: {'pass' if verdict.passed else 'FAIL'} "
+                f"({_format_cell(verdict.measured)} {verdict.relation} {_format_cell(verdict.limit)})"
+            )
         return "\n".join(lines)

@@ -227,7 +227,6 @@ _FAULT_CASES: Dict[str, FaultSpec] = {
     "random-before-ts/defaults": FaultSpec("random-before-ts"),
     "random-before-ts/max_faulty": FaultSpec("random-before-ts", {"max_faulty": 1}),
     "random-before-ts/allow_recovery": FaultSpec("random-before-ts", {"allow_recovery": False}),
-    "random-before-ts/rng_label": FaultSpec("random-before-ts", {"rng_label": "other"}),
     "crash-forever": FaultSpec("crash-forever", {"pids": [3, 0], "time": 2.5}),
     "staggered-restarts/defaults": FaultSpec(
         "staggered-restarts", {"pids": [4, 1], "crash_time": 2.0, "first_restart": 20.0}
@@ -501,10 +500,6 @@ FAULT_DIGESTS: Dict[str, str] = {
         "d59a26b417ab808247edbdde90f83d7daa46b60c5d75ce30ba7eb9f0fd29f7b5",
     "random-before-ts/max_faulty@n9":
         "2d867c3bba226f8ca3d4e3bfeb41b7641b54f4f2392054cc8c09e37e6fa71adf",
-    "random-before-ts/rng_label@n5":
-        "54efa34620ce7c5335c97f2f6b9cc2b26129966294e81cd4e1bc4ee1615f30ba",
-    "random-before-ts/rng_label@n9":
-        "d08a0bdc03b25a33892e47b9746abfec114fb0fd709df0350ddbabd7326a0636",
     "staggered-restarts/defaults@n5":
         "427c133d2ea817c2c3065ad7b0f8c15e52af1f1e42010b070510c3c2dd27d693",
     "staggered-restarts/defaults@n9":
@@ -540,3 +535,14 @@ def test_broadcast_streams_are_pinned(case, monkeypatch):
 def test_fault_plans_are_pinned(case):
     name, n = case.rsplit("@n", 1)
     assert _fault_digest(_FAULT_CASES[name], int(n)) == FAULT_DIGESTS[case]
+
+
+def test_random_before_ts_takes_no_rng_label(capsys):
+    # Its draws depend on the run's seed alone, so a stream label would be a
+    # parameter that changes nothing; the kind rejects it as unknown.
+    from repro.cli import main
+
+    env = json.dumps({"adversary": {"kind": "benign"},
+                      "faults": {"kind": "random-before-ts", "params": {"rng_label": "other"}}})
+    assert main(["run", "--env", env, "--n", "5"]) == 2
+    assert "does not accept parameters ['rng_label']" in capsys.readouterr().out

@@ -238,9 +238,7 @@ class TestFaultBuilding:
 
         config = make_config(n=7, seed=9)
         plan = FaultSpec("random-before-ts", {"allow_recovery": True}).build(config)
-        legacy = crash_before_stability(
-            config, {"rng_label": "chaos-faults", "allow_recovery": True}
-        )
+        legacy = crash_before_stability(config, {"allow_recovery": True})
         assert plan.events == legacy.events
 
     def test_churn_waves_marks_post_ts_crashes(self):

@@ -1,5 +1,6 @@
 """Unit tests for fault plans (`repro.faults`) and the fault kinds built from specs."""
 
+import math
 import re
 
 import pytest
@@ -30,6 +31,52 @@ class TestFaultPlanConstruction:
         assert FaultPlan().describe() == "no faults"
         text = FaultPlan().crash(2, 1.5).describe()
         assert "crash p2" in text
+
+
+class TestFaultPlanGrowth:
+    """Building a plan one fluent call at a time costs O(n log n) comparisons.
+
+    Each ``crash``/``restart`` inserts with :func:`bisect.insort`, about
+    log2(n) comparisons of ``FaultEvent``s; re-sorting the whole list on
+    every insert costs O(n) each, O(n²) in all.  The count, not the time,
+    is the check, so a loaded machine cannot fail it.
+    """
+
+    @staticmethod
+    def _build_plan(num_events):
+        plan = FaultPlan()
+        # Alternate crash/restart per pid in ascending time order, the
+        # pattern every schedule generator produces.
+        for index in range(num_events // 2):
+            pid = index % 64
+            plan.crash(pid, float(index))
+            plan.restart(pid, index + 0.5)
+        return plan
+
+    def test_fluent_construction_makes_n_log_n_comparisons(self, monkeypatch):
+        compare = FaultEvent.__lt__
+        counts = {}
+        for num_events in (20_000, 40_000):
+            ceiling = num_events * math.log2(num_events)
+            calls = 0
+
+            def counting_lt(self, other):
+                nonlocal calls
+                calls += 1
+                # Stop a quadratic build early instead of waiting it out.
+                if calls > ceiling:
+                    raise AssertionError(
+                        f"a {num_events}-event plan took over {ceiling:.0f} comparisons to build"
+                    )
+                return compare(self, other)
+
+            monkeypatch.setattr(FaultEvent, "__lt__", counting_lt)
+            plan = self._build_plan(num_events)
+            counts[num_events] = calls
+            times = [event.time for event in plan]
+            assert len(plan) == num_events and times == sorted(times)
+        # Doubling n about doubles the count (2.16x for n log n; 4x if quadratic).
+        assert counts[40_000] < 2.5 * counts[20_000]
 
 
 class TestStateQueries:
