@@ -1,25 +1,25 @@
 """Message and envelope types.
 
 Protocol messages are small frozen dataclasses subclassing :class:`Message`.
-The network wraps each delivery it schedules in an :class:`Envelope`
-carrying transport metadata (source, destination, send time, delivery
-time); a lost message gets no envelope.  Protocols never see envelopes,
-only messages and the sender id.
+An :class:`Envelope` describes one message in flight with its transport
+metadata (source, destination, send time, era, id, delivery time).  The
+network schedules a delivery without one — the queue entry carries just the
+message, its source and its id — and builds envelopes only where a caller
+reads them: the one :meth:`~repro.net.network.Network.inject` returns, and
+the one an adversary's bad delivery time is reported with.  Protocols never
+see envelopes, only messages and the sender id.
 
-Both layers are declared with ``slots=True``: envelopes are the most
-frequently allocated objects in a simulation, and slotted instances are
-both smaller and faster to construct.  Message ids are normally assigned by
-the owning :class:`~repro.net.network.Network` from its own counter, so two
-networks (or two back-to-back runs) produce identical ``msg_id`` streams;
-the module-level fallback counter only serves envelopes constructed directly
-in tests.
+Both layers are declared with ``slots=True``, so their instances stay small
+and dict-free.  Message ids are assigned by the owning
+:class:`~repro.net.network.Network` from its own counter, so two networks
+(or two back-to-back runs) produce identical ``msg_id`` streams; an
+envelope always names its id.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 __all__ = ["Era", "Message", "Envelope"]
@@ -49,12 +49,6 @@ class Message:
         return f"{self.kind}({', '.join(parts)})"
 
 
-# Fallback ids for envelopes built outside a Network (tests, fixtures).  The
-# network never consults this counter — it assigns msg_id explicitly from its
-# own per-instance stream.
-_envelope_ids = itertools.count()
-
-
 @dataclass(slots=True)
 class Envelope:
     """Transport wrapper around one message instance in flight.
@@ -65,8 +59,7 @@ class Envelope:
         dst: Destination process id.
         send_time: Real time at which the send happened.
         era: Whether the send happened before or after stabilization.
-        msg_id: Unique id for tracing (per-network stream; a module-level
-            fallback counter serves directly constructed envelopes).
+        msg_id: The message's id in its network's stream.
         deliver_time: Real delivery time once the fate is decided, else None.
     """
 
@@ -75,7 +68,7 @@ class Envelope:
     dst: int
     send_time: float
     era: Era
-    msg_id: int = field(default_factory=lambda: next(_envelope_ids))
+    msg_id: int
     deliver_time: Optional[float] = None
 
     @property

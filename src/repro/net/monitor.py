@@ -2,18 +2,20 @@
 
 The network reports each send call once (how many messages of which kind,
 era and time, how many it lost and how many duplicate copies it made), and
-each injection and delivery.  The monitor keeps the counts the experiments
-need: totals by fate and era, per-kind breakdowns, and the post-``TS`` send
-rate the ε-tradeoff experiment (E6) reports as messages per second during
-the stable period.  Its state is a fixed set of counters plus one entry per
+each injection.  Deliveries are counted by the destination node itself
+(:meth:`repro.sim.lifecycle.Node.deliver` bumps ``delivered`` or
+``to_crashed`` in this monitor's :class:`MessageStats`), so no monitor call
+runs per delivery.  The monitor keeps the counts the experiments need:
+totals by fate and era, per-kind breakdowns, and the post-``TS`` send rate
+the ε-tradeoff experiment (E6) reports as messages per second during the
+stable period.  Its state is a fixed set of counters plus one entry per
 injected envelope, whatever the length of the run.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.message import Envelope, Era
 
@@ -25,7 +27,11 @@ _PRE = Era.PRE
 
 @dataclass
 class MessageStats:
-    """Aggregate message counters for one simulation run."""
+    """Aggregate message counters for one simulation run.
+
+    ``delivered`` and ``to_crashed`` are kept by the nodes, the rest by the
+    monitor; ``by_kind`` maps a message kind to the messages sent of it.
+    """
 
     sent: int = 0
     delivered: int = 0
@@ -34,7 +40,7 @@ class MessageStats:
     to_crashed: int = 0
     sent_pre_ts: int = 0
     sent_post_ts: int = 0
-    by_kind: Counter = field(default_factory=Counter)
+    by_kind: Dict[str, int] = field(default_factory=dict)
 
 
 class NetworkMonitor:
@@ -66,7 +72,8 @@ class NetworkMonitor:
             stats.dropped += dropped
         if duplicated:
             stats.duplicated += duplicated
-        stats.by_kind[kind] += count
+        by_kind = stats.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + count
         if era is _PRE:
             stats.sent_pre_ts += count
             return
@@ -80,12 +87,6 @@ class NetworkMonitor:
     def on_inject(self, envelope: Envelope) -> None:
         self.on_send(envelope.message.kind, envelope.era, envelope.send_time, 1, 0, 0)
         self._injected_send_times.append(envelope.send_time)
-
-    def on_deliver(self, envelope: Envelope) -> None:
-        self.stats.delivered += 1
-
-    def on_lost_to_crashed(self, envelope: Envelope) -> None:
-        self.stats.to_crashed += 1
 
     # -- queries ------------------------------------------------------------
     def post_ts_send_rate(self, ts: float, end: float) -> Optional[float]:

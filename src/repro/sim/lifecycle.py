@@ -16,6 +16,13 @@ incarnation, where ``seq`` is the event queue's sequence number for the
 timer's entry.  Setting a name again cancels the old entry and pushes a new
 one; a firing timer leaves the table before the protocol sees it; a crash
 cancels every pending entry, so no timer outlives its incarnation.
+
+Messages arrive through :meth:`Node.deliver`, the action of every delivery
+the network schedules: the run loop calls it straight from the queue entry
+``(when, seq, node.deliver, (message, src, msg_id))``.  The node counts the
+delivery in the network monitor's stats (``delivered`` when a protocol
+incarnation takes it, ``to_crashed`` otherwise) and hands the message to
+the protocol; nothing else runs per delivery.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import enum
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import ProcessStateError, SchedulingError
-from repro.net.message import Envelope
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
 from repro.sim.process import Process, ProcessContext, ProcessFactory
@@ -77,6 +83,8 @@ class Node:
         self.crash_count = 0
         self.restart_count = 0
         self._queue = simulator._events
+        # Delivery counts go straight into the network monitor's stats.
+        self._stats = simulator.network.monitor.stats
         # Timer name -> sequence number of its pending queue entry.
         self._timers: Dict[str, int] = {}
 
@@ -130,11 +138,19 @@ class Node:
         self.process.on_start()
 
     # -- interaction with the simulator ----------------------------------------
-    def deliver(self, envelope: Envelope) -> bool:
-        """Deliver a message to the protocol; False if the node is not active."""
-        if self.status is not _ACTIVE or self.process is None:
+    def deliver(self, message: Any, src: int, msg_id: int) -> bool:
+        """Deliver message ``msg_id`` from ``src`` to the protocol; False if the node is not active.
+
+        Counts the delivery as ``delivered``, or as ``to_crashed`` when no
+        incarnation is running.  ``msg_id`` is the network's id for the
+        message; the protocol does not see it.
+        """
+        process = self.process
+        if process is None or self.status is not _ACTIVE:
+            self._stats.to_crashed += 1
             return False
-        self.process.on_message(envelope.message, envelope.src)
+        process.on_message(message, src)
+        self._stats.delivered += 1
         return True
 
     def local_time(self) -> float:

@@ -4,14 +4,16 @@ The :class:`Simulator` wires together the event queue, the network, and the
 nodes, and exposes the handful of operations the rest of the library builds
 on: scheduling, crash/restart injection, decision recording, and the run
 loop.  Messages bypass it: nodes hand their sends straight to the network,
-which pushes each delivery onto the event queue and hands it to the
-destination node when it fires.  A simulation is deterministic given its
+which pushes each delivery onto the event queue as a call to the
+destination node's ``deliver``, and the run loop makes that call when the
+entry fires.  A simulation is deterministic given its
 configuration (including the seed), which the regression tests rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.trace import TraceRecorder
@@ -200,16 +202,19 @@ class Simulator:
     ) -> float:
         """Run the event loop.
 
-        The loop body pulls raw ``(time, seq, action, args)`` entries
-        straight off the queue via
-        :meth:`~repro.sim.events.EventQueue.pop_before` — a single combined
-        peek-and-pop with no per-event object construction.
+        The loop pops raw ``(time, seq, action, args)`` entries off the
+        queue's heap itself, skips cancelled ones, and fires
+        ``action(*args)``; a delivery is ``node.deliver(message, src,
+        msg_id)`` called straight from its entry.  The first live entry past
+        the horizon goes back on the heap, untouched.
 
         The run stops, after the event being processed, at the first of: the
         queue holds no event at or before the horizon (``until``, capped by
         ``config.max_time``); ``max_events`` events were processed;
         ``stop_when`` returned True; or :meth:`halt` was called (as under
         :meth:`run_until_decided` once the last awaited pid decides).
+        ``events_processed`` grows by the events whose action returned, also
+        when one raises.
 
         Args:
             until: Stop once the next event would be after this time.
@@ -221,20 +226,28 @@ class Simulator:
         """
         self.start()
         horizon = min(until, self.config.max_time) if until is not None else self.config.max_time
+        heap = self._events._heap
+        cancelled = self._events._cancelled
         processed = 0
-        pop_before = self._events.pop_before
-        while True:
-            if max_events is not None and processed >= max_events:
-                break
-            entry = pop_before(horizon)
-            if entry is None:
-                break
-            self._time = entry[0]
-            entry[2](*entry[3])
-            self.events_processed += 1
-            processed += 1
-            if self._halt or (stop_when is not None and stop_when(self)):
-                break
+        try:
+            while heap:
+                if max_events is not None and processed >= max_events:
+                    break
+                entry = heappop(heap)
+                time, seq, action, args = entry
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                if time > horizon:
+                    heappush(heap, entry)
+                    break
+                self._time = time
+                action(*args)
+                processed += 1
+                if self._halt or (stop_when is not None and stop_when(self)):
+                    break
+        finally:
+            self.events_processed += processed
         self._halt = False
         return self._time
 

@@ -27,6 +27,7 @@ __all__ = [
     "diverge_slot_zero_after_each_run",
     "make_params",
     "make_run_record",
+    "queue_simulator",
     "run_to_horizon",
     "silent_simulator",
     "trace_wire_rows",
@@ -88,6 +89,28 @@ def silent_simulator(network: Any, n: int = 5):
     )
     simulator.start()
     return simulator
+
+
+def queue_simulator(max_time: float = 1000.0):
+    """A started one-process simulator whose event queue a test fills directly.
+
+    Returns ``(simulator, queue)``.  The process is silent and the network
+    benign, so the queue holds only what the test pushes, and
+    ``simulator.run(until=h, max_events=1)`` fires the next live entry at or
+    before ``h`` exactly as every run does (``None`` as ``until`` runs to
+    ``max_time``).
+    """
+    from repro.net.network import Network
+    from repro.net.synchrony import EventualSynchrony
+    from repro.sim.simulator import SimulationConfig, Simulator
+
+    model = EventualSynchrony(ts=0.0, delta=1.0, adversary=build_adversary("benign"))
+    network = Network(model=model, rng=SeededRng(0, label="net"))
+    simulator = Simulator(
+        SimulationConfig(n=1, max_time=max_time), lambda pid: SilentProcess(), network
+    )
+    simulator.start()
+    return simulator, simulator._events
 
 
 def run_to_horizon(scenario: Any, protocol: str):
@@ -236,12 +259,13 @@ def trace_wire_rows(monkeypatch) -> None:
       only caller, ``Node._send``, has already checked that the sender is
       active);
     * ``Node.deliver``: a ``"net"`` ``deliver`` row, or ``deliver_to_crashed``
-      when the node does not accept the envelope (the network calls it for
-      every delivery whose destination exists);
+      when the node does not accept the message (the run loop calls it for
+      every delivery, straight from its queue entry);
     * ``Node._timer_fired``: a ``"node"`` ``timer`` row when the owner is
       active, before the protocol handles the timer.
 
-    Install it before the run starts, so the trace holds every row.
+    Install it before the simulator is built: the network reads each
+    node's ``deliver`` when it binds, so the trace holds every row.
     """
     from repro.sim.lifecycle import Node, ProcessStatus
 
@@ -256,12 +280,11 @@ def trace_wire_rows(monkeypatch) -> None:
                 msg_id=envelope.msg_id, dropped=envelope.dropped,
             )
 
-    def tracing_deliver(self, envelope):
-        accepted = deliver(self, envelope)
+    def tracing_deliver(self, message, src, msg_id):
+        accepted = deliver(self, message, src, msg_id)
         self.simulator.trace.record(
             self.simulator.now(), "net", "deliver" if accepted else "deliver_to_crashed",
-            pid=envelope.dst, src=envelope.src, kind=envelope.message.kind,
-            msg_id=envelope.msg_id,
+            pid=self.pid, src=src, kind=message.kind, msg_id=msg_id,
         )
         return accepted
 

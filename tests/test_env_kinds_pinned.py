@@ -114,7 +114,8 @@ def _broadcast_digest(spec: AdversarySpec, monkeypatch) -> str:
                 for envelope in sent[before:]
             ])
     queued = sorted(
-        [repr(time), seq, args[0].msg_id] for time, seq, _, args in simulator._events._heap
+        # A delivery entry's args are ``(message, src, msg_id)``.
+        [repr(time), seq, args[2]] for time, seq, _, args in simulator._events._heap
     )
     stats = network.monitor.stats
     payload = {

@@ -7,7 +7,8 @@ order, so ids, RNG draws, queue sequence numbers and every monitor count
 match a run of single sends.  The monitor hears each call once, with the
 call's count.  Each destination's fate is read through
 :func:`tests.helpers.capture_sent_envelopes` (the network returns nothing
-and builds no envelope for a lost message).
+and builds no envelope), and each pending delivery from its queue entry
+``(time, seq, node.deliver, (message, src, msg_id))``.
 """
 
 from dataclasses import fields
@@ -66,9 +67,20 @@ def drive(sent, fused, seed, duplicate_prob=1.0, call_times=CALL_TIMES):
 
 
 def row(envelope):
-    """A queued envelope's or a captured record's fields; ``deliver_time`` is None when lost."""
+    """A captured record's fields; ``deliver_time`` is None when lost."""
     return (envelope.message, envelope.src, envelope.dst, envelope.send_time, envelope.era,
             envelope.msg_id, envelope.deliver_time)
+
+
+def delivery(time, action, args):
+    """A queued delivery as ``(message, src, dst, msg_id, time)``; its action is ``node.deliver``."""
+    message, src, msg_id = args
+    return (message, src, action.__self__.pid, msg_id, time)
+
+
+def delivery_of(envelope):
+    """The delivery a captured record's message was pushed as."""
+    return (envelope.message, envelope.src, envelope.dst, envelope.msg_id, envelope.deliver_time)
 
 
 def counts(stats):
@@ -79,8 +91,11 @@ def counts(stats):
 
 
 def queued(simulator):
-    """Every pending delivery as ``(time, seq, envelope row)``, in queue order."""
-    return [(time, seq, row(args[0])) for time, seq, _, args in sorted(simulator._events._heap)]
+    """Every pending delivery as ``(time, seq, delivery)``, in queue order."""
+    return [
+        (time, seq, delivery(time, action, args))
+        for time, seq, action, args in sorted(simulator._events._heap)
+    ]
 
 
 @pytest.mark.parametrize("duplicate_prob", [0.0, 1.0])
@@ -126,20 +141,21 @@ class TestOneCallEqualsSingleSends:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_duplicate_takes_the_id_after_its_original(sent, seed):
     network, simulator, fused = drive(sent, True, seed, duplicate_prob=1.0)
-    queued_by_id = {args[0].msg_id: args[0] for _, _, _, args in simulator._events._heap}
+    queued_by_id = {
+        args[2]: delivery(time, action, args) for time, _, action, args in simulator._events._heap
+    }
     next_id = 0
     for original in fused:
         assert original.msg_id == next_id
         next_id += 1
         if original.dropped:
             continue
-        assert row(queued_by_id[original.msg_id]) == row(original)
+        assert queued_by_id[original.msg_id] == delivery_of(original)
         # Under duplicate_prob = 1.0 every pushed original is copied; the copy
         # takes the next id even when its own fate drops it.
         copy = queued_by_id.get(next_id)
         if copy is not None:
-            assert (copy.message, copy.src, copy.dst, copy.send_time, copy.era) == (
-                original.message, original.src, original.dst, original.send_time, original.era)
+            assert copy[:3] == (original.message, original.src, original.dst)
         next_id += 1
     assert next_id == network._next_msg_id
     stats = network.monitor.stats

@@ -1,5 +1,7 @@
 """Unit tests for message and envelope types (`repro.net.message`)."""
 
+import pytest
+
 from repro.core.messages import Decision, Phase1a, Phase1b, Phase2a, Phase2b, Rejected, ballot_of
 from repro.net.message import Envelope, Era, Message
 
@@ -34,7 +36,7 @@ class TestMessages:
 class TestEnvelope:
     def _envelope(self, **overrides):
         fields = dict(
-            message=Phase1a(mbal=1), src=0, dst=1, send_time=2.0, era=Era.POST
+            message=Phase1a(mbal=1), src=0, dst=1, send_time=2.0, era=Era.POST, msg_id=0
         )
         fields.update(overrides)
         return Envelope(**fields)
@@ -42,10 +44,11 @@ class TestEnvelope:
     def test_kind_comes_from_message(self):
         assert self._envelope().kind == "phase1a"
 
-    def test_msg_ids_are_unique(self):
-        first = self._envelope()
-        second = self._envelope()
-        assert first.msg_id != second.msg_id
+    def test_an_envelope_must_name_its_msg_id(self):
+        # Ids come from the network's per-run stream; there is no fallback.
+        with pytest.raises(TypeError, match="msg_id"):
+            Envelope(message=Phase1a(mbal=1), src=0, dst=1, send_time=2.0, era=Era.POST)
+        assert self._envelope(msg_id=7).msg_id == 7
 
     def test_describe_shows_fate(self):
         pending = self._envelope()

@@ -5,8 +5,9 @@ from repro.net.message import Envelope, Era
 from repro.net.monitor import NetworkMonitor
 
 
-def envelope(kind_msg, send_time, era=Era.POST, src=0, dst=1):
-    return Envelope(message=kind_msg, src=src, dst=dst, send_time=send_time, era=era)
+def envelope(kind_msg, send_time, era=Era.POST, src=0, dst=1, msg_id=0):
+    return Envelope(message=kind_msg, src=src, dst=dst, send_time=send_time, era=era,
+                    msg_id=msg_id)
 
 
 def send(monitor, sent, dropped=0):
@@ -15,28 +16,47 @@ def send(monitor, sent, dropped=0):
 
 
 class TestCounters:
-    def test_send_deliver_drop_counts(self):
+    def test_send_and_drop_counts(self):
         monitor = NetworkMonitor()
         first = envelope(Phase1a(mbal=1), 0.5)
         second = envelope(Phase2a(mbal=1, value="v"), 1.5, era=Era.PRE)
         send(monitor, first)
         send(monitor, second, dropped=1)
-        monitor.on_deliver(first)
         stats = monitor.stats
         assert stats.sent == 2
-        assert stats.delivered == 1
         assert stats.dropped == 1
         assert stats.sent_pre_ts == 1
         assert stats.sent_post_ts == 1
         assert stats.by_kind == {"phase1a": 1, "phase2a": 1}
+        # Deliveries are counted by the destination nodes, not here.
+        assert stats.delivered == stats.to_crashed == 0
 
-    def test_duplicate_and_crashed_counters(self):
+    def test_duplicate_counter(self):
         monitor = NetworkMonitor()
         env = envelope(Phase1a(mbal=1), 0.0)
         monitor.on_send(env.message.kind, env.era, env.send_time, 1, 0, 1)
-        monitor.on_lost_to_crashed(env)
         assert monitor.stats.duplicated == 1
-        assert monitor.stats.to_crashed == 1
+
+    def test_by_kind_is_a_plain_dict_adding_each_call_count(self):
+        monitor = NetworkMonitor()
+        for kind, count in (("phase1a", 4), ("phase2a", 1), ("phase1a", 3)):
+            monitor.on_send(kind, Era.POST, 1.0, count, 0, 0)
+        assert type(monitor.stats.by_kind) is dict
+        assert monitor.stats.by_kind == {"phase1a": 7, "phase2a": 1}
+
+    def test_nodes_count_deliveries_and_deliveries_to_crashed_processes(self):
+        from repro.net.network import Network
+        from repro.net.synchrony import EventualSynchrony
+        from repro.sim.rng import SeededRng
+        from tests.helpers import build_adversary, silent_simulator
+
+        model = EventualSynchrony(ts=0.0, delta=1.0, adversary=build_adversary("benign"))
+        network = Network(model=model, rng=SeededRng(0, label="net"))
+        simulator = silent_simulator(network, n=3)
+        network.send(Phase1a(mbal=1), src=0, dsts=(0, 1, 2))
+        simulator.crash(2)
+        simulator.run()
+        assert (network.monitor.stats.delivered, network.monitor.stats.to_crashed) == (2, 1)
 
 
 class TestPostTsSendRate:

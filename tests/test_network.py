@@ -1,38 +1,53 @@
 """Unit tests for the network transport (`repro.net.network`) on a real simulator."""
 
-from typing import List
+from dataclasses import dataclass
+from typing import Any, List
 
 import pytest
 
 from repro.core.messages import Phase1a
 from repro.errors import NetworkError
-from repro.net.message import Envelope, Era
+from repro.net.message import Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
+from repro.sim.lifecycle import Node
 from repro.sim.rng import SeededRng
 from tests.helpers import build_adversary, capture_sent_envelopes, silent_simulator
+
+
+@dataclass(frozen=True)
+class Delivery:
+    """One message a node accepted, as its queue entry carried it."""
+
+    message: Any
+    src: int
+    dst: int
+    msg_id: int
 
 
 class SimHost:
     """A started five-process simulator seen through the network's eyes.
 
-    ``scheduled`` lists the queued events as ``(time, action, args)``,
-    ``delivered`` collects the envelopes the nodes accept, setting ``time``
-    moves the clock without firing anything, clearing ``accept_deliveries``
-    crashes every node, and ``fire_all`` runs the queue dry.
+    ``scheduled`` lists the queued deliveries as ``(time, dst, args)``,
+    ``delivered`` collects a :class:`Delivery` per message a node accepts,
+    setting ``time`` moves the clock without firing anything, clearing
+    ``accept_deliveries`` crashes every node, and ``fire_all`` runs the
+    queue dry.
     """
 
     def __init__(self, network: Network) -> None:
-        self.simulator = silent_simulator(network)
-        self.delivered: List[Envelope] = []
-        for node in self.simulator.nodes.values():
-            node.deliver = self._recording(node.deliver)
+        self.delivered: List[Delivery] = []
+        # The network reads each node's ``deliver`` when the simulator binds
+        # it, so the recording method only has to be in place while building.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Node, "deliver", self._recording(Node.deliver))
+            self.simulator = silent_simulator(network)
 
     def _recording(self, deliver):
-        def recording_deliver(envelope):
-            accepted = deliver(envelope)
+        def recording_deliver(node, message, src, msg_id):
+            accepted = deliver(node, message, src, msg_id)
             if accepted:
-                self.delivered.append(envelope)
+                self.delivered.append(Delivery(message, src, node.pid, msg_id))
             return accepted
 
         return recording_deliver
@@ -57,19 +72,25 @@ class SimHost:
 
     @property
     def scheduled(self):
-        # Nothing here cancels an event, so every heap entry is live.
+        # Nothing here cancels an event, so every heap entry is live; each is
+        # a delivery, whose action is its destination node's bound ``deliver``.
         return [
-            (time, action, args) for time, _, action, args in sorted(self.simulator._events._heap)
+            (time, action.__self__.pid, args)
+            for time, _, action, args in sorted(self.simulator._events._heap)
         ]
 
     def fire_all(self):
         self.simulator.run()
 
 
-def fields(envelope):
-    """What a queued envelope and a captured send record have in common."""
-    return (envelope.message, envelope.src, envelope.dst, envelope.send_time, envelope.era,
-            envelope.msg_id, envelope.deliver_time)
+def queued_fields(time, dst, args):
+    """What a queued delivery and a captured send record have in common."""
+    message, src, msg_id = args
+    return (message, src, dst, msg_id, time)
+
+
+def sent_fields(envelope):
+    return (envelope.message, envelope.src, envelope.dst, envelope.msg_id, envelope.deliver_time)
 
 
 def benign_model(ts=0.0, delta=1.0):
@@ -135,7 +156,9 @@ class TestSendPath:
         assert [first.msg_id, second.msg_id] == [0, 1]
         assert [first.send_time, second.send_time] == [0.0, 5.0]
         assert [first.era, second.era] == [Era.PRE, Era.POST]
-        assert [fields(args[0]) for _, _, args in host.scheduled] == [fields(first), fields(second)]
+        assert [queued_fields(*entry) for entry in host.scheduled] == [
+            sent_fields(first), sent_fields(second)
+        ]
         assert network.monitor.stats.sent_pre_ts == network.monitor.stats.sent_post_ts == 1
 
 
@@ -150,8 +173,10 @@ class TestDuplication:
         assert network.monitor.stats.duplicated == 1
         assert len(host.delivered) == 2
         # The simulator delivers in time order; the copy may arrive first.
-        original, duplicate = sorted(host.delivered, key=lambda envelope: envelope.msg_id)
-        assert (duplicate.send_time, duplicate.era) == (original.send_time, original.era)
+        original, duplicate = sorted(host.delivered, key=lambda delivery: delivery.msg_id)
+        assert (duplicate.message, duplicate.src, duplicate.dst) == (
+            original.message, original.src, original.dst
+        )
         assert duplicate.msg_id == original.msg_id + 1
 
 
@@ -182,3 +207,36 @@ class TestInjection:
         network, _ = make_network()
         with pytest.raises(NetworkError):
             network.inject(Phase1a(mbal=1), src=0, dst=1, deliver_time=0.5, send_time=1.0)
+
+
+class TestUnknownDestinations:
+    """A destination with no node is an error, not a message lost to a crash."""
+
+    @pytest.mark.parametrize("dst", [5, -1])
+    def test_send_to_a_pid_with_no_node_raises_naming_it(self, dst):
+        network, host = make_network()
+        with pytest.raises(NetworkError, match=f"no process {dst} "):
+            network.send(Phase1a(mbal=1), src=0, dsts=(dst,))
+        assert host.scheduled == []
+        assert network.monitor.stats.to_crashed == 0
+
+    @pytest.mark.parametrize("dst", [5, -1])
+    def test_a_broadcast_naming_one_unknown_pid_raises(self, dst):
+        network, _ = make_network()
+        with pytest.raises(NetworkError, match=f"no process {dst} "):
+            network.send(Phase1a(mbal=1), src=0, dsts=(0, 1, dst, 2))
+
+    @pytest.mark.parametrize("dst", [5, -1])
+    def test_a_lost_message_to_a_pid_with_no_node_raises_too(self, dst):
+        network, _ = make_network(ts=100.0, adversary=build_adversary("drop-all"))
+        with pytest.raises(NetworkError, match=f"no process {dst} "):
+            network.send(Phase1a(mbal=1), src=0, dsts=(dst,))
+
+    @pytest.mark.parametrize("dst", [5, -1])
+    def test_inject_to_a_pid_with_no_node_raises_naming_it(self, dst):
+        network, host = make_network()
+        with pytest.raises(NetworkError, match=f"no process {dst} "):
+            network.inject(Phase1a(mbal=1), src=0, dst=dst, deliver_time=1.0)
+        assert host.scheduled == []
+        assert network.monitor.stats.sent == 0
+        assert network._next_msg_id == 0

@@ -1,10 +1,12 @@
-"""Tests for the PR2 hot-path fast paths.
+"""Tests for the hot-path fast paths.
 
-Covers the behavioural surfaces the allocation-free refactor touched:
+Covers the behavioural surfaces the allocation-free refactors touched:
 
 * the monitor's counters, which must agree with the per-message ``send`` and
   ``deliver`` rows (the network keeps no per-envelope log),
 * per-network ``msg_id`` streams (deterministic, no global state),
+* direct delivery: a delivery is one queue entry calling its node, with no
+  envelope built for it, and the nodes count every one,
 
 plus the seeded-equivalence oracle: three protocols x three workloads whose
 decision/trace digests were captured on the pre-refactor tree (PR1, commit
@@ -25,10 +27,13 @@ import pytest
 
 from repro.core.messages import Phase1a
 from repro.harness.runner import run_scenario
-from repro.net.message import Envelope, Era
+from repro.net import network as network_module
+from repro.net.message import Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
 from repro.params import TimingParams
+from repro.sim.events import EventQueue
+from repro.sim.lifecycle import Node
 from repro.sim.rng import SeededRng
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.stable import stable_scenario
@@ -171,7 +176,61 @@ class TestPerNetworkMessageIds:
         assert first[:3] == [0, 1, 2]
         assert first == sorted(first) and first == send_ids()
 
-    def test_direct_envelopes_still_get_unique_fallback_ids(self):
-        first = Envelope(message=Phase1a(mbal=1), src=0, dst=1, send_time=0.0, era=Era.POST)
-        second = Envelope(message=Phase1a(mbal=1), src=0, dst=1, send_time=0.0, era=Era.POST)
-        assert first.msg_id != second.msg_id
+
+class TestDirectDelivery:
+    """A delivery is the queue entry ``(when, seq, node.deliver, (message, src, msg_id))``."""
+
+    @staticmethod
+    def _count_envelopes(monkeypatch):
+        built = []
+        envelope = network_module.Envelope
+
+        def counting_envelope(*args, **kwargs):
+            built.append(args)
+            return envelope(*args, **kwargs)
+
+        monkeypatch.setattr(network_module, "Envelope", counting_envelope)
+        return built
+
+    def test_a_seeded_chaos_run_builds_no_envelope(self, monkeypatch):
+        built = self._count_envelopes(monkeypatch)
+        scenario = WORKLOADS.create("partitioned-chaos", n=9, seed=1)
+        sim = run_scenario(scenario, "modified-paxos").simulator
+        assert sim.network.monitor.stats.delivered > 0
+        assert built == []
+
+    def test_only_inject_builds_envelopes(self, monkeypatch):
+        built = self._count_envelopes(monkeypatch)
+        injected = []
+        inject = Network.inject
+
+        def counting_inject(self, *args, **kwargs):
+            injected.append(inject(self, *args, **kwargs))
+            return injected[-1]
+
+        monkeypatch.setattr(Network, "inject", counting_inject)
+        run_scenario(WORKLOADS.create("obsolete-ballots", n=5), "modified-paxos")
+        assert len(built) == len(injected) > 0
+
+    @pytest.mark.parametrize("workload", ["restarts", "kitchen-sink"])
+    def test_delivered_plus_to_crashed_equals_the_delivery_entries_fired(
+        self, workload, monkeypatch
+    ):
+        pushed = []
+        push = EventQueue.push
+
+        def recording_push(self, time, action, args=()):
+            if getattr(action, "__func__", None) is Node.deliver:
+                pushed.append(args)
+            return push(self, time, action, args)
+
+        # The network keeps the queue's bound ``push`` from when it binds.
+        monkeypatch.setattr(EventQueue, "push", recording_push)
+        sim = run_scenario(WORKLOADS.create(workload, n=5, seed=1), "modified-paxos").simulator
+        pending = sum(
+            1 for entry in sim._events._heap
+            if getattr(entry[2], "__func__", None) is Node.deliver
+        )
+        stats = sim.network.monitor.stats
+        assert stats.delivered > 0 and stats.to_crashed > 0
+        assert stats.delivered + stats.to_crashed == len(pushed) - pending

@@ -17,10 +17,11 @@ from repro.net.partition import minority_groups
 from repro.oracle.lamport import LamportClock, LogicalTimestamp
 from repro.params import TimingParams
 from repro.sim.clock import DriftingClock
-from repro.sim.events import EventQueue
 from repro.sim.rng import SeededRng
 from repro.smr.log import ReplicatedLog
 from repro.storage.stable import StableStore
+
+from tests.helpers import queue_simulator
 
 
 class TestSessionArithmetic:
@@ -187,27 +188,52 @@ _QUEUE_OPS = st.lists(
 )
 
 
+class _Loop:
+    """A bare queue driven by ``Simulator.run``: each entry's action records its ``(time, seq)``."""
+
+    def __init__(self) -> None:
+        self.simulator, self.queue = queue_simulator()
+        self.fired: List[tuple] = []
+        self.pushes = 0
+
+    def push(self, time: float) -> int:
+        """Push an entry at ``time`` and return what ``EventQueue.push`` returned."""
+        seq = self.queue.push(time, self.fired.append, ((time, self.pushes),))
+        self.pushes += 1
+        return seq
+
+    def cancel(self, seq: int) -> None:
+        self.queue.cancel(seq)
+
+    def pop(self, horizon: float) -> Optional[tuple]:
+        """Fire the next live entry at or before ``horizon`` as a run does; its ``(time, seq)`` or None."""
+        before = len(self.fired)
+        self.simulator.run(until=horizon, max_events=1)
+        return self.fired[before] if len(self.fired) > before else None
+
+
 class TestEventQueueProperties:
     @given(ops=_QUEUE_OPS)
     def test_pops_follow_time_seq_order_and_skip_exactly_the_cancelled(self, ops):
-        queue = EventQueue()
+        loop = _Loop()
+        queue = loop.queue
         pending = {}  # seq -> time of every pushed, not cancelled, not popped entry
         for op, arg in ops:
             if op == "push":
-                seq = queue.push(float(arg), print)
+                seq = loop.push(float(arg))
                 assert seq not in pending
                 pending[seq] = float(arg)
             elif op == "cancel" and pending:
                 seq = sorted(pending)[arg % len(pending)]
-                queue.cancel(seq)
+                loop.cancel(seq)
                 del pending[seq]
             elif op == "pop":
                 due = [(time, seq) for seq, time in pending.items() if time <= arg]
-                entry = queue.pop_before(arg)
+                entry = loop.pop(arg)
                 if not due:
                     assert entry is None
                 else:
-                    assert entry[:2] == min(due)
+                    assert entry == min(due)
                     del pending[entry[1]]
             in_heap = {entry[1] for entry in queue._heap}
             # Every cancelled seq is still in the heap, and the heap holds
@@ -215,25 +241,25 @@ class TestEventQueueProperties:
             assert queue._cancelled <= in_heap
             assert in_heap == set(pending) | queue._cancelled
         drained = []
-        while (entry := queue.pop_before(float("inf"))) is not None:
-            drained.append(entry[:2])
+        while (entry := loop.pop(float("inf"))) is not None:
+            drained.append(entry)
         assert drained == sorted((time, seq) for seq, time in pending.items())
         assert queue._cancelled == set()
 
     @given(ops=_QUEUE_OPS)
     def test_push_returns_the_number_of_earlier_pushes(self, ops):
-        queue = EventQueue()
+        loop = _Loop()
         pushes = 0
         live = []  # seqs pushed and neither cancelled nor popped
         for op, arg in ops:
             if op == "push":
-                assert queue.push(float(arg), print) == pushes
+                assert loop.push(float(arg)) == pushes
                 live.append(pushes)
                 pushes += 1
             elif op == "cancel" and live:
-                queue.cancel(live.pop(arg % len(live)))
+                loop.cancel(live.pop(arg % len(live)))
             elif op == "pop":
-                entry = queue.pop_before(arg)
+                entry = loop.pop(arg)
                 if entry is not None:
                     live.remove(entry[1])
 
@@ -247,19 +273,20 @@ class TestEventQueueProperties:
         shuffled = data.draw(st.permutations(doomed))
         pops = []
         for order in (doomed, shuffled):
-            queue = EventQueue()
+            loop = _Loop()
             for time in times:
-                queue.push(float(time), print)
+                loop.push(float(time))
             for seq in order:
-                queue.cancel(seq)
+                loop.cancel(seq)
             popped = []
-            while (entry := queue.pop_before(float("inf"))) is not None:
-                popped.append(entry[:2])
+            while (entry := loop.pop(float("inf"))) is not None:
+                popped.append(entry)
             pops.append(popped)
         assert pops[0] == pops[1]
         assert [seq for _, seq in pops[0]] == sorted(
             set(range(len(times))) - set(doomed), key=lambda seq: (times[seq], seq)
         )
+
 
 # Log entries: (command_id, command) pairs, including a duplicate submission of
 # one id in a second slot, and bare values that carry no command id.

@@ -96,7 +96,7 @@ def test_the_event_queue_has_one_way_to_schedule_and_cancel():
     from repro.sim.events import EventQueue
 
     public = {name for name in vars(EventQueue) if not name.startswith("_")}
-    assert public == {"push", "cancel", "pop_before"}
+    assert public == {"push", "cancel"}
     assert list(inspect.signature(EventQueue.push).parameters) == ["self", "time", "action", "args"]
 
 

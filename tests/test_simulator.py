@@ -260,6 +260,25 @@ class TestScheduling:
         sim.run(max_events=3)
         assert sim.events_processed == 3
 
+    def test_a_raising_handler_leaves_events_processed_at_the_events_completed_before_it(self):
+        sim = build_simulator(lambda pid: PersistentCounterProcess(), n=1)
+        calls = []
+
+        def fail():
+            raise RuntimeError("handler failed")
+
+        for time in (1.0, 2.0, 4.0):
+            sim.schedule_at(time, calls.append, args=(time,))
+        sim.schedule_at(3.0, fail)
+        sim.run(max_events=1)
+        assert sim.events_processed == 1
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+        # The second run completed one event before the handler raised.
+        assert calls == [1.0, 2.0] and sim.events_processed == 2 and sim.now() == 3.0
+        sim.run()
+        assert calls == [1.0, 2.0, 4.0] and sim.events_processed == 3
+
     def test_stop_when_predicate(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)
         sim.run(stop_when=lambda s: len(s.decisions) >= 1)
