@@ -25,29 +25,25 @@ Run with::
 from repro import WORKLOADS, TimingParams, run_scenario
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
-from repro.smr.workload import CommandSchedule
+from repro.smr.workload import ScheduleSpec
 
 REPLICAS = 5
 PARAMS = TimingParams(delta=1.0, rho=0.01, epsilon=0.5)
 TS = 10.0
 
 
-def build_schedule(survivor: int) -> CommandSchedule:
-    schedule = CommandSchedule()
+def build_schedule(survivor: int) -> ScheduleSpec:
     # Batch 1: submitted during the partition (before TS).
-    for index in range(4):
-        schedule.add(
-            survivor, 2.0 + index, f"early-{index}", ("set", f"user-{index}", f"signup-{index}")
-        )
+    early = [
+        (survivor, 2.0 + index, f"early-{index}", ("set", f"user-{index}", f"signup-{index}"))
+        for index in range(4)
+    ]
     # Batch 2: submitted well after stabilization, at the same replica.
-    for index in range(6):
-        schedule.add(
-            survivor,
-            TS + 20.0 + index,
-            f"late-{index}",
-            ("set", f"session-{index}", f"token-{index}"),
-        )
-    return schedule
+    late = [
+        (survivor, TS + 20.0 + index, f"late-{index}", ("set", f"session-{index}", f"token-{index}"))
+        for index in range(6)
+    ]
+    return ScheduleSpec(entries=tuple(early + late))
 
 
 def main() -> None:
@@ -57,7 +53,7 @@ def main() -> None:
     survivor = scenario.deciders()[0]
     schedule = build_schedule(survivor)
 
-    print(f"replicated KV store on {REPLICAS} replicas; {schedule.describe()}")
+    print(f"replicated KV store on {REPLICAS} replicas; {len(schedule.entries)} commands")
     print(f"client co-located with replica {survivor}; network heals at TS={TS:g}\n")
 
     builder = MultiPaxosSmrBuilder(schedule=schedule, machine_factory=KeyValueStore)

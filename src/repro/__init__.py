@@ -45,7 +45,7 @@ re-executing it (see :mod:`repro.results`)::
 
     results = run_experiment(spec, store="runs.jsonl", resume=True)
     with open_store("runs.jsonl") as store:
-        print(store.query(protocol="modified-paxos").summary(lag_delta))
+        print(store.query(protocol="modified-paxos").mean(lag_delta))
 
 Environments.  A run's environment (pre-``TS`` adversary and crash
 and restart schedule) is a declarative :class:`EnvironmentSpec`, composed

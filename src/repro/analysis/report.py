@@ -155,7 +155,7 @@ def _render_smr_run_report(result: "RunResult") -> str:
     config = result.scenario.config
     lines = [
         f"smr run report: multi-paxos-smr scenario={result.scenario.name} "
-        f"({result.builder.schedule.describe()})",
+        f"({result.outcome.total_commands} commands over {len(result.builder.entries)} replicas)",
         f"  model: n={config.n} ts={config.ts:g} seed={config.seed} "
         f"{config.params.describe()}",
         f"  faults: {result.scenario.fault_plan.describe()}",

@@ -28,13 +28,6 @@ class Summary:
     p95: float
     maximum: float
 
-    def describe(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.3f} std={self.std:.3f} "
-            f"min={self.minimum:.3f} median={self.median:.3f} "
-            f"p95={self.p95:.3f} max={self.maximum:.3f}"
-        )
-
 
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile (``fraction`` in [0, 1])."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import merge
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
@@ -55,19 +55,13 @@ class TraceRecorder:
     Storage is one list of row tuples in record order (layout in the module
     docstring) plus an index from event name to the positions of its rows,
     kept at record time, so ``filter(event=...)`` walks only that event's
-    rows.  Every read (iteration, :attr:`events`, :meth:`filter`) builds
+    rows.  Every read (:attr:`events`, :meth:`filter`) builds
     fresh :class:`TraceEvent` objects that share the rows' field dicts.
     """
 
     def __init__(self) -> None:
         self._rows: List[tuple] = []
         self._index: Dict[str, List[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return map(_to_event, self._rows)
 
     @property
     def events(self) -> List[TraceEvent]:

@@ -199,37 +199,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    params = TimingParams(delta=args.delta, rho=args.rho, epsilon=args.epsilon)
     if args.env is not None and args.workload is not None:
         print("pass either --workload or --env, not both")
         return 2
-    kwargs = _workload_kwargs(args, params)
     workload = args.workload if args.workload is not None else "partitioned-chaos"
-    smr_task = None
-    if is_smr_workload(workload):
-        if args.protocol is not None and args.protocol != SMR_PROTOCOL:
-            print(f"workload {workload!r} always runs the multi-decree service "
-                  f"({SMR_PROTOCOL}); drop --protocol")
-            return 2
-        schedule = ScheduleSpec(num_commands=args.commands, start=args.command_start,
-                                interval=args.command_interval, target_pid=args.target_pid)
-        smr_task = SmrTask(workload, schedule, kwargs, machine=args.machine)
+    smr = is_smr_workload(workload)
+    if smr and args.protocol is not None and args.protocol != SMR_PROTOCOL:
+        print(f"workload {workload!r} always runs the multi-decree service "
+              f"({SMR_PROTOCOL}); drop --protocol")
+        return 2
     protocol = args.protocol if args.protocol is not None else "modified-paxos"
+    env = None
     if args.env is not None:
         try:
             env = json.loads(args.env)
         except ValueError:
-            env = None
+            pass
         if not isinstance(env, dict):
             print("--env takes an EnvironmentSpec JSON object; "
                   "to run a named environment use --workload NAME")
             return 2
-        kwargs["env"] = env
-        workload = "environment"
     try:
+        params = TimingParams(delta=args.delta, rho=args.rho, epsilon=args.epsilon)
+        kwargs = _workload_kwargs(args, params)
+        if smr:
+            schedule = ScheduleSpec(num_commands=args.commands, start=args.command_start,
+                                    interval=args.command_interval, target_pid=args.target_pid)
+            protocol = SmrTask(workload, schedule, kwargs, machine=args.machine).builder()
+        if env is not None:
+            kwargs["env"] = env
+            workload = "environment"
         scenario = WORKLOADS.create(workload, **kwargs)
-        if smr_task is not None:
-            protocol = smr_task.builder(scenario.config.n)
         # The protocol name and the fault plan are checked when the run
         # starts, so the run itself can still raise a configuration error.
         result = run_scenario(scenario, protocol, enforce=not args.allow_unsafe)

@@ -144,14 +144,6 @@ class PartitionDecl:
             return minority_groups(n, rng.fork(self.rng_label))
         return PartitionSpec.of(self.groups or ())
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"mode": self.mode}
-        if self.groups is not None:
-            data["groups"] = [list(group) for group in self.groups]
-        if self.rng_label != "partition":
-            data["rng_label"] = self.rng_label
-        return data
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PartitionDecl":
         _expect_keys(data, {"mode", "groups", "rng_label"}, "PartitionDecl")
@@ -320,16 +312,6 @@ class EnvironmentSpec:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnvironmentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"invalid environment JSON: {error}") from error
-        if not isinstance(data, dict):
-            raise ConfigurationError("environment JSON must be an object")
-        return cls.from_dict(data)
 
     # -- reporting ----------------------------------------------------------
     def describe(self) -> str:

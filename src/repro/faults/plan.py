@@ -64,16 +64,6 @@ class FaultPlan:
     def __init__(self, events: Optional[Iterable[FaultEvent]] = None) -> None:
         self._events: List[FaultEvent] = sorted(events) if events else []
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    @property
-    def events(self) -> List[FaultEvent]:
-        return list(self._events)
-
     # -- construction -----------------------------------------------------------
     def crash(self, pid: int, time: float) -> "FaultPlan":
         """Add a crash of ``pid`` at ``time`` (fluent).

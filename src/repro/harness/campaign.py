@@ -92,12 +92,6 @@ class CampaignResult:
     tables: List[ExperimentTable] = field(default_factory=list)
     durations: Dict[str, float] = field(default_factory=dict)
 
-    def table(self, experiment: str) -> ExperimentTable:
-        for table in self.tables:
-            if table.experiment == experiment:
-                return table
-        raise KeyError(experiment)
-
     def failed_verdicts(self) -> List[str]:
         """The name of every verdict that failed (each names its experiment)."""
         return [

@@ -142,14 +142,13 @@ class SmrTask:
     kind = "smr"
     protocol = SMR_PROTOCOL
 
-    def builder(self, n: int) -> MultiPaxosSmrBuilder:
-        """The SMR builder for this task's schedule and state machine, over ``n`` replicas."""
-        return MultiPaxosSmrBuilder(self.schedule.to_schedule(n), machine_factory_for(self.machine))
+    def builder(self) -> MultiPaxosSmrBuilder:
+        """The SMR builder for this task's schedule and state machine."""
+        return MultiPaxosSmrBuilder(self.schedule, machine_factory_for(self.machine))
 
     def run(self) -> RunResult:
         """Execute in this process and keep the full result (simulator included)."""
-        scenario = build_task_scenario(self)
-        return run_scenario(scenario, self.builder(scenario.config.n))
+        return run_scenario(build_task_scenario(self), self.builder())
 
     def execute(self) -> SmrOutcome:
         """Execute and return the condensed, picklable outcome."""

@@ -43,7 +43,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.stats import Summary, summarize
+from repro.analysis.stats import summarize
 from repro.errors import ExperimentError
 from repro.harness.executors import (
     AnyOutcome,
@@ -61,7 +61,6 @@ __all__ = [
     "lag_delta",
     "run_experiment",
     "run_smr_tasks",
-    "undecided",
 ]
 
 GridPoint = Dict[str, Any]
@@ -152,16 +151,6 @@ class ResultRow:
             )
         return self.task.tags[key]
 
-    @property
-    def environment(self) -> Optional[Mapping[str, Any]]:
-        """The resolved environment spec this run executed under, as a dict.
-
-        Recorded by the runner for every environment-driven scenario;
-        ``EnvironmentSpec.from_dict(row.environment)`` rebuilds the spec, so
-        any row of a :class:`ResultSet` can be re-run from its own metadata.
-        """
-        return self.outcome.extra.get("environment")
-
 
 def lag_delta(row: ResultRow) -> Optional[float]:
     """Worst expected-decider decision lag after ``TS``, in delta units."""
@@ -169,11 +158,6 @@ def lag_delta(row: ResultRow) -> Optional[float]:
     if lag is None:
         return None
     return lag / row.outcome.delta
-
-
-def undecided(row: ResultRow) -> Optional[float]:
-    """1.0 if some expected decider never decided, else 0.0 (summable)."""
-    return 0.0 if row.outcome.all_decided else 1.0
 
 
 class ResultSet:
@@ -188,12 +172,6 @@ class ResultSet:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
-    def __add__(self, other: "ResultSet") -> "ResultSet":
-        return ResultSet(self.rows + other.rows)
 
     # -- querying -----------------------------------------------------------
     def filter(self, **tags: Any) -> "ResultSet":
@@ -233,11 +211,6 @@ class ResultSet:
 
     def total(self, metric: Metric) -> float:
         return sum(self.values(metric))
-
-    def summary(self, metric: Metric) -> Optional[Summary]:
-        """Full descriptive statistics of the metric (None when empty)."""
-        values = self.values(metric)
-        return summarize(values) if values else None
 
     def undecided_count(self) -> int:
         return sum(1 for row in self.rows if not row.outcome.all_decided)

@@ -89,9 +89,6 @@ class ExperimentTable:
             table.add_row(**row)
         return table
 
-    def column(self, header: str) -> List[Any]:
-        return [row.get(header) for row in self.rows]
-
     def render(self) -> str:
         body = render_table(
             self.headers, [[row.get(header) for header in self.headers] for row in self.rows]

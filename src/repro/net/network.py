@@ -146,6 +146,8 @@ class Network:
         Raises:
             NetworkError: before :meth:`bind`, when ``dst`` names no node, or
                 when the delivery would come before the send.
+            SimulationError: when the delivery time is before the current
+                time; the message is then neither counted nor queued.
         """
         if deliver_time < send_time:
             raise NetworkError("injected message would be delivered before it was sent")
@@ -155,11 +157,12 @@ class Network:
         if deliver is None:
             raise _unknown_destination(dst)
         msg_id = self._next_msg_id
+        # Through ``schedule_at``, which refuses a delivery time before now
+        # (a scripted one may lie there) before anything is counted.
+        self._simulator.schedule_at(deliver_time, deliver, args=(message, src, msg_id))
         self._next_msg_id = msg_id + 1
         envelope = Envelope(message, src, dst, send_time, _PRE, msg_id, deliver_time)
         self.monitor.on_inject(envelope)
-        # Through ``schedule_at``: a scripted delivery time may lie in the past.
-        self._simulator.schedule_at(deliver_time, deliver, args=(message, src, msg_id))
         return envelope
 
 

@@ -51,10 +51,6 @@ class PartitionSpec:
     def of(cls, groups: Iterable[Iterable[int]]) -> "PartitionSpec":
         return cls(tuple(tuple(sorted(group)) for group in groups))
 
-    @property
-    def pids(self) -> List[int]:
-        return sorted(pid for group in self.groups for pid in group)
-
     def reachable(self, src: int) -> FrozenSet[int]:
         """The pids a message from ``src`` reaches without crossing a boundary (``src`` included)."""
         members = self._reachable.get(src)

@@ -45,10 +45,6 @@ class LamportClock:
     def __repr__(self) -> str:
         return f"LamportClock(pid={self.pid}, counter={self._counter})"
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
     def tick(self) -> LogicalTimestamp:
         """Advance for a local event (e.g. a send) and return the new timestamp."""
         self._counter += 1

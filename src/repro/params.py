@@ -19,6 +19,7 @@ configuration instead, never here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
@@ -36,15 +37,16 @@ class TimingParams:
     session_timeout_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        # Each check is also false for NaN.
+        if not 0.0 < self.delta < math.inf:
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigurationError(f"rho must be in [0, 1), got {self.rho}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.session_timeout_factor < 4.0:
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 4.0 <= self.session_timeout_factor < math.inf:
             raise ConfigurationError(
-                "session_timeout_factor must be >= 4 (the paper requires the "
+                "session_timeout_factor must be finite and >= 4 (the paper requires the "
                 f"session timer to wait at least 4*delta), got {self.session_timeout_factor}"
             )
 

@@ -142,14 +142,8 @@ class JsonlStore:
     def keys(self) -> List[str]:
         return list(self._offsets)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._offsets
-
     def __len__(self) -> int:
         return len(self._offsets)
-
-    def __iter__(self) -> Iterator[RecordBase]:
-        return self.records()
 
     def records(self) -> Iterator[RecordBase]:
         if not self._offsets:
@@ -199,9 +193,6 @@ class JsonlStore:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def describe(self) -> str:
-        return f"{self.backend}({len(self)} records)"
 
     # -- querying -----------------------------------------------------------
     def query_records(

@@ -80,8 +80,6 @@ class Node:
         self.status = ProcessStatus.NOT_STARTED
         self.incarnation = 0
         self.process: Optional[Process] = None
-        self.crash_count = 0
-        self.restart_count = 0
         self._queue = simulator._events
         # Delivery counts go straight into the network monitor's stats.
         self._stats = simulator.network.monitor.stats
@@ -105,7 +103,6 @@ class Node:
                 f"cannot crash process {self.pid}: status is {self.status.value}"
             )
         self.status = ProcessStatus.CRASHED
-        self.crash_count += 1
         queue = self._queue
         for seq in self._timers.values():
             queue.cancel(seq)
@@ -121,7 +118,6 @@ class Node:
             raise ProcessStateError(
                 f"cannot restart process {self.pid}: status is {self.status.value}"
             )
-        self.restart_count += 1
         self._boot(restarting=True)
 
     def _boot(self, restarting: bool = False) -> None:

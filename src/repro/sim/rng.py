@@ -70,9 +70,6 @@ class SeededRng:
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)
 
-    def sample(self, seq: Sequence[T], k: int) -> list[T]:
-        return self._random.sample(seq, k)
-
     def shuffle(self, items: list[T]) -> None:
         self._random.shuffle(items)
 

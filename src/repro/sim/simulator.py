@@ -12,6 +12,7 @@ configuration (including the seed), which the regression tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -61,10 +62,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigurationError(f"n must be at least 1, got {self.n}")
-        if self.ts < 0:
-            raise ConfigurationError(f"ts must be non-negative, got {self.ts}")
-        if self.max_time <= self.ts:
-            raise ConfigurationError("max_time must exceed ts")
+        # Each check is also false for NaN.
+        if not 0.0 <= self.ts < math.inf:
+            raise ConfigurationError(f"ts must be finite and non-negative, got {self.ts}")
+        if not self.ts < self.max_time < math.inf:
+            raise ConfigurationError(f"max_time must be finite and exceed ts, got {self.max_time}")
 
     @property
     def majority(self) -> int:

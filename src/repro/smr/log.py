@@ -43,9 +43,6 @@ class ReplicatedLog:
         #: Highest decided slot, or −1 if the log is empty (read-only).
         self.highest_slot = -1
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, slot: int) -> bool:
         return slot in self._entries
 
@@ -61,10 +58,6 @@ class ReplicatedLog:
             for slot in range(max(start, 0), self.highest_slot + 1)
             if slot in entries
         )
-
-    def get(self, slot: int) -> Optional[Any]:
-        """The decided command of ``slot``, or None if not yet learned."""
-        return self._entries.get(slot)
 
     def learn(self, slot: int, command: Any) -> bool:
         """Record that ``slot`` decided ``command``.

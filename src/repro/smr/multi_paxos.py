@@ -29,6 +29,11 @@ interleavings be decided in two slots (the owner deduplicates against its own
 log and in-flight proposals, but a brand-new leader may not know about an
 in-flight duplicate).  State machines in :mod:`repro.smr.state_machine` are
 idempotent under such duplicates.
+
+Client submissions come from a :class:`~repro.smr.workload.ScheduleSpec`;
+:class:`MultiPaxosSmrBuilder` expands it into each replica's submission list
+when it is attached to a simulator, and each replica arms one timer per
+submission each time it starts or restarts (one already past fires at once).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.smr.messages import (
     SlotDecision,
 )
 from repro.smr.state_machine import KeyValueStore
-from repro.smr.workload import CommandSchedule
+from repro.smr.workload import Entry, ScheduleSpec
 
 __all__ = ["MultiPaxosSmrProcess", "MultiPaxosSmrBuilder"]
 
@@ -67,7 +72,7 @@ class MultiPaxosSmrProcess(SessionProcess):
     PHASE1A = MultiPhase1a
     SUBMIT_TIMER_PREFIX = "submit-"
 
-    def __init__(self, schedule: Optional[List[Tuple[float, str, Any]]] = None, on_learn: Optional[Callable] = None):
+    def __init__(self, schedule: Optional[List[Entry]] = None, on_learn: Optional[Callable] = None):
         super().__init__()
         self._schedule = list(schedule or [])
         # Called with each newly learned command id, and with None once the
@@ -332,28 +337,40 @@ class MultiPaxosSmrProcess(SessionProcess):
 class MultiPaxosSmrBuilder(ProtocolBuilder):
     """Builds SMR replicas, each with its own client command schedule, and drives SMR runs.
 
-    Replica digests apply each log to a fresh ``machine_factory()``.
+    ``schedule`` is expanded once, in :meth:`attach`, which knows ``n``:
+    :attr:`entries` then holds each replica's submissions by submit time
+    and :attr:`command_ids` every scheduled id, sorted.  Replica digests
+    apply each log to a fresh ``machine_factory()``.
     """
 
     name = "multi-paxos-smr"
 
     def __init__(
         self,
-        schedule: Optional[CommandSchedule] = None,
+        schedule: ScheduleSpec = ScheduleSpec(),
         machine_factory: Callable[[], object] = KeyValueStore,
     ) -> None:
         super().__init__()
-        self.schedule = schedule if schedule is not None else CommandSchedule()
+        self.schedule = schedule
         self.machine_factory = machine_factory
+        self.entries: Dict[int, List[Entry]] = {}
+        self.command_ids: Tuple[str, ...] = ()
         # While run_to_stop waits: the scheduled ids and the expected replicas' nodes.
         self._awaited_ids: frozenset = frozenset()
         self._watched: Optional[Dict[int, Any]] = None
 
     def attach(self, simulator) -> None:
-        """Bind to ``simulator``, rejecting submissions past its horizon (they would never fire)."""
+        """Bind to ``simulator`` and expand the schedule for its ``n``.
+
+        A submission past the horizon would never fire, so it is rejected.
+        """
         super().attach(simulator)
+        self.entries = self.schedule.expand(simulator.config.n)
+        self.command_ids = tuple(sorted(
+            command_id for entries in self.entries.values() for _, command_id, _ in entries
+        ))
         max_time = simulator.config.max_time
-        for pid, entries in sorted(self.schedule.entries.items()):
+        for pid, entries in sorted(self.entries.items()):
             for submit_at, command_id, _ in entries:
                 if submit_at > max_time:
                     raise ConfigurationError(
@@ -364,7 +381,7 @@ class MultiPaxosSmrBuilder(ProtocolBuilder):
                     )
 
     def create(self, pid: int) -> MultiPaxosSmrProcess:
-        return MultiPaxosSmrProcess(schedule=self.schedule.for_pid(pid), on_learn=self._learned)
+        return MultiPaxosSmrProcess(schedule=self.entries.get(pid), on_learn=self._learned)
 
     def run_to_stop(self, simulator, deciders) -> None:
         """Run until every expected replica's *current* incarnation has learned every scheduled command.
@@ -372,7 +389,7 @@ class MultiPaxosSmrBuilder(ProtocolBuilder):
         A replica that is down is not caught up, even with a complete log on disk.
         With nothing scheduled, the run ends at the horizon.
         """
-        self._awaited_ids = frozenset(self.schedule.command_ids)
+        self._awaited_ids = frozenset(self.command_ids)
         if self._awaited_ids:
             self._watched = {pid: simulator.nodes[pid] for pid in deciders}
         try:

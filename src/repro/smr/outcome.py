@@ -90,11 +90,6 @@ class SmrOutcome:
     def all_commands_learned_everywhere(self) -> bool:
         return not self.unlearned_command_ids()
 
-    @property
-    def all_decided(self) -> bool:
-        """Alias for the query layer (mirrors ``RunOutcome.all_decided``)."""
-        return self.all_commands_learned_everywhere
-
     def worst_submitter_latency(self) -> Optional[float]:
         """Worst submitter latency over the commands (None if none completed)."""
         return _worst(record.submitter_latency for record in self.commands.values())

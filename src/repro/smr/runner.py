@@ -55,7 +55,7 @@ def compute_smr_outcome(
         delta=config.params.delta,
         seed=config.seed,
         expected_replicas=tuple(sorted(scenario.deciders())),
-        scheduled_command_ids=tuple(builder.schedule.command_ids),
+        scheduled_command_ids=builder.command_ids,
         commands=commands,
         prefix_lengths=prefix_lengths,
         digests={pid: digest_string(digest) for pid, digest in digests.items()},

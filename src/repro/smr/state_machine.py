@@ -66,13 +66,6 @@ class KeyValueStore(StateMachine):
             return self._data.pop(command[1], None)
         raise ProtocolError(f"unknown KV operation {op!r}")
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        """Local read (not linearized through the log)."""
-        return self._data.get(key, default)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
     def digest(self) -> Tuple[Tuple[Any, Any], ...]:
         return tuple(sorted(self._data.items(), key=lambda item: repr(item[0])))
 
@@ -87,10 +80,6 @@ class AppendOnlyLedger(StateMachine):
     def _apply(self, command: Any) -> Any:
         self._records.append(command)
         return len(self._records) - 1
-
-    @property
-    def records(self) -> List[Any]:
-        return list(self._records)
 
     def digest(self) -> Tuple[Any, ...]:
         return tuple(repr(record) for record in self._records)

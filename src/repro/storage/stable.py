@@ -6,7 +6,7 @@ written before a crash are visible after restart, values held only in the
 protocol object's attributes are not.  Values must be picklable/copyable
 plain data.  Storing a mutable object and mutating it in place would defeat
 the crash model, so every write and every read deep-copies the
-value (as do :meth:`StableStore.snapshot` and :meth:`StableStore.restore`).
+value.
 A copy costs time in proportion to the value, so protocols should persist
 small values: the SMR replica, for one, writes one key per log slot rather
 than its whole log.
@@ -40,12 +40,6 @@ class StableStore:
     def __repr__(self) -> str:
         return f"StableStore(owner={self.owner}, keys={sorted(self._data)})"
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self._data))
 
@@ -74,18 +68,4 @@ class StableStore:
                 raise StorageError("stable-store keys must be strings")
         for key, value in values.items():
             self._data[key] = copy.deepcopy(value)
-        self._writes += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A deep copy of the whole store (for checkpointing and assertions)."""
-        return copy.deepcopy(self._data)
-
-    def restore(self, snapshot: Dict[str, Any]) -> None:
-        """Replace the store contents with a previously taken snapshot."""
-        self._data = copy.deepcopy(snapshot)
-        self._writes += 1
-
-    def clear(self) -> None:
-        """Erase everything (models a disk wipe; not used by the paper's model)."""
-        self._data.clear()
         self._writes += 1

@@ -113,6 +113,23 @@ def queue_simulator(max_time: float = 1000.0):
     return simulator, simulator._events
 
 
+def fault_events(plan: Any) -> List[Any]:
+    """A fault plan's events in order, read the way a run reads them: through ``plan.apply``."""
+    from repro.faults.plan import FaultEvent, FaultKind
+
+    events: List[Any] = []
+
+    class Recorder:
+        def schedule_crash(self, pid: int, time: float) -> None:
+            events.append(FaultEvent(time, pid, FaultKind.CRASH))
+
+        def schedule_restart(self, pid: int, time: float) -> None:
+            events.append(FaultEvent(time, pid, FaultKind.RESTART))
+
+    plan.apply(Recorder())
+    return events
+
+
 def run_to_horizon(scenario: Any, protocol: str):
     """Run ``protocol`` under ``scenario`` to its horizon, past every decision.
 
@@ -236,7 +253,7 @@ def diverge_slot_zero_after_each_run(monkeypatch) -> None:
 
     def run_then_diverge(simulator, *args, **kwargs):
         end = run(simulator, *args, **kwargs)
-        assert all(node.process.log.get(0) is not None for node in simulator.nodes.values())
+        assert all(0 in node.process.log for node in simulator.nodes.values())
         replica = simulator.nodes[0].process
         entries = replica.log.snapshot()
         entries[0] = ("cmd-diverged", ("set", "k", -1))

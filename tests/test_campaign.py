@@ -35,7 +35,7 @@ class TestRun:
         assert [table.experiment for table in result.tables] == ["E7"]
         assert "E7" in result.durations
         assert messages and "E7" in messages[0]
-        assert result.table("E7").rows
+        assert result.tables[0].rows
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
@@ -83,11 +83,6 @@ class TestRun:
         run_campaign(scale="smoke", experiments=["E7"], store=store)
         assert close_calls == []
         assert len(store) == 4
-
-    def test_table_lookup_missing(self):
-        result = run_campaign(scale="smoke", experiments=["E7"])
-        with pytest.raises(KeyError):
-            result.table("E1")
 
 
 class TestReport:

@@ -24,6 +24,10 @@ def full_campaign():
     return run_campaign("full")
 
 
+def _table(campaign, experiment):
+    return {table.experiment: table for table in campaign.tables}[experiment]
+
+
 def _verdict(table, name):
     return {verdict.name: verdict for verdict in table.verdicts}[name]
 
@@ -38,7 +42,7 @@ def test_every_experiment_has_claims_and_its_table_judges_each(full_campaign):
 
 @pytest.mark.parametrize("name", sorted(_EXPERIMENT_OF))
 def test_verdict_passes_on_the_full_table(full_campaign, name):
-    table = full_campaign.table(_EXPERIMENT_OF[name])
+    table = _table(full_campaign, _EXPERIMENT_OF[name])
     verdict = _verdict(table, name)
     assert verdict.passed, verdict
     rendered = table.render()
@@ -50,7 +54,7 @@ def test_verdict_passes_on_the_full_table(full_campaign, name):
 @pytest.mark.parametrize("name", sorted(_EXPERIMENT_OF))
 def test_verdict_over_a_table_without_rows_fails(full_campaign, name):
     experiment = _EXPERIMENT_OF[name]
-    real = full_campaign.table(experiment)
+    real = _table(full_campaign, experiment)
     empty = ExperimentTable(real.experiment, real.title, list(real.headers), notes=real.notes)
     verdict = {v.name: v for v in judge(experiment, empty, default_experiment_params())}[name]
     assert not verdict.passed
@@ -85,7 +89,7 @@ def test_every_experiment_has_a_mutant():
 @pytest.mark.parametrize("experiment", sorted(_MUTANTS))
 def test_mutant_fails_its_named_verdict(full_campaign, experiment):
     where, header, value, name = _MUTANTS[experiment]
-    table = copy.deepcopy(full_campaign.table(experiment))
+    table = copy.deepcopy(_table(full_campaign, experiment))
     (row,) = [row for row in table.rows if where.items() <= row.items()]
     row[header] = value
     table.verdicts = judge(experiment, table, default_experiment_params())
@@ -94,9 +98,9 @@ def test_mutant_fails_its_named_verdict(full_campaign, experiment):
 
 
 def test_smoke_tables_carry_no_verdicts():
-    result = run_campaign("smoke", experiments=["E7"])
-    assert result.table("E7").verdicts == []
-    assert "verdict" not in result.table("E7").render()
+    (table,) = run_campaign("smoke", experiments=["E7"]).tables
+    assert table.verdicts == []
+    assert "verdict" not in table.render()
 
 
 def test_experiments_command_exits_1_naming_a_failed_verdict(tmp_path, monkeypatch, capsys):

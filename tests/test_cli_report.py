@@ -118,6 +118,27 @@ class TestCliParser:
         assert out.count("\n") == 1
         assert f"fault event {event} " in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "stable", "--delta", "0"], "delta must be positive and finite, got 0.0"),
+        (["--workload", "stable", "--delta", "nan"], "delta must be positive and finite, got nan"),
+        (["--workload", "stable", "--delta", "inf"], "delta must be positive and finite, got inf"),
+        (["--workload", "stable", "--epsilon", "-1"], "epsilon must be positive and finite, got -1.0"),
+        (["--workload", "stable", "--rho", "2"], "rho must be in [0, 1), got 2.0"),
+        (["--workload", "stable", "--rho", "nan"], "rho must be in [0, 1), got nan"),
+        (["--env", '{"adversary": {"kind": "benign"}}', "--ts", "nan"],
+         "ts must be finite and non-negative, got nan"),
+        (["--workload", "partitioned-chaos", "--ts", "nan"], "ts must be finite and non-negative, got nan"),
+        (["--workload", "smr-stable", "--commands", "-1"], "ScheduleSpec parameters must be finite"),
+        (["--workload", "smr-stable", "--command-interval", "-1"], "ScheduleSpec parameters must be finite"),
+        (["--workload", "smr-stable", "--command-start", "nan"], "ScheduleSpec parameters must be finite"),
+        (["--workload", "smr-stable", "--command-start", "inf"], "ScheduleSpec parameters must be finite"),
+    ])
+    def test_a_bad_timing_or_schedule_value_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(["run", "--n", "3", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith(message)
+
     @staticmethod
     def explicit_env(*events):
         import json
@@ -270,7 +291,7 @@ class TestCliCommands:
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "smr run report" in output
+        assert "smr run report: multi-paxos-smr scenario=stable-n3 (2 commands over 1 replicas)\n" in output
         assert "replicas agree              : OK" in output
         assert "cmd-0000" in output
         assert "unlearned commands" not in output

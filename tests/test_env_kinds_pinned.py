@@ -37,7 +37,7 @@ from repro.net.message import Envelope, Era, Message
 from repro.params import TimingParams
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig
-from tests.helpers import capture_sent_envelopes, silent_simulator
+from tests.helpers import capture_sent_envelopes, fault_events, silent_simulator
 
 PARAMS = TimingParams(delta=1.5)
 TS = 10.0 * PARAMS.delta
@@ -132,7 +132,10 @@ def _fault_digest(spec: FaultSpec, n: int) -> str:
     config = SimulationConfig(
         n=n, params=PARAMS, ts=TS, seed=23, max_time=TS + 400.0 * PARAMS.delta
     )
-    events = [[repr(event.time), event.pid, event.kind.value] for event in spec.build(config)]
+    events = [
+        [repr(event.time), event.pid, event.kind.value]
+        for event in fault_events(spec.build(config))
+    ]
     return hashlib.sha256(json.dumps(events).encode()).hexdigest()
 
 

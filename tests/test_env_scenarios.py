@@ -28,7 +28,7 @@ from repro.workloads.environments import (
 )
 from repro.workloads.registry import WORKLOADS
 
-from tests.helpers import capture_sent_envelopes, make_params, run_to_horizon
+from tests.helpers import capture_sent_envelopes, fault_events, make_params, run_to_horizon
 
 PARAMS = make_params()
 
@@ -163,7 +163,7 @@ class TestChurn:
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=3)
         simulator = run_to_horizon(scenario, "modified-paxos")  # past every wave
         assert set(scenario.deciders()) <= set(simulator.decisions)
-        victims = sorted({event.pid for event in scenario.fault_plan.events})
+        victims = sorted({event.pid for event in fault_events(scenario.fault_plan)})
         for victim in victims:
             restarts = simulator.trace.filter(event="restart", category="node", pid=victim)
             assert len(list(restarts)) == 3  # every wave executed
@@ -171,14 +171,14 @@ class TestChurn:
     def test_churn_delays_victim_decisions_past_the_last_restart(self):
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
         simulator = run_to_horizon(scenario, "modified-paxos")
-        victims = sorted({event.pid for event in scenario.fault_plan.events})
+        victims = sorted({event.pid for event in fault_events(scenario.fault_plan)})
         decided_values = {r.value for r in simulator.all_decisions}
         assert len(decided_values) == 1  # uniform agreement across churn
         for victim in victims:
             # The waves bite: the victim's up-windows are too short to decide
             # in, so its (only) decision lands after its final restart.
             last_restart = max(
-                event.time for event in scenario.fault_plan
+                event.time for event in fault_events(scenario.fault_plan)
                 if event.pid == victim and event.kind.value == "restart"
             )
             decisions = [r for r in simulator.all_decisions if r.pid == victim]
@@ -194,7 +194,7 @@ class TestChurn:
     def test_majority_always_up(self):
         scenario = churn_scenario(7, params=PARAMS, seed=1, waves=3)
         plan = scenario.fault_plan
-        times = sorted({event.time for event in plan})
+        times = sorted({event.time for event in fault_events(plan)})
         for time in times:
             assert 7 - len(plan.crashed_at(time)) >= 4
 
@@ -207,11 +207,11 @@ class TestChurn:
         # scenario's allow_post_ts_crashes flag like a single-decree run.
         from repro.harness.runner import run_scenario
         from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-        from repro.smr.workload import uniform_schedule
+        from repro.smr.workload import ScheduleSpec
 
         scenario = churn_scenario(5, params=PARAMS, seed=3, waves=2)
-        schedule = uniform_schedule(
-            5, 3, start=scenario.config.ts + 0.5, interval=2.0, target_pid=0
+        schedule = ScheduleSpec(
+            num_commands=3, start=scenario.config.ts + 0.5, interval=2.0, target_pid=0
         )
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.replicas_agree
@@ -242,7 +242,7 @@ class TestEnvironmentWorkload:
         recorded = result.outcome.extra["environment"]
         assert EnvironmentSpec.from_dict(recorded) == scenario.environment
         # The recorded spec is JSON-safe end to end.
-        assert EnvironmentSpec.from_json(json.dumps(recorded)) == scenario.environment
+        assert EnvironmentSpec.from_dict(json.loads(json.dumps(recorded))) == scenario.environment
 
     def test_experiment_rows_expose_environment(self):
         spec = ExperimentSpec(
@@ -254,8 +254,8 @@ class TestEnvironmentWorkload:
         results = run_experiment(spec)
         assert len(results) == 1
         row = results.rows[0]
-        assert row.environment is not None
-        assert EnvironmentSpec.from_dict(row.environment).adversary.kind == "drop-all"
+        environment = row.outcome.extra["environment"]
+        assert EnvironmentSpec.from_dict(environment).adversary.kind == "drop-all"
 
     def test_scenario_without_network_source_rejected(self):
         from repro.sim.simulator import SimulationConfig

@@ -17,7 +17,7 @@ from repro.sim.rng import SeededRng
 from repro.sim.simulator import SimulationConfig
 from repro.workloads.registry import WORKLOADS
 
-from tests.helpers import make_params
+from tests.helpers import fault_events, make_params
 
 
 def make_config(n=5, ts=10.0, seed=3):
@@ -69,7 +69,7 @@ class TestSerializationRoundTrip:
 
     def test_json_round_trip_is_equal(self):
         for spec in self.spec_samples():
-            assert EnvironmentSpec.from_json(spec.to_json()) == spec
+            assert EnvironmentSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_json_is_plain_data(self):
         for spec in self.spec_samples():
@@ -91,12 +91,6 @@ class TestSerializationRoundTrip:
             EnvironmentSpec.from_dict({"adversary": {"kind": "benign"}, "bogus": 1})
         with pytest.raises(ConfigurationError, match="needs an 'adversary'"):
             EnvironmentSpec.from_dict({"name": "empty"})
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigurationError, match="invalid environment JSON"):
-            EnvironmentSpec.from_json("{not json")
-        with pytest.raises(ConfigurationError, match="must be an object"):
-            EnvironmentSpec.from_json("[1, 2]")
 
 
 class TestSynchronyEntry:
@@ -158,9 +152,10 @@ class TestPartitionDecl:
         with pytest.raises(ConfigurationError):
             PartitionDecl(mode="minority", groups=[[0]])
 
-    def test_round_trip(self):
+    def test_from_dict(self):
         decl = PartitionDecl(mode="explicit", groups=[[0, 1], [2]], rng_label="split")
-        assert PartitionDecl.from_dict(decl.to_dict()) == decl
+        data = {"mode": "explicit", "groups": [[0, 1], [2]], "rng_label": "split"}
+        assert PartitionDecl.from_dict(data) == decl
 
 
 class TestAdversaryBuilding:
@@ -216,7 +211,7 @@ class TestAdversaryBuilding:
 
 class TestFaultBuilding:
     def test_none_is_empty(self):
-        assert len(FaultSpec().build(make_config())) == 0
+        assert FaultSpec().build(make_config()).describe() == "no faults"
 
     def test_explicit_events(self):
         spec = FaultSpec(
@@ -227,7 +222,7 @@ class TestFaultBuilding:
             ]},
         )
         plan = spec.build(make_config())
-        assert [event.kind.value for event in plan] == ["crash", "restart"]
+        assert [event.kind.value for event in fault_events(plan)] == ["crash", "restart"]
 
     def test_explicit_malformed_event(self):
         with pytest.raises(ConfigurationError, match="malformed"):
@@ -239,7 +234,7 @@ class TestFaultBuilding:
         config = make_config(n=7, seed=9)
         plan = FaultSpec("random-before-ts", {"allow_recovery": True}).build(config)
         legacy = crash_before_stability(config, {"allow_recovery": True})
-        assert plan.events == legacy.events
+        assert fault_events(plan) == fault_events(legacy)
 
     def test_churn_waves_marks_post_ts_crashes(self):
         config = make_config(n=5)
@@ -269,7 +264,7 @@ class TestEnvironmentRegistry:
         for name in sorted(set(WORKLOADS) - {"environment"}):
             spec = workload_environment(name)
             spec.validate()
-            assert EnvironmentSpec.from_json(spec.to_json()) == spec
+            assert EnvironmentSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_unknown_fault_kind_lists_alternatives(self):
         with pytest.raises(ConfigurationError, match="unknown fault kind 'meteor'; available:"):

@@ -10,7 +10,7 @@ from repro.harness.runner import run_scenario
 from repro.harness.tables import ExperimentTable, render_table
 from repro.smr import runner as smr_runner
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-from repro.smr.workload import uniform_schedule
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.stable import stable_scenario
 
 from tests.helpers import run_to_horizon
@@ -25,7 +25,7 @@ RUN_KINDS = ["single-decree", "smr"]
 
 def builder_of(kind):
     if kind == "smr":
-        return MultiPaxosSmrBuilder(uniform_schedule(3, num_commands=3, start=1.0, interval=0.5))
+        return MultiPaxosSmrBuilder(ScheduleSpec(num_commands=3, start=1.0, interval=0.5))
     return ModifiedPaxosBuilder()
 
 
@@ -55,12 +55,11 @@ class TestRenderTable:
 
 
 class TestExperimentTable:
-    def test_add_row_and_column(self):
+    def test_add_row(self):
         table = ExperimentTable(experiment="EX", title="t", headers=["n", "lag"])
         table.add_row(n=3, lag=1.5)
         table.add_row(n=5, lag=2.5)
-        assert table.column("n") == [3, 5]
-        assert table.column("lag") == [1.5, 2.5]
+        assert table.rows == [{"n": 3, "lag": 1.5}, {"n": 5, "lag": 2.5}]
 
     def test_render_contains_title_rows_and_notes(self):
         table = ExperimentTable(

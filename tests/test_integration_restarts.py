@@ -8,7 +8,7 @@ from repro.harness.runner import run_scenario
 from repro.workloads.chaos import partitioned_chaos_scenario
 from repro.workloads.restarts import restart_after_stability_scenario
 
-from tests.helpers import make_params
+from tests.helpers import fault_events, make_params
 
 PARAMS = make_params(rho=0.01)
 
@@ -73,7 +73,7 @@ class TestRestartsBeforeStabilization:
     def test_pre_ts_restarts_do_not_break_safety_or_liveness(self, seed):
         # partitioned_chaos_scenario already includes pre-TS crashes and restarts.
         scenario = partitioned_chaos_scenario(9, params=PARAMS, ts=10.0, seed=seed)
-        restarts = [e for e in scenario.fault_plan if e.kind.value == "restart"]
+        restarts = [e for e in fault_events(scenario.fault_plan) if e.kind.value == "restart"]
         result = run_scenario(scenario, "modified-paxos")
         assert result.safety.valid
         assert result.decided_all

@@ -7,7 +7,7 @@ from repro.analysis.metrics import max_lag_after_ts, restart_recovery_lags
 from repro.harness.runner import run_scenario
 from repro.workloads.composite import kitchen_sink_scenario
 
-from tests.helpers import capture_sent_envelopes, make_params
+from tests.helpers import capture_sent_envelopes, fault_events, make_params
 
 PARAMS = make_params(rho=0.01)
 BOUND = decision_bound(PARAMS)
@@ -18,7 +18,7 @@ class TestScenarioConstruction:
         scenario = kitchen_sink_scenario(9, params=PARAMS, ts=8.0, seed=1)
         scenario.fault_plan.validate(9, ts=8.0)
         # One victim restarts before TS, one after, the rest stay down.
-        restarts = [e for e in scenario.fault_plan if e.kind.value == "restart"]
+        restarts = [e for e in fault_events(scenario.fault_plan) if e.kind.value == "restart"]
         assert len(restarts) == 2
         assert any(e.time < 8.0 for e in restarts)
         assert any(e.time > 8.0 for e in restarts)
@@ -48,7 +48,7 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
         # so measure it separately below.
         never_restarted = [
             pid for pid in scenario.deciders()
-            if all(e.pid != pid or e.time <= scenario.config.ts for e in scenario.fault_plan)
+            if all(e.pid != pid or e.time <= scenario.config.ts for e in fault_events(scenario.fault_plan))
         ]
         decision_times = {d.pid: d.time for d in result.outcome.decisions}
         lag = max_lag_after_ts(decision_times, scenario.config.ts, never_restarted)
@@ -58,7 +58,7 @@ class TestModifiedAlgorithmsSurviveTheKitchenSink:
         scenario = kitchen_sink_scenario(7, params=PARAMS, ts=8.0, seed=3)
         result = run_scenario(scenario, "modified-paxos")
         lags = restart_recovery_lags(result.simulator)
-        late_restarts = [e for e in scenario.fault_plan
+        late_restarts = [e for e in fault_events(scenario.fault_plan)
                          if e.kind.value == "restart" and e.time > scenario.config.ts]
         assert late_restarts
         for event in late_restarts:

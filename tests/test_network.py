@@ -5,8 +5,9 @@ from typing import Any, List
 
 import pytest
 
+from repro.consensus.registry import protocol_builder
 from repro.core.messages import Phase1a
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.net.message import Era
 from repro.net.network import Network
 from repro.net.synchrony import EventualSynchrony
@@ -207,6 +208,22 @@ class TestInjection:
         network, _ = make_network()
         with pytest.raises(NetworkError):
             network.inject(Phase1a(mbal=1), src=0, dst=1, deliver_time=0.5, send_time=1.0)
+
+    def test_a_refused_inject_counts_nothing_and_queues_nothing(self):
+        from repro.workloads.stable import stable_scenario
+
+        simulator = stable_scenario(3, seed=1).build_simulator(protocol_builder("modified-paxos"))
+        simulator.run(until=5.0)
+        network, queue = simulator.network, simulator._events
+        stats = network.monitor.stats
+
+        def state():
+            return stats.sent, stats.sent_pre_ts, network._next_msg_id, queue._seq, sorted(queue._heap)
+
+        before = state()
+        with pytest.raises(SimulationError, match="before current time"):
+            network.inject(Phase1a(mbal=1), src=0, dst=1, deliver_time=2.0, send_time=1.0)
+        assert state() == before
 
 
 class TestUnknownDestinations:

@@ -1,5 +1,7 @@
 """Unit tests for the shared timing constants (`repro.params`)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -32,6 +34,12 @@ class TestValidation:
     def test_rejects_session_timeout_below_four_delta(self):
         with pytest.raises(ConfigurationError):
             TimingParams(session_timeout_factor=3.9)
+
+    @pytest.mark.parametrize("field", ["delta", "epsilon", "session_timeout_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TimingParams(**{field: value})
 
     def test_is_frozen(self):
         params = TimingParams()

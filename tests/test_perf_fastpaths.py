@@ -86,7 +86,7 @@ def run_digest(protocol: str, workload: str) -> str:
         "trace": [
             (round(e.time, 9), e.category, e.event, e.pid,
              sorted((k, repr(v)) for k, v in e.fields.items()))
-            for e in sim.trace
+            for e in sim.trace.events
         ],
     }
     blob = json.dumps(payload, sort_keys=True).encode()

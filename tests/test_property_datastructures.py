@@ -10,7 +10,7 @@ from repro.analysis.stats import percentile, summarize
 from repro.analysis.trace import TraceEvent, TraceRecorder
 from repro.consensus.paxos.acceptor import AcceptOutcome, AcceptorState
 from repro.consensus.paxos.proposer import ProposerState
-from repro.consensus.quorum import QuorumCounter, ValueQuorum, majority
+from repro.consensus.quorum import ValueQuorum, majority
 from repro.core.sessions import ballot_for, next_session_ballot, owner_of, session_of
 from repro.errors import ProtocolError
 from repro.net.partition import minority_groups
@@ -47,17 +47,6 @@ class TestQuorumProperties:
         assert 2 * majority(n) > n
 
     @given(
-        threshold=st.integers(1, 5),
-        senders=st.lists(st.integers(0, 9), min_size=0, max_size=30),
-    )
-    def test_quorum_counter_counts_distinct_senders(self, threshold, senders):
-        counter = QuorumCounter(threshold=threshold)
-        for sender in senders:
-            counter.add("key", sender)
-        assert counter.count("key") == len(set(senders))
-        assert counter.reached("key") == (len(set(senders)) >= threshold)
-
-    @given(
         votes=st.lists(
             st.tuples(st.integers(0, 6), st.sampled_from(["a", "b", "c"])),
             min_size=1,
@@ -68,9 +57,12 @@ class TestQuorumProperties:
         quorum = ValueQuorum(threshold=3)
         for sender, value in votes:
             quorum.add("k", sender, value)
+        first = {}
+        for sender, value in votes:
+            first.setdefault(sender, value)
         chosen = quorum.quorum_value("k")
         if chosen is not None:
-            assert sum(1 for value in quorum.votes("k").values() if value == chosen) >= 3
+            assert sum(1 for value in first.values() if value == chosen) >= 3
             assert quorum.reached("k")
 
 
@@ -142,7 +134,7 @@ class TestLamportProperties:
     @given(received=st.lists(st.integers(0, 10**6), min_size=0, max_size=50))
     def test_clock_is_monotone_under_any_observation_sequence(self, received):
         clock = LamportClock(pid=0)
-        previous = LogicalTimestamp(clock.counter, clock.pid)
+        previous = LogicalTimestamp(clock.snapshot(), clock.pid)
         for counter in received:
             now = clock.observe(LogicalTimestamp(counter, 1))
             assert now > previous
@@ -153,7 +145,7 @@ class TestPartitionProperties:
     @given(n=st.integers(2, 40), seed=st.integers(0, 1000))
     def test_minority_groups_never_allow_a_quorum(self, n, seed):
         spec = minority_groups(n, SeededRng(seed))
-        assert spec.pids == list(range(n))
+        assert sorted(pid for group in spec.groups for pid in group) == list(range(n))
         assert spec.largest_group_size() < majority(n)
 
 
@@ -173,7 +165,7 @@ class TestStorageProperties:
             reference[key] = value
         for key, value in reference.items():
             assert store.get(key) == value
-        assert store.snapshot() == reference
+        assert {key: store.get(key) for key in store} == reference
 
 
 # Queue operations: push at a small integer time (many ties), cancel the
@@ -418,8 +410,6 @@ class TestTraceRecorderMatchesListOracle:
             trace.record(time, category, event, pid, **fields)
             oracle.record(time, category, event, pid, **fields)
 
-        assert len(trace) == len(oracle)
-        assert _exact(list(trace)) == _exact(list(oracle))
         assert _exact(trace.events) == _exact(oracle.events)
 
         criteria: List[Dict[str, Any]] = [

@@ -7,7 +7,7 @@ from repro.harness.runner import run_scenario
 from repro.smr.metrics import check_log_consistency, replica_digests
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import KeyValueStore
-from repro.smr.workload import CommandSchedule
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
 from repro.workloads.stable import stable_scenario
 
@@ -35,12 +35,11 @@ COMMANDS = st.lists(
 
 
 def build_schedule(n, raw_commands, allowed_pids):
-    schedule = CommandSchedule()
     allowed = sorted(allowed_pids)
-    for index, (pid_offset, submit_at, key, value) in enumerate(raw_commands):
-        pid = allowed[pid_offset % len(allowed)]
-        schedule.add(pid, submit_at, f"cmd-{index}", ("set", key, value))
-    return schedule
+    return ScheduleSpec(entries=tuple(
+        (allowed[pid_offset % len(allowed)], submit_at, f"cmd-{index}", ("set", key, value))
+        for index, (pid_offset, submit_at, key, value) in enumerate(raw_commands)
+    ))
 
 
 class TestSmrSafetyProperties:

@@ -178,7 +178,6 @@ class TestCrashAndRestart:
         assert sim.decisions[0].value == 2
         node = sim.nodes[0]
         assert node.incarnation == 2
-        assert node.crash_count == 1 and node.restart_count == 1
 
     def test_crash_requires_active_process(self):
         sim = build_simulator(lambda pid: PingProcess(), n=3)
@@ -247,7 +246,8 @@ class TestScheduling:
         assert sim.schedule_crash(2, 1.0) is None
         assert sim.schedule_restart(2, 2.0) is None
         sim.run(until=3.0)
-        assert (sim.nodes[2].crash_count, sim.nodes[2].restart_count) == (1, 1)
+        assert [(event.event, event.time) for event in sim.trace.events if event.pid == 2
+                and event.event in ("crash", "restart")] == [("crash", 1.0), ("restart", 2.0)]
 
     def test_run_respects_until(self):
         sim = build_simulator(lambda pid: TimerProcess(), n=3)
@@ -319,6 +319,14 @@ class TestConfigValidation:
             SimulationConfig(n=3, ts=-1.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(n=3, ts=10.0, max_time=5.0)
+
+    @pytest.mark.parametrize("field", ["ts", "max_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_times(self, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            SimulationConfig(n=3, **{field: value})
 
     def test_majority_property(self):
         assert SimulationConfig(n=5).majority == 3

@@ -6,17 +6,16 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.smr.log import ReplicatedLog
 from repro.smr.messages import MultiPhase1b
 from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
-from repro.smr.workload import CommandSchedule, uniform_schedule
+from repro.smr.workload import ScheduleSpec
 
 
 class TestReplicatedLog:
-    def test_learn_and_get(self):
+    def test_learn_is_idempotent(self):
         log = ReplicatedLog()
         assert log.learn(0, "a") is True
-        assert log.learn(0, "a") is False  # idempotent
-        assert log.get(0) == "a"
-        assert log.get(5) is None
-        assert len(log) == 1
+        assert log.learn(0, "a") is False
+        assert 0 in log and 5 not in log
+        assert log.snapshot() == {0: "a"}
 
     def test_conflicting_learn_raises(self):
         log = ReplicatedLog()
@@ -65,20 +64,18 @@ class TestReplicatedLog:
 
 
 class TestKeyValueStore:
-    def test_set_and_get(self):
+    def test_set(self):
         kv = KeyValueStore()
+        assert kv.apply(("set", "y", 2)) == 2
         kv.apply(("set", "x", 1))
-        kv.apply(("set", "y", 2))
-        assert kv.get("x") == 1
-        assert kv.get("missing", default="d") == "d"
-        assert len(kv) == 2
+        assert kv.digest() == (("x", 1), ("y", 2))
         assert kv.applied_count == 2
 
     def test_delete(self):
         kv = KeyValueStore()
         kv.apply(("set", "x", 1))
         assert kv.apply(("delete", "x")) == 1
-        assert kv.get("x") is None
+        assert kv.digest() == ()
         assert kv.apply(("delete", "x")) is None
 
     def test_malformed_commands_rejected(self):
@@ -115,7 +112,7 @@ class TestAppendOnlyLedger:
         ledger = AppendOnlyLedger()
         assert ledger.apply("a") == 0
         assert ledger.apply("b") == 1
-        assert ledger.records == ["a", "b"]
+        assert ledger.digest() == ("'a'", "'b'")
 
     def test_digest_reflects_order(self):
         left = AppendOnlyLedger()
@@ -127,53 +124,44 @@ class TestAppendOnlyLedger:
         assert left.digest() != right.digest()
 
 
-class TestCommandSchedule:
-    def test_add_sorts_by_time(self):
-        schedule = CommandSchedule().add(0, 5.0, "b", "cmd-b").add(0, 1.0, "a", "cmd-a")
-        assert [entry[1] for entry in schedule.for_pid(0)] == ["a", "b"]
-        assert schedule.total_commands == 2
-        assert schedule.command_ids == ["a", "b"]
+class TestScheduleExpand:
+    def test_entries_sort_by_time_with_ties_in_declaration_order(self):
+        spec = ScheduleSpec(entries=(
+            (0, 5.0, "b", "cmd-b"), (0, 1.0, "a", "cmd-a"), (0, 5.0, "c", "cmd-c"), (1, 1.0, "d", "cmd-d"),
+        ))
+        assert spec.expand(2) == {
+            0: [(1.0, "a", "cmd-a"), (5.0, "b", "cmd-b"), (5.0, "c", "cmd-c")],
+            1: [(1.0, "d", "cmd-d")],
+        }
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            CommandSchedule().add(0, -1.0, "a", "cmd")
+            ScheduleSpec(entries=((0, -1.0, "a", "cmd"),))
 
-    def test_for_pid_returns_copy(self):
-        schedule = CommandSchedule().add(1, 1.0, "a", "cmd")
-        entries = schedule.for_pid(1)
-        entries.clear()
-        assert schedule.total_commands == 1
-        assert schedule.for_pid(9) == []
+    def test_empty_schedule(self):
+        assert ScheduleSpec().expand(3) == {}
 
-    def test_describe(self):
-        schedule = uniform_schedule(3, num_commands=6, start=0.0, interval=1.0)
-        assert "6 commands" in schedule.describe()
-
-
-class TestUniformSchedule:
-    def test_round_robin_assignment(self):
-        schedule = uniform_schedule(3, num_commands=6, start=2.0, interval=0.5)
-        assert schedule.total_commands == 6
-        assert len(schedule.for_pid(0)) == 2
-        assert len(schedule.for_pid(1)) == 2
-        assert len(schedule.for_pid(2)) == 2
-        times = [entry[0] for entry in schedule.for_pid(0)]
-        assert times == [2.0, 3.5]
+    def test_uniform_round_robin(self):
+        expanded = ScheduleSpec(num_commands=4, start=2.0, interval=0.5).expand(3)
+        assert expanded == {
+            0: [(2.0, "cmd-0000", ("set", "key-0", "value-0")),
+                (3.5, "cmd-0003", ("set", "key-3", "value-3"))],
+            1: [(2.5, "cmd-0001", ("set", "key-1", "value-1"))],
+            2: [(3.0, "cmd-0002", ("set", "key-2", "value-2"))],
+        }
 
     def test_target_pid(self):
-        schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=1.0, target_pid=3)
-        assert len(schedule.for_pid(3)) == 4
-        assert schedule.for_pid(0) == []
+        expanded = ScheduleSpec(num_commands=4, start=1.0, interval=1.0, target_pid=3).expand(5)
+        assert list(expanded) == [3] and len(expanded[3]) == 4
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            uniform_schedule(0, num_commands=1, start=0.0, interval=1.0)
-        with pytest.raises(ConfigurationError):
-            uniform_schedule(3, num_commands=1, start=0.0, interval=1.0, target_pid=7)
+    def test_target_pid_out_of_range(self):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            ScheduleSpec(num_commands=1, start=0.0, interval=1.0, target_pid=7).expand(3)
 
-    def test_command_ids_unique(self):
-        schedule = uniform_schedule(3, num_commands=10, start=0.0, interval=0.1)
-        assert len(set(schedule.command_ids)) == 10
+    def test_uniform_command_ids_unique(self):
+        expanded = ScheduleSpec(num_commands=10, start=0.0, interval=0.1).expand(3)
+        ids = [command_id for entries in expanded.values() for _, command_id, _ in entries]
+        assert len(set(ids)) == 10
 
 
 class TestMultiPhase1bHelpers:

@@ -10,7 +10,7 @@ from repro.sim.simulator import Simulator
 from repro.smr.metrics import check_log_consistency
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.state_machine import AppendOnlyLedger
-from repro.smr.workload import CommandSchedule, uniform_schedule
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.chaos import partitioned_chaos_scenario
 from repro.workloads.stable import stable_scenario
 
@@ -22,7 +22,7 @@ PARAMS = make_params(rho=0.01)
 class TestStableReplication:
     def test_all_commands_replicated_and_states_agree(self):
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
-        schedule = uniform_schedule(5, num_commands=15, start=10.0, interval=1.0)
+        schedule = ScheduleSpec(num_commands=15, start=10.0, interval=1.0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
@@ -34,7 +34,7 @@ class TestStableReplication:
         scenario = stable_scenario(5, params=PARAMS, seed=2, max_time=300.0)
         # Submit at the established leader (the owner of the highest initial
         # ballot, process n-1), measuring the pure fast path.
-        schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=4)
+        schedule = ScheduleSpec(num_commands=10, start=10.0, interval=1.0, target_pid=4)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         # Global learning within 3 maximum message delays; typical delays are
@@ -44,21 +44,21 @@ class TestStableReplication:
 
     def test_forwarded_commands_cost_at_most_one_extra_delay(self):
         scenario = stable_scenario(5, params=PARAMS, seed=3, max_time=300.0)
-        schedule = uniform_schedule(5, num_commands=10, start=10.0, interval=1.0, target_pid=0)
+        schedule = ScheduleSpec(num_commands=10, start=10.0, interval=1.0, target_pid=0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.worst_global_latency() <= 4.0 * PARAMS.delta
 
     def test_ledger_replicas_apply_identical_sequences(self):
         scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=300.0)
-        schedule = uniform_schedule(5, num_commands=12, start=10.0, interval=0.5)
+        schedule = ScheduleSpec(num_commands=12, start=10.0, interval=0.5)
         builder = MultiPaxosSmrBuilder(schedule, machine_factory=AppendOnlyLedger)
         result = run_scenario(scenario, builder)
         assert result.outcome.replicas_agree
 
     def test_no_commands_is_a_quiet_system(self):
         scenario = stable_scenario(3, params=PARAMS, seed=5, max_time=40.0)
-        result = run_scenario(scenario, MultiPaxosSmrBuilder(CommandSchedule()))
+        result = run_scenario(scenario, MultiPaxosSmrBuilder())
         assert result.outcome.commands == {}
         assert check_log_consistency(result.simulator) >= 0
 
@@ -68,9 +68,7 @@ class TestReplicationUnderChaos:
     def test_commands_submitted_before_stability_replicate_after_it(self, seed):
         scenario = partitioned_chaos_scenario(7, params=PARAMS, ts=8.0, seed=seed)
         survivors = scenario.deciders()
-        schedule = uniform_schedule(
-            7, num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0]
-        )
+        schedule = ScheduleSpec(num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0])
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
@@ -83,9 +81,7 @@ class TestReplicationUnderChaos:
     def test_post_stability_commands_have_small_latency(self):
         scenario = partitioned_chaos_scenario(5, params=PARAMS, ts=8.0, seed=3)
         survivors = scenario.deciders()
-        schedule = uniform_schedule(
-            5, num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0]
-        )
+        schedule = ScheduleSpec(num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0])
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.worst_global_latency() <= 8.0 * PARAMS.delta
@@ -102,7 +98,7 @@ class TestLeaderFailover:
         # shortly after it starts serving, before TS.
         chaos = partitioned_chaos_scenario(5, params=params, ts=ts, seed=7)
         chaos.fault_plan = FaultPlan().crash(4, 3.0)  # p4 is down for good: p0..p3 decide
-        schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.4, target_pid=0)
+        schedule = ScheduleSpec(num_commands=4, start=1.0, interval=0.4, target_pid=0)
         result = run_scenario(chaos, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.replicas_agree
         expected = set(chaos.deciders())
@@ -117,7 +113,7 @@ class TestRestartedReplicaCatchUp:
         ts = 8.0
         scenario = partitioned_chaos_scenario(5, params=params, ts=ts, seed=9)
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
-        schedule = uniform_schedule(5, num_commands=6, start=1.0, interval=1.0, target_pid=0)
+        schedule = ScheduleSpec(num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
         assert result.outcome.replicas_agree
@@ -132,7 +128,7 @@ class TestCrashRecoveryFromStableStorage:
         scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=100.0)
         config = scenario.config
         builder = MultiPaxosSmrBuilder(
-            schedule=uniform_schedule(5, num_commands=6, start=1.0, interval=0.5, target_pid=4)
+            schedule=ScheduleSpec(num_commands=6, start=1.0, interval=0.5, target_pid=4)
         )
         simulator = Simulator(
             config=config,
@@ -149,7 +145,7 @@ class TestCrashRecoveryFromStableStorage:
             return None, None
 
         pid, process = replica_with_open_vote()
-        while process is None or len(process.log) < 2:
+        while process is None or len(process.log.snapshot()) < 2:
             processed = simulator.events_processed
             simulator.run(max_events=1)
             assert simulator.events_processed > processed, "no replica ever held an undecided vote"

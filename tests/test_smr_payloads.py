@@ -139,7 +139,7 @@ def test_an_unenforced_run_reports_the_divergence(monkeypatch):
     diverge_slot_zero_after_each_run(monkeypatch)
     task = smr_task("smr-stable", 5, 1, "leader", commands=5)
     scenario = build_task_scenario(task)
-    result = run_scenario(scenario, task.builder(scenario.config.n), enforce=False)
+    result = run_scenario(scenario, task.builder(), enforce=False)
     assert not result.safety.valid
     [violation] = result.safety.violations
     assert violation.startswith("agreement: slot 0: ")

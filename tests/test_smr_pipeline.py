@@ -7,6 +7,8 @@ tables (and replica digests) to the retired side harness that drove
 each run directly.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -26,7 +28,7 @@ from repro.harness.runner import run_scenario
 from repro.harness.tables import ExperimentTable
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.outcome import SmrOutcome, digest_string, snapshot_smr_outcome
-from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.chaos import partitioned_chaos_scenario
 from repro.workloads.environments import (
     asymmetric_link_scenario,
@@ -51,17 +53,17 @@ def stable_task(n=3, seed=1, commands=4, target_pid=None, **kwargs) -> SmrTask:
 
 
 class TestScheduleSpec:
-    def test_uniform_matches_generator(self):
-        spec = ScheduleSpec(num_commands=5, start=2.0, interval=0.5, target_pid=1)
-        assert spec.to_schedule(3).entries == uniform_schedule(
-            3, num_commands=5, start=2.0, interval=0.5, target_pid=1
-        ).entries
+    def test_uniform_expansion(self):
+        spec = ScheduleSpec(num_commands=3, start=2.0, interval=0.5, target_pid=1)
+        assert spec.expand(3) == {1: [
+            (2.0, "cmd-0000", ("set", "key-0", "value-0")),
+            (2.5, "cmd-0001", ("set", "key-1", "value-1")),
+            (3.0, "cmd-0002", ("set", "key-2", "value-2")),
+        ]}
 
     def test_explicit_entries(self):
         spec = ScheduleSpec(entries=((0, 1.0, "a", ("set", "k", "v")),))
-        schedule = spec.to_schedule(2)
-        assert schedule.for_pid(0) == [(1.0, "a", ("set", "k", "v"))]
-        assert spec.total_commands == 1
+        assert spec.expand(2) == {0: [(1.0, "a", ("set", "k", "v"))]}
 
     def test_modes_are_exclusive(self):
         with pytest.raises(ConfigurationError, match="not both"):
@@ -71,10 +73,26 @@ class TestScheduleSpec:
         with pytest.raises(ConfigurationError):
             ScheduleSpec(num_commands=-1)
 
+    @pytest.mark.parametrize("field", ["start", "interval"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScheduleSpec(num_commands=2, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_time_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScheduleSpec(entries=((0, value, "a", "x"),))
+
+    def test_duplicate_command_ids_rejected(self):
+        # Both would be logged as one command, so the second one would be lost.
+        with pytest.raises(ConfigurationError, match="'c1' twice"):
+            ScheduleSpec(entries=((0, 10.0, "c1", ("set", "a", 1)), (1, 11.0, "c1", ("set", "b", 2))))
+
     def test_entry_pid_validated_against_n(self):
         spec = ScheduleSpec(entries=((5, 1.0, "a", "x"),))
         with pytest.raises(ConfigurationError, match="out of range"):
-            spec.to_schedule(3)
+            spec.expand(3)
 
 
 class TestSmrWorkloadFamily:
@@ -139,7 +157,7 @@ class TestExecutorIntegration:
             task.workload, **dict(task.workload_kwargs)
         )
         direct = snapshot_smr_outcome(
-            run_scenario(scenario, task.builder(scenario.config.n)),
+            run_scenario(scenario, task.builder()),
             workload=task.workload,
         )
         assert list(SerialExecutor().imap([task])) == [direct]
@@ -202,14 +220,14 @@ class TestDigestSemantics:
 class TestScheduleHorizonValidation:
     def test_submission_past_horizon_fails_loudly(self):
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=20.0)
-        schedule = CommandSchedule().add(0, 25.0, "late-cmd", ("set", "k", "v"))
+        schedule = ScheduleSpec(entries=((0, 25.0, "late-cmd", ("set", "k", "v")),))
         with pytest.raises(ConfigurationError, match="late-cmd") as excinfo:
             run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert "25" in str(excinfo.value) and "20" in str(excinfo.value)
 
     def test_submission_at_horizon_is_allowed(self):
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
-        schedule = CommandSchedule().add(0, 12.0, "ok-cmd", ("set", "k", "v"))
+        schedule = ScheduleSpec(entries=((0, 12.0, "ok-cmd", ("set", "k", "v")),))
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_commands_learned_everywhere
 
@@ -260,16 +278,16 @@ class TestE9Parity:
         )
         leader = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
-            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
-                                                  interval=0.7, target_pid=self.N - 1)),
+            MultiPaxosSmrBuilder(ScheduleSpec(num_commands=self.STABLE, start=10.0,
+                                              interval=0.7, target_pid=self.N - 1)),
         ).outcome
         table.add_row(case="stable, submitted at leader", commands=self.STABLE,
                       worst_submitter_latency_delta=leader.worst_submitter_latency() / delta,
                       worst_global_latency_delta=leader.worst_global_latency() / delta)
         follower = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=2, max_time=400.0 * delta),
-            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
-                                                  interval=0.7, target_pid=0)),
+            MultiPaxosSmrBuilder(ScheduleSpec(num_commands=self.STABLE, start=10.0,
+                                              interval=0.7, target_pid=0)),
         ).outcome
         table.add_row(case="stable, submitted at follower", commands=self.STABLE,
                       worst_submitter_latency_delta=follower.worst_submitter_latency() / delta,
@@ -278,8 +296,8 @@ class TestE9Parity:
                                                     ts=10.0 * delta, seed=3)
         chaos = run_scenario(
             chaos_scenario,
-            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.CHAOS, start=1.0,
-                                                  interval=0.8, target_pid=chaos_scenario.deciders()[0])),
+            MultiPaxosSmrBuilder(ScheduleSpec(num_commands=self.CHAOS, start=1.0,
+                                              interval=0.8, target_pid=chaos_scenario.deciders()[0])),
         ).outcome
         worst_after_ts = max(
             max(record.learned_times.values()) - chaos_scenario.config.ts
@@ -311,8 +329,8 @@ class TestE9Parity:
         delta = PARAMS.delta
         direct = run_scenario(
             stable_scenario(self.N, params=PARAMS, seed=1, max_time=400.0 * delta),
-            MultiPaxosSmrBuilder(uniform_schedule(self.N, num_commands=self.STABLE, start=10.0,
-                                                  interval=0.7, target_pid=self.N - 1)),
+            MultiPaxosSmrBuilder(ScheduleSpec(num_commands=self.STABLE, start=10.0,
+                                              interval=0.7, target_pid=self.N - 1)),
         )
         outcome = SmrTask(
             workload="smr-stable",
@@ -332,7 +350,6 @@ class TestRunSmrTasks:
         assert [row.task for row in rows] == tasks
         assert [row.tag("seed") for row in rows] == [1, 2]
         assert [row.outcome for row in rows] == [task.execute() for task in tasks]
-        assert rows[0].environment == rows[0].outcome.extra["environment"]
 
     def test_run_smr_tasks_rejects_executor_and_jobs(self):
         with pytest.raises(ExperimentError, match="not both"):

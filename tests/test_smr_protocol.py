@@ -13,7 +13,8 @@ from repro.smr.messages import (
     SlotDecision,
 )
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
-from repro.smr.workload import CommandSchedule
+from repro.smr.workload import ScheduleSpec
+from repro.workloads.stable import stable_scenario
 
 from tests.helpers import ContextHarness, make_params
 
@@ -80,7 +81,7 @@ class TestStartupAndPhase1:
     def test_decided_entries_in_promises_are_learned_by_anyone(self):
         harness, process = start_replica(pid=2, n=3)  # not the owner of ballot 0
         harness.deliver(make_promise(0, decided=[(0, ("cmd-0", ("set", "a", 1)))]), sender=1)
-        assert process.log.get(0) == ("cmd-0", ("set", "a", 1))
+        assert process.log.snapshot().get(0) == ("cmd-0", ("set", "a", 1))
 
 
 def command(slot):
@@ -195,7 +196,7 @@ class TestPhase2:
         assert harness.storage.get("proto:accepted:0") == (6, command(0))
         assert 0 not in process.accepted
         restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v1")
-        assert restarted.accepted == {} and restarted.log.get(0) == command(0)
+        assert restarted.accepted == {} and restarted.log.snapshot().get(0) == command(0)
 
     def test_accept_and_ack(self):
         harness, process = start_replica(pid=1, n=3)
@@ -217,15 +218,15 @@ class TestPhase2:
         harness, process = start_replica(pid=0, n=3)
         value = ("cmd-1", ("set", "k", 1))
         harness.deliver(MultiPhase2b(mbal=5, slot=0, value=value), sender=1)
-        assert process.log.get(0) is None
+        assert process.log.snapshot().get(0) is None
         harness.deliver(MultiPhase2b(mbal=5, slot=0, value=value), sender=2)
-        assert process.log.get(0) == value
+        assert process.log.snapshot().get(0) == value
         assert [f["slot"] for f in harness.emitted_events("slot_decide")] == [0]
 
     def test_slot_decision_message_learns_directly(self):
         harness, process = start_replica(pid=0, n=3)
         harness.deliver(SlotDecision(slot=3, value=("c", ("set", "k", 2))), sender=2)
-        assert process.log.get(3) == ("c", ("set", "k", 2))
+        assert process.log.snapshot().get(3) == ("c", ("set", "k", 2))
 
 
 class TestCommands:
@@ -349,7 +350,7 @@ class TestRestart:
         restarted = harness.restart(MultiPaxosSmrProcess(), initial_value="v0")
         assert restarted.mbal == 7
         assert restarted.accepted[0] == (7, ("c0", ("set", "a", 1)))
-        assert restarted.log.get(1) == ("c1", ("set", "b", 2))
+        assert restarted.log.snapshot().get(1) == ("c1", ("set", "b", 2))
 
     def test_per_slot_keys_rebuild_the_pre_crash_state(self):
         harness, process = start_replica(pid=0, n=3)
@@ -390,8 +391,11 @@ class TestRestart:
 
 class TestBuilder:
     def test_builder_passes_per_pid_schedules(self):
-        schedule = CommandSchedule().add(1, 2.0, "cmd-a", ("set", "x", 1))
+        schedule = ScheduleSpec(entries=((1, 2.0, "cmd-a", ("set", "x", 1)),))
         builder = MultiPaxosSmrBuilder(schedule=schedule)
+        stable_scenario(3, params=make_params(), seed=1).build_simulator(builder)  # attaches it
+        assert builder.entries == {1: [(2.0, "cmd-a", ("set", "x", 1))]}
+        assert builder.command_ids == ("cmd-a",)
         with_schedule = builder.create(1)
         without_schedule = builder.create(0)
         assert with_schedule._schedule == [(2.0, "cmd-a", ("set", "x", 1))]

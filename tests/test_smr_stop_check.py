@@ -18,7 +18,7 @@ from repro.harness.executors import SmrTask, build_task_scenario
 from repro.harness.runner import run_scenario
 from repro.sim.simulator import Simulator
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder, MultiPaxosSmrProcess
-from repro.smr.workload import CommandSchedule, ScheduleSpec, uniform_schedule
+from repro.smr.workload import ScheduleSpec
 from repro.workloads.smr import SMR_WORKLOADS
 from repro.workloads.stable import stable_scenario
 
@@ -44,7 +44,7 @@ def reference_caught_up(sim: Simulator, expected_replicas: Set[int], expected_co
 
 
 def predicate_stop(builder, simulator, deciders):
-    replicas, commands = set(deciders), set(builder.schedule.command_ids)
+    replicas, commands = set(deciders), set(builder.command_ids)
     simulator.run(stop_when=lambda s: reference_caught_up(s, replicas, commands))
 
 
@@ -113,7 +113,7 @@ class TestRunsThatEndAtTheHorizon:
 
     def test_an_empty_schedule(self, monkeypatch):
         self.assert_runs_to_the_horizon(
-            monkeypatch, lambda: run_scenario(self.scenario(), MultiPaxosSmrBuilder(CommandSchedule()))
+            monkeypatch, lambda: run_scenario(self.scenario(), MultiPaxosSmrBuilder())
         )
 
     def test_an_expected_replica_back_only_after_the_horizon(self, monkeypatch):
@@ -122,7 +122,7 @@ class TestRunsThatEndAtTheHorizon:
             # p3 restarts after the horizon: it is expected, but never catches up.
             scenario.fault_plan = FaultPlan().crash(3, 0.5).restart(3, 100.0)
             scenario.allow_post_ts_crashes = True
-            schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.5, target_pid=4)
+            schedule = ScheduleSpec(num_commands=4, start=1.0, interval=0.5, target_pid=4)
             return run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
 
         self.assert_runs_to_the_horizon(monkeypatch, run)
@@ -156,7 +156,7 @@ class TestCrashedReplicaHoldsTheRun:
             .restart(self.LEAVER, self.LEAVER_BACK_AT)
         )
         scenario.allow_post_ts_crashes = True
-        schedule = uniform_schedule(5, num_commands=4, start=1.0, interval=0.5, target_pid=4)
+        schedule = ScheduleSpec(num_commands=4, start=1.0, interval=0.5, target_pid=4)
         return run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
 
     def test_run_waits_for_the_crashed_replica(self):

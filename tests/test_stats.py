@@ -43,11 +43,6 @@ class TestSummarize:
         with pytest.raises(ConfigurationError):
             summarize([])
 
-    def test_describe_mentions_fields(self):
-        text = summarize([1.0, 2.0]).describe()
-        for token in ("mean=", "std=", "min=", "median=", "p95=", "max="):
-            assert token in text
-
     def test_accepts_ints(self):
         assert summarize([1, 2, 3]).mean == pytest.approx(2.0)
 

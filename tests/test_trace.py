@@ -7,19 +7,18 @@ from tests.helpers import make_params, trace_wire_rows
 
 
 class TestRecording:
-    def test_record_and_len(self):
+    def test_record(self):
         trace = TraceRecorder()
         trace.record(1.0, "net", "send", pid=0, kind="phase1a")
         trace.record(2.0, "sim", "decide", pid=1, value="v")
-        assert len(trace) == 2
-        assert [event.event for event in trace] == ["send", "decide"]
+        assert [event.event for event in trace.events] == ["send", "decide"]
 
     def test_events_returns_copy(self):
         trace = TraceRecorder()
         trace.record(1.0, "sim", "tick")
         events = trace.events
         events.clear()
-        assert len(trace) == 1
+        assert len(trace.events) == 1
 
     def test_events_builds_fresh_objects(self):
         trace = TraceRecorder()
@@ -33,7 +32,7 @@ class TestRecording:
         trace = TraceRecorder()
         trace.record(1.0, "net", "send", pid=0, dst=2, kind="phase1a", msg_id=11, dropped=False)
         trace.record(2.0, "protocol", "phase2a", pid=1, value="v", ballot=3, session=2)
-        assert [list(event.fields) for event in trace] == [
+        assert [list(event.fields) for event in trace.events] == [
             ["dst", "kind", "msg_id", "dropped"], ["value", "ballot", "session"],
         ]
 
@@ -46,7 +45,7 @@ class TestSimulatorTrace:
         assert trace.filter("decide") and trace.filter("session_enter")
         assert not trace.filter(category="net")
         assert not trace.filter("timer")
-        assert len(trace) < simulator.events_processed / 10
+        assert len(trace.events) < simulator.events_processed / 10
 
     def _run(self):
         scenario = partitioned_chaos_scenario(5, params=make_params(rho=0.01), ts=10.0, seed=2)
@@ -61,8 +60,8 @@ class TestSimulatorTrace:
         assert wired.decisions == plain.decisions
         assert wired.network.monitor.stats == plain.network.monitor.stats
         wire = {"send", "deliver", "deliver_to_crashed", "timer"}
-        assert [event for event in wired.trace if event.event not in wire] == plain.trace.events
-        assert len(wired.trace) > 10 * len(plain.trace)
+        assert [event for event in wired.trace.events if event.event not in wire] == plain.trace.events
+        assert len(wired.trace.events) > 10 * len(plain.trace.events)
 
     def test_wire_rows_helper_records_the_per_message_field_layout(self, monkeypatch):
         trace_wire_rows(monkeypatch)

@@ -11,7 +11,7 @@ from repro.workloads.registry import WORKLOADS, factory_parameters
 from repro.workloads.restarts import restart_after_stability_scenario
 from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import fault_events, make_params
 
 # The run sizes; every factory takes them, except that the stable ones fix ts.
 _SIZES = {"n", "params", "ts", "seed", "max_time"}
@@ -54,7 +54,7 @@ class TestStableScenario:
     def test_ts_zero_and_no_faults(self):
         scenario = stable_scenario(5, params=make_params(), seed=1)
         assert scenario.config.ts == 0.0
-        assert len(scenario.fault_plan) == 0
+        assert fault_events(scenario.fault_plan) == []
         assert scenario.deciders() == [0, 1, 2, 3, 4]
 
     def test_network_is_always_post_stabilization(self):
@@ -134,7 +134,7 @@ class TestRestartScenario:
         scenario = restart_after_stability_scenario(
             7, params=make_params(), ts=10.0, restart_offsets=[5.0, 20.0]
         )
-        restarts = [event for event in scenario.fault_plan if event.kind.value == "restart"]
+        restarts = [event for event in fault_events(scenario.fault_plan) if event.kind.value == "restart"]
         assert [event.time for event in restarts] == [15.0, 30.0]
         scenario.fault_plan.validate(7, ts=10.0)
         assert scenario.deciders() == list(range(7))
@@ -144,7 +144,7 @@ class TestRestartScenario:
             3, params=make_params(), restart_offsets=[1.0, 2.0, 3.0]
         )
         assert len(scenario.fault_plan.final_down()) == 0
-        assert len([e for e in scenario.fault_plan if e.kind.value == "crash"]) == 1
+        assert len([e for e in fault_events(scenario.fault_plan) if e.kind.value == "crash"]) == 1
 
     def test_rejects_tiny_system(self):
         with pytest.raises(ConfigurationError):
