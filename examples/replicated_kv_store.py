@@ -69,7 +69,7 @@ def main() -> None:
         )
 
     print()
-    print(f"all commands replicated everywhere: {outcome.all_commands_learned_everywhere}")
+    print(f"all commands replicated everywhere: {outcome.all_decided}")
     print(f"replica state machines identical  : {outcome.replicas_agree}")
     print(f"decided log prefix per replica    : {outcome.prefix_lengths}")
 

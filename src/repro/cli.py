@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="spacing between consecutive commands (default 0.7)")
     smr_group.add_argument("--target-pid", type=int, default=None,
                            help="submit every command at this replica (default: round-robin)")
-    smr_group.add_argument("--machine", choices=("kv", "ledger"), default="kv",
-                           help="state machine the replicas apply (default kv)")
 
     subparsers.add_parser("list-protocols", help="list registered protocols")
     list_workloads = subparsers.add_parser(
@@ -225,7 +223,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if smr:
             schedule = ScheduleSpec(num_commands=args.commands, start=args.command_start,
                                     interval=args.command_interval, target_pid=args.target_pid)
-            protocol = SmrTask(workload, schedule, kwargs, machine=args.machine).builder()
+            protocol = SmrTask(workload, schedule, kwargs).builder()
         if env is not None:
             kwargs["env"] = env
             workload = "environment"
@@ -246,7 +244,7 @@ def _command_run(args: argparse.Namespace) -> int:
         print(render_timelines(result.simulator.trace, scenario.config.n, ts=scenario.config.ts))
     ok = result.safety.valid and all(report.ok for report in result.invariants.values())
     if isinstance(result.outcome, SmrOutcome):  # and every replica caught up and agrees
-        ok = ok and result.outcome.replicas_agree and result.outcome.all_commands_learned_everywhere
+        ok = ok and result.outcome.replicas_agree and result.outcome.all_decided
     return 0 if ok else 1
 
 

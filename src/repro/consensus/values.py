@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ResultSchemaError
 
@@ -79,3 +79,7 @@ class RunOutcome:
     @property
     def all_decided(self) -> bool:
         return not self.undecided_pids
+
+    def max_lag_after_ts(self) -> Optional[float]:
+        """Worst decision lag after ``TS`` over the expected deciders (None while one is undecided)."""
+        return self.extra["max_lag_after_ts"]

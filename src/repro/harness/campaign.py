@@ -7,9 +7,12 @@ This is the "regenerate everything" path behind ``repro experiments``::
 
 The campaign is a catalogue: :data:`EXPERIMENTS` maps each id (E1–E9) to
 its function, whose size defaults are the full scale, and :data:`SMOKE`
-holds the smaller keyword sizes of the smoke scale.  :func:`run_campaign`
-runs the selected experiments (``--jobs N`` fans the runs of each out over
-a process pool), :func:`write_report` writes each regenerated table to
+holds the smaller keyword sizes of the smoke scale.  Each function only
+plans its experiment (a :class:`~repro.harness.experiments.TablePlan`: its
+tasks and how to tabulate their rows).  :func:`run_campaign` plans every
+selected experiment, runs all their tasks as one batch (``--jobs N`` fans
+the whole batch out over a process pool), and hands each plan its own rows
+back; :func:`write_report` writes each regenerated table to
 ``<out>/E*.txt`` and a combined Markdown report
 (``<out>/experiments_report.md``) with the analytic bounds next to the
 measured values.
@@ -35,12 +38,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, List, Mapping, Optional, Union
 
 from repro.core.timing import judge
 from repro.errors import ConfigurationError
-from repro.harness.executors import Executor, make_executor
+from repro.harness.executors import Executor
+from repro.harness.experiment import ResultSet, _run_tasks
 from repro.harness.experiments import (
+    TablePlan,
     default_experiment_params,
     experiment_e1_modified_paxos_scaling,
     experiment_e2_traditional_obsolete,
@@ -53,12 +58,12 @@ from repro.harness.experiments import (
     experiment_e9_smr_stable_case,
 )
 from repro.harness.tables import ExperimentTable
-from repro.results.store import JsonlStore, open_store
+from repro.results.store import JsonlStore
 
 __all__ = ["EXPERIMENTS", "SMOKE", "CampaignResult", "run_campaign", "write_report"]
 
 # Each function's defaults are its full-scale sizes.
-EXPERIMENTS: Mapping[str, Callable[..., ExperimentTable]] = {
+EXPERIMENTS: Mapping[str, Callable[..., TablePlan]] = {
     "E1": experiment_e1_modified_paxos_scaling,
     "E2": experiment_e2_traditional_obsolete,
     "E3": experiment_e3_rotating_coordinator,
@@ -86,11 +91,11 @@ SMOKE: Mapping[str, Mapping[str, Any]] = {
 
 @dataclass
 class CampaignResult:
-    """All regenerated tables and how long each took."""
+    """All regenerated tables, and how long the campaign's one batch of runs took."""
 
     scale: str
     tables: List[ExperimentTable] = field(default_factory=list)
-    durations: Dict[str, float] = field(default_factory=dict)
+    duration: float = 0.0
 
     def failed_verdicts(self) -> List[str]:
         """The name of every verdict that failed (each names its experiment)."""
@@ -111,46 +116,46 @@ def run_campaign(
     """Run the selected experiments (each once, in first-seen order) at ``scale``.
 
     ``scale`` is ``"full"`` (each function's defaults) or ``"smoke"``
-    (:data:`SMOKE`).  ``executor`` wins over ``jobs``; with neither,
-    everything runs serially in this process.  ``store`` (a ``*.jsonl`` path
-    or :class:`~repro.results.store.JsonlStore`) receives every run's record
-    as it completes; a store opened here from a path is closed on return,
-    one passed in stays open.  With ``resume=True``, runs already in the
-    store are loaded instead of re-executed, so an interrupted campaign
-    picks up where it stopped.  At full scale each table carries the
-    verdicts of its claims (:func:`repro.core.timing.judge`).
+    (:data:`SMOKE`).  Every selected experiment is planned first, so a bad
+    size fails before anything runs; then all their tasks run as one batch
+    through the store/resume engine, which takes ``executor`` or ``jobs``
+    (not both; with neither, everything runs serially in this process),
+    ``store`` (a ``*.jsonl`` path or
+    :class:`~repro.results.store.JsonlStore`, which receives every run's
+    record as it completes; a store opened from a path is closed again) and
+    ``resume`` (runs already in the store are loaded instead of re-executed,
+    so an interrupted campaign picks up where it stopped).  Each plan then
+    tabulates its own rows; at full scale each table carries the verdicts of
+    its claims (:func:`repro.core.timing.judge`).
     """
     if scale not in ("smoke", "full"):
         raise ValueError(f"unknown campaign scale {scale!r}; use 'smoke' or 'full'")
     selected = list(dict.fromkeys(experiments if experiments is not None else EXPERIMENTS))
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
-        # Checked before the store opens, so a typo neither runs the valid
-        # experiments first nor leaves a store file behind.
+        # Checked before anything is planned or opened, so a typo neither
+        # runs the valid experiments nor leaves a store file behind.
         raise ConfigurationError(
             f"unknown experiment {', '.join(unknown)}; available: {', '.join(EXPERIMENTS)}"
         )
-    owns_executor = executor is None
-    executor = executor if executor is not None else make_executor(jobs)
-    opened = store is not None and not isinstance(store, JsonlStore)
-    store = open_store(store) if store is not None else None
-    result = CampaignResult(scale=scale)
-    try:
-        for name in selected:
-            if progress is not None:
-                progress(f"running {name} ({scale} scale)")
-            sizes = SMOKE[name] if scale == "smoke" else {}
-            started = time.perf_counter()
-            table = EXPERIMENTS[name](**sizes, executor=executor, store=store, resume=resume)
-            result.durations[name] = time.perf_counter() - started
-            if scale == "full":
-                table.verdicts = judge(name, table, default_experiment_params())
-            result.tables.append(table)
-    finally:
-        if owns_executor:
-            executor.close()
-        if opened:
-            store.close()
+    plans = {}
+    for name in selected:
+        if progress is not None:
+            progress(f"planning {name} ({scale} scale)")
+        plans[name] = EXPERIMENTS[name](**(SMOKE[name] if scale == "smoke" else {}))
+    tasks = [task for plan in plans.values() for task in plan.tasks]
+    if progress is not None:
+        progress(f"running {len(tasks)} runs of {', '.join(selected)} ({scale} scale)")
+    started = time.perf_counter()
+    rows = _run_tasks(tasks, executor, jobs, store=store, resume=resume)
+    result = CampaignResult(scale=scale, duration=time.perf_counter() - started)
+    start = 0
+    for name, plan in plans.items():
+        table = plan.tabulate(ResultSet(rows[start:start + len(plan.tasks)]))
+        start += len(plan.tasks)
+        if scale == "full":
+            table.verdicts = judge(name, table, default_experiment_params())
+        result.tables.append(table)
     return result
 
 
@@ -174,12 +179,11 @@ def write_report(result: CampaignResult, out_dir: str) -> str:
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write("# Regenerated experiment tables\n\n")
         handle.write(f"Scale: `{result.scale}`; timing constants: {params.describe()}\n\n")
+        handle.write(f"_Regenerated in {result.duration:.1f} s._\n\n")
         for table in result.tables:
-            duration = result.durations.get(table.experiment, 0.0)
             handle.write(f"## {table.experiment}: {table.title}\n\n")
             handle.write("```\n")
             handle.write(rendered[table.experiment])
             handle.write("\n```\n\n")
-            handle.write(f"_Regenerated in {duration:.1f} s._\n\n")
     return report_path
 

@@ -5,9 +5,8 @@ single-decree consensus run: a workload *name* resolved through
 :data:`~repro.workloads.registry.WORKLOADS`, its keyword arguments, a
 protocol *name* resolved through
 :data:`~repro.consensus.registry.PROTOCOLS`, and grid-point tags) or
-an :class:`SmrTask` (one multi-decree run: an SMR workload name, a
-declarative :class:`~repro.smr.workload.ScheduleSpec`, and a state-machine
-name).  Both kinds share one protocol:
+an :class:`SmrTask` (one multi-decree run: an SMR workload name and a
+declarative :class:`~repro.smr.workload.ScheduleSpec`).  Both kinds share one protocol:
 
 * ``task.kind`` — ``"run"`` or ``"smr"``; records and content keys read it;
 * ``task.run()`` — execute in this process through
@@ -37,14 +36,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.consensus.values import RunOutcome
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ExperimentError
 from repro.harness.runner import RunResult, run_scenario
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
 from repro.smr.outcome import SMR_PROTOCOL, SmrOutcome, snapshot_smr_outcome
-from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.scenario import Scenario
@@ -56,32 +54,12 @@ __all__ = [
     "SerialExecutor",
     "SmrTask",
     "execute_task",
-    "machine_factory_for",
     "make_executor",
     "snapshot_outcome",
 ]
 
 AnyTask = Union["RunTask", "SmrTask"]
 AnyOutcome = Union[RunOutcome, SmrOutcome]
-
-# State machines a declarative SMR task may name (factories must be
-# module-level so tasks pickle under every multiprocessing start method).
-_MACHINE_FACTORIES: Mapping[str, Callable[[], Any]] = {
-    "kv": KeyValueStore,
-    "ledger": AppendOnlyLedger,
-}
-
-
-def machine_factory_for(name: str) -> Callable[[], Any]:
-    """Resolve a declarative state-machine name into its factory."""
-    factory = _MACHINE_FACTORIES.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown state machine {name!r}; available: "
-            f"{', '.join(sorted(_MACHINE_FACTORIES))}"
-        )
-    return factory
-
 
 def build_task_scenario(task: AnyTask) -> Scenario:
     """Materialize the task's scenario through the workload table."""
@@ -124,9 +102,9 @@ class SmrTask:
 
     The multi-decree counterpart of :class:`RunTask`: a workload *name*
     (resolved through the workload table — any workload works, the
-    ``smr-*`` family carries SMR-sized defaults), its keyword arguments, a
-    declarative :class:`~repro.smr.workload.ScheduleSpec`, and the name of
-    the state machine replicas apply (``"kv"`` or ``"ledger"``).  The
+    ``smr-*`` family carries SMR-sized defaults), its keyword arguments and
+    a declarative :class:`~repro.smr.workload.ScheduleSpec`; replicas apply
+    the commands to a :class:`~repro.smr.state_machine.KeyValueStore`.  The
     protocol is always the multi-decree Modified Paxos service
     (:data:`~repro.smr.outcome.SMR_PROTOCOL`), so no protocol field is
     needed — ``task.protocol`` is a class constant, which keeps the content
@@ -136,15 +114,14 @@ class SmrTask:
     workload: str
     schedule: ScheduleSpec
     workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    machine: str = "kv"
     tags: Mapping[str, Any] = field(default_factory=dict)
 
     kind = "smr"
     protocol = SMR_PROTOCOL
 
     def builder(self) -> MultiPaxosSmrBuilder:
-        """The SMR builder for this task's schedule and state machine."""
-        return MultiPaxosSmrBuilder(self.schedule, machine_factory_for(self.machine))
+        """The SMR builder for this task's schedule."""
+        return MultiPaxosSmrBuilder(self.schedule)
 
     def run(self) -> RunResult:
         """Execute in this process and keep the full result (simulator included)."""

@@ -306,7 +306,14 @@ def _run_tasks(
             store.flush()
             if opened:
                 store.close()
-    return [ResultRow(task, outcome) for task, outcome in zip(tasks, slots) if outcome is not None]
+    unanswered = sum(outcome is None for outcome in slots)
+    if unanswered:
+        # A campaign slices these rows back per experiment by position, so a
+        # missing row would shift every later table.
+        raise ExperimentError(
+            f"executor returned no outcome for {unanswered} of {len(pending)} tasks"
+        )
+    return [ResultRow(task, outcome) for task, outcome in zip(tasks, slots)]
 
 
 def run_smr_tasks(

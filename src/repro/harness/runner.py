@@ -46,11 +46,12 @@ class RunResult:
 
     @property
     def decided_all(self) -> bool:
+        """Every expected decider decided (an SMR run: learned every scheduled command)."""
         return self.outcome.all_decided
 
     def max_lag_after_ts(self) -> Optional[float]:
-        """Worst post-``TS`` decision lag over the scenario's expected deciders."""
-        return self.outcome.extra["max_lag_after_ts"]
+        """Worst post-``TS`` decision lag (an SMR run: latest command learn); None while undecided."""
+        return self.outcome.max_lag_after_ts()
 
 
 def run_scenario(

@@ -27,9 +27,9 @@ run *produced*:
   tables and stats run unchanged on stored data.
 
 Because simulations are seeded and deterministic, a stored record is a
-faithful substitute for re-executing its task: the harness layers
-(``run_experiment``, ``run_smr_tasks``, ``run_campaign``, the E1–E9
-experiment functions) accept ``store=``/``resume=`` and load any record
+faithful substitute for re-executing its task: ``run_experiment``,
+``run_smr_tasks`` and ``run_campaign`` (which runs every E1–E9 plan's
+tasks as one batch) accept ``store=``/``resume=`` and load any record
 already present under a task's content key instead of running it, which
 is what makes an interrupted campaign resumable.
 

@@ -61,8 +61,8 @@ class SmrRecord(RecordBase):
             # exports have one column for both kinds: decided commands here,
             # decided processes there.
             "decided": len(outcome.commands),
-            "all_learned": outcome.all_commands_learned_everywhere,
-            "all_decided": outcome.all_commands_learned_everywhere,
+            "all_learned": outcome.all_decided,
+            "all_decided": outcome.all_decided,
             "replicas_agree": outcome.replicas_agree,
         }
 

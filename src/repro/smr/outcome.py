@@ -87,8 +87,25 @@ class SmrOutcome:
         return sorted(missing)
 
     @property
-    def all_commands_learned_everywhere(self) -> bool:
+    def all_decided(self) -> bool:
+        """Whether every scheduled command was learned by every expected replica."""
         return not self.unlearned_command_ids()
+
+    def max_lag_after_ts(self) -> Optional[float]:
+        """Latest learn of a scheduled command at an expected replica, after ``TS``.
+
+        The single-decree decision lag applied to commands: clamped at 0, and
+        None while some expected replica has not learned some scheduled
+        command (or when no command was scheduled).
+        """
+        if self.unlearned_command_ids():
+            return None
+        times = [
+            self.commands[command_id].learned_times[pid]
+            for command_id in self.scheduled_command_ids
+            for pid in self.expected_replicas
+        ]
+        return max(0.0, max(times) - self.ts) if times else None
 
     def worst_submitter_latency(self) -> Optional[float]:
         """Worst submitter latency over the commands (None if none completed)."""

@@ -28,6 +28,7 @@ __all__ = [
     "make_params",
     "make_run_record",
     "queue_simulator",
+    "run_plan",
     "run_to_horizon",
     "silent_simulator",
     "trace_wire_rows",
@@ -128,6 +129,19 @@ def fault_events(plan: Any) -> List[Any]:
 
     plan.apply(Recorder())
     return events
+
+
+def run_plan(plan: Any, executor: Any = None):
+    """Run an experiment's plan (serially, or on ``executor``) and return its table.
+
+    A campaign runs every plan this way, only batched: each task once, in
+    order, its rows handed back to the plan's ``tabulate``.
+    """
+    from repro.harness.executors import SerialExecutor
+    from repro.harness.experiment import ResultRow, ResultSet
+
+    outcomes = (executor or SerialExecutor()).imap(plan.tasks)
+    return plan.tabulate(ResultSet(map(ResultRow, plan.tasks, outcomes)))
 
 
 def run_to_horizon(scenario: Any, protocol: str):

@@ -31,7 +31,7 @@ from repro.harness.tables import ExperimentTable
 from repro.workloads.registry import WORKLOADS, factory_parameters
 from repro.workloads.stable import stable_scenario
 
-from tests.helpers import make_params
+from tests.helpers import make_params, run_plan
 
 
 class TestWorkloadTable:
@@ -264,10 +264,10 @@ class TestRunExperiment:
         assert [row.tag("case") for row in results] == ["a", "b"]
 
     def test_e8_parallel_matches_serial(self):
-        serial = experiment_e8_protocol_comparison(ns=(5,), seeds=(1,))
-        parallel = experiment_e8_protocol_comparison(
-            ns=(5,), seeds=(1,), executor=ParallelExecutor(jobs=4)
-        )
+        plan = experiment_e8_protocol_comparison(ns=(5,), seeds=(1,))
+        serial = run_plan(plan)
+        with ParallelExecutor(jobs=4) as pool:
+            parallel = run_plan(plan, pool)
         assert serial.rows == parallel.rows
 
 

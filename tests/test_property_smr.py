@@ -84,5 +84,5 @@ class TestSmrSafetyProperties:
         scenario = stable_scenario(n, params=PARAMS, seed=seed, max_time=200.0)
         schedule = build_schedule(n, raw, list(range(n)))
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.replicas_agree

@@ -209,7 +209,7 @@ class TestExperimentsStoreFlags:
         assert main(["experiments", "--scale", "smoke", "--experiment", "E7",
                      "--experiment", "E7", "--out", str(out), "--store", str(store)]) == 0
         printed = capsys.readouterr().out
-        assert printed.count("running E7") == 1
+        assert printed.count("planning E7") == 1
         assert f"store {store}: 4 records" in printed
         assert len(store.read_text().splitlines()) == 4
         assert (out / "experiments_report.md").read_text().count("## E7") == 1

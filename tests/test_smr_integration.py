@@ -24,7 +24,7 @@ class TestStableReplication:
         scenario = stable_scenario(5, params=PARAMS, seed=1, max_time=300.0)
         schedule = ScheduleSpec(num_commands=15, start=10.0, interval=1.0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.replicas_agree
         assert result.outcome.consistency_checks > 0
         assert all(length >= 15 for length in result.outcome.prefix_lengths.values())
@@ -36,7 +36,7 @@ class TestStableReplication:
         # ballot, process n-1), measuring the pure fast path.
         schedule = ScheduleSpec(num_commands=10, start=10.0, interval=1.0, target_pid=4)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         # Global learning within 3 maximum message delays; typical delays are
         # ~0.55 delta so this is also about 3 average delays.
         assert result.outcome.worst_global_latency() <= 3.0 * PARAMS.delta
@@ -46,7 +46,7 @@ class TestStableReplication:
         scenario = stable_scenario(5, params=PARAMS, seed=3, max_time=300.0)
         schedule = ScheduleSpec(num_commands=10, start=10.0, interval=1.0, target_pid=0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.worst_global_latency() <= 4.0 * PARAMS.delta
 
     def test_ledger_replicas_apply_identical_sequences(self):
@@ -70,7 +70,7 @@ class TestReplicationUnderChaos:
         survivors = scenario.deciders()
         schedule = ScheduleSpec(num_commands=6, start=1.0, interval=1.0, target_pid=survivors[0])
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.replicas_agree
         # Everything is learned within the eventual-synchrony bound of TS
         # (commands were submitted before TS, so lag is measured against TS).
@@ -83,7 +83,7 @@ class TestReplicationUnderChaos:
         survivors = scenario.deciders()
         schedule = ScheduleSpec(num_commands=5, start=35.0, interval=1.0, target_pid=survivors[0])
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.worst_global_latency() <= 8.0 * PARAMS.delta
 
 
@@ -115,7 +115,7 @@ class TestRestartedReplicaCatchUp:
         scenario.fault_plan = FaultPlan().crash(2, 2.0).restart(2, ts + 15.0)
         schedule = ScheduleSpec(num_commands=6, start=1.0, interval=1.0, target_pid=0)
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
         assert result.outcome.replicas_agree
         node = result.simulator.nodes[2]
         assert node.incarnation == 2

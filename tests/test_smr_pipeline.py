@@ -7,6 +7,7 @@ tables (and replica digests) to the retired side harness that drove
 each run directly.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -17,9 +18,8 @@ from repro.harness.executors import (
     SerialExecutor,
     SmrTask,
     execute_task,
-    machine_factory_for,
 )
-from repro.harness.experiment import ResultRow, run_smr_tasks
+from repro.harness.experiment import ResultRow, ResultSet, run_smr_tasks
 from repro.harness.experiments import (
     default_experiment_params,
     experiment_e9_smr_stable_case,
@@ -38,6 +38,7 @@ from repro.workloads.environments import (
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.smr import SMR_WORKLOADS, is_smr_workload
 from repro.workloads.stable import stable_scenario
+from tests.helpers import run_plan
 
 PARAMS = default_experiment_params()
 
@@ -141,7 +142,7 @@ class TestSmrWorkloadFamily:
             schedule=ScheduleSpec(num_commands=2, start=12.0, interval=1.0),
         )
         outcome = task.execute()
-        assert outcome.all_commands_learned_everywhere
+        assert outcome.all_decided
         assert outcome.replicas_agree
         assert outcome.worst_global_latency() is not None
 
@@ -187,19 +188,35 @@ class TestExecutorIntegration:
         assert outcomes[0].protocol == "modified-paxos"
         assert isinstance(outcomes[1], SmrOutcome)
 
-    def test_unknown_machine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown state machine"):
-            machine_factory_for("bogus")
 
-    def test_ledger_machine_runs(self):
-        task = SmrTask(
-            workload="smr-stable",
-            workload_kwargs={"n": 3, "params": PARAMS, "seed": 1},
-            schedule=ScheduleSpec(num_commands=2, start=10.0, interval=0.7),
-            machine="ledger",
+class TestRunResultOfAnSmrRun:
+    """``decided_all`` and ``max_lag_after_ts()`` read an SMR run's commands."""
+
+    def complete_and_cut_short(self):
+        complete = SmrTask("smr-stable", ScheduleSpec(num_commands=2), {"n": 3}).run()
+        # Submitted at 1.0 and 1.1, the run ends at 1.5: nobody learns either.
+        cut = SmrTask("smr-stable", ScheduleSpec(num_commands=2, start=1.0, interval=0.1),
+                      {"n": 3, "max_time": 1.5}).run()
+        return complete, cut
+
+    def test_decided_all_means_every_command_learned_everywhere(self):
+        complete, cut = self.complete_and_cut_short()
+        assert complete.decided_all
+        assert not cut.decided_all
+        assert cut.outcome.unlearned_command_ids() == ["cmd-0000", "cmd-0001"]
+
+    def test_max_lag_after_ts_is_the_latest_learn_after_ts(self):
+        complete, cut = self.complete_and_cut_short()
+        outcome = complete.outcome
+        latest = max(
+            record.learned_times[pid]
+            for record in outcome.commands.values() for pid in outcome.expected_replicas
         )
-        outcome = task.execute()
-        assert outcome.replicas_agree and outcome.all_commands_learned_everywhere
+        assert outcome.ts == 0.0 and complete.max_lag_after_ts() == latest > 0
+        assert cut.max_lag_after_ts() is None
+        # Clamped at 0 when every command was learned before TS.
+        assert learned_outcome().max_lag_after_ts() == 3.0
+        assert dataclasses.replace(learned_outcome(), ts=10.0).max_lag_after_ts() == 0.0
 
 
 class TestDigestSemantics:
@@ -229,18 +246,51 @@ class TestScheduleHorizonValidation:
         scenario = stable_scenario(3, params=PARAMS, seed=1, max_time=200.0)
         schedule = ScheduleSpec(entries=((0, 12.0, "ok-cmd", ("set", "k", "v")),))
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
-        assert result.outcome.all_commands_learned_everywhere
+        assert result.outcome.all_decided
+
+
+def learned_outcome(partial: bool = False) -> SmrOutcome:
+    """Two commands at three replicas; with ``partial``, p2 never learns cmd-0001."""
+    from repro.smr.metrics import CommandRecord
+
+    second = {0: 3.0, 1: 3.5} if partial else {0: 3.0, 1: 3.5, 2: 4.0}
+    return SmrOutcome(
+        workload="w", n=3, ts=1.0, delta=1.0, seed=0,
+        expected_replicas=(0, 1, 2),
+        scheduled_command_ids=("cmd-0000", "cmd-0001"),
+        commands={
+            "cmd-0000": CommandRecord(command_id="cmd-0000", origin=0, submit_time=1.0,
+                                      learned_times={0: 2.0, 1: 2.5, 2: 2.5}),
+            "cmd-0001": CommandRecord(command_id="cmd-0001", origin=0, submit_time=2.0,
+                                      learned_times=second),
+        },
+        digests={0: "d", 1: "d", 2: "d"},
+    )
 
 
 class TestLatencyErrorReporting:
-    def test_empty_outcome_raises_naming_unlearned_commands(self):
-        from repro.harness.experiments import _smr_latencies
+    @pytest.mark.parametrize("case", ["leader-submitted", "follower-submitted", "chaos"])
+    def test_each_e9_case_names_its_unlearned_command(self, case):
+        plan = experiment_e9_smr_stable_case(n=5, stable_commands=2, chaos_commands=2)
+        rows = ResultSet(
+            ResultRow(task, learned_outcome(partial=task.tags["case"] == case))
+            for task in plan.tasks
+        )
+        with pytest.raises(ExperimentError, match=f"^{case}: .*: cmd-0001$"):
+            plan.tabulate(rows)
 
-        outcome = SmrOutcome(workload="w", n=3, ts=0.0, delta=1.0, seed=0,
-                             expected_replicas=(0, 1, 2),
-                             scheduled_command_ids=("cmd-0000", "cmd-0001"))
-        with pytest.raises(ExperimentError, match="cmd-0000, cmd-0001"):
-            _smr_latencies("case", outcome)
+    def test_a_case_without_commands_raises_instead_of_dividing_none(self):
+        plan = experiment_e9_smr_stable_case(n=5, stable_commands=2, chaos_commands=2)
+        empty = SmrOutcome(workload="w", n=3, ts=0.0, delta=1.0, seed=0,
+                           expected_replicas=(0, 1, 2))
+        rows = ResultSet(ResultRow(task, empty) for task in plan.tasks)
+        with pytest.raises(ExperimentError, match="^leader-submitted: .*no latency"):
+            plan.tabulate(rows)
+
+    def test_complete_outcomes_tabulate(self):
+        plan = experiment_e9_smr_stable_case(n=5, stable_commands=2, chaos_commands=2)
+        table = plan.tabulate(ResultSet(ResultRow(task, learned_outcome()) for task in plan.tasks))
+        assert [row["worst_global_latency_delta"] for row in table.rows] == [2.0, 2.0, 3.0]
 
     def test_unlearned_ids_reports_partial_coverage(self):
         from repro.smr.metrics import CommandRecord
@@ -253,7 +303,7 @@ class TestLatencyErrorReporting:
                                          learned_times={0: 2.0, 1: 2.5})},
         )
         assert outcome.unlearned_command_ids() == ["b"]
-        assert not outcome.all_commands_learned_everywhere
+        assert not outcome.all_decided
 
 
 class TestE9Parity:
@@ -308,21 +358,18 @@ class TestE9Parity:
                       worst_global_latency_delta=worst_after_ts / delta)
         return table.render()
 
-    def test_e9_table_byte_identical_to_side_harness(self):
-        pipeline = experiment_e9_smr_stable_case(
-            n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS
-        ).render()
-        assert pipeline == self.side_harness_table()
-
-    def test_e9_parallel_equals_serial(self):
-        serial = experiment_e9_smr_stable_case(
+    def plan(self):
+        return experiment_e9_smr_stable_case(
             n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS
         )
+
+    def test_e9_table_byte_identical_to_side_harness(self):
+        assert run_plan(self.plan()).render() == self.side_harness_table()
+
+    def test_e9_parallel_equals_serial(self):
+        serial = run_plan(self.plan())
         with ParallelExecutor(jobs=3) as pool:
-            parallel = experiment_e9_smr_stable_case(
-                n=self.N, stable_commands=self.STABLE, chaos_commands=self.CHAOS,
-                executor=pool,
-            )
+            parallel = run_plan(self.plan(), pool)
         assert parallel.render() == serial.render()
 
     def test_seeded_digests_identical_to_side_harness(self):

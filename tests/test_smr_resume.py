@@ -126,6 +126,25 @@ class TestE9CampaignResume:
         assert (tmp_path / "resumed" / "E9.txt").read_bytes() == \
             (tmp_path / "baseline" / "E9.txt").read_bytes()
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_interrupted_mixed_campaign_resumes_only_the_missing_runs(self, tmp_path, k):
+        """E7 and E9 run as one batch; k=5 dies inside E9, after all of E7."""
+        experiments = ["E7", "E9"]
+        baseline = run_campaign(scale="smoke", experiments=experiments)
+
+        store_path = str(tmp_path / "mixed.jsonl")
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(scale="smoke", experiments=experiments, store=store_path,
+                         executor=DyingExecutor(fail_after=k))
+        assert len(JsonlStore(store_path)) == k
+
+        counting = CountingExecutor()
+        resumed = run_campaign(scale="smoke", experiments=experiments, store=store_path,
+                               resume=True, executor=counting)
+        assert counting.executed == 4 + 3 - k  # E7: 4 runs; E9: 3 cases
+        assert [table.render() for table in resumed.tables] == \
+            [table.render() for table in baseline.tables]
+
     def test_e9_campaign_streams_smr_records(self, tmp_path):
         store = JsonlStore(tmp_path / "e9.jsonl")
         run_campaign(scale="smoke", experiments=["E9"], store=store)

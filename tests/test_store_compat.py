@@ -93,7 +93,7 @@ def test_run_smr_tasks_resumes_without_executing(store_copy):
     assert counting.executed == 0
     record = JsonlStore(store_copy).get(content_key_for_task(SMR_TASKS[0]))
     assert [row.outcome for row in rows] == [record.to_outcome()]
-    assert rows[0].outcome.all_commands_learned_everywhere
+    assert rows[0].outcome.all_decided
 
 
 def test_fresh_runs_reproduce_the_stored_outcomes():
