@@ -24,7 +24,6 @@ Run with::
 
 from repro import WORKLOADS, TimingParams, run_scenario
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import ScheduleSpec
 
 REPLICAS = 5
@@ -56,7 +55,7 @@ def main() -> None:
     print(f"replicated KV store on {REPLICAS} replicas; {len(schedule.entries)} commands")
     print(f"client co-located with replica {survivor}; network heals at TS={TS:g}\n")
 
-    builder = MultiPaxosSmrBuilder(schedule=schedule, machine_factory=KeyValueStore)
+    builder = MultiPaxosSmrBuilder(schedule=schedule)
     outcome = run_scenario(scenario, builder).outcome
 
     print("command                when learned everywhere (relative to TS / to submission)")

@@ -282,7 +282,8 @@ def _run_tasks(
     for index, key in enumerate(keys):
         record = store.get(key) if resume else None
         if record is not None:
-            slots[index] = record.to_outcome()
+            # store.get decodes a fresh record from its line: no copy needed.
+            slots[index] = record.outcome
             logger.info("cache hit: %s", key)
         else:
             pending.append(index)

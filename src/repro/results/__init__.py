@@ -20,7 +20,7 @@ run *produced*:
   :func:`~repro.results.record.decode_record_dict` dispatch on; a class
   refuses the other kind's records;
 * :class:`~repro.results.store.JsonlStore` — the store: an append-only
-  JSON-lines log of records plus an atomic sidecar index, opened from a
+  JSON-lines log of records, read once when it is opened, opened from a
   ``*.jsonl`` path by :func:`~repro.results.store.open_store`;
 * :mod:`~repro.results.query` — record-level aggregation and the bridge
   back into :class:`~repro.harness.experiment.ResultSet`, so the existing

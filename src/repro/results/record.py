@@ -29,6 +29,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Mapping, NamedTuple, Opt
 
 from repro.consensus.values import DecisionOutcome, RunOutcome, json_safe
 from repro.errors import ResultSchemaError
+from repro.smr.state_machine import MACHINE
 
 __all__ = [
     "EXACT",
@@ -120,10 +121,9 @@ def task_fingerprint(task: Any) -> Dict[str, Any]:
             "workload": task.workload,
             "workload_kwargs": _fingerprint_value(kwargs, "workload_kwargs"),
             "schedule": _fingerprint_value(task.schedule.to_dict(), "schedule"),
-            # Every SMR run applies its commands to the key-value store.
-            # Tasks once named their state machine; the literal keeps every
-            # content key already in a store valid.
-            "machine": "kv",
+            # Tasks once named their state machine; the fixed name keeps
+            # every content key already in a store valid.
+            "machine": MACHINE,
         }
     return {
         "schema": SCHEMA_VERSION,

@@ -1,24 +1,20 @@
 """The result store: a durable, queryable home for run records.
 
-:class:`JsonlStore` keeps one append-only JSON-lines log plus an atomic
-sidecar index (``<path>.index.json``, written via temp-file +
-``os.replace``).  Appends are durable immediately; the index is a pure
-accelerator — when it is missing or stale the store rescans the log, so a
-campaign killed between flushes loses nothing.
+:class:`JsonlStore` is one append-only JSON-lines log, one record per line,
+and nothing else: opening a store reads the log once, and every ``put``
+appends one line that is on disk before it returns, so a campaign killed
+mid-batch loses nothing.
 
 :func:`open_store` opens a ``*.jsonl`` path and refuses any other.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import stat
-import tempfile
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ResultSchemaError, ResultStoreError
-from repro.results.record import SCHEMA_VERSION, RecordBase, decode_record_json
+from repro.results.record import RecordBase, decode_record_json
 # Every record is built for, or decoded by, a store.  Defining SmrRecord
 # registers the "smr" kind, and no other module of the package imports it.
 from repro.results import smr_record  # noqa: F401
@@ -26,8 +22,6 @@ from repro.results import smr_record  # noqa: F401
 __all__ = ["JsonlStore", "open_store"]
 
 Where = Callable[[RecordBase], bool]
-
-_INDEX_SCHEMA = f"repro-results-index/{SCHEMA_VERSION}"
 
 
 def _ensure_parent_dir(path: str) -> None:
@@ -40,64 +34,33 @@ def _ensure_parent_dir(path: str) -> None:
 
 
 class JsonlStore:
-    """Append-only JSON-lines log of run records with an atomic sidecar index.
+    """Append-only JSON-lines log of run records.
 
     A keyed map of records: ``put`` upserts by content key (last write
     wins), iteration preserves first-insertion order, and :meth:`query`
     returns a live :class:`~repro.harness.experiment.ResultSet` so the
     table and stats layers work unchanged on stored data.
 
-    Every ``put`` appends one line immediately (durability does not wait for
-    :meth:`flush`); re-putting a key appends a superseding line and the
-    in-memory key map tracks the latest offset.  ``flush`` rewrites the
-    index atomically; on open, an index whose recorded size matches the log
-    is trusted, anything else triggers a full rescan — a torn index can cost
-    time, never records.
+    Opening reads the log once and keeps the byte offset of each key's
+    latest line.  Every ``put`` appends one line immediately; re-putting a
+    key appends a superseding line and the key map tracks its offset.  An
+    instance sees only its own appends: records another writer appends to
+    the same file appear when the store is reopened.
     """
 
     backend = "jsonl"
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = os.fspath(path)
-        self.index_path = self.path + ".index.json"
         _ensure_parent_dir(self.path)
         self._offsets: Dict[str, int] = {}
-        self._dirty = False
-        # Byte position this instance believes is the end of the log; a put
-        # landing anywhere else means another writer appended in between
-        # (two processes appending to one store), so the next flush must
-        # rescan instead of publishing an index that would mask the foreign
-        # records.
-        self._end = 0
-        self._stale = False
-        self._load()
+        if os.path.exists(self.path):
+            self._scan()
 
-    # -- persistence --------------------------------------------------------
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        size = os.path.getsize(self.path)
-        if os.path.exists(self.index_path):
-            try:
-                with open(self.index_path, "r", encoding="utf-8") as handle:
-                    index = json.load(handle)
-                if (
-                    index.get("schema") == _INDEX_SCHEMA
-                    and index.get("size") == size
-                    and isinstance(index.get("offsets"), dict)
-                ):
-                    self._offsets = {str(k): int(v) for k, v in index["offsets"].items()}
-                    self._end = size
-                    return
-            except (OSError, ValueError):
-                pass  # stale or torn index: fall through to a rescan
-        self._rescan()
-
-    def _rescan(self) -> None:
+    def _scan(self) -> None:
         # Offsets are byte positions (binary mode): text-mode tell() is both
         # disabled during iteration and an opaque cookie, so all file access
         # here speaks bytes and decodes per line.
-        self._offsets = {}
         offset = 0
         size = os.path.getsize(self.path)
         with open(self.path, "rb") as handle:
@@ -115,23 +78,22 @@ class JsonlStore:
                             break
                         raise
                     self._offsets[record.key] = offset
+                    if not line.endswith(b"\n"):
+                        # A kill between a record and its newline: end the
+                        # line, or the next append would run onto it.
+                        with open(self.path, "ab") as tail:
+                            tail.write(b"\n")
                 offset += len(line)
-        self._end = offset
-        self._stale = False
-        self._dirty = True
 
     def put(self, record: RecordBase) -> None:
         with open(self.path, "ab") as handle:
             offset = handle.tell()
-            if offset != self._end:
-                self._stale = True  # someone else appended since we last looked
             handle.write(record.to_json().encode("utf-8"))
             handle.write(b"\n")
-            self._end = handle.tell()
         self._offsets[record.key] = offset
-        self._dirty = True
 
     def get(self, key: str) -> Optional[RecordBase]:
+        """A freshly decoded record, or ``None``; callers may keep its outcome."""
         offset = self._offsets.get(key)
         if offset is None:
             return None
@@ -154,36 +116,7 @@ class JsonlStore:
                 yield decode_record_json(handle.readline().decode("utf-8"))
 
     def flush(self) -> None:
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if self._stale or size != self._end:
-            # Another writer appended records we have not indexed; publishing
-            # an index whose size matches the file would mask them forever.
-            # Rescan first so the index (and this instance) covers everything.
-            self._rescan()
-            size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if not self._dirty:
-            return
-        index = {
-            "schema": _INDEX_SCHEMA,
-            "size": size,
-            "offsets": self._offsets,
-        }
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, temp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.index_path) + ".", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(index, handle)
-            # mkstemp creates the file 0600 whatever the umask; the index is
-            # as readable as the log it describes.
-            os.chmod(temp_path, stat.S_IMODE(os.stat(self.path).st_mode))
-            os.replace(temp_path, self.index_path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
-        self._dirty = False
+        """Nothing to do: every ``put`` is written before it returns."""
 
     def close(self) -> None:
         self.flush()

@@ -19,8 +19,8 @@ single-decree algorithm, so recovery after instability keeps the
 Contents:
 
 * :mod:`repro.smr.log` — the replicated log (slot → decided command);
-* :mod:`repro.smr.state_machine` — deterministic state machines to apply the
-  log to (a key/value store and an append-only ledger);
+* :mod:`repro.smr.state_machine` — the deterministic key/value store every
+  replica applies its log to;
 * :mod:`repro.smr.messages` — the multi-decree message vocabulary;
 * :mod:`repro.smr.multi_paxos` — the protocol and its builder;
 * :mod:`repro.smr.workload` — client command schedules;

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 from repro.errors import AgreementViolation
 from repro.sim.simulator import Simulator
 from repro.smr.multi_paxos import MultiPaxosSmrProcess
+from repro.smr.state_machine import KeyValueStore
 
 __all__ = [
     "CommandRecord",
@@ -83,14 +84,14 @@ def learned_prefix_lengths(simulator: Simulator) -> Dict[int, int]:
     return lengths
 
 
-def replica_digests(simulator: Simulator, machine_factory) -> Dict[int, object]:
-    """Apply each replica's contiguous prefix to a fresh state machine and digest it."""
+def replica_digests(simulator: Simulator) -> Dict[int, object]:
+    """Apply each replica's contiguous prefix to a fresh key-value store and digest it."""
     digests: Dict[int, object] = {}
     for pid, node in simulator.nodes.items():
         process = node.process
         if not isinstance(process, MultiPaxosSmrProcess):
             continue
-        machine = machine_factory()
+        machine = KeyValueStore()
         for value in process.log.contiguous_prefix():
             command = value[1] if isinstance(value, tuple) and len(value) == 2 else value
             if command == ("noop",):

@@ -27,8 +27,8 @@ Log entries are ``(command_id, command)`` pairs so duplicate submissions can
 be recognised; like any at-least-once SMR pipeline, a command can in rare
 interleavings be decided in two slots (the owner deduplicates against its own
 log and in-flight proposals, but a brand-new leader may not know about an
-in-flight duplicate).  State machines in :mod:`repro.smr.state_machine` are
-idempotent under such duplicates.
+in-flight duplicate).  The key-value store in :mod:`repro.smr.state_machine`
+is idempotent under such duplicates.
 
 Client submissions come from a :class:`~repro.smr.workload.ScheduleSpec`;
 :class:`MultiPaxosSmrBuilder` expands it into each replica's submission list
@@ -54,7 +54,6 @@ from repro.smr.messages import (
     MultiPhase2b,
     SlotDecision,
 )
-from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import Entry, ScheduleSpec
 
 __all__ = ["MultiPaxosSmrProcess", "MultiPaxosSmrBuilder"]
@@ -339,20 +338,14 @@ class MultiPaxosSmrBuilder(ProtocolBuilder):
 
     ``schedule`` is expanded once, in :meth:`attach`, which knows ``n``:
     :attr:`entries` then holds each replica's submissions by submit time
-    and :attr:`command_ids` every scheduled id, sorted.  Replica digests
-    apply each log to a fresh ``machine_factory()``.
+    and :attr:`command_ids` every scheduled id, sorted.
     """
 
     name = "multi-paxos-smr"
 
-    def __init__(
-        self,
-        schedule: ScheduleSpec = ScheduleSpec(),
-        machine_factory: Callable[[], object] = KeyValueStore,
-    ) -> None:
+    def __init__(self, schedule: ScheduleSpec = ScheduleSpec()) -> None:
         super().__init__()
         self.schedule = schedule
-        self.machine_factory = machine_factory
         self.entries: Dict[int, List[Entry]] = {}
         self.command_ids: Tuple[str, ...] = ()
         # While run_to_stop waits: the scheduled ids and the expected replicas' nodes.

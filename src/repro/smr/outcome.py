@@ -37,10 +37,9 @@ SMR_PROTOCOL = "multi-paxos-smr"
 def digest_string(digest: Any) -> str:
     """Canonical, cross-process-stable string form of one replica digest.
 
-    State machines return nested plain-data digests (tuples of sorted items
-    for the KV store, tuples of reprs for the ledger); hashing their ``repr``
-    gives a short stable identity — ``repr`` of plain data is deterministic
-    across processes and platforms, unlike ``hash()``.
+    The key-value store's digest is plain data (a tuple of sorted items);
+    hashing its ``repr`` gives a short stable identity — ``repr`` of plain
+    data is deterministic across processes and platforms, unlike ``hash()``.
     """
     return hashlib.sha256(repr(digest).encode("utf-8")).hexdigest()[:16]
 

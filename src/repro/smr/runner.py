@@ -46,7 +46,7 @@ def compute_smr_outcome(
     config = scenario.config
     commands = command_latencies(simulator)
     prefix_lengths = learned_prefix_lengths(simulator)
-    digests = replica_digests(simulator, builder.machine_factory)
+    digests = replica_digests(simulator)
     stats = simulator.network.monitor.stats
     return SmrOutcome(
         workload=scenario.name,

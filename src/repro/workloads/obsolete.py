@@ -42,6 +42,12 @@ from repro.workloads.scenario import Scenario
 
 __all__ = ["obsolete_ballot_scenario"]
 
+# How far apart the crafted ballots are, in ballot rounds of n: far more
+# than the leader can reach between two releases.
+BALLOT_STRIDE = 1_000
+# How often (in δ) the adaptive adversary checks the leader's progress.
+POLL_INTERVAL_FACTOR = 0.05
+
 
 class _ObsoleteReleaseController:
     """Adaptive adversary releasing one obsolete ballot per leader attempt."""
@@ -52,7 +58,6 @@ class _ObsoleteReleaseController:
         leader: int,
         owners: List[int],
         count: int,
-        ballot_stride: int,
         poll_interval: float,
         arrival_lead: float,
         fallback_gap: float,
@@ -61,7 +66,6 @@ class _ObsoleteReleaseController:
         self.leader = leader
         self.owners = owners
         self.count = count
-        self.ballot_stride = ballot_stride
         self.poll_interval = poll_interval
         self.arrival_lead = arrival_lead
         self.fallback_gap = fallback_gap
@@ -94,7 +98,7 @@ class _ObsoleteReleaseController:
     def _release(self, above_ballot: int) -> None:
         n = self.simulator.config.n
         owner = self.owners[self.released % len(self.owners)]
-        floor = max(above_ballot, (self.released + 1) * self.ballot_stride * n)
+        floor = max(above_ballot, (self.released + 1) * BALLOT_STRIDE * n)
         ballot = ((floor // n) + 1) * n + owner
         now = self.simulator.now()
         message = Phase1a(mbal=ballot)
@@ -115,7 +119,7 @@ class _ObsoleteReleaseController:
             index = self.released
             owner = self.owners[index % len(self.owners)]
             n = self.simulator.config.n
-            ballot = ((index + 1) * self.ballot_stride + 1) * n + owner
+            ballot = ((index + 1) * BALLOT_STRIDE + 1) * n + owner
             now = self.simulator.now()
             message = Phase1a(mbal=ballot)
             for dst in range(n):
@@ -133,8 +137,6 @@ def obsolete_ballot_scenario(
     ts: Optional[float] = None,
     seed: int = 0,
     num_obsolete: Optional[int] = None,
-    ballot_stride: int = 1_000,
-    poll_interval_factor: float = 0.05,
     max_time: Optional[float] = None,
 ) -> Scenario:
     """Build the obsolete-high-ballot adversarial scenario.
@@ -146,10 +148,6 @@ def obsolete_ballot_scenario(
         num_obsolete: How many obsolete ballots surface after ``TS``;
             defaults to the maximum the model allows, ``⌈N/2⌉ − 1`` (one per
             crashed process).
-        ballot_stride: Controls how far apart the crafted ballots are; must
-            comfortably exceed anything the leader can reach between releases.
-        poll_interval_factor: How often (in δ) the adaptive adversary checks
-            the leader's progress.
     """
     if n < 3:
         raise ConfigurationError("obsolete_ballot_scenario needs n >= 3")
@@ -163,9 +161,6 @@ def obsolete_ballot_scenario(
         raise ConfigurationError(
             f"num_obsolete must be in [0, {max_victims}] to keep a majority alive, got {k}"
         )
-    if ballot_stride < n:
-        raise ConfigurationError("ballot_stride must be at least n")
-
     delta = params.delta
     # Generous horizon: the whole point is that the decision takes O(k·δ).
     horizon = max_time if max_time is not None else ts + (6.0 * k + 80.0) * delta
@@ -189,8 +184,7 @@ def obsolete_ballot_scenario(
             leader=post_ts_leader,
             owners=victims,
             count=k,
-            ballot_stride=ballot_stride,
-            poll_interval=poll_interval_factor * delta,
+            poll_interval=POLL_INTERVAL_FACTOR * delta,
             arrival_lead=0.02 * delta,
             fallback_gap=3.0 * delta,
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.harness.executors import SerialExecutor
 from repro.params import TimingParams
 from repro.sim.process import Process, ProcessContext
 from repro.sim.rng import SeededRng
@@ -19,6 +20,8 @@ from repro.storage.stable import StableStore
 
 __all__ = [
     "ContextHarness",
+    "CountingExecutor",
+    "DyingExecutor",
     "build_adversary",
     "SentEnvelope",
     "SentMessage",
@@ -129,6 +132,31 @@ def fault_events(plan: Any) -> List[Any]:
 
     plan.apply(Recorder())
     return events
+
+
+class CountingExecutor(SerialExecutor):
+    """Serial executor that counts how many tasks it actually ran."""
+
+    fail_after: Optional[int] = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.executed = 0
+
+    def imap(self, tasks):
+        for task in tasks:
+            if self.executed == self.fail_after:
+                raise KeyboardInterrupt("simulated mid-campaign kill")
+            self.executed += 1
+            yield task.execute()
+
+
+class DyingExecutor(CountingExecutor):
+    """Simulates a campaign killed midway: dies after ``fail_after`` runs."""
+
+    def __init__(self, fail_after: int) -> None:
+        super().__init__()
+        self.fail_after = fail_after
 
 
 def run_plan(plan: Any, executor: Any = None):

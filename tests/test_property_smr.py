@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.harness.runner import run_scenario
 from repro.smr.metrics import check_log_consistency, replica_digests
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.chaos import lossy_chaos_scenario, partitioned_chaos_scenario
 from repro.workloads.stable import stable_scenario
@@ -58,7 +57,7 @@ class TestSmrSafetyProperties:
         scenario = partitioned_chaos_scenario(n, params=PARAMS, ts=6.0, seed=seed, max_time=120.0)
         schedule = build_schedule(n, raw, scenario.deciders())
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule), enforce=False)
-        digests = replica_digests(result.simulator, KeyValueStore)
+        digests = replica_digests(result.simulator)
         # Replicas may have learned prefixes of different lengths, but whenever
         # two replicas both learned a slot they learned the same command, so
         # the *shorter* prefix is always a prefix of the longer one.  Compare

@@ -7,9 +7,9 @@ yields byte-identical tables to an uninterrupted run.
 
 import pytest
 
+from helpers import CountingExecutor, DyingExecutor
 from repro.errors import ExperimentError
 from repro.harness.campaign import run_campaign, write_report
-from repro.harness.executors import SerialExecutor
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.experiments import default_experiment_params
 from repro.harness.tables import ExperimentTable
@@ -17,35 +17,6 @@ from repro.results.store import JsonlStore
 from repro.results.record import content_key_for_task
 
 PARAMS = default_experiment_params()
-
-
-class CountingExecutor(SerialExecutor):
-    """Serial executor that counts how many tasks it actually ran."""
-
-    def __init__(self):
-        super().__init__()
-        self.executed = 0
-
-    def imap(self, tasks):
-        for task in tasks:
-            self.executed += 1
-            yield task.execute()
-
-
-class DyingExecutor(SerialExecutor):
-    """Simulates a campaign killed midway: dies after ``fail_after`` runs."""
-
-    def __init__(self, fail_after):
-        super().__init__()
-        self.fail_after = fail_after
-        self.executed = 0
-
-    def imap(self, tasks):
-        for task in tasks:
-            if self.executed >= self.fail_after:
-                raise KeyboardInterrupt("simulated mid-campaign kill")
-            self.executed += 1
-            yield task.execute()
 
 
 def chaos_spec() -> ExperimentSpec:

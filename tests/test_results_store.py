@@ -1,8 +1,8 @@
 """Tests for `repro.results.store`: the JSON-lines result store.
 
 :class:`TestConformance` pins the keyed-map contract the harness and the
-CLI rely on; the durability details (atomic index, stale-index rescue,
-reopen, torn tails) follow.
+CLI rely on; the durability details (reopen, torn tails, mid-file
+corruption, two writers on one file) follow.
 """
 
 import json
@@ -11,22 +11,22 @@ import os
 import pytest
 
 from helpers import make_run_record
-from repro.errors import ResultStoreError
+from repro.errors import ResultSchemaError, ResultStoreError
 from repro.harness.tables import ExperimentTable
 from repro.results.query import diff_aggregates, export_csv, export_json, lag_aggregates, result_set_of
 from repro.results.store import JsonlStore, open_store
 
 
-READ_PATHS = ("live", "indexed", "rescanned")
+READ_PATHS = ("live", "reopened", "torn")
 
 
 @pytest.fixture(params=READ_PATHS)
 def store_factory(request, tmp_path):
     """Opens one named store; ``make.reread`` hands it back through one read path.
 
-    ``live`` reads through the instance that wrote the records, ``indexed``
-    reopens the store from its flushed index, and ``rescanned`` reopens it
-    with no index so the log itself is scanned.
+    ``live`` reads through the instance that wrote the records,
+    ``reopened`` opens the store again, which reads the log itself, and
+    ``torn`` reopens it after a put killed mid-write left a partial line.
     """
 
     def make(name="conformance"):
@@ -35,10 +35,9 @@ def store_factory(request, tmp_path):
     def reread(store):
         if request.param == "live":
             return store
-        if request.param == "indexed":
-            store.flush()
-        elif os.path.exists(store.index_path):
-            os.unlink(store.index_path)
+        if request.param == "torn":
+            with open(store.path, "ab") as handle:
+                handle.write(b'{"schema_version": 1, "key": "torn/put", "proto')
         return JsonlStore(store.path)
 
     make.reread = reread
@@ -140,57 +139,21 @@ class TestConformance:
 
 
 class TestJsonlDurability:
-    def test_context_manager_flushes(self, tmp_path):
+    def test_the_log_is_the_only_file(self, tmp_path):
+        """No put, flush or close writes anything beside the log."""
         path = tmp_path / "ctx.jsonl"
         with JsonlStore(path) as store:
             seed_records(store, count=2)
-        assert os.path.exists(store.index_path)
+            store.flush()
+        assert sorted(os.listdir(tmp_path)) == ["ctx.jsonl"]
         assert len(JsonlStore(path)) == 2
-
-    def test_reopen_without_flush_rescans_log(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlStore(path)
-        records = seed_records(store)  # no flush(): index never written
-        assert not os.path.exists(store.index_path)
-        reopened = JsonlStore(path)
-        assert reopened.keys() == [record.key for record in records]
-
-    def test_flush_writes_matching_index(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlStore(path)
-        seed_records(store)
-        store.flush()
-        index = json.loads((tmp_path / "runs.jsonl.index.json").read_text())
-        assert index["size"] == os.path.getsize(path)
-        assert set(index["offsets"]) == set(store.keys())
-
-    def test_stale_index_triggers_rescan(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlStore(path)
-        seed_records(store, count=2)
-        store.flush()
-        # Appends after the flush make the index stale; reopen must rescan.
-        store.put(make_run_record(key="late/arrival", seed=9))
-        reopened = JsonlStore(path)
-        assert "late/arrival" in reopened.keys()
-
-    def test_corrupt_index_triggers_rescan(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlStore(path)
-        records = seed_records(store)
-        store.flush()
-        (tmp_path / "runs.jsonl.index.json").write_text("{ not json")
-        reopened = JsonlStore(path)
-        assert len(reopened) == len(records)
 
     def test_torn_final_line_is_truncated_on_reopen(self, tmp_path):
         """A put() killed mid-write must not make the store unreadable."""
         path = tmp_path / "runs.jsonl"
         store = JsonlStore(path)
         records = seed_records(store, count=2)
-        store.flush()
-        # Simulate a kill mid-put: a partial record with no trailing newline
-        # (the index is now stale too, so reopen goes through a rescan).
+        # Simulate a kill mid-put: a partial record with no trailing newline.
         with open(path, "ab") as handle:
             handle.write(b'{"schema_version": 1, "key": "torn/one", "proto')
         reopened = JsonlStore(path)
@@ -203,8 +166,6 @@ class TestJsonlDurability:
 
     def test_corrupt_complete_line_still_raises(self, tmp_path):
         """Only a torn *final* line is forgiven; mid-file corruption is loud."""
-        from repro.errors import ResultSchemaError
-
         path = tmp_path / "runs.jsonl"
         JsonlStore(path).put(make_run_record(key="good/one"))
         raw = path.read_bytes()
@@ -212,25 +173,81 @@ class TestJsonlDurability:
         with pytest.raises(ResultSchemaError):
             JsonlStore(path)
 
-    def test_interleaved_writers_are_not_masked_by_the_index(self, tmp_path):
-        """Two processes appending to one store; no flush may hide the other's records."""
+    def test_a_log_of_only_a_torn_line_opens_empty(self, tmp_path):
+        """A first put killed mid-write leaves an empty store, not a broken one."""
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(b'{"schema_version": 1, "key": "first/put", "pro')
+        assert JsonlStore(path).keys() == []
+        assert path.read_bytes() == b""
+
+    def test_record_cut_before_its_newline_survives_and_next_put_starts_a_line(self, tmp_path):
+        """A kill between a record and its newline loses nothing and corrupts nothing."""
+        path = tmp_path / "runs.jsonl"
+        first = make_run_record(key="before/the/crash")
+        JsonlStore(path).put(first)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        reopened = JsonlStore(path)
+        assert reopened.get("before/the/crash") == first
+        late = make_run_record(key="after/the/crash")
+        reopened.put(late)
+        again = JsonlStore(path)
+        assert again.keys() == ["before/the/crash", "after/the/crash"]
+        assert again.get("after/the/crash") == late
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        records = seed_records(JsonlStore(path), count=2)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\n" + lines[0] + b"  \n\n" + lines[1] + b"\n")
+        store = JsonlStore(path)
+        assert list(store.records()) == records
+
+    def test_reput_after_reopen_keeps_the_first_position(self, tmp_path):
+        """A reopened store supersedes a key in place, and a second reopen agrees."""
+        path = tmp_path / "runs.jsonl"
+        records = seed_records(JsonlStore(path), count=3)
+        replacement = make_run_record(lag=9.0, key=records[0].key)
+        JsonlStore(path).put(replacement)
+        store = JsonlStore(path)
+        assert store.keys() == [record.key for record in records]
+        assert store.get(records[0].key) == replacement
+        assert list(store.records())[1:] == records[1:]
+
+    def test_leftover_index_is_neither_read_nor_rewritten(self, tmp_path):
+        """A sidecar index from an older version names records the log lacks."""
+        path = tmp_path / "runs.jsonl"
+        records = seed_records(JsonlStore(path), count=2)
+        index = tmp_path / "runs.jsonl.index.json"
+        stale = json.dumps({"schema": 1, "end": 1, "offsets": {"ghost/run": 0}}).encode()
+        index.write_bytes(stale)
+        with JsonlStore(path) as store:
+            assert store.keys() == [record.key for record in records]
+            store.put(make_run_record(key="after/upgrade"))
+            store.flush()
+        assert index.read_bytes() == stale
+
+    def test_opening_creates_the_store_directory(self, tmp_path):
+        """Campaigns open their store before the output directory exists."""
+        path = tmp_path / "out" / "nested" / "runs.jsonl"
+        store = JsonlStore(path)
+        store.put(make_run_record(key="first"))
+        assert JsonlStore(path).keys() == ["first"]
+
+    def test_two_writers_on_one_file_reopen_sees_every_record(self, tmp_path):
+        """Two processes appending to one store; neither may overwrite the other."""
         path = tmp_path / "shared.jsonl"
         writer_a = JsonlStore(path)
         writer_b = JsonlStore(path)
         writer_a.put(make_run_record(key="writer-a/1"))
         writer_b.put(make_run_record(key="writer-b/1"))
         writer_a.put(make_run_record(key="writer-a/2"))
-        # A flushes last knowing nothing of B's record; its index must not
-        # claim to cover the whole file while omitting writer-b/1.
-        writer_b.flush()
-        writer_a.flush()
+        writer_b.close()
+        writer_a.close()
         reopened = JsonlStore(path)
         assert sorted(reopened.keys()) == ["writer-a/1", "writer-a/2", "writer-b/1"]
-        # The rescan also taught writer A about B's record.
-        assert "writer-b/1" in writer_a.keys()
 
     def test_appends_are_durable_before_flush(self, tmp_path):
-        """A killed process loses at most the index, never a written record."""
+        """A killed process never loses a written record."""
         path = tmp_path / "runs.jsonl"
         store = JsonlStore(path)
         record = make_run_record(key="durable/now")
@@ -238,19 +255,6 @@ class TestJsonlDurability:
         lines = [line for line in path.read_text().splitlines() if line.strip()]
         assert len(lines) == 1
         assert json.loads(lines[0])["key"] == "durable/now"
-
-    def test_index_is_as_readable_as_the_log(self, tmp_path):
-        """mkstemp's 0600 must not lock other readers out of the index."""
-        old_umask = os.umask(0o022)
-        try:
-            store = JsonlStore(tmp_path / "runs.jsonl")
-            seed_records(store)
-            store.flush()
-        finally:
-            os.umask(old_umask)
-        log_mode = os.stat(store.path).st_mode & 0o777
-        assert log_mode == 0o644
-        assert os.stat(store.index_path).st_mode & 0o777 == log_mode
 
 
 class TestOpenStore:

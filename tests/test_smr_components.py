@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, ProtocolError
 from repro.smr.log import ReplicatedLog
 from repro.smr.messages import MultiPhase1b
-from repro.smr.state_machine import AppendOnlyLedger, KeyValueStore
+from repro.smr.state_machine import KeyValueStore
 from repro.smr.workload import ScheduleSpec
 
 
@@ -69,7 +69,6 @@ class TestKeyValueStore:
         assert kv.apply(("set", "y", 2)) == 2
         kv.apply(("set", "x", 1))
         assert kv.digest() == (("x", 1), ("y", 2))
-        assert kv.applied_count == 2
 
     def test_delete(self):
         kv = KeyValueStore()
@@ -96,6 +95,15 @@ class TestKeyValueStore:
             right.apply(command)
         assert left.digest() == right.digest()
 
+    def test_digest_reflects_the_order_of_conflicting_commands(self):
+        left = KeyValueStore()
+        right = KeyValueStore()
+        for command in [("set", "a", 1), ("set", "a", 2)]:
+            left.apply(command)
+        for command in [("set", "a", 2), ("set", "a", 1)]:
+            right.apply(command)
+        assert left.digest() != right.digest()
+
     def test_same_prefix_same_digest(self):
         commands = [("set", "a", 1), ("set", "a", 2), ("delete", "a"), ("set", "b", 3)]
         left = KeyValueStore()
@@ -105,23 +113,6 @@ class TestKeyValueStore:
         for command in commands:
             right.apply(command)
         assert left.digest() == right.digest()
-
-
-class TestAppendOnlyLedger:
-    def test_records_in_order(self):
-        ledger = AppendOnlyLedger()
-        assert ledger.apply("a") == 0
-        assert ledger.apply("b") == 1
-        assert ledger.digest() == ("'a'", "'b'")
-
-    def test_digest_reflects_order(self):
-        left = AppendOnlyLedger()
-        right = AppendOnlyLedger()
-        for command in ["a", "b"]:
-            left.apply(command)
-        for command in ["b", "a"]:
-            right.apply(command)
-        assert left.digest() != right.digest()
 
 
 class TestScheduleExpand:

@@ -9,7 +9,6 @@ from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.smr.metrics import check_log_consistency
 from repro.smr.multi_paxos import MultiPaxosSmrBuilder
-from repro.smr.state_machine import AppendOnlyLedger
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.chaos import partitioned_chaos_scenario
 from repro.workloads.stable import stable_scenario
@@ -48,13 +47,6 @@ class TestStableReplication:
         result = run_scenario(scenario, MultiPaxosSmrBuilder(schedule))
         assert result.outcome.all_decided
         assert result.outcome.worst_global_latency() <= 4.0 * PARAMS.delta
-
-    def test_ledger_replicas_apply_identical_sequences(self):
-        scenario = stable_scenario(5, params=PARAMS, seed=4, max_time=300.0)
-        schedule = ScheduleSpec(num_commands=12, start=10.0, interval=0.5)
-        builder = MultiPaxosSmrBuilder(schedule, machine_factory=AppendOnlyLedger)
-        result = run_scenario(scenario, builder)
-        assert result.outcome.replicas_agree
 
     def test_no_commands_is_a_quiet_system(self):
         scenario = stable_scenario(3, params=PARAMS, seed=5, max_time=40.0)

@@ -30,6 +30,7 @@ from repro.results.record import (
 )
 from repro.results.smr_record import SmrRecord
 from repro.results.store import JsonlStore
+from repro.smr.state_machine import MACHINE
 from repro.smr.workload import ScheduleSpec
 from repro.workloads.smr import SMR_WORKLOADS
 
@@ -114,6 +115,11 @@ class TestSmrContentKey:
         assert fingerprint["kind"] == "smr"
         assert fingerprint["schema"] == SCHEMA_VERSION
         assert fingerprint["schedule"]["num_commands"] == 3
+
+    def test_fingerprint_names_the_key_value_store(self):
+        """Stored SMR keys were made with ``"kv"``; renaming it would orphan them."""
+        assert MACHINE == "kv"
+        assert task_fingerprint(smr_task())["machine"] == MACHINE
 
     def test_key_stable_across_processes(self):
         task = smr_task()
@@ -234,12 +240,10 @@ class TestMixedStores:
         assert list(store.records()) == records
         store.close()
 
-    def test_jsonl_rescan_recovers_smr_records(self, tmp_path, records):
+    def test_reopen_recovers_smr_records(self, tmp_path, records):
         store = JsonlStore(tmp_path / "mixed.jsonl")
         for record in records:
             store.put(record)
-        store.flush()
-        os.unlink(store.index_path)  # force a rescan on reopen
         reopened = JsonlStore(tmp_path / "mixed.jsonl")
         assert sorted(reopened.keys()) == sorted(record.key for record in records)
         assert reopened.get(records[0].key) == records[0]

@@ -9,9 +9,10 @@ them.
 
 import pytest
 
+from helpers import CountingExecutor, DyingExecutor
 from repro.errors import ExperimentError
 from repro.harness.campaign import run_campaign, write_report
-from repro.harness.executors import SerialExecutor, SmrTask
+from repro.harness.executors import SmrTask
 from repro.harness.experiment import run_smr_tasks
 from repro.harness.experiments import default_experiment_params
 from repro.results.store import JsonlStore
@@ -20,35 +21,6 @@ from repro.results.smr_record import SmrRecord
 from repro.smr.workload import ScheduleSpec
 
 PARAMS = default_experiment_params()
-
-
-class CountingExecutor(SerialExecutor):
-    """Serial executor that counts how many tasks it actually ran."""
-
-    def __init__(self):
-        super().__init__()
-        self.executed = 0
-
-    def imap(self, tasks):
-        for task in tasks:
-            self.executed += 1
-            yield task.execute()
-
-
-class DyingExecutor(SerialExecutor):
-    """Simulates a campaign killed midway: dies after ``fail_after`` runs."""
-
-    def __init__(self, fail_after):
-        super().__init__()
-        self.fail_after = fail_after
-        self.executed = 0
-
-    def imap(self, tasks):
-        for task in tasks:
-            if self.executed >= self.fail_after:
-                raise KeyboardInterrupt("simulated mid-campaign kill")
-            self.executed += 1
-            yield task.execute()
 
 
 def smr_tasks(n=3, seeds=(1, 2, 3)):

@@ -8,16 +8,20 @@ and one ``smr-stable`` run (written by ``run_smr_tasks``).  No other test
 pins on-disk bytes or literal content keys, so this one catches a change to
 either: a record must re-encode to the very line it was read from, the
 producing tasks must still derive the stored keys, and resuming from the
-store must execute nothing.
+store must execute nothing.  Stores no longer keep an index, so the
+leftover ``.index.json`` beside the log must be neither read nor rewritten.
 """
 
+import builtins
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.harness.executors import SerialExecutor, SmrTask
+from helpers import CountingExecutor
+from repro.harness.executors import SmrTask
 from repro.harness.experiment import ExperimentSpec, run_experiment, run_smr_tasks
+from repro.results import store as store_module
 from repro.results.store import JsonlStore
 from repro.results.record import content_key_for_task, decode_record_json
 from repro.smr.workload import ScheduleSpec
@@ -40,26 +44,31 @@ def producing_tasks():
     return [task for spec in SPECS for task in spec.tasks()] + SMR_TASKS
 
 
-class CountingExecutor(SerialExecutor):
-    """Serial executor that counts how many tasks it actually ran."""
-
-    def __init__(self):
-        super().__init__()
-        self.executed = 0
-
-    def imap(self, tasks):
-        for task in tasks:
-            self.executed += 1
-            yield task.execute()
-
-
 @pytest.fixture()
-def store_copy(tmp_path):
-    """A writable copy of the fixture store (resume flushes the index)."""
+def store_copy(tmp_path, monkeypatch):
+    """A writable copy of the fixture store, its leftover index beside it.
+
+    Records every file the store module opens, so a test can call
+    ``check_index_untouched()`` after resuming from the copy.
+    """
     target = tmp_path / FIXTURE.name
+    index = tmp_path / (FIXTURE.name + ".index.json")
     shutil.copyfile(FIXTURE, target)
-    shutil.copyfile(str(FIXTURE) + ".index.json", str(target) + ".index.json")
-    return target
+    shutil.copyfile(str(FIXTURE) + ".index.json", index)
+    index_bytes = index.read_bytes()
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return builtins.open(file, *args, **kwargs)
+
+    def check_index_untouched():
+        assert str(target) in opened
+        assert str(index) not in opened
+        assert index.read_bytes() == index_bytes
+
+    monkeypatch.setattr(store_module, "open", recording_open, raising=False)
+    return target, check_index_untouched
 
 
 def test_every_line_decodes_and_reencodes_byte_for_byte():
@@ -77,10 +86,12 @@ def test_producing_tasks_derive_the_stored_keys():
 
 
 def test_run_experiment_resumes_without_executing(store_copy):
+    path, check_index_untouched = store_copy
     counting = CountingExecutor()
-    results = run_experiment(SPECS, store=str(store_copy), resume=True, executor=counting)
+    results = run_experiment(SPECS, store=str(path), resume=True, executor=counting)
     assert counting.executed == 0
-    store = JsonlStore(store_copy)
+    check_index_untouched()
+    store = JsonlStore(path)
     assert [row.outcome for row in results] == [
         store.get(content_key_for_task(row.task)).to_outcome() for row in results
     ]
@@ -88,10 +99,12 @@ def test_run_experiment_resumes_without_executing(store_copy):
 
 
 def test_run_smr_tasks_resumes_without_executing(store_copy):
+    path, check_index_untouched = store_copy
     counting = CountingExecutor()
-    rows = run_smr_tasks(SMR_TASKS, store=str(store_copy), resume=True, executor=counting)
+    rows = run_smr_tasks(SMR_TASKS, store=str(path), resume=True, executor=counting)
     assert counting.executed == 0
-    record = JsonlStore(store_copy).get(content_key_for_task(SMR_TASKS[0]))
+    check_index_untouched()
+    record = JsonlStore(path).get(content_key_for_task(SMR_TASKS[0]))
     assert [row.outcome for row in rows] == [record.to_outcome()]
     assert rows[0].outcome.all_decided
 

@@ -23,7 +23,7 @@ _WORKLOAD_PARAMETERS = {
     "stable": _STABLE_SIZES,
     "partitioned-chaos": _SIZES | {"worst_case_post_delays"},
     "lossy-chaos": _SIZES,
-    "obsolete-ballots": _SIZES | {"num_obsolete", "ballot_stride", "poll_interval_factor"},
+    "obsolete-ballots": _SIZES | {"num_obsolete"},
     "coordinator-crash": _SIZES | {"num_faulty"},
     "restarts": _SIZES | {"restart_offsets"},
     "kitchen-sink": _SIZES,
@@ -104,9 +104,12 @@ class TestObsoleteScenario:
         with pytest.raises(ConfigurationError):
             obsolete_ballot_scenario(2, params=make_params())
 
-    def test_rejects_small_ballot_stride(self):
-        with pytest.raises(ConfigurationError):
-            obsolete_ballot_scenario(5, params=make_params(), ballot_stride=2)
+    @pytest.mark.parametrize("knob", ["ballot_stride", "poll_interval_factor"])
+    def test_fixed_adversary_knobs_are_refused_by_name(self, knob):
+        """Both are module constants; a spec that still sets one fails loudly."""
+        with pytest.raises(ConfigurationError, match=knob):
+            WORKLOADS.create("obsolete-ballots", n=5, params=make_params(), **{knob: 2})
+        assert knob not in WORKLOADS.describe("obsolete-ballots")
 
     def test_horizon_scales_with_k(self):
         small = obsolete_ballot_scenario(5, params=make_params(), num_obsolete=0)
